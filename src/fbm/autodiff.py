@@ -18,16 +18,9 @@ import struct
 
 import numpy as np
 
-from .errors import CheckpointError, NumericError
+from .errors import CheckpointError
 
 _grad_enabled = True
-_debug_checks = False
-
-
-def set_debug_checks(flag):
-    """Check every op output for NaN/Inf. Costly; off by default."""
-    global _debug_checks
-    _debug_checks = bool(flag)
 
 
 class no_grad:
@@ -142,8 +135,6 @@ def _from_op(value, parents, vjp):
     if track:
         out._parents = tuple(parents)
         out._vjp = vjp
-    if _debug_checks and not np.all(np.isfinite(out.value)):
-        raise NumericError("non-finite values in op output")
     return out
 
 
@@ -448,8 +439,14 @@ _MAGIC = b"FBMCKPT1"
 
 
 def save_tensors(path, named, header=None):
-    """Write (name, array) records after an optional key=value text header."""
-    lines = [f"{k}={v}" for k, v in (header or {}).items()]
+    """Write (name, array) records after an optional key=value text header;
+    an entry that would not read back as the same key and value is refused."""
+    lines = []
+    for k, v in (header or {}).items():
+        line = f"{k}={v}"
+        if "=" in str(k) or line.splitlines() != [line]:
+            raise CheckpointError(f"header entry {line!r} does not fit one key=value line")
+        lines.append(line)
     hbytes = "\n".join(lines).encode("utf-8")
     with open(path, "wb") as f:
         f.write(_MAGIC)

@@ -58,7 +58,7 @@ def unpatch(x, layout):
 
 
 def downsample_op(G, kernel):
-    """Tape-capable mirror of fourier.downsample: average time, sum frequency."""
+    """Coarsen features [..., t, f]: average `kernel` rows, sum `kernel` columns."""
     lead = G.shape[:-2]
     t, f = G.shape[-2], G.shape[-1]
     if t % kernel or f % kernel:
@@ -208,9 +208,12 @@ class PatchProjector:
 # --- trend block ---------------------------------------------------------------
 
 
+BACKBONES = ("linear", "mlp", "transformer")
+
+
 @dataclass(frozen=True)
 class TrendConfig:
-    backbone: str = "mlp"  # linear | mlp | transformer
+    backbone: str = "mlp"  # one of BACKBONES
     h1: int = 128
     h2: int = 1440
     K: int = 3  # attention stacks, transformer only
@@ -218,7 +221,7 @@ class TrendConfig:
     scales: tuple = (1,)  # downsample kernels; 1 = full resolution
 
     def __post_init__(self):
-        if self.backbone not in ("linear", "mlp", "transformer"):
+        if self.backbone not in BACKBONES:
             raise ConfigError(f"unknown trend backbone {self.backbone!r}")
         if not self.scales:
             raise ConfigError("trend block needs at least one scale")

@@ -20,9 +20,8 @@ import numpy as np
 from . import data as dat
 from . import fourier
 from .autodiff import _MAGIC
-from .blocks import InteractionConfig, TrendConfig
 from .errors import ConfigError, DataError, FbmError
-from .models import VARIANTS, ForecastModel, ModelSpec, NpConfig, instance_standardize
+from .models import SPEC_FIELDS, ForecastModel, ModelSpec, instance_standardize
 from .train import (
     TrainConfig,
     evaluate,
@@ -65,28 +64,11 @@ class Opt:
 
 
 MODEL_OPTS = [
-    Opt("variant", str, "fbm-l", f"model variant, one of {', '.join(VARIANTS)}"),
-    Opt("T", int, 336, "look-back window length (even)"),
-    Opt("L", int, 96, "forecast horizon"),
-    Opt("standardize", bool, True, "instance-standardize windows"),
-    Opt("nl-h1", int, 1440, "fbm-nl first hidden width"),
-    Opt("nl-h2", int, 1440, "fbm-nl second hidden width"),
-    Opt("np-p", int, 14, "fbm-np patches per window"),
-    Opt("np-h1", int, 128, "fbm-np token width"),
-    Opt("np-ffn", int, 256, "fbm-np attention FFN width"),
-    Opt("np-k", int, 3, "fbm-np attention stacks"),
-    Opt("trend-backbone", str, "mlp", "fbm-s trend backbone", choices=("linear", "mlp", "transformer")),
-    Opt("trend-h1", int, 128, "fbm-s trend patch projection width"),
-    Opt("trend-h2", int, 1440, "fbm-s trend hidden/FFN width"),
-    Opt("trend-k", int, 3, "fbm-s trend attention stacks (transformer)"),
-    Opt("trend-p", int, 14, "fbm-s trend patches per window"),
-    Opt("scales", str, "1", "fbm-s downsample kernels, e.g. 1+2+4"),
-    Opt("interaction", bool, False, "fbm-s: enable the cross-channel block"),
-    Opt("c1", int, 24, "interaction: trailing input steps used"),
-    Opt("c2", int, 96, "interaction: horizon steps the block may write"),
-    Opt("h3", int, 512, "interaction token width"),
-    Opt("inter-k", int, 3, "interaction attention stacks"),
+    Opt(f.flag, str if f.type is tuple else f.type, f.default, f.help, choices=f.choices)
+    for f in SPEC_FIELDS
+    if f.flag
 ]
+SPEC_DEFAULTS = {o.name: o.default for o in MODEL_OPTS}
 
 DATA_OPTS = [
     Opt("data", str, help="dataset: CSV file or .fbmds cache", required=True),
@@ -115,16 +97,14 @@ EVAL_OPTS = DATA_OPTS + [
     Opt("predictions-out", str, help="also dump window_id,channel,step,y_true,y_pred CSV"),
 ]
 
-FEATURES_OPTS = [
-    Opt("data", str, help="dataset: CSV file or .fbmds cache", required=True),
-    Opt("columns", str, help="comma-separated value columns (default: all)"),
-    Opt("T", int, 336, "window length"),
+FEATURES_OPTS = DATA_OPTS[:2] + [
+    Opt("T", int, SPEC_DEFAULTS["T"], "window length"),
     Opt("start", int, 0, "window start index"),
     Opt("out", str, "features.csv", "output CSV (channel,n,k,value)"),
 ]
 
 SPECTRUM_OPTS = DATA_OPTS + [
-    Opt("T", int, 336, "window length"),
+    Opt("T", int, SPEC_DEFAULTS["T"], "window length"),
     Opt("part", str, "train", "split whose windows are analyzed", choices=("train", "val", "test")),
     Opt("stride", int, 1, "window stride"),
     Opt("out", str, "spectrum.csv", "output CSV (channel,k,mean_amp,lo95,hi95)"),
@@ -135,14 +115,10 @@ WEIGHTS_OPTS = [
     Opt("out", str, "weights.csv", "output CSV (n,k,value)"),
 ]
 
-INSPECT_OPTS = DATA_OPTS[:2] + [
+INSPECT_OPTS = DATA_OPTS + [
     Opt("cache-out", str, help="write a normalized .fbmds cache here"),
-    Opt("split", str, "ratio", "split rule for cache stats", choices=("ratio", "ett")),
-    Opt("train-ratio", float, 0.65, "ratio split: train fraction"),
-    Opt("val-ratio", float, 0.15, "ratio split: validation fraction"),
-    Opt("test-ratio", float, 0.2, "ratio split: test fraction"),
-    Opt("T", int, 336, "window length (cache stats split)"),
-    Opt("L", int, 96, "horizon (cache stats split)"),
+    Opt("T", int, SPEC_DEFAULTS["T"], "window length (cache stats split)"),
+    Opt("L", int, SPEC_DEFAULTS["L"], "horizon (cache stats split)"),
 ]
 
 DESCRIBE_OPTS = MODEL_OPTS + [
@@ -224,37 +200,14 @@ def _add_opts(parser, opts):
 # --- shared assembly ----------------------------------------------------------------
 
 
-def _parse_scales(text):
-    parts = str(text).replace(",", "+").split("+")
-    try:
-        return tuple(int(p) for p in parts if p != "")
-    except ValueError:
-        raise ConfigError(f"cannot parse scales {text!r} (want e.g. 1+2+4)") from None
-
-
 def build_model_spec(res, D):
-    variant = res["variant"]
-    if variant not in VARIANTS:
-        raise ConfigError(f"unknown variant {variant!r}; choose from {VARIANTS}")
-    kw = dict(variant=variant, T=res["T"], L=res["L"], D=D, standardize=res["standardize"])
-    if variant == "fbm-nl":
-        kw.update(nl_h1=res["nl-h1"], nl_h2=res["nl-h2"])
-    if variant == "fbm-np":
-        kw["np_cfg"] = NpConfig(P=res["np-p"], h1=res["np-h1"], h2=res["np-ffn"], K=res["np-k"])
-    if variant == "fbm-s":
-        kw["trend"] = TrendConfig(
-            backbone=res["trend-backbone"],
-            h1=res["trend-h1"],
-            h2=res["trend-h2"],
-            K=res["trend-k"],
-            P=res["trend-p"],
-            scales=_parse_scales(res["scales"]),
-        )
-        if res["interaction"]:
-            kw["interaction"] = InteractionConfig(
-                C1=res["c1"], C2=res["c2"], h3=res["h3"], K=res["inter-k"]
-            )
-    return ModelSpec(**kw)
+    """Spec from resolved options; D is the dataset's channel count."""
+
+    def value(f):
+        v = D if f.flag is None else res[f.flag]
+        return f.parse(v) if isinstance(v, str) else v  # text as in headers, e.g. 1+2+4
+
+    return ModelSpec.from_values(value)
 
 
 def _split_spec(res):
@@ -354,14 +307,9 @@ def cmd_features(parser, args):
     Xs = instance_standardize(X)[0][0]
     H_R, H_I = fourier.rdft_array(Xs)
     G = fourier.expand_array(H_R, H_I, fourier.build_bases(T), drop_dc=True)
-    with open(res["out"], "w", encoding="utf-8") as f:
-        f.write("channel,n,k,value\n")
-        D, _, K = G.shape
-        for d in range(D):
-            for n in range(T):
-                for k in range(K):
-                    f.write(f"{d},{n},{k + 1},{G[d, n, k]:.17g}\n")
-    print(f"wrote {res['out']} ({D}x{T}x{K})")
+    d, n, k = np.indices(G.shape)
+    dat.write_csv(res["out"], "channel,n,k,value", [d, n, k + 1], [G])
+    print(f"wrote {res['out']} ({'x'.join(map(str, G.shape))})")
     return 0
 
 
@@ -376,15 +324,12 @@ def cmd_spectrum(parser, args):
     for i in range(0, len(starts), 512):
         chunk = starts[i : i + 512]
         X = np.stack([ds.values[:, s : s + T] for s in chunk])
-        Xs = instance_standardize(X)[0]
-        H_R, H_I = fourier.rdft_array(Xs)
-        amps.append(np.hypot(H_R, H_I)[..., 1:])  # drop DC
+        H_R, H_I = fourier.rdft_array(instance_standardize(X)[0])
+        spec = fourier.Spectrum(real=H_R, imag=H_I, T=T)
+        amps.append(fourier.amplitude_phase(spec).amp[..., 1:])  # drop DC
     mean, lo, hi = fourier.amplitude_distribution(np.concatenate(amps))
-    with open(res["out"], "w", encoding="utf-8") as f:
-        f.write("channel,k,mean_amp,lo95,hi95\n")
-        for d in range(ds.D):
-            for k in range(T // 2):
-                f.write(f"{d},{k + 1},{mean[d, k]:.17g},{lo[d, k]:.17g},{hi[d, k]:.17g}\n")
+    d, k = np.indices(mean.shape)
+    dat.write_csv(res["out"], "channel,k,mean_amp,lo95,hi95", [d, k + 1], [mean, lo, hi])
     print(f"wrote {res['out']} ({len(starts)} windows)")
     return 0
 
@@ -397,11 +342,8 @@ def cmd_weights(parser, args):
             f"weights export needs an fbm-s checkpoint, got {model.spec.variant}"
         )
     W = model.seasonal.W.value
-    with open(res["out"], "w", encoding="utf-8") as f:
-        f.write("n,k,value\n")
-        for n in range(W.shape[0]):
-            for k in range(W.shape[1]):
-                f.write(f"{n},{k + 1},{W[n, k]:.17g}\n")
+    n, k = np.indices(W.shape)
+    dat.write_csv(res["out"], "n,k,value", [n, k + 1], [W])
     print(f"wrote {res['out']} {W.shape}")
     return 0
 
@@ -459,10 +401,7 @@ def cmd_synth(parser, args):
         print(f"wrote {res['out']} ({res['windows']} paired windows)")
     elif res["case"] == 2:
         ds = make_case2(res["seed"], length=res["length"])
-        with open(res["out"], "w", encoding="utf-8") as f:
-            f.write("value\n")
-            for x in ds.values[0]:
-                f.write(f"{x:.17g}\n")
+        dat.write_csv(res["out"], "value", [], [ds.values[0]])
         print(f"wrote {res['out']} ({res['length']} steps)")
     else:
         raise ConfigError(f"--case must be 1 or 2, got {res['case']}")

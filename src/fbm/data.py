@@ -282,6 +282,18 @@ class SlidingWindows:
         return iterate_batches(self.values, self.ranges.test, self.T, self.L, self.batch_size)
 
 
+# --- CSV export -----------------------------------------------------------------------
+
+
+def write_csv(f, header, ints, floats):
+    """One row per element of the equally shaped arrays, in C order: the
+    `ints` columns as %d, then the `floats` columns as %.17g (round-trip
+    exact). f is a path or an open text file; an empty header writes none."""
+    cols = [np.ravel(c) for c in ints + floats]
+    fmt = ["%d"] * len(ints) + ["%.17g"] * len(floats)
+    np.savetxt(f, np.column_stack(cols), fmt=fmt, delimiter=",", header=header, comments="")
+
+
 # --- normalized dataset cache ---------------------------------------------------------
 
 

@@ -30,7 +30,7 @@ def _check_window_length(T):
 
 @dataclass(frozen=True)
 class Spectrum:
-    """Half spectrum of a real window: H[k] for k = 0..T/2."""
+    """Half spectrum H[..., k], k = 0..T/2, of a real window or a batch of them."""
 
     real: np.ndarray
     imag: np.ndarray
@@ -74,9 +74,8 @@ def rdft(x):
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 1:
         raise ConfigError(f"rdft expects a 1-d window, got shape {x.shape}")
-    T = x.shape[0]
-    cm, sm = dft_matrices(T)
-    return Spectrum(real=x @ cm, imag=x @ sm, T=T)
+    H_R, H_I = rdft_array(x)
+    return Spectrum(real=H_R, imag=H_I, T=x.shape[0])
 
 
 def rdft_array(X):
@@ -114,8 +113,7 @@ def basis_expand(spec, bases, drop_dc=False):
     """Single-channel time-frequency features G[n,k] = H_R[k] C[n,k] + H_I[k] S[n,k]."""
     if bases.T != spec.T:
         raise ConfigError(f"basis length {bases.T} != spectrum length {spec.T}")
-    G = expand_array(spec.real, spec.imag, bases, drop_dc=drop_dc)
-    return G
+    return expand_array(spec.real, spec.imag, bases, drop_dc=drop_dc)
 
 
 def expand_array(H_R, H_I, bases, drop_dc=False):
@@ -152,22 +150,6 @@ def amplitude_phase(spec):
     R = np.hypot(A, B)
     phase = np.where(R == 0.0, 0.0, np.arctan2(B, A))
     return AmplitudePhase(amp=R, phase=phase)
-
-
-def downsample(G, kernel):
-    """Coarsen features: average `kernel` adjacent rows, sum `kernel` adjacent columns."""
-    if kernel not in (2, 4):
-        raise ConfigError(f"downsample kernel must be 2 or 4, got {kernel}")
-    G = np.asarray(G, dtype=np.float64)
-    t, f = G.shape[-2], G.shape[-1]
-    if t % kernel or f % kernel:
-        raise ConfigError(
-            f"downsample kernel {kernel} does not divide feature dims {t}x{f}"
-        )
-    lead = G.shape[:-2]
-    G = G.reshape(*lead, t // kernel, kernel, f).mean(axis=-2)
-    G = G.reshape(*lead, t // kernel, f // kernel, kernel).sum(axis=-1)
-    return G
 
 
 def amplitude_distribution(amps):

@@ -32,6 +32,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Parameter, Tensor
 from .blocks import (
+    BACKBONES,
     InteractionBlock,
     InteractionConfig,
     PatchLayout,
@@ -41,7 +42,7 @@ from .blocks import (
     TrendConfig,
 )
 from .errors import CheckpointError, ConfigError
-from .fourier import build_bases, dft_matrices
+from .fourier import build_bases, expand_array, rdft_array
 
 VARIANTS = ("fbm-l", "fbm-nl", "fbm-np", "fbm-s", "diag", "last")
 
@@ -82,78 +83,133 @@ class ModelSpec:
             raise ConfigError("fbm-nl hidden widths must be positive")
 
     def to_header(self):
-        h = {
-            "variant": self.variant,
-            "T": str(self.T),
-            "L": str(self.L),
-            "D": str(self.D),
-            "standardize": "1" if self.standardize else "0",
-        }
-        if self.variant == "fbm-nl":
-            h["nl_h1"] = str(self.nl_h1)
-            h["nl_h2"] = str(self.nl_h2)
-        if self.variant == "fbm-np":
-            c = self.np_cfg
-            h.update(np_p=str(c.P), np_h1=str(c.h1), np_h2=str(c.h2), np_k=str(c.K))
-        if self.variant == "fbm-s":
-            t = self.trend
-            h.update(
-                trend_backbone=t.backbone,
-                trend_h1=str(t.h1),
-                trend_h2=str(t.h2),
-                trend_k=str(t.K),
-                trend_p=str(t.P),
-                trend_scales="+".join(str(s) for s in t.scales),
-            )
-            if self.interaction is None:
-                h["interaction"] = "0"
-            else:
-                i = self.interaction
-                h.update(
-                    interaction="1", c1=str(i.C1), c2=str(i.C2),
-                    h3=str(i.h3), inter_k=str(i.K),
-                )
+        """Checkpoint header: the fields the variant reads, in table order."""
+        h = {}
+        for f in _fields_of(self.variant):
+            head = getattr(self, f.path[0])
+            if len(f.path) == 1:
+                h[f.key] = f.text(head is not None if f.path[0] in CONFIGS else head)
+            elif head is not None:  # a switched-off config writes no fields
+                h[f.key] = f.text(getattr(head, f.path[1]))
         return h
 
     @classmethod
     def from_header(cls, h):
+        def value(f):
+            if f.type is bool and f.key not in h:
+                return f.default  # headers may omit a switch left at its default
+            return f.parse(h[f.key])
+
         try:
-            variant = h["variant"]
-            kw = dict(
-                variant=variant,
-                T=int(h["T"]),
-                L=int(h["L"]),
-                D=int(h["D"]),
-                standardize=h.get("standardize", "1") == "1",
-            )
-            if variant == "fbm-nl":
-                kw["nl_h1"] = int(h["nl_h1"])
-                kw["nl_h2"] = int(h["nl_h2"])
-            if variant == "fbm-np":
-                kw["np_cfg"] = NpConfig(
-                    P=int(h["np_p"]), h1=int(h["np_h1"]),
-                    h2=int(h["np_h2"]), K=int(h["np_k"]),
-                )
-            if variant == "fbm-s":
-                kw["trend"] = TrendConfig(
-                    backbone=h["trend_backbone"],
-                    h1=int(h["trend_h1"]),
-                    h2=int(h["trend_h2"]),
-                    K=int(h["trend_k"]),
-                    P=int(h["trend_p"]),
-                    scales=tuple(int(s) for s in h["trend_scales"].split("+")),
-                )
-                if h.get("interaction", "0") == "1":
-                    kw["interaction"] = InteractionConfig(
-                        C1=int(h["c1"]), C2=int(h["c2"]),
-                        h3=int(h["h3"]), K=int(h["inter_k"]),
-                    )
-            return cls(**kw)
+            return cls.from_values(value)
         except KeyError as missing:
             raise CheckpointError(f"checkpoint header missing field {missing}") from None
 
+    @classmethod
+    def from_values(cls, value):
+        """Spec from value(field), asked in table order for each field the
+        variant reads; the fields of a switched-off config are not asked."""
+        kw, configs, off = {}, {}, set()
+        for f in _fields_of(value(SPEC_FIELDS[0])):
+            head = f.path[0]
+            if len(f.path) == 2:
+                if head not in off:
+                    configs.setdefault(head, {})[f.path[1]] = value(f)
+            elif head in CONFIGS:
+                if not value(f):
+                    off.add(head)
+            else:
+                kw[head] = value(f)
+        kw.update((head, CONFIGS[head](**sub)) for head, sub in configs.items())
+        return cls(**kw)
+
     def summary(self):
         return ", ".join(f"{k}={v}" for k, v in self.to_header().items())
+
+
+# --- the spec field table -------------------------------------------------------
+
+CONFIGS = {"np_cfg": NpConfig, "trend": TrendConfig, "interaction": InteractionConfig}
+
+
+def _parse_scales(text):
+    parts = str(text).replace(",", "+").split("+")
+    try:
+        return tuple(int(p) for p in parts if p != "")
+    except ValueError:
+        raise ConfigError(f"cannot parse scales {text!r} (want e.g. 1+2+4)") from None
+
+
+# header text of a value and back, for the types that str() and type() do not fit
+_TEXT = {bool: lambda v: "1" if v else "0", tuple: lambda v: "+".join(str(s) for s in v)}
+_PARSE = {bool: lambda text: text == "1", tuple: _parse_scales}
+
+
+@dataclass(frozen=True)
+class SpecField:
+    """One ModelSpec field: CLI flag and manifest key (None: the data sets
+    it), header key, attribute path, and the variant that reads it (None:
+    all). A path of one CONFIGS name is the on/off switch of that config."""
+
+    flag: str | None
+    key: str
+    path: tuple
+    variant: str | None
+    help: str = ""
+    type: type = int
+    default: object = None  # None: the dataclass default; a switch is off
+    choices: tuple | None = None
+
+    def __post_init__(self):
+        if self.default is None:
+            owner = CONFIGS[self.path[0]] if len(self.path) == 2 else ModelSpec
+            default = owner.__dataclass_fields__[self.path[-1]].default
+            if len(self.path) == 1 and self.path[0] in CONFIGS:
+                default = default is not None
+            object.__setattr__(self, "default", default)
+
+    def text(self, value):
+        return _TEXT.get(self.type, str)(value)
+
+    def parse(self, text):
+        return _PARSE.get(self.type, self.type)(text)
+
+
+SPEC_FIELDS = (
+    SpecField("variant", "variant", ("variant",), None,
+              f"model variant, one of {', '.join(VARIANTS)}", str, "fbm-l"),
+    SpecField("T", "T", ("T",), None, "look-back window length (even)", default=336),
+    SpecField("L", "L", ("L",), None, "forecast horizon", default=96),
+    SpecField(None, "D", ("D",), None),
+    SpecField("standardize", "standardize", ("standardize",), None,
+              "instance-standardize windows", bool),
+    SpecField("nl-h1", "nl_h1", ("nl_h1",), "fbm-nl", "fbm-nl first hidden width"),
+    SpecField("nl-h2", "nl_h2", ("nl_h2",), "fbm-nl", "fbm-nl second hidden width"),
+    SpecField("np-p", "np_p", ("np_cfg", "P"), "fbm-np", "fbm-np patches per window"),
+    SpecField("np-h1", "np_h1", ("np_cfg", "h1"), "fbm-np", "fbm-np token width"),
+    SpecField("np-ffn", "np_h2", ("np_cfg", "h2"), "fbm-np", "fbm-np attention FFN width"),
+    SpecField("np-k", "np_k", ("np_cfg", "K"), "fbm-np", "fbm-np attention stacks"),
+    SpecField("trend-backbone", "trend_backbone", ("trend", "backbone"), "fbm-s",
+              "fbm-s trend backbone", str, choices=BACKBONES),
+    SpecField("trend-h1", "trend_h1", ("trend", "h1"), "fbm-s", "fbm-s trend patch projection width"),
+    SpecField("trend-h2", "trend_h2", ("trend", "h2"), "fbm-s", "fbm-s trend hidden/FFN width"),
+    SpecField("trend-k", "trend_k", ("trend", "K"), "fbm-s",
+              "fbm-s trend attention stacks (transformer)"),
+    SpecField("trend-p", "trend_p", ("trend", "P"), "fbm-s", "fbm-s trend patches per window"),
+    SpecField("scales", "trend_scales", ("trend", "scales"), "fbm-s",
+              "fbm-s downsample kernels, e.g. 1+2+4", tuple),
+    SpecField("interaction", "interaction", ("interaction",), "fbm-s",
+              "fbm-s: enable the cross-channel block", bool),
+    SpecField("c1", "c1", ("interaction", "C1"), "fbm-s", "interaction: trailing input steps used"),
+    SpecField("c2", "c2", ("interaction", "C2"), "fbm-s",
+              "interaction: horizon steps the block may write"),
+    SpecField("h3", "h3", ("interaction", "h3"), "fbm-s", "interaction token width"),
+    SpecField("inter-k", "inter_k", ("interaction", "K"), "fbm-s", "interaction attention stacks"),
+)
+
+
+def _fields_of(variant):
+    return [f for f in SPEC_FIELDS if f.variant in (None, variant)]
 
 
 def instance_standardize(X):
@@ -168,11 +224,10 @@ class ForecastModel:
         self.spec = spec
         rng = np.random.default_rng(seed)
         T, L, K = spec.T, spec.L, spec.T // 2
-        self._cm, self._sm = dft_matrices(T)
-        bases = build_bases(T)
+        self._bases = build_bases(T)
         # DC-dropped basis tables, also pre-shaped for the fbm-l/nl contraction
-        self._C = np.ascontiguousarray(bases.C[:T, 1:])
-        self._S = np.ascontiguousarray(bases.S[:T, 1:])
+        self._C = np.ascontiguousarray(self._bases.C[:T, 1:])
+        self._S = np.ascontiguousarray(self._bases.S[:T, 1:])
         self._crow = Tensor(np.ascontiguousarray(self._C.T[:, None, :]))  # [K,1,T]
         self._srow = Tensor(np.ascontiguousarray(self._S.T[:, None, :]))
         self.params = []
@@ -250,14 +305,9 @@ class ForecastModel:
 
     # --- forward -----------------------------------------------------------
 
-    def _spectra(self, Xs):
-        """Standardized windows -> DC-dropped spectrum halves (constants)."""
-        H_R = Xs @ self._cm
-        H_I = Xs @ self._sm
-        return H_R[..., 1:], H_I[..., 1:]
-
     def _features(self, H_R, H_I):
-        return Tensor(H_R[..., None, :] * self._C + H_I[..., None, :] * self._S)
+        """Full spectrum halves -> DC-dropped feature grid [..., T, T/2]."""
+        return Tensor(expand_array(H_R, H_I, self._bases, drop_dc=True))
 
     def forward(self, X):
         """X: f64[B, D, T] raw windows -> Tensor[B, D, L] predictions."""
@@ -280,15 +330,15 @@ class ForecastModel:
         if v == "last":
             last = Xs[..., -1:]
             return Tensor(np.broadcast_to(last, Xs.shape[:2] + (spec.L,)).copy())
-        H_R, H_I = self._spectra(Xs)
+        H_R, H_I = rdft_array(Xs)
+        # the spectral maps read bins 1..T/2
+        h_r, h_i = Tensor(H_R[..., 1:]), Tensor(H_I[..., 1:])
         if v == "fbm-l":
             wc, ws = self._contract(self.w)
-            return ad.add(ad.matmul(Tensor(H_R), wc), ad.matmul(Tensor(H_I), ws))
+            return ad.add(ad.matmul(h_r, wc), ad.matmul(h_i, ws))
         if v == "fbm-nl":
             wc, ws = self._contract(self.w1)
-            h = ad.add(
-                ad.add(ad.matmul(Tensor(H_R), wc), ad.matmul(Tensor(H_I), ws)), self.b1
-            )
+            h = ad.add(ad.add(ad.matmul(h_r, wc), ad.matmul(h_i, ws)), self.b1)
             h = ad.relu(h)
             h = ad.relu(ad.add(ad.matmul(h, self.w2), self.b2))
             return ad.add(ad.matmul(h, self.w3), self.b3)
@@ -305,8 +355,8 @@ class ForecastModel:
         if v == "fbm-s":
             return self._sum_components(self._component_outputs(H_R, H_I))
         if v == "diag":
-            a = ad.mul(Tensor(H_R), self.wa)
-            b = ad.mul(Tensor(H_I), self.wb)
+            a = ad.mul(h_r, self.wa)
+            b = ad.mul(h_i, self.wb)
             return ad.add(ad.matmul(a, self._c_rows), ad.matmul(b, self._s_rows))
         raise ConfigError(f"unknown variant {v!r}")
 
@@ -318,7 +368,7 @@ class ForecastModel:
         return wc, ws
 
     def _component_outputs(self, H_R, H_I):
-        outs = {"seasonal": self.seasonal.forward(Tensor(H_R), Tensor(H_I))}
+        outs = {"seasonal": self.seasonal.forward(Tensor(H_R[..., 1:]), Tensor(H_I[..., 1:]))}
         G = self._features(H_R, H_I)
         outs["trend"] = self.trend.forward(G)
         if self.inter is not None:
@@ -340,8 +390,7 @@ class ForecastModel:
             raise ConfigError("components() is only defined for fbm-s")
         X = np.asarray(X, dtype=np.float64)
         Xs, mu, sd = instance_standardize(X)
-        H_R, H_I = self._spectra(Xs)
-        outs = self._component_outputs(H_R, H_I)
+        outs = self._component_outputs(*rdft_array(Xs))
         return {k: v.value for k, v in outs.items()}, mu, sd
 
     def predict(self, X):

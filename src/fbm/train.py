@@ -22,7 +22,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .data import Dataset
+from .data import Dataset, WindowBatch, write_csv
 from .errors import ConfigError, NumericError
 
 
@@ -192,7 +192,7 @@ class PairedWindows:
     def _iter(self, idx):
         for i in range(0, len(idx), self.batch_size):
             chunk = idx[i : i + self.batch_size]
-            yield _Pair(self.X[chunk], self.Y[chunk], chunk)
+            yield WindowBatch(X=self.X[chunk], Y=self.Y[chunk], starts=chunk)
 
     def train_batches(self, shuffle_seed):
         order = np.random.default_rng(shuffle_seed).permutation(self._parts["train"])
@@ -203,13 +203,6 @@ class PairedWindows:
 
     def test_batches(self):
         return self._iter(self._parts["test"])
-
-
-@dataclass(frozen=True)
-class _Pair:
-    X: np.ndarray
-    Y: np.ndarray
-    starts: np.ndarray
 
 
 def make_case1(seed, windows=1000, T=336, L=96, k=14, gap=104, batch_size=64):
@@ -252,12 +245,5 @@ def export_predictions(path, model, batches):
         with ad.no_grad():
             for batch in batches:
                 pred = model.forward(batch.X).value
-                B, D, L = pred.shape
-                for b in range(B):
-                    wid = int(batch.starts[b])
-                    for d in range(D):
-                        for step in range(L):
-                            f.write(
-                                f"{wid},{d},{step},"
-                                f"{batch.Y[b, d, step]:.17g},{pred[b, d, step]:.17g}\n"
-                            )
+                b, d, step = np.indices(pred.shape)
+                write_csv(f, "", [batch.starts[b], d, step], [batch.Y, pred])

@@ -231,6 +231,24 @@ def test_container_roundtrip(tmp_path):
         np.testing.assert_array_equal(np.asarray(a), b)
 
 
+def test_container_header_value_may_hold_equals(tmp_path):
+    path = tmp_path / "eq.fbm"
+    ad.save_tensors(path, [], header={"name": "a=b==c", "T": "8"})
+    assert ad.load_tensors(path)[0] == {"name": "a=b==c", "T": "8"}
+
+
+@pytest.mark.parametrize("key, value", [
+    ("name", "runs/etth1\nT=99"),  # a value spanning lines adds a key on reload
+    ("na=me", "x"),  # the key would split at its own '='
+    ("na\nme", "x"),
+])
+def test_container_rejects_header_that_would_not_read_back(tmp_path, key, value):
+    path = tmp_path / "bad.fbm"
+    with pytest.raises(CheckpointError):
+        ad.save_tensors(path, [("w", np.ones(2))], header={key: value})
+    assert not path.exists()
+
+
 def test_container_raw_save_has_empty_header(tmp_path):
     path = tmp_path / "raw.fbm"
     ad.save_tensors(path, [("w", np.ones((2, 2)))])

@@ -129,13 +129,6 @@ def test_patch_is_time_major():
     np.testing.assert_array_equal(got[0, 0, 1], G[0, 0, 2:4].reshape(-1))
 
 
-def test_downsample_op_matches_fourier_downsample():
-    rng = RNG(4)
-    G = rng.normal(size=(2, 2, 8, 4))
-    got = bl.downsample_op(ad.Tensor(G), 2).value
-    np.testing.assert_allclose(got, fb.downsample(G, 2), atol=1e-12)
-
-
 # --- centralization ---------------------------------------------------------------
 
 

@@ -7,8 +7,10 @@ import numpy as np
 import pytest
 
 from fbm import autodiff as ad
-from fbm.blocks import TrendConfig
-from fbm.cli import main
+from fbm import cli
+from fbm import fourier as fb
+from fbm.blocks import InteractionConfig, TrendConfig
+from fbm.cli import build_model_spec, main
 from fbm.models import ForecastModel, ModelSpec
 
 
@@ -253,6 +255,26 @@ def test_spectrum_periodic_mass_at_multiples_of_14(capsys, tmp_path):
     assert np.argmax(mean) + 1 == 14
 
 
+def test_spectrum_reports_amplitude_phase_amplitude(capsys, tmp_path, periodic_csv):
+    out = tmp_path / "spectrum.csv"
+    rc, _, _ = run(
+        capsys, "spectrum", "--data", periodic_csv, "--T", "48", "--part", "test",
+        "--stride", "1000", "--out", str(out),
+    )
+    assert rc == 0
+    with open(out, newline="") as f:
+        rows = list(csv.DictReader(f))
+    # the stride exceeds the test range, so only its first window is read;
+    # that range starts T-1 steps before the last 240 (20%) of the series
+    start = 1200 - 240 - 47
+    x = np.loadtxt(periodic_csv, skiprows=1)[start : start + 48]
+    amp = fb.amplitude_phase(fb.rdft((x - x.mean()) / x.std())).amp
+    for r in (rows[1], rows[-1]):  # k = 2 (doubled) and k = T/2 (Nyquist, single)
+        k = int(r["k"])
+        assert float(r["mean_amp"]) == pytest.approx(amp[k], rel=1e-12, abs=1e-12)
+        assert float(r["lo95"]) == pytest.approx(amp[k], rel=1e-12, abs=1e-12)
+
+
 def test_weights_roundtrip(capsys, tmp_path, periodic_csv):
     out = tmp_path / "srun"
     rc, _, _ = run(
@@ -313,6 +335,62 @@ def test_model_describe_from_flags(capsys):
     )
     assert rc == 0
     assert "seasonal" in stdout and "trend" in stdout and "total" in stdout
+
+
+# every model flag at a non-default value: flag, its text, the variant that
+# reads it (None: all), spec attribute path and value, header key and text
+DESCRIBE_FLAGS = [
+    ("--T", "16", None, ("T",), 16, "T", "16"),
+    ("--L", "6", None, ("L",), 6, "L", "6"),
+    ("--no-standardize", None, None, ("standardize",), False, "standardize", "0"),
+    ("--nl-h1", "7", "fbm-nl", ("nl_h1",), 7, "nl_h1", "7"),
+    ("--nl-h2", "5", "fbm-nl", ("nl_h2",), 5, "nl_h2", "5"),
+    ("--np-p", "2", "fbm-np", ("np_cfg", "P"), 2, "np_p", "2"),
+    ("--np-h1", "4", "fbm-np", ("np_cfg", "h1"), 4, "np_h1", "4"),
+    ("--np-ffn", "6", "fbm-np", ("np_cfg", "h2"), 6, "np_h2", "6"),
+    ("--np-k", "1", "fbm-np", ("np_cfg", "K"), 1, "np_k", "1"),
+    ("--trend-backbone", "transformer", "fbm-s", ("trend", "backbone"), "transformer",
+     "trend_backbone", "transformer"),
+    ("--trend-h1", "4", "fbm-s", ("trend", "h1"), 4, "trend_h1", "4"),
+    ("--trend-h2", "6", "fbm-s", ("trend", "h2"), 6, "trend_h2", "6"),
+    ("--trend-k", "1", "fbm-s", ("trend", "K"), 1, "trend_k", "1"),
+    ("--trend-p", "2", "fbm-s", ("trend", "P"), 2, "trend_p", "2"),
+    ("--scales", "1+2", "fbm-s", ("trend", "scales"), (1, 2), "trend_scales", "1+2"),
+    ("--interaction", None, "fbm-s", ("interaction",), InteractionConfig(C1=3, C2=4, h3=5, K=1),
+     "interaction", "1"),
+    ("--c1", "3", "fbm-s", ("interaction", "C1"), 3, "c1", "3"),
+    ("--c2", "4", "fbm-s", ("interaction", "C2"), 4, "c2", "4"),
+    ("--h3", "5", "fbm-s", ("interaction", "h3"), 5, "h3", "5"),
+    ("--inter-k", "1", "fbm-s", ("interaction", "K"), 1, "inter_k", "1"),
+]
+
+
+@pytest.mark.parametrize("variant", ["fbm-nl", "fbm-np", "fbm-s"])
+def test_model_describe_every_flag_lands(capsys, monkeypatch, variant):
+    built = []
+
+    def spy(res, D):
+        built.append(build_model_spec(res, D))
+        return built[-1]
+
+    monkeypatch.setattr(cli, "build_model_spec", spy)
+    argv = ["model-describe", "--variant", variant, "--D", "2"]
+    for flag, text, *_ in DESCRIBE_FLAGS:
+        argv += [flag] if text is None else [flag, text]
+    rc, stdout, _ = run(capsys, *argv)
+    assert rc == 0
+    spec = built[0]
+    header = dict(kv.split("=") for kv in stdout.splitlines()[0].split(", "))
+    assert header.pop("variant") == spec.variant == variant
+    assert header.pop("D") == "2" and spec.D == 2
+    for flag, _, reader, path, value, key, text in DESCRIBE_FLAGS:
+        if reader in (None, variant):
+            obj = spec
+            for attr in path:
+                obj = getattr(obj, attr)
+            assert obj == value, flag
+            assert header.pop(key) == text, flag
+    assert header == {}  # and nothing else was written
 
 
 def test_model_describe_from_checkpoint(capsys, tmp_path, periodic_csv):

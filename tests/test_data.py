@@ -24,7 +24,7 @@ from fbm.data import (
     zscore_fit,
     zscore_invert,
 )
-from fbm.errors import ConfigError, DataError
+from fbm.errors import CheckpointError, ConfigError, DataError
 
 
 def write_csv(path, text):
@@ -326,6 +326,13 @@ def test_cache_roundtrip(tmp_path):
     np.testing.assert_array_equal(stats2.mean, stats.mean)
     np.testing.assert_array_equal(stats2.std, stats.std)
     assert samples_per_hour(back) == 4  # leading stamps survive
+
+
+def test_cache_rejects_name_spanning_lines(tmp_path):
+    ds = Dataset(name="data/etth1\n.csv", values=np.zeros((1, 4)))
+    stats = NormalizationStats(mean=np.zeros(1), std=np.ones(1))
+    with pytest.raises(CheckpointError):
+        save_cache(tmp_path / "ds.fbmds", ds, stats)
 
 
 def test_cache_rejects_other_containers(tmp_path):

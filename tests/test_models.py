@@ -1,6 +1,8 @@
 """Model assembly: the shared outer pipeline, each variant's mapping,
 checkpointing, and parameter accounting."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -85,8 +87,97 @@ def test_header_roundtrip_multi_scale_trend():
 def test_header_missing_field_is_checkpoint_error():
     h = small_spec("fbm-nl").to_header()
     del h["nl_h1"]
-    with pytest.raises(CheckpointError):
+    with pytest.raises(CheckpointError, match="nl_h1"):
         ModelSpec.from_header(h)
+
+
+MLP_TREND = TrendConfig(backbone="mlp", h1=4, h2=5, P=2, scales=(1, 2))
+TRANSFORMER_TREND = TrendConfig(backbone="transformer", h1=4, h2=6, K=1, P=2, scales=(1, 2, 4))
+
+# Headers as written before the spec field table existed; the table must
+# reproduce every key, its order and its text.
+HEADER_PINS = {
+    "fbm-l": (
+        small_spec("fbm-l"),
+        {"variant": "fbm-l", "T": "16", "L": "6", "D": "3", "standardize": "1"},
+    ),
+    "fbm-l-raw": (
+        small_spec("fbm-l", standardize=False),
+        {"variant": "fbm-l", "T": "16", "L": "6", "D": "3", "standardize": "0"},
+    ),
+    "fbm-nl": (
+        small_spec("fbm-nl"),
+        {"variant": "fbm-nl", "T": "16", "L": "6", "D": "3", "standardize": "1",
+         "nl_h1": "7", "nl_h2": "5"},
+    ),
+    "fbm-np": (
+        small_spec("fbm-np"),
+        {"variant": "fbm-np", "T": "16", "L": "6", "D": "3", "standardize": "1",
+         "np_p": "2", "np_h1": "4", "np_h2": "6", "np_k": "1"},
+    ),
+    "fbm-s-linear": (
+        small_spec("fbm-s", trend=TrendConfig(backbone="linear"), interaction=None),
+        {"variant": "fbm-s", "T": "16", "L": "6", "D": "3", "standardize": "1",
+         "trend_backbone": "linear", "trend_h1": "128", "trend_h2": "1440", "trend_k": "3",
+         "trend_p": "14", "trend_scales": "1", "interaction": "0"},
+    ),
+    "fbm-s-mlp-interaction": (
+        small_spec("fbm-s", trend=MLP_TREND),
+        {"variant": "fbm-s", "T": "16", "L": "6", "D": "3", "standardize": "1",
+         "trend_backbone": "mlp", "trend_h1": "4", "trend_h2": "5", "trend_k": "3",
+         "trend_p": "2", "trend_scales": "1+2", "interaction": "1",
+         "c1": "3", "c2": "4", "h3": "5", "inter_k": "1"},
+    ),
+    "fbm-s-transformer": (
+        small_spec("fbm-s", standardize=False, trend=TRANSFORMER_TREND, interaction=None),
+        {"variant": "fbm-s", "T": "16", "L": "6", "D": "3", "standardize": "0",
+         "trend_backbone": "transformer", "trend_h1": "4", "trend_h2": "6", "trend_k": "1",
+         "trend_p": "2", "trend_scales": "1+2+4", "interaction": "0"},
+    ),
+    "fbm-s-defaults": (
+        ModelSpec(variant="fbm-s", T=336, L=96, D=7, interaction=InteractionConfig()),
+        {"variant": "fbm-s", "T": "336", "L": "96", "D": "7", "standardize": "1",
+         "trend_backbone": "mlp", "trend_h1": "128", "trend_h2": "1440", "trend_k": "3",
+         "trend_p": "14", "trend_scales": "1", "interaction": "1",
+         "c1": "24", "c2": "96", "h3": "512", "inter_k": "3"},
+    ),
+    "diag": (
+        small_spec("diag"),
+        {"variant": "diag", "T": "16", "L": "6", "D": "3", "standardize": "1"},
+    ),
+    "last": (
+        small_spec("last"),
+        {"variant": "last", "T": "16", "L": "6", "D": "3", "standardize": "1"},
+    ),
+}
+
+
+@pytest.mark.parametrize("name", HEADER_PINS)
+def test_header_keys_order_and_text_are_pinned(name):
+    spec, header = HEADER_PINS[name]
+    assert list(spec.to_header().items()) == list(header.items())
+    assert ModelSpec.from_header(header) == spec
+
+
+def test_header_without_switches_reads_defaults():
+    h = small_spec("fbm-s", interaction=None).to_header()
+    del h["standardize"], h["interaction"]
+    spec = ModelSpec.from_header(h)
+    assert spec.standardize is True and spec.interaction is None
+
+
+def test_checkpoint_from_before_the_field_table_loads(tmp_path):
+    # fixture written by ForecastModel(spec, seed=11).save() before the spec
+    # field table replaced the hand-written header code
+    fixture = Path(__file__).parent / "fixtures" / "fbm_s_interaction.fbm"
+    spec = small_spec("fbm-s", trend=MLP_TREND)
+    model = ForecastModel.load(fixture, expected_spec=spec)
+    fresh = ForecastModel(spec, seed=11)
+    for p, q in zip(model.params, fresh.params, strict=True):
+        assert p.name == q.name
+        np.testing.assert_array_equal(p.value, q.value)
+    model.save(tmp_path / "again.fbm")
+    assert (tmp_path / "again.fbm").read_bytes() == fixture.read_bytes()
 
 
 def test_standardize_flag_survives_header():
@@ -167,11 +258,11 @@ def test_input_shape_validation():
 
 def naive_linear_forward(model, X):
     """Materialize the feature grid and apply the flattened weight."""
-    from fbm.fourier import build_bases
+    from fbm.fourier import build_bases, rdft_array
 
     spec = model.spec
     Xs, mu, sd = instance_standardize(X)
-    H_R, H_I = model._spectra(Xs)
+    H_R, H_I = (H[..., 1:] for H in rdft_array(Xs))
     bases = build_bases(spec.T)
     G = H_R[..., None, :] * bases.C[: spec.T, 1:] + H_I[..., None, :] * bases.S[: spec.T, 1:]
     flat = G.reshape(X.shape[0], spec.D, -1)  # time-major: index = n * K + k
