@@ -300,10 +300,16 @@ def softmax_lastdim(a):
 
 def standardize_lastdim(x, eps=1e-5):
     """(x - mean) / sqrt(var + eps) over the last axis, no affine part."""
+    return _standardize(x, eps)[0]
+
+
+def _standardize(x, eps):
+    """standardize_lastdim, also returning the mean and std it divided by."""
     mu = reduce_mean(x, axis=-1, keepdims=True)
     xc = sub(x, mu)
     var = reduce_mean(mul(xc, xc), axis=-1, keepdims=True)
-    return div(xc, sqrt(add(var, eps)))
+    std = sqrt(add(var, eps))
+    return div(xc, std), mu, std
 
 
 def backward(loss, params=None):

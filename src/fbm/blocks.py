@@ -1,6 +1,6 @@
 """Model blocks: seasonal rolling filter, patched trend backbones, and
 masked cross-channel interaction, plus the patching/centralization
-utilities they share.
+utilities and the spectral map they share.
 
 All forwards take and return autodiff Tensors so both parameter and
 input gradients flow; feature inputs are usually constants, in which
@@ -14,6 +14,7 @@ always third from the right inside centralization.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 
@@ -75,51 +76,78 @@ def downsample_op(G, kernel):
 
 
 class Centralization:
-    """Per-(channel, patch) normalization with optional learnable affine.
+    """Per-(channel, patch) standardization with a learnable per-channel
+    affine; gamma 1 and beta 0 at init make it a plain standardization."""
 
-    affine mode learns gamma/beta per channel; standardize mode fixes
-    them at 1/0 and registers nothing.
-    """
-
-    def __init__(self, D, mode="affine", eps=1e-5, name="cent"):
-        if mode not in ("affine", "standardize"):
-            raise ConfigError(f"unknown centralization mode {mode!r}")
+    def __init__(self, D, eps=1e-5, name="cent"):
         self.D = D
-        self.mode = mode
         self.eps = eps
-        if mode == "affine":
-            self.gamma = Parameter(np.ones(D), f"{name}.gamma")
-            self.beta = Parameter(np.zeros(D), f"{name}.beta")
-        else:
-            self.gamma = None
-            self.beta = None
+        self.gamma = Parameter(np.ones(D), f"{name}.gamma")
+        self.beta = Parameter(np.zeros(D), f"{name}.beta")
 
     def params(self):
-        return [] if self.gamma is None else [self.gamma, self.beta]
+        return [self.gamma, self.beta]
 
     def centralize(self, x):
         """x[..., D, P, N] -> (normalized x, stats for the inverse)."""
-        mean = x.mean(axis=-1, keepdims=True)
-        xc = ad.sub(x, mean)
-        var = (xc * xc).mean(axis=-1, keepdims=True)
-        std = ad.sqrt(ad.add(var, self.eps))
-        xhat = ad.div(xc, std)
-        if self.mode == "affine":
-            g = ad.reshape(self.gamma, (self.D, 1, 1))
-            b = ad.reshape(self.beta, (self.D, 1, 1))
-            xhat = ad.add(ad.mul(xhat, g), b)
-        return xhat, (mean, std)
+        xhat, mean, std = ad._standardize(x, self.eps)
+        g = ad.reshape(self.gamma, (self.D, 1, 1))
+        b = ad.reshape(self.beta, (self.D, 1, 1))
+        return ad.add(ad.mul(xhat, g), b), (mean, std)
 
     def decentralize(self, y, stats):
         """Inverse using the cached pre-projection stats; y's width may differ."""
         mean, std = stats
-        if self.mode == "affine":
-            if np.any(np.abs(self.gamma.value) < 1e-12):
-                raise NumericError("centralization gamma collapsed to ~0")
-            g = ad.reshape(self.gamma, (self.D, 1, 1))
-            b = ad.reshape(self.beta, (self.D, 1, 1))
-            y = ad.div(ad.sub(y, b), g)
+        if np.any(np.abs(self.gamma.value) < 1e-12):
+            raise NumericError("centralization gamma collapsed to ~0")
+        g = ad.reshape(self.gamma, (self.D, 1, 1))
+        b = ad.reshape(self.beta, (self.D, 1, 1))
+        y = ad.div(ad.sub(y, b), g)
         return ad.add(ad.mul(y, std), mean)
+
+
+# --- spectral maps ------------------------------------------------------------
+
+
+def basis_windows(T, count):
+    """DC-dropped basis windows (C_v, S_v), each [K, count, T] with
+    [k, v, n] = basis[n + v, k + 1] over the periodically continued tables."""
+    bases = build_bases(T, pad=count - 1)
+
+    def stack(basis):
+        # view[v, k, n] = basis[v + n, k]; want [k, v, n]
+        view = np.lib.stride_tricks.sliding_window_view(basis[:, 1:], T, axis=0)
+        return Tensor(np.ascontiguousarray(view.transpose(1, 0, 2)))
+
+    return stack(bases.C), stack(bases.S)
+
+
+def spectral_map(H_R, H_I, windows, w):
+    """A linear map of the DC-dropped time-frequency grid, applied to the spectrum.
+
+    The grid G[n, k] = H_R[k] C[n, k] + H_I[k] S[n, k] (k = 1..T/2) is
+    linear in the spectrum halves. So a map that reads window v, grid rows
+    n + v for n < T, through per-bin weights w[k][n, j] is
+
+        out[v, j] = sum_{n,k} G[n + v, k] w[k][n, j]
+                  = sum_k H_R[k] (C_v[k] @ w[k])[v, j] + H_I[k] (S_v[k] @ w[k])[v, j]
+
+    with C_v[k][v, n] = C[n + v, k] from basis_windows. Contracting the
+    weights with the tables first is independent of the batch, and each
+    window then costs two [K] x [K, m * width] products; the grid is never
+    built. fbm-l and the first layer of fbm-nl read one window (m = 1) with
+    their [K, T, width] weights; the seasonal filter reads L windows with
+    one output each (width = 1, w[k] = W[:, k]).
+
+    H_R/H_I: [..., K]; windows: a [K, m, T] pair; w: [K, T, width]
+    -> out flattened v-major, [..., m * width].
+    """
+    C_v, S_v = windows
+    K = C_v.shape[0]
+    width = C_v.shape[1] * w.shape[-1]
+    wc = ad.reshape(ad.matmul(C_v, w), (K, width))
+    ws = ad.reshape(ad.matmul(S_v, w), (K, width))
+    return ad.add(ad.matmul(H_R, wc), ad.matmul(H_I, ws))
 
 
 # --- seasonal block -----------------------------------------------------------
@@ -128,47 +156,21 @@ class Centralization:
 class SeasonalBlock:
     """Learnable rolling filter over Fourier-padded time-frequency features.
 
-    The naive form slides W over the padded feature rows. Because the
-    features are (per bin) the spectrum coefficient times a basis column,
-    the filter can be contracted with the padded bases once per step:
-
-        F_C[v, k] = sum_n W[n, k] * C_pad[n + v, k]   (same for S)
-        out[b, d, v] = sum_k H_R[b, d, k] F_C[v, k] + H_I[b, d, k] F_S[v, k]
-
-    which is batch-size independent. DC is excluded (k = 1..T/2); W
-    starts at zero so the model begins as pure trend.
+    The naive form slides W over the padded feature rows,
+    out[v] = sum_{n,k} W[n, k] G_pad[n + v, k]; it is the spectral map
+    (see spectral_map) of the L basis windows with w[k] = W[:, k], which
+    is batch-size independent. DC is excluded (k = 1..T/2); W starts at
+    zero so the model begins as pure trend.
     """
 
     def __init__(self, T, L, name="seasonal"):
         self.T = T
-        self.L = L
         self.K = T // 2
         self.W = Parameter(np.zeros((T, self.K)), f"{name}.W")
-        bases = build_bases(T, pad=L - 1)
-        if bases.pad < L - 1:
-            raise ConfigError(f"basis pad {bases.pad} < horizon needs {L - 1}")
-        # windowed views of the padded bases, DC column dropped:
-        # [K, L, T] with [k, v, n] = basis[n + v, k]
-        self._cwin = Tensor(self._window_stack(bases.C[:, 1:]))
-        self._swin = Tensor(self._window_stack(bases.S[:, 1:]))
-
-    def _window_stack(self, basis_pad):
-        view = np.lib.stride_tricks.sliding_window_view(basis_pad, self.T, axis=0)
-        # view[v, k, n] = basis_pad[v + n, k]; want [k, v, n]
-        return np.ascontiguousarray(view.transpose(1, 0, 2))
+        self._windows = basis_windows(T, L)
 
     def params(self):
         return [self.W]
-
-    def param_count(self):
-        return self.W.size
-
-    def fused_kernels(self):
-        """Current (F_C^T, F_S^T) as [K, L] tape tensors."""
-        wt = ad.reshape(ad.transpose(self.W, (1, 0)), (self.K, self.T, 1))
-        fc = ad.reshape(ad.matmul(self._cwin, wt), (self.K, self.L))
-        fs = ad.reshape(ad.matmul(self._swin, wt), (self.K, self.L))
-        return fc, fs
 
     def forward(self, H_R, H_I):
         """H_R/H_I: [..., K] DC-dropped spectrum halves -> [..., L]."""
@@ -176,8 +178,8 @@ class SeasonalBlock:
             raise ConfigError(
                 f"seasonal filter expects {self.K} frequency bins, got {H_R.shape[-1]}"
             )
-        fc, fs = self.fused_kernels()
-        return ad.add(ad.matmul(H_R, fc), ad.matmul(H_I, fs))
+        w = ad.reshape(ad.transpose(self.W, (1, 0)), (self.K, self.T, 1))
+        return spectral_map(H_R, H_I, self._windows, w)
 
 
 # --- shared patch projector (trend front / FBM-NP front) ----------------------
@@ -186,10 +188,10 @@ class SeasonalBlock:
 class PatchProjector:
     """patch -> centralize -> linear N->h1 (optional ReLU) -> decentralize."""
 
-    def __init__(self, rng, layout, D, h1, use_relu, name, cent_mode="affine"):
+    def __init__(self, rng, layout, D, h1, use_relu, name):
         self.layout = layout
         self.use_relu = use_relu
-        self.cent = Centralization(D, mode=cent_mode, name=f"{name}.cent")
+        self.cent = Centralization(D, name=f"{name}.cent")
         self.w = Parameter(ad.init_uniform(rng, (layout.N, h1), layout.N), f"{name}.w")
         self.b = Parameter(np.zeros(h1), f"{name}.b")
 
@@ -233,70 +235,60 @@ class TrendConfig:
 
 
 class _TrendScale:
-    """All layers of one scale; scales are independent and summed."""
+    """All layers of one scale; scales are independent and summed.
 
-    def __init__(self, rng, T, K_freq, L, D, cfg, name):
+    fbm-np is one transformer scale at full resolution whose projector
+    has no ReLU (use_relu=False)."""
+
+    def __init__(self, rng, T, K_freq, L, D, cfg, name, use_relu=True):
         self.cfg = cfg
-        self.backbone = cfg.backbone
-        self.T = T
-        self.K_freq = K_freq
-        if cfg.backbone == "linear":
-            n_in = T * K_freq
-            self.w_out = Parameter(ad.init_uniform(rng, (n_in, L), n_in), f"{name}.out.w")
-            self.b_out = Parameter(np.zeros(L), f"{name}.out.b")
-            self.proj = None
-            self.stacks = []
-            return
-        layout = PatchLayout.make(T, K_freq, cfg.P)
-        self.proj = PatchProjector(rng, layout, D, cfg.h1, use_relu=True, name=f"{name}.proj")
+        self.proj = None
+        self.stacks = []
+        n_head = T * K_freq  # linear: the flattened grid
+        if cfg.backbone != "linear":
+            layout = PatchLayout.make(T, K_freq, cfg.P)
+            self.proj = PatchProjector(rng, layout, D, cfg.h1, use_relu, f"{name}.proj")
+            n_head = cfg.P * cfg.h1
         if cfg.backbone == "mlp":
-            n_mid = cfg.P * cfg.h1
-            self.w_mid = Parameter(ad.init_uniform(rng, (n_mid, cfg.h2), n_mid), f"{name}.mid.w")
+            self.w_mid = Parameter(ad.init_uniform(rng, (n_head, cfg.h2), n_head), f"{name}.mid.w")
             self.b_mid = Parameter(np.zeros(cfg.h2), f"{name}.mid.b")
-            self.w_out = Parameter(ad.init_uniform(rng, (cfg.h2, L), cfg.h2), f"{name}.out.w")
-            self.b_out = Parameter(np.zeros(L), f"{name}.out.b")
-            self.stacks = []
-        else:
+            n_head = cfg.h2
+        elif cfg.backbone == "transformer":
             self.stacks = [
                 AttentionParams.build(rng, cfg.h1, cfg.h2, f"{name}.stack{i}")
                 for i in range(cfg.K)
             ]
-            n_flat = cfg.P * cfg.h1
-            self.w_out = Parameter(ad.init_uniform(rng, (n_flat, L), n_flat), f"{name}.out.w")
-            self.b_out = Parameter(np.zeros(L), f"{name}.out.b")
+        self.w_out = Parameter(ad.init_uniform(rng, (n_head, L), n_head), f"{name}.out.w")
+        self.b_out = Parameter(np.zeros(L), f"{name}.out.b")
 
     def params(self):
-        out = []
-        if self.proj is not None:
-            out += self.proj.params()
-        if self.backbone == "mlp":
+        out = [] if self.proj is None else self.proj.params()
+        if self.cfg.backbone == "mlp":
             out += [self.w_mid, self.b_mid]
         for s in self.stacks:
             out += s.params()
-        out += [self.w_out, self.b_out]
-        return out
+        return out + [self.w_out, self.b_out]
 
     def forward(self, Gs):
         b, d = Gs.shape[0], Gs.shape[1]
-        if self.backbone == "linear":
-            flat = ad.reshape(Gs, (b, d, self.T * self.K_freq))
-            return ad.add(ad.matmul(flat, self.w_out), self.b_out)
-        y = self.proj.forward(Gs)  # [B, D, P, h1]
         cfg = self.cfg
-        if self.backbone == "mlp":
-            flat = ad.reshape(y, (b, d, cfg.P * cfg.h1))
-            hid = ad.relu(ad.add(ad.matmul(flat, self.w_mid), self.b_mid))
-            return ad.add(ad.matmul(hid, self.w_out), self.b_out)
-        tokens = ad.reshape(y, (b * d, cfg.P, cfg.h1))
-        for stack in self.stacks:
-            tokens = ad.attention_block(tokens, stack)
-        flat = ad.reshape(tokens, (b, d, cfg.P * cfg.h1))
-        return ad.add(ad.matmul(flat, self.w_out), self.b_out)
+        if self.proj is None:
+            x = ad.reshape(Gs, (b, d, -1))  # the flattened grid
+        else:
+            y = self.proj.forward(Gs)  # [B, D, P, h1]
+            if cfg.backbone == "mlp":
+                flat = ad.reshape(y, (b, d, cfg.P * cfg.h1))
+                x = ad.relu(ad.add(ad.matmul(flat, self.w_mid), self.b_mid))
+            else:
+                tokens = ad.reshape(y, (b * d, cfg.P, cfg.h1))
+                for stack in self.stacks:
+                    tokens = ad.attention_block(tokens, stack)
+                x = ad.reshape(tokens, (b, d, cfg.P * cfg.h1))
+        return ad.add(ad.matmul(x, self.w_out), self.b_out)
 
 
 class TrendBlock:
     def __init__(self, rng, T, L, D, cfg, name="trend"):
-        self.cfg = cfg
         self.scales = []
         for kernel in cfg.scales:
             T_s, K_s = T // kernel, (T // 2) // kernel
@@ -312,17 +304,12 @@ class TrendBlock:
             out += s.params()
         return out
 
-    def param_count(self):
-        return sum(p.size for p in self.params())
-
     def forward(self, G):
         """G: [B, D, T, T/2] full-resolution DC-dropped features -> [B, D, L]."""
-        out = None
-        for kernel, scale in self.scales:
-            Gs = G if kernel == 1 else downsample_op(G, kernel)
-            y = scale.forward(Gs)
-            out = y if out is None else ad.add(out, y)
-        return out
+        return reduce(ad.add, [
+            scale.forward(G if kernel == 1 else downsample_op(G, kernel))
+            for kernel, scale in self.scales
+        ])
 
 
 # --- interaction block ----------------------------------------------------------
@@ -351,10 +338,8 @@ class InteractionBlock:
             raise ConfigError(f"interaction output mask C2={cfg.C2} outside [0, {L}]")
         self.cfg = cfg
         self.T = T
-        self.L = L
-        self.K_freq = T // 2
-        self.n_in = cfg.C1 * self.K_freq
-        self.cent = Centralization(D, mode="affine", name=f"{name}.cent")
+        self.n_in = cfg.C1 * (T // 2)
+        self.cent = Centralization(D, name=f"{name}.cent")
         self.w_in = Parameter(
             ad.init_uniform(rng, (self.n_in, cfg.h3), self.n_in), f"{name}.in.w"
         )
@@ -373,9 +358,6 @@ class InteractionBlock:
             out += s.params()
         out += [self.w_out, self.b_out]
         return out
-
-    def param_count(self):
-        return sum(p.size for p in self.params())
 
     def forward(self, G):
         """G: [B, D, T, T/2] -> [B, D, L], zero beyond horizon step C2."""

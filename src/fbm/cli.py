@@ -46,7 +46,7 @@ def _bool(text):
         return True
     if t in ("0", "false", "no", "off"):
         return False
-    raise ConfigError(f"not a boolean: {text!r}")
+    raise ValueError(f"not a boolean: {text!r}")
 
 
 @dataclass(frozen=True)
@@ -134,17 +134,6 @@ SYNTH_OPTS = [
     Opt("length", int, 4000, "case 2: series length"),
 ]
 
-COMMANDS = {
-    "train": (TRAIN_OPTS, "fit a model and write checkpoint + report"),
-    "eval": (EVAL_OPTS, "score a checkpoint on one split"),
-    "features": (FEATURES_OPTS, "dump one window's time-frequency tensor"),
-    "spectrum": (SPECTRUM_OPTS, "dump per-bin amplitude distribution across windows"),
-    "weights": (WEIGHTS_OPTS, "dump a seasonal filter matrix"),
-    "data-inspect": (INSPECT_OPTS, "print dataset shape and per-channel stats"),
-    "model-describe": (DESCRIBE_OPTS, "print per-block parameter counts"),
-    "synth": (SYNTH_OPTS, "emit a synthetic diagnostic dataset"),
-}
-
 
 def _read_manifest(path, opts):
     by_name = {o.name: o for o in opts}
@@ -164,7 +153,12 @@ def _read_manifest(path, opts):
         if key not in by_name:
             raise ConfigError(f"{path}:{ln}: unknown option {key!r}")
         o = by_name[key]
-        out[key] = _bool(value) if o.type is bool else o.type(value)
+        try:
+            out[key] = _bool(value) if o.type is bool else o.type(value)
+        except ValueError:
+            raise ConfigError(
+                f"{path}:{ln}: {key}={value!r} is not a valid {o.type.__name__}"
+            ) from None
     return out
 
 
@@ -205,7 +199,12 @@ def build_model_spec(res, D):
 
     def value(f):
         v = D if f.flag is None else res[f.flag]
-        return f.parse(v) if isinstance(v, str) else v  # text as in headers, e.g. 1+2+4
+        if not isinstance(v, str):
+            return v
+        try:
+            return f.parse(v)  # text as in headers, e.g. 1+2+4
+        except ValueError:
+            raise ConfigError(f"cannot parse --{f.flag} {v!r} (want {f.want})") from None
 
     return ModelSpec.from_values(value)
 
@@ -408,25 +407,28 @@ def cmd_synth(parser, args):
     return 0
 
 
-HANDLERS = {
-    "train": cmd_train,
-    "eval": cmd_eval,
-    "features": cmd_features,
-    "spectrum": cmd_spectrum,
-    "weights": cmd_weights,
-    "data-inspect": cmd_data_inspect,
-    "model-describe": cmd_model_describe,
-    "synth": cmd_synth,
+# subcommand -> (options, help, handler)
+COMMANDS = {
+    "train": (TRAIN_OPTS, "fit a model and write checkpoint + report", cmd_train),
+    "eval": (EVAL_OPTS, "score a checkpoint on one split", cmd_eval),
+    "features": (FEATURES_OPTS, "dump one window's time-frequency tensor", cmd_features),
+    "spectrum": (SPECTRUM_OPTS, "dump per-bin amplitude distribution across windows",
+                 cmd_spectrum),
+    "weights": (WEIGHTS_OPTS, "dump a seasonal filter matrix", cmd_weights),
+    "data-inspect": (INSPECT_OPTS, "print dataset shape and per-channel stats",
+                     cmd_data_inspect),
+    "model-describe": (DESCRIBE_OPTS, "print per-block parameter counts", cmd_model_describe),
+    "synth": (SYNTH_OPTS, "emit a synthetic diagnostic dataset", cmd_synth),
 }
 
 
 def build_parser():
     parser = _Parser(prog="fbm", description="frequency-basis forecasting toolkit")
     sub = parser.add_subparsers(dest="cmd", required=True, parser_class=_Parser)
-    for name, (opts, help_text) in COMMANDS.items():
+    for name, (opts, help_text, handler) in COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
         _add_opts(p, opts)
-        p.set_defaults(_subparser=p)
+        p.set_defaults(_subparser=p, _handler=handler)
     return parser
 
 
@@ -434,7 +436,7 @@ def main(argv=None):
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        return HANDLERS[args.cmd](args._subparser, args)
+        return args._handler(args._subparser, args)
     except SystemExit as e:
         return e.code if isinstance(e.code, int) else 1
     except FbmError as e:

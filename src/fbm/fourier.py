@@ -91,19 +91,19 @@ def build_bases(T, pad=0):
 
     c_k doubles every bin except DC and Nyquist so that the frequency-sum
     over H_R*C + H_I*S reproduces the window. Rows n >= T (pad > 0) are
-    the analytic continuation of the same sinusoids, not zero padding.
+    the analytic continuation of the same sinusoids, not zero padding:
+    the reduced angle of row n is that of row n mod T, so they are scaled
+    copies of the rows of dft_matrices(T).
     """
     _check_window_length(T)
     if pad < 0:
         raise ConfigError(f"basis pad must be >= 0, got {pad}")
-    n = np.arange(T + pad, dtype=np.int64)[:, None]
-    k = np.arange(T // 2 + 1, dtype=np.int64)[None, :]
-    ang = 2.0 * np.pi * ((n * k) % T) / T
+    cm, sm = dft_matrices(T)
+    rows = np.arange(T + pad) % T
+    k = np.arange(T // 2 + 1)
     ck = np.where((k == 0) | (k == T // 2), 1.0, 2.0) / T
-    C = ck * np.cos(ang)
-    S = -ck * np.sin(ang)
-    S[:, 0] = 0.0
-    S[:, T // 2] = 0.0
+    C = ck * cm[rows]
+    S = ck * sm[rows]
     C.flags.writeable = False
     S.flags.writeable = False
     return BasisMatrices(C=C, S=S, T=T, pad=pad)

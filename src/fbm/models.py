@@ -7,16 +7,16 @@ standardization. Variants differ only in the mapping:
 
   fbm-l   one linear map from the flattened feature grid, no bias
   fbm-nl  three fully connected layers, ReLU after the first two
-  fbm-np  patch tokens -> attention stacks -> linear head
+  fbm-np  one transformer trend scale: patch tokens -> attention -> head
   fbm-s   seasonal rolling filter + patched trend + masked interaction
   diag    per-bin scaling of the spectrum halves (negative control)
   last    repeat the window's final value (toy sanity baseline)
 
 fbm-l / fbm-nl never materialize the feature grid: their first layer is
-contracted with the basis tables on the tape (W[k,n,:] against C[n,k]
-and S[n,k]), which is algebraically the same linear map but keeps the
-per-batch work at spectrum size. Channel-independent variants share one
-mapping across all D channels.
+applied to the spectrum through blocks.spectral_map, which is
+algebraically the same linear map but keeps the per-batch work at
+spectrum size. Channel-independent variants share one mapping across all
+D channels.
 
 Standardization divides by max(sigma, 1e-5) rather than sqrt(var+eps):
 the floor keeps zero-variance windows finite while leaving the mapping
@@ -26,6 +26,7 @@ exactly scale-equivariant for ordinary windows.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import reduce
 
 import numpy as np
 
@@ -35,11 +36,12 @@ from .blocks import (
     BACKBONES,
     InteractionBlock,
     InteractionConfig,
-    PatchLayout,
-    PatchProjector,
     SeasonalBlock,
     TrendBlock,
     TrendConfig,
+    _TrendScale,
+    basis_windows,
+    spectral_map,
 )
 from .errors import CheckpointError, ConfigError
 from .fourier import build_bases, expand_array, rdft_array
@@ -51,6 +53,8 @@ STD_FLOOR = 1e-5
 
 @dataclass(frozen=True)
 class NpConfig:
+    backbone = "transformer"  # not a field: fbm-np is one transformer trend scale
+
     P: int = 14
     h1: int = 128
     h2: int = 256  # FFN width inside the stacks
@@ -96,14 +100,18 @@ class ModelSpec:
     @classmethod
     def from_header(cls, h):
         def value(f):
-            if f.type is bool and f.key not in h:
-                return f.default  # headers may omit a switch left at its default
-            return f.parse(h[f.key])
+            if f.key not in h:
+                if f.type is bool:
+                    return f.default  # headers may omit a switch left at its default
+                raise CheckpointError(f"checkpoint header missing field {f.key!r}")
+            try:
+                return f.parse(h[f.key])
+            except ValueError:
+                raise CheckpointError(
+                    f"checkpoint header field {f.key}={h[f.key]!r}: want {f.want}"
+                ) from None
 
-        try:
-            return cls.from_values(value)
-        except KeyError as missing:
-            raise CheckpointError(f"checkpoint header missing field {missing}") from None
+        return cls.from_values(value)
 
     @classmethod
     def from_values(cls, value):
@@ -133,16 +141,20 @@ CONFIGS = {"np_cfg": NpConfig, "trend": TrendConfig, "interaction": InteractionC
 
 
 def _parse_scales(text):
-    parts = str(text).replace(",", "+").split("+")
-    try:
-        return tuple(int(p) for p in parts if p != "")
-    except ValueError:
-        raise ConfigError(f"cannot parse scales {text!r} (want e.g. 1+2+4)") from None
+    return tuple(int(p) for p in str(text).replace(",", "+").split("+") if p != "")
 
 
-# header text of a value and back, for the types that str() and type() do not fit
+def _parse_switch(text):
+    if text not in ("0", "1"):
+        raise ValueError(f"not 0 or 1: {text!r}")
+    return text == "1"
+
+
+# header text of a value and back, for the types that str() and type() do not fit;
+# a parser raises ValueError on text it cannot read
 _TEXT = {bool: lambda v: "1" if v else "0", tuple: lambda v: "+".join(str(s) for s in v)}
-_PARSE = {bool: lambda text: text == "1", tuple: _parse_scales}
+_PARSE = {bool: _parse_switch, tuple: _parse_scales}
+_WANT = {bool: "0 or 1", tuple: "kernels like 1+2+4"}
 
 
 @dataclass(frozen=True)
@@ -172,7 +184,13 @@ class SpecField:
         return _TEXT.get(self.type, str)(value)
 
     def parse(self, text):
+        """Value of header (or flag) text; ValueError when it does not parse."""
         return _PARSE.get(self.type, self.type)(text)
+
+    @property
+    def want(self):
+        """What parse() accepts, for error messages."""
+        return _WANT.get(self.type, self.type.__name__)
 
 
 SPEC_FIELDS = (
@@ -225,23 +243,16 @@ class ForecastModel:
         rng = np.random.default_rng(seed)
         T, L, K = spec.T, spec.L, spec.T // 2
         self._bases = build_bases(T)
-        # DC-dropped basis tables, also pre-shaped for the fbm-l/nl contraction
-        self._C = np.ascontiguousarray(self._bases.C[:T, 1:])
-        self._S = np.ascontiguousarray(self._bases.S[:T, 1:])
-        self._crow = Tensor(np.ascontiguousarray(self._C.T[:, None, :]))  # [K,1,T]
-        self._srow = Tensor(np.ascontiguousarray(self._S.T[:, None, :]))
         self.params = []
         self.blocks = {}
-
-        def register(ps):
-            self.params.extend(ps)
 
         v = spec.variant
         if v == "fbm-l":
             # one weight slab per bin: W[k, n, v]; no bias, so the exact
             # parameter count is (T * T/2) * L
             self.w = Parameter(ad.init_uniform(rng, (K, T, L), T * K), "linear.w")
-            register([self.w])
+            self._windows = basis_windows(T, 1)
+            self.params += [self.w]
         elif v == "fbm-nl":
             h1, h2 = spec.nl_h1, spec.nl_h2
             self.w1 = Parameter(ad.init_uniform(rng, (K, T, h1), T * K), "fc1.w")
@@ -250,42 +261,32 @@ class ForecastModel:
             self.b2 = Parameter(np.zeros(h2), "fc2.b")
             self.w3 = Parameter(ad.init_uniform(rng, (h2, L), h2), "fc3.w")
             self.b3 = Parameter(np.zeros(L), "fc3.b")
-            register([self.w1, self.b1, self.w2, self.b2, self.w3, self.b3])
+            self._windows = basis_windows(T, 1)
+            self.params += [self.w1, self.b1, self.w2, self.b2, self.w3, self.b3]
         elif v == "fbm-np":
-            c = spec.np_cfg
-            layout = PatchLayout.make(T, K, c.P)
-            self.proj = PatchProjector(rng, layout, spec.D, c.h1, use_relu=False, name="np.proj")
-            self.stacks = [
-                ad.AttentionParams.build(rng, c.h1, c.h2, f"np.stack{i}") for i in range(c.K)
-            ]
-            n_flat = c.P * c.h1
-            self.w_out = Parameter(ad.init_uniform(rng, (n_flat, L), n_flat), "np.out.w")
-            self.b_out = Parameter(np.zeros(L), "np.out.b")
-            register(self.proj.params())
-            for s in self.stacks:
-                register(s.params())
-            register([self.w_out, self.b_out])
+            self.np_scale = _TrendScale(rng, T, K, L, spec.D, spec.np_cfg, "np", use_relu=False)
+            self.params += self.np_scale.params()
         elif v == "fbm-s":
             self.seasonal = SeasonalBlock(T, L)
             self.trend = TrendBlock(rng, T, L, spec.D, spec.trend)
-            register(self.seasonal.params())
-            register(self.trend.params())
+            self.params += self.seasonal.params()
+            self.params += self.trend.params()
             self.blocks["seasonal"] = self.seasonal
             self.blocks["trend"] = self.trend
             if spec.interaction is not None:
                 self.inter = InteractionBlock(rng, T, L, spec.D, spec.interaction)
-                register(self.inter.params())
+                self.params += self.inter.params()
                 self.blocks["interaction"] = self.inter
             else:
                 self.inter = None
         elif v == "diag":
             self.wa = Parameter(np.ones(K), "diag.wa")
             self.wb = Parameter(np.ones(K), "diag.wb")
-            # horizon rows of the basis tables (periodic continuation)
-            rows = np.arange(L) % T
-            self._c_rows = Tensor(np.ascontiguousarray(self._C[rows].T))  # [K, L]
-            self._s_rows = Tensor(np.ascontiguousarray(self._S[rows].T))
-            register([self.wa, self.wb])
+            # horizon rows of the periodically continued basis tables
+            horizon = build_bases(T, pad=L - 1)
+            self._c_rows = Tensor(np.ascontiguousarray(horizon.C[:L, 1:].T))  # [K, L]
+            self._s_rows = Tensor(np.ascontiguousarray(horizon.S[:L, 1:].T))
+            self.params += [self.wa, self.wb]
         elif v == "last":
             pass  # parameter-free
 
@@ -309,8 +310,9 @@ class ForecastModel:
         """Full spectrum halves -> DC-dropped feature grid [..., T, T/2]."""
         return Tensor(expand_array(H_R, H_I, self._bases, drop_dc=True))
 
-    def forward(self, X):
-        """X: f64[B, D, T] raw windows -> Tensor[B, D, L] predictions."""
+    def _standardized(self, X):
+        """Checked raw windows f64[B, D, T] -> (standardized windows, mu, sd);
+        mu 0 and sd 1 when the spec does not standardize."""
         X = np.asarray(X, dtype=np.float64)
         if X.ndim != 3 or X.shape[1] != self.spec.D or X.shape[2] != self.spec.T:
             raise ConfigError(
@@ -318,9 +320,12 @@ class ForecastModel:
                 f"(B, D={self.spec.D}, T={self.spec.T})"
             )
         if self.spec.standardize:
-            Xs, mu, sd = instance_standardize(X)
-        else:
-            Xs, mu, sd = X, np.zeros(X.shape[:2] + (1,)), np.ones(X.shape[:2] + (1,))
+            return instance_standardize(X)
+        return X, np.zeros(X.shape[:2] + (1,)), np.ones(X.shape[:2] + (1,))
+
+    def forward(self, X):
+        """X: f64[B, D, T] raw windows -> Tensor[B, D, L] predictions."""
+        Xs, mu, sd = self._standardized(X)
         out = self._map_standardized(Xs)
         return ad.add(ad.mul(out, Tensor(sd)), Tensor(mu))
 
@@ -334,38 +339,20 @@ class ForecastModel:
         # the spectral maps read bins 1..T/2
         h_r, h_i = Tensor(H_R[..., 1:]), Tensor(H_I[..., 1:])
         if v == "fbm-l":
-            wc, ws = self._contract(self.w)
-            return ad.add(ad.matmul(h_r, wc), ad.matmul(h_i, ws))
+            return spectral_map(h_r, h_i, self._windows, self.w)
         if v == "fbm-nl":
-            wc, ws = self._contract(self.w1)
-            h = ad.add(ad.add(ad.matmul(h_r, wc), ad.matmul(h_i, ws)), self.b1)
-            h = ad.relu(h)
+            h = ad.relu(ad.add(spectral_map(h_r, h_i, self._windows, self.w1), self.b1))
             h = ad.relu(ad.add(ad.matmul(h, self.w2), self.b2))
             return ad.add(ad.matmul(h, self.w3), self.b3)
         if v == "fbm-np":
-            G = self._features(H_R, H_I)
-            y = self.proj.forward(G)  # [B, D, P, h1]
-            b, d = y.shape[0], y.shape[1]
-            c = spec.np_cfg
-            tokens = ad.reshape(y, (b * d, c.P, c.h1))
-            for stack in self.stacks:
-                tokens = ad.attention_block(tokens, stack)
-            flat = ad.reshape(tokens, (b, d, c.P * c.h1))
-            return ad.add(ad.matmul(flat, self.w_out), self.b_out)
+            return self.np_scale.forward(self._features(H_R, H_I))
         if v == "fbm-s":
-            return self._sum_components(self._component_outputs(H_R, H_I))
+            return reduce(ad.add, self._component_outputs(H_R, H_I).values())
         if v == "diag":
             a = ad.mul(h_r, self.wa)
             b = ad.mul(h_i, self.wb)
             return ad.add(ad.matmul(a, self._c_rows), ad.matmul(b, self._s_rows))
         raise ConfigError(f"unknown variant {v!r}")
-
-    def _contract(self, w):
-        """Per-bin weight slabs [K, T, width] -> basis-contracted [K, width] pair."""
-        K = self.spec.T // 2
-        wc = ad.reshape(ad.matmul(self._crow, w), (K, w.shape[-1]))
-        ws = ad.reshape(ad.matmul(self._srow, w), (K, w.shape[-1]))
-        return wc, ws
 
     def _component_outputs(self, H_R, H_I):
         outs = {"seasonal": self.seasonal.forward(Tensor(H_R[..., 1:]), Tensor(H_I[..., 1:]))}
@@ -375,21 +362,13 @@ class ForecastModel:
             outs["interaction"] = self.inter.forward(G)
         return outs
 
-    @staticmethod
-    def _sum_components(outs):
-        total = None
-        for y in outs.values():
-            total = y if total is None else ad.add(total, y)
-        return total
-
     def components(self, X):
         """fbm-s only: per-block contributions in the de-standardized space,
         plus the standardization state; reassembling exactly as forward does
         reproduces forward(X) bit for bit."""
         if self.spec.variant != "fbm-s":
             raise ConfigError("components() is only defined for fbm-s")
-        X = np.asarray(X, dtype=np.float64)
-        Xs, mu, sd = instance_standardize(X)
+        Xs, mu, sd = self._standardized(X)
         outs = self._component_outputs(*rdft_array(Xs))
         return {k: v.value for k, v in outs.items()}, mu, sd
 
@@ -405,7 +384,7 @@ class ForecastModel:
     def describe(self):
         """(block name, parameter count) rows followed by the total."""
         if self.spec.variant == "fbm-s":
-            rows = [(name, blk.param_count()) for name, blk in self.blocks.items()]
+            rows = [(name, sum(p.size for p in blk.params())) for name, blk in self.blocks.items()]
         else:
             rows = [(self.spec.variant, self.param_count())]
         rows.append(("total", self.param_count()))
@@ -440,6 +419,20 @@ class ForecastModel:
         return model
 
 
+def _stack_count(h, ffn):
+    return 4 * h * h + 4 * h + h * ffn + ffn + ffn * h + h
+
+
+def _scale_count(T_s, K_s, L, D, t):
+    """One trend scale (or fbm-np) with config t over a T_s x K_s grid."""
+    if t.backbone == "linear":
+        return T_s * K_s * L + L
+    total = 2 * D + (T_s // t.P) * K_s * t.h1 + t.h1  # centralization + projector
+    if t.backbone == "mlp":
+        return total + t.P * t.h1 * t.h2 + t.h2 + t.h2 * L + L
+    return total + t.K * _stack_count(t.h1, t.h2) + t.P * t.h1 * L + L
+
+
 def expected_param_count(spec):
     """Closed-form count for the spec, used to cross-check construction."""
     T, L, D, K = spec.T, spec.L, spec.D, spec.T // 2
@@ -453,34 +446,15 @@ def expected_param_count(spec):
     if v == "fbm-nl":
         h1, h2 = spec.nl_h1, spec.nl_h2
         return T * K * h1 + h1 + h1 * h2 + h2 + h2 * L + L
-
-    def stack_count(h, ffn):
-        return 4 * h * h + 4 * h + h * ffn + ffn + ffn * h + h
-
     if v == "fbm-np":
-        c = spec.np_cfg
-        n = (T // c.P) * K
-        total = 2 * D + n * c.h1 + c.h1  # centralization + projector
-        total += c.K * stack_count(c.h1, c.h2)
-        total += c.P * c.h1 * L + L
-        return total
+        return _scale_count(T, K, L, D, spec.np_cfg)
     # fbm-s
     total = T * K  # seasonal W
-    t = spec.trend
-    for s in t.scales:
-        T_s, K_s = T // s, K // s
-        if t.backbone == "linear":
-            total += T_s * K_s * L + L
-            continue
-        n = (T_s // t.P) * K_s
-        total += 2 * D + n * t.h1 + t.h1
-        if t.backbone == "mlp":
-            total += t.P * t.h1 * t.h2 + t.h2 + t.h2 * L + L
-        else:
-            total += t.K * stack_count(t.h1, t.h2) + t.P * t.h1 * L + L
+    for s in spec.trend.scales:
+        total += _scale_count(T // s, K // s, L, D, spec.trend)
     if spec.interaction is not None:
         i = spec.interaction
         total += 2 * D + i.C1 * K * i.h3 + i.h3
-        total += i.K * stack_count(i.h3, i.h3)
+        total += i.K * _stack_count(i.h3, i.h3)
         total += i.h3 * L + L
     return total

@@ -132,12 +132,14 @@ def test_patch_is_time_major():
 # --- centralization ---------------------------------------------------------------
 
 
+# "standardize" is the block at init: gamma 1 and beta 0 leave the plain
+# per-patch standardization
 @pytest.mark.parametrize("mode", ["affine", "standardize"])
 @pytest.mark.parametrize("seed", range(10))
 def test_centralize_roundtrip(mode, seed):
     rng = RNG(seed)
     D = 3
-    cent = bl.Centralization(D, mode=mode)
+    cent = bl.Centralization(D)
     if mode == "affine":
         cent.gamma.value = rng.uniform(0.5, 2.0, size=D)
         cent.beta.value = rng.normal(size=D)
@@ -150,10 +152,10 @@ def test_centralize_roundtrip(mode, seed):
 def test_centralize_constant_patch():
     D = 2
     x = np.full((1, D, 2, 5), 7.0)
-    std = bl.Centralization(D, mode="standardize")
+    std = bl.Centralization(D)  # at init: plain standardization
     y, _ = std.centralize(ad.Tensor(x))
     np.testing.assert_array_equal(y.value, np.zeros_like(x))
-    aff = bl.Centralization(D, mode="affine")
+    aff = bl.Centralization(D)
     aff.beta.value = np.array([1.5, -2.0])
     y, _ = aff.centralize(ad.Tensor(x))
     np.testing.assert_allclose(y.value[0, 0], np.full((2, 5), 1.5), atol=1e-12)
@@ -163,7 +165,7 @@ def test_centralize_constant_patch():
 def test_centralize_moments():
     rng = RNG(11)
     x = rng.normal(size=(1, 2, 3, 50)) * 10  # large variance: shrinkage < 1e-6
-    cent = bl.Centralization(2, mode="standardize")
+    cent = bl.Centralization(2)  # at init: plain standardization
     y, _ = cent.centralize(ad.Tensor(x))
     mean = y.value.mean(axis=-1)
     assert np.max(np.abs(mean)) < 1e-12
@@ -174,7 +176,7 @@ def test_centralize_moments():
 
 
 def test_decentralize_guards_collapsed_gamma():
-    cent = bl.Centralization(2, mode="affine")
+    cent = bl.Centralization(2)
     cent.gamma.value = np.array([1.0, 0.0])
     x = ad.Tensor(np.ones((1, 2, 1, 4)))
     xhat, stats = cent.centralize(x)
@@ -185,7 +187,7 @@ def test_decentralize_guards_collapsed_gamma():
 def test_centralize_gradients_flow_through_stats():
     # perturbing the input changes the cached stats; the tape must see it
     rng = RNG(12)
-    cent = bl.Centralization(2, mode="affine")
+    cent = bl.Centralization(2)
     cent.gamma.value = rng.uniform(0.5, 1.5, size=2)
     cent.beta.value = rng.normal(size=2) * 0.1
     x = rng.normal(size=(1, 2, 2, 5))

@@ -198,6 +198,42 @@ def test_manifest_unknown_key_exits_1(capsys, tmp_path, periodic_csv):
     assert "wibble" in err
 
 
+@pytest.mark.parametrize("line", ["T=abc", "lr=fast", "standardize=maybe"])
+def test_manifest_unparsable_value_names_line_and_key(capsys, tmp_path, line):
+    manifest = tmp_path / "bad.manifest"
+    manifest.write_text(f"data=x.csv\n{line}\n", encoding="utf-8")
+    rc, _, err = run(capsys, "train", "--manifest", str(manifest))
+    assert rc == 1
+    assert err.startswith("fbm: error:") and err.count("\n") == 1
+    key = line.split("=")[0]
+    assert f"{manifest}:2: {key}=" in err
+
+
+def save_with_header(path, **changed):
+    model = ForecastModel(ModelSpec(variant="fbm-l", T=16, L=6, D=1), seed=0)
+    header = {**model.spec.to_header(), **changed}
+    ad.save_tensors(path, [(p.name, p.value) for p in model.params], header=header)
+    return str(path)
+
+
+@pytest.mark.parametrize("key,text", [("T", "abc"), ("standardize", "yes"),
+                                      ("standardize", "true"), ("L", "6.0")])
+def test_checkpoint_header_that_does_not_parse_exits_1(capsys, tmp_path, key, text):
+    ckpt = save_with_header(tmp_path / "bad.fbm", **{key: text})
+    rc, _, err = run(capsys, "model-describe", "--checkpoint", ckpt)
+    assert rc == 1
+    assert err.startswith("fbm: error:") and err.count("\n") == 1
+    assert f"{key}={text!r}" in err
+
+
+def test_eval_of_checkpoint_header_that_does_not_parse_exits_1(capsys, tmp_path, periodic_csv):
+    ckpt = save_with_header(tmp_path / "bad.fbm", T="abc")
+    rc, _, err = run(capsys, "eval", "--checkpoint", ckpt, "--data", periodic_csv)
+    assert rc == 1
+    assert err.startswith("fbm: error:") and err.count("\n") == 1
+    assert "T='abc'" in err
+
+
 # --- exports --------------------------------------------------------------------------
 
 

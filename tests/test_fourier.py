@@ -172,6 +172,16 @@ def test_padded_rows_are_analytic_continuation():
         np.testing.assert_allclose(b.S[n], expect_s, atol=1e-10)
 
 
+@pytest.mark.parametrize("T,pad", [(16, 40), (32, 7), (336, 95)])
+def test_padded_rows_repeat_rows_mod_T_bitwise(T, pad):
+    # diag reads its horizon rows straight from the padded tables, so they
+    # must equal the window's rows n mod T bit for bit, zero signs included
+    b = fb.build_bases(T, pad=pad)
+    rows = np.arange(T, T + pad) % T
+    for table in (b.C, b.S):
+        assert table[T:].tobytes() == table[rows].tobytes()
+
+
 def test_amplitude_phase_triangle():
     # construct a spectrum whose fused coefficients are A=3, B=4 at bin 1
     T = 8

@@ -180,6 +180,21 @@ def test_checkpoint_from_before_the_field_table_loads(tmp_path):
     assert (tmp_path / "again.fbm").read_bytes() == fixture.read_bytes()
 
 
+def test_fbm_np_matches_its_pinned_init_and_predictions():
+    # fixture written before fbm-np was built as a transformer trend scale:
+    # the parameters of ForecastModel(spec, seed=11), then a batch X and
+    # the model's predictions on it
+    header, records = ad.load_tensors(Path(__file__).parent / "fixtures" / "fbm_np_init.fbm")
+    spec = ModelSpec.from_header(header)
+    assert spec == small_spec("fbm-np", np_cfg=NpConfig(P=2, h1=4, h2=6, K=2))
+    model = ForecastModel(spec, seed=11)
+    *params, (_, X), (_, pred) = records
+    assert [name for name, _ in params] == [p.name for p in model.params]
+    for p, (_, value) in zip(model.params, params, strict=True):
+        assert p.value.shape == value.shape and p.value.tobytes() == value.tobytes(), p.name
+    assert model.predict(X).tobytes() == pred.tobytes()
+
+
 def test_standardize_flag_survives_header():
     spec = small_spec("fbm-l", standardize=False)
     assert ModelSpec.from_header(spec.to_header()).standardize is False
@@ -323,9 +338,10 @@ def test_nl_degenerates_to_linear():
 # --- fbm-s: composition -----------------------------------------------------------
 
 
-def test_s_components_reassemble_bitwise():
+@pytest.mark.parametrize("standardize", [True, False])
+def test_s_components_reassemble_bitwise(standardize):
     rng = np.random.default_rng(8)
-    model = ForecastModel(small_spec("fbm-s"), seed=2)
+    model = ForecastModel(small_spec("fbm-s", standardize=standardize), seed=2)
     X = windows(rng)
     outs, mu, sd = model.components(X)
     assert set(outs) == {"seasonal", "trend", "interaction"}
@@ -372,6 +388,12 @@ def test_components_rejects_other_variants():
     model = ForecastModel(small_spec("fbm-l"), seed=0)
     with pytest.raises(ConfigError):
         model.components(np.zeros((1, 3, 16)))
+
+
+def test_components_checks_the_input_shape():
+    model = ForecastModel(small_spec("fbm-s"), seed=0)
+    with pytest.raises(ConfigError):
+        model.components(np.zeros((1, 2, 16)))
 
 
 # --- baselines --------------------------------------------------------------------
