@@ -14,6 +14,8 @@ trailing-dim rules and gradients are summed back to the original shapes.
 
 from __future__ import annotations
 
+import os
+import stat
 import struct
 
 import numpy as np
@@ -368,18 +370,21 @@ def zero_grads(params):
         p.grad = None
 
 
-def adam_step(params, lr, beta1=0.9, beta2=0.999, eps=1e-8):
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
+
+
+def adam_step(params, lr):
     """One Adam update with bias correction; consumed grads are zeroed."""
     for p in params:
         g = p.grad
         if g is None:
             continue
         p.step += 1
-        p.m = beta1 * p.m + (1.0 - beta1) * g
-        p.v = beta2 * p.v + (1.0 - beta2) * (g * g)
-        mhat = p.m / (1.0 - beta1**p.step)
-        vhat = p.v / (1.0 - beta2**p.step)
-        p.value = p.value - lr * mhat / (np.sqrt(vhat) + eps)
+        p.m = ADAM_BETA1 * p.m + (1.0 - ADAM_BETA1) * g
+        p.v = ADAM_BETA2 * p.v + (1.0 - ADAM_BETA2) * (g * g)
+        mhat = p.m / (1.0 - ADAM_BETA1**p.step)
+        vhat = p.v / (1.0 - ADAM_BETA2**p.step)
+        p.value = p.value - lr * mhat / (np.sqrt(vhat) + ADAM_EPS)
         p.grad = None
 
 
@@ -420,21 +425,22 @@ class AttentionParams:
         return [getattr(self, f) for f in self.FIELDS]
 
 
-def attention_block(x, p, eps=1e-5):
+def attention_block(x, p):
     """Pre-norm residual block: x + Attn(norm(x)), then + FFN(norm(.)).
 
     x has shape [..., M, width]; attention mixes the M tokens. Single
-    head, scores scaled by 1/sqrt(width), softmax over the key axis.
+    head, scores scaled by 1/sqrt(width), softmax over the key axis; the
+    norms are standardize_lastdim with its default eps.
     """
     width = x.shape[-1]
-    n1 = standardize_lastdim(x, eps)
+    n1 = standardize_lastdim(x)
     q = add(matmul(n1, p.wq), p.bq)
     k = add(matmul(n1, p.wk), p.bk)
     v = add(matmul(n1, p.wv), p.bv)
     scores = scale(matmul(q, swap_last2(k)), 1.0 / np.sqrt(width))
     att = matmul(softmax_lastdim(scores), v)
     x = add(x, add(matmul(att, p.wo), p.bo))
-    n2 = standardize_lastdim(x, eps)
+    n2 = standardize_lastdim(x)
     f = add(matmul(relu(add(matmul(n2, p.w1), p.b1)), p.w2), p.b2)
     return add(x, f)
 
@@ -446,7 +452,12 @@ _MAGIC = b"FBMCKPT1"
 
 def save_tensors(path, named, header=None):
     """Write (name, array) records after an optional key=value text header;
-    an entry that would not read back as the same key and value is refused."""
+    an entry that would not read back as the same key and value is refused.
+
+    The records go to a new file beside `path` that then replaces it (keeping
+    its mode; a symlink's target is the file replaced), so a write that fails
+    midway leaves any previous file at `path` as it was.
+    """
     lines = []
     for k, v in (header or {}).items():
         line = f"{k}={v}"
@@ -454,19 +465,29 @@ def save_tensors(path, named, header=None):
             raise CheckpointError(f"header entry {line!r} does not fit one key=value line")
         lines.append(line)
     hbytes = "\n".join(lines).encode("utf-8")
-    with open(path, "wb") as f:
-        f.write(_MAGIC)
-        f.write(struct.pack("<I", len(hbytes)))
-        f.write(hbytes)
-        for name, arr in named:
-            arr = np.ascontiguousarray(arr, dtype=np.float64)
-            nb = name.encode("utf-8")
-            f.write(struct.pack("<I", len(nb)))
-            f.write(nb)
-            f.write(struct.pack("<I", arr.ndim))
-            if arr.ndim:
-                f.write(struct.pack(f"<{arr.ndim}I", *arr.shape))
-            f.write(arr.tobytes())
+    path = os.path.realpath(path)  # a symlink stays and its target is replaced
+    tmp = f"{path}.{os.urandom(4).hex()}.tmp"
+    f = open(tmp, "xb")
+    try:
+        if os.path.exists(path):  # keep the mode of the file being replaced
+            os.chmod(tmp, stat.S_IMODE(os.stat(path).st_mode))
+        with f:
+            f.write(_MAGIC)
+            f.write(struct.pack("<I", len(hbytes)))
+            f.write(hbytes)
+            for name, arr in named:
+                arr = np.ascontiguousarray(arr, dtype=np.float64)
+                nb = name.encode("utf-8")
+                f.write(struct.pack("<I", len(nb)))
+                f.write(nb)
+                f.write(struct.pack("<I", arr.ndim))
+                if arr.ndim:
+                    f.write(struct.pack(f"<{arr.ndim}I", *arr.shape))
+                f.write(arr.tobytes())
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
 
 def load_tensors(path):

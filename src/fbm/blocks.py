@@ -75,13 +75,15 @@ def downsample_op(G, kernel):
 # --- centralization -----------------------------------------------------------
 
 
+CENT_EPS = 1e-5  # variance floor of the centralization
+
+
 class Centralization:
     """Per-(channel, patch) standardization with a learnable per-channel
     affine; gamma 1 and beta 0 at init make it a plain standardization."""
 
-    def __init__(self, D, eps=1e-5, name="cent"):
+    def __init__(self, D, name="cent"):
         self.D = D
-        self.eps = eps
         self.gamma = Parameter(np.ones(D), f"{name}.gamma")
         self.beta = Parameter(np.zeros(D), f"{name}.beta")
 
@@ -90,7 +92,7 @@ class Centralization:
 
     def centralize(self, x):
         """x[..., D, P, N] -> (normalized x, stats for the inverse)."""
-        xhat, mean, std = ad._standardize(x, self.eps)
+        xhat, mean, std = ad._standardize(x, CENT_EPS)
         g = ad.reshape(self.gamma, (self.D, 1, 1))
         b = ad.reshape(self.beta, (self.D, 1, 1))
         return ad.add(ad.mul(xhat, g), b), (mean, std)
@@ -230,8 +232,8 @@ class TrendConfig:
         for s in self.scales:
             if s not in (1, 2, 4):
                 raise ConfigError(f"trend scale kernel must be 1, 2 or 4, got {s}")
-        if self.backbone != "linear" and (self.h1 < 1 or self.h2 < 1 or self.P < 1):
-            raise ConfigError("trend widths and patch count must be positive")
+        if (self.backbone != "linear" and min(self.h1, self.h2, self.P) < 1) or self.K < 0:
+            raise ConfigError(f"need widths h1, h2 and patch count P >= 1, K >= 0: {self}")
 
 
 class _TrendScale:
@@ -322,6 +324,10 @@ class InteractionConfig:
     h3: int = 512
     K: int = 3
 
+    def __post_init__(self):
+        if min(self.C1, self.h3) < 1 or min(self.C2, self.K) < 0:
+            raise ConfigError(f"need C1, h3 >= 1 and C2, K >= 0: {self}")
+
 
 class InteractionBlock:
     """Cross-channel attention over the last C1 timesteps' features.
@@ -332,9 +338,9 @@ class InteractionBlock:
     """
 
     def __init__(self, rng, T, L, D, cfg, name="inter"):
-        if not 1 <= cfg.C1 <= T:
+        if cfg.C1 > T:  # InteractionConfig holds C1 >= 1 and C2 >= 0
             raise ConfigError(f"interaction input mask C1={cfg.C1} outside [1, {T}]")
-        if not 0 <= cfg.C2 <= L:
+        if cfg.C2 > L:
             raise ConfigError(f"interaction output mask C2={cfg.C2} outside [0, {L}]")
         self.cfg = cfg
         self.T = T

@@ -19,9 +19,9 @@ import numpy as np
 
 from . import data as dat
 from . import fourier
-from .autodiff import _MAGIC
+from .autodiff import _MAGIC, save_tensors
 from .errors import ConfigError, DataError, FbmError
-from .models import SPEC_FIELDS, ForecastModel, ModelSpec, instance_standardize
+from .models import SPEC_FIELDS, ForecastModel, ModelSpec, SpecField, instance_standardize
 from .train import (
     TrainConfig,
     evaluate,
@@ -40,15 +40,6 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-def _bool(text):
-    t = str(text).strip().lower()
-    if t in ("1", "true", "yes", "on"):
-        return True
-    if t in ("0", "false", "no", "off"):
-        return False
-    raise ValueError(f"not a boolean: {text!r}")
-
-
 @dataclass(frozen=True)
 class Opt:
     name: str
@@ -57,14 +48,25 @@ class Opt:
     help: str = ""
     required: bool = False
     choices: tuple = None
+    field: SpecField | None = None  # the spec field the option sets
 
     @property
     def attr(self):
         return self.name.replace("-", "_")
 
+    def parse(self, text):
+        """Value of flag or manifest text; a spec field reads it as checkpoint
+        headers do (a switch as 0 or 1). Text that does not parse raises
+        ArgumentTypeError, argparse's error for a bad flag value."""
+        try:
+            return self.field.parse(text) if self.field else self.type(text)
+        except ValueError:
+            want = self.field.want if self.field else self.type.__name__
+            raise argparse.ArgumentTypeError(f"{text!r}, want {want}") from None
+
 
 MODEL_OPTS = [
-    Opt(f.flag, str if f.type is tuple else f.type, f.default, f.help, choices=f.choices)
+    Opt(f.flag, f.type, f.default, f.help, choices=f.choices, field=f)
     for f in SPEC_FIELDS
     if f.flag
 ]
@@ -152,13 +154,10 @@ def _read_manifest(path, opts):
         key, value = key.strip(), value.strip()
         if key not in by_name:
             raise ConfigError(f"{path}:{ln}: unknown option {key!r}")
-        o = by_name[key]
         try:
-            out[key] = _bool(value) if o.type is bool else o.type(value)
-        except ValueError:
-            raise ConfigError(
-                f"{path}:{ln}: {key}={value!r} is not a valid {o.type.__name__}"
-            ) from None
+            out[key] = by_name[key].parse(value)
+        except argparse.ArgumentTypeError as e:
+            raise ConfigError(f"{path}:{ln}: {key}={e}") from None
     return out
 
 
@@ -188,25 +187,15 @@ def _add_opts(parser, opts):
                 flag, action=argparse.BooleanOptionalAction, default=None, help=o.help
             )
         else:
-            parser.add_argument(flag, type=o.type, default=None, help=o.help)
+            parser.add_argument(flag, type=o.parse, default=None, help=o.help)
 
 
 # --- shared assembly ----------------------------------------------------------------
 
 
 def build_model_spec(res, D):
-    """Spec from resolved options; D is the dataset's channel count."""
-
-    def value(f):
-        v = D if f.flag is None else res[f.flag]
-        if not isinstance(v, str):
-            return v
-        try:
-            return f.parse(v)  # text as in headers, e.g. 1+2+4
-        except ValueError:
-            raise ConfigError(f"cannot parse --{f.flag} {v!r} (want {f.want})") from None
-
-    return ModelSpec.from_values(value)
+    """Spec from resolved (already parsed) options; D is the dataset's channel count."""
+    return ModelSpec.from_values(lambda f: D if f.flag is None else res[f.flag])
 
 
 def _split_spec(res):
@@ -233,8 +222,7 @@ def load_any(res):
     """(dataset, stats-or-None); CSVs come back raw, caches normalized."""
     path = res["data"]
     if _is_container(path):
-        ds, stats = dat.load_cache(path)
-        return ds, stats
+        return dat.load_cache(path)
     return dat.load_csv(path, value_columns=_columns(res)), None
 
 
@@ -288,11 +276,12 @@ def cmd_eval(parser, args):
             f"dataset has D={ds.D} channels, checkpoint expects D={model.spec.D}"
         )
     segment = getattr(ranges, res["part"])
-    batches = lambda: dat.iterate_batches(ds.values, segment, T, L, res["batch"])
-    res_mse, res_mae = evaluate(model, batches(), threads=res["threads"])
+    batches = dat.iterate_batches(ds.values, segment, T, L, res["batch"])
     if res["predictions-out"]:
-        export_predictions(res["predictions-out"], model, batches())
-    print(json.dumps({"mse": res_mse, "mae": res_mae}))
+        mse, mae = export_predictions(res["predictions-out"], model, batches, res["threads"])
+    else:
+        mse, mae = evaluate(model, batches, threads=res["threads"])
+    print(json.dumps({"mse": mse, "mae": mae}))
     return 0
 
 
@@ -324,8 +313,7 @@ def cmd_spectrum(parser, args):
         chunk = starts[i : i + 512]
         X = np.stack([ds.values[:, s : s + T] for s in chunk])
         H_R, H_I = fourier.rdft_array(instance_standardize(X)[0])
-        spec = fourier.Spectrum(real=H_R, imag=H_I, T=T)
-        amps.append(fourier.amplitude_phase(spec).amp[..., 1:])  # drop DC
+        amps.append(fourier.amplitude_phase(H_R, H_I).amp[..., 1:])  # drop DC
     mean, lo, hi = fourier.amplitude_distribution(np.concatenate(amps))
     d, k = np.indices(mean.shape)
     dat.write_csv(res["out"], "channel,k,mean_amp,lo95,hi95", [d, k + 1], [mean, lo, hi])
@@ -390,9 +378,7 @@ def cmd_synth(parser, args):
     res = _resolve(parser, args, SYNTH_OPTS)
     if res["case"] == 1:
         src = make_case1(res["seed"], windows=res["windows"])
-        from . import autodiff as ad
-
-        ad.save_tensors(
+        save_tensors(
             res["out"],
             [("X", src.X), ("Y", src.Y)],
             header={"kind": "case1-pairs", "seed": str(res["seed"])},

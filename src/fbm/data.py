@@ -115,13 +115,15 @@ def load_csv(path, value_columns=None, name=None):
 # --- splits -------------------------------------------------------------------
 
 
+ETT_MONTHS = (12, 4, 4)  # train/val/test months of the ETT split, 30-day months
+
+
 @dataclass(frozen=True)
 class SplitSpec:
     mode: str  # ratio | ett_months
     train: float = 0.65
     val: float = 0.15
     test: float = 0.2
-    months: tuple = (12, 4, 4)
 
     def __post_init__(self):
         if self.mode not in ("ratio", "ett_months"):
@@ -175,11 +177,11 @@ def split(ds, spec, T, L):
     else:
         f = samples_per_hour(ds)
         month = 30 * 24 * f
-        n_train, n_val, n_test = (m * month for m in spec.months)
+        n_train, n_val, n_test = (m * month for m in ETT_MONTHS)
         if N < n_train + n_val + n_test:
             raise DataError(
                 f"{ds.name}: {N} steps < {n_train + n_val + n_test} needed for "
-                f"{spec.months} months at {f}/hour"
+                f"{ETT_MONTHS} months at {f}/hour"
             )
     ranges = SplitRanges(
         train=(0, n_train),

@@ -29,15 +29,6 @@ def _check_window_length(T):
 
 
 @dataclass(frozen=True)
-class Spectrum:
-    """Half spectrum H[..., k], k = 0..T/2, of a real window or a batch of them."""
-
-    real: np.ndarray
-    imag: np.ndarray
-    T: int
-
-
-@dataclass(frozen=True)
 class BasisMatrices:
     """Scaled cosine/sine tables over n in [0, T+pad), k in [0, T/2]."""
 
@@ -69,17 +60,9 @@ def dft_matrices(T):
     return cm, sm
 
 
-def rdft(x):
-    """Half spectrum of one real window (k = 0..T/2)."""
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 1:
-        raise ConfigError(f"rdft expects a 1-d window, got shape {x.shape}")
-    H_R, H_I = rdft_array(x)
-    return Spectrum(real=H_R, imag=H_I, T=x.shape[0])
-
-
 def rdft_array(X):
-    """Batched half spectrum: X[..., T] -> (H_R[..., T/2+1], H_I[..., T/2+1])."""
+    """Half spectrum of a window or a batch of them:
+    X[..., T] -> (H_R[..., T/2+1], H_I[..., T/2+1])."""
     X = np.asarray(X, dtype=np.float64)
     cm, sm = dft_matrices(X.shape[-1])
     return X @ cm, X @ sm
@@ -109,19 +92,15 @@ def build_bases(T, pad=0):
     return BasisMatrices(C=C, S=S, T=T, pad=pad)
 
 
-def basis_expand(spec, bases, drop_dc=False):
-    """Single-channel time-frequency features G[n,k] = H_R[k] C[n,k] + H_I[k] S[n,k]."""
-    if bases.T != spec.T:
-        raise ConfigError(f"basis length {bases.T} != spectrum length {spec.T}")
-    return expand_array(spec.real, spec.imag, bases, drop_dc=drop_dc)
-
-
 def expand_array(H_R, H_I, bases, drop_dc=False):
-    """Batched expansion: H_*[..., T/2+1] -> G[..., T, K] with K = T/2(+1).
+    """Time-frequency features G[..., n, k] = H_R[..., k] C[n, k] + H_I[..., k] S[n, k]
+    of full spectrum halves H_*[..., T/2+1]; G is [..., T, K] with K = T/2(+1).
 
     Only the first T rows of the bases are used; the padded rows exist
     for the seasonal filter, which works from the spectrum directly.
     """
+    if H_R.shape[-1] != bases.T // 2 + 1:
+        raise ConfigError(f"basis length {bases.T} does not fit {H_R.shape[-1]} spectrum bins")
     C = bases.C[: bases.T]
     S = bases.S[: bases.T]
     if drop_dc:
@@ -135,18 +114,18 @@ def reconstruct(G):
     return np.asarray(G, dtype=np.float64).sum(axis=-1)
 
 
-def amplitude_phase(spec):
-    """Fuse each bin's cos/sin pair into amplitude and phase.
+def amplitude_phase(H_R, H_I):
+    """Fuse each bin's cos/sin pair of full halves H_*[..., T/2+1] into
+    amplitude and phase.
 
     Uses the doubled coefficients (a_k, -b_k) as the (A, B) legs, so a
     pure cosine bin lands at phase 0. Phase of an empty bin is 0 by
     convention; atan2 range is (-pi, pi].
     """
-    T = spec.T
-    k = np.arange(T // 2 + 1)
-    ck = np.where((k == 0) | (k == T // 2), 1.0, 2.0)
-    A = ck * spec.real
-    B = -(ck * spec.imag)
+    k = np.arange(H_R.shape[-1])
+    ck = np.where((k == 0) | (k == k[-1]), 1.0, 2.0)
+    A = ck * H_R
+    B = -(ck * H_I)
     R = np.hypot(A, B)
     phase = np.where(R == 0.0, 0.0, np.arctan2(B, A))
     return AmplitudePhase(amp=R, phase=phase)

@@ -25,7 +25,7 @@ exactly scale-equivariant for ordinary windows.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from functools import reduce
 
 import numpy as np
@@ -44,21 +44,19 @@ from .blocks import (
     spectral_map,
 )
 from .errors import CheckpointError, ConfigError
-from .fourier import build_bases, expand_array, rdft_array
+from .fourier import _check_window_length, build_bases, expand_array, rdft_array
 
 VARIANTS = ("fbm-l", "fbm-nl", "fbm-np", "fbm-s", "diag", "last")
 
 STD_FLOOR = 1e-5
 
 
-@dataclass(frozen=True)
-class NpConfig:
-    backbone = "transformer"  # not a field: fbm-np is one transformer trend scale
-
-    P: int = 14
-    h1: int = 128
-    h2: int = 256  # FFN width inside the stacks
-    K: int = 3
+# the default of each config; spec fields left unset keep its values
+CONFIGS = {
+    "np_cfg": TrendConfig(backbone="transformer", h2=256),  # fbm-np: one transformer scale
+    "trend": TrendConfig(),
+    "interaction": InteractionConfig(),
+}
 
 
 @dataclass(frozen=True)
@@ -70,21 +68,24 @@ class ModelSpec:
     standardize: bool = True
     nl_h1: int = 1440
     nl_h2: int = 1440
-    np_cfg: NpConfig = field(default_factory=NpConfig)
-    trend: TrendConfig = field(default_factory=TrendConfig)
+    np_cfg: TrendConfig = CONFIGS["np_cfg"]
+    trend: TrendConfig = CONFIGS["trend"]
     interaction: InteractionConfig | None = None
 
     def __post_init__(self):
         if self.variant not in VARIANTS:
             raise ConfigError(f"unknown variant {self.variant!r}; choose from {VARIANTS}")
-        if self.T < 4 or self.T % 2:
-            raise ConfigError(f"window length must be even and >= 4, got {self.T}")
+        _check_window_length(self.T)
         if self.L < 1:
             raise ConfigError(f"horizon must be >= 1, got {self.L}")
         if self.D < 1:
             raise ConfigError(f"channel count must be >= 1, got {self.D}")
         if self.variant == "fbm-nl" and (self.nl_h1 < 1 or self.nl_h2 < 1):
             raise ConfigError("fbm-nl hidden widths must be positive")
+        np_cfg, pin = self.np_cfg, CONFIGS["np_cfg"]  # its header has only P/h1/h2/K
+        if (np_cfg.backbone, np_cfg.scales) != (pin.backbone, pin.scales):
+            raise ConfigError(f"fbm-np config needs backbone={pin.backbone!r} and "
+                              f"scales={pin.scales}: {np_cfg}")
 
     def to_header(self):
         """Checkpoint header: the fields the variant reads, in table order."""
@@ -128,7 +129,7 @@ class ModelSpec:
                     off.add(head)
             else:
                 kw[head] = value(f)
-        kw.update((head, CONFIGS[head](**sub)) for head, sub in configs.items())
+        kw.update((head, replace(CONFIGS[head], **sub)) for head, sub in configs.items())
         return cls(**kw)
 
     def summary(self):
@@ -137,11 +138,9 @@ class ModelSpec:
 
 # --- the spec field table -------------------------------------------------------
 
-CONFIGS = {"np_cfg": NpConfig, "trend": TrendConfig, "interaction": InteractionConfig}
-
 
 def _parse_scales(text):
-    return tuple(int(p) for p in str(text).replace(",", "+").split("+") if p != "")
+    return tuple(int(p) for p in text.replace(",", "+").split("+") if p != "")
 
 
 def _parse_switch(text):
@@ -169,15 +168,18 @@ class SpecField:
     variant: str | None
     help: str = ""
     type: type = int
-    default: object = None  # None: the dataclass default; a switch is off
+    default: object = None  # None: ModelSpec's default or its config's; a switch is off
     choices: tuple | None = None
 
     def __post_init__(self):
         if self.default is None:
-            owner = CONFIGS[self.path[0]] if len(self.path) == 2 else ModelSpec
-            default = owner.__dataclass_fields__[self.path[-1]].default
-            if len(self.path) == 1 and self.path[0] in CONFIGS:
-                default = default is not None
+            head = self.path[0]
+            if len(self.path) == 2:
+                default = getattr(CONFIGS[head], self.path[1])
+            else:
+                default = ModelSpec.__dataclass_fields__[head].default
+                if head in CONFIGS:
+                    default = default is not None
             object.__setattr__(self, "default", default)
 
     def text(self, value):

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import json
 import time
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -76,31 +77,31 @@ class RunReport:
             f.write("\n")
 
 
-def _batch_error_sums(model, batch):
-    d = model.forward(batch.X).value - batch.Y
-    return float(np.sum(d * d)), float(np.sum(np.abs(d))), d.size
-
-
-def evaluate(model, batches, threads=1):
-    """(MSE, MAE) over a batch stream, weighted by element count.
+def evaluate(model, batches, threads=1, sink=None):
+    """(MSE, MAE) over a batch stream, weighted by element count and summed
+    in batch order; sink(batch, prediction), if given, sees every batch.
 
     threads > 1 evaluates batches in a worker pool; parameters are only
     read, and the reduction stays in batch order, so the result is
     identical to the single-threaded one.
     """
-    sq = absum = n = 0
-    with ad.no_grad():
-        if threads > 1:
-            from concurrent.futures import ThreadPoolExecutor
 
-            with ThreadPoolExecutor(max_workers=threads) as pool:
-                parts = list(pool.map(lambda b: _batch_error_sums(model, b), batches))
-        else:
-            parts = (_batch_error_sums(model, b) for b in batches)
-        for s, a, k in parts:
+    def score(batch):
+        pred = model.forward(batch.X).value
+        d = pred - batch.Y
+        return batch, pred, float(np.sum(d * d)), float(np.sum(np.abs(d))), d.size
+
+    sq = absum = n = 0
+    # the pool starts no worker unless it is given work
+    with ad.no_grad(), ThreadPoolExecutor(max_workers=max(threads, 1)) as pool:
+        parts = pool.map(score, batches) if threads > 1 else map(score, batches)
+        for batch, pred, s, a, k in parts:
+            if sink is not None:
+                sink(batch, pred)
             sq += s
             absum += a
             n += k
+            del batch, pred  # free this batch before the next forward
     if n == 0:
         raise ConfigError("evaluation stream produced no windows")
     return sq / n, absum / n
@@ -238,12 +239,14 @@ def make_case2(seed, length=4000, period=24):
 # --- prediction export -----------------------------------------------------------
 
 
-def export_predictions(path, model, batches):
-    """CSV dump: window_id,channel,step,y_true,y_pred."""
+def export_predictions(path, model, batches, threads=1):
+    """CSV dump window_id,channel,step,y_true,y_pred; returns the (MSE, MAE)
+    that evaluate() gives for the same batches, from the same forwards."""
+
+    def write(batch, pred):
+        b, d, step = np.indices(pred.shape)
+        write_csv(f, "", [batch.starts[b], d, step], [batch.Y, pred])
+
     with open(path, "w", encoding="utf-8") as f:
         f.write("window_id,channel,step,y_true,y_pred\n")
-        with ad.no_grad():
-            for batch in batches:
-                pred = model.forward(batch.X).value
-                b, d, step = np.indices(pred.shape)
-                write_csv(f, "", [batch.starts[b], d, step], [batch.Y, pred])
+        return evaluate(model, batches, threads, write)

@@ -34,8 +34,8 @@ from fbm.blocks import (
 )
 from fbm.cli import main
 from fbm.data import SlidingWindows, SplitSpec, load_csv, split, zscore_apply, zscore_fit
-from fbm.fourier import basis_expand, build_bases, rdft, rdft_array, reconstruct
-from fbm.models import ForecastModel, ModelSpec, NpConfig
+from fbm.fourier import build_bases, expand_array, rdft_array, reconstruct
+from fbm.models import ForecastModel, ModelSpec
 from fbm.train import TrainConfig, make_case1, train
 from gradcheck import input_grad_err, param_grad_err
 
@@ -68,7 +68,7 @@ def test_c01_reconstruction_roundtrip():
         rng = np.random.default_rng(T)
         for _ in range(100):
             x = rng.standard_normal(T)
-            G = basis_expand(rdft(x), bases)
+            G = expand_array(*rdft_array(x), bases)
             worst = max(worst, float(np.max(np.abs(reconstruct(G) - x))))
     dt = time.perf_counter() - t0
     verdict(
@@ -89,8 +89,8 @@ def test_c02_hermitian_symmetry():
         x = np.random.default_rng(seed).standard_normal(T)
         H = F @ x
         worst = max(worst, float(np.max(np.abs(H[1:] - np.conj(H[1:][::-1])))))
-        spec = rdft(x)
-        half = spec.real + 1j * spec.imag
+        H_R, H_I = rdft_array(x)
+        half = H_R + 1j * H_I
         half_err = max(half_err, float(np.max(np.abs(half - H[: T // 2 + 1]))))
     verdict(
         2, "hermitian symmetry", worst < 1e-9 and half_err < 1e-9,
@@ -235,7 +235,7 @@ def test_c05_gradient_suite():
 
     for variant, kw in [
         ("fbm-nl", dict(nl_h1=6, nl_h2=6)),
-        ("fbm-np", dict(np_cfg=NpConfig(P=4, h1=6, h2=6, K=1))),
+        ("fbm-np", dict(np_cfg=TrendConfig(backbone="transformer", P=4, h1=6, h2=6, K=1))),
     ]:
         model = ForecastModel(ModelSpec(variant=variant, T=T, L=4, D=2, **kw), seed=0)
 

@@ -1,3 +1,4 @@
+import stat
 import struct
 
 import numpy as np
@@ -247,6 +248,43 @@ def test_container_rejects_header_that_would_not_read_back(tmp_path, key, value)
     with pytest.raises(CheckpointError):
         ad.save_tensors(path, [("w", np.ones(2))], header={key: value})
     assert not path.exists()
+
+
+@pytest.mark.parametrize("previous", [b"old checkpoint bytes", None])
+def test_container_failed_write_keeps_previous_file(tmp_path, previous):
+    path = tmp_path / "model.fbm"
+    if previous is not None:
+        path.write_bytes(previous)
+    # the second record cannot be cast to float64, after the first is written
+    bad = [("w", np.ones(1000)), ("b", np.array(["not a number"]))]
+    with pytest.raises(ValueError):
+        ad.save_tensors(path, bad, header={"kind": "x"})
+    if previous is None:
+        assert not path.exists()
+    else:
+        assert path.read_bytes() == previous
+    assert [p.name for p in tmp_path.iterdir()] == ([] if previous is None else ["model.fbm"])
+
+
+def test_container_write_gets_the_mode_open_gives(tmp_path):
+    ad.save_tensors(tmp_path / "a.fbm", [("w", np.ones(2))])
+    (tmp_path / "b").write_bytes(b"")
+    assert (tmp_path / "a.fbm").stat().st_mode == (tmp_path / "b").stat().st_mode
+
+
+def test_container_overwrite_keeps_mode_and_symlink(tmp_path):
+    path = tmp_path / "model.fbm"
+    ad.save_tensors(path, [("w", np.ones(2))])
+    path.chmod(0o600)
+    ad.save_tensors(path, [("w", np.zeros(2))])
+    assert stat.S_IMODE(path.stat().st_mode) == 0o600
+    link = tmp_path / "link.fbm"
+    link.symlink_to(path)
+    ad.save_tensors(link, [("w", np.full(2, 3.0))])
+    assert link.is_symlink() and link.resolve() == path.resolve()
+    assert stat.S_IMODE(path.stat().st_mode) == 0o600
+    np.testing.assert_array_equal(ad.load_tensors(path)[1][0][1], np.full(2, 3.0))
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["link.fbm", "model.fbm"]
 
 
 def test_container_raw_save_has_empty_header(tmp_path):

@@ -62,9 +62,8 @@ def test_seasonal_delta_filter_picks_continuation():
     rng = RNG(1)
     x = rng.normal(size=T)
     x = x - x.mean()
-    spec = fb.rdft(x)
-    H_R = spec.real[None, None, 1:]
-    H_I = spec.imag[None, None, 1:]
+    H_R, H_I = fb.rdft_array(x[None, None])
+    H_R, H_I = H_R[..., 1:], H_I[..., 1:]
     out = block.forward(ad.Tensor(H_R), ad.Tensor(H_I)).value[0, 0]
     np.testing.assert_allclose(out, x[:L], atol=1e-9)
 
@@ -290,6 +289,14 @@ def test_interaction_mask_locality_exact():
     # horizon steps >= C2 are exactly zero
     np.testing.assert_array_equal(base[..., cfg.C2 :], np.zeros_like(base[..., cfg.C2 :]))
     assert np.any(base[..., : cfg.C2] != 0)
+
+
+@pytest.mark.parametrize("bad", [dict(C1=0), dict(C2=-1), dict(h3=0), dict(K=-1),
+                                 dict(C1=17), dict(C2=5)])
+def test_interaction_rejects_out_of_range_config(bad):
+    # T=16, L=4: C1 must lie in [1, 16] and C2 in [0, 4]
+    with pytest.raises(ConfigError):
+        _inter_block(**bad)
 
 
 def test_interaction_c2_zero_disables_block():

@@ -11,7 +11,7 @@ from fbm import cli
 from fbm import fourier as fb
 from fbm.blocks import InteractionConfig, TrendConfig
 from fbm.cli import build_model_spec, main
-from fbm.models import ForecastModel, ModelSpec
+from fbm.models import VARIANTS, ForecastModel, ModelSpec
 
 
 def write_series(path, values, header="value"):
@@ -173,6 +173,26 @@ def test_eval_predictions_export(capsys, tmp_path, periodic_csv):
     assert len(rows) == (240 + 47 - 48 - 12 + 1) * 12
 
 
+def test_eval_predictions_out_is_the_same_single_pass(capsys, monkeypatch, tmp_path,
+                                                      periodic_csv):
+    out, _ = train_tiny(capsys, tmp_path, periodic_csv)
+    args = ["eval", "--checkpoint", str(out / "model.fbm"), "--data", periodic_csv,
+            "--batch", "32"]
+    batches = []
+    forward = ForecastModel.forward
+    monkeypatch.setattr(ForecastModel, "forward",
+                        lambda self, X: batches.append(len(X)) or forward(self, X))
+    rc, plain, _ = run(capsys, *args)
+    assert rc == 0
+    # 240 + 47 back-extension, minus T+L-1: 228 test windows in batches of 32
+    assert batches == [32] * 7 + [4]
+    batches.clear()
+    rc, dumped, _ = run(capsys, *args, "--predictions-out", str(tmp_path / "p.csv"))
+    assert rc == 0
+    assert dumped == plain
+    assert batches == [32] * 7 + [4]  # one forward per batch, not two
+
+
 def test_manifest_precedence(capsys, tmp_path, periodic_csv):
     manifest = tmp_path / "run.manifest"
     manifest.write_text(
@@ -198,7 +218,7 @@ def test_manifest_unknown_key_exits_1(capsys, tmp_path, periodic_csv):
     assert "wibble" in err
 
 
-@pytest.mark.parametrize("line", ["T=abc", "lr=fast", "standardize=maybe"])
+@pytest.mark.parametrize("line", ["T=abc", "lr=fast", "standardize=maybe", "scales=abc"])
 def test_manifest_unparsable_value_names_line_and_key(capsys, tmp_path, line):
     manifest = tmp_path / "bad.manifest"
     manifest.write_text(f"data=x.csv\n{line}\n", encoding="utf-8")
@@ -304,7 +324,7 @@ def test_spectrum_reports_amplitude_phase_amplitude(capsys, tmp_path, periodic_c
     # that range starts T-1 steps before the last 240 (20%) of the series
     start = 1200 - 240 - 47
     x = np.loadtxt(periodic_csv, skiprows=1)[start : start + 48]
-    amp = fb.amplitude_phase(fb.rdft((x - x.mean()) / x.std())).amp
+    amp = fb.amplitude_phase(*fb.rdft_array((x - x.mean()) / x.std())).amp
     for r in (rows[1], rows[-1]):  # k = 2 (doubled) and k = T/2 (Nyquist, single)
         k = int(r["k"])
         assert float(r["mean_amp"]) == pytest.approx(amp[k], rel=1e-12, abs=1e-12)
@@ -427,6 +447,29 @@ def test_model_describe_every_flag_lands(capsys, monkeypatch, variant):
             assert obj == value, flag
             assert header.pop(key) == text, flag
     assert header == {}  # and nothing else was written
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_flag_defaults_build_the_spec_defaults(variant):
+    res = {**{o.name: o.default for o in cli.MODEL_OPTS}, "variant": variant}
+    assert build_model_spec(res, 7) == ModelSpec(variant=variant, T=336, L=96, D=7)
+
+
+@pytest.mark.parametrize("flags, named", [
+    (("--variant", "fbm-np", "--np-p", "2", "--np-h1", "0"), "h1=0"),
+    (("--variant", "fbm-np", "--np-p", "2", "--np-k", "-2"), "K=-2"),
+    (("--variant", "fbm-s", "--trend-p", "2", "--trend-backbone", "transformer",
+      "--trend-k", "-1"), "K=-1"),
+    (("--variant", "fbm-s", "--trend-p", "2", "--interaction", "--c1", "4", "--c2", "6",
+      "--h3", "0"), "h3=0"),
+    (("--variant", "fbm-s", "--trend-p", "2", "--interaction", "--c1", "4", "--c2", "6",
+      "--inter-k", "-1"), "K=-1"),
+], ids=["np-h1", "np-k", "trend-k", "h3", "inter-k"])
+def test_model_describe_bad_width_or_stack_count_exits_1(capsys, flags, named):
+    rc, out, err = run(capsys, "model-describe", "--T", "16", "--L", "6", *flags)
+    assert rc == 1 and out == ""
+    assert err.startswith("fbm: error:") and err.count("\n") == 1
+    assert named in err and "closed form" not in err  # names the value, not a count
 
 
 def test_model_describe_from_checkpoint(capsys, tmp_path, periodic_csv):

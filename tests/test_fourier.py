@@ -29,40 +29,40 @@ def naive_complex_idft(H):
 
 
 def test_rdft_constant_window():
-    spec = fb.rdft(np.full(8, 2.5))
+    H_R, H_I = fb.rdft_array(np.full(8, 2.5))
     expect = np.zeros(5)
     expect[0] = 8 * 2.5
-    np.testing.assert_allclose(spec.real, expect, atol=1e-12)
-    np.testing.assert_allclose(spec.imag, np.zeros(5), atol=1e-12)
+    np.testing.assert_allclose(H_R, expect, atol=1e-12)
+    np.testing.assert_allclose(H_I, np.zeros(5), atol=1e-12)
 
 
 def test_rdft_pure_cosine_bin():
     T = 16
     x = np.cos(2 * np.pi * 3 * np.arange(T) / T)
-    spec = fb.rdft(x)
+    H_R, H_I = fb.rdft_array(x)
     expect = np.zeros(T // 2 + 1)
     expect[3] = T / 2
-    np.testing.assert_allclose(spec.real, expect, atol=1e-10)
-    np.testing.assert_allclose(spec.imag, np.zeros(T // 2 + 1), atol=1e-10)
+    np.testing.assert_allclose(H_R, expect, atol=1e-10)
+    np.testing.assert_allclose(H_I, np.zeros(T // 2 + 1), atol=1e-10)
 
 
 def test_rdft_hand_example():
-    spec = fb.rdft([1.0, 2.0, 3.0, 4.0])
-    np.testing.assert_allclose(spec.real, [10.0, -2.0, -2.0], atol=1e-12)
-    np.testing.assert_allclose(spec.imag, [0.0, 2.0, 0.0], atol=1e-12)
+    H_R, H_I = fb.rdft_array([1.0, 2.0, 3.0, 4.0])
+    np.testing.assert_allclose(H_R, [10.0, -2.0, -2.0], atol=1e-12)
+    np.testing.assert_allclose(H_I, [0.0, 2.0, 0.0], atol=1e-12)
 
 
 @pytest.mark.parametrize("bad_T", [3, 7, 335])
 def test_odd_length_rejected(bad_T):
     with pytest.raises(ConfigError):
-        fb.rdft(np.zeros(bad_T))
+        fb.rdft_array(np.zeros(bad_T))
     with pytest.raises(ConfigError):
         fb.build_bases(bad_T)
 
 
 def test_tiny_length_rejected():
     with pytest.raises(ConfigError):
-        fb.rdft(np.zeros(2))
+        fb.rdft_array(np.zeros(2))
 
 
 @pytest.mark.parametrize("seed", range(20))
@@ -72,10 +72,10 @@ def test_hermitian_symmetry_vs_naive_dft(seed):
     full = naive_complex_dft(x)
     for k in range(1, T // 2):
         assert abs(full[T - k] - np.conj(full[k])) < 1e-9
-    spec = fb.rdft(x)
-    np.testing.assert_allclose(spec.real, full[: T // 2 + 1].real, atol=1e-9)
-    np.testing.assert_allclose(spec.imag, full[: T // 2 + 1].imag, atol=1e-9)
-    assert spec.imag[0] == 0.0 and spec.imag[T // 2] == 0.0
+    H_R, H_I = fb.rdft_array(x)
+    np.testing.assert_allclose(H_R, full[: T // 2 + 1].real, atol=1e-9)
+    np.testing.assert_allclose(H_I, full[: T // 2 + 1].imag, atol=1e-9)
+    assert H_I[0] == 0.0 and H_I[T // 2] == 0.0
 
 
 def test_basis_matrix_values():
@@ -111,14 +111,14 @@ def test_basis_orthogonality_direct_summation():
 )
 def test_reconstruction_roundtrip(T, seed):
     x = np.random.default_rng(seed).normal(size=T) * 10
-    G = fb.basis_expand(fb.rdft(x), fb.build_bases(T))
+    G = fb.expand_array(*fb.rdft_array(x), fb.build_bases(T))
     assert np.max(np.abs(fb.reconstruct(G) - x)) < 1e-9
 
 
 def test_reconstruction_matches_complex_idft_oracle():
     T = 24
     x = np.random.default_rng(7).normal(size=T)
-    G = fb.basis_expand(fb.rdft(x), fb.build_bases(T))
+    G = fb.expand_array(*fb.rdft_array(x), fb.build_bases(T))
     full = naive_complex_dft(x)
     back = naive_complex_idft(full)
     np.testing.assert_allclose(fb.reconstruct(G), back.real, atol=1e-9)
@@ -127,7 +127,7 @@ def test_reconstruction_matches_complex_idft_oracle():
 def test_expand_single_bin_is_that_cosine():
     T = 16
     x = np.cos(2 * np.pi * 2 * np.arange(T) / T)
-    G = fb.basis_expand(fb.rdft(x), fb.build_bases(T))
+    G = fb.expand_array(*fb.rdft_array(x), fb.build_bases(T))
     other = np.delete(G, 2, axis=1)
     assert np.max(np.abs(other)) < 1e-10
     np.testing.assert_allclose(G[:, 2], x, atol=1e-10)
@@ -136,7 +136,7 @@ def test_expand_single_bin_is_that_cosine():
 def test_expand_phase_shifted_cosine_stays_in_its_column():
     T = 16
     x = np.cos(2 * np.pi * 2 * np.arange(T) / T + np.pi / 4)
-    G = fb.basis_expand(fb.rdft(x), fb.build_bases(T))
+    G = fb.expand_array(*fb.rdft_array(x), fb.build_bases(T))
     np.testing.assert_allclose(G[:, 2], x, atol=1e-10)
 
 
@@ -145,16 +145,16 @@ def test_drop_dc_after_standardization():
     rng = np.random.default_rng(0)
     x = rng.normal(size=T) + 5.0
     x = (x - x.mean()) / x.std()
-    spec = fb.rdft(x)
-    assert abs(spec.real[0]) < 1e-9 * T  # DC bin vanishes for zero-mean input
-    G = fb.basis_expand(spec, fb.build_bases(T), drop_dc=True)
+    H_R, H_I = fb.rdft_array(x)
+    assert abs(H_R[0]) < 1e-9 * T  # DC bin vanishes for zero-mean input
+    G = fb.expand_array(H_R, H_I, fb.build_bases(T), drop_dc=True)
     assert G.shape == (T, T // 2)
     assert np.max(np.abs(fb.reconstruct(G) - x)) < 1e-9
 
 
 def test_expand_length_mismatch():
     with pytest.raises(ConfigError):
-        fb.basis_expand(fb.rdft(np.zeros(8)), fb.build_bases(16))
+        fb.expand_array(*fb.rdft_array(np.zeros(8)), fb.build_bases(16))
 
 
 def test_padded_rows_are_analytic_continuation():
@@ -184,12 +184,11 @@ def test_padded_rows_repeat_rows_mod_T_bitwise(T, pad):
 
 def test_amplitude_phase_triangle():
     # construct a spectrum whose fused coefficients are A=3, B=4 at bin 1
-    T = 8
-    real = np.zeros(5)
+    real = np.zeros(5)  # T = 8
     imag = np.zeros(5)
     real[1] = 3.0 / 2.0  # c_1 = 2 doubles it back to 3
     imag[1] = -4.0 / 2.0  # B = -c_1 * H_I
-    ap = fb.amplitude_phase(fb.Spectrum(real=real, imag=imag, T=T))
+    ap = fb.amplitude_phase(real, imag)
     np.testing.assert_allclose(ap.amp[1], 5.0, atol=1e-12)
     np.testing.assert_allclose(ap.phase[1], np.arctan2(4.0, 3.0), atol=1e-12)
 
@@ -197,14 +196,14 @@ def test_amplitude_phase_triangle():
 def test_amplitude_phase_pure_cosine_is_zero_phase():
     T = 16
     x = np.cos(2 * np.pi * 3 * np.arange(T) / T)
-    ap = fb.amplitude_phase(fb.rdft(x))
+    ap = fb.amplitude_phase(*fb.rdft_array(x))
     assert abs(ap.phase[3]) < 1e-10
     # fused coefficients carry c_k and the missing 1/T: unit cosine -> R = T
     np.testing.assert_allclose(ap.amp[3], float(T), atol=1e-9)
 
 
 def test_amplitude_phase_zero_bin_convention():
-    ap = fb.amplitude_phase(fb.Spectrum(real=np.zeros(5), imag=np.zeros(5), T=8))
+    ap = fb.amplitude_phase(np.zeros(5), np.zeros(5))  # T = 8
     np.testing.assert_array_equal(ap.phase, np.zeros(5))
     np.testing.assert_array_equal(ap.amp, np.zeros(5))
 
@@ -217,8 +216,8 @@ def test_case1_phase_gap_law():
     n = np.arange(T)
     x = np.cos(2 * np.pi * k * (n + delta) / T)
     y = np.cos(2 * np.pi * k * (n + delta + shift) / T)
-    ap_x = fb.amplitude_phase(fb.rdft(x))
-    ap_y = fb.amplitude_phase(fb.rdft(y))
+    ap_x = fb.amplitude_phase(*fb.rdft_array(x))
+    ap_y = fb.amplitude_phase(*fb.rdft_array(y))
     np.testing.assert_allclose(ap_x.amp[k], ap_y.amp[k], atol=1e-9)
     gap = (ap_x.phase[k] - ap_y.phase[k]) % (2 * np.pi)
     expect = (2 * np.pi * k * shift / T) % (2 * np.pi)
@@ -259,7 +258,7 @@ def test_downsample_preserves_reconstruction_mean():
     T = 32
     x = np.random.default_rng(5).normal(size=T)
     x = x - x.mean()
-    G = fb.basis_expand(fb.rdft(x), fb.build_bases(T), drop_dc=True)[None]
+    G = fb.expand_array(*fb.rdft_array(x), fb.build_bases(T), drop_dc=True)[None]
     d1 = _downsample(G, 2)
     np.testing.assert_allclose(
         d1.sum(axis=-1)[0], x.reshape(-1, 2).mean(axis=1), atol=1e-9
@@ -270,7 +269,7 @@ def test_downsample_constant_series():
     # with DC kept (T=30 gives an even column count) a constant survives
     T = 30
     x = np.full(T, 3.0)
-    G = fb.basis_expand(fb.rdft(x), fb.build_bases(T))[None]
+    G = fb.expand_array(*fb.rdft_array(x), fb.build_bases(T))[None]
     d1 = _downsample(G, 2)
     np.testing.assert_allclose(d1.sum(axis=-1), np.full((1, T // 2), 3.0), atol=1e-9)
 

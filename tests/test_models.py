@@ -12,7 +12,6 @@ from fbm.errors import CheckpointError, ConfigError
 from fbm.models import (
     ForecastModel,
     ModelSpec,
-    NpConfig,
     expected_param_count,
     instance_standardize,
 )
@@ -28,7 +27,7 @@ def small_spec(variant, T=16, L=6, D=3, **kw):
         kw.setdefault("nl_h1", 7)
         kw.setdefault("nl_h2", 5)
     if variant == "fbm-np":
-        kw.setdefault("np_cfg", NpConfig(P=2, h1=4, h2=6, K=1))
+        kw.setdefault("np_cfg", TrendConfig(backbone="transformer", P=2, h1=4, h2=6, K=1))
     if variant == "fbm-s":
         kw.setdefault("trend", SMALL_TREND)
         kw.setdefault("interaction", SMALL_INTER)
@@ -67,6 +66,22 @@ def test_spec_rejects_bad_sizes():
         ModelSpec(variant="fbm-l", T=16, L=4, D=0)
     with pytest.raises(ConfigError):
         ModelSpec(variant="fbm-nl", T=16, L=4, D=1, nl_h1=0)
+
+
+@pytest.mark.parametrize(
+    "np_cfg",
+    [
+        TrendConfig(P=2, h1=4, h2=6, K=1),  # the mlp default backbone
+        TrendConfig(backbone="linear", P=2, h1=4, h2=6, K=1),
+        TrendConfig(backbone="transformer", P=2, h1=4, h2=6, K=1, scales=(1, 2)),
+    ],
+    ids=["mlp", "linear", "scales"],
+)
+def test_spec_rejects_np_config_the_header_cannot_carry(np_cfg):
+    # the header records only P/h1/h2/K, so any other backbone or scales would
+    # build a model its own checkpoint could not load
+    with pytest.raises(ConfigError, match="fbm-np config needs backbone='transformer'"):
+        ModelSpec(variant="fbm-np", T=16, L=6, D=3, np_cfg=np_cfg)
 
 
 @pytest.mark.parametrize("variant", ALL_VARIANTS)
@@ -186,7 +201,7 @@ def test_fbm_np_matches_its_pinned_init_and_predictions():
     # the model's predictions on it
     header, records = ad.load_tensors(Path(__file__).parent / "fixtures" / "fbm_np_init.fbm")
     spec = ModelSpec.from_header(header)
-    assert spec == small_spec("fbm-np", np_cfg=NpConfig(P=2, h1=4, h2=6, K=2))
+    assert spec == small_spec("fbm-np", np_cfg=TrendConfig(backbone="transformer", P=2, h1=4, h2=6, K=2))
     model = ForecastModel(spec, seed=11)
     *params, (_, X), (_, pred) = records
     assert [name for name, _ in params] == [p.name for p in model.params]

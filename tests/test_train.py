@@ -79,8 +79,7 @@ def test_case1_targets_are_gap_shifted_continuations():
 def test_case1_single_active_bin():
     src = make_case1(seed=4, windows=10, T=336, L=96, k=14)
     for w in range(10):
-        spec = fourier.rdft(src.X[w, 0])
-        amp = np.hypot(spec.real, spec.imag)
+        amp = np.hypot(*fourier.rdft_array(src.X[w, 0]))
         others = np.delete(amp, 14)
         assert amp[14] > 100.0  # |H[k]| = T/2 for a unit cosine
         assert np.all(others < 1e-9 * 336)
@@ -102,8 +101,7 @@ def test_case2_bin_identity():
     ds = make_case2(seed=6)
     assert 336 / 14 == 192 / 8 == 24.0  # same per-sample period
     for T, k in ((336, 14), (192, 8)):
-        spec = fourier.rdft(ds.values[0, :T])
-        amp = np.hypot(spec.real, spec.imag)
+        amp = np.hypot(*fourier.rdft_array(ds.values[0, :T]))
         assert np.argmax(amp) == k
         assert np.all(np.delete(amp, k) < 1e-9 * T)
 
