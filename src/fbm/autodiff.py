@@ -300,9 +300,12 @@ def softmax_lastdim(a):
     return _from_op(y, (a,), vjp)
 
 
-def standardize_lastdim(x, eps=1e-5):
-    """(x - mean) / sqrt(var + eps) over the last axis, no affine part."""
-    return _standardize(x, eps)[0]
+NORM_EPS = 1e-5  # variance floor of standardize_lastdim
+
+
+def standardize_lastdim(x):
+    """(x - mean) / sqrt(var + NORM_EPS) over the last axis, no affine part."""
+    return _standardize(x, NORM_EPS)[0]
 
 
 def _standardize(x, eps):
@@ -393,36 +396,38 @@ def init_uniform(rng, shape, fan_in):
     return rng.uniform(-bound, bound, size=shape)
 
 
-# --- attention ---------------------------------------------------------------
+# --- layers ------------------------------------------------------------------
+
+
+class Linear:
+    """Fully connected layer x @ w + b over x's last axis: w[n_in, n_out]
+    uniform in +-1/sqrt(n_in) and b zero, named {name}.w and {name}.b."""
+
+    def __init__(self, rng, n_in, n_out, name):
+        self.w = Parameter(init_uniform(rng, (n_in, n_out), n_in), f"{name}.w")
+        self.b = Parameter(np.zeros(n_out), f"{name}.b")
+
+    def params(self):
+        return [self.w, self.b]
+
+    def __call__(self, x):
+        return add(matmul(x, self.w), self.b)
 
 
 class AttentionParams:
-    """Weights for one pre-norm residual attention stack (single head)."""
+    """Layers of one pre-norm residual attention stack (single head): the
+    q, k, v and o projections of width `width`, then the FFN through
+    `ffn_width`; the parameters are named {prefix}.{layer}.w / .b."""
 
-    FIELDS = ("wq", "bq", "wk", "bk", "wv", "bv", "wo", "bo", "w1", "b1", "w2", "b2")
-
-    def __init__(self, **kw):
-        for f in self.FIELDS:
-            setattr(self, f, kw[f])
-
-    @classmethod
-    def build(cls, rng, width, ffn_width, prefix):
-        def lin(tag, n_in, n_out):
-            w = Parameter(init_uniform(rng, (n_in, n_out), n_in), f"{prefix}.{tag}.w")
-            b = Parameter(np.zeros(n_out), f"{prefix}.{tag}.b")
-            return w, b
-
-        wq, bq = lin("q", width, width)
-        wk, bk = lin("k", width, width)
-        wv, bv = lin("v", width, width)
-        wo, bo = lin("o", width, width)
-        w1, b1 = lin("ffn1", width, ffn_width)
-        w2, b2 = lin("ffn2", ffn_width, width)
-        return cls(wq=wq, bq=bq, wk=wk, bk=bk, wv=wv, bv=bv, wo=wo, bo=bo,
-                   w1=w1, b1=b1, w2=w2, b2=b2)
+    def __init__(self, rng, width, ffn_width, prefix):
+        self.layers = [Linear(rng, width, width, f"{prefix}.{t}") for t in "qkvo"] + [
+            Linear(rng, width, ffn_width, f"{prefix}.ffn1"),
+            Linear(rng, ffn_width, width, f"{prefix}.ffn2"),
+        ]
+        self.q, self.k, self.v, self.o, self.ffn1, self.ffn2 = self.layers
 
     def params(self):
-        return [getattr(self, f) for f in self.FIELDS]
+        return [p for layer in self.layers for p in layer.params()]
 
 
 def attention_block(x, p):
@@ -430,19 +435,16 @@ def attention_block(x, p):
 
     x has shape [..., M, width]; attention mixes the M tokens. Single
     head, scores scaled by 1/sqrt(width), softmax over the key axis; the
-    norms are standardize_lastdim with its default eps.
+    norms are standardize_lastdim.
     """
     width = x.shape[-1]
     n1 = standardize_lastdim(x)
-    q = add(matmul(n1, p.wq), p.bq)
-    k = add(matmul(n1, p.wk), p.bk)
-    v = add(matmul(n1, p.wv), p.bv)
+    q, k, v = p.q(n1), p.k(n1), p.v(n1)
     scores = scale(matmul(q, swap_last2(k)), 1.0 / np.sqrt(width))
     att = matmul(softmax_lastdim(scores), v)
-    x = add(x, add(matmul(att, p.wo), p.bo))
+    x = add(x, p.o(att))
     n2 = standardize_lastdim(x)
-    f = add(matmul(relu(add(matmul(n2, p.w1), p.b1)), p.w2), p.b2)
-    return add(x, f)
+    return add(x, p.ffn2(relu(p.ffn1(n2))))
 
 
 # --- binary tensor container --------------------------------------------------
@@ -509,17 +511,23 @@ def load_tensors(path):
         off += n
         return chunk
 
+    def text(n, what):
+        try:
+            return take(n, what).decode("utf-8")
+        except UnicodeDecodeError:
+            raise CheckpointError(f"{path}: {what} is not UTF-8 text") from None
+
     (hlen,) = struct.unpack("<I", take(4, "header length"))
     header = {}
     if hlen:
-        for line in take(hlen, "header").decode("utf-8").splitlines():
+        for line in text(hlen, "header").splitlines():
             if line:
                 k, _, v = line.partition("=")
                 header[k] = v
     records = []
     while off < len(blob):
         (nlen,) = struct.unpack("<I", take(4, "name length"))
-        name = take(nlen, "name").decode("utf-8")
+        name = text(nlen, f"name of tensor {len(records)}")
         (rank,) = struct.unpack("<I", take(4, "rank"))
         shape = struct.unpack(f"<{rank}I", take(4 * rank, "shape")) if rank else ()
         count = int(np.prod(shape, dtype=np.int64)) if rank else 1

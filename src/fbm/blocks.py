@@ -19,7 +19,7 @@ from functools import reduce
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import AttentionParams, Parameter, Tensor
+from .autodiff import AttentionParams, Linear, Parameter, Tensor
 from .errors import ConfigError, NumericError
 from .fourier import build_bases
 
@@ -194,16 +194,15 @@ class PatchProjector:
         self.layout = layout
         self.use_relu = use_relu
         self.cent = Centralization(D, name=f"{name}.cent")
-        self.w = Parameter(ad.init_uniform(rng, (layout.N, h1), layout.N), f"{name}.w")
-        self.b = Parameter(np.zeros(h1), f"{name}.b")
+        self.linear = Linear(rng, layout.N, h1, name)
 
     def params(self):
-        return self.cent.params() + [self.w, self.b]
+        return self.cent.params() + self.linear.params()
 
     def forward(self, G):
         x = patch(G, self.layout)
         xhat, stats = self.cent.centralize(x)
-        y = ad.add(ad.matmul(xhat, self.w), self.b)
+        y = self.linear(xhat)
         if self.use_relu:
             y = ad.relu(y)
         return self.cent.decentralize(y, stats)  # [B, D, P, h1]
@@ -244,7 +243,7 @@ class _TrendScale:
 
     def __init__(self, rng, T, K_freq, L, D, cfg, name, use_relu=True):
         self.cfg = cfg
-        self.proj = None
+        self.proj = self.mid = None
         self.stacks = []
         n_head = T * K_freq  # linear: the flattened grid
         if cfg.backbone != "linear":
@@ -252,24 +251,17 @@ class _TrendScale:
             self.proj = PatchProjector(rng, layout, D, cfg.h1, use_relu, f"{name}.proj")
             n_head = cfg.P * cfg.h1
         if cfg.backbone == "mlp":
-            self.w_mid = Parameter(ad.init_uniform(rng, (n_head, cfg.h2), n_head), f"{name}.mid.w")
-            self.b_mid = Parameter(np.zeros(cfg.h2), f"{name}.mid.b")
+            self.mid = Linear(rng, n_head, cfg.h2, f"{name}.mid")
             n_head = cfg.h2
         elif cfg.backbone == "transformer":
             self.stacks = [
-                AttentionParams.build(rng, cfg.h1, cfg.h2, f"{name}.stack{i}")
-                for i in range(cfg.K)
+                AttentionParams(rng, cfg.h1, cfg.h2, f"{name}.stack{i}") for i in range(cfg.K)
             ]
-        self.w_out = Parameter(ad.init_uniform(rng, (n_head, L), n_head), f"{name}.out.w")
-        self.b_out = Parameter(np.zeros(L), f"{name}.out.b")
+        self.out = Linear(rng, n_head, L, f"{name}.out")
+        self.layers = [x for x in (self.proj, self.mid, *self.stacks, self.out) if x is not None]
 
     def params(self):
-        out = [] if self.proj is None else self.proj.params()
-        if self.cfg.backbone == "mlp":
-            out += [self.w_mid, self.b_mid]
-        for s in self.stacks:
-            out += s.params()
-        return out + [self.w_out, self.b_out]
+        return [p for layer in self.layers for p in layer.params()]
 
     def forward(self, Gs):
         b, d = Gs.shape[0], Gs.shape[1]
@@ -278,15 +270,14 @@ class _TrendScale:
             x = ad.reshape(Gs, (b, d, -1))  # the flattened grid
         else:
             y = self.proj.forward(Gs)  # [B, D, P, h1]
-            if cfg.backbone == "mlp":
-                flat = ad.reshape(y, (b, d, cfg.P * cfg.h1))
-                x = ad.relu(ad.add(ad.matmul(flat, self.w_mid), self.b_mid))
+            if self.mid is not None:
+                x = ad.relu(self.mid(ad.reshape(y, (b, d, cfg.P * cfg.h1))))
             else:
                 tokens = ad.reshape(y, (b * d, cfg.P, cfg.h1))
                 for stack in self.stacks:
                     tokens = ad.attention_block(tokens, stack)
                 x = ad.reshape(tokens, (b, d, cfg.P * cfg.h1))
-        return ad.add(ad.matmul(x, self.w_out), self.b_out)
+        return self.out(x)
 
 
 class TrendBlock:
@@ -301,10 +292,7 @@ class TrendBlock:
             )
 
     def params(self):
-        out = []
-        for _, s in self.scales:
-            out += s.params()
-        return out
+        return [p for _, scale in self.scales for p in scale.params()]
 
     def forward(self, G):
         """G: [B, D, T, T/2] full-resolution DC-dropped features -> [B, D, L]."""
@@ -346,24 +334,16 @@ class InteractionBlock:
         self.T = T
         self.n_in = cfg.C1 * (T // 2)
         self.cent = Centralization(D, name=f"{name}.cent")
-        self.w_in = Parameter(
-            ad.init_uniform(rng, (self.n_in, cfg.h3), self.n_in), f"{name}.in.w"
-        )
-        self.b_in = Parameter(np.zeros(cfg.h3), f"{name}.in.b")
+        self.in_ = Linear(rng, self.n_in, cfg.h3, f"{name}.in")
         self.stacks = [
-            AttentionParams.build(rng, cfg.h3, cfg.h3, f"{name}.stack{i}")
-            for i in range(cfg.K)
+            AttentionParams(rng, cfg.h3, cfg.h3, f"{name}.stack{i}") for i in range(cfg.K)
         ]
-        self.w_out = Parameter(ad.init_uniform(rng, (cfg.h3, L), cfg.h3), f"{name}.out.w")
-        self.b_out = Parameter(np.zeros(L), f"{name}.out.b")
+        self.out = Linear(rng, cfg.h3, L, f"{name}.out")
+        self.layers = [self.cent, self.in_, *self.stacks, self.out]
         self._mask = Tensor((np.arange(L) < cfg.C2).astype(np.float64))
 
     def params(self):
-        out = self.cent.params() + [self.w_in, self.b_in]
-        for s in self.stacks:
-            out += s.params()
-        out += [self.w_out, self.b_out]
-        return out
+        return [p for layer in self.layers for p in layer.params()]
 
     def forward(self, G):
         """G: [B, D, T, T/2] -> [B, D, L], zero beyond horizon step C2."""
@@ -371,9 +351,7 @@ class InteractionBlock:
         recent = G[:, :, self.T - self.cfg.C1 :, :]
         x = ad.reshape(recent, (b, d, 1, self.n_in))
         xhat, _ = self.cent.centralize(x)  # stats are not reused: no inverse here
-        tokens = ad.reshape(xhat, (b, d, self.n_in))
-        tokens = ad.add(ad.matmul(tokens, self.w_in), self.b_in)  # D variate tokens
+        tokens = self.in_(ad.reshape(xhat, (b, d, self.n_in)))  # D variate tokens
         for stack in self.stacks:
             tokens = ad.attention_block(tokens, stack)
-        out = ad.add(ad.matmul(tokens, self.w_out), self.b_out)
-        return ad.mul(out, self._mask)
+        return ad.mul(self.out(tokens), self._mask)

@@ -76,9 +76,9 @@ DATA_OPTS = [
     Opt("data", str, help="dataset: CSV file or .fbmds cache", required=True),
     Opt("columns", str, help="comma-separated value columns (default: all)"),
     Opt("split", str, "ratio", "chronological split rule", choices=("ratio", "ett")),
-    Opt("train-ratio", float, 0.65, "ratio split: train fraction"),
-    Opt("val-ratio", float, 0.15, "ratio split: validation fraction"),
-    Opt("test-ratio", float, 0.2, "ratio split: test fraction"),
+    Opt("train-ratio", float, dat.SplitSpec.train, "ratio split: train fraction"),
+    Opt("val-ratio", float, dat.SplitSpec.val, "ratio split: validation fraction"),
+    Opt("test-ratio", float, dat.SplitSpec.test, "ratio split: test fraction"),
 ]
 
 TRAIN_OPTS = DATA_OPTS + MODEL_OPTS + [
@@ -304,6 +304,8 @@ def cmd_features(parser, args):
 def cmd_spectrum(parser, args):
     res = _resolve(parser, args, SPECTRUM_OPTS)
     T = res["T"]
+    if res["stride"] < 1:
+        raise ConfigError(f"--stride must be >= 1, got {res['stride']}")
     ds, _ = load_any(res)
     ranges = dat.split(ds, _split_spec(res), T, 1)
     a, b = getattr(ranges, res["part"])
@@ -409,10 +411,11 @@ COMMANDS = {
 
 
 def build_parser():
-    parser = _Parser(prog="fbm", description="frequency-basis forecasting toolkit")
+    parser = _Parser(prog="fbm", description="frequency-basis forecasting toolkit",
+                     allow_abbrev=False)  # a flag is read under its full name only
     sub = parser.add_subparsers(dest="cmd", required=True, parser_class=_Parser)
     for name, (opts, help_text, handler) in COMMANDS.items():
-        p = sub.add_parser(name, help=help_text)
+        p = sub.add_parser(name, help=help_text, allow_abbrev=False)
         _add_opts(p, opts)
         p.set_defaults(_subparser=p, _handler=handler)
     return parser

@@ -137,8 +137,9 @@ class SplitSpec:
                 )
 
     @classmethod
-    def ratio(cls, train=0.65, val=0.15, test=0.2):
-        return cls(mode="ratio", train=train, val=val, test=test)
+    def ratio(cls, *fractions):
+        """Ratio split of (train, val, test) fractions; omitted ones keep the defaults."""
+        return cls("ratio", *fractions)
 
     @classmethod
     def ett_months(cls):

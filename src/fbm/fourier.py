@@ -35,7 +35,6 @@ class BasisMatrices:
     C: np.ndarray
     S: np.ndarray
     T: int
-    pad: int
 
 
 @dataclass(frozen=True)
@@ -89,7 +88,7 @@ def build_bases(T, pad=0):
     S = ck * sm[rows]
     C.flags.writeable = False
     S.flags.writeable = False
-    return BasisMatrices(C=C, S=S, T=T, pad=pad)
+    return BasisMatrices(C=C, S=S, T=T)
 
 
 def expand_array(H_R, H_I, bases, drop_dc=False):

@@ -31,7 +31,7 @@ from functools import reduce
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import Parameter, Tensor
+from .autodiff import Linear, Parameter, Tensor
 from .blocks import (
     BACKBONES,
     InteractionBlock,
@@ -257,30 +257,25 @@ class ForecastModel:
             self.params += [self.w]
         elif v == "fbm-nl":
             h1, h2 = spec.nl_h1, spec.nl_h2
+            # fc1 is a spectral map of the grid; fc2 and fc3 are plain layers
             self.w1 = Parameter(ad.init_uniform(rng, (K, T, h1), T * K), "fc1.w")
             self.b1 = Parameter(np.zeros(h1), "fc1.b")
-            self.w2 = Parameter(ad.init_uniform(rng, (h1, h2), h1), "fc2.w")
-            self.b2 = Parameter(np.zeros(h2), "fc2.b")
-            self.w3 = Parameter(ad.init_uniform(rng, (h2, L), h2), "fc3.w")
-            self.b3 = Parameter(np.zeros(L), "fc3.b")
+            self.fc2 = Linear(rng, h1, h2, "fc2")
+            self.fc3 = Linear(rng, h2, L, "fc3")
             self._windows = basis_windows(T, 1)
-            self.params += [self.w1, self.b1, self.w2, self.b2, self.w3, self.b3]
+            self.params += [self.w1, self.b1] + self.fc2.params() + self.fc3.params()
         elif v == "fbm-np":
             self.np_scale = _TrendScale(rng, T, K, L, spec.D, spec.np_cfg, "np", use_relu=False)
             self.params += self.np_scale.params()
         elif v == "fbm-s":
             self.seasonal = SeasonalBlock(T, L)
             self.trend = TrendBlock(rng, T, L, spec.D, spec.trend)
-            self.params += self.seasonal.params()
-            self.params += self.trend.params()
-            self.blocks["seasonal"] = self.seasonal
-            self.blocks["trend"] = self.trend
+            self.blocks = {"seasonal": self.seasonal, "trend": self.trend}
+            self.inter = None
             if spec.interaction is not None:
                 self.inter = InteractionBlock(rng, T, L, spec.D, spec.interaction)
-                self.params += self.inter.params()
                 self.blocks["interaction"] = self.inter
-            else:
-                self.inter = None
+            self.params += [p for blk in self.blocks.values() for p in blk.params()]
         elif v == "diag":
             self.wa = Parameter(np.ones(K), "diag.wa")
             self.wb = Parameter(np.ones(K), "diag.wb")
@@ -344,8 +339,7 @@ class ForecastModel:
             return spectral_map(h_r, h_i, self._windows, self.w)
         if v == "fbm-nl":
             h = ad.relu(ad.add(spectral_map(h_r, h_i, self._windows, self.w1), self.b1))
-            h = ad.relu(ad.add(ad.matmul(h, self.w2), self.b2))
-            return ad.add(ad.matmul(h, self.w3), self.b3)
+            return self.fc3(ad.relu(self.fc2(h)))
         if v == "fbm-np":
             return self.np_scale.forward(self._features(H_R, H_I))
         if v == "fbm-s":

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import json
 import time
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
 
@@ -81,9 +82,9 @@ def evaluate(model, batches, threads=1, sink=None):
     """(MSE, MAE) over a batch stream, weighted by element count and summed
     in batch order; sink(batch, prediction), if given, sees every batch.
 
-    threads > 1 evaluates batches in a worker pool; parameters are only
-    read, and the reduction stays in batch order, so the result is
-    identical to the single-threaded one.
+    threads > 1 evaluates batches in a worker pool, at most `threads` of
+    them in flight; parameters are only read, and the reduction stays in
+    batch order, so the result is identical to the single-threaded one.
     """
 
     def score(batch):
@@ -94,7 +95,7 @@ def evaluate(model, batches, threads=1, sink=None):
     sq = absum = n = 0
     # the pool starts no worker unless it is given work
     with ad.no_grad(), ThreadPoolExecutor(max_workers=max(threads, 1)) as pool:
-        parts = pool.map(score, batches) if threads > 1 else map(score, batches)
+        parts = _in_order(pool, score, batches, threads) if threads > 1 else map(score, batches)
         for batch, pred, s, a, k in parts:
             if sink is not None:
                 sink(batch, pred)
@@ -105,6 +106,17 @@ def evaluate(model, batches, threads=1, sink=None):
     if n == 0:
         raise ConfigError("evaluation stream produced no windows")
     return sq / n, absum / n
+
+
+def _in_order(pool, fn, items, depth):
+    """pool.map(fn, items) with at most `depth` items in flight (pool.map submits all)."""
+    pending = deque()
+    for item in items:
+        pending.append(pool.submit(fn, item))
+        if len(pending) == depth:
+            yield pending.popleft().result()
+    while pending:
+        yield pending.popleft().result()
 
 
 def _epoch_seed(seed, epoch):

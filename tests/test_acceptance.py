@@ -156,7 +156,7 @@ def _op_cases(rng):
     positive = 0.5 + np.abs(b34)
     m1 = rng.standard_normal((2, 3, 4))
     m2 = rng.standard_normal((2, 4, 2))
-    att = AttentionParams.build(np.random.default_rng(5), 4, 6, "att")
+    att = AttentionParams(np.random.default_rng(5), 4, 6, "att")
     return [
         ("add", lambda t: ad.add(t[0], t[1]), [a34, b34]),
         ("add broadcast", lambda t: ad.add(t[0], t[1]), [a34, row4]),

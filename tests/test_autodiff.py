@@ -159,7 +159,7 @@ def test_softmax_grad_matches_closed_form():
 
 def test_attention_block_shape_and_grads():
     rng = RNG(4)
-    p = ad.AttentionParams.build(rng, width=6, ffn_width=9, prefix="attn")
+    p = ad.AttentionParams(rng, width=6, ffn_width=9, prefix="attn")
     x = rng.uniform(-1, 1, size=(2, 5, 6))
 
     def make_loss():

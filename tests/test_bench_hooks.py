@@ -1,0 +1,64 @@
+"""The benchmark's tracer (perfbench/spans.py) patches fbm's functions and
+methods by name from outside the package. These checks keep a refactor
+that moves or renames a traced attribute from breaking only the traced
+benchmark run: installing must find every attribute, a traced forward
+must open every block span, and uninstalling must put every original back.
+"""
+
+import sys
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+
+import spans  # noqa: E402
+
+from fbm.blocks import InteractionConfig, TrendConfig  # noqa: E402
+from fbm.models import ForecastModel, ModelSpec  # noqa: E402
+
+
+def test_install_patches_and_uninstall_restores_every_attribute():
+    tracer = spans.Tracer()
+    tracer.install()  # a traced attribute that has moved raises KeyError here
+    patched = list(tracer._patched)
+    try:
+        assert len(patched) > len(spans.OPS)
+        for owner, attr, original in patched:
+            assert vars(owner)[attr] is not original, f"{owner.__name__}.{attr}"
+    finally:
+        tracer.uninstall()
+    for owner, attr, original in patched:
+        assert vars(owner)[attr] is original, f"{owner.__name__}.{attr}"
+    # a second round leaves every attribute of the patched owners as it was
+    owners = {owner for owner, _, _ in patched}
+    before = {owner: dict(vars(owner)) for owner in owners}
+    with spans.Tracer():
+        pass
+    for owner in owners:
+        after = dict(vars(owner))
+        assert after.keys() == before[owner].keys()
+        assert all(after[attr] is value for attr, value in before[owner].items())
+
+
+@pytest.mark.parametrize("backbone", ["mlp", "transformer"])
+def test_traced_forward_opens_every_block_span(backbone):
+    spec = ModelSpec(
+        variant="fbm-s", T=16, L=4, D=2,
+        trend=TrendConfig(backbone=backbone, h1=3, h2=4, K=1, P=2, scales=(1, 2)),
+        interaction=InteractionConfig(C1=4, C2=2, h3=3, K=1),
+    )
+    X = np.random.default_rng(0).standard_normal((2, 2, 16))
+    with spans.Tracer() as tracer:
+        model = ForecastModel(spec, seed=0)
+        model.forward(X)
+    names = {span[0] for span in tracer.spans}
+    want = {"models.build", "models.forward", "fourier.tables", "blocks.seasonal.forward",
+            "blocks.trend.forward", "blocks.trend.d1.forward", "blocks.trend.d2.forward",
+            "blocks.downsample", "blocks.projector.forward", "blocks.centralize",
+            "blocks.decentralize", "blocks.interaction.forward", "autodiff.attention_block"}
+    assert want <= names
+    counts = tracer.metrics()
+    for owner in ("seasonal", "trend.d1", "trend.d2", "interaction"):
+        assert counts[f"autodiff.tape_bytes.{owner}"] > 0, owner

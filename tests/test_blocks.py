@@ -219,8 +219,8 @@ def test_trend_zero_final_weights_zero_output():
     cfg = bl.TrendConfig(backbone="mlp", h1=4, h2=5, P=2, scales=(1, 2))
     block = bl.TrendBlock(np.random.default_rng(0), 16, 4, 2, cfg)
     for _, scale in block.scales:
-        scale.w_out.value[:] = 0.0
-        scale.b_out.value[:] = 0.0
+        scale.out.w.value[:] = 0.0
+        scale.out.b.value[:] = 0.0
     G = _features(rng, 2, 2, 16)
     out = block.forward(ad.Tensor(G)).value
     np.testing.assert_array_equal(out, np.zeros((2, 2, 4)))
@@ -233,8 +233,8 @@ def test_trend_linear_single_scale_equals_flat_linear_oracle():
     block = bl.TrendBlock(np.random.default_rng(5), T, L, D, cfg)
     G = _features(rng, 2, D, T)
     got = block.forward(ad.Tensor(G)).value
-    W = block.scales[0][1].w_out.value
-    b = block.scales[0][1].b_out.value
+    W = block.scales[0][1].out.w.value
+    b = block.scales[0][1].out.b.value
     want = G.reshape(2, D, -1) @ W + b
     np.testing.assert_allclose(got, want, atol=1e-12)
 
@@ -321,10 +321,10 @@ def _attention_oracle_1token(x, p):
         return (v - mu) / sd
 
     n1 = norm(x)
-    v = n1 @ p.wv.value + p.bv.value
-    x = x + v @ p.wo.value + p.bo.value
+    v = n1 @ p.v.w.value + p.v.b.value
+    x = x + v @ p.o.w.value + p.o.b.value
     n2 = norm(x)
-    f = np.maximum(n2 @ p.w1.value + p.b1.value, 0.0) @ p.w2.value + p.b2.value
+    f = np.maximum(n2 @ p.ffn1.w.value + p.ffn1.b.value, 0.0) @ p.ffn2.w.value + p.ffn2.b.value
     return x + f
 
 
@@ -337,9 +337,9 @@ def test_interaction_single_channel_matches_hand_oracle():
     flat = G[0, 0, T - cfg.C1 :, :].reshape(-1)
     mu, var = flat.mean(), flat.var()
     xhat = (flat - mu) / np.sqrt(var + 1e-5)  # gamma=1, beta=0 at init
-    tok = xhat @ block.w_in.value + block.b_in.value
+    tok = xhat @ block.in_.w.value + block.in_.b.value
     tok = _attention_oracle_1token(tok, block.stacks[0])
-    want = tok @ block.w_out.value + block.b_out.value
+    want = tok @ block.out.w.value + block.out.b.value
     want[cfg.C2 :] = 0.0
     np.testing.assert_allclose(got, want, atol=1e-10)
 

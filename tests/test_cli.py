@@ -2,6 +2,7 @@
 
 import csv
 import json
+import struct
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from fbm import cli
 from fbm import fourier as fb
 from fbm.blocks import InteractionConfig, TrendConfig
 from fbm.cli import build_model_spec, main
+from fbm.data import SplitSpec
 from fbm.models import VARIANTS, ForecastModel, ModelSpec
 
 
@@ -246,6 +248,20 @@ def test_checkpoint_header_that_does_not_parse_exits_1(capsys, tmp_path, key, te
     assert f"{key}={text!r}" in err
 
 
+@pytest.mark.parametrize("header, name, part", [
+    (b"variant=fbm-l\nT=\xff16", b"linear.w", "header"),
+    (b"variant=fbm-l", b"linear.\xffw", "name of tensor 0"),
+], ids=["header", "name"])
+def test_checkpoint_text_that_is_not_utf8_exits_1(capsys, tmp_path, header, name, part):
+    ckpt = tmp_path / "latin.fbm"
+    ckpt.write_bytes(ad._MAGIC + struct.pack("<I", len(header)) + header
+                     + struct.pack("<I", len(name)) + name + struct.pack("<Id", 0, 1.0))
+    rc, out, err = run(capsys, "model-describe", "--checkpoint", str(ckpt))
+    assert rc == 1 and out == ""
+    assert err.startswith("fbm: error:") and err.count("\n") == 1
+    assert f"{ckpt}: {part} is not UTF-8" in err
+
+
 def test_eval_of_checkpoint_header_that_does_not_parse_exits_1(capsys, tmp_path, periodic_csv):
     ckpt = save_with_header(tmp_path / "bad.fbm", T="abc")
     rc, _, err = run(capsys, "eval", "--checkpoint", ckpt, "--data", periodic_csv)
@@ -329,6 +345,16 @@ def test_spectrum_reports_amplitude_phase_amplitude(capsys, tmp_path, periodic_c
         k = int(r["k"])
         assert float(r["mean_amp"]) == pytest.approx(amp[k], rel=1e-12, abs=1e-12)
         assert float(r["lo95"]) == pytest.approx(amp[k], rel=1e-12, abs=1e-12)
+
+
+@pytest.mark.parametrize("stride", ["0", "-1"])
+def test_spectrum_stride_below_1_exits_1(capsys, tmp_path, periodic_csv, stride):
+    out = tmp_path / "spectrum.csv"
+    rc, stdout, err = run(capsys, "spectrum", "--data", periodic_csv, "--T", "48",
+                          "--stride", stride, "--out", str(out))
+    assert rc == 1 and stdout == ""
+    assert err == f"fbm: error: --stride must be >= 1, got {stride}\n"
+    assert not out.exists()
 
 
 def test_weights_roundtrip(capsys, tmp_path, periodic_csv):
@@ -447,6 +473,27 @@ def test_model_describe_every_flag_lands(capsys, monkeypatch, variant):
             assert obj == value, flag
             assert header.pop(key) == text, flag
     assert header == {}  # and nothing else was written
+
+
+@pytest.mark.parametrize("argv, prefix", [
+    (("model-describe", "--T", "16", "--L", "6", "--variant", "fbm-s", "--trend-p", "2",
+      "--scale", "2"), "--scale"),
+    (("data-inspect", "--data", "{csv}", "--cach", "{tmp}/cache.fbmds"), "--cach"),
+], ids=["scales", "cache-out"])
+def test_flag_prefix_is_not_read_as_the_flag(capsys, tmp_path, periodic_csv, argv, prefix):
+    argv = [a.format(csv=periodic_csv, tmp=tmp_path) for a in argv]
+    rc, out, err = run(capsys, *argv)
+    assert rc == 1 and out == ""
+    assert f"error: unrecognized arguments: {prefix} " in err
+    assert not (tmp_path / "cache.fbmds").exists()
+
+
+def test_ratio_flag_defaults_are_the_split_spec_defaults():
+    defaults = {o.name: o.default for o in cli.DATA_OPTS}
+    want = SplitSpec("ratio")
+    assert (defaults["train-ratio"], defaults["val-ratio"], defaults["test-ratio"]) == (
+        want.train, want.val, want.test)
+    assert SplitSpec.ratio() == want
 
 
 @pytest.mark.parametrize("variant", VARIANTS)

@@ -340,9 +340,9 @@ def test_nl_degenerates_to_linear():
     w3 = np.vstack([W_flat, -W_flat])  # W(x+) - W(x-) = Wx
 
     nl.w1.value = w1
-    nl.w2.value = w2
-    nl.w3.value = w3
-    for b in (nl.b1, nl.b2, nl.b3):
+    nl.fc2.w.value = w2
+    nl.fc3.w.value = w3
+    for b in (nl.b1, nl.fc2.b, nl.fc3.b):
         b.value = np.zeros_like(b.value)
 
     rng = np.random.default_rng(6)

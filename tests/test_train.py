@@ -8,6 +8,7 @@ import pytest
 
 from fbm import autodiff as ad
 from fbm import fourier
+from fbm.data import WindowBatch
 from fbm.errors import ConfigError, NumericError
 from fbm.models import ForecastModel, ModelSpec
 from fbm.train import (
@@ -119,6 +120,25 @@ def test_evaluate_weights_partial_batches():
     pred = model.predict(X[4:])
     assert abs(got_mse - mse(pred, Y[4:])) < 1e-12
     assert abs(got_mae - mae(pred, Y[4:])) < 1e-12
+
+
+def test_threaded_evaluate_keeps_few_batches_in_flight():
+    model = ForecastModel(ModelSpec(variant="fbm-l", T=16, L=4, D=2), seed=0)
+    rng = np.random.default_rng(3)
+    batches = [WindowBatch(rng.standard_normal((3, 2, 16)), rng.standard_normal((3, 2, 4)),
+                           np.arange(3)) for _ in range(10)]
+    drawn = []
+
+    def stream():
+        for batch in batches:
+            drawn.append(batch)
+            yield batch
+
+    seen, threads = [], 2
+    got = evaluate(model, stream(), threads=threads, sink=lambda b, p: seen.append(len(drawn)))
+    assert seen[0] <= 2 * threads  # ThreadPoolExecutor.map submits all 10 first
+    assert len(seen) == 10
+    assert got == evaluate(model, iter(batches), threads=1)  # bit-identical metrics
 
 
 # --- train loop -----------------------------------------------------------------------
