@@ -14,6 +14,7 @@ trailing-dim rules and gradients are summed back to the original shapes.
 
 from __future__ import annotations
 
+import math
 import os
 import stat
 import struct
@@ -254,7 +255,7 @@ def tslice(a, idx):
 
     def vjp(g):
         out = np.zeros_like(a.value)
-        out[idx] = g
+        np.add.at(out, idx, g)  # a repeated index gathers each of its gradients
         return (out,)
 
     return _from_op(a.value[idx], (a,), vjp)
@@ -530,7 +531,6 @@ def load_tensors(path):
         name = text(nlen, f"name of tensor {len(records)}")
         (rank,) = struct.unpack("<I", take(4, "rank"))
         shape = struct.unpack(f"<{rank}I", take(4 * rank, "shape")) if rank else ()
-        count = int(np.prod(shape, dtype=np.int64)) if rank else 1
-        data = np.frombuffer(take(8 * count, f"data of {name}"), dtype="<f8")
+        data = np.frombuffer(take(8 * math.prod(shape), f"data of {name}"), dtype="<f8")
         records.append((name, data.reshape(shape).astype(np.float64)))
     return header, records

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import data as dat
 from . import fourier
-from .autodiff import _MAGIC, save_tensors
+from .autodiff import save_tensors
 from .errors import ConfigError, DataError, FbmError
 from .models import SPEC_FIELDS, ForecastModel, ModelSpec, SpecField, instance_standardize
 from .train import (
@@ -49,6 +49,7 @@ class Opt:
     required: bool = False
     choices: tuple = None
     field: SpecField | None = None  # the spec field the option sets
+    min: int | None = None
 
     @property
     def attr(self):
@@ -82,20 +83,21 @@ DATA_OPTS = [
 ]
 
 TRAIN_OPTS = DATA_OPTS + MODEL_OPTS + [
-    Opt("lr", float, 1e-4, "Adam learning rate"),
-    Opt("batch", int, 32, "batch size"),
-    Opt("epochs", int, 30, "epoch budget"),
-    Opt("patience", int, 5, "early-stop patience on val MSE"),
-    Opt("seed", int, 0, "seed for init and shuffling"),
+    Opt("lr", float, TrainConfig.lr, "Adam learning rate"),
+    Opt("batch", int, TrainConfig.batch_size, "batch size"),
+    Opt("epochs", int, TrainConfig.epochs, "epoch budget"),
+    Opt("patience", int, TrainConfig.patience, "early-stop patience on val MSE"),
+    Opt("seed", int, TrainConfig.seed, "seed for init and shuffling"),
     Opt("out", str, ".", "output directory for model.fbm and report.json"),
-    Opt("threads", int, 1, "worker threads for the val/test passes"),
+    Opt("threads", int, 1, "worker threads for the val/test passes", min=1),
 ]
 
 EVAL_OPTS = DATA_OPTS + [
     Opt("checkpoint", str, help="trained model file", required=True),
     Opt("part", str, "test", "which split to score", choices=("train", "val", "test")),
-    Opt("batch", int, 32, "batch size (match training for bit-identical metrics)"),
-    Opt("threads", int, 1, "worker threads for evaluation"),
+    Opt("batch", int, TrainConfig.batch_size,
+        "batch size (match training for bit-identical metrics)"),
+    Opt("threads", int, 1, "worker threads for evaluation", min=1),
     Opt("predictions-out", str, help="also dump window_id,channel,step,y_true,y_pred CSV"),
 ]
 
@@ -108,7 +110,7 @@ FEATURES_OPTS = DATA_OPTS[:2] + [
 SPECTRUM_OPTS = DATA_OPTS + [
     Opt("T", int, SPEC_DEFAULTS["T"], "window length"),
     Opt("part", str, "train", "split whose windows are analyzed", choices=("train", "val", "test")),
-    Opt("stride", int, 1, "window stride"),
+    Opt("stride", int, 1, "window stride", min=1),
     Opt("out", str, "spectrum.csv", "output CSV (channel,k,mean_amp,lo95,hi95)"),
 ]
 
@@ -117,10 +119,8 @@ WEIGHTS_OPTS = [
     Opt("out", str, "weights.csv", "output CSV (n,k,value)"),
 ]
 
-INSPECT_OPTS = DATA_OPTS + [
-    Opt("cache-out", str, help="write a normalized .fbmds cache here"),
-    Opt("T", int, SPEC_DEFAULTS["T"], "window length (cache stats split)"),
-    Opt("L", int, SPEC_DEFAULTS["L"], "horizon (cache stats split)"),
+INSPECT_OPTS = DATA_OPTS[:2] + [
+    Opt("cache-out", str, help="write a .fbmds cache of the series here"),
 ]
 
 DESCRIBE_OPTS = MODEL_OPTS + [
@@ -129,11 +129,12 @@ DESCRIBE_OPTS = MODEL_OPTS + [
 ]
 
 SYNTH_OPTS = [
-    Opt("case", int, help="1 (paired windows) or 2 (contiguous series)", required=True),
+    Opt("case", int, help="1 (paired windows) or 2 (contiguous series)", required=True,
+        choices=(1, 2)),
     Opt("seed", int, 0, "generator seed"),
     Opt("out", str, help="output path (.fbmw pairs for case 1, CSV for case 2)", required=True),
     Opt("windows", int, 1000, "case 1: window count"),
-    Opt("length", int, 4000, "case 2: series length"),
+    Opt("length", int, 4000, "case 2: series length", min=1),
 ]
 
 
@@ -174,6 +175,8 @@ def _resolve(parser, args, opts):
             raise ConfigError(f"missing required option --{o.name}")
         if o.choices and v not in o.choices:
             raise ConfigError(f"--{o.name} must be one of {o.choices}, got {v!r}")
+        if o.min is not None and v < o.min:
+            raise ConfigError(f"--{o.name} must be >= {o.min}, got {v}")
         res[o.name] = v
     return res
 
@@ -204,45 +207,25 @@ def _split_spec(res):
     return dat.SplitSpec.ratio(res["train-ratio"], res["val-ratio"], res["test-ratio"])
 
 
-def _columns(res):
-    if res.get("columns"):
-        return [c.strip() for c in res["columns"].split(",") if c.strip()]
-    return None
-
-
-def _is_container(path):
-    try:
-        with open(path, "rb") as f:
-            return f.read(len(_MAGIC)) == _MAGIC
-    except OSError as e:
-        raise DataError(f"cannot read {path}: {e}") from None
-
-
-def load_any(res):
-    """(dataset, stats-or-None); CSVs come back raw, caches normalized."""
-    path = res["data"]
-    if _is_container(path):
-        return dat.load_cache(path)
-    return dat.load_csv(path, value_columns=_columns(res)), None
+def _load(res):
+    """The raw series at --data; --columns picks a CSV's value columns."""
+    names = res["columns"] and [c.strip() for c in res["columns"].split(",") if c.strip()]
+    return dat.load(res["data"], names or None)
 
 
 def prepare_windows(res, T, L):
-    """Load, split, normalize: (normalized ds, stats, ranges)."""
-    ds, stats = load_any(res)
+    """Load and split, then z-score on that split's train range: (ds, ranges)."""
+    ds = _load(res)
     ranges = dat.split(ds, _split_spec(res), T, L)
-    if stats is None:
-        stats = dat.zscore_fit(ds, ranges.train)
-        ds = dat.zscore_apply(ds, stats)
-    return ds, stats, ranges
+    return dat.zscore_apply(ds, dat.zscore_fit(ds, ranges.train)), ranges
 
 
 # --- subcommands ----------------------------------------------------------------------
 
 
-def cmd_train(parser, args):
-    res = _resolve(parser, args, TRAIN_OPTS)
+def cmd_train(res):
     T, L = res["T"], res["L"]
-    ds, stats, ranges = prepare_windows(res, T, L)
+    ds, ranges = prepare_windows(res, T, L)
     spec = build_model_spec(res, ds.D)
     model = ForecastModel(spec, seed=res["seed"])
     source = dat.SlidingWindows(ds, ranges, T, L, res["batch"])
@@ -266,11 +249,10 @@ def cmd_train(parser, args):
     return 0
 
 
-def cmd_eval(parser, args):
-    res = _resolve(parser, args, EVAL_OPTS)
+def cmd_eval(res):
     model = ForecastModel.load(res["checkpoint"])
     T, L = model.spec.T, model.spec.L
-    ds, stats, ranges = prepare_windows(res, T, L)
+    ds, ranges = prepare_windows(res, T, L)
     if ds.D != model.spec.D:
         raise ConfigError(
             f"dataset has D={ds.D} channels, checkpoint expects D={model.spec.D}"
@@ -285,9 +267,8 @@ def cmd_eval(parser, args):
     return 0
 
 
-def cmd_features(parser, args):
-    res = _resolve(parser, args, FEATURES_OPTS)
-    ds, _ = load_any(res)
+def cmd_features(res):
+    ds = _load(res)
     T, start = res["T"], res["start"]
     if not 0 <= start <= ds.N - T:
         raise ConfigError(f"window [{start}, {start + T}) outside series of length {ds.N}")
@@ -301,12 +282,9 @@ def cmd_features(parser, args):
     return 0
 
 
-def cmd_spectrum(parser, args):
-    res = _resolve(parser, args, SPECTRUM_OPTS)
+def cmd_spectrum(res):
     T = res["T"]
-    if res["stride"] < 1:
-        raise ConfigError(f"--stride must be >= 1, got {res['stride']}")
-    ds, _ = load_any(res)
+    ds = _load(res)
     ranges = dat.split(ds, _split_spec(res), T, 1)
     a, b = getattr(ranges, res["part"])
     starts = np.arange(a, b - T + 1, res["stride"])
@@ -323,8 +301,7 @@ def cmd_spectrum(parser, args):
     return 0
 
 
-def cmd_weights(parser, args):
-    res = _resolve(parser, args, WEIGHTS_OPTS)
+def cmd_weights(res):
     model = ForecastModel.load(res["checkpoint"])
     if model.spec.variant != "fbm-s":
         raise ConfigError(
@@ -337,9 +314,8 @@ def cmd_weights(parser, args):
     return 0
 
 
-def cmd_data_inspect(parser, args):
-    res = _resolve(parser, args, INSPECT_OPTS)
-    ds, stats = load_any(res)
+def cmd_data_inspect(res):
+    ds = _load(res)
     print(f"name: {ds.name}")
     print(f"channels: {ds.D}")
     print(f"timesteps: {ds.N}")
@@ -355,17 +331,12 @@ def cmd_data_inspect(parser, args):
             f"{d:7d} {v[d].mean():9.4f} {v[d].std():9.4f} {v[d].min():9.4f} {v[d].max():9.4f}"
         )
     if res["cache-out"]:
-        if stats is None:
-            ranges = dat.split(ds, _split_spec(res), res["T"], res["L"])
-            stats = dat.zscore_fit(ds, ranges.train)
-            ds = dat.zscore_apply(ds, stats)
-        dat.save_cache(res["cache-out"], ds, stats)
+        dat.save_cache(res["cache-out"], ds)
         print(f"wrote {res['cache-out']}")
     return 0
 
 
-def cmd_model_describe(parser, args):
-    res = _resolve(parser, args, DESCRIBE_OPTS)
+def cmd_model_describe(res):
     if res["checkpoint"]:
         model = ForecastModel.load(res["checkpoint"])
     else:
@@ -376,8 +347,7 @@ def cmd_model_describe(parser, args):
     return 0
 
 
-def cmd_synth(parser, args):
-    res = _resolve(parser, args, SYNTH_OPTS)
+def cmd_synth(res):
     if res["case"] == 1:
         src = make_case1(res["seed"], windows=res["windows"])
         save_tensors(
@@ -386,12 +356,10 @@ def cmd_synth(parser, args):
             header={"kind": "case1-pairs", "seed": str(res["seed"])},
         )
         print(f"wrote {res['out']} ({res['windows']} paired windows)")
-    elif res["case"] == 2:
+    else:
         ds = make_case2(res["seed"], length=res["length"])
         dat.write_csv(res["out"], "value", [], [ds.values[0]])
         print(f"wrote {res['out']} ({res['length']} steps)")
-    else:
-        raise ConfigError(f"--case must be 1 or 2, got {res['case']}")
     return 0
 
 
@@ -414,10 +382,10 @@ def build_parser():
     parser = _Parser(prog="fbm", description="frequency-basis forecasting toolkit",
                      allow_abbrev=False)  # a flag is read under its full name only
     sub = parser.add_subparsers(dest="cmd", required=True, parser_class=_Parser)
-    for name, (opts, help_text, handler) in COMMANDS.items():
+    for name, (opts, help_text, _) in COMMANDS.items():
         p = sub.add_parser(name, help=help_text, allow_abbrev=False)
         _add_opts(p, opts)
-        p.set_defaults(_subparser=p, _handler=handler)
+        p.set_defaults(_subparser=p)
     return parser
 
 
@@ -425,7 +393,8 @@ def main(argv=None):
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        return args._handler(args._subparser, args)
+        opts, _, handler = COMMANDS[args.cmd]
+        return handler(_resolve(args._subparser, args, opts))
     except SystemExit as e:
         return e.code if isinstance(e.code, int) else 1
     except FbmError as e:

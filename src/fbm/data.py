@@ -4,8 +4,8 @@ Datasets are immutable channel-major f64 matrices. Splits are chronological
 and non-overlapping; the val/test ranges are extended backward by T-1 steps
 so their early targets have full input windows without borrowing future
 data. Normalization stats always come from the train range alone, and since
-metrics are computed in normalized space, everything downstream of load_csv
-works in that space.
+metrics are computed in normalized space, everything downstream of
+zscore_apply works in that space.
 """
 
 from __future__ import annotations
@@ -50,7 +50,7 @@ def _parse_cell(text, line_no, col_name, path):
     return v
 
 
-def load_csv(path, value_columns=None, name=None):
+def load_csv(path, value_columns=None):
     """Read a header + rows CSV into a Dataset.
 
     The first column is treated as a timestamp when its first data cell is
@@ -106,7 +106,7 @@ def load_csv(path, value_columns=None, name=None):
             out[j, i] = _parse_cell(row[col], line_no, header[col], path)
 
     return Dataset(
-        name=name or path,
+        name=path,
         values=out,
         timestamps=tuple(timestamps) if timestamps else None,
     )
@@ -297,11 +297,11 @@ def write_csv(f, header, ints, floats):
     np.savetxt(f, np.column_stack(cols), fmt=fmt, delimiter=",", header=header, comments="")
 
 
-# --- normalized dataset cache ---------------------------------------------------------
+# --- dataset cache ------------------------------------------------------------------
 
 
-def save_cache(path, ds, stats):
-    """Binary cache of a normalized dataset plus its train-split stats.
+def save_cache(path, ds):
+    """Binary cache of a raw dataset, split and z-scored as its CSV is.
 
     Only the two leading timestamps are kept: they are what month-based
     splitting needs to re-infer the sampling rate.
@@ -310,23 +310,29 @@ def save_cache(path, ds, stats):
     if ds.timestamps is not None and len(ds.timestamps) >= 2:
         header["ts0"] = ds.timestamps[0]
         header["ts1"] = ds.timestamps[1]
-    ad.save_tensors(
-        path,
-        [("values", ds.values), ("mean", stats.mean), ("std", stats.std)],
-        header=header,
-    )
+    ad.save_tensors(path, [("values", ds.values)], header=header)
 
 
-def load_cache(path):
+def load(path, columns=None):
+    """Dataset from a CSV or a cache, told apart by the container's magic bytes.
+
+    `columns` picks and orders a CSV's value columns; a cache stores no column
+    names, so it is refused there. A cache of an older layout holds the
+    normalized series plus `mean`/`std` records: the records are ignored, and
+    z-scoring is affine-invariant, so the series normalizes as its CSV's does.
+    """
+    try:
+        with open(path, "rb") as f:
+            is_cache = f.read(len(ad._MAGIC)) == ad._MAGIC
+    except OSError as e:
+        raise DataError(f"cannot read dataset: {e}") from None
+    if not is_cache:
+        return load_csv(path, value_columns=columns)
+    if columns is not None:
+        raise ConfigError(f"{path}: a dataset cache stores no column names to select")
     header, records = ad.load_tensors(path)
-    if header.get("kind") != "dataset-cache":
-        raise DataError(f"{path}: not a dataset cache")
     named = dict(records)
-    if not {"values", "mean", "std"} <= set(named):
-        raise DataError(f"{path}: cache is missing tensors {sorted({'values', 'mean', 'std'} - set(named))}")
-    ts = None
-    if "ts0" in header:
-        ts = (header["ts0"], header["ts1"])
-    ds = Dataset(name=header.get("name", str(path)), values=named["values"], timestamps=ts)
-    stats = NormalizationStats(mean=named["mean"], std=named["std"])
-    return ds, stats
+    if header.get("kind") != "dataset-cache" or "values" not in named:
+        raise DataError(f"{path}: not a dataset cache")
+    ts = (header["ts0"], header["ts1"]) if "ts0" in header else None
+    return Dataset(name=header.get("name", str(path)), values=named["values"], timestamps=ts)

@@ -94,7 +94,7 @@ def evaluate(model, batches, threads=1, sink=None):
 
     sq = absum = n = 0
     # the pool starts no worker unless it is given work
-    with ad.no_grad(), ThreadPoolExecutor(max_workers=max(threads, 1)) as pool:
+    with ad.no_grad(), ThreadPoolExecutor(max_workers=threads) as pool:
         parts = _in_order(pool, score, batches, threads) if threads > 1 else map(score, batches)
         for batch, pred, s, a, k in parts:
             if sink is not None:

@@ -143,6 +143,12 @@ def test_shape_op_grads(seed):
     assert err < 1e-4
 
 
+def test_tslice_repeated_index_gathers_each_gradient():
+    p = ad.Tensor(np.zeros(3), requires_grad=True)
+    ad.backward(p[np.array([0, 0, 1])].sum())
+    np.testing.assert_array_equal(p.grad, [2.0, 1.0, 0.0])
+
+
 def test_softmax_grad_matches_closed_form():
     # dX = (dY - sum(dY * Y)) * Y, checked against finite differences and
     # against an explicit Jacobian product at one point
@@ -330,4 +336,13 @@ def test_container_truncated(tmp_path):
     blob = path.read_bytes()
     path.write_bytes(blob[:-8])
     with pytest.raises(CheckpointError):
+        ad.load_tensors(path)
+
+
+def test_container_shape_whose_count_overflows_int64_is_truncated(tmp_path):
+    # 2**31 * 2**31 * 4 elements: a 64-bit product wraps to 0
+    path = tmp_path / "huge.fbm"
+    path.write_bytes(ad._MAGIC + struct.pack("<I", 0) + struct.pack("<I", 1) + b"w"
+                     + struct.pack("<4I", 3, 2**31, 2**31, 4))
+    with pytest.raises(CheckpointError, match="truncated while reading data of w"):
         ad.load_tensors(path)

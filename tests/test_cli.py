@@ -1,6 +1,7 @@
 """End-to-end CLI behavior: exit codes, files written, metric reproduction."""
 
 import csv
+import dataclasses
 import json
 import struct
 
@@ -9,11 +10,13 @@ import pytest
 
 from fbm import autodiff as ad
 from fbm import cli
+from fbm import data as dat
 from fbm import fourier as fb
 from fbm.blocks import InteractionConfig, TrendConfig
 from fbm.cli import build_model_spec, main
 from fbm.data import SplitSpec
 from fbm.models import VARIANTS, ForecastModel, ModelSpec
+from fbm.train import TrainConfig
 
 
 def write_series(path, values, header="value"):
@@ -147,6 +150,17 @@ def test_eval_threads_match_single(capsys, tmp_path, periodic_csv):
     rc2, out2, _ = run(capsys, *args, "--threads", "4")
     assert rc1 == rc2 == 0
     assert out1 == out2
+
+
+@pytest.mark.parametrize("threads", ["0", "-3"])
+def test_threads_below_1_exits_1_before_any_work(capsys, tmp_path, periodic_csv, threads):
+    out = tmp_path / "run"
+    for argv in (("train", "--variant", "fbm-l", "--T", "48", "--L", "12", "--out", str(out)),
+                 ("eval", "--checkpoint", str(tmp_path / "missing.fbm"))):
+        rc, stdout, err = run(capsys, *argv, "--data", periodic_csv, "--threads", threads)
+        assert rc == 1 and stdout == ""
+        assert err == f"fbm: error: --threads must be >= 1, got {threads}\n"
+    assert not out.exists()
 
 
 def test_eval_wrong_channel_count_exits_1(capsys, tmp_path, periodic_csv):
@@ -398,7 +412,6 @@ def test_cache_roundtrip_through_cli(capsys, tmp_path, periodic_csv):
     cache = tmp_path / "ds.fbmds"
     rc, stdout, _ = run(
         capsys, "data-inspect", "--data", periodic_csv, "--cache-out", str(cache),
-        "--T", "48", "--L", "12",
     )
     assert rc == 0 and cache.exists()
     out, _ = train_tiny(capsys, tmp_path, periodic_csv)
@@ -408,6 +421,65 @@ def test_cache_roundtrip_through_cli(capsys, tmp_path, periodic_csv):
     rc2, cache_metrics, _ = run(capsys, *args, str(cache))
     assert rc1 == rc2 == 0
     assert csv_metrics == cache_metrics
+
+
+SPLIT_40 = ("--train-ratio", "0.4", "--val-ratio", "0.3", "--test-ratio", "0.3")
+
+
+@pytest.mark.parametrize("argv", [
+    ("eval", "--checkpoint", "{ckpt}", "--batch", "64", *SPLIT_40),
+    ("features", "--T", "48", "--start", "5", "--out", "{out}"),
+    ("spectrum", "--T", "48", "--part", "val", *SPLIT_40, "--out", "{out}"),
+    ("data-inspect",),
+], ids=lambda argv: argv[0])
+def test_cache_reads_as_its_csv_on_another_split(capsys, tmp_path, periodic_csv, argv):
+    # the cache is built under the default split and read under another one
+    cache = tmp_path / "ds.fbmds"
+    assert run(capsys, "data-inspect", "--data", periodic_csv, "--cache-out", str(cache))[0] == 0
+    ckpt, _ = train_tiny(capsys, tmp_path, periodic_csv)
+    seen = []
+    for i, data in enumerate((periodic_csv, str(cache))):
+        out = tmp_path / f"out{i}.csv"
+        rc, stdout, err = run(capsys, *[a.format(ckpt=ckpt / "model.fbm", out=out) for a in argv],
+                              "--data", data)
+        assert rc == 0, err
+        seen.append((stdout.replace(str(out), "out"), out.exists() and out.read_text()))
+    assert seen[0] == seen[1]
+
+
+@pytest.mark.parametrize("ratios", [(0.65, 0.15, 0.2), (0.4, 0.3, 0.3)])
+def test_cache_in_the_old_normalized_layout_reads_as_its_csv(tmp_path, periodic_csv, ratios):
+    # the old layout held the series z-scored on one split's train range, plus mean/std
+    ds = dat.load_csv(periodic_csv)
+    stats = dat.zscore_fit(ds, dat.split(ds, SplitSpec.ratio(), 48, 12).train)
+    cache = tmp_path / "old.fbmds"
+    ad.save_tensors(cache, [("values", dat.zscore_apply(ds, stats).values),
+                            ("mean", stats.mean), ("std", stats.std)],
+                    header={"name": ds.name, "kind": "dataset-cache"})
+    res = dict(zip(("train-ratio", "val-ratio", "test-ratio"), ratios), split="ratio",
+               columns=None)
+    want, want_ranges = cli.prepare_windows({**res, "data": periodic_csv}, 48, 12)
+    got, got_ranges = cli.prepare_windows({**res, "data": str(cache)}, 48, 12)
+    assert got_ranges == want_ranges
+    np.testing.assert_allclose(got.values, want.values, rtol=0, atol=1e-12)
+
+
+def test_columns_with_a_cache_exits_1(capsys, tmp_path, periodic_csv):
+    cache = tmp_path / "ds.fbmds"
+    assert run(capsys, "data-inspect", "--data", periodic_csv, "--cache-out", str(cache))[0] == 0
+    rc, out, err = run(capsys, "data-inspect", "--data", str(cache), "--columns", "value")
+    assert rc == 1 and out == ""
+    assert err.startswith("fbm: error:") and err.count("\n") == 1 and "column" in err
+
+
+@pytest.mark.parametrize("flag, value", [
+    ("--T", "96"), ("--L", "24"), ("--split", "ett"), ("--train-ratio", "0.5"),
+    ("--val-ratio", "0.25"), ("--test-ratio", "0.25"),
+])
+def test_data_inspect_takes_no_split_or_window_options(capsys, periodic_csv, flag, value):
+    rc, out, err = run(capsys, "data-inspect", "--data", periodic_csv, flag, value)
+    assert rc == 1 and out == ""
+    assert f"error: unrecognized arguments: {flag} {value}" in err
 
 
 def test_model_describe_from_flags(capsys):
@@ -488,6 +560,15 @@ def test_flag_prefix_is_not_read_as_the_flag(capsys, tmp_path, periodic_csv, arg
     assert not (tmp_path / "cache.fbmds").exists()
 
 
+def test_training_flag_defaults_are_the_train_config_defaults():
+    want = {f.name: f.default for f in dataclasses.fields(TrainConfig)}
+    train = {o.name: o.default for o in cli.TRAIN_OPTS}
+    for flag, field in [("lr", "lr"), ("batch", "batch_size"), ("epochs", "epochs"),
+                        ("patience", "patience"), ("seed", "seed")]:
+        assert train[flag] == want[field], flag
+    assert {o.name: o.default for o in cli.EVAL_OPTS}["batch"] == want["batch_size"]
+
+
 def test_ratio_flag_defaults_are_the_split_spec_defaults():
     defaults = {o.name: o.default for o in cli.DATA_OPTS}
     want = SplitSpec("ratio")
@@ -551,6 +632,15 @@ def test_synth_case2_csv_loads(capsys, tmp_path):
     assert x.shape == (500,)
     # period-24 cosine
     np.testing.assert_allclose(x[24:], x[:-24], atol=1e-9)
+
+
+@pytest.mark.parametrize("length", ["0", "-5"])
+def test_synth_case2_length_below_1_exits_1(capsys, tmp_path, length):
+    path = tmp_path / "case2.csv"
+    rc, out, err = run(capsys, "synth", "--case", "2", "--length", length, "--out", str(path))
+    assert rc == 1 and out == ""
+    assert err == f"fbm: error: --length must be >= 1, got {length}\n"
+    assert not path.exists()
 
 
 def test_synth_bad_case(capsys, tmp_path):

@@ -10,11 +10,10 @@ from hypothesis import strategies as st
 from fbm import autodiff as ad
 from fbm.data import (
     Dataset,
-    NormalizationStats,
     SlidingWindows,
     SplitSpec,
     iterate_batches,
-    load_cache,
+    load,
     load_csv,
     samples_per_hour,
     save_cache,
@@ -84,6 +83,7 @@ def test_load_csv_column_selection(tmp_path):
     p = write_csv(tmp_path / "e.csv", "date,u,v,w\nt0,1,2,3\nt1,4,5,6\n")
     ds = load_csv(p, value_columns=["w", "u"])
     np.testing.assert_array_equal(ds.values, [[3.0, 6.0], [1.0, 4.0]])
+    np.testing.assert_array_equal(load(p, ["w", "u"]).values, ds.values)
 
 
 def test_load_csv_missing_column(tmp_path):
@@ -317,26 +317,30 @@ def test_sliding_windows_source():
 
 def test_cache_roundtrip(tmp_path):
     ds = stamped_dataset(N=50, minutes=15, D=2)
-    stats = NormalizationStats(mean=np.array([1.0, 2.0]), std=np.array([3.0, 4.0]))
     path = tmp_path / "ds.fbmds"
-    save_cache(path, ds, stats)
-    back, stats2 = load_cache(path)
+    save_cache(path, ds)
+    back = load(path)
     assert back.name == "stamped"
     np.testing.assert_array_equal(back.values, ds.values)
-    np.testing.assert_array_equal(stats2.mean, stats.mean)
-    np.testing.assert_array_equal(stats2.std, stats.std)
     assert samples_per_hour(back) == 4  # leading stamps survive
+    assert [name for name, _ in ad.load_tensors(path)[1]] == ["values"]  # the raw series only
 
 
 def test_cache_rejects_name_spanning_lines(tmp_path):
     ds = Dataset(name="data/etth1\n.csv", values=np.zeros((1, 4)))
-    stats = NormalizationStats(mean=np.zeros(1), std=np.ones(1))
     with pytest.raises(CheckpointError):
-        save_cache(tmp_path / "ds.fbmds", ds, stats)
+        save_cache(tmp_path / "ds.fbmds", ds)
 
 
 def test_cache_rejects_other_containers(tmp_path):
     path = tmp_path / "w.bin"
     ad.save_tensors(path, [("x", np.zeros(3))], header={"kind": "model"})
     with pytest.raises(DataError):
-        load_cache(path)
+        load(path)
+
+
+def test_cache_rejects_column_selection(tmp_path):
+    path = tmp_path / "ds.fbmds"
+    save_cache(path, toy_dataset())
+    with pytest.raises(ConfigError, match="column"):
+        load(path, ["u"])
