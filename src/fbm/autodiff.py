@@ -14,6 +14,7 @@ trailing-dim rules and gradients are summed back to the original shapes.
 
 from __future__ import annotations
 
+import contextvars
 import math
 import os
 import stat
@@ -23,21 +24,20 @@ import numpy as np
 
 from .errors import CheckpointError
 
-_grad_enabled = True
+# per thread (and per asyncio task): a new thread starts with recording on
+_grad_enabled = contextvars.ContextVar("grad_enabled", default=True)
 
 
 class no_grad:
-    """Context manager that disables tape recording (evaluation mode)."""
+    """Context manager that disables tape recording (evaluation mode) in the
+    thread that enters it; other threads keep recording."""
 
     def __enter__(self):
-        global _grad_enabled
-        self._prev = _grad_enabled
-        _grad_enabled = False
+        self._token = _grad_enabled.set(False)
         return self
 
     def __exit__(self, *exc):
-        global _grad_enabled
-        _grad_enabled = self._prev
+        _grad_enabled.reset(self._token)
         return False
 
 
@@ -133,7 +133,7 @@ def _as_tensor(x):
 
 
 def _from_op(value, parents, vjp):
-    track = _grad_enabled and any(p.requires_grad for p in parents)
+    track = _grad_enabled.get() and any(p.requires_grad for p in parents)
     out = Tensor(value, requires_grad=track)
     if track:
         out._parents = tuple(parents)
@@ -494,43 +494,44 @@ def save_tensors(path, named, header=None):
 
 
 def load_tensors(path):
-    """Read a container written by save_tensors: (header dict, [(name, array)])."""
+    """Read a container written by save_tensors: (header dict, [(name, array)]).
+    Records are read one at a time, each straight into its own array."""
     try:
-        with open(path, "rb") as f:
-            blob = f.read()
+        f = open(path, "rb")
     except OSError as e:
         raise CheckpointError(f"cannot read container: {e}") from None
-    if blob[: len(_MAGIC)] != _MAGIC:
-        raise CheckpointError(f"{path}: not a tensor container (bad magic)")
-    off = len(_MAGIC)
+    with f:
+        size = os.fstat(f.fileno()).st_size
+        if f.read(len(_MAGIC)) != _MAGIC:
+            raise CheckpointError(f"{path}: not a tensor container (bad magic)")
 
-    def take(n, what):
-        nonlocal off
-        if off + n > len(blob):
-            raise CheckpointError(f"{path}: truncated while reading {what}")
-        chunk = blob[off : off + n]
-        off += n
-        return chunk
+        def fits(n, what):
+            if f.tell() + n > size:
+                raise CheckpointError(f"{path}: truncated while reading {what}")
+            return n
 
-    def text(n, what):
-        try:
-            return take(n, what).decode("utf-8")
-        except UnicodeDecodeError:
-            raise CheckpointError(f"{path}: {what} is not UTF-8 text") from None
+        def take(n, what):
+            return f.read(fits(n, what))
 
-    (hlen,) = struct.unpack("<I", take(4, "header length"))
-    header = {}
-    if hlen:
-        for line in text(hlen, "header").splitlines():
-            if line:
-                k, _, v = line.partition("=")
-                header[k] = v
-    records = []
-    while off < len(blob):
-        (nlen,) = struct.unpack("<I", take(4, "name length"))
-        name = text(nlen, f"name of tensor {len(records)}")
-        (rank,) = struct.unpack("<I", take(4, "rank"))
-        shape = struct.unpack(f"<{rank}I", take(4 * rank, "shape")) if rank else ()
-        data = np.frombuffer(take(8 * math.prod(shape), f"data of {name}"), dtype="<f8")
-        records.append((name, data.reshape(shape).astype(np.float64)))
-    return header, records
+        def text(n, what):
+            try:
+                return take(n, what).decode("utf-8")
+            except UnicodeDecodeError:
+                raise CheckpointError(f"{path}: {what} is not UTF-8 text") from None
+
+        (hlen,) = struct.unpack("<I", take(4, "header length"))
+        header = {}
+        if hlen:
+            for line in text(hlen, "header").splitlines():
+                if line:
+                    k, _, v = line.partition("=")
+                    header[k] = v
+        records = []
+        while f.tell() < size:
+            (nlen,) = struct.unpack("<I", take(4, "name length"))
+            name = text(nlen, f"name of tensor {len(records)}")
+            (rank,) = struct.unpack("<I", take(4, "rank"))
+            shape = struct.unpack(f"<{rank}I", take(4 * rank, "shape")) if rank else ()
+            count = fits(8 * math.prod(shape), f"data of {name}") // 8
+            records.append((name, np.fromfile(f, dtype="<f8", count=count).reshape(shape)))
+        return header, records

@@ -21,7 +21,7 @@ from . import data as dat
 from . import fourier
 from .autodiff import save_tensors
 from .errors import ConfigError, DataError, FbmError
-from .models import SPEC_FIELDS, ForecastModel, ModelSpec, SpecField, instance_standardize
+from .models import SPEC_FIELDS, ForecastModel, ModelSpec, instance_standardize, parse_text
 from .train import (
     TrainConfig,
     evaluate,
@@ -48,7 +48,6 @@ class Opt:
     help: str = ""
     required: bool = False
     choices: tuple = None
-    field: SpecField | None = None  # the spec field the option sets
     min: int | None = None
 
     @property
@@ -56,18 +55,17 @@ class Opt:
         return self.name.replace("-", "_")
 
     def parse(self, text):
-        """Value of flag or manifest text; a spec field reads it as checkpoint
-        headers do (a switch as 0 or 1). Text that does not parse raises
-        ArgumentTypeError, argparse's error for a bad flag value."""
+        """Value of flag or manifest text, read as checkpoint headers are (a
+        switch as 0 or 1). Text that does not parse raises ArgumentTypeError,
+        argparse's error for a bad flag value."""
         try:
-            return self.field.parse(text) if self.field else self.type(text)
-        except ValueError:
-            want = self.field.want if self.field else self.type.__name__
-            raise argparse.ArgumentTypeError(f"{text!r}, want {want}") from None
+            return parse_text(self.type, text)
+        except ValueError as e:
+            raise argparse.ArgumentTypeError(f"{text!r}, want {e}") from None
 
 
 MODEL_OPTS = [
-    Opt(f.flag, f.type, f.default, f.help, choices=f.choices, field=f)
+    Opt(f.flag, f.type, f.default, f.help, choices=f.choices)
     for f in SPEC_FIELDS
     if f.flag
 ]
@@ -82,12 +80,19 @@ DATA_OPTS = [
     Opt("test-ratio", float, dat.SplitSpec.test, "ratio split: test fraction"),
 ]
 
+# training flag -> (TrainConfig field it sets, help); the field gives type and default
+TRAIN_FIELDS = {
+    "lr": ("lr", "Adam learning rate"),
+    "batch": ("batch_size", "batch size"),
+    "epochs": ("epochs", "epoch budget"),
+    "patience": ("patience", "early-stop patience on val MSE"),
+    "seed": ("seed", "seed for init and shuffling"),
+}
+
 TRAIN_OPTS = DATA_OPTS + MODEL_OPTS + [
-    Opt("lr", float, TrainConfig.lr, "Adam learning rate"),
-    Opt("batch", int, TrainConfig.batch_size, "batch size"),
-    Opt("epochs", int, TrainConfig.epochs, "epoch budget"),
-    Opt("patience", int, TrainConfig.patience, "early-stop patience on val MSE"),
-    Opt("seed", int, TrainConfig.seed, "seed for init and shuffling"),
+    Opt(flag, type(getattr(TrainConfig, f)), getattr(TrainConfig, f), help_text)
+    for flag, (f, help_text) in TRAIN_FIELDS.items()
+] + [
     Opt("out", str, ".", "output directory for model.fbm and report.json"),
     Opt("threads", int, 1, "worker threads for the val/test passes", min=1),
 ]
@@ -224,20 +229,10 @@ def prepare_windows(res, T, L):
 
 
 def cmd_train(res):
-    T, L = res["T"], res["L"]
-    ds, ranges = prepare_windows(res, T, L)
-    spec = build_model_spec(res, ds.D)
-    model = ForecastModel(spec, seed=res["seed"])
-    source = dat.SlidingWindows(ds, ranges, T, L, res["batch"])
-    cfg = TrainConfig(
-        T=T,
-        L=L,
-        epochs=res["epochs"],
-        patience=res["patience"],
-        lr=res["lr"],
-        batch_size=res["batch"],
-        seed=res["seed"],
-    )
+    cfg = TrainConfig(res["T"], res["L"], **{f: res[flag] for flag, (f, _) in TRAIN_FIELDS.items()})
+    ds, ranges = prepare_windows(res, cfg.T, cfg.L)
+    model = ForecastModel(build_model_spec(res, ds.D), seed=cfg.seed)
+    source = dat.SlidingWindows(ds, ranges, cfg.T, cfg.L, cfg.batch_size)
     model, report = train(model, source, cfg, log=print, eval_threads=res["threads"])
     out = Path(res["out"])
     out.mkdir(parents=True, exist_ok=True)

@@ -222,10 +222,6 @@ def zscore_apply(ds, stats):
     return Dataset(name=ds.name, values=values, timestamps=ds.timestamps)
 
 
-def zscore_invert(values, stats):
-    return values * stats.std[:, None] + stats.mean[:, None]
-
-
 # --- window batching ----------------------------------------------------------------
 
 

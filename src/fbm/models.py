@@ -106,10 +106,10 @@ class ModelSpec:
                     return f.default  # headers may omit a switch left at its default
                 raise CheckpointError(f"checkpoint header missing field {f.key!r}")
             try:
-                return f.parse(h[f.key])
-            except ValueError:
+                return parse_text(f.type, h[f.key])
+            except ValueError as e:
                 raise CheckpointError(
-                    f"checkpoint header field {f.key}={h[f.key]!r}: want {f.want}"
+                    f"checkpoint header field {f.key}={h[f.key]!r}: want {e}"
                 ) from None
 
         return cls.from_values(value)
@@ -156,6 +156,15 @@ _PARSE = {bool: _parse_switch, tuple: _parse_scales}
 _WANT = {bool: "0 or 1", tuple: "kernels like 1+2+4"}
 
 
+def parse_text(kind, text):
+    """Value of type `kind` from flag, manifest or header text; text that
+    does not parse raises ValueError whose message is what `kind` wants."""
+    try:
+        return _PARSE.get(kind, kind)(text)
+    except ValueError:
+        raise ValueError(_WANT.get(kind, kind.__name__)) from None
+
+
 @dataclass(frozen=True)
 class SpecField:
     """One ModelSpec field: CLI flag and manifest key (None: the data sets
@@ -184,15 +193,6 @@ class SpecField:
 
     def text(self, value):
         return _TEXT.get(self.type, str)(value)
-
-    def parse(self, text):
-        """Value of header (or flag) text; ValueError when it does not parse."""
-        return _PARSE.get(self.type, self.type)(text)
-
-    @property
-    def want(self):
-        """What parse() accepts, for error messages."""
-        return _WANT.get(self.type, self.type.__name__)
 
 
 SPEC_FIELDS = (
@@ -365,7 +365,8 @@ class ForecastModel:
         if self.spec.variant != "fbm-s":
             raise ConfigError("components() is only defined for fbm-s")
         Xs, mu, sd = self._standardized(X)
-        outs = self._component_outputs(*rdft_array(Xs))
+        with ad.no_grad():
+            outs = self._component_outputs(*rdft_array(Xs))
         return {k: v.value for k, v in outs.items()}, mu, sd
 
     def predict(self, X):

@@ -85,16 +85,17 @@ def evaluate(model, batches, threads=1, sink=None):
     threads > 1 evaluates batches in a worker pool, at most `threads` of
     them in flight; parameters are only read, and the reduction stays in
     batch order, so the result is identical to the single-threaded one.
+    Each batch goes through model.predict, untaped in whichever thread runs it.
     """
 
     def score(batch):
-        pred = model.forward(batch.X).value
+        pred = model.predict(batch.X)
         d = pred - batch.Y
         return batch, pred, float(np.sum(d * d)), float(np.sum(np.abs(d))), d.size
 
     sq = absum = n = 0
     # the pool starts no worker unless it is given work
-    with ad.no_grad(), ThreadPoolExecutor(max_workers=threads) as pool:
+    with ThreadPoolExecutor(max_workers=threads) as pool:
         parts = _in_order(pool, score, batches, threads) if threads > 1 else map(score, batches)
         for batch, pred, s, a, k in parts:
             if sink is not None:

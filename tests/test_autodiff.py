@@ -1,5 +1,7 @@
 import stat
 import struct
+import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -67,6 +69,34 @@ def test_no_grad_builds_no_graph():
     with ad.no_grad():
         y = x * x
     assert not y.requires_grad and y._vjp is None
+
+
+def test_no_grad_applies_to_its_own_thread_only():
+    # thread A enters no_grad, then both threads meet at the barrier; B records
+    # while A is still inside, and A records nothing until it leaves
+    w = ad.Parameter(np.ones(3), "w")
+    inside, recorded = threading.Barrier(2, timeout=10), threading.Barrier(2, timeout=10)
+    tracked = {}
+
+    def a():
+        with ad.no_grad():
+            inside.wait()
+            recorded.wait()
+            tracked["a inside"] = (w * 2.0).requires_grad
+        tracked["a after"] = (w * 2.0).requires_grad
+
+    def b():
+        inside.wait()
+        tracked["b"] = (w * 2.0).requires_grad
+        recorded.wait()
+
+    threads = [threading.Thread(target=f) for f in (a, b)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(timeout=10)
+        assert not t.is_alive()
+    assert tracked == {"a inside": False, "a after": True, "b": True}
 
 
 def test_complex_payload_rejected():
@@ -337,6 +367,21 @@ def test_container_truncated(tmp_path):
     path.write_bytes(blob[:-8])
     with pytest.raises(CheckpointError):
         ad.load_tensors(path)
+
+
+def test_container_load_holds_one_copy_of_a_record(tmp_path):
+    # each record is read straight into its array: no whole-file bytes, no
+    # per-record slice, no cast copy
+    path = tmp_path / "big.fbm"
+    ad.save_tensors(path, [("w", np.ones(2**20))])
+    tracemalloc.start()
+    try:
+        _, [(_, w)] = ad.load_tensors(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert w.dtype == np.float64 and w.flags.writeable and np.all(w == 1.0)
+    assert peak <= 1.1 * w.nbytes
 
 
 def test_container_shape_whose_count_overflows_int64_is_truncated(tmp_path):

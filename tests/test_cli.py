@@ -163,6 +163,23 @@ def test_threads_below_1_exits_1_before_any_work(capsys, tmp_path, periodic_csv,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("flag, value, message", [
+    ("--epochs", "0", "epochs must be >= 1, got 0"),
+    ("--patience", "0", "patience must be >= 1, got 0"),
+    ("--batch", "0", "batch_size must be >= 1, got 0"),
+    ("--lr", "-1", "learning rate must be >= 0, got -1.0"),
+], ids=["epochs", "patience", "batch", "lr"])
+def test_bad_training_value_exits_1_before_any_work(capsys, tmp_path, flag, value, message):
+    # the data path does not exist: loading it would exit 2, and the fbm-nl
+    # default spec would build an 83.5M-parameter model before training
+    out = tmp_path / "run"
+    rc, stdout, err = run(capsys, "train", "--data", str(tmp_path / "missing.csv"),
+                          "--variant", "fbm-nl", flag, value, "--out", str(out))
+    assert rc == 1 and stdout == ""
+    assert err == f"fbm: error: {message}\n"
+    assert not out.exists()
+
+
 def test_eval_wrong_channel_count_exits_1(capsys, tmp_path, periodic_csv):
     out, _ = train_tiny(capsys, tmp_path, periodic_csv)
     two = np.vstack([np.cos(np.arange(800) / 7), np.sin(np.arange(800) / 5)])
