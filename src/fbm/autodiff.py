@@ -217,9 +217,23 @@ def sqrt(a):
 
 
 def matmul(a, b):
+    """a @ b over the last two axes. A stack a[..., n, k] times one matrix
+    b[k, m] folds a's leading axes into its rows, so the forward and each
+    gradient are one 2-D GEMM, which BLAS may sum in another order than
+    np.matmul's per-matrix loop (equal at roundoff)."""
     a, b = _as_tensor(a), _as_tensor(b)
     if a.value.ndim < 2 or b.value.ndim < 2:
         raise ValueError("matmul expects tensors of rank >= 2")
+    if a.value.ndim > 2 and b.value.ndim == 2:
+        rows = (-1, a.value.shape[-1])
+
+        def vjp(g):
+            g2 = g.reshape(-1, g.shape[-1])
+            ga = np.matmul(g2, b.value.T).reshape(a.value.shape)
+            return ga, np.matmul(a.value.reshape(rows).T, g2)
+
+        out = np.matmul(a.value.reshape(rows), b.value)
+        return _from_op(out.reshape(a.value.shape[:-1] + out.shape[-1:]), (a, b), vjp)
 
     def vjp(g):
         ga = np.matmul(g, np.swapaxes(b.value, -1, -2))
@@ -378,17 +392,31 @@ ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
 
 
 def adam_step(params, lr):
-    """One Adam update with bias correction; consumed grads are zeroed."""
+    """One Adam update with bias correction; consumed grads are zeroed.
+
+    m, v and the value are updated in place, in the textbook op order. A
+    parameter's first update writes a new value array, so the array it was
+    built from is never written and an untrained model copies no weights.
+    """
     for p in params:
         g = p.grad
         if g is None:
             continue
         p.step += 1
-        p.m = ADAM_BETA1 * p.m + (1.0 - ADAM_BETA1) * g
-        p.v = ADAM_BETA2 * p.v + (1.0 - ADAM_BETA2) * (g * g)
-        mhat = p.m / (1.0 - ADAM_BETA1**p.step)
-        vhat = p.v / (1.0 - ADAM_BETA2**p.step)
-        p.value = p.value - lr * mhat / (np.sqrt(vhat) + ADAM_EPS)
+        s1, s2 = np.empty_like(p.value), np.empty_like(p.value)
+        p.m *= ADAM_BETA1
+        p.m += np.multiply(g, 1.0 - ADAM_BETA1, out=s1)
+        np.multiply(g, g, out=s1)
+        p.v *= ADAM_BETA2
+        p.v += np.multiply(s1, 1.0 - ADAM_BETA2, out=s1)
+        np.multiply(np.divide(p.m, 1.0 - ADAM_BETA1**p.step, out=s1), lr, out=s1)  # lr mhat
+        np.sqrt(np.divide(p.v, 1.0 - ADAM_BETA2**p.step, out=s2), out=s2)  # sqrt(vhat)
+        s2 += ADAM_EPS
+        np.divide(s1, s2, out=s1)
+        if p.step == 1:
+            p.value = np.subtract(p.value, s1, out=s1)
+        else:
+            p.value -= s1
         p.grad = None
 
 

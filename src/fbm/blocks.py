@@ -234,6 +234,18 @@ class TrendConfig:
         if (self.backbone != "linear" and min(self.h1, self.h2, self.P) < 1) or self.K < 0:
             raise ConfigError(f"need widths h1, h2 and patch count P >= 1, K >= 0: {self}")
 
+    def patch_layout(self, T, K):
+        """Patches of a scale's T x K grid; None for the linear backbone,
+        which reads the whole grid."""
+        return None if self.backbone == "linear" else PatchLayout.make(T, K, self.P)
+
+
+def scale_grid(T, kernel):
+    """(T_s, K_s): the grid of a trend scale downsampled by `kernel`."""
+    if T % kernel or (T // 2) % kernel:
+        raise ConfigError(f"scale kernel {kernel} does not divide {T}x{T // 2}")
+    return T // kernel, (T // 2) // kernel
+
 
 class _TrendScale:
     """All layers of one scale; scales are independent and summed.
@@ -246,8 +258,8 @@ class _TrendScale:
         self.proj = self.mid = None
         self.stacks = []
         n_head = T * K_freq  # linear: the flattened grid
-        if cfg.backbone != "linear":
-            layout = PatchLayout.make(T, K_freq, cfg.P)
+        layout = cfg.patch_layout(T, K_freq)
+        if layout is not None:
             self.proj = PatchProjector(rng, layout, D, cfg.h1, use_relu, f"{name}.proj")
             n_head = cfg.P * cfg.h1
         if cfg.backbone == "mlp":
@@ -284,9 +296,7 @@ class TrendBlock:
     def __init__(self, rng, T, L, D, cfg, name="trend"):
         self.scales = []
         for kernel in cfg.scales:
-            T_s, K_s = T // kernel, (T // 2) // kernel
-            if T % kernel or (T // 2) % kernel:
-                raise ConfigError(f"scale kernel {kernel} does not divide {T}x{T // 2}")
+            T_s, K_s = scale_grid(T, kernel)
             self.scales.append(
                 (kernel, _TrendScale(rng, T_s, K_s, L, D, cfg, f"{name}.d{kernel}"))
             )
@@ -316,6 +326,13 @@ class InteractionConfig:
         if min(self.C1, self.h3) < 1 or min(self.C2, self.K) < 0:
             raise ConfigError(f"need C1, h3 >= 1 and C2, K >= 0: {self}")
 
+    def check_masks(self, T, L):
+        """Raise unless the masks fit window length T and horizon L."""
+        if self.C1 > T:  # __post_init__ holds C1 >= 1 and C2 >= 0
+            raise ConfigError(f"interaction input mask C1={self.C1} outside [1, {T}]")
+        if self.C2 > L:
+            raise ConfigError(f"interaction output mask C2={self.C2} outside [0, {L}]")
+
 
 class InteractionBlock:
     """Cross-channel attention over the last C1 timesteps' features.
@@ -326,10 +343,7 @@ class InteractionBlock:
     """
 
     def __init__(self, rng, T, L, D, cfg, name="inter"):
-        if cfg.C1 > T:  # InteractionConfig holds C1 >= 1 and C2 >= 0
-            raise ConfigError(f"interaction input mask C1={cfg.C1} outside [1, {T}]")
-        if cfg.C2 > L:
-            raise ConfigError(f"interaction output mask C2={cfg.C2} outside [0, {L}]")
+        cfg.check_masks(T, L)
         self.cfg = cfg
         self.T = T
         self.n_in = cfg.C1 * (T // 2)

@@ -12,7 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -230,8 +230,9 @@ def prepare_windows(res, T, L):
 
 def cmd_train(res):
     cfg = TrainConfig(res["T"], res["L"], **{f: res[flag] for flag, (f, _) in TRAIN_FIELDS.items()})
+    spec = build_model_spec(res, 1)  # every model option is checked before the data is read
     ds, ranges = prepare_windows(res, cfg.T, cfg.L)
-    model = ForecastModel(build_model_spec(res, ds.D), seed=cfg.seed)
+    model = ForecastModel(replace(spec, D=ds.D), seed=cfg.seed)
     source = dat.SlidingWindows(ds, ranges, cfg.T, cfg.L, cfg.batch_size)
     model, report = train(model, source, cfg, log=print, eval_threads=res["threads"])
     out = Path(res["out"])

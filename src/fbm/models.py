@@ -41,6 +41,7 @@ from .blocks import (
     TrendConfig,
     _TrendScale,
     basis_windows,
+    scale_grid,
     spectral_map,
 )
 from .errors import CheckpointError, ConfigError
@@ -86,6 +87,14 @@ class ModelSpec:
         if (np_cfg.backbone, np_cfg.scales) != (pin.backbone, pin.scales):
             raise ConfigError(f"fbm-np config needs backbone={pin.backbone!r} and "
                               f"scales={pin.scales}: {np_cfg}")
+        # the grid layouts, which need no D: the blocks' own checks, before any build
+        if self.variant == "fbm-np":
+            np_cfg.patch_layout(self.T, self.T // 2)
+        elif self.variant == "fbm-s":
+            for kernel in self.trend.scales:
+                self.trend.patch_layout(*scale_grid(self.T, kernel))
+            if self.interaction is not None:
+                self.interaction.check_masks(self.T, self.L)
 
     def to_header(self):
         """Checkpoint header: the fields the variant reads, in table order."""

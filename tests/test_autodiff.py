@@ -153,6 +153,59 @@ def test_matmul_grads(seed):
     assert err < 1e-4
 
 
+def _stack_times_matrix(rng, case):
+    """(a, b) of one stack-times-matrix case; b is always 2-D."""
+    if case == "rank3":
+        return _rand(rng, 16, 8, 12), _rand(rng, 12, 5)
+    if case == "rank4":
+        return _rand(rng, 2, 3, 4, 5), _rand(rng, 5, 7)
+    # the upper spectrum half H[..., 1:], a strided view
+    return _rand(rng, 4, 3, 17)[..., 1:], _rand(rng, 16, 6)
+
+
+def _broadcast_matmul_grads(a, b, g):
+    """The per-element VJP as oracle: b's gradient as a [..., k, m] stack, summed."""
+    ga = np.matmul(g, np.swapaxes(b, -1, -2))
+    gb = np.matmul(np.swapaxes(a, -1, -2), g)
+    return ga, gb.sum(axis=tuple(range(gb.ndim - 2)))
+
+
+@pytest.mark.parametrize("case", ["rank3", "rank4", "strided"])
+def test_stack_times_matrix_fold(case):
+    rng = RNG(3)
+    a, b = _stack_times_matrix(rng, case)
+    # bitwise at these shapes; at others BLAS may sum the one folded GEMM in
+    # another order than numpy's per-matrix loop
+    out = ad.matmul(a, b).value
+    assert out.tobytes() == np.matmul(a, b).tobytes()
+    ta, tb = ad.Tensor(a, requires_grad=True), ad.Tensor(b, requires_grad=True)
+    g = rng.standard_normal(out.shape)
+    ad.backward((ad.matmul(ta, tb) * g).sum())
+    for got, oracle in zip((ta.grad, tb.grad), _broadcast_matmul_grads(a, b, g)):
+        assert got.shape == oracle.shape
+        assert np.max(np.abs(got - oracle)) <= 1e-12 * np.max(np.abs(oracle))
+    err = input_grad_err(lambda t: (ad.matmul(t[0], t[1]) * g).sum(), [a, b])
+    assert err < 1e-4
+
+
+def test_stack_times_matrix_backward_builds_no_stack():
+    # a patched grid [B, D, P, N] times a projection [N, h1]: the per-element
+    # VJP would build w's gradient as a [16, 8, 64, 32] stack (2 MB) and sum it
+    rng = RNG(4)
+    x = ad.Tensor(rng.standard_normal((16, 8, 4, 64)), requires_grad=True)
+    w = ad.Tensor(rng.standard_normal((64, 32)), requires_grad=True)
+    loss = ad.matmul(x, w).sum()
+    stack_bytes = 16 * 8 * 64 * 32 * 8
+    tracemalloc.start()
+    try:
+        ad.backward(loss)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert w.grad.shape == (64, 32)
+    assert peak < stack_bytes / 4
+
+
 @pytest.mark.parametrize("seed", [0, 1])
 def test_shape_op_grads(seed):
     rng = RNG(seed)
@@ -240,6 +293,37 @@ def test_adam_bias_correction_first_step():
     p.grad = np.array([1e-3])
     ad.adam_step([p], lr=0.5)
     np.testing.assert_allclose(p.value[0], -0.5, rtol=1e-4)
+
+
+def test_adam_in_place_matches_the_textbook_form_bitwise():
+    rng = RNG(5)
+    p = ad.Parameter(rng.standard_normal((4, 3)), "w")
+    state = p.m, p.v
+    value, m, v = p.value.copy(), np.zeros((4, 3)), np.zeros((4, 3))
+    b1, b2, eps, lr = ad.ADAM_BETA1, ad.ADAM_BETA2, ad.ADAM_EPS, 0.01
+    for t in range(1, 5):
+        g = rng.standard_normal((4, 3))
+        p.grad = g
+        ad.adam_step([p], lr)
+        m = b1 * m + (1.0 - b1) * g
+        v = b2 * v + (1.0 - b2) * (g * g)
+        value = value - lr * (m / (1.0 - b1**t)) / (np.sqrt(v / (1.0 - b2**t)) + eps)
+        assert (p.value.tobytes(), p.m.tobytes(), p.v.tobytes()) == (
+            value.tobytes(), m.tobytes(), v.tobytes())
+        if t == 1:
+            state += (p.value,)
+    # updated in place, the value from its second step on
+    assert p.m is state[0] and p.v is state[1] and p.value is state[2]
+
+
+def test_adam_never_writes_the_array_a_parameter_was_built_from():
+    a = np.ones(3)
+    p = ad.Parameter(a, "w")
+    for _ in range(2):
+        p.grad = np.ones(3)
+        ad.adam_step([p], lr=0.1)
+    np.testing.assert_array_equal(a, np.ones(3))
+    assert np.all(p.value < 1.0)
 
 
 def test_init_uniform_bounds():

@@ -180,6 +180,25 @@ def test_bad_training_value_exits_1_before_any_work(capsys, tmp_path, flag, valu
     assert not out.exists()
 
 
+@pytest.mark.parametrize("flags, message", [
+    (("--variant", "fbm-nl", "--nl-h1", "0"), "fbm-nl hidden widths must be positive"),
+    (("--variant", "fbm-s", "--T", "30", "--L", "6", "--trend-p", "4"),
+     "patch count 4 must divide time length 30"),
+    (("--variant", "fbm-s", "--T", "36", "--L", "6", "--trend-p", "3", "--scales", "1+4"),
+     "scale kernel 4 does not divide 36x18"),
+    (("--variant", "fbm-s", "--T", "16", "--L", "6", "--trend-p", "2", "--interaction",
+      "--c1", "17"), "interaction input mask C1=17 outside [1, 16]"),
+], ids=["width", "patch-count", "scale-kernel", "mask"])
+def test_bad_model_layout_exits_1_before_any_work(capsys, tmp_path, flags, message):
+    # the data path does not exist: the spec's layouts are checked before the load
+    out = tmp_path / "run"
+    rc, stdout, err = run(capsys, "train", "--data", str(tmp_path / "missing.csv"), *flags,
+                          "--out", str(out))
+    assert rc == 1 and stdout == ""
+    assert err == f"fbm: error: {message}\n"
+    assert not out.exists()
+
+
 def test_eval_wrong_channel_count_exits_1(capsys, tmp_path, periodic_csv):
     out, _ = train_tiny(capsys, tmp_path, periodic_csv)
     two = np.vstack([np.cos(np.arange(800) / 7), np.sin(np.arange(800) / 5)])
