@@ -1,8 +1,10 @@
 """Reverse-mode automatic differentiation on float64 numpy arrays.
 
-Define-by-run tape: each op wraps its numpy result in a Tensor that
-remembers its parents and a closure mapping the output gradient to input
-gradients. backward() walks the recorded graph once in reverse
+Define-by-run tape: each op wraps its numpy result in a Tensor holding one
+edge per tracked input, a (parent, vjp) pair whose closure maps the output
+gradient to that parent's gradient. An input that needs no gradient (a
+constant such as a basis table) gets no edge, so its gradient is never
+computed. backward() walks the recorded graph once in reverse
 topological order. Gradients land on leaf tensors only (Parameters and
 explicitly tracked inputs) and accumulate there until zeroed, so one
 forward/backward per batch composes with plain Python control flow.
@@ -42,7 +44,7 @@ class no_grad:
 
 
 class Tensor:
-    __slots__ = ("value", "grad", "requires_grad", "_parents", "_vjp")
+    __slots__ = ("value", "grad", "requires_grad", "_edges")
 
     def __init__(self, value, requires_grad=False):
         if np.iscomplexobj(value):
@@ -50,8 +52,7 @@ class Tensor:
         self.value = np.asarray(value, dtype=np.float64)
         self.grad = None
         self.requires_grad = bool(requires_grad)
-        self._parents = ()
-        self._vjp = None
+        self._edges = ()
 
     @property
     def shape(self):
@@ -132,12 +133,15 @@ def _as_tensor(x):
     return x if isinstance(x, Tensor) else Tensor(x)
 
 
-def _from_op(value, parents, vjp):
-    track = _grad_enabled.get() and any(p.requires_grad for p in parents)
-    out = Tensor(value, requires_grad=track)
-    if track:
-        out._parents = tuple(parents)
-        out._vjp = vjp
+def _from_op(value, *edges):
+    """Wrap an op's result. Each edge is (parent, vjp), vjp mapping the output
+    gradient to that parent's gradient; only the edges of parents that require
+    grad are kept (none under no_grad), and the result is tracked exactly when
+    it keeps an edge."""
+    out = Tensor(value)
+    if _grad_enabled.get():
+        out._edges = tuple(e for e in edges if e[0].requires_grad)
+        out.requires_grad = bool(out._edges)
     return out
 
 
@@ -154,66 +158,61 @@ def _unbroadcast(g, shape):
 
 def add(a, b):
     a, b = _as_tensor(a), _as_tensor(b)
-
-    def vjp(g):
-        return _unbroadcast(g, a.value.shape), _unbroadcast(g, b.value.shape)
-
-    return _from_op(a.value + b.value, (a, b), vjp)
+    return _from_op(
+        a.value + b.value,
+        (a, lambda g: _unbroadcast(g, a.value.shape)),
+        (b, lambda g: _unbroadcast(g, b.value.shape)),
+    )
 
 
 def sub(a, b):
     a, b = _as_tensor(a), _as_tensor(b)
-
-    def vjp(g):
-        return _unbroadcast(g, a.value.shape), _unbroadcast(-g, b.value.shape)
-
-    return _from_op(a.value - b.value, (a, b), vjp)
+    return _from_op(
+        a.value - b.value,
+        (a, lambda g: _unbroadcast(g, a.value.shape)),
+        (b, lambda g: _unbroadcast(-g, b.value.shape)),
+    )
 
 
 def mul(a, b):
     a, b = _as_tensor(a), _as_tensor(b)
-
-    def vjp(g):
-        return (
-            _unbroadcast(g * b.value, a.value.shape),
-            _unbroadcast(g * a.value, b.value.shape),
-        )
-
-    return _from_op(a.value * b.value, (a, b), vjp)
+    return _from_op(
+        a.value * b.value,
+        (a, lambda g: _unbroadcast(g * b.value, a.value.shape)),
+        (b, lambda g: _unbroadcast(g * a.value, b.value.shape)),
+    )
 
 
 def div(a, b):
     a, b = _as_tensor(a), _as_tensor(b)
-
-    def vjp(g):
-        ga = g / b.value
-        gb = -g * a.value / (b.value * b.value)
-        return _unbroadcast(ga, a.value.shape), _unbroadcast(gb, b.value.shape)
-
-    return _from_op(a.value / b.value, (a, b), vjp)
+    return _from_op(
+        a.value / b.value,
+        (a, lambda g: _unbroadcast(g / b.value, a.value.shape)),
+        (b, lambda g: _unbroadcast(-g * a.value / (b.value * b.value), b.value.shape)),
+    )
 
 
 def neg(a):
     a = _as_tensor(a)
-    return _from_op(-a.value, (a,), lambda g: (-g,))
+    return _from_op(-a.value, (a, lambda g: -g))
 
 
 def scale(a, s):
     a = _as_tensor(a)
     s = float(s)
-    return _from_op(a.value * s, (a,), lambda g: (g * s,))
+    return _from_op(a.value * s, (a, lambda g: g * s))
 
 
 def relu(a):
     a = _as_tensor(a)
     mask = a.value > 0.0
-    return _from_op(np.where(mask, a.value, 0.0), (a,), lambda g: (g * mask,))
+    return _from_op(np.where(mask, a.value, 0.0), (a, lambda g: g * mask))
 
 
 def sqrt(a):
     a = _as_tensor(a)
     out_val = np.sqrt(a.value)
-    return _from_op(out_val, (a,), lambda g: (g * (0.5 / out_val),))
+    return _from_op(out_val, (a, lambda g: g * (0.5 / out_val)))
 
 
 def matmul(a, b):
@@ -226,30 +225,24 @@ def matmul(a, b):
         raise ValueError("matmul expects tensors of rank >= 2")
     if a.value.ndim > 2 and b.value.ndim == 2:
         rows = (-1, a.value.shape[-1])
-
-        def vjp(g):
-            g2 = g.reshape(-1, g.shape[-1])
-            ga = np.matmul(g2, b.value.T).reshape(a.value.shape)
-            return ga, np.matmul(a.value.reshape(rows).T, g2)
-
         out = np.matmul(a.value.reshape(rows), b.value)
-        return _from_op(out.reshape(a.value.shape[:-1] + out.shape[-1:]), (a, b), vjp)
-
-    def vjp(g):
-        ga = np.matmul(g, np.swapaxes(b.value, -1, -2))
-        gb = np.matmul(np.swapaxes(a.value, -1, -2), g)
-        return _unbroadcast(ga, a.value.shape), _unbroadcast(gb, b.value.shape)
-
-    return _from_op(np.matmul(a.value, b.value), (a, b), vjp)
+        return _from_op(
+            out.reshape(a.value.shape[:-1] + out.shape[-1:]),
+            (a, lambda g: np.matmul(g.reshape(-1, g.shape[-1]), b.value.T).reshape(a.value.shape)),
+            (b, lambda g: np.matmul(a.value.reshape(rows).T, g.reshape(-1, g.shape[-1]))),
+        )
+    return _from_op(
+        np.matmul(a.value, b.value),
+        (a, lambda g: _unbroadcast(np.matmul(g, np.swapaxes(b.value, -1, -2)), a.value.shape)),
+        (b, lambda g: _unbroadcast(np.matmul(np.swapaxes(a.value, -1, -2), g), b.value.shape)),
+    )
 
 
 def transpose(a, axes):
     a = _as_tensor(a)
     axes = tuple(axes)
     inverse = tuple(np.argsort(axes))
-    return _from_op(
-        np.transpose(a.value, axes), (a,), lambda g: (np.transpose(g, inverse),)
-    )
+    return _from_op(np.transpose(a.value, axes), (a, lambda g: np.transpose(g, inverse)))
 
 
 def swap_last2(a):
@@ -261,7 +254,7 @@ def swap_last2(a):
 def reshape(a, shape):
     a = _as_tensor(a)
     old = a.value.shape
-    return _from_op(a.value.reshape(shape), (a,), lambda g: (g.reshape(old),))
+    return _from_op(a.value.reshape(shape), (a, lambda g: g.reshape(old)))
 
 
 def tslice(a, idx):
@@ -270,36 +263,29 @@ def tslice(a, idx):
     def vjp(g):
         out = np.zeros_like(a.value)
         np.add.at(out, idx, g)  # a repeated index gathers each of its gradients
-        return (out,)
+        return out
 
-    return _from_op(a.value[idx], (a,), vjp)
+    return _from_op(a.value[idx], (a, vjp))
+
+
+def _spread(g, axis, keepdims, shape):
+    # a reduction's gradient, broadcast back over the axes it reduced
+    if axis is not None and not keepdims:
+        g = np.expand_dims(g, axis)
+    return np.broadcast_to(g, shape)
 
 
 def reduce_sum(a, axis=None, keepdims=False):
     a = _as_tensor(a)
     val = a.value.sum(axis=axis, keepdims=keepdims)
-
-    def vjp(g):
-        gg = g
-        if axis is not None and not keepdims:
-            gg = np.expand_dims(gg, axis)
-        return (np.broadcast_to(gg, a.value.shape),)
-
-    return _from_op(val, (a,), vjp)
+    return _from_op(val, (a, lambda g: _spread(g, axis, keepdims, a.value.shape)))
 
 
 def reduce_mean(a, axis=None, keepdims=False):
     a = _as_tensor(a)
     val = a.value.mean(axis=axis, keepdims=keepdims)
     count = a.value.size / max(val.size, 1)
-
-    def vjp(g):
-        gg = g
-        if axis is not None and not keepdims:
-            gg = np.expand_dims(gg, axis)
-        return (np.broadcast_to(gg, a.value.shape) / count,)
-
-    return _from_op(val, (a,), vjp)
+    return _from_op(val, (a, lambda g: _spread(g, axis, keepdims, a.value.shape) / count))
 
 
 def softmax_lastdim(a):
@@ -310,9 +296,9 @@ def softmax_lastdim(a):
 
     def vjp(g):
         dot = (g * y).sum(axis=-1, keepdims=True)
-        return ((g - dot) * y,)
+        return (g - dot) * y
 
-    return _from_op(y, (a,), vjp)
+    return _from_op(y, (a, vjp))
 
 
 NORM_EPS = 1e-5  # variance floor of standardize_lastdim
@@ -364,8 +350,8 @@ def _backward_walk(loss):
             continue
         visited.add(id(node))
         stack.append((node, True))
-        for p in node._parents:
-            if p.requires_grad and id(p) not in visited:
+        for p, _ in node._edges:
+            if id(p) not in visited:
                 stack.append((p, False))
 
     grads = {id(loss): np.ones_like(loss.value)}
@@ -373,13 +359,11 @@ def _backward_walk(loss):
         g = grads.pop(id(node), None)
         if g is None:
             continue
-        if node._vjp is None:
+        if not node._edges:
             node.grad = g if node.grad is None else node.grad + g
             continue
-        for parent, pg in zip(node._parents, node._vjp(g)):
-            if not parent.requires_grad:
-                continue
-            key = id(parent)
+        for parent, vjp in node._edges:
+            pg, key = vjp(g), id(parent)
             grads[key] = grads[key] + pg if key in grads else pg
 
 

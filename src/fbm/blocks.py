@@ -3,8 +3,8 @@ masked cross-channel interaction, plus the patching/centralization
 utilities and the spectral map they share.
 
 All forwards take and return autodiff Tensors so both parameter and
-input gradients flow; feature inputs are usually constants, in which
-case the tape skips them for free.
+input gradients flow; feature inputs are usually constants, which get no
+tape edge, so no gradient is ever computed for them.
 
 Shape conventions: feature grids are [B, D, T_s, K_s] (batch, channel,
 time, frequency), patched tensors are [B, D, P, N] with the channel axis

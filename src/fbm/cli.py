@@ -220,8 +220,9 @@ def _load(res):
 
 def prepare_windows(res, T, L):
     """Load and split, then z-score on that split's train range: (ds, ranges)."""
+    spec = _split_spec(res)  # a bad split option exits before any data is read
     ds = _load(res)
-    ranges = dat.split(ds, _split_spec(res), T, L)
+    ranges = dat.split(ds, spec, T, L)
     return dat.zscore_apply(ds, dat.zscore_fit(ds, ranges.train)), ranges
 
 
@@ -279,9 +280,9 @@ def cmd_features(res):
 
 
 def cmd_spectrum(res):
-    T = res["T"]
+    T, spec = res["T"], _split_spec(res)
     ds = _load(res)
-    ranges = dat.split(ds, _split_spec(res), T, 1)
+    ranges = dat.split(ds, spec, T, 1)
     a, b = getattr(ranges, res["part"])
     starts = np.arange(a, b - T + 1, res["stride"])
     amps = []

@@ -129,12 +129,11 @@ class SplitSpec:
         if self.mode not in ("ratio", "ett_months"):
             raise ConfigError(f"unknown split mode {self.mode!r}")
         if self.mode == "ratio":
-            if min(self.train, self.val, self.test) <= 0:
-                raise ConfigError("split ratios must be positive")
+            got = f"{self.train}/{self.val}/{self.test}"
+            if not all(0 < f < math.inf for f in (self.train, self.val, self.test)):
+                raise ConfigError(f"split ratios must be finite and positive, got {got}")
             if abs(self.train + self.val + self.test - 1.0) > 1e-9:
-                raise ConfigError(
-                    f"split ratios must sum to 1, got {self.train}/{self.val}/{self.test}"
-                )
+                raise ConfigError(f"split ratios must sum to 1, got {got}")
 
     @classmethod
     def ratio(cls, *fractions):

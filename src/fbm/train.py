@@ -15,6 +15,7 @@ windows of 336 and on bin 8 when read in windows of 192.
 from __future__ import annotations
 
 import json
+import math
 import time
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
@@ -58,8 +59,8 @@ class TrainConfig:
         for name in ("T", "L", "epochs", "patience", "batch_size"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
-        if self.lr < 0:
-            raise ConfigError(f"learning rate must be >= 0, got {self.lr}")
+        if not 0 <= self.lr < math.inf:
+            raise ConfigError(f"learning rate must be finite and >= 0, got {self.lr}")
 
 
 @dataclass

@@ -68,7 +68,7 @@ def test_no_grad_builds_no_graph():
     x = ad.Tensor([1.0], requires_grad=True)
     with ad.no_grad():
         y = x * x
-    assert not y.requires_grad and y._vjp is None
+    assert not y.requires_grad and y._edges == ()
 
 
 def test_no_grad_applies_to_its_own_thread_only():
@@ -204,6 +204,56 @@ def test_stack_times_matrix_backward_builds_no_stack():
         tracemalloc.stop()
     assert w.grad.shape == (64, 32)
     assert peak < stack_bytes / 4
+
+
+# op, a's shape, b's shape; matmul-stack takes matmul's stack-times-matrix branch
+BINARY_OPS = {
+    "add": (ad.add, (3, 4), (4,)),
+    "sub": (ad.sub, (3, 4), (4,)),
+    "mul": (ad.mul, (3, 4), (4,)),
+    "div": (ad.div, (3, 4), (4,)),
+    "matmul": (ad.matmul, (2, 3, 4), (1, 4, 5)),
+    "matmul-stack": (ad.matmul, (2, 3, 4), (4, 5)),
+}
+
+
+@pytest.mark.parametrize("op", list(BINARY_OPS))
+def test_one_tracked_operand_gets_the_gradient_it_gets_with_both(op):
+    fn, shape_a, shape_b = BINARY_OPS[op]
+    rng = RNG(5)
+    a, b = rng.uniform(0.5, 1.5, shape_a), rng.uniform(0.5, 1.5, shape_b)
+    g = rng.standard_normal(fn(a, b).shape)
+
+    def grads(track_a, track_b):
+        ta, tb = ad.Tensor(a, requires_grad=track_a), ad.Tensor(b, requires_grad=track_b)
+        out = fn(ta, tb)
+        assert [p for p, _ in out._edges] == [t for t in (ta, tb) if t.requires_grad]
+        ad.backward((out * g).sum())
+        return ta.grad, tb.grad
+
+    ga, gb = grads(True, True)
+    only_a, untracked_b = grads(True, False)
+    untracked_a, only_b = grads(False, True)
+    assert untracked_a is None and untracked_b is None
+    assert only_a.tobytes() == ga.tobytes() and only_b.tobytes() == gb.tobytes()
+
+
+@pytest.mark.parametrize("shape", [(4096, 256), (16, 256, 256)], ids=["matrix", "stack"])
+def test_constant_times_parameter_backward_skips_the_constants_gradient(shape):
+    # a basis table times a small weight: the table's gradient (8 MB) would
+    # be as large as the table, and nothing reads it
+    rng = RNG(6)
+    table = ad.Tensor(rng.standard_normal(shape))
+    w = ad.Tensor(rng.standard_normal((256, 2)), requires_grad=True)
+    loss = ad.matmul(table, w).sum()
+    tracemalloc.start()
+    try:
+        ad.backward(loss)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert w.grad.shape == (256, 2)
+    assert peak < table.value.nbytes
 
 
 @pytest.mark.parametrize("seed", [0, 1])

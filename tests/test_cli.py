@@ -167,8 +167,11 @@ def test_threads_below_1_exits_1_before_any_work(capsys, tmp_path, periodic_csv,
     ("--epochs", "0", "epochs must be >= 1, got 0"),
     ("--patience", "0", "patience must be >= 1, got 0"),
     ("--batch", "0", "batch_size must be >= 1, got 0"),
-    ("--lr", "-1", "learning rate must be >= 0, got -1.0"),
-], ids=["epochs", "patience", "batch", "lr"])
+    ("--lr", "-1", "learning rate must be finite and >= 0, got -1.0"),
+    ("--lr", "nan", "learning rate must be finite and >= 0, got nan"),
+    ("--lr", "inf", "learning rate must be finite and >= 0, got inf"),
+    ("--train-ratio", "nan", "split ratios must be finite and positive, got nan/0.15/0.2"),
+], ids=["epochs", "patience", "batch", "lr", "lr-nan", "lr-inf", "train-ratio-nan"])
 def test_bad_training_value_exits_1_before_any_work(capsys, tmp_path, flag, value, message):
     # the data path does not exist: loading it would exit 2, and the fbm-nl
     # default spec would build an 83.5M-parameter model before training
@@ -405,6 +408,13 @@ def test_spectrum_stride_below_1_exits_1(capsys, tmp_path, periodic_csv, stride)
     assert rc == 1 and stdout == ""
     assert err == f"fbm: error: --stride must be >= 1, got {stride}\n"
     assert not out.exists()
+
+
+def test_spectrum_nan_split_ratio_exits_1_before_reading_data(capsys, tmp_path):
+    rc, stdout, err = run(capsys, "spectrum", "--data", str(tmp_path / "missing.csv"),
+                          "--val-ratio", "nan")
+    assert rc == 1 and stdout == ""
+    assert err == "fbm: error: split ratios must be finite and positive, got 0.65/nan/0.2\n"
 
 
 def test_weights_roundtrip(capsys, tmp_path, periodic_csv):

@@ -132,6 +132,10 @@ def test_ratio_spec_validation():
         SplitSpec.ratio(0.9, -0.1, 0.2)
     with pytest.raises(ConfigError):
         SplitSpec(mode="weekly")
+    nan = float("nan")
+    for fractions in ((nan, 0.15, 0.2), (0.65, nan, 0.2), (0.65, 0.15, nan)):
+        with pytest.raises(ConfigError, match="finite and positive"):
+            SplitSpec.ratio(*fractions)
 
 
 def test_split_rejects_degenerate_series():
