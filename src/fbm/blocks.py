@@ -1,6 +1,8 @@
 """Model blocks: seasonal rolling filter, patched trend backbones, and
 masked cross-channel interaction, plus the patching/centralization
-utilities and the spectral map they share.
+utilities and the spectral map they share. The seasonal filter is a
+per-bin complex gain: a shift only rotates a sinusoid's phase, so W
+reaches bin k through g_k = sum_n W[n, k] e^{2 pi i k n / T} alone.
 
 All forwards take and return autodiff Tensors so both parameter and
 input gradients flow; feature inputs are usually constants, which get no
@@ -21,7 +23,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import AttentionParams, Linear, Parameter, Tensor
 from .errors import ConfigError, NumericError
-from .fourier import build_bases
+from .fourier import build_bases, dft_matrices
 
 
 @dataclass(frozen=True)
@@ -111,44 +113,34 @@ class Centralization:
 # --- spectral maps ------------------------------------------------------------
 
 
-def basis_windows(T, count):
-    """DC-dropped basis windows (C_v, S_v), each [K, count, T] with
-    [k, v, n] = basis[n + v, k + 1] over the periodically continued tables."""
-    bases = build_bases(T, pad=count - 1)
-
-    def stack(basis):
-        # view[v, k, n] = basis[v + n, k]; want [k, v, n]
-        view = np.lib.stride_tricks.sliding_window_view(basis[:, 1:], T, axis=0)
-        return Tensor(np.ascontiguousarray(view.transpose(1, 0, 2)))
-
-    return stack(bases.C), stack(bases.S)
+def basis_rows(T, count):
+    """DC-dropped basis rows (C_h, S_h), each [K, count] with
+    [k, n] = basis[n mod T, k + 1]: the tables continued periodically past T."""
+    bases = build_bases(T)
+    rows = np.arange(count) % T
+    return tuple(Tensor(np.ascontiguousarray(b[rows, 1:].T)) for b in (bases.C, bases.S))
 
 
-def spectral_map(H_R, H_I, windows, w):
+def spectral_map(H_R, H_I, rows, w):
     """A linear map of the DC-dropped time-frequency grid, applied to the spectrum.
 
     The grid G[n, k] = H_R[k] C[n, k] + H_I[k] S[n, k] (k = 1..T/2) is
-    linear in the spectrum halves. So a map that reads window v, grid rows
-    n + v for n < T, through per-bin weights w[k][n, j] is
+    linear in the spectrum halves, so a map through per-bin weights
+    w[k][n, j] is
 
-        out[v, j] = sum_{n,k} G[n + v, k] w[k][n, j]
-                  = sum_k H_R[k] (C_v[k] @ w[k])[v, j] + H_I[k] (S_v[k] @ w[k])[v, j]
+        out[j] = sum_{n,k} G[n, k] w[k][n, j]
+               = sum_k H_R[k] (C_k @ w[k])[j] + H_I[k] (S_k @ w[k])[j]
 
-    with C_v[k][v, n] = C[n + v, k] from basis_windows. Contracting the
-    weights with the tables first is independent of the batch, and each
-    window then costs two [K] x [K, m * width] products; the grid is never
-    built. fbm-l and the first layer of fbm-nl read one window (m = 1) with
-    their [K, T, width] weights; the seasonal filter reads L windows with
-    one output each (width = 1, w[k] = W[:, k]).
+    with C_k[n] = C[n, k], row k of basis_rows(T, T). The weights meet the
+    tables once per call, whatever the batch, and the grid is never built.
+    It is the first layer of fbm-l and fbm-nl.
 
-    H_R/H_I: [..., K]; windows: a [K, m, T] pair; w: [K, T, width]
-    -> out flattened v-major, [..., m * width].
+    H_R/H_I: [..., K]; rows: basis_rows(T, T); w: [K, T, width] -> [..., width].
     """
-    C_v, S_v = windows
-    K = C_v.shape[0]
-    width = C_v.shape[1] * w.shape[-1]
-    wc = ad.reshape(ad.matmul(C_v, w), (K, width))
-    ws = ad.reshape(ad.matmul(S_v, w), (K, width))
+    C, S = rows
+    K, T = C.shape
+    wc = ad.reshape(ad.matmul(ad.reshape(C, (K, 1, T)), w), (K, -1))
+    ws = ad.reshape(ad.matmul(ad.reshape(S, (K, 1, T)), w), (K, -1))
     return ad.add(ad.matmul(H_R, wc), ad.matmul(H_I, ws))
 
 
@@ -159,17 +151,21 @@ class SeasonalBlock:
     """Learnable rolling filter over Fourier-padded time-frequency features.
 
     The naive form slides W over the padded feature rows,
-    out[v] = sum_{n,k} W[n, k] G_pad[n + v, k]; it is the spectral map
-    (see spectral_map) of the L basis windows with w[k] = W[:, k], which
-    is batch-size independent. DC is excluded (k = 1..T/2); W starts at
-    zero so the model begins as pure trend.
+    out[v] = sum_{n,k} W[n, k] G_pad[n + v, k]. Shifting bin k's sinusoid
+    by v only rotates its phase, so W reaches bin k through one complex
+    gain g_k = sum_n W[n, k] e^{2 pi i k n / T} = a_k - i b_k, with
+    a = sum_n W * cm and b = sum_n W * sm over dft_matrices' tables, and
+    out = (H_R a + H_I b) @ C_h + (H_I a - H_R b) @ S_h over the horizon
+    rows of basis_rows(T, L). No table grows with T * L, and the batch
+    costs two [K] x [K, L] products. DC is excluded (k = 1..T/2); W starts
+    at zero so the model begins as pure trend.
     """
 
     def __init__(self, T, L, name="seasonal"):
-        self.T = T
         self.K = T // 2
         self.W = Parameter(np.zeros((T, self.K)), f"{name}.W")
-        self._windows = basis_windows(T, L)
+        self._cm, self._sm = (Tensor(t[:, 1:]) for t in dft_matrices(T))
+        self._C_h, self._S_h = basis_rows(T, L)
 
     def params(self):
         return [self.W]
@@ -180,8 +176,11 @@ class SeasonalBlock:
             raise ConfigError(
                 f"seasonal filter expects {self.K} frequency bins, got {H_R.shape[-1]}"
             )
-        w = ad.reshape(ad.transpose(self.W, (1, 0)), (self.K, self.T, 1))
-        return spectral_map(H_R, H_I, self._windows, w)
+        a = ad.mul(self.W, self._cm).sum(axis=0)  # the gains' real parts, [K]
+        b = ad.mul(self.W, self._sm).sum(axis=0)  # minus their imaginary parts
+        p = ad.add(ad.mul(H_R, a), ad.mul(H_I, b))
+        q = ad.sub(ad.mul(H_I, a), ad.mul(H_R, b))
+        return ad.add(ad.matmul(p, self._C_h), ad.matmul(q, self._S_h))
 
 
 # --- shared patch projector (trend front / FBM-NP front) ----------------------

@@ -136,9 +136,9 @@ DESCRIBE_OPTS = MODEL_OPTS + [
 SYNTH_OPTS = [
     Opt("case", int, help="1 (paired windows) or 2 (contiguous series)", required=True,
         choices=(1, 2)),
-    Opt("seed", int, 0, "generator seed"),
+    Opt("seed", int, 0, "generator seed", min=0),
     Opt("out", str, help="output path (.fbmw pairs for case 1, CSV for case 2)", required=True),
-    Opt("windows", int, 1000, "case 1: window count"),
+    Opt("windows", int, 1000, "case 1: window count", min=1),
     Opt("length", int, 4000, "case 2: series length", min=1),
 ]
 
@@ -265,8 +265,9 @@ def cmd_eval(res):
 
 
 def cmd_features(res):
-    ds = _load(res)
     T, start = res["T"], res["start"]
+    fourier._check_window_length(T)  # before the data is read
+    ds = _load(res)
     if not 0 <= start <= ds.N - T:
         raise ConfigError(f"window [{start}, {start + T}) outside series of length {ds.N}")
     X = ds.values[None, :, start : start + T]
@@ -281,6 +282,7 @@ def cmd_features(res):
 
 def cmd_spectrum(res):
     T, spec = res["T"], _split_spec(res)
+    fourier._check_window_length(T)  # before the data is read
     ds = _load(res)
     ranges = dat.split(ds, spec, T, 1)
     a, b = getattr(ranges, res["part"])

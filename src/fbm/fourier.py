@@ -4,8 +4,8 @@ A length-T real window is analyzed into T/2+1 real/imaginary coefficient
 pairs (the remaining bins are implied by conjugate symmetry). Multiplying
 the coefficients with the cosine/sine basis tables spreads the window
 into a T x (T/2+1) feature grid whose frequency-sum reconstructs the
-window. The tables can be continued analytically past n = T-1 so a
-rolling filter can emit horizon values.
+window. The tables can be continued analytically past n = T-1, where
+their rows give the sinusoids' values at horizon steps.
 
 The DFT is the O(T^2) matrix form on purpose: T <= 336 here, the matrix
 doubles as the exact Jacobian of the expansion, and angles are reduced
@@ -95,8 +95,7 @@ def expand_array(H_R, H_I, bases, drop_dc=False):
     """Time-frequency features G[..., n, k] = H_R[..., k] C[n, k] + H_I[..., k] S[n, k]
     of full spectrum halves H_*[..., T/2+1]; G is [..., T, K] with K = T/2(+1).
 
-    Only the first T rows of the bases are used; the padded rows exist
-    for the seasonal filter, which works from the spectrum directly.
+    Only the first T rows of the bases are used.
     """
     if H_R.shape[-1] != bases.T // 2 + 1:
         raise ConfigError(f"basis length {bases.T} does not fit {H_R.shape[-1]} spectrum bins")

@@ -40,7 +40,7 @@ from .blocks import (
     TrendBlock,
     TrendConfig,
     _TrendScale,
-    basis_windows,
+    basis_rows,
     scale_grid,
     spectral_map,
 )
@@ -262,7 +262,7 @@ class ForecastModel:
             # one weight slab per bin: W[k, n, v]; no bias, so the exact
             # parameter count is (T * T/2) * L
             self.w = Parameter(ad.init_uniform(rng, (K, T, L), T * K), "linear.w")
-            self._windows = basis_windows(T, 1)
+            self._rows = basis_rows(T, T)
             self.params += [self.w]
         elif v == "fbm-nl":
             h1, h2 = spec.nl_h1, spec.nl_h2
@@ -271,7 +271,7 @@ class ForecastModel:
             self.b1 = Parameter(np.zeros(h1), "fc1.b")
             self.fc2 = Linear(rng, h1, h2, "fc2")
             self.fc3 = Linear(rng, h2, L, "fc3")
-            self._windows = basis_windows(T, 1)
+            self._rows = basis_rows(T, T)
             self.params += [self.w1, self.b1] + self.fc2.params() + self.fc3.params()
         elif v == "fbm-np":
             self.np_scale = _TrendScale(rng, T, K, L, spec.D, spec.np_cfg, "np", use_relu=False)
@@ -288,10 +288,8 @@ class ForecastModel:
         elif v == "diag":
             self.wa = Parameter(np.ones(K), "diag.wa")
             self.wb = Parameter(np.ones(K), "diag.wb")
-            # horizon rows of the periodically continued basis tables
-            horizon = build_bases(T, pad=L - 1)
-            self._c_rows = Tensor(np.ascontiguousarray(horizon.C[:L, 1:].T))  # [K, L]
-            self._s_rows = Tensor(np.ascontiguousarray(horizon.S[:L, 1:].T))
+            # horizon rows of the periodically continued basis tables, [K, L]
+            self._c_rows, self._s_rows = basis_rows(T, L)
             self.params += [self.wa, self.wb]
         elif v == "last":
             pass  # parameter-free
@@ -345,9 +343,9 @@ class ForecastModel:
         # the spectral maps read bins 1..T/2
         h_r, h_i = Tensor(H_R[..., 1:]), Tensor(H_I[..., 1:])
         if v == "fbm-l":
-            return spectral_map(h_r, h_i, self._windows, self.w)
+            return spectral_map(h_r, h_i, self._rows, self.w)
         if v == "fbm-nl":
-            h = ad.relu(ad.add(spectral_map(h_r, h_i, self._windows, self.w1), self.b1))
+            h = ad.relu(ad.add(spectral_map(h_r, h_i, self._rows, self.w1), self.b1))
             return self.fc3(ad.relu(self.fc2(h)))
         if v == "fbm-np":
             return self.np_scale.forward(self._features(H_R, H_I))

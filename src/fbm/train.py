@@ -56,9 +56,10 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        for name in ("T", "L", "epochs", "patience", "batch_size"):
-            if getattr(self, name) < 1:
-                raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
+        lows = {"T": 1, "L": 1, "epochs": 1, "patience": 1, "batch_size": 1, "seed": 0}
+        for name, low in lows.items():
+            if getattr(self, name) < low:
+                raise ConfigError(f"{name} must be >= {low}, got {getattr(self, name)}")
         if not 0 <= self.lr < math.inf:
             raise ConfigError(f"learning rate must be finite and >= 0, got {self.lr}")
 

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -34,14 +36,51 @@ def _spectra(rng, B, D, T):
 
 @pytest.mark.parametrize("seed", range(20))
 def test_seasonal_trick_matches_direct_convolution(seed):
-    T, L = 32, 8
     rng = RNG(seed)
-    block = bl.SeasonalBlock(T, L)
-    block.W.value = rng.normal(size=(T, T // 2))
+    # L > T: the horizon rows continue the basis tables past T
+    for T, L in ((32, 8), (16, 40)):
+        block = bl.SeasonalBlock(T, L)
+        block.W.value = rng.normal(size=(T, T // 2))
+        H_R, H_I = _spectra(rng, 2, 3, T)
+        got = block.forward(ad.Tensor(H_R), ad.Tensor(H_I)).value
+        want = seasonal_direct_oracle(block.W.value, H_R, H_I, T, L)
+        assert np.max(np.abs(got - want)) < 1e-8
+
+
+def test_seasonal_filter_reads_only_the_per_bin_gains():
+    # W + E with E orthogonal, in each bin k, to both cm[:, k] and sm[:, k]
+    # has the same complex gains, so the same output
+    T, L = 32, 40
+    rng = RNG(4)
+    cm, sm = (t[:, 1:] for t in fb.dft_matrices(T))
+    W = rng.normal(size=(T, T // 2))
+    E = rng.normal(size=(T, T // 2))
+    for k in range(T // 2):
+        span, _ = np.linalg.qr(np.stack([cm[:, k], sm[:, k]], axis=1))
+        E[:, k] -= span @ (span.T @ E[:, k])
     H_R, H_I = _spectra(rng, 2, 3, T)
-    got = block.forward(ad.Tensor(H_R), ad.Tensor(H_I)).value
-    want = seasonal_direct_oracle(block.W.value, H_R, H_I, T, L)
-    assert np.max(np.abs(got - want)) < 1e-8
+    outs = []
+    for w in (W, W + E):
+        block = bl.SeasonalBlock(T, L)
+        block.W.value = w
+        outs.append(block.forward(ad.Tensor(H_R), ad.Tensor(H_I)).value)
+    assert np.max(np.abs(E)) > 0.1
+    assert np.max(np.abs(outs[1] - outs[0])) <= 1e-12 * np.max(np.abs(outs[0]))
+
+
+def test_seasonal_block_holds_no_table_of_size_L_times_T():
+    # sliding-window tables of K * L * T entries would take 88.8 MB at T=336,
+    # L=96; the gain form reads T x K cos/sin tables and K x L horizon rows,
+    # under 0.5 MB each, and the table caches are cleared so they count too
+    for cache in (fb.build_bases, fb.dft_matrices):
+        cache.cache_clear()
+    tracemalloc.start()
+    try:
+        bl.SeasonalBlock(336, 96)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8e6
 
 
 def test_seasonal_zero_weights_zero_output():

@@ -171,7 +171,8 @@ def test_threads_below_1_exits_1_before_any_work(capsys, tmp_path, periodic_csv,
     ("--lr", "nan", "learning rate must be finite and >= 0, got nan"),
     ("--lr", "inf", "learning rate must be finite and >= 0, got inf"),
     ("--train-ratio", "nan", "split ratios must be finite and positive, got nan/0.15/0.2"),
-], ids=["epochs", "patience", "batch", "lr", "lr-nan", "lr-inf", "train-ratio-nan"])
+    ("--seed", "-1", "seed must be >= 0, got -1"),
+], ids=["epochs", "patience", "batch", "lr", "lr-nan", "lr-inf", "train-ratio-nan", "seed"])
 def test_bad_training_value_exits_1_before_any_work(capsys, tmp_path, flag, value, message):
     # the data path does not exist: loading it would exit 2, and the fbm-nl
     # default spec would build an 83.5M-parameter model before training
@@ -415,6 +416,13 @@ def test_spectrum_nan_split_ratio_exits_1_before_reading_data(capsys, tmp_path):
                           "--val-ratio", "nan")
     assert rc == 1 and stdout == ""
     assert err == "fbm: error: split ratios must be finite and positive, got 0.65/nan/0.2\n"
+
+
+@pytest.mark.parametrize("cmd", ["spectrum", "features"])
+def test_bad_window_length_exits_1_before_reading_data(capsys, tmp_path, cmd):
+    rc, stdout, err = run(capsys, cmd, "--data", str(tmp_path / "missing.csv"), "--T", "47")
+    assert rc == 1 and stdout == ""
+    assert err == "fbm: error: window length must be even and >= 4, got 47\n"
 
 
 def test_weights_roundtrip(capsys, tmp_path, periodic_csv):
@@ -686,6 +694,19 @@ def test_synth_case2_length_below_1_exits_1(capsys, tmp_path, length):
     rc, out, err = run(capsys, "synth", "--case", "2", "--length", length, "--out", str(path))
     assert rc == 1 and out == ""
     assert err == f"fbm: error: --length must be >= 1, got {length}\n"
+    assert not path.exists()
+
+
+@pytest.mark.parametrize("flag, value, message", [
+    ("--seed", "-1", "--seed must be >= 0, got -1"),
+    ("--windows", "-5", "--windows must be >= 1, got -5"),
+    ("--windows", "0", "--windows must be >= 1, got 0"),
+], ids=["seed", "windows-negative", "windows-zero"])
+def test_synth_case1_negative_seed_or_no_windows_exits_1(capsys, tmp_path, flag, value, message):
+    path = tmp_path / "case1.fbmw"
+    rc, out, err = run(capsys, "synth", "--case", "1", flag, value, "--out", str(path))
+    assert rc == 1 and out == ""
+    assert err == f"fbm: error: {message}\n"
     assert not path.exists()
 
 

@@ -415,14 +415,15 @@ def test_components_checks_the_input_shape():
 
 
 def test_diag_continues_pure_periodic_signal():
-    T, L, D = 32, 16, 1
-    model = ForecastModel(ModelSpec(variant="diag", T=T, L=L, D=D), seed=0)
-    n = np.arange(T + L)
-    x = np.cos(2 * np.pi * 3 * (n + 0.37 * T) / T) + 0.25 * np.sin(2 * np.pi * 5 * n / T)
-    X = x[:T][None, None, :]
-    pred = model.predict(X)[0, 0]
-    # unit diagonal weights reproduce the window's periodic continuation
-    np.testing.assert_allclose(pred, x[T:], atol=1e-9)
+    # L > T: the horizon rows continue the basis tables past T
+    for T, L in ((32, 16), (16, 40)):
+        model = ForecastModel(ModelSpec(variant="diag", T=T, L=L, D=1), seed=0)
+        n = np.arange(T + L)
+        x = np.cos(2 * np.pi * 3 * (n + 0.37 * T) / T) + 0.25 * np.sin(2 * np.pi * 5 * n / T)
+        X = x[:T][None, None, :]
+        pred = model.predict(X)[0, 0]
+        # unit diagonal weights reproduce the window's periodic continuation
+        np.testing.assert_allclose(pred, x[T:], atol=1e-9)
 
 
 def test_last_baseline_repeats_final_value():

@@ -20,6 +20,11 @@ from make_pins import ADAM_STEPS, FIXTURE, LR, PINS, run_pin
 # such a product moved at roundoff; the predictions stayed bitwise equal. The
 # worst moves were 6.0e-16 * max|b| (grad/*) and 2.4e-15 * max|b| (adam2/*).
 # diag and last did not move and stay byte for byte.
+#
+# The seasonal filter's rewrite as per-bin complex gains (basis_rows in place
+# of the [K, L, T] basis windows) moved only grad/seasonal.W and, through it,
+# the adam2/* records of the fbm-s pins, by at most 3.6e-15 * max|b|; init,
+# predictions and every record of the other pins stayed byte for byte.
 TOLERANCE = {
     "fbm-l": 1e-13,
     "fbm-nl": 1e-13,
