@@ -113,35 +113,37 @@ class Centralization:
 # --- spectral maps ------------------------------------------------------------
 
 
+_UNIT = (Tensor([1.0, 0.0]), Tensor([0.0, 1.0]))  # a bin's cosine and sine slots
+
+
 def basis_rows(T, count):
-    """DC-dropped basis rows (C_h, S_h), each [K, count] with
-    [k, n] = basis[n mod T, k + 1]: the tables continued periodically past T."""
+    """DC-dropped basis rows, one [K, 2, count] table: [k, 0, n] = C[n mod T, k + 1]
+    and [k, 1, n] = S[n mod T, k + 1], the tables continued periodically past T."""
     bases = build_bases(T)
     rows = np.arange(count) % T
-    return tuple(Tensor(np.ascontiguousarray(b[rows, 1:].T)) for b in (bases.C, bases.S))
+    return Tensor(np.stack([b[rows, 1:].T for b in (bases.C, bases.S)], axis=1))
 
 
-def spectral_map(H_R, H_I, rows, w):
-    """A linear map of the DC-dropped time-frequency grid, applied to the spectrum.
+def spectral_map(H_R, H_I, M):
+    """A linear map of the DC-dropped spectrum as one GEMM, z @ M.
 
-    The grid G[n, k] = H_R[k] C[n, k] + H_I[k] S[n, k] (k = 1..T/2) is
-    linear in the spectrum halves, so a map through per-bin weights
-    w[k][n, j] is
+    H_R[k] and H_I[k] are the coefficients of bin k's cosine and sine basis
+    functions, so the spectrum is one real vector z = (H_R[1], H_I[1], ...,
+    H_R[K], H_I[K]), and every linear map of the grid
+    G[n, k] = H_R[k] C[n, k] + H_I[k] S[n, k] is z @ M for a [K, 2, width]
+    table M of weights and basis rows. fbm-l and fbm-nl pass
+    basis_rows(T, T) @ w for per-bin weights w[K, T, width]; diag and the
+    seasonal filter scale or rotate each bin's halves and pass
+    basis_rows(T, L). M does not grow with the batch and the grid is never
+    built; z is interleaved on the tape, so H_R and H_I get gradients too.
 
-        out[j] = sum_{n,k} G[n, k] w[k][n, j]
-               = sum_k H_R[k] (C_k @ w[k])[j] + H_I[k] (S_k @ w[k])[j]
-
-    with C_k[n] = C[n, k], row k of basis_rows(T, T). The weights meet the
-    tables once per call, whatever the batch, and the grid is never built.
-    It is the first layer of fbm-l and fbm-nl.
-
-    H_R/H_I: [..., K]; rows: basis_rows(T, T); w: [K, T, width] -> [..., width].
+    H_R/H_I: [..., K]; M: [K, 2, width] -> [..., width].
     """
-    C, S = rows
-    K, T = C.shape
-    wc = ad.reshape(ad.matmul(ad.reshape(C, (K, 1, T)), w), (K, -1))
-    ws = ad.reshape(ad.matmul(ad.reshape(S, (K, 1, T)), w), (K, -1))
-    return ad.add(ad.matmul(H_R, wc), ad.matmul(H_I, ws))
+    K, _, width = M.shape
+    cos, sin = _UNIT
+    z = ad.add(ad.mul(ad.reshape(H_R, H_R.shape + (1,)), cos),
+               ad.mul(ad.reshape(H_I, H_I.shape + (1,)), sin))  # [..., K, 2]
+    return ad.matmul(ad.reshape(z, H_R.shape[:-1] + (2 * K,)), ad.reshape(M, (2 * K, width)))
 
 
 # --- seasonal block -----------------------------------------------------------
@@ -154,18 +156,17 @@ class SeasonalBlock:
     out[v] = sum_{n,k} W[n, k] G_pad[n + v, k]. Shifting bin k's sinusoid
     by v only rotates its phase, so W reaches bin k through one complex
     gain g_k = sum_n W[n, k] e^{2 pi i k n / T} = a_k - i b_k, with
-    a = sum_n W * cm and b = sum_n W * sm over dft_matrices' tables, and
-    out = (H_R a + H_I b) @ C_h + (H_I a - H_R b) @ S_h over the horizon
-    rows of basis_rows(T, L). No table grows with T * L, and the batch
-    costs two [K] x [K, L] products. DC is excluded (k = 1..T/2); W starts
-    at zero so the model begins as pure trend.
+    a = sum_n W * cm and b = sum_n W * sm over dft_matrices' tables. The
+    rotated halves H_R a + H_I b and H_I a - H_R b go through the horizon
+    rows basis_rows(T, L) in one spectral_map. DC is excluded
+    (k = 1..T/2); W starts at zero so the model begins as pure trend.
     """
 
     def __init__(self, T, L, name="seasonal"):
         self.K = T // 2
         self.W = Parameter(np.zeros((T, self.K)), f"{name}.W")
         self._cm, self._sm = (Tensor(t[:, 1:]) for t in dft_matrices(T))
-        self._C_h, self._S_h = basis_rows(T, L)
+        self._rows = basis_rows(T, L)
 
     def params(self):
         return [self.W]
@@ -180,7 +181,7 @@ class SeasonalBlock:
         b = ad.mul(self.W, self._sm).sum(axis=0)  # minus their imaginary parts
         p = ad.add(ad.mul(H_R, a), ad.mul(H_I, b))
         q = ad.sub(ad.mul(H_I, a), ad.mul(H_R, b))
-        return ad.add(ad.matmul(p, self._C_h), ad.matmul(q, self._S_h))
+        return spectral_map(p, q, self._rows)
 
 
 # --- shared patch projector (trend front / FBM-NP front) ----------------------

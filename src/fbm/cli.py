@@ -101,7 +101,7 @@ EVAL_OPTS = DATA_OPTS + [
     Opt("checkpoint", str, help="trained model file", required=True),
     Opt("part", str, "test", "which split to score", choices=("train", "val", "test")),
     Opt("batch", int, TrainConfig.batch_size,
-        "batch size (match training for bit-identical metrics)"),
+        "batch size (match training for bit-identical metrics)", min=1),
     Opt("threads", int, 1, "worker threads for evaluation", min=1),
     Opt("predictions-out", str, help="also dump window_id,channel,step,y_true,y_pred CSV"),
 ]

@@ -12,9 +12,9 @@ standardization. Variants differ only in the mapping:
   diag    per-bin scaling of the spectrum halves (negative control)
   last    repeat the window's final value (toy sanity baseline)
 
-fbm-l / fbm-nl never materialize the feature grid: their first layer is
-applied to the spectrum through blocks.spectral_map, which is
-algebraically the same linear map but keeps the per-batch work at
+fbm-l, fbm-nl, diag and fbm-s's seasonal filter never materialize the
+feature grid: each reaches its width through one blocks.spectral_map, the
+same linear map applied to the spectrum, so the per-batch work stays at
 spectrum size. Channel-independent variants share one mapping across all
 D channels.
 
@@ -288,8 +288,7 @@ class ForecastModel:
         elif v == "diag":
             self.wa = Parameter(np.ones(K), "diag.wa")
             self.wb = Parameter(np.ones(K), "diag.wb")
-            # horizon rows of the periodically continued basis tables, [K, L]
-            self._c_rows, self._s_rows = basis_rows(T, L)
+            self._rows = basis_rows(T, L)  # the horizon rows
             self.params += [self.wa, self.wb]
         elif v == "last":
             pass  # parameter-free
@@ -343,18 +342,16 @@ class ForecastModel:
         # the spectral maps read bins 1..T/2
         h_r, h_i = Tensor(H_R[..., 1:]), Tensor(H_I[..., 1:])
         if v == "fbm-l":
-            return spectral_map(h_r, h_i, self._rows, self.w)
+            return spectral_map(h_r, h_i, ad.matmul(self._rows, self.w))
         if v == "fbm-nl":
-            h = ad.relu(ad.add(spectral_map(h_r, h_i, self._rows, self.w1), self.b1))
+            h = ad.relu(ad.add(spectral_map(h_r, h_i, ad.matmul(self._rows, self.w1)), self.b1))
             return self.fc3(ad.relu(self.fc2(h)))
         if v == "fbm-np":
             return self.np_scale.forward(self._features(H_R, H_I))
         if v == "fbm-s":
             return reduce(ad.add, self._component_outputs(H_R, H_I).values())
         if v == "diag":
-            a = ad.mul(h_r, self.wa)
-            b = ad.mul(h_i, self.wb)
-            return ad.add(ad.matmul(a, self._c_rows), ad.matmul(b, self._s_rows))
+            return spectral_map(ad.mul(h_r, self.wa), ad.mul(h_i, self.wb), self._rows)
         raise ConfigError(f"unknown variant {v!r}")
 
     def _component_outputs(self, H_R, H_I):

@@ -3,6 +3,9 @@ methods by name from outside the package. These checks keep a refactor
 that moves or renames a traced attribute from breaking only the traced
 benchmark run: installing must find every attribute, a traced forward
 must open every block span, and uninstalling must put every original back.
+The benchmark's own check that fbm.autodiff's public functions are exactly
+the traced ops (spans.OPS) runs here too, so a helper made public by
+mistake fails the suite, not only the benchmark's tests.
 """
 
 import sys
@@ -14,6 +17,7 @@ import pytest
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 
 import spans  # noqa: E402
+from test_trace import test_every_autodiff_op_is_traced  # noqa: E402, F401
 
 from fbm.blocks import InteractionConfig, TrendConfig  # noqa: E402
 from fbm.models import ForecastModel, ModelSpec  # noqa: E402

@@ -163,6 +163,21 @@ def test_threads_below_1_exits_1_before_any_work(capsys, tmp_path, periodic_csv,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("batch", ["0", "-3"])
+def test_eval_batch_below_1_exits_1_before_any_work(capsys, tmp_path, periodic_csv, batch):
+    checkpoint = tmp_path / "model.fbm"
+    ForecastModel(ModelSpec(variant="fbm-l", T=48, L=12, D=1)).save(checkpoint)
+    preds = tmp_path / "p.csv"
+    preds.write_bytes(b"kept\n")
+    # a missing data file is never read, and an existing export is not reopened
+    for data in (str(tmp_path / "missing.csv"), periodic_csv):
+        rc, stdout, err = run(capsys, "eval", "--checkpoint", str(checkpoint), "--data", data,
+                              "--batch", batch, "--predictions-out", str(preds))
+        assert rc == 1 and stdout == ""
+        assert err == f"fbm: error: --batch must be >= 1, got {batch}\n"
+    assert preds.read_bytes() == b"kept\n"
+
+
 @pytest.mark.parametrize("flag, value, message", [
     ("--epochs", "0", "epochs must be >= 1, got 0"),
     ("--patience", "0", "patience must be >= 1, got 0"),

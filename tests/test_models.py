@@ -1,6 +1,7 @@
 """Model assembly: the shared outer pipeline, each variant's mapping,
 checkpointing, and parameter accounting."""
 
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -314,6 +315,25 @@ def test_linear_has_no_bias_and_exact_count():
     model = ForecastModel(spec, seed=0)
     assert model.param_count() == 5419008
     assert [p.name for p in model.params] == ["linear.w"]
+
+
+@pytest.mark.parametrize("variant, weight", [("fbm-l", "linear.w"), ("fbm-nl", "fc1.w")])
+def test_first_layer_weight_gradient_is_one_array(variant, weight):
+    # the spectral map's weight gradient is one [K, T, 2] @ [K, 2, width]
+    # product; nl widths keep fc1.w the largest parameter by far
+    spec = ModelSpec(variant=variant, T=64, L=32, D=3, nl_h1=512, nl_h2=8)
+    model = ForecastModel(spec, seed=0)
+    y = model.forward(windows(np.random.default_rng(1), B=4, D=3, T=64))
+    loss = (y * y).mean()
+    w = next(p for p in model.params if p.name == weight)
+    tracemalloc.start()
+    try:
+        ad.backward(loss)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert w.grad.shape == w.shape
+    assert peak < 1.5 * w.value.nbytes
 
 
 # --- fbm-nl: exact degeneration to fbm-l under identity-style weights -----------

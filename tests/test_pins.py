@@ -25,9 +25,19 @@ from make_pins import ADAM_STEPS, FIXTURE, LR, PINS, run_pin
 # of the [K, L, T] basis windows) moved only grad/seasonal.W and, through it,
 # the adam2/* records of the fbm-s pins, by at most 3.6e-15 * max|b|; init,
 # predictions and every record of the other pins stayed byte for byte.
+#
+# spectral_map's one GEMM over the interleaved spectrum z @ M (in place of
+# separate products of the real and imaginary halves) sums each output in
+# another order. Against the previous code's own outputs it moved pred,
+# grad/* and adam2/* of fbm-l, fbm-nl and diag (at most 4.4e-16 * max|b|;
+# diag gets its entry here) and, through the seasonal filter's output once
+# Adam has made W nonzero, the adam2/* records of the fbm-s pins (at most
+# 7.0e-16 * max|b|, key biases aside). last, fbm-np and every init, X and Y
+# record stayed byte for byte.
 TOLERANCE = {
     "fbm-l": 1e-13,
     "fbm-nl": 1e-13,
+    "diag": 1e-13,
     "fbm-np-k1": 1e-13,
     "fbm-np-k2": 1e-13,
     "fbm-s-linear-inter-std": 1e-13,
