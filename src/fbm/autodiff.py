@@ -306,16 +306,18 @@ NORM_EPS = 1e-5  # variance floor of standardize_lastdim
 
 def standardize_lastdim(x):
     """(x - mean) / sqrt(var + NORM_EPS) over the last axis, no affine part."""
-    return _standardize(x, NORM_EPS)[0]
-
-
-def _standardize(x, eps):
-    """standardize_lastdim, also returning the mean and std it divided by."""
-    mu = reduce_mean(x, axis=-1, keepdims=True)
-    xc = sub(x, mu)
+    xc = sub(x, reduce_mean(x, axis=-1, keepdims=True))
     var = reduce_mean(mul(xc, xc), axis=-1, keepdims=True)
-    std = sqrt(add(var, eps))
-    return div(xc, std), mu, std
+    return div(xc, sqrt(add(var, NORM_EPS)))
+
+
+def _interleave(a, b):
+    """Two halves of one shape, paired per entry: [..., K] -> [..., K, 2] with
+    a in slot 0 and b in slot 1, written as one array, with one edge per
+    tracked half. Private, so the public ops stay the traced op list."""
+    a, b = _as_tensor(a), _as_tensor(b)
+    return _from_op(np.stack([a.value, b.value], axis=-1),
+                    (a, lambda g: g[..., 0]), (b, lambda g: g[..., 1]))
 
 
 def backward(loss, params=None):

@@ -1,20 +1,28 @@
 """Model blocks: seasonal rolling filter, patched trend backbones, and
-masked cross-channel interaction, plus the patching/centralization
-utilities and the spectral map they share. The seasonal filter is a
-per-bin complex gain: a shift only rotates a sinusoid's phase, so W
-reaches bin k through g_k = sum_n W[n, k] e^{2 pi i k n / T} alone.
+masked cross-channel interaction, plus the grid, centralization and
+spectral map they share.
+
+The time-frequency grid G[n, k] = H_R[k] C[n, k] + H_I[k] S[n, k] is linear
+in the spectrum, so no block builds it. A Grid holds it as per-bin
+coefficients over basis rows, and every layer that reads it (a linear map
+of a patch, the patch's mean and mean square, a downsampled scale) is the
+coefficients times a table of the rows and weights that does not grow with
+the batch. The seasonal filter is a per-bin complex gain: a shift only
+rotates a sinusoid's phase, so W reaches bin k through
+g_k = sum_n W[n, k] e^{2 pi i k n / T} alone.
 
 All forwards take and return autodiff Tensors so both parameter and
 input gradients flow; feature inputs are usually constants, which get no
 tape edge, so no gradient is ever computed for them.
 
-Shape conventions: feature grids are [B, D, T_s, K_s] (batch, channel,
-time, frequency), patched tensors are [B, D, P, N] with the channel axis
-always third from the right inside centralization.
+Shape conventions: dense grids are [B, D, T_s, K_s] (batch, channel, time,
+frequency), patched tensors are [B, D, P, N] with the channel axis always
+third from the right inside centralization.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import reduce
 
@@ -60,18 +68,109 @@ def unpatch(x, layout):
     return ad.reshape(g, (b, d, layout.T, layout.K))
 
 
+# --- the grid as coefficients ----------------------------------------------------
+
+
+def _contract(x, M):
+    """x[..., *A] @ M[*A, width], summed over the axes A as one GEMM -> [..., width]."""
+    n = math.prod(M.shape[:-1])
+    lead = x.shape[: x.ndim - (M.ndim - 1)]
+    return ad.matmul(ad.reshape(x, lead + (n,)), ad.reshape(M, (n, M.shape[-1])))
+
+
+@dataclass(frozen=True)
+class Grid:
+    """A time-frequency grid G[..., n, k] = sum_c coef[..., k, c] rows[k, c, n],
+    held as per-bin coefficients coef[..., K, c] over constant basis rows
+    rows[K, c, T]; the [..., T, K] array is never built.
+
+    The model's grid is the DC-dropped spectrum: coefficients (H_R[k], H_I[k])
+    over basis_rows(T, T). A dense grid enters as its columns over identity
+    rows (c = T), so the blocks read both through the same tables.
+    """
+
+    coef: Tensor
+    rows: np.ndarray
+
+    @classmethod
+    def of(cls, G):
+        """G as a Grid: a Grid as is, a dense [..., T, K] grid over identity rows.
+        Those rows make every table T times wider than the spectrum's, and the
+        patch moments' outer products T^2 / 4 times larger: a check on small
+        grids, not a route for T = 336."""
+        if isinstance(G, Grid):
+            return G
+        T, K = G.shape[-2:]
+        return cls(ad.swap_last2(G), np.broadcast_to(np.eye(T), (K, T, T)))
+
+    @classmethod
+    def spectrum(cls, H_R, H_I, rows):
+        """The grid of DC-dropped halves H_R/H_I[..., K] over rows [K, 2, T]."""
+        return cls(ad._interleave(H_R, H_I), rows)
+
+
+class Patches:
+    """A grid's P patches, read from its coefficients without building them.
+
+    Patch p is grid rows [p T/P, (p+1) T/P) across every column, flattened
+    time-major into N = (T/P) K values. Each quantity below is linear or
+    quadratic in the coefficients, with a table of the rows that does not
+    grow with the batch: a patch's linear map x @ w is coef @ (rows_p @ w,
+    one product per column); its mean is coef @ (the rows summed over the
+    patch) / N; its mean square is (coef coef^T) @ (the rows' Gram per
+    column) / N.
+    """
+
+    def __init__(self, grid, P):
+        K, c, T = grid.rows.shape
+        self.coef = grid.coef
+        self.rows = grid.rows.reshape(K, c, P, T // P)
+        self.N = (T // P) * K
+
+    def linear(self, w):
+        """x @ w for each patch x, w[N, width] -> [..., P, width]."""
+        K, c, P, pt = self.rows.shape
+        width = w.shape[-1]
+        per_column = ad.transpose(ad.reshape(w, (pt, K, width)), (1, 0, 2))  # [K, T/P, width]
+        M = ad.matmul(Tensor(self.rows.reshape(K, c * P, pt)), per_column)
+        out = _contract(self.coef, ad.reshape(M, (K, c, P * width)))
+        return ad.reshape(out, out.shape[:-1] + (P, width))
+
+    def moments(self):
+        """Each patch's mean and mean square, [..., P, 1] each."""
+        c = self.rows.shape[1]
+        mean = Tensor(self.rows.sum(axis=-1) / self.N)  # [K, c, P]
+        by_patch = self.rows.transpose(0, 2, 1, 3)  # [K, P, c, T/P]
+        gram = by_patch @ by_patch.transpose(0, 1, 3, 2) / self.N  # [K, P, c, c]
+        z = self.coef
+        outer = ad.mul(ad.reshape(z, z.shape + (1,)), ad.reshape(z, z.shape[:-1] + (1, c)))
+        return tuple(
+            ad.reshape(m, m.shape + (1,))
+            for m in (_contract(z, mean), _contract(outer, Tensor(gram.transpose(0, 2, 3, 1))))
+        )
+
+
 def downsample_op(G, kernel):
-    """Coarsen features [..., t, f]: average `kernel` rows, sum `kernel` columns."""
-    lead = G.shape[:-2]
-    t, f = G.shape[-2], G.shape[-1]
+    """Coarsen a grid [..., t, f]: average `kernel` rows, sum `kernel` columns.
+
+    A Grid stays coefficients: the `kernel` bins that sum into one column
+    become that column's coefficients, over their rows averaged `kernel` at
+    a time. A dense grid goes the same way over identity rows and is built
+    back from the coarse coefficients and rows.
+    """
+    if not isinstance(G, Grid):
+        coarse = downsample_op(Grid.of(G), kernel)
+        c, t = coarse.rows.shape[1:]
+        per_column = ad.matmul(ad.reshape(coarse.coef, coarse.coef.shape[:-1] + (1, c)),
+                               Tensor(coarse.rows))  # [..., f, 1, t]
+        return ad.swap_last2(ad.reshape(per_column, per_column.shape[:-2] + (t,)))
+    f, c, t = G.rows.shape
     if t % kernel or f % kernel:
         raise ConfigError(
             f"downsample kernel {kernel} does not divide feature dims {t}x{f}"
         )
-    x = ad.reshape(G, lead + (t // kernel, kernel, f))
-    x = x.mean(axis=-2)
-    x = ad.reshape(x, lead + (t // kernel, f // kernel, kernel))
-    return x.sum(axis=-1)
+    rows = G.rows.reshape(f // kernel, kernel * c, t // kernel, kernel).mean(axis=-1)
+    return Grid(ad.reshape(G.coef, G.coef.shape[:-2] + (f // kernel, kernel * c)), rows)
 
 
 # --- centralization -----------------------------------------------------------
@@ -92,11 +191,29 @@ class Centralization:
     def params(self):
         return [self.gamma, self.beta]
 
-    def centralize(self, x):
-        """x[..., D, P, N] -> (normalized x, stats for the inverse)."""
-        xhat, mean, std = ad._standardize(x, CENT_EPS)
+    def centralize(self, x, w=None):
+        """Standardize each patch, then apply gamma/beta -> (out, (mean, std)).
+
+        x is the patches themselves, [..., D, P, N], and out is
+        gamma (x - mean) / std + beta. Or x is Patches of a Grid, and out is
+        that output mapped by w[N, width],
+        (gamma xhat + beta) @ w = gamma (x @ w - mean 1^T w) / std + beta 1^T w,
+        read from the patches' moments and linear map alone. The variance
+        E[x^2] - mean^2 cancels on near-constant patches, so it is clamped at
+        0 before CENT_EPS is added.
+        """
+        ones_w = None
+        if isinstance(x, Patches):
+            (mean, square), ones_w, x = x.moments(), w.sum(axis=0), x.linear(w)
+        else:
+            mean, square = x.mean(axis=-1, keepdims=True), ad.mul(x, x).mean(axis=-1, keepdims=True)
+        std = ad.sqrt(ad.add(ad.relu(ad.sub(square, ad.mul(mean, mean))), CENT_EPS))
         g = ad.reshape(self.gamma, (self.D, 1, 1))
         b = ad.reshape(self.beta, (self.D, 1, 1))
+        shift = mean
+        if ones_w is not None:
+            shift, b = ad.mul(mean, ones_w), ad.mul(b, ones_w)
+        xhat = ad.div(ad.sub(x, shift), std)
         return ad.add(ad.mul(xhat, g), b), (mean, std)
 
     def decentralize(self, y, stats):
@@ -111,9 +228,6 @@ class Centralization:
 
 
 # --- spectral maps ------------------------------------------------------------
-
-
-_UNIT = (Tensor([1.0, 0.0]), Tensor([0.0, 1.0]))  # a bin's cosine and sine slots
 
 
 def basis_rows(T, count):
@@ -139,11 +253,7 @@ def spectral_map(H_R, H_I, M):
 
     H_R/H_I: [..., K]; M: [K, 2, width] -> [..., width].
     """
-    K, _, width = M.shape
-    cos, sin = _UNIT
-    z = ad.add(ad.mul(ad.reshape(H_R, H_R.shape + (1,)), cos),
-               ad.mul(ad.reshape(H_I, H_I.shape + (1,)), sin))  # [..., K, 2]
-    return ad.matmul(ad.reshape(z, H_R.shape[:-1] + (2 * K,)), ad.reshape(M, (2 * K, width)))
+    return _contract(ad._interleave(H_R, H_I), M)
 
 
 # --- seasonal block -----------------------------------------------------------
@@ -188,7 +298,9 @@ class SeasonalBlock:
 
 
 class PatchProjector:
-    """patch -> centralize -> linear N->h1 (optional ReLU) -> decentralize."""
+    """patch -> centralize -> linear N->h1 (optional ReLU) -> decentralize,
+    on a Grid: centralization reads the patches' moments and linear map
+    through Patches' tables, so no patch is built."""
 
     def __init__(self, rng, layout, D, h1, use_relu, name):
         self.layout = layout
@@ -199,10 +311,9 @@ class PatchProjector:
     def params(self):
         return self.cent.params() + self.linear.params()
 
-    def forward(self, G):
-        x = patch(G, self.layout)
-        xhat, stats = self.cent.centralize(x)
-        y = self.linear(xhat)
+    def forward(self, grid):
+        xhat, stats = self.cent.centralize(Patches(grid, self.layout.P), self.linear.w)
+        y = ad.add(xhat, self.linear.b)
         if self.use_relu:
             y = ad.relu(y)
         return self.cent.decentralize(y, stats)  # [B, D, P, h1]
@@ -231,6 +342,9 @@ class TrendConfig:
         for s in self.scales:
             if s not in (1, 2, 4):
                 raise ConfigError(f"trend scale kernel must be 1, 2 or 4, got {s}")
+        repeated = sorted({s for s in self.scales if self.scales.count(s) > 1})
+        if repeated:
+            raise ConfigError(f"trend scale kernels must differ, got {repeated} more than once")
         if (self.backbone != "linear" and min(self.h1, self.h2, self.P) < 1) or self.K < 0:
             raise ConfigError(f"need widths h1, h2 and patch count P >= 1, K >= 0: {self}")
 
@@ -275,20 +389,21 @@ class _TrendScale:
     def params(self):
         return [p for layer in self.layers for p in layer.params()]
 
-    def forward(self, Gs):
-        b, d = Gs.shape[0], Gs.shape[1]
+    def forward(self, grid):
+        """The scale's Grid -> [B, D, L]."""
+        if self.proj is None:  # the linear head of the flattened grid: one patch
+            y = Patches(grid, 1).linear(self.out.w)
+            return ad.add(ad.reshape(y, y.shape[:-2] + (y.shape[-1],)), self.out.b)
         cfg = self.cfg
-        if self.proj is None:
-            x = ad.reshape(Gs, (b, d, -1))  # the flattened grid
+        y = self.proj.forward(grid)  # [B, D, P, h1]
+        b, d = y.shape[0], y.shape[1]
+        if self.mid is not None:
+            x = ad.relu(self.mid(ad.reshape(y, (b, d, cfg.P * cfg.h1))))
         else:
-            y = self.proj.forward(Gs)  # [B, D, P, h1]
-            if self.mid is not None:
-                x = ad.relu(self.mid(ad.reshape(y, (b, d, cfg.P * cfg.h1))))
-            else:
-                tokens = ad.reshape(y, (b * d, cfg.P, cfg.h1))
-                for stack in self.stacks:
-                    tokens = ad.attention_block(tokens, stack)
-                x = ad.reshape(tokens, (b, d, cfg.P * cfg.h1))
+            tokens = ad.reshape(y, (b * d, cfg.P, cfg.h1))
+            for stack in self.stacks:
+                tokens = ad.attention_block(tokens, stack)
+            x = ad.reshape(tokens, (b, d, cfg.P * cfg.h1))
         return self.out(x)
 
 
@@ -305,9 +420,11 @@ class TrendBlock:
         return [p for _, scale in self.scales for p in scale.params()]
 
     def forward(self, G):
-        """G: [B, D, T, T/2] full-resolution DC-dropped features -> [B, D, L]."""
+        """G: the full-resolution DC-dropped grid, a Grid or dense
+        [B, D, T, T/2] -> [B, D, L]."""
+        grid = Grid.of(G)
         return reduce(ad.add, [
-            scale.forward(G if kernel == 1 else downsample_op(G, kernel))
+            scale.forward(grid if kernel == 1 else downsample_op(grid, kernel))
             for kernel, scale in self.scales
         ])
 
@@ -338,14 +455,15 @@ class InteractionBlock:
     """Cross-channel attention over the last C1 timesteps' features.
 
     One token per variate; output masked to the first C2 horizon steps.
-    The centralization here is one patch per channel and is not inverted
-    afterward, so the masked horizon entries stay exactly zero.
+    The front reads those C1 grid rows as one patch from the Grid's
+    coefficients, like PatchProjector. Its centralization is one patch per
+    channel and is not inverted afterward, so the masked horizon entries
+    stay exactly zero.
     """
 
     def __init__(self, rng, T, L, D, cfg, name="inter"):
         cfg.check_masks(T, L)
         self.cfg = cfg
-        self.T = T
         self.n_in = cfg.C1 * (T // 2)
         self.cent = Centralization(D, name=f"{name}.cent")
         self.in_ = Linear(rng, self.n_in, cfg.h3, f"{name}.in")
@@ -360,12 +478,14 @@ class InteractionBlock:
         return [p for layer in self.layers for p in layer.params()]
 
     def forward(self, G):
-        """G: [B, D, T, T/2] -> [B, D, L], zero beyond horizon step C2."""
-        b, d = G.shape[0], G.shape[1]
-        recent = G[:, :, self.T - self.cfg.C1 :, :]
-        x = ad.reshape(recent, (b, d, 1, self.n_in))
-        xhat, _ = self.cent.centralize(x)  # stats are not reused: no inverse here
-        tokens = self.in_(ad.reshape(xhat, (b, d, self.n_in)))  # D variate tokens
+        """G: a Grid or dense [B, D, T, T/2] grid -> [B, D, L], zero beyond
+        horizon step C2."""
+        grid = Grid.of(G)
+        T = grid.rows.shape[-1]
+        recent = Patches(Grid(grid.coef, grid.rows[..., T - self.cfg.C1:]), 1)  # one patch
+        xhat, _ = self.cent.centralize(recent, self.in_.w)  # no inverse here
+        tokens = ad.add(xhat, self.in_.b)  # [B, D, 1, h3]
+        tokens = ad.reshape(tokens, tokens.shape[:2] + (self.cfg.h3,))  # D variate tokens
         for stack in self.stacks:
             tokens = ad.attention_block(tokens, stack)
         return ad.mul(self.out(tokens), self._mask)

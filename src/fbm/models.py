@@ -12,11 +12,13 @@ standardization. Variants differ only in the mapping:
   diag    per-bin scaling of the spectrum halves (negative control)
   last    repeat the window's final value (toy sanity baseline)
 
-fbm-l, fbm-nl, diag and fbm-s's seasonal filter never materialize the
-feature grid: each reaches its width through one blocks.spectral_map, the
-same linear map applied to the spectrum, so the per-batch work stays at
-spectrum size. Channel-independent variants share one mapping across all
-D channels.
+No variant materializes the feature grid. fbm-l, fbm-nl, diag and fbm-s's
+seasonal filter reach their width through one blocks.spectral_map, the
+same linear map applied to the spectrum. fbm-np and fbm-s's trend scales
+and interaction read the spectrum as a blocks.Grid, whose patch maps,
+patch moments and downsampled scales are the spectrum times tables of
+basis rows and weights, so the per-batch work stays at spectrum size.
+Channel-independent variants share one mapping across all D channels.
 
 Standardization divides by max(sigma, 1e-5) rather than sqrt(var+eps):
 the floor keeps zero-variance windows finite while leaving the mapping
@@ -34,6 +36,7 @@ from . import autodiff as ad
 from .autodiff import Linear, Parameter, Tensor
 from .blocks import (
     BACKBONES,
+    Grid,
     InteractionBlock,
     InteractionConfig,
     SeasonalBlock,
@@ -45,7 +48,7 @@ from .blocks import (
     spectral_map,
 )
 from .errors import CheckpointError, ConfigError
-from .fourier import _check_window_length, build_bases, expand_array, rdft_array
+from .fourier import _check_window_length, rdft_array
 
 VARIANTS = ("fbm-l", "fbm-nl", "fbm-np", "fbm-s", "diag", "last")
 
@@ -253,7 +256,6 @@ class ForecastModel:
         self.spec = spec
         rng = np.random.default_rng(seed)
         T, L, K = spec.T, spec.L, spec.T // 2
-        self._bases = build_bases(T)
         self.params = []
         self.blocks = {}
 
@@ -275,9 +277,11 @@ class ForecastModel:
             self.params += [self.w1, self.b1] + self.fc2.params() + self.fc3.params()
         elif v == "fbm-np":
             self.np_scale = _TrendScale(rng, T, K, L, spec.D, spec.np_cfg, "np", use_relu=False)
+            self._rows = basis_rows(T, T)
             self.params += self.np_scale.params()
         elif v == "fbm-s":
             self.seasonal = SeasonalBlock(T, L)
+            self._rows = basis_rows(T, T)
             self.trend = TrendBlock(rng, T, L, spec.D, spec.trend)
             self.blocks = {"seasonal": self.seasonal, "trend": self.trend}
             self.inter = None
@@ -308,10 +312,6 @@ class ForecastModel:
                     p.value = np.zeros_like(p.value)
 
     # --- forward -----------------------------------------------------------
-
-    def _features(self, H_R, H_I):
-        """Full spectrum halves -> DC-dropped feature grid [..., T, T/2]."""
-        return Tensor(expand_array(H_R, H_I, self._bases, drop_dc=True))
 
     def _standardized(self, X):
         """Checked raw windows f64[B, D, T] -> (standardized windows, mu, sd);
@@ -347,19 +347,20 @@ class ForecastModel:
             h = ad.relu(ad.add(spectral_map(h_r, h_i, ad.matmul(self._rows, self.w1)), self.b1))
             return self.fc3(ad.relu(self.fc2(h)))
         if v == "fbm-np":
-            return self.np_scale.forward(self._features(H_R, H_I))
+            return self.np_scale.forward(Grid.spectrum(h_r, h_i, self._rows.value))
         if v == "fbm-s":
-            return reduce(ad.add, self._component_outputs(H_R, H_I).values())
+            return reduce(ad.add, self._component_outputs(h_r, h_i).values())
         if v == "diag":
             return spectral_map(ad.mul(h_r, self.wa), ad.mul(h_i, self.wb), self._rows)
         raise ConfigError(f"unknown variant {v!r}")
 
-    def _component_outputs(self, H_R, H_I):
-        outs = {"seasonal": self.seasonal.forward(Tensor(H_R[..., 1:]), Tensor(H_I[..., 1:]))}
-        G = self._features(H_R, H_I)
-        outs["trend"] = self.trend.forward(G)
+    def _component_outputs(self, h_r, h_i):
+        """DC-dropped spectrum halves -> each block's output."""
+        outs = {"seasonal": self.seasonal.forward(h_r, h_i)}
+        grid = Grid.spectrum(h_r, h_i, self._rows.value)
+        outs["trend"] = self.trend.forward(grid)
         if self.inter is not None:
-            outs["interaction"] = self.inter.forward(G)
+            outs["interaction"] = self.inter.forward(grid)
         return outs
 
     def components(self, X):
@@ -370,7 +371,7 @@ class ForecastModel:
             raise ConfigError("components() is only defined for fbm-s")
         Xs, mu, sd = self._standardized(X)
         with ad.no_grad():
-            outs = self._component_outputs(*rdft_array(Xs))
+            outs = self._component_outputs(*(Tensor(H[..., 1:]) for H in rdft_array(Xs)))
         return {k: v.value for k, v in outs.items()}, mu, sd
 
     def predict(self, X):

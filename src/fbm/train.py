@@ -141,7 +141,8 @@ def train(model, source, cfg, log=None, eval_threads=1):
     bad_epochs = 0
 
     for epoch in range(1, cfg.epochs + 1):
-        sq = n = 0
+        start = time.perf_counter()
+        sq = n = windows = 0
         for i, batch in enumerate(source.train_batches(_epoch_seed(cfg.seed, epoch))):
             pred = model.forward(batch.X)
             diff = ad.sub(pred, Tensor(batch.Y))
@@ -153,12 +154,18 @@ def train(model, source, cfg, log=None, eval_threads=1):
             ad.adam_step(model.params, cfg.lr)
             sq += float(loss.value) * diff.value.size
             n += diff.value.size
+            windows += len(batch.X)
         train_mse = sq / max(n, 1)
 
+        val_start = time.perf_counter()
         val_mse, val_mae = evaluate(model, source.val_batches(), eval_threads)
-        report.epochs.append(
-            {"epoch": epoch, "train_mse": train_mse, "val_mse": val_mse, "val_mae": val_mae}
-        )
+        end = time.perf_counter()
+        seconds, eval_seconds = end - start, end - val_start
+        report.epochs.append({
+            "epoch": epoch, "train_mse": train_mse, "val_mse": val_mse, "val_mae": val_mae,
+            "seconds": seconds, "train_windows_per_s": windows / (seconds - eval_seconds),
+            "eval_seconds": eval_seconds,
+        })
         if log:
             log(
                 f"epoch {epoch:3d}  train_mse {train_mse:.6f}  "

@@ -207,7 +207,9 @@ def test_bad_training_value_exits_1_before_any_work(capsys, tmp_path, flag, valu
      "scale kernel 4 does not divide 36x18"),
     (("--variant", "fbm-s", "--T", "16", "--L", "6", "--trend-p", "2", "--interaction",
       "--c1", "17"), "interaction input mask C1=17 outside [1, 16]"),
-], ids=["width", "patch-count", "scale-kernel", "mask"])
+    (("--variant", "fbm-s", "--T", "16", "--L", "6", "--trend-p", "2", "--scales", "1+2+1"),
+     "trend scale kernels must differ, got [1] more than once"),
+], ids=["width", "patch-count", "scale-kernel", "mask", "scales-repeated"])
 def test_bad_model_layout_exits_1_before_any_work(capsys, tmp_path, flags, message):
     # the data path does not exist: the spec's layouts are checked before the load
     out = tmp_path / "run"

@@ -51,8 +51,44 @@ TOLERANCE = {
     "fbm-s-transformer-inter-std": 1e-13,
     "fbm-s-transformer-inter-raw": 1e-13,
     "fbm-s-transformer-nointer-std": 1e-13,
-    "fbm-s-transformer-nointer-raw": 1e-13,
+    "fbm-s-transformer-nointer-raw": 1e-12,
 }
+
+# The grid-free fronts read each patch's moments and linear map from the
+# spectrum through basis tables. Against the previous code's own outputs,
+# pred and grad/* moved by at most 1.1e-13 * max|b| (grad/trend.d2.proj.cent.beta
+# of fbm-s-transformer-nointer-raw, whose entry above went from 1e-13 to
+# 1e-12) and 7.4e-14 in the other pins, besides the zero gradients below. The adam2/*
+# records of the fbm-np and patched fbm-s pins move further: the pinned
+# first gradient of each projector's centralization gamma is roundoff noise
+# (see NOISE), which Adam turned into a step of up to 1.8e-10 that the second
+# step's forward then carries into every parameter. Measured worst adam2/*
+# moves: 1.4e-11 and 7.9e-11 (fbm-np-k1, -k2), 1.7e-12 to 4.1e-12 (mlp),
+# 2.8e-11 to 1.8e-10 (transformer). Each entry below is the smallest power of
+# ten above its pin's worst move, and applies to adam2/* only.
+ADAM2_TOLERANCE = {
+    "fbm-np-k1": 1e-10,
+    "fbm-np-k2": 1e-10,
+    "fbm-s-mlp-inter-std": 1e-11,
+    "fbm-s-mlp-inter-raw": 1e-11,
+    "fbm-s-mlp-nointer-std": 1e-11,
+    "fbm-s-mlp-nointer-raw": 1e-11,
+    "fbm-s-transformer-inter-std": 1e-10,
+    "fbm-s-transformer-inter-raw": 1e-9,
+    "fbm-s-transformer-nointer-std": 1e-10,
+    "fbm-s-transformer-nointer-raw": 1e-9,
+}
+
+# A gradient that is zero in exact arithmetic is pinned as roundoff noise,
+# which any change to the forward's roundoff replaces with other noise. Besides
+# the key biases below, the trend projectors' centralization gamma has a zero
+# gradient at init: with beta and the projector bias at 0, decentralize
+# divides out exactly the gamma that centralize multiplied in
+# (ReLU(gamma v) / gamma = ReLU(v)). Its pinned gradients reach 1.8e-16; the
+# grid-free fronts compute them as exact zeros. In tolerance mode a grad/*
+# record pinned at noise level, max|b| <= NOISE, is checked against the exact
+# fact instead: |grad| <= NOISE.
+NOISE = 1e-15
 
 # Attention key biases (*.k.b) have a zero gradient in exact arithmetic: the
 # softmax over keys ignores the per-query constant q . b_k, and their pinned
@@ -87,16 +123,28 @@ def test_pin(pin):
               if name.partition(":")[0] == pin]
     actual = run_pin(spec)
     assert [name for name, _ in actual] == [name for name, _ in pinned]
-    tol, values = TOLERANCE.get(pin), dict(pinned)
+    values = dict(pinned)
     bad = [name for (name, a), (_, b) in zip(actual, pinned)
-           if not _matches(name, np.asarray(a), b, tol, values)]
+           if not _matches(name, np.asarray(a), b, _tolerance(pin, name), values)]
     assert not bad, f"{pin}: {bad}"
+
+
+def _tolerance(pin, name):
+    if name.startswith("adam2/") and pin in ADAM2_TOLERANCE:
+        return ADAM2_TOLERANCE[pin]
+    return TOLERANCE.get(pin)
 
 
 def _matches(name, actual, pinned, tol, values):
     if tol is not None and _is_key_bias(name):
         return _key_bias_still(actual, pinned, values["init/" + name.partition("/")[2]])
+    if tol is not None and name.startswith("grad/") and _is_noise(pinned):
+        return actual.shape == pinned.shape and _is_noise(actual)
     return _close(actual, pinned, tol)
+
+
+def _is_noise(grad):
+    return bool(np.max(np.abs(grad), initial=0.0) <= NOISE)
 
 
 def _is_key_bias(name):
@@ -126,6 +174,25 @@ def test_tolerance_mode_bounds_by_the_largest_magnitude():
     assert _close(moved, pinned, 1e-12)
     assert not _close(moved + np.array([0, 0, 1e-9]), pinned, 1e-12)
     assert not _close(pinned[:2], pinned, 1e-12)
+
+
+def test_noise_rule_holds_zero_gradients_to_the_exact_fact():
+    # the pinned projector gammas are records the rule is written for
+    values = dict(RECORDS)
+    gammas = [name for name in values if ":grad/" in name and name.endswith(".proj.cent.gamma")]
+    assert gammas and all(_is_noise(values[name]) for name in gammas)
+    noise = np.array([1e-16, 0.0])
+    assert _matches("grad/g", np.zeros(2), noise, 1e-13, {})
+    assert not _matches("grad/g", np.array([0.0, 1e-9]), noise, 1e-13, {})
+    assert not _matches("grad/g", np.zeros(2), noise, None, {})  # byte mode is unchanged
+    assert not _matches("grad/g", np.array([1e-9, 0.0]), np.array([1e-6, 0.0]), 1e-13, {})
+
+
+def test_adam2_tolerance_applies_to_adam2_records_only():
+    pin = next(iter(ADAM2_TOLERANCE))
+    assert _tolerance(pin, "adam2/w") == ADAM2_TOLERANCE[pin]
+    assert _tolerance(pin, "grad/w") == _tolerance(pin, "pred") == TOLERANCE[pin]
+    assert set(ADAM2_TOLERANCE) <= set(TOLERANCE)
 
 
 def test_key_bias_rule_rejects_a_real_step():

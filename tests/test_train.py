@@ -144,6 +144,14 @@ def test_threaded_evaluate_keeps_few_batches_in_flight():
 # --- train loop -----------------------------------------------------------------------
 
 
+# the wall-clock fields of each report.json epoch entry
+TIME_FIELDS = ("seconds", "train_windows_per_s", "eval_seconds")
+
+
+def _untimed(epochs):
+    return [{k: v for k, v in e.items() if k not in TIME_FIELDS} for e in epochs]
+
+
 def tiny_task(seed=0, windows=64, T=32, L=8, batch_size=16):
     return make_case1(seed=seed, windows=windows, T=T, L=L, k=3, gap=11, batch_size=batch_size)
 
@@ -234,7 +242,7 @@ def test_run_determinism():
     m1, r1 = run()
     m2, r2 = run()
     # identical modulo wall-clock time
-    assert (r1.config, r1.epochs, r1.test) == (r2.config, r2.epochs, r2.test)
+    assert (r1.config, _untimed(r1.epochs), r1.test) == (r2.config, _untimed(r2.epochs), r2.test)
     for p1, p2 in zip(m1.params, m2.params):
         assert np.array_equal(p1.value, p2.value)
 
@@ -248,11 +256,24 @@ def test_report_schema(tmp_path):
     report.save(path)
     doc = json.loads(path.read_text())
     assert set(doc) == {"config", "epochs", "test", "seconds"}
-    assert set(doc["epochs"][0]) == {"epoch", "train_mse", "val_mse", "val_mae"}
+    assert set(doc["epochs"][0]) == {"epoch", "train_mse", "val_mse", "val_mae"} | set(TIME_FIELDS)
     assert set(doc["test"]) == {"mse", "mae"}
     assert doc["config"]["train"]["lr"] == 0.01
     assert doc["config"]["model"]["variant"] == "fbm-l"
     assert doc["seconds"] > 0
+
+
+def test_report_epochs_time_the_train_and_validation_passes():
+    src = tiny_task()
+    model = ForecastModel(ModelSpec(variant="fbm-l", T=32, L=8, D=1), seed=8)
+    cfg = TrainConfig(T=32, L=8, epochs=2, patience=2, lr=0.01, batch_size=16, seed=0)
+    _, report = train(model, src, cfg)
+    windows = sum(len(b.X) for b in src.train_batches(0))
+    for e in report.epochs:
+        assert all(e[name] > 0 for name in TIME_FIELDS)
+        assert e["eval_seconds"] < e["seconds"]
+        train_s = e["seconds"] - e["eval_seconds"]
+        assert e["train_windows_per_s"] * train_s == pytest.approx(windows, rel=1e-12)
 
 
 def test_export_predictions_roundtrip(tmp_path):
