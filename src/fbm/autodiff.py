@@ -312,9 +312,9 @@ def standardize_lastdim(x):
 
 
 def _interleave(a, b):
-    """Two halves of one shape, paired per entry: [..., K] -> [..., K, 2] with
-    a in slot 0 and b in slot 1, written as one array, with one edge per
-    tracked half. Private, so the public ops stay the traced op list."""
+    """[..., K] halves a and b paired per entry into one [..., K, 2] array, one edge
+    per tracked half. Private, so the public ops stay the traced op list; a model
+    pairs only its constant spectrum, so every node on its tape is a public op's."""
     a, b = _as_tensor(a), _as_tensor(b)
     return _from_op(np.stack([a.value, b.value], axis=-1),
                     (a, lambda g: g[..., 0]), (b, lambda g: g[..., 1]))

@@ -1,14 +1,14 @@
-"""Model blocks: seasonal rolling filter, patched trend backbones, and
-masked cross-channel interaction, plus the grid, centralization and
-spectral map they share.
+"""Model blocks: the grid's linear map (fbm-l, fbm-nl), diag, the seasonal
+rolling filter, patched trend backbones and masked cross-channel
+interaction, plus the grid and centralization they share.
 
 The time-frequency grid G[n, k] = H_R[k] C[n, k] + H_I[k] S[n, k] is linear
 in the spectrum, so no block builds it. A Grid holds it as per-bin
 coefficients over basis rows, and every layer that reads it (a linear map
-of a patch, the patch's mean and mean square, a downsampled scale) is the
-coefficients times a table of the rows and weights that does not grow with
-the batch. The seasonal filter is a per-bin complex gain: a shift only
-rotates a sinusoid's phase, so W reaches bin k through
+of the grid or of a patch, the patch's mean and mean square, a downsampled
+scale) is the coefficients times a table of the rows and weights that does
+not grow with the batch. The seasonal filter is a per-bin complex gain: a
+shift only rotates a sinusoid's phase, so W reaches bin k through
 g_k = sum_n W[n, k] e^{2 pi i k n / T} alone.
 
 All forwards take and return autodiff Tensors so both parameter and
@@ -227,7 +227,7 @@ class Centralization:
         return ad.add(ad.mul(y, std), mean)
 
 
-# --- spectral maps ------------------------------------------------------------
+# --- first layers over the spectrum ---------------------------------------------
 
 
 def basis_rows(T, count):
@@ -238,25 +238,56 @@ def basis_rows(T, count):
     return Tensor(np.stack([b[rows, 1:].T for b in (bases.C, bases.S)], axis=1))
 
 
-def spectral_map(H_R, H_I, M):
-    """A linear map of the DC-dropped spectrum as one GEMM, z @ M.
-
-    H_R[k] and H_I[k] are the coefficients of bin k's cosine and sine basis
-    functions, so the spectrum is one real vector z = (H_R[1], H_I[1], ...,
-    H_R[K], H_I[K]), and every linear map of the grid
-    G[n, k] = H_R[k] C[n, k] + H_I[k] S[n, k] is z @ M for a [K, 2, width]
-    table M of weights and basis rows. fbm-l and fbm-nl pass
-    basis_rows(T, T) @ w for per-bin weights w[K, T, width]; diag and the
-    seasonal filter scale or rotate each bin's halves and pass
-    basis_rows(T, L). M does not grow with the batch and the grid is never
-    built; z is interleaved on the tape, so H_R and H_I get gradients too.
-
-    H_R/H_I: [..., K]; M: [K, 2, width] -> [..., width].
-    """
-    return _contract(ad._interleave(H_R, H_I), M)
+def _per_bin(gain, rows):  # gain[K] times each bin's rows[K, 2, width]
+    return ad.mul(ad.reshape(gain, (gain.shape[0], 1, 1)), rows)
 
 
-# --- seasonal block -----------------------------------------------------------
+class GridLinear:
+    """fbm-l: x @ w for the whole grid x, per-bin weights w[K, T, width], no bias.
+    sum_{n,k} G[n, k] w[k, n] is coef @ (rows @ w): on the spectrum, one z @ M GEMM."""
+
+    def __init__(self, rng, T, width, name):
+        self.w = Parameter(ad.init_uniform(rng, (T // 2, T, width), T * T // 2), f"{name}.w")
+
+    def params(self):
+        return [self.w]
+
+    def forward(self, grid):
+        return _contract(grid.coef, ad.matmul(Tensor(grid.rows), self.w))
+
+
+class GridMLP:
+    """fbm-nl: GridLinear fc1 plus its bias, then fc2 and fc3, ReLU after fc1 and fc2."""
+
+    def __init__(self, rng, T, h1, h2, L):
+        self.fc1 = GridLinear(rng, T, h1, "fc1")
+        self.b1 = Parameter(np.zeros(h1), "fc1.b")
+        self.fc2 = Linear(rng, h1, h2, "fc2")
+        self.fc3 = Linear(rng, h2, L, "fc3")
+
+    def params(self):
+        return self.fc1.params() + [self.b1] + self.fc2.params() + self.fc3.params()
+
+    def forward(self, grid):
+        h = ad.relu(ad.add(self.fc1.forward(grid), self.b1))
+        return self.fc3(ad.relu(self.fc2(h)))
+
+
+class DiagBlock:
+    """diag, the negative control: bin k's halves scaled by wa[k] and wb[k] through
+    the horizon rows, M[k] = (wa[k] C_k; wb[k] S_k); it cannot rotate phase."""
+
+    def __init__(self, T, L):
+        self.wa, self.wb = (Parameter(np.ones(T // 2), f"diag.{n}") for n in ("wa", "wb"))
+        rows = basis_rows(T, L).value  # below: each slot's rows, the other slot zeroed
+        self._c_rows, self._s_rows = (Tensor(rows * (np.arange(2) == c)[:, None]) for c in (0, 1))
+
+    def params(self):
+        return [self.wa, self.wb]
+
+    def forward(self, grid):
+        M = ad.add(_per_bin(self.wa, self._c_rows), _per_bin(self.wb, self._s_rows))
+        return _contract(grid.coef, M)
 
 
 class SeasonalBlock:
@@ -268,30 +299,29 @@ class SeasonalBlock:
     gain g_k = sum_n W[n, k] e^{2 pi i k n / T} = a_k - i b_k, with
     a = sum_n W * cm and b = sum_n W * sm over dft_matrices' tables. The
     rotated halves H_R a + H_I b and H_I a - H_R b go through the horizon
-    rows basis_rows(T, L) in one spectral_map. DC is excluded
-    (k = 1..T/2); W starts at zero so the model begins as pure trend.
+    rows basis_rows(T, L), so as z @ M bin k's rows are a_k (C_k; S_k) plus
+    b_k (-S_k; C_k). DC is excluded (k = 1..T/2); W starts at zero so the
+    model begins as pure trend.
     """
 
-    def __init__(self, T, L, name="seasonal"):
+    def __init__(self, T, L):
         self.K = T // 2
-        self.W = Parameter(np.zeros((T, self.K)), f"{name}.W")
+        self.W = Parameter(np.zeros((T, self.K)), "seasonal.W")
         self._cm, self._sm = (Tensor(t[:, 1:]) for t in dft_matrices(T))
-        self._rows = basis_rows(T, L)
+        rows = basis_rows(T, L).value  # and the same rows turned a quarter:
+        self._rows, self._turned = Tensor(rows), Tensor(np.stack([-rows[:, 1], rows[:, 0]], 1))
 
     def params(self):
         return [self.W]
 
-    def forward(self, H_R, H_I):
-        """H_R/H_I: [..., K] DC-dropped spectrum halves -> [..., L]."""
-        if H_R.shape[-1] != self.K:
-            raise ConfigError(
-                f"seasonal filter expects {self.K} frequency bins, got {H_R.shape[-1]}"
-            )
+    def forward(self, spectrum, H_I=None):
+        """The spectrum Grid, or its halves H_R/H_I[..., K] as (spectrum, H_I) -> [..., L]."""
+        z = spectrum.coef if H_I is None else ad._interleave(spectrum, H_I)
+        if z.shape[-2:] != (self.K, 2):
+            raise ConfigError(f"seasonal filter expects {self.K} bins' halves, got {z.shape[-2:]}")
         a = ad.mul(self.W, self._cm).sum(axis=0)  # the gains' real parts, [K]
         b = ad.mul(self.W, self._sm).sum(axis=0)  # minus their imaginary parts
-        p = ad.add(ad.mul(H_R, a), ad.mul(H_I, b))
-        q = ad.sub(ad.mul(H_I, a), ad.mul(H_R, b))
-        return spectral_map(p, q, self._rows)
+        return _contract(z, ad.add(_per_bin(a, self._rows), _per_bin(b, self._turned)))
 
 
 # --- shared patch projector (trend front / FBM-NP front) ----------------------
@@ -408,13 +438,11 @@ class _TrendScale:
 
 
 class TrendBlock:
-    def __init__(self, rng, T, L, D, cfg, name="trend"):
+    def __init__(self, rng, T, L, D, cfg):
         self.scales = []
         for kernel in cfg.scales:
             T_s, K_s = scale_grid(T, kernel)
-            self.scales.append(
-                (kernel, _TrendScale(rng, T_s, K_s, L, D, cfg, f"{name}.d{kernel}"))
-            )
+            self.scales.append((kernel, _TrendScale(rng, T_s, K_s, L, D, cfg, f"trend.d{kernel}")))
 
     def params(self):
         return [p for _, scale in self.scales for p in scale.params()]
@@ -461,16 +489,14 @@ class InteractionBlock:
     stay exactly zero.
     """
 
-    def __init__(self, rng, T, L, D, cfg, name="inter"):
+    def __init__(self, rng, T, L, D, cfg):
         cfg.check_masks(T, L)
         self.cfg = cfg
         self.n_in = cfg.C1 * (T // 2)
-        self.cent = Centralization(D, name=f"{name}.cent")
-        self.in_ = Linear(rng, self.n_in, cfg.h3, f"{name}.in")
-        self.stacks = [
-            AttentionParams(rng, cfg.h3, cfg.h3, f"{name}.stack{i}") for i in range(cfg.K)
-        ]
-        self.out = Linear(rng, cfg.h3, L, f"{name}.out")
+        self.cent = Centralization(D, name="inter.cent")
+        self.in_ = Linear(rng, self.n_in, cfg.h3, "inter.in")
+        self.stacks = [AttentionParams(rng, cfg.h3, cfg.h3, f"inter.stack{i}") for i in range(cfg.K)]
+        self.out = Linear(rng, cfg.h3, L, "inter.out")
         self.layers = [self.cent, self.in_, *self.stacks, self.out]
         self._mask = Tensor((np.arange(L) < cfg.C2).astype(np.float64))
 

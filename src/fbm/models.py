@@ -3,22 +3,20 @@
 Every variant shares the same outer pipeline: instance-standardize each
 window per channel, analyze it into spectrum halves, drop the (now zero)
 DC bin, map the time-frequency content to the horizon, then undo the
-standardization. Variants differ only in the mapping:
+standardization. A variant is a set of named blocks (BLOCKS), and its
+mapping is the sum of their outputs over one blocks.Grid of the spectrum:
 
-  fbm-l   one linear map from the flattened feature grid, no bias
-  fbm-nl  three fully connected layers, ReLU after the first two
+  fbm-l   GridLinear: one linear map of the flattened grid, no bias
+  fbm-nl  GridMLP: that map plus a bias, then two more layers, ReLU between
   fbm-np  one transformer trend scale: patch tokens -> attention -> head
   fbm-s   seasonal rolling filter + patched trend + masked interaction
-  diag    per-bin scaling of the spectrum halves (negative control)
-  last    repeat the window's final value (toy sanity baseline)
+  diag    DiagBlock: per-bin scaling of the spectrum halves (negative control)
+  last    repeat the window's final value (toy baseline; reads the window)
 
-No variant materializes the feature grid. fbm-l, fbm-nl, diag and fbm-s's
-seasonal filter reach their width through one blocks.spectral_map, the
-same linear map applied to the spectrum. fbm-np and fbm-s's trend scales
-and interaction read the spectrum as a blocks.Grid, whose patch maps,
-patch moments and downsampled scales are the spectrum times tables of
-basis rows and weights, so the per-batch work stays at spectrum size.
-Channel-independent variants share one mapping across all D channels.
+No variant materializes the feature grid: every first layer reads the
+interleaved spectrum z as z @ M, for a table M of basis rows and weights
+that does not grow with the batch. Channel-independent variants share one
+mapping across all D channels.
 
 Standardization divides by max(sigma, 1e-5) rather than sqrt(var+eps):
 the floor keeps zero-variance windows finite while leaving the mapping
@@ -33,10 +31,13 @@ from functools import reduce
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import Linear, Parameter, Tensor
+from .autodiff import Tensor
 from .blocks import (
     BACKBONES,
+    DiagBlock,
     Grid,
+    GridLinear,
+    GridMLP,
     InteractionBlock,
     InteractionConfig,
     SeasonalBlock,
@@ -45,14 +46,44 @@ from .blocks import (
     _TrendScale,
     basis_rows,
     scale_grid,
-    spectral_map,
 )
 from .errors import CheckpointError, ConfigError
 from .fourier import _check_window_length, rdft_array
 
-VARIANTS = ("fbm-l", "fbm-nl", "fbm-np", "fbm-s", "diag", "last")
-
 STD_FLOOR = 1e-5
+
+
+@dataclass(frozen=True)
+class _LastValue:
+    """last: the standardized window's final value over the horizon, no parameters."""
+
+    L: int
+
+    def params(self):
+        return []
+
+    def forward(self, Xs):
+        return Tensor(np.broadcast_to(Xs[..., -1:], Xs.shape[:2] + (self.L,)).copy())
+
+
+# each variant's named blocks, built in parameter order from (rng, spec); a
+# variant of one block keys it by the variant's name
+BLOCKS = {
+    "fbm-l": lambda rng, s: {"fbm-l": GridLinear(rng, s.T, s.L, "linear")},
+    "fbm-nl": lambda rng, s: {"fbm-nl": GridMLP(rng, s.T, s.nl_h1, s.nl_h2, s.L)},
+    "fbm-np": lambda rng, s: {"fbm-np": _TrendScale(rng, s.T, s.T // 2, s.L, s.D, s.np_cfg, "np",
+                                                    use_relu=False)},
+    "fbm-s": lambda rng, s: {
+        "seasonal": SeasonalBlock(s.T, s.L),
+        "trend": TrendBlock(rng, s.T, s.L, s.D, s.trend),
+        **({"interaction": InteractionBlock(rng, s.T, s.L, s.D, s.interaction)}
+           if s.interaction is not None else {}),
+    },
+    "diag": lambda rng, s: {"diag": DiagBlock(s.T, s.L)},
+    "last": lambda rng, s: {"last": _LastValue(s.L)},
+}
+
+VARIANTS = tuple(BLOCKS)
 
 
 # the default of each config; spec fields left unset keep its values
@@ -254,57 +285,19 @@ def instance_standardize(X):
 class ForecastModel:
     def __init__(self, spec, seed=0, zero_weights=False):
         self.spec = spec
-        rng = np.random.default_rng(seed)
-        T, L, K = spec.T, spec.L, spec.T // 2
-        self.params = []
-        self.blocks = {}
-
-        v = spec.variant
-        if v == "fbm-l":
-            # one weight slab per bin: W[k, n, v]; no bias, so the exact
-            # parameter count is (T * T/2) * L
-            self.w = Parameter(ad.init_uniform(rng, (K, T, L), T * K), "linear.w")
-            self._rows = basis_rows(T, T)
-            self.params += [self.w]
-        elif v == "fbm-nl":
-            h1, h2 = spec.nl_h1, spec.nl_h2
-            # fc1 is a spectral map of the grid; fc2 and fc3 are plain layers
-            self.w1 = Parameter(ad.init_uniform(rng, (K, T, h1), T * K), "fc1.w")
-            self.b1 = Parameter(np.zeros(h1), "fc1.b")
-            self.fc2 = Linear(rng, h1, h2, "fc2")
-            self.fc3 = Linear(rng, h2, L, "fc3")
-            self._rows = basis_rows(T, T)
-            self.params += [self.w1, self.b1] + self.fc2.params() + self.fc3.params()
-        elif v == "fbm-np":
-            self.np_scale = _TrendScale(rng, T, K, L, spec.D, spec.np_cfg, "np", use_relu=False)
-            self._rows = basis_rows(T, T)
-            self.params += self.np_scale.params()
-        elif v == "fbm-s":
-            self.seasonal = SeasonalBlock(T, L)
-            self._rows = basis_rows(T, T)
-            self.trend = TrendBlock(rng, T, L, spec.D, spec.trend)
-            self.blocks = {"seasonal": self.seasonal, "trend": self.trend}
-            self.inter = None
-            if spec.interaction is not None:
-                self.inter = InteractionBlock(rng, T, L, spec.D, spec.interaction)
-                self.blocks["interaction"] = self.inter
-            self.params += [p for blk in self.blocks.values() for p in blk.params()]
-        elif v == "diag":
-            self.wa = Parameter(np.ones(K), "diag.wa")
-            self.wb = Parameter(np.ones(K), "diag.wb")
-            self._rows = basis_rows(T, L)  # the horizon rows
-            self.params += [self.wa, self.wb]
-        elif v == "last":
-            pass  # parameter-free
+        self._rows = basis_rows(spec.T, spec.T).value  # the spectrum grid's rows
+        self.blocks = BLOCKS[spec.variant](np.random.default_rng(seed), spec)
+        # the weights export and the benchmark's tracer read these two by name
+        self.seasonal, self.trend = self.blocks.get("seasonal"), self.blocks.get("trend")
+        self.params = [p for blk in self.blocks.values() for p in blk.params()]
 
         names = [p.name for p in self.params]
         if len(names) != len(set(names)):
             raise ConfigError("duplicate parameter names in registration order")
         expected = expected_param_count(spec)
-        actual = sum(p.size for p in self.params)
-        if actual != expected:
+        if self.param_count() != expected:
             raise ConfigError(
-                f"built {actual} parameters, closed form says {expected} ({spec.summary()})"
+                f"built {self.param_count()} parameters, closed form says {expected} ({spec.summary()})"
             )
         if zero_weights:
             for p in self.params:
@@ -326,53 +319,29 @@ class ForecastModel:
             return instance_standardize(X)
         return X, np.zeros(X.shape[:2] + (1,)), np.ones(X.shape[:2] + (1,))
 
+    def _spectrum(self, Xs):
+        """Standardized windows -> the Grid of their DC-dropped spectrum halves."""
+        H_R, H_I = rdft_array(Xs)
+        return Grid.spectrum(Tensor(H_R[..., 1:]), Tensor(H_I[..., 1:]), self._rows)
+
     def forward(self, X):
         """X: f64[B, D, T] raw windows -> Tensor[B, D, L] predictions."""
         Xs, mu, sd = self._standardized(X)
-        out = self._map_standardized(Xs)
+        # last reads the window itself; every other block reads its spectrum
+        x = Xs if self.spec.variant == "last" else self._spectrum(Xs)
+        out = reduce(ad.add, [blk.forward(x) for blk in self.blocks.values()])
         return ad.add(ad.mul(out, Tensor(sd)), Tensor(mu))
 
-    def _map_standardized(self, Xs):
-        spec = self.spec
-        v = spec.variant
-        if v == "last":
-            last = Xs[..., -1:]
-            return Tensor(np.broadcast_to(last, Xs.shape[:2] + (spec.L,)).copy())
-        H_R, H_I = rdft_array(Xs)
-        # the spectral maps read bins 1..T/2
-        h_r, h_i = Tensor(H_R[..., 1:]), Tensor(H_I[..., 1:])
-        if v == "fbm-l":
-            return spectral_map(h_r, h_i, ad.matmul(self._rows, self.w))
-        if v == "fbm-nl":
-            h = ad.relu(ad.add(spectral_map(h_r, h_i, ad.matmul(self._rows, self.w1)), self.b1))
-            return self.fc3(ad.relu(self.fc2(h)))
-        if v == "fbm-np":
-            return self.np_scale.forward(Grid.spectrum(h_r, h_i, self._rows.value))
-        if v == "fbm-s":
-            return reduce(ad.add, self._component_outputs(h_r, h_i).values())
-        if v == "diag":
-            return spectral_map(ad.mul(h_r, self.wa), ad.mul(h_i, self.wb), self._rows)
-        raise ConfigError(f"unknown variant {v!r}")
-
-    def _component_outputs(self, h_r, h_i):
-        """DC-dropped spectrum halves -> each block's output."""
-        outs = {"seasonal": self.seasonal.forward(h_r, h_i)}
-        grid = Grid.spectrum(h_r, h_i, self._rows.value)
-        outs["trend"] = self.trend.forward(grid)
-        if self.inter is not None:
-            outs["interaction"] = self.inter.forward(grid)
-        return outs
-
     def components(self, X):
-        """fbm-s only: per-block contributions in the de-standardized space,
-        plus the standardization state; reassembling exactly as forward does
+        """fbm-s only: each block's output before de-standardization, plus the
+        standardization state; reassembling exactly as forward does
         reproduces forward(X) bit for bit."""
         if self.spec.variant != "fbm-s":
             raise ConfigError("components() is only defined for fbm-s")
         Xs, mu, sd = self._standardized(X)
         with ad.no_grad():
-            outs = self._component_outputs(*(Tensor(H[..., 1:]) for H in rdft_array(Xs)))
-        return {k: v.value for k, v in outs.items()}, mu, sd
+            grid = self._spectrum(Xs)
+            return {name: blk.forward(grid).value for name, blk in self.blocks.items()}, mu, sd
 
     def predict(self, X):
         with ad.no_grad():
@@ -385,12 +354,8 @@ class ForecastModel:
 
     def describe(self):
         """(block name, parameter count) rows followed by the total."""
-        if self.spec.variant == "fbm-s":
-            rows = [(name, sum(p.size for p in blk.params())) for name, blk in self.blocks.items()]
-        else:
-            rows = [(self.spec.variant, self.param_count())]
-        rows.append(("total", self.param_count()))
-        return rows
+        rows = [(name, sum(p.size for p in blk.params())) for name, blk in self.blocks.items()]
+        return rows + [("total", self.param_count())]
 
     def save(self, path):
         ad.save_tensors(path, [(p.name, p.value) for p in self.params],

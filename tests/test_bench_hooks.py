@@ -3,6 +3,8 @@ methods by name from outside the package. These checks keep a refactor
 that moves or renames a traced attribute from breaking only the traced
 benchmark run: installing must find every attribute, a traced forward
 must open every block span, and uninstalling must put every original back.
+The tracer counts tape nodes and bytes through the public ops alone, so
+those counts hold only while every tracked tape node comes from one.
 The benchmark's own check that fbm.autodiff's public functions are exactly
 the traced ops (spans.OPS) runs here too, so a helper made public by
 mistake fails the suite, not only the benchmark's tests.
@@ -20,7 +22,7 @@ import spans  # noqa: E402
 from test_trace import test_every_autodiff_op_is_traced  # noqa: E402, F401
 
 from fbm.blocks import InteractionConfig, TrendConfig  # noqa: E402
-from fbm.models import ForecastModel, ModelSpec  # noqa: E402
+from fbm.models import VARIANTS, ForecastModel, ModelSpec  # noqa: E402
 
 
 def test_install_patches_and_uninstall_restores_every_attribute():
@@ -66,3 +68,37 @@ def test_traced_forward_opens_every_block_span(backbone):
     counts = tracer.metrics()
     for owner in ("seasonal", "trend.d1", "trend.d2", "interaction"):
         assert counts[f"autodiff.tape_bytes.{owner}"] > 0, owner
+
+
+TAPE_SPECS = {
+    "fbm-nl": dict(nl_h1=5, nl_h2=4),
+    "fbm-np": dict(np_cfg=TrendConfig(backbone="transformer", h1=4, h2=5, K=1, P=2)),
+    "fbm-s": dict(trend=TrendConfig(backbone="mlp", h1=3, h2=4, P=2, scales=(1, 2)),
+                  interaction=InteractionConfig(C1=4, C2=2, h3=3, K=1)),
+}
+
+
+def walk_tape(out):
+    """(node count, bytes) of the tracked non-leaf tensors out's tape reaches."""
+    nbytes, stack = {}, [out]
+    while stack:
+        t = stack.pop()
+        if id(t) not in nbytes and t._edges:
+            nbytes[id(t)] = t.value.nbytes
+            stack.extend(parent for parent, _ in t._edges)
+    return len(nbytes), sum(nbytes.values())
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_traced_tape_counts_equal_a_walk_of_the_output_tape(variant):
+    spec = ModelSpec(variant=variant, T=16, L=6, D=3, **TAPE_SPECS.get(variant, {}))
+    model = ForecastModel(spec, seed=0)
+    rng = np.random.default_rng(1)
+    for p in model.params:  # off init, so the seasonal W and diag's unit weights count
+        p.value = p.value + 0.1 * rng.normal(size=p.shape)
+    X = rng.standard_normal((2, 3, 16))
+    with spans.Tracer() as tracer:
+        y = model.forward(X)
+    counts = tracer.metrics()
+    traced = sum(counts[f"autodiff.tape_bytes.{owner}"] for owner in spans.TAPE_OWNERS)
+    assert (counts["autodiff.tape_nodes"], traced) == walk_tape(y)

@@ -126,36 +126,38 @@ def test_seasonal_bin_count_mismatch():
         block.forward(ad.Tensor(np.zeros((1, 1, 5))), ad.Tensor(np.zeros((1, 1, 5))))
 
 
-# --- spectral map -----------------------------------------------------------------
+# --- the grid's linear map (fbm-l) ------------------------------------------------
 
 
 @pytest.mark.parametrize("T", [16, 336])
-def test_spectral_map_matches_the_grid_contraction(T):
+def test_grid_linear_matches_the_grid_contraction(T):
     # oracle: materialize the DC-dropped grid and contract it with the
-    # per-bin weights, the path spectral_map replaces
+    # per-bin weights, the path the block's z @ M replaces
     rng = RNG(T)
-    w = rng.normal(size=(T // 2, T, 5))
+    block = bl.GridLinear(RNG(0), T, 5, "linear")
+    block.w.value = rng.normal(size=(T // 2, T, 5))
     H_R, H_I = fb.rdft_array(rng.normal(size=(3, 2, T)))
     G = fb.expand_array(H_R, H_I, fb.build_bases(T), drop_dc=True)  # [B, D, T, K]
-    want = np.einsum("bdnk,knj->bdj", G, w)
-    M = ad.matmul(bl.basis_rows(T, T), ad.Tensor(w))
-    got = bl.spectral_map(ad.Tensor(H_R[..., 1:]), ad.Tensor(H_I[..., 1:]), M).value
+    want = np.einsum("bdnk,knj->bdj", G, block.w.value)
+    grid = bl.Grid.spectrum(ad.Tensor(H_R[..., 1:]), ad.Tensor(H_I[..., 1:]), bl.basis_rows(T, T).value)
+    got = block.forward(grid).value
     assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 
-def test_spectral_map_gradients():
+def test_grid_linear_gradients():
     # the interleave of the halves into z passes input gradients back to each half
     T = 16
-    rows = bl.basis_rows(T, T)
-    w = ad.Parameter(RNG(6).normal(size=(T // 2, T, 3)), "w")
+    rows = bl.basis_rows(T, T).value
+    block = bl.GridLinear(RNG(0), T, 3, "linear")
+    block.w.value = RNG(6).normal(size=(T // 2, T, 3))
     h_r, h_i = _spectra(RNG(7), 2, 3, T)
 
     def loss(halves):
-        y = bl.spectral_map(*halves, ad.matmul(rows, w))
+        y = block.forward(bl.Grid.spectrum(*halves, rows))
         return (y * y).mean()
 
     assert input_grad_err(loss, [h_r, h_i]) < 1e-4
-    assert param_grad_err(lambda: loss([ad.Tensor(h_r), ad.Tensor(h_i)]), [w]) < 1e-4
+    assert param_grad_err(lambda: loss([ad.Tensor(h_r), ad.Tensor(h_i)]), block.params()) < 1e-4
 
 
 # --- patching -------------------------------------------------------------------

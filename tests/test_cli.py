@@ -469,6 +469,49 @@ def test_weights_rejects_non_seasonal_checkpoint(capsys, tmp_path, periodic_csv)
     assert "fbm-s" in err
 
 
+# --- output paths that cannot be written ---------------------------------------
+
+
+WRITERS = {
+    "data-inspect": ("data-inspect", "--data", "{csv}", "--cache-out", "{bad}"),
+    "synth-case1": ("synth", "--case", "1", "--windows", "10", "--out", "{bad}"),
+    "synth-case2": ("synth", "--case", "2", "--out", "{bad}"),
+    "features": ("features", "--data", "{csv}", "--T", "48", "--out", "{bad}"),
+    "spectrum": ("spectrum", "--data", "{csv}", "--T", "48", "--out", "{bad}"),
+    "eval": ("eval", "--checkpoint", "{model}", "--data", "{csv}", "--predictions-out", "{bad}"),
+    "train": ("train", "--data", "{csv}", "--T", "48", "--L", "12", "--epochs", "1",
+              "--out", "{bad}"),
+}
+BAD_PATHS = {"missing-dir": "missing/x", "a-directory": "adir", "under-a-file": "afile/x"}
+
+
+# train makes its --out directory and its parents, so only a path under a file fails
+@pytest.mark.parametrize("cmd, where", [
+    (cmd, where) for cmd in WRITERS for where in BAD_PATHS
+    if cmd != "train" or where == "under-a-file"
+])
+def test_unwritable_output_exits_1_with_one_line(capsys, tmp_path, periodic_csv, cmd, where):
+    model = tmp_path / "model.fbm"
+    ForecastModel(ModelSpec(variant="fbm-l", T=48, L=12, D=1), seed=0).save(model)
+    (tmp_path / "afile").write_text("x")
+    (tmp_path / "adir").mkdir()
+    bad = tmp_path / BAD_PATHS[where]
+    argv = (a.format(csv=periodic_csv, model=model, bad=bad) for a in WRITERS[cmd])
+    rc, _, err = run(capsys, *argv)
+    assert rc == 1
+    assert err.startswith(f"fbm: error: cannot write {bad}") and err.count("\n") == 1
+
+
+def test_train_out_naming_a_file_exits_1_before_reading_data(capsys, tmp_path):
+    afile = tmp_path / "afile"
+    afile.write_text("kept")
+    rc, out, err = run(capsys, "train", "--data", str(tmp_path / "missing.csv"),
+                       "--out", str(afile))
+    assert rc == 1 and out == ""  # a missing dataset would exit 2
+    assert err == f"fbm: error: cannot write {afile}: {afile} is not a directory\n"
+    assert afile.read_text() == "kept"
+
+
 # --- inspection and caching -------------------------------------------------------
 
 

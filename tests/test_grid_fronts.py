@@ -87,7 +87,7 @@ def direct_interaction(block, G):
 def direct_np_predict(model, X):
     Xs, mu, sd = instance_standardize(X) if model.spec.standardize else (X, 0.0, 1.0)
     H_R, H_I = fb.rdft_array(Xs)
-    return direct_scale(model.np_scale, dense_grid(H_R[..., 1:], H_I[..., 1:])) * sd + mu
+    return direct_scale(model.blocks["fbm-np"], dense_grid(H_R[..., 1:], H_I[..., 1:])) * sd + mu
 
 
 # --- equivalence ---------------------------------------------------------------------
@@ -154,7 +154,7 @@ def test_fbm_np_matches_the_direct_grid_path(T, P):
     for kind, standardize in CASES:
         spec = ModelSpec(variant="fbm-np", T=T, L=4, D=3, np_cfg=np_cfg, standardize=standardize)
         model = ForecastModel(spec, seed=5)
-        _perturb(model.np_scale, 6)
+        _perturb(model.blocks["fbm-np"], 6)
         X = _windows(kind, T)
         _close(model.predict(X), direct_np_predict(model, X))
 

@@ -299,7 +299,7 @@ def naive_linear_forward(model, X):
     bases = build_bases(spec.T)
     G = H_R[..., None, :] * bases.C[: spec.T, 1:] + H_I[..., None, :] * bases.S[: spec.T, 1:]
     flat = G.reshape(X.shape[0], spec.D, -1)  # time-major: index = n * K + k
-    W_flat = np.transpose(model.w.value, (1, 0, 2)).reshape(flat.shape[-1], spec.L)
+    W_flat = np.transpose(model.blocks["fbm-l"].w.value, (1, 0, 2)).reshape(flat.shape[-1], spec.L)
     return flat @ W_flat * sd + mu
 
 
@@ -338,6 +338,23 @@ def test_first_layer_weight_gradient_is_one_array(variant, weight):
     assert peak < 1.5 * w.value.nbytes
 
 
+@pytest.mark.parametrize("variant", ["fbm-l", "diag"])
+def test_first_layer_table_gradcheck(variant):
+    # fbm-l and diag build their z @ M tables from their weights; criterion 05
+    # checks fbm-nl, fbm-np and the seasonal block the same way
+    model = ForecastModel(small_spec(variant, L=4, D=2), seed=0)
+    rng = np.random.default_rng(7)
+    for p in model.params:  # off init: diag starts at unit weights
+        p.value = p.value + 0.1 * rng.normal(size=p.shape)
+    X = windows(rng, B=2, D=2)
+
+    def make_loss():
+        y = model.forward(X)
+        return (y * y).mean()
+
+    assert param_grad_err(make_loss, model.params) < 1e-4
+
+
 # --- fbm-nl: exact degeneration to fbm-l under identity-style weights -----------
 
 
@@ -358,13 +375,14 @@ def test_nl_degenerates_to_linear():
             w1[k, n, m + n * K + k] = -1.0
     eye = np.eye(m)
     w2 = np.block([[eye, -eye], [-eye, eye]])  # reproduces [x+; x-]
-    W_flat = np.transpose(lin.w.value, (1, 0, 2)).reshape(m, L)
+    W_flat = np.transpose(lin.blocks["fbm-l"].w.value, (1, 0, 2)).reshape(m, L)
     w3 = np.vstack([W_flat, -W_flat])  # W(x+) - W(x-) = Wx
 
-    nl.w1.value = w1
-    nl.fc2.w.value = w2
-    nl.fc3.w.value = w3
-    for b in (nl.b1, nl.fc2.b, nl.fc3.b):
+    mlp = nl.blocks["fbm-nl"]
+    mlp.fc1.w.value = w1
+    mlp.fc2.w.value = w2
+    mlp.fc3.w.value = w3
+    for b in (mlp.b1, mlp.fc2.b, mlp.fc3.b):
         b.value = np.zeros_like(b.value)
 
     rng = np.random.default_rng(6)

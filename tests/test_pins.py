@@ -34,6 +34,15 @@ from make_pins import ADAM_STEPS, FIXTURE, LR, PINS, run_pin
 # Adam has made W nonzero, the adam2/* records of the fbm-s pins (at most
 # 7.0e-16 * max|b|, key biases aside). last, fbm-np and every init, X and Y
 # record stayed byte for byte.
+#
+# Building the seasonal filter's and diag's z @ M tables from their weights
+# (each bin's basis rows scaled by its gains, in place of scaling or rotating
+# the spectrum halves before the product) moved, against the previous code's
+# own outputs, grad/diag.wa and grad/diag.wb (at most 1.7e-16 * max|b|),
+# grad/seasonal.W of every fbm-s pin (at most 4.6e-16) and, through it, the
+# adam2/* records of the fbm-s pins (at most 9.6e-16, key biases aside).
+# Every init, X, Y and pred record and every record of fbm-l, fbm-nl, fbm-np
+# and last stayed byte for byte; no entry below changed.
 TOLERANCE = {
     "fbm-l": 1e-13,
     "fbm-nl": 1e-13,

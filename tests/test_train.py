@@ -212,7 +212,8 @@ def test_full_batch_gd_loss_non_increasing():
 def test_nan_abort_names_batch():
     src = tiny_task()
     model = ForecastModel(ModelSpec(variant="fbm-l", T=32, L=8, D=1), seed=5)
-    model.w.value = np.full_like(model.w.value, np.inf)
+    w = model.blocks["fbm-l"].w
+    w.value = np.full_like(w.value, np.inf)
     cfg = TrainConfig(T=32, L=8, epochs=1, patience=1, lr=0.01, batch_size=16, seed=0)
     with pytest.raises(NumericError) as err:
         train(model, src, cfg)
