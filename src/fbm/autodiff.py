@@ -16,7 +16,9 @@ trailing-dim rules and gradients are summed back to the original shapes.
 
 from __future__ import annotations
 
+import contextlib
 import contextvars
+import errno
 import math
 import os
 import stat
@@ -121,8 +123,8 @@ class Parameter(Tensor):
     def __init__(self, value, name):
         super().__init__(value, requires_grad=True)
         self.name = str(name)
-        self.m = np.zeros_like(self.value)
-        self.v = np.zeros_like(self.value)
+        self.m = np.zeros_like(self.value, order="C")  # so adam_step's flat reshape is a view
+        self.v = np.zeros_like(self.value, order="C")
         self.step = 0
 
     def __repr__(self):
@@ -375,34 +377,39 @@ def zero_grads(params):
 
 
 ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
+_ADAM_CHUNK = 1 << 14  # elements per pass of adam_step: a chunk's operands stay in cache
 
 
 def adam_step(params, lr):
     """One Adam update with bias correction; consumed grads are zeroed.
 
-    m, v and the value are updated in place, in the textbook op order. A
-    parameter's first update writes a new value array, so the array it was
-    built from is never written and an untrained model copies no weights.
+    m, v and the value are updated in place in the textbook op order, one chunk
+    of _ADAM_CHUNK elements at a time, so each array is read and written once per
+    step. Every op is elementwise with the same scalars in every chunk, so the
+    chunking changes no bit. A first update, or one of a value that is not
+    C-contiguous, writes a new C-order value: the array a parameter was built
+    from is never written, and an untrained model copies no weights.
     """
+    s1, s2 = np.empty(_ADAM_CHUNK), np.empty(_ADAM_CHUNK)
     for p in params:
-        g = p.grad
-        if g is None:
+        if p.grad is None:
             continue
         p.step += 1
-        s1, s2 = np.empty_like(p.value), np.empty_like(p.value)
-        p.m *= ADAM_BETA1
-        p.m += np.multiply(g, 1.0 - ADAM_BETA1, out=s1)
-        np.multiply(g, g, out=s1)
-        p.v *= ADAM_BETA2
-        p.v += np.multiply(s1, 1.0 - ADAM_BETA2, out=s1)
-        np.multiply(np.divide(p.m, 1.0 - ADAM_BETA1**p.step, out=s1), lr, out=s1)  # lr mhat
-        np.sqrt(np.divide(p.v, 1.0 - ADAM_BETA2**p.step, out=s2), out=s2)  # sqrt(vhat)
-        s2 += ADAM_EPS
-        np.divide(s1, s2, out=s1)
-        if p.step == 1:
-            p.value = np.subtract(p.value, s1, out=s1)
-        else:
-            p.value -= s1
+        if p.step == 1 or not p.value.flags.c_contiguous:
+            p.value = np.array(p.value, order="C")
+        flat = [a.reshape(-1) for a in (p.value, p.m, p.v, np.ascontiguousarray(p.grad))]
+        for i in range(0, p.value.size, _ADAM_CHUNK):
+            x, m, v, g = (a[i : i + _ADAM_CHUNK] for a in flat)
+            t1, t2 = s1[: g.size], s2[: g.size]
+            m *= ADAM_BETA1
+            m += np.multiply(g, 1.0 - ADAM_BETA1, out=t1)
+            np.multiply(g, g, out=t1)
+            v *= ADAM_BETA2
+            v += np.multiply(t1, 1.0 - ADAM_BETA2, out=t1)
+            np.multiply(np.divide(m, 1.0 - ADAM_BETA1**p.step, out=t1), lr, out=t1)  # lr mhat
+            np.sqrt(np.divide(v, 1.0 - ADAM_BETA2**p.step, out=t2), out=t2)  # sqrt(vhat)
+            t2 += ADAM_EPS
+            x -= np.divide(t1, t2, out=t1)
         p.grad = None
 
 
@@ -467,13 +474,32 @@ def attention_block(x, p):
 _MAGIC = b"FBMCKPT1"
 
 
+@contextlib.contextmanager
+def _replacing(path, mode="xb", encoding=None):
+    """A new file beside `path` that replaces it (keeping its mode) when the block
+    ends; if the block fails, any previous file at `path` stays as it was."""
+    path = os.path.realpath(path)  # a symlink stays and its target is replaced
+    if os.path.isdir(path):  # refused before the block does its work, not at the replace
+        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
+    tmp = f"{path}.{os.urandom(4).hex()}.tmp"
+    f = open(tmp, mode, encoding=encoding)
+    try:
+        if os.path.exists(path):  # keep the mode of the file being replaced
+            os.chmod(tmp, stat.S_IMODE(os.stat(path).st_mode))
+        with f:
+            yield f
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
+
+
 def save_tensors(path, named, header=None):
     """Write (name, array) records after an optional key=value text header;
     an entry that would not read back as the same key and value is refused.
 
-    The records go to a new file beside `path` that then replaces it (keeping
-    its mode; a symlink's target is the file replaced), so a write that fails
-    midway leaves any previous file at `path` as it was.
+    The records go to a new file that replaces `path` (`_replacing`), so a
+    write that fails midway leaves any previous file at `path` as it was.
     """
     lines = []
     for k, v in (header or {}).items():
@@ -482,29 +508,19 @@ def save_tensors(path, named, header=None):
             raise CheckpointError(f"header entry {line!r} does not fit one key=value line")
         lines.append(line)
     hbytes = "\n".join(lines).encode("utf-8")
-    path = os.path.realpath(path)  # a symlink stays and its target is replaced
-    tmp = f"{path}.{os.urandom(4).hex()}.tmp"
-    f = open(tmp, "xb")
-    try:
-        if os.path.exists(path):  # keep the mode of the file being replaced
-            os.chmod(tmp, stat.S_IMODE(os.stat(path).st_mode))
-        with f:
-            f.write(_MAGIC)
-            f.write(struct.pack("<I", len(hbytes)))
-            f.write(hbytes)
-            for name, arr in named:
-                arr = np.ascontiguousarray(arr, dtype=np.float64)
-                nb = name.encode("utf-8")
-                f.write(struct.pack("<I", len(nb)))
-                f.write(nb)
-                f.write(struct.pack("<I", arr.ndim))
-                if arr.ndim:
-                    f.write(struct.pack(f"<{arr.ndim}I", *arr.shape))
-                f.write(arr.tobytes())
-        os.replace(tmp, path)
-    except BaseException:
-        os.unlink(tmp)
-        raise
+    with _replacing(path) as f:
+        f.write(_MAGIC)
+        f.write(struct.pack("<I", len(hbytes)))
+        f.write(hbytes)
+        for name, arr in named:
+            arr = np.ascontiguousarray(arr, dtype=np.float64)
+            nb = name.encode("utf-8")
+            f.write(struct.pack("<I", len(nb)))
+            f.write(nb)
+            f.write(struct.pack("<I", arr.ndim))
+            if arr.ndim:
+                f.write(struct.pack(f"<{arr.ndim}I", *arr.shape))
+            f.write(arr.tobytes())
 
 
 def load_tensors(path):

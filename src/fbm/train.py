@@ -29,22 +29,6 @@ from .data import Dataset, WindowBatch, write_csv
 from .errors import ConfigError, NumericError
 
 
-def _check_shapes(pred, target):
-    if pred.shape != target.shape:
-        raise ConfigError(f"prediction shape {pred.shape} != target shape {target.shape}")
-
-
-def mse(pred, target):
-    _check_shapes(pred, target)
-    d = pred - target
-    return float(np.mean(d * d))
-
-
-def mae(pred, target):
-    _check_shapes(pred, target)
-    return float(np.mean(np.abs(pred - target)))
-
-
 @dataclass(frozen=True)
 class TrainConfig:
     T: int
@@ -262,13 +246,13 @@ def make_case2(seed, length=4000, period=24):
 
 
 def export_predictions(path, model, batches, threads=1):
-    """CSV dump window_id,channel,step,y_true,y_pred; returns the (MSE, MAE)
-    that evaluate() gives for the same batches, from the same forwards."""
+    """CSV dump window_id,channel,step,y_true,y_pred, replacing `path` once all is
+    scored; returns evaluate()'s (MSE, MAE) for the batches, from the same forwards."""
 
     def write(batch, pred):
         b, d, step = np.indices(pred.shape)
         write_csv(f, "", [batch.starts[b], d, step], [batch.Y, pred])
 
-    with open(path, "w", encoding="utf-8") as f:
+    with ad._replacing(path, "x", encoding="utf-8") as f:
         f.write("window_id,channel,step,y_true,y_pred\n")
         return evaluate(model, batches, threads, write)

@@ -345,25 +345,95 @@ def test_adam_bias_correction_first_step():
     np.testing.assert_allclose(p.value[0], -0.5, rtol=1e-4)
 
 
+def _textbook_adam(value, m, v, g, t, lr):
+    # the whole-array form with fresh temporaries, against which adam_step must be bitwise
+    b1, b2, eps = ad.ADAM_BETA1, ad.ADAM_BETA2, ad.ADAM_EPS
+    m = b1 * m + (1.0 - b1) * g
+    v = b2 * v + (1.0 - b2) * (g * g)
+    return value - lr * (m / (1.0 - b1**t)) / (np.sqrt(v / (1.0 - b2**t)) + eps), m, v
+
+
+def _bytes(*arrays):
+    return tuple(a.tobytes() for a in arrays)  # C-order bytes whatever the layout
+
+
 def test_adam_in_place_matches_the_textbook_form_bitwise():
     rng = RNG(5)
     p = ad.Parameter(rng.standard_normal((4, 3)), "w")
     state = p.m, p.v
     value, m, v = p.value.copy(), np.zeros((4, 3)), np.zeros((4, 3))
-    b1, b2, eps, lr = ad.ADAM_BETA1, ad.ADAM_BETA2, ad.ADAM_EPS, 0.01
     for t in range(1, 5):
-        g = rng.standard_normal((4, 3))
-        p.grad = g
-        ad.adam_step([p], lr)
-        m = b1 * m + (1.0 - b1) * g
-        v = b2 * v + (1.0 - b2) * (g * g)
-        value = value - lr * (m / (1.0 - b1**t)) / (np.sqrt(v / (1.0 - b2**t)) + eps)
-        assert (p.value.tobytes(), p.m.tobytes(), p.v.tobytes()) == (
-            value.tobytes(), m.tobytes(), v.tobytes())
+        p.grad = g = rng.standard_normal((4, 3))
+        ad.adam_step([p], 0.01)
+        value, m, v = _textbook_adam(value, m, v, g, t, 0.01)
+        assert _bytes(p.value, p.m, p.v) == _bytes(value, m, v)
         if t == 1:
             state += (p.value,)
     # updated in place, the value from its second step on
     assert p.m is state[0] and p.v is state[1] and p.value is state[2]
+
+
+CHUNK = ad._ADAM_CHUNK
+
+
+@pytest.mark.parametrize("size", [1, CHUNK - 1, CHUNK, CHUNK + 1, 3 * CHUNK + 5])
+def test_adam_matches_the_textbook_form_across_chunk_boundaries(size):
+    # the pins never fill a chunk, so only this checks the chunk edges
+    rng = RNG(size)
+    p = ad.Parameter(rng.standard_normal(size), "w")
+    value, m, v = p.value.copy(), np.zeros(size), np.zeros(size)
+    for t in range(1, 5):
+        p.grad = g = rng.standard_normal(size) * 10.0 ** rng.integers(-6, 3, size)
+        ad.adam_step([p], 0.01)
+        value, m, v = _textbook_adam(value, m, v, g, t, 0.01)
+        assert _bytes(p.value, p.m, p.v) == _bytes(value, m, v)
+
+
+def test_adam_on_a_parameter_built_from_a_transposed_array():
+    # an F-order value, and F-order grads: a flat reshape of either would be a copy
+    rng = RNG(6)
+    built = rng.standard_normal((CHUNK + 3, 3)).T
+    kept = built.copy(order="K")
+    p = ad.Parameter(built, "w")
+    value, m, v = built.copy(order="K"), np.zeros(built.shape), np.zeros(built.shape)
+    for t in range(1, 5):
+        p.grad = g = rng.standard_normal((CHUNK + 3, 3)).T
+        ad.adam_step([p], 0.01)
+        value, m, v = _textbook_adam(value, m, v, g, t, 0.01)
+        assert _bytes(p.value, p.m, p.v) == _bytes(value, m, v)
+    assert built.tobytes() == kept.tobytes()
+
+
+def test_adam_on_a_value_replaced_by_a_non_contiguous_array():
+    rng = RNG(7)
+    shape = (2 * CHUNK + 1,)
+    p = ad.Parameter(rng.standard_normal(shape), "w")
+    value, m, v = p.value.copy(), np.zeros(shape), np.zeros(shape)
+    for t in range(1, 5):
+        if t == 3:  # every other entry of a wider array, as a restore or a user might set it
+            wide = np.repeat(value, 2)
+            p.value, value = wide[::2], wide[::2].copy()
+            kept = wide.copy()
+        p.grad = g = rng.standard_normal(shape)
+        ad.adam_step([p], 0.01)
+        value, m, v = _textbook_adam(value, m, v, g, t, 0.01)
+        assert _bytes(p.value, p.m, p.v) == _bytes(value, m, v)
+    assert wide.tobytes() == kept.tobytes()  # the array it was given is not written
+
+
+def test_adam_after_the_first_step_allocates_only_chunk_buffers():
+    n = 1 << 20
+    p = ad.Parameter(np.zeros(n), "w")
+    p.grad = np.ones(n)
+    ad.adam_step([p], 0.01)
+    p.grad = np.ones(n)
+    tracemalloc.start()
+    try:
+        ad.adam_step([p], 0.01)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.1 * p.value.nbytes
 
 
 def test_adam_never_writes_the_array_a_parameter_was_built_from():
@@ -434,6 +504,18 @@ def test_container_failed_write_keeps_previous_file(tmp_path, previous):
     else:
         assert path.read_bytes() == previous
     assert [p.name for p in tmp_path.iterdir()] == ([] if previous is None else ["model.fbm"])
+
+
+def test_container_write_over_a_directory_fails_before_any_record(tmp_path):
+    def records():
+        raise AssertionError("a record was read")
+        yield
+
+    target = tmp_path / "adir"
+    target.mkdir()
+    with pytest.raises(IsADirectoryError):
+        ad.save_tensors(target, records())
+    assert [p.name for p in tmp_path.iterdir()] == ["adir"] and not any(target.iterdir())
 
 
 def test_container_write_gets_the_mode_open_gives(tmp_path):

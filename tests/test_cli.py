@@ -79,7 +79,7 @@ def test_missing_checkpoint_exits_1(capsys, periodic_csv):
     assert rc == 1
 
 
-def test_numeric_abort_exits_3(capsys, tmp_path, periodic_csv):
+def _collapsed_gamma_checkpoint(tmp_path):
     spec = ModelSpec(
         variant="fbm-s", T=48, L=12, D=1,
         trend=TrendConfig(backbone="mlp", h1=4, h2=5, P=4, scales=(1,)),
@@ -90,9 +90,26 @@ def test_numeric_abort_exits_3(capsys, tmp_path, periodic_csv):
             p.value = np.zeros_like(p.value)
     ckpt = tmp_path / "broken.fbm"
     model.save(ckpt)
-    rc, _, err = run(capsys, "eval", "--checkpoint", str(ckpt), "--data", periodic_csv)
+    return str(ckpt)
+
+
+def test_numeric_abort_exits_3(capsys, tmp_path, periodic_csv):
+    ckpt = _collapsed_gamma_checkpoint(tmp_path)
+    rc, _, err = run(capsys, "eval", "--checkpoint", ckpt, "--data", periodic_csv)
     assert rc == 3
     assert "gamma" in err
+
+
+def test_failed_prediction_export_keeps_the_previous_file(capsys, tmp_path, periodic_csv):
+    ckpt = _collapsed_gamma_checkpoint(tmp_path)
+    preds = tmp_path / "p.csv"
+    preds.write_bytes(b"window_id,channel,step,y_true,y_pred\n0,0,0,1,2\n")
+    kept = preds.read_bytes()
+    rc, _, err = run(capsys, "eval", "--checkpoint", ckpt, "--data", periodic_csv,
+                     "--predictions-out", str(preds))
+    assert rc == 3 and "gamma" in err
+    assert preds.read_bytes() == kept
+    assert not list(tmp_path.glob("*.tmp"))
 
 
 # --- train / eval ------------------------------------------------------------------

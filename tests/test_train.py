@@ -1,4 +1,4 @@
-"""Metrics, the training loop contract, and the synthetic diagnostics."""
+"""Evaluation, the training loop contract, and the synthetic diagnostics."""
 
 import csv
 import json
@@ -18,46 +18,8 @@ from fbm.train import (
     export_predictions,
     make_case1,
     make_case2,
-    mae,
-    mse,
     train,
 )
-
-
-# --- metrics ----------------------------------------------------------------------
-
-
-def test_metrics_zero_on_equal():
-    x = np.random.default_rng(0).standard_normal((3, 2, 5))
-    assert mse(x, x) == 0.0
-    assert mae(x, x) == 0.0
-
-
-def test_metrics_unit_diff():
-    pred = np.array([[[1.0, -1.0]]])
-    target = np.zeros((1, 1, 2))
-    assert mse(pred, target) == 1.0
-    assert mae(pred, target) == 1.0
-
-
-def test_metrics_match_loop_oracle():
-    rng = np.random.default_rng(1)
-    pred = rng.standard_normal((4, 3, 6))
-    target = rng.standard_normal((4, 3, 6))
-    sq = ab = 0.0
-    for b in range(4):
-        for d in range(3):
-            for v in range(6):
-                e = pred[b, d, v] - target[b, d, v]
-                sq += e * e
-                ab += abs(e)
-    assert abs(mse(pred, target) - sq / 72) < 1e-12
-    assert abs(mae(pred, target) - ab / 72) < 1e-12
-
-
-def test_metrics_shape_mismatch():
-    with pytest.raises(ConfigError):
-        mse(np.zeros((2, 1, 3)), np.zeros((2, 1, 4)))
 
 
 def test_train_config_validation():
@@ -117,9 +79,9 @@ def test_evaluate_weights_partial_batches():
     Y = rng.standard_normal((10, 1, 4))
     src = PairedWindows(X, Y, batch_size=4, splits=(0.2, 0.2, 0.6))
     got_mse, got_mae = evaluate(model, src.test_batches())  # 6 windows -> batches 4+2
-    pred = model.predict(X[4:])
-    assert abs(got_mse - mse(pred, Y[4:])) < 1e-12
-    assert abs(got_mae - mae(pred, Y[4:])) < 1e-12
+    d = model.predict(X[4:]) - Y[4:]
+    assert abs(got_mse - np.mean(d * d)) < 1e-12
+    assert abs(got_mae - np.mean(np.abs(d))) < 1e-12
 
 
 def test_threaded_evaluate_keeps_few_batches_in_flight():
