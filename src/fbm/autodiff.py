@@ -116,15 +116,14 @@ class Tensor:
 
 
 class Parameter(Tensor):
-    """Trainable leaf tensor with its Adam state riding along."""
+    """Trainable leaf tensor with its Adam state riding along (m, v from its first update)."""
 
     __slots__ = ("name", "m", "v", "step")
 
     def __init__(self, value, name):
         super().__init__(value, requires_grad=True)
         self.name = str(name)
-        self.m = np.zeros_like(self.value, order="C")  # so adam_step's flat reshape is a view
-        self.v = np.zeros_like(self.value, order="C")
+        self.m = self.v = None
         self.step = 0
 
     def __repr__(self):
@@ -386,11 +385,19 @@ def adam_step(params, lr):
     m, v and the value are updated in place in the textbook op order, one chunk
     of _ADAM_CHUNK elements at a time, so each array is read and written once per
     step. Every op is elementwise with the same scalars in every chunk, so the
-    chunking changes no bit. A first update, or one of a value that is not
-    C-contiguous, writes a new C-order value: the array a parameter was built
-    from is never written, and an untrained model copies no weights.
+    chunking changes no bit. A first update makes m and v; it, or one of a value
+    not C-contiguous, writes a new C-order value, so the array a parameter was
+    built from is never written. An untrained model holds no copy and no moments.
     """
     s1, s2 = np.empty(_ADAM_CHUNK), np.empty(_ADAM_CHUNK)
+    # First updates get m and v as C-order views of one zeroed block. Made one by one
+    # after a forward, they would sit in the heap between the temporaries of every later
+    # step, which then faults in more pages; a large block is mapped on its own.
+    fresh = [p for p in params if p.grad is not None and p.m is None]
+    offsets = np.cumsum([0] + [2 * p.value.size for p in fresh])
+    block = np.zeros(offsets[-1])
+    for p, start, end in zip(fresh, offsets, offsets[1:]):
+        p.m, p.v = block[start:end].reshape((2,) + p.value.shape)
     for p in params:
         if p.grad is None:
             continue

@@ -7,9 +7,10 @@ in the spectrum, so no block builds it. A Grid holds it as per-bin
 coefficients over basis rows, and every layer that reads it (a linear map
 of the grid or of a patch, the patch's mean and mean square, a downsampled
 scale) is the coefficients times a table of the rows and weights that does
-not grow with the batch. The seasonal filter is a per-bin complex gain: a
-shift only rotates a sinusoid's phase, so W reaches bin k through
-g_k = sum_n W[n, k] e^{2 pi i k n / T} alone.
+not grow with the batch: Patches.linear is the one product of rows and a
+weight, and PatchProjector the one centralized front. The seasonal filter is
+a per-bin complex gain: a shift only rotates a sinusoid's phase, so W reaches
+bin k through g_k = sum_n W[n, k] e^{2 pi i k n / T} alone.
 
 All forwards take and return autodiff Tensors so both parameter and
 input gradients flow; feature inputs are usually constants, which get no
@@ -128,7 +129,7 @@ class Patches:
         self.N = (T // P) * K
 
     def linear(self, w):
-        """x @ w for each patch x, w[N, width] -> [..., P, width]."""
+        """x @ w for each patch x, w[N, width] (or its [T/P, K, width] view) -> [..., P, width]."""
         K, c, P, pt = self.rows.shape
         width = w.shape[-1]
         per_column = ad.transpose(ad.reshape(w, (pt, K, width)), (1, 0, 2))  # [K, T/P, width]
@@ -151,19 +152,11 @@ class Patches:
 
 
 def downsample_op(G, kernel):
-    """Coarsen a grid [..., t, f]: average `kernel` rows, sum `kernel` columns.
+    """Coarsen a Grid [..., t, f]: average `kernel` rows, sum `kernel` columns.
 
-    A Grid stays coefficients: the `kernel` bins that sum into one column
-    become that column's coefficients, over their rows averaged `kernel` at
-    a time. A dense grid goes the same way over identity rows and is built
-    back from the coarse coefficients and rows.
+    It stays coefficients: the `kernel` bins that sum into one column become
+    that column's coefficients, over their rows averaged `kernel` at a time.
     """
-    if not isinstance(G, Grid):
-        coarse = downsample_op(Grid.of(G), kernel)
-        c, t = coarse.rows.shape[1:]
-        per_column = ad.matmul(ad.reshape(coarse.coef, coarse.coef.shape[:-1] + (1, c)),
-                               Tensor(coarse.rows))  # [..., f, 1, t]
-        return ad.swap_last2(ad.reshape(per_column, per_column.shape[:-2] + (t,)))
     f, c, t = G.rows.shape
     if t % kernel or f % kernel:
         raise ConfigError(
@@ -244,7 +237,8 @@ def _per_bin(gain, rows):  # gain[K] times each bin's rows[K, 2, width]
 
 class GridLinear:
     """fbm-l: x @ w for the whole grid x, per-bin weights w[K, T, width], no bias.
-    sum_{n,k} G[n, k] w[k, n] is coef @ (rows @ w): on the spectrum, one z @ M GEMM."""
+    The grid is one patch and w's [T, K, width] view its time-major weight, so
+    Patches.linear gives coef @ (rows @ w): on the spectrum, one z @ M GEMM."""
 
     def __init__(self, rng, T, width, name):
         self.w = Parameter(ad.init_uniform(rng, (T // 2, T, width), T * T // 2), f"{name}.w")
@@ -253,7 +247,8 @@ class GridLinear:
         return [self.w]
 
     def forward(self, grid):
-        return _contract(grid.coef, ad.matmul(Tensor(grid.rows), self.w))
+        y = Patches(grid, 1).linear(ad.transpose(self.w, (1, 0, 2)))  # [..., 1, width]
+        return ad.reshape(y, y.shape[:-2] + y.shape[-1:])
 
 
 class GridMLP:
@@ -324,29 +319,25 @@ class SeasonalBlock:
         return _contract(z, ad.add(_per_bin(a, self._rows), _per_bin(b, self._turned)))
 
 
-# --- shared patch projector (trend front / FBM-NP front) ----------------------
+# --- the centralized front (trend scales, fbm-np, interaction) -----------------
 
 
 class PatchProjector:
-    """patch -> centralize -> linear N->h1 (optional ReLU) -> decentralize,
-    on a Grid: centralization reads the patches' moments and linear map
-    through Patches' tables, so no patch is built."""
+    """A Grid's P patches, centralized by `cent` and mapped by `linear`:
+    grid -> (centralize(patches) @ w + b [..., D, P, width], the patches'
+    (mean, std)). Centralization reads the patches' moments and linear map
+    through Patches' tables, so no patch is built; what follows the front
+    (a ReLU, cent.decentralize with those stats) is its caller's."""
 
-    def __init__(self, rng, layout, D, h1, use_relu, name):
-        self.layout = layout
-        self.use_relu = use_relu
-        self.cent = Centralization(D, name=f"{name}.cent")
-        self.linear = Linear(rng, layout.N, h1, name)
+    def __init__(self, cent, linear, P):
+        self.cent, self.linear, self.P = cent, linear, P
 
     def params(self):
         return self.cent.params() + self.linear.params()
 
     def forward(self, grid):
-        xhat, stats = self.cent.centralize(Patches(grid, self.layout.P), self.linear.w)
-        y = ad.add(xhat, self.linear.b)
-        if self.use_relu:
-            y = ad.relu(y)
-        return self.cent.decentralize(y, stats)  # [B, D, P, h1]
+        xhat, stats = self.cent.centralize(Patches(grid, self.P), self.linear.w)
+        return ad.add(xhat, self.linear.b), stats
 
 
 # --- trend block ---------------------------------------------------------------
@@ -394,17 +385,20 @@ def scale_grid(T, kernel):
 class _TrendScale:
     """All layers of one scale; scales are independent and summed.
 
-    fbm-np is one transformer scale at full resolution whose projector
-    has no ReLU (use_relu=False)."""
+    A patched backbone's front is followed by a ReLU (use_relu) and its
+    decentralization; fbm-np is one transformer scale at full resolution with
+    no ReLU there (use_relu=False)."""
 
     def __init__(self, rng, T, K_freq, L, D, cfg, name, use_relu=True):
         self.cfg = cfg
+        self.use_relu = use_relu
         self.proj = self.mid = None
         self.stacks = []
         n_head = T * K_freq  # linear: the flattened grid
         layout = cfg.patch_layout(T, K_freq)
         if layout is not None:
-            self.proj = PatchProjector(rng, layout, D, cfg.h1, use_relu, f"{name}.proj")
+            cent = Centralization(D, name=f"{name}.proj.cent")
+            self.proj = PatchProjector(cent, Linear(rng, layout.N, cfg.h1, f"{name}.proj"), cfg.P)
             n_head = cfg.P * cfg.h1
         if cfg.backbone == "mlp":
             self.mid = Linear(rng, n_head, cfg.h2, f"{name}.mid")
@@ -425,7 +419,8 @@ class _TrendScale:
             y = Patches(grid, 1).linear(self.out.w)
             return ad.add(ad.reshape(y, y.shape[:-2] + (y.shape[-1],)), self.out.b)
         cfg = self.cfg
-        y = self.proj.forward(grid)  # [B, D, P, h1]
+        y, stats = self.proj.forward(grid)
+        y = self.proj.cent.decentralize(ad.relu(y) if self.use_relu else y, stats)  # [B, D, P, h1]
         b, d = y.shape[0], y.shape[1]
         if self.mid is not None:
             x = ad.relu(self.mid(ad.reshape(y, (b, d, cfg.P * cfg.h1))))
@@ -483,21 +478,19 @@ class InteractionBlock:
     """Cross-channel attention over the last C1 timesteps' features.
 
     One token per variate; output masked to the first C2 horizon steps.
-    The front reads those C1 grid rows as one patch from the Grid's
-    coefficients, like PatchProjector. Its centralization is one patch per
-    channel and is not inverted afterward, so the masked horizon entries
-    stay exactly zero.
+    The front is a PatchProjector over the Grid of those C1 rows, read as
+    one patch per channel. Its centralization is not inverted afterward, so
+    the masked horizon entries stay exactly zero.
     """
 
     def __init__(self, rng, T, L, D, cfg):
         cfg.check_masks(T, L)
         self.cfg = cfg
-        self.n_in = cfg.C1 * (T // 2)
-        self.cent = Centralization(D, name="inter.cent")
-        self.in_ = Linear(rng, self.n_in, cfg.h3, "inter.in")
+        self.front = PatchProjector(Centralization(D, name="inter.cent"),
+                                    Linear(rng, cfg.C1 * (T // 2), cfg.h3, "inter.in"), 1)
         self.stacks = [AttentionParams(rng, cfg.h3, cfg.h3, f"inter.stack{i}") for i in range(cfg.K)]
         self.out = Linear(rng, cfg.h3, L, "inter.out")
-        self.layers = [self.cent, self.in_, *self.stacks, self.out]
+        self.layers = [self.front, *self.stacks, self.out]
         self._mask = Tensor((np.arange(L) < cfg.C2).astype(np.float64))
 
     def params(self):
@@ -508,9 +501,7 @@ class InteractionBlock:
         horizon step C2."""
         grid = Grid.of(G)
         T = grid.rows.shape[-1]
-        recent = Patches(Grid(grid.coef, grid.rows[..., T - self.cfg.C1:]), 1)  # one patch
-        xhat, _ = self.cent.centralize(recent, self.in_.w)  # no inverse here
-        tokens = ad.add(xhat, self.in_.b)  # [B, D, 1, h3]
+        tokens, _ = self.front.forward(Grid(grid.coef, grid.rows[..., T - self.cfg.C1:]))  # no inverse
         tokens = ad.reshape(tokens, tokens.shape[:2] + (self.cfg.h3,))  # D variate tokens
         for stack in self.stacks:
             tokens = ad.attention_block(tokens, stack)

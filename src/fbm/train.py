@@ -59,7 +59,7 @@ class RunReport:
         return json.dumps(asdict(self), indent=2)
 
     def save(self, path):
-        with open(path, "w", encoding="utf-8") as f:
+        with ad._replacing(path, "x", encoding="utf-8") as f:
             f.write(self.to_json())
             f.write("\n")
 

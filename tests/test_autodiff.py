@@ -360,7 +360,6 @@ def _bytes(*arrays):
 def test_adam_in_place_matches_the_textbook_form_bitwise():
     rng = RNG(5)
     p = ad.Parameter(rng.standard_normal((4, 3)), "w")
-    state = p.m, p.v
     value, m, v = p.value.copy(), np.zeros((4, 3)), np.zeros((4, 3))
     for t in range(1, 5):
         p.grad = g = rng.standard_normal((4, 3))
@@ -368,9 +367,23 @@ def test_adam_in_place_matches_the_textbook_form_bitwise():
         value, m, v = _textbook_adam(value, m, v, g, t, 0.01)
         assert _bytes(p.value, p.m, p.v) == _bytes(value, m, v)
         if t == 1:
-            state += (p.value,)
-    # updated in place, the value from its second step on
+            state = p.m, p.v, p.value
+    # updated in place from the second step on
     assert p.m is state[0] and p.v is state[1] and p.value is state[2]
+
+
+def test_adam_moments_come_from_the_first_update():
+    rng = RNG(8)
+    ps = [ad.Parameter(rng.standard_normal(shape), "w") for shape in ((3, 2), (5,))]
+    ad.adam_step(ps, 0.01)  # no grads: no update, no state
+    assert all(p.m is None and p.v is None and p.step == 0 for p in ps)
+    for p in ps:
+        p.grad = rng.standard_normal(p.shape)
+    want = [_textbook_adam(p.value, 0.0, 0.0, p.grad, 1, 0.01) for p in ps]
+    ad.adam_step(ps, 0.01)
+    for p, (value, m, v) in zip(ps, want):
+        assert _bytes(p.value, p.m, p.v) == _bytes(value, m, v)
+        assert p.m.flags.c_contiguous and p.v.flags.c_contiguous
 
 
 CHUNK = ad._ADAM_CHUNK

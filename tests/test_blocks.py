@@ -410,7 +410,7 @@ def test_interaction_single_channel_matches_hand_oracle():
     flat = G[0, 0, T - cfg.C1 :, :].reshape(-1)
     mu, var = flat.mean(), flat.var()
     xhat = (flat - mu) / np.sqrt(var + 1e-5)  # gamma=1, beta=0 at init
-    tok = xhat @ block.in_.w.value + block.in_.b.value
+    tok = xhat @ block.front.linear.w.value + block.front.linear.b.value
     tok = _attention_oracle_1token(tok, block.stacks[0])
     want = tok @ block.out.w.value + block.out.b.value
     want[cfg.C2 :] = 0.0

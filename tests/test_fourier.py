@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from fbm import fourier as fb
 from fbm.autodiff import Tensor
-from fbm.blocks import downsample_op
+from fbm.blocks import Grid, downsample_op
 from fbm.errors import ConfigError
 
 
@@ -239,7 +239,9 @@ def _loop_downsample(G, kernel):
 
 
 def _downsample(G, kernel):
-    return downsample_op(Tensor(G), kernel).value
+    # the dense grid [..., t, f] built back from the coarse Grid's coef[..., f, c] and rows[f, c, t]
+    coarse = downsample_op(Grid.of(Tensor(G)), kernel)
+    return np.einsum("...fc,fct->...tf", coarse.coef.value, coarse.rows)
 
 
 @pytest.mark.parametrize("kernel", [2, 4])

@@ -53,7 +53,7 @@ def direct_scale(scale, Gs):
         return Gs.reshape(B, D, -1) @ scale.out.w.value + scale.out.b.value
     proj, cfg = scale.proj, scale.cfg
     y, mean, std = direct_centralized_linear(proj.cent, Gs.reshape(B, D, cfg.P, -1), proj.linear)
-    if proj.use_relu:
+    if scale.use_relu:
         y = np.maximum(y, 0.0)
     g, b = proj.cent.gamma.value[:, None, None], proj.cent.beta.value[:, None, None]
     y = (y - b) / g * std + mean
@@ -76,7 +76,7 @@ def direct_trend(block, G):
 def direct_interaction(block, G):
     B, D, T, _ = G.shape
     recent = G[:, :, T - block.cfg.C1:, :].reshape(B, D, 1, -1)
-    y, _, _ = direct_centralized_linear(block.cent, recent, block.in_)
+    y, _, _ = direct_centralized_linear(block.front.cent, recent, block.front.linear)
     tokens = Tensor(y.reshape(B, D, -1))
     with ad.no_grad():
         for stack in block.stacks:

@@ -9,6 +9,7 @@ import pytest
 
 from fbm import autodiff as ad
 from fbm.blocks import InteractionConfig, TrendConfig
+from fbm.data import WindowBatch
 from fbm.errors import CheckpointError, ConfigError
 from fbm.models import (
     ForecastModel,
@@ -16,6 +17,7 @@ from fbm.models import (
     expected_param_count,
     instance_standardize,
 )
+from fbm.train import evaluate
 
 from gradcheck import param_grad_err
 
@@ -528,6 +530,19 @@ def test_checkpoint_roundtrip_bitwise(tmp_path):
     restored = ForecastModel.load(path)
     assert restored.spec == model.spec
     assert np.array_equal(restored.predict(X), before)
+
+
+def test_untrained_and_loaded_models_hold_no_adam_moments(tmp_path):
+    rng = np.random.default_rng(15)
+    model = ForecastModel(small_spec("fbm-s"), seed=6)
+    path = tmp_path / "model.fbm"
+    model.save(path)
+    X = windows(rng)
+    batch = WindowBatch(X, rng.standard_normal(X.shape[:2] + (model.spec.L,)), np.arange(len(X)))
+    for m in (model, ForecastModel.load(path)):
+        m.predict(X)
+        evaluate(m, [batch])
+        assert all(p.m is None and p.v is None for p in m.params)
 
 
 def test_checkpoint_spec_mismatch_names_both(tmp_path):

@@ -13,6 +13,7 @@ from fbm.errors import ConfigError, NumericError
 from fbm.models import ForecastModel, ModelSpec
 from fbm.train import (
     PairedWindows,
+    RunReport,
     TrainConfig,
     evaluate,
     export_predictions,
@@ -224,6 +225,16 @@ def test_report_schema(tmp_path):
     assert doc["config"]["train"]["lr"] == 0.01
     assert doc["config"]["model"]["variant"] == "fbm-l"
     assert doc["seconds"] > 0
+
+
+def test_failed_report_save_keeps_the_previous_file(tmp_path):
+    path = tmp_path / "report.json"
+    RunReport(config={"lr": 0.01}).save(path)
+    kept = path.read_bytes()
+    with pytest.raises(TypeError):  # json cannot encode a set
+        RunReport(config={"lr": {0.01}}).save(path)
+    assert path.read_bytes() == kept
+    assert not list(tmp_path.glob("*.tmp"))
 
 
 def test_report_epochs_time_the_train_and_validation_passes():
