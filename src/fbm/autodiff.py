@@ -9,6 +9,14 @@ topological order. Gradients land on leaf tensors only (Parameters and
 explicitly tracked inputs) and accumulate there until zeroed, so one
 forward/backward per batch composes with plain Python control flow.
 
+A grid weight, a rank-3 Parameter w[K, T, width] that a stack of basis rows
+multiplies bin by bin (rows[K, c, T] @ w, as blocks.Patches.linear does), gets
+its gradient as per-bin factors: slab k is rows[k]^T @ gM[k], a product with a
+small inner dimension c.
+adam_step expands it one slab at a time into a reused buffer, so the
+full-size gradient array is never written; reading .grad, or a second
+gradient reaching the same leaf, materializes it.
+
 Everything is float64. Inputs are coerced on construction; complex
 payloads are rejected by the cast. Broadcasting follows numpy's
 trailing-dim rules and gradients are summed back to the original shapes.
@@ -46,15 +54,26 @@ class no_grad:
 
 
 class Tensor:
-    __slots__ = ("value", "grad", "requires_grad", "_edges")
+    __slots__ = ("value", "_grad", "requires_grad", "_edges")
 
     def __init__(self, value, requires_grad=False):
         if np.iscomplexobj(value):
             raise TypeError("Tensor payloads must be real, got complex")
         self.value = np.asarray(value, dtype=np.float64)
-        self.grad = None
+        self._grad = None
         self.requires_grad = bool(requires_grad)
         self._edges = ()
+
+    @property
+    def grad(self):
+        """The accumulated gradient as an array (a per-bin one is materialized here), or None."""
+        if isinstance(self._grad, _PerBin):
+            self._grad = self._grad.dense()
+        return self._grad
+
+    @grad.setter
+    def grad(self, g):
+        self._grad = g
 
     @property
     def shape(self):
@@ -128,6 +147,29 @@ class Parameter(Tensor):
 
     def __repr__(self):
         return f"Parameter({self.name!r}, shape={self.value.shape})"
+
+
+class _PerBin:
+    """The gradient of w[K, T, width] in rows[K, c, T] @ w, kept as its factors:
+    slab k is rows_t[k] @ g[k], rows_t[K, T, c] and g[K, c, width]. Adding it to
+    another gradient materializes it (numpy defers to __radd__ here)."""
+
+    __slots__ = ("rows_t", "g")
+    __array_ufunc__ = None
+
+    def __init__(self, rows_t, g):
+        self.rows_t, self.g = rows_t, g
+
+    def slab(self, k, out):
+        return np.matmul(self.rows_t[k], self.g[k], out=out)
+
+    def dense(self):
+        return np.matmul(self.rows_t, self.g)
+
+    def __add__(self, other):
+        return self.dense() + (other.dense() if isinstance(other, _PerBin) else other)
+
+    __radd__ = __add__
 
 
 def _as_tensor(x):
@@ -220,7 +262,9 @@ def matmul(a, b):
     """a @ b over the last two axes. A stack a[..., n, k] times one matrix
     b[k, m] folds a's leading axes into its rows, so the forward and each
     gradient are one 2-D GEMM, which BLAS may sum in another order than
-    np.matmul's per-matrix loop (equal at roundoff)."""
+    np.matmul's per-matrix loop (equal at roundoff). A stack times a rank-3
+    Parameter with the same leading axis, a grid weight, gives that Parameter
+    its gradient as per-bin factors (_PerBin)."""
     a, b = _as_tensor(a), _as_tensor(b)
     if a.value.ndim < 2 or b.value.ndim < 2:
         raise ValueError("matmul expects tensors of rank >= 2")
@@ -232,10 +276,12 @@ def matmul(a, b):
             (a, lambda g: np.matmul(g.reshape(-1, g.shape[-1]), b.value.T).reshape(a.value.shape)),
             (b, lambda g: np.matmul(a.value.reshape(rows).T, g.reshape(-1, g.shape[-1]))),
         )
+    a_t = np.swapaxes(a.value, -1, -2)
+    per_bin = isinstance(b, Parameter) and b.value.ndim == 3 and a.value.shape[:-2] == b.value.shape[:-2]
     return _from_op(
         np.matmul(a.value, b.value),
         (a, lambda g: _unbroadcast(np.matmul(g, np.swapaxes(b.value, -1, -2)), a.value.shape)),
-        (b, lambda g: _unbroadcast(np.matmul(np.swapaxes(a.value, -1, -2), g), b.value.shape)),
+        (b, lambda g: _PerBin(a_t, g) if per_bin else _unbroadcast(np.matmul(a_t, g), b.value.shape)),
     )
 
 
@@ -335,7 +381,7 @@ def backward(loss, params=None):
         _backward_walk(loss)
     if params is not None:
         for p in params:
-            if p.grad is None:
+            if p._grad is None:
                 p.grad = np.zeros_like(p.value)
 
 
@@ -363,7 +409,7 @@ def _backward_walk(loss):
         if g is None:
             continue
         if not node._edges:
-            node.grad = g if node.grad is None else node.grad + g
+            node.grad = g if node._grad is None else node.grad + g
             continue
         for parent, vjp in node._edges:
             pg, key = vjp(g), id(parent)
@@ -385,39 +431,54 @@ def adam_step(params, lr):
     m, v and the value are updated in place in the textbook op order, one chunk
     of _ADAM_CHUNK elements at a time, so each array is read and written once per
     step. Every op is elementwise with the same scalars in every chunk, so the
-    chunking changes no bit. A first update makes m and v; it, or one of a value
-    not C-contiguous, writes a new C-order value, so the array a parameter was
-    built from is never written. An untrained model holds no copy and no moments.
+    chunking changes no bit. A per-bin gradient is expanded one bin's slab at a
+    time into one reused buffer, and each slab updated as above. A first update
+    makes m and v; it, or one of a value not C-contiguous, writes a new C-order
+    value, so the array a parameter was built from is never written. An
+    untrained model holds no copy and no moments.
     """
-    s1, s2 = np.empty(_ADAM_CHUNK), np.empty(_ADAM_CHUNK)
+    scratch = np.empty(_ADAM_CHUNK), np.empty(_ADAM_CHUNK)
     # First updates get m and v as C-order views of one zeroed block. Made one by one
     # after a forward, they would sit in the heap between the temporaries of every later
     # step, which then faults in more pages; a large block is mapped on its own.
-    fresh = [p for p in params if p.grad is not None and p.m is None]
+    fresh = [p for p in params if p._grad is not None and p.m is None]
     offsets = np.cumsum([0] + [2 * p.value.size for p in fresh])
     block = np.zeros(offsets[-1])
     for p, start, end in zip(fresh, offsets, offsets[1:]):
         p.m, p.v = block[start:end].reshape((2,) + p.value.shape)
     for p in params:
-        if p.grad is None:
+        grad = p._grad
+        if grad is None:
             continue
         p.step += 1
         if p.step == 1 or not p.value.flags.c_contiguous:
             p.value = np.array(p.value, order="C")
-        flat = [a.reshape(-1) for a in (p.value, p.m, p.v, np.ascontiguousarray(p.grad))]
-        for i in range(0, p.value.size, _ADAM_CHUNK):
-            x, m, v, g = (a[i : i + _ADAM_CHUNK] for a in flat)
-            t1, t2 = s1[: g.size], s2[: g.size]
-            m *= ADAM_BETA1
-            m += np.multiply(g, 1.0 - ADAM_BETA1, out=t1)
-            np.multiply(g, g, out=t1)
-            v *= ADAM_BETA2
-            v += np.multiply(t1, 1.0 - ADAM_BETA2, out=t1)
-            np.multiply(np.divide(m, 1.0 - ADAM_BETA1**p.step, out=t1), lr, out=t1)  # lr mhat
-            np.sqrt(np.divide(v, 1.0 - ADAM_BETA2**p.step, out=t2), out=t2)  # sqrt(vhat)
-            t2 += ADAM_EPS
-            x -= np.divide(t1, t2, out=t1)
+        if isinstance(grad, _PerBin):
+            slab = np.empty(p.value.shape[1:])
+            for k, state in enumerate(zip(p.value, p.m, p.v)):
+                _adam_chunks(*state, grad.slab(k, out=slab), lr, p.step, scratch)
+        else:
+            _adam_chunks(p.value, p.m, p.v, np.ascontiguousarray(grad), lr, p.step, scratch)
         p.grad = None
+
+
+def _adam_chunks(x, m, v, g, lr, t, scratch):
+    """Adam's elementwise update at step t of C-order x, m and v, in place from g,
+    one chunk at a time through the two scratch buffers of _ADAM_CHUNK elements."""
+    c1, c2 = 1.0 - ADAM_BETA1**t, 1.0 - ADAM_BETA2**t
+    flat = [a.reshape(-1) for a in (x, m, v, g)]
+    for i in range(0, flat[0].size, _ADAM_CHUNK):
+        x, m, v, g = (a[i : i + _ADAM_CHUNK] for a in flat)
+        t1, t2 = (s[: g.size] for s in scratch)
+        m *= ADAM_BETA1
+        m += np.multiply(g, 1.0 - ADAM_BETA1, out=t1)
+        np.multiply(g, g, out=t1)
+        v *= ADAM_BETA2
+        v += np.multiply(t1, 1.0 - ADAM_BETA2, out=t1)
+        np.multiply(np.divide(m, c1, out=t1), lr, out=t1)  # lr mhat
+        np.sqrt(np.divide(v, c2, out=t2), out=t2)  # sqrt(vhat)
+        t2 += ADAM_EPS
+        x -= np.divide(t1, t2, out=t1)
 
 
 def init_uniform(rng, shape, fan_in):

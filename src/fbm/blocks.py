@@ -129,11 +129,14 @@ class Patches:
         self.N = (T // P) * K
 
     def linear(self, w):
-        """x @ w for each patch x, w[N, width] (or its [T/P, K, width] view) -> [..., P, width]."""
+        """x @ w for each patch x -> [..., P, width]; w is [N, width], time-major,
+        or already per column, [K, T/P, width] (taken as is: a Parameter there
+        gets its gradient per bin)."""
         K, c, P, pt = self.rows.shape
         width = w.shape[-1]
-        per_column = ad.transpose(ad.reshape(w, (pt, K, width)), (1, 0, 2))  # [K, T/P, width]
-        M = ad.matmul(Tensor(self.rows.reshape(K, c * P, pt)), per_column)
+        if w.ndim == 2:
+            w = ad.transpose(ad.reshape(w, (pt, K, width)), (1, 0, 2))  # [K, T/P, width]
+        M = ad.matmul(Tensor(self.rows.reshape(K, c * P, pt)), w)
         out = _contract(self.coef, ad.reshape(M, (K, c, P * width)))
         return ad.reshape(out, out.shape[:-1] + (P, width))
 
@@ -237,8 +240,9 @@ def _per_bin(gain, rows):  # gain[K] times each bin's rows[K, 2, width]
 
 class GridLinear:
     """fbm-l: x @ w for the whole grid x, per-bin weights w[K, T, width], no bias.
-    The grid is one patch and w's [T, K, width] view its time-major weight, so
-    Patches.linear gives coef @ (rows @ w): on the spectrum, one z @ M GEMM."""
+    The grid is one patch and w its per-column weight, so Patches.linear gives
+    coef @ (rows @ w): on the spectrum, one z @ M GEMM, and w's gradient stays
+    per-bin factors until Adam reads it."""
 
     def __init__(self, rng, T, width, name):
         self.w = Parameter(ad.init_uniform(rng, (T // 2, T, width), T * T // 2), f"{name}.w")
@@ -247,7 +251,7 @@ class GridLinear:
         return [self.w]
 
     def forward(self, grid):
-        y = Patches(grid, 1).linear(ad.transpose(self.w, (1, 0, 2)))  # [..., 1, width]
+        y = Patches(grid, 1).linear(self.w)  # [..., 1, width]
         return ad.reshape(y, y.shape[:-2] + y.shape[-1:])
 
 

@@ -56,7 +56,7 @@ def load_csv(path, value_columns=None):
     The first column is treated as a timestamp when its first data cell is
     not numeric. value_columns optionally restricts (and orders) the value
     columns by header name. Row numbers in errors are 1-based file lines
-    (the header is line 1).
+    (the header is line 1), blank lines counted.
     """
     path = str(path)
     try:
@@ -69,13 +69,13 @@ def load_csv(path, value_columns=None):
             header = next(reader)
         except StopIteration:
             raise DataError(f"{path}: empty file") from None
-        rows = [r for r in reader if r]
+        rows = [(reader.line_num, r) for r in reader if r]
     if not rows:
         raise DataError(f"{path}: no data rows")
 
     has_ts = False
     try:
-        float(rows[0][0])
+        float(rows[0][1][0])
     except ValueError:
         has_ts = True
     first_value_col = 1 if has_ts else 0
@@ -94,8 +94,7 @@ def load_csv(path, value_columns=None):
 
     out = np.empty((len(picks), len(rows)))
     timestamps = [] if has_ts else None
-    for i, row in enumerate(rows):
-        line_no = i + 2  # 1-based, after the header line
+    for i, (line_no, row) in enumerate(rows):
         if len(row) != len(header):
             raise DataError(
                 f"{path}: row {line_no} has {len(row)} cells, header has {len(header)}"

@@ -449,6 +449,76 @@ def test_adam_after_the_first_step_allocates_only_chunk_buffers():
     assert peak < 0.1 * p.value.nbytes
 
 
+# --- a grid weight's gradient as per-bin factors ----------------------------------
+
+
+def _grid_weight(rng, K, c, T, width):
+    """Constant rows[K, c, T], a Parameter w[K, T, width] and an upstream gradient gM of rows @ w."""
+    return (rng.standard_normal((K, c, T)), ad.Parameter(rng.standard_normal((K, T, width)), "w"),
+            rng.standard_normal((K, c, width)))
+
+
+def _per_bin_loss(rows, w, gM):
+    return (ad.matmul(ad.Tensor(rows), w) * gM).sum()  # d/d(rows @ w) is gM exactly
+
+
+def _old_vjp(rows, gM):
+    return np.matmul(np.swapaxes(rows, -1, -2), gM)
+
+
+@pytest.mark.parametrize("K, c, T, width", [(3, 2, 5, 4), (2, 2, 130, 130), (2, 3, 7, 9)])
+def test_adam_on_a_per_bin_gradient_matches_the_dense_one_bitwise(K, c, T, width):
+    # (2, 2, 130, 130): one bin's slab is larger than a chunk
+    rng = RNG(K * T + width)
+    rows, p, _ = _grid_weight(rng, K, c, T, width)
+    dense = ad.Parameter(p.value.copy(), "dense")
+    for t in range(1, 4):
+        if t == 2:  # every other entry of a wider array: not C-contiguous
+            wide = np.repeat(p.value, 2, axis=-1)
+            p.value, dense.value = wide[..., ::2], wide[..., ::2].copy(order="F")
+        gM = rng.standard_normal((K, c, width))
+        ad.backward(_per_bin_loss(rows, p, gM))
+        assert isinstance(p._grad, ad._PerBin)
+        dense.grad = _old_vjp(rows, gM)
+        ad.adam_step([p, dense], 0.01)
+        assert p.step == dense.step == t and p.grad is None
+        assert _bytes(p.value, p.m, p.v) == _bytes(dense.value, dense.m, dense.v)
+
+
+def test_per_bin_gradient_reads_as_the_old_dense_array():
+    rows, w, gM = _grid_weight(RNG(11), 4, 2, 6, 5)
+    ad.backward(_per_bin_loss(rows, w, gM), [w])  # the zero fill leaves it factored
+    assert isinstance(w._grad, ad._PerBin)
+    g = w.grad
+    assert type(g) is np.ndarray and g.tobytes() == _old_vjp(rows, gM).tobytes()
+    assert w.grad is g  # materialized once
+
+
+def test_second_gradient_to_a_per_bin_leaf_adds_densely():
+    rng = RNG(12)
+    rows, w, gM = _grid_weight(rng, 3, 2, 4, 5)
+    gM2, H = rng.standard_normal(gM.shape), rng.standard_normal(w.shape)
+    # two per-bin edges, and a per-bin edge plus an elementwise one, in one walk
+    ad.backward(_per_bin_loss(rows, w, gM) + _per_bin_loss(rows, w, gM2))
+    assert w.grad.tobytes() == (_old_vjp(rows, gM) + _old_vjp(rows, gM2)).tobytes()
+    ad.zero_grads([w])
+    ad.backward(_per_bin_loss(rows, w, gM) + (w * H).sum())
+    assert w.grad.tobytes() == (_old_vjp(rows, gM) + H).tobytes()
+    # a per-bin gradient accumulated onto one a previous backward left
+    ad.zero_grads([w])
+    ad.backward(_per_bin_loss(rows, w, gM))
+    ad.backward(_per_bin_loss(rows, w, gM2))
+    assert w.grad.tobytes() == (_old_vjp(rows, gM) + _old_vjp(rows, gM2)).tobytes()
+
+
+def test_only_a_rank3_parameter_gets_a_per_bin_gradient():
+    rng = RNG(13)
+    rows, w, gM = _grid_weight(rng, 3, 2, 4, 5)
+    t = ad.Tensor(w.value.copy(), requires_grad=True)  # a tracked input, not a Parameter
+    ad.backward(_per_bin_loss(rows, t, gM))
+    assert type(t._grad) is np.ndarray and t._grad.tobytes() == _old_vjp(rows, gM).tobytes()
+
+
 def test_adam_never_writes_the_array_a_parameter_was_built_from():
     a = np.ones(3)
     p = ad.Parameter(a, "w")

@@ -72,6 +72,18 @@ def test_load_csv_bad_cell_names_row_and_column(tmp_path):
     assert "'u'" in str(err.value)
 
 
+def test_load_csv_error_row_counts_blank_lines(tmp_path):
+    # blank lines are skipped, but the bad cell is still named by its own file line
+    p = write_csv(tmp_path / "c2.csv", "date,a\n2020-01-01,1\n\n2020-01-02,x\n")
+    with pytest.raises(DataError) as err:
+        load_csv(p)
+    assert "row 4" in str(err.value)
+    p = write_csv(tmp_path / "c3.csv", "u,v\n\n1,2\n\n3\n")
+    with pytest.raises(DataError) as err:
+        load_csv(p)
+    assert "row 5" in str(err.value)
+
+
 def test_load_csv_rejects_nan_cell(tmp_path):
     p = write_csv(tmp_path / "d.csv", "u\n1.0\nnan\n")
     with pytest.raises(DataError):

@@ -322,22 +322,45 @@ def test_linear_has_no_bias_and_exact_count():
 
 
 @pytest.mark.parametrize("variant, weight", [("fbm-l", "linear.w"), ("fbm-nl", "fc1.w")])
-def test_first_layer_weight_gradient_is_one_array(variant, weight):
-    # the spectral map's weight gradient is one [K, T, 2] @ [K, 2, width]
-    # product; nl widths keep fc1.w the largest parameter by far
-    spec = ModelSpec(variant=variant, T=64, L=32, D=3, nl_h1=512, nl_h2=8)
+def test_grid_weight_step_allocates_no_full_size_gradient(variant, weight):
+    # the weight's gradient stays per-bin factors, expanded one bin at a time inside Adam
+    spec = ModelSpec(variant=variant, T=64, L=96, D=3, nl_h1=512, nl_h2=8)
     model = ForecastModel(spec, seed=0)
-    y = model.forward(windows(np.random.default_rng(1), B=4, D=3, T=64))
-    loss = (y * y).mean()
+    X = windows(np.random.default_rng(1), B=4, D=3, T=64)
     w = next(p for p in model.params if p.name == weight)
+
+    def loss():
+        y = model.forward(X)
+        return (y * y).mean()
+
+    ad.backward(loss())
+    ad.adam_step(model.params, 1e-3)  # the first update makes the moments and a copy of the value
+    second = loss()
     tracemalloc.start()
     try:
-        ad.backward(loss)
+        ad.backward(second)
+        factored = isinstance(w._grad, ad._PerBin)
+        ad.adam_step(model.params, 1e-3)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert w.grad.shape == w.shape
-    assert peak < 1.5 * w.value.nbytes
+    assert factored and peak < w.value.nbytes
+
+
+@pytest.mark.parametrize("variant, weight", [("fbm-l", "linear.w"), ("fbm-nl", "fc1.w")])
+def test_grid_weight_per_bin_gradient_gradcheck(variant, weight):
+    model = ForecastModel(small_spec(variant, L=4, D=2, nl_h1=3, nl_h2=3), seed=0)
+    rng = np.random.default_rng(9)
+    X = windows(rng, B=2, D=2)
+    w = next(p for p in model.params if p.name == weight)
+
+    def make_loss():
+        y = model.forward(X)
+        return (y * y).mean()
+
+    ad.backward(make_loss())
+    assert isinstance(w._grad, ad._PerBin)
+    assert param_grad_err(make_loss, [w]) < 1e-4
 
 
 @pytest.mark.parametrize("variant", ["fbm-l", "diag"])
