@@ -428,14 +428,19 @@ _ADAM_CHUNK = 1 << 14  # elements per pass of adam_step: a chunk's operands stay
 def adam_step(params, lr):
     """One Adam update with bias correction; consumed grads are zeroed.
 
-    m, v and the value are updated in place in the textbook op order, one chunk
-    of _ADAM_CHUNK elements at a time, so each array is read and written once per
-    step. Every op is elementwise with the same scalars in every chunk, so the
-    chunking changes no bit. A per-bin gradient is expanded one bin's slab at a
-    time into one reused buffer, and each slab updated as above. A first update
-    makes m and v; it, or one of a value not C-contiguous, writes a new C-order
-    value, so the array a parameter was built from is never written. An
-    untrained model holds no copy and no moments.
+    m and v are updated in place in the textbook op order, so they are bitwise the
+    textbook m and v. The value's step lr (m / c1) / (sqrt(v / c2) + eps), with
+    c1 = 1 - beta1^t and c2 = 1 - beta2^t, is taken in the form it equals in real
+    arithmetic, step m / (sqrt(v) + eps'), with the scalars step = lr sqrt(c2) / c1
+    and eps' = eps sqrt(c2): one division per entry instead of three, within a few
+    ulp of the textbook step. The update runs one chunk of _ADAM_CHUNK elements at
+    a time, so each array is read and written once per step. Every op is
+    elementwise with the same scalars in every chunk, so the chunking changes no
+    bit. A per-bin gradient is expanded one bin's slab at a time into one reused
+    buffer, and each slab updated as above. A first update makes m and v; it, or
+    one of a value not C-contiguous, writes a new C-order value, so the array a
+    parameter was built from is never written. An untrained model holds no copy
+    and no moments.
     """
     scratch = np.empty(_ADAM_CHUNK), np.empty(_ADAM_CHUNK)
     # First updates get m and v as C-order views of one zeroed block. Made one by one
@@ -453,19 +458,21 @@ def adam_step(params, lr):
         p.step += 1
         if p.step == 1 or not p.value.flags.c_contiguous:
             p.value = np.array(p.value, order="C")
+        c1, c2 = 1.0 - ADAM_BETA1**p.step, 1.0 - ADAM_BETA2**p.step
+        step, eps = lr * math.sqrt(c2) / c1, ADAM_EPS * math.sqrt(c2)
         if isinstance(grad, _PerBin):
             slab = np.empty(p.value.shape[1:])
             for k, state in enumerate(zip(p.value, p.m, p.v)):
-                _adam_chunks(*state, grad.slab(k, out=slab), lr, p.step, scratch)
+                _adam_chunks(*state, grad.slab(k, out=slab), step, eps, scratch)
         else:
-            _adam_chunks(p.value, p.m, p.v, np.ascontiguousarray(grad), lr, p.step, scratch)
+            _adam_chunks(p.value, p.m, p.v, np.ascontiguousarray(grad), step, eps, scratch)
         p.grad = None
 
 
-def _adam_chunks(x, m, v, g, lr, t, scratch):
-    """Adam's elementwise update at step t of C-order x, m and v, in place from g,
-    one chunk at a time through the two scratch buffers of _ADAM_CHUNK elements."""
-    c1, c2 = 1.0 - ADAM_BETA1**t, 1.0 - ADAM_BETA2**t
+def _adam_chunks(x, m, v, g, step, eps, scratch):
+    """Adam's elementwise update of C-order x, m and v, in place from g, one chunk
+    at a time through the two scratch buffers of _ADAM_CHUNK elements: 12 passes
+    over a chunk, x -= step m / (sqrt(v) + eps) after the textbook m and v."""
     flat = [a.reshape(-1) for a in (x, m, v, g)]
     for i in range(0, flat[0].size, _ADAM_CHUNK):
         x, m, v, g = (a[i : i + _ADAM_CHUNK] for a in flat)
@@ -475,10 +482,9 @@ def _adam_chunks(x, m, v, g, lr, t, scratch):
         np.multiply(g, g, out=t1)
         v *= ADAM_BETA2
         v += np.multiply(t1, 1.0 - ADAM_BETA2, out=t1)
-        np.multiply(np.divide(m, c1, out=t1), lr, out=t1)  # lr mhat
-        np.sqrt(np.divide(v, c2, out=t2), out=t2)  # sqrt(vhat)
-        t2 += ADAM_EPS
-        x -= np.divide(t1, t2, out=t1)
+        np.sqrt(v, out=t2)
+        t2 += eps
+        x -= np.multiply(np.divide(m, t2, out=t1), step, out=t1)
 
 
 def init_uniform(rng, shape, fan_in):

@@ -127,30 +127,35 @@ class Patches:
         self.coef = grid.coef
         self.rows = grid.rows.reshape(K, c, P, T // P)
         self.N = (T // P) * K
+        self.mean_rows = self.rows.sum(axis=-1) / self.N  # [K, c, P]
 
-    def linear(self, w):
+    def linear(self, w, ones_w=None):
         """x @ w for each patch x -> [..., P, width]; w is [N, width], time-major,
         or already per column, [K, T/P, width] (taken as is: a Parameter there
-        gets its gradient per bin)."""
+        gets its gradient per bin). Given ones_w = 1^T w, each patch is centred
+        first: (x - mean) @ w = x @ w - mean 1^T w, taken out of the table as
+        M - mean_rows 1^T w, so the GEMM yields it with no pass over its output."""
         K, c, P, pt = self.rows.shape
         width = w.shape[-1]
         if w.ndim == 2:
             w = ad.transpose(ad.reshape(w, (pt, K, width)), (1, 0, 2))  # [K, T/P, width]
         M = ad.matmul(Tensor(self.rows.reshape(K, c * P, pt)), w)
+        if ones_w is not None:
+            M = ad.sub(M, ad.mul(Tensor(self.mean_rows.reshape(K, c * P, 1)), ones_w))
         out = _contract(self.coef, ad.reshape(M, (K, c, P * width)))
         return ad.reshape(out, out.shape[:-1] + (P, width))
 
     def moments(self):
         """Each patch's mean and mean square, [..., P, 1] each."""
         c = self.rows.shape[1]
-        mean = Tensor(self.rows.sum(axis=-1) / self.N)  # [K, c, P]
         by_patch = self.rows.transpose(0, 2, 1, 3)  # [K, P, c, T/P]
         gram = by_patch @ by_patch.transpose(0, 1, 3, 2) / self.N  # [K, P, c, c]
         z = self.coef
         outer = ad.mul(ad.reshape(z, z.shape + (1,)), ad.reshape(z, z.shape[:-1] + (1, c)))
         return tuple(
             ad.reshape(m, m.shape + (1,))
-            for m in (_contract(z, mean), _contract(outer, Tensor(gram.transpose(0, 2, 3, 1))))
+            for m in (_contract(z, Tensor(self.mean_rows)),
+                      _contract(outer, Tensor(gram.transpose(0, 2, 3, 1))))
         )
 
 
@@ -187,40 +192,43 @@ class Centralization:
     def params(self):
         return [self.gamma, self.beta]
 
-    def centralize(self, x, w=None):
+    def centralize(self, x, w=None, b=None):
         """Standardize each patch, then apply gamma/beta -> (out, (mean, std)).
 
         x is the patches themselves, [..., D, P, N], and out is
         gamma (x - mean) / std + beta. Or x is Patches of a Grid, and out is
-        that output mapped by w[N, width],
-        (gamma xhat + beta) @ w = gamma (x @ w - mean 1^T w) / std + beta 1^T w,
-        read from the patches' moments and linear map alone. The variance
+        that output mapped by w[N, width] plus the bias b[width]:
+        (gamma xhat + beta) @ w + b = (x - mean) @ w (gamma / std) + (beta 1^T w + b),
+        read from the patches' moments and centred linear map alone, so the
+        full-size array takes one scale and one shift. The variance
         E[x^2] - mean^2 cancels on near-constant patches, so it is clamped at
         0 before CENT_EPS is added.
         """
         ones_w = None
         if isinstance(x, Patches):
-            (mean, square), ones_w, x = x.moments(), w.sum(axis=0), x.linear(w)
+            ones_w = w.sum(axis=0)
+            (mean, square), x = x.moments(), x.linear(w, ones_w)
         else:
             mean, square = x.mean(axis=-1, keepdims=True), ad.mul(x, x).mean(axis=-1, keepdims=True)
         std = ad.sqrt(ad.add(ad.relu(ad.sub(square, ad.mul(mean, mean))), CENT_EPS))
         g = ad.reshape(self.gamma, (self.D, 1, 1))
-        b = ad.reshape(self.beta, (self.D, 1, 1))
-        shift = mean
-        if ones_w is not None:
-            shift, b = ad.mul(mean, ones_w), ad.mul(b, ones_w)
-        xhat = ad.div(ad.sub(x, shift), std)
-        return ad.add(ad.mul(xhat, g), b), (mean, std)
+        beta = ad.reshape(self.beta, (self.D, 1, 1))
+        if ones_w is None:
+            return ad.add(ad.mul(ad.div(ad.sub(x, mean), std), g), beta), (mean, std)
+        shift = ad.add(ad.mul(beta, ones_w), b)  # [D, 1, width]
+        return ad.add(ad.mul(x, ad.div(g, std)), shift), (mean, std)
 
     def decentralize(self, y, stats):
-        """Inverse using the cached pre-projection stats; y's width may differ."""
+        """Inverse using the cached pre-projection stats; y's width may differ.
+        (y - beta) / gamma std + mean is taken as y (std / gamma) + (mean - beta std / gamma):
+        one scale and one shift of y, by arrays of the stats' size."""
         mean, std = stats
         if np.any(np.abs(self.gamma.value) < 1e-12):
             raise NumericError("centralization gamma collapsed to ~0")
         g = ad.reshape(self.gamma, (self.D, 1, 1))
         b = ad.reshape(self.beta, (self.D, 1, 1))
-        y = ad.div(ad.sub(y, b), g)
-        return ad.add(ad.mul(y, std), mean)
+        r = ad.div(std, g)
+        return ad.add(ad.mul(y, r), ad.sub(mean, ad.mul(b, r)))
 
 
 # --- first layers over the spectrum ---------------------------------------------
@@ -340,8 +348,7 @@ class PatchProjector:
         return self.cent.params() + self.linear.params()
 
     def forward(self, grid):
-        xhat, stats = self.cent.centralize(Patches(grid, self.P), self.linear.w)
-        return ad.add(xhat, self.linear.b), stats
+        return self.cent.centralize(Patches(grid, self.P), self.linear.w, self.linear.b)
 
 
 # --- trend block ---------------------------------------------------------------

@@ -56,7 +56,12 @@ class RunReport:
     seconds: float = 0.0
 
     def to_json(self):
-        return json.dumps(asdict(self), indent=2)
+        """The report as JSON; a non-finite number, which JSON has no token for,
+        raises NumericError."""
+        try:
+            return json.dumps(asdict(self), indent=2, allow_nan=False)
+        except ValueError as e:
+            raise NumericError(f"run report is not valid JSON: {e}") from None
 
     def save(self, path):
         with ad._replacing(path, "x", encoding="utf-8") as f:
@@ -143,6 +148,8 @@ def train(model, source, cfg, log=None, eval_threads=1):
 
         val_start = time.perf_counter()
         val_mse, val_mae = evaluate(model, source.val_batches(), eval_threads)
+        if not math.isfinite(val_mse):
+            raise NumericError(f"non-finite validation MSE at epoch {epoch}")
         end = time.perf_counter()
         seconds, eval_seconds = end - start, end - val_start
         report.epochs.append({

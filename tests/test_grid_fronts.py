@@ -7,6 +7,7 @@ is never built. The oracle here builds that grid and runs the direct path
 in numpy: downsample, patch, standardize, Linear, ReLU, decentralize.
 """
 
+import inspect
 import tracemalloc
 
 import numpy as np
@@ -181,9 +182,57 @@ def test_the_variance_clamp_keeps_a_constant_patch_on_the_floor():
     patches = bl.Patches(grid, P)
     mean, square = patches.moments()
     w = Tensor(np.ones((T // P * T // 2, 3)))
-    _, (m, std) = bl.Centralization(2).centralize(patches, w)
+    _, (m, std) = bl.Centralization(2).centralize(patches, w, Tensor(np.zeros(3)))
     assert np.all(mean.value == 0) and np.all(square.value == 0) and np.all(m.value == 0)
     np.testing.assert_array_equal(std.value, np.full((1, 2, P, 1), np.sqrt(bl.CENT_EPS)))
+
+
+def test_folded_decentralize_matches_the_direct_inverse_at_the_std_floor():
+    # y (std / gamma) + (mean - beta std / gamma) against (y - beta) / gamma std + mean,
+    # on near-constant patches (std on the floor sqrt(CENT_EPS)), with y at and
+    # around beta. Bound: 4 ulp of the largest magnitude either form adds or
+    # subtracts, (|y| + |beta|) std / |gamma| + |mean|.
+    rng = np.random.default_rng(9)
+    D = 3
+    cent = bl.Centralization(D)
+    cent.gamma.value = np.array([1e-3, 0.7, -2.0])
+    cent.beta.value = np.array([5.0, -0.3, 40.0])
+    x = _windows("constant+1e-9", 24, D=D).reshape(2, D, 4, 6)
+    with ad.no_grad():
+        _, (mean, std) = cent.centralize(Tensor(x))
+    np.testing.assert_allclose(std.value, np.sqrt(bl.CENT_EPS), rtol=1e-9)
+    g, b = cent.gamma.value[:, None, None], cent.beta.value[:, None, None]
+    for y in (np.broadcast_to(b, (2, D, 4, 5)), b + 1e-9 * rng.normal(size=(2, D, 4, 5)),
+              10 * rng.normal(size=(2, D, 4, 5))):
+        with ad.no_grad():
+            got = cent.decentralize(Tensor(y), (mean, std)).value
+        want = (y - b) / g * std.value + mean.value
+        scale = (np.abs(y) + np.abs(b)) * std.value / np.abs(g) + np.abs(mean.value)
+        assert np.all(np.abs(got - want) <= 4 * np.finfo(float).eps * scale)
+
+
+def test_a_trend_scale_front_makes_at_most_six_full_passes(monkeypatch):
+    # the ops that write a full [B, D, P, h1] array between Patches.linear and mid:
+    # the GEMM's reshape, centralize's scale and shift, the ReLU, decentralize's
+    # scale and shift (12 before the front was folded)
+    B, D, T, P, h1 = 3, 2, 16, 2, 5
+    block = bl.TrendBlock(np.random.default_rng(1), T, 4, D,
+                          bl.TrendConfig(backbone="mlp", h1=h1, h2=6, P=P, scales=(1,)))
+    _perturb(block, 2)
+    full = []
+    for name, op in vars(ad).items():
+        if inspect.isfunction(op) and op.__module__ == ad.__name__ and not name.startswith("_"):
+            def counted(*args, _op=op, _name=name, **kwargs):
+                out = _op(*args, **kwargs)
+                if isinstance(out, Tensor) and out.shape == (B, D, P, h1):
+                    full.append(_name)
+                return out
+
+            monkeypatch.setattr(ad, name, counted)
+    h_r, h_i = _halves(_windows("random", T, D=D, B=B), True)
+    with ad.no_grad():
+        block.forward(bl.Grid.spectrum(Tensor(h_r), Tensor(h_i), bl.basis_rows(T, T).value))
+    assert 0 < len(full) <= 6, full
 
 
 # --- gradients, the grid never built, memory --------------------------------------------

@@ -75,6 +75,17 @@ TOLERANCE = {
 # moves: 1.4e-11 and 7.9e-11 (fbm-np-k1, -k2), 1.7e-12 to 4.1e-12 (mlp),
 # 2.8e-11 to 1.8e-10 (transformer). Each entry below is the smallest power of
 # ten above its pin's worst move, and applies to adam2/* only.
+#
+# Adam's value update as step m / (sqrt(v) + eps') with its bias correction in
+# two scalars, and the folded centralized front (the centred patch map from the
+# table, one scale and one shift each way), moved these records against the
+# previous code's own outputs. fbm-l, fbm-nl, diag and the fbm-s linear pins
+# without interaction: adam2/* only, at most 6.9e-16 * max|b|. The other fbm-s
+# linear pins: pred 3.7e-16, grad/* 2.4e-15, adam2/* 1.9e-15. fbm-s mlp: pred
+# 2.8e-16, grad/* 1.8e-15, adam2/* 5.2e-12. fbm-s transformer: pred 2.3e-15,
+# grad/* 4.4e-14, adam2/* 2.9e-11. fbm-np: pred 3.3e-16, grad/* 2.8e-15,
+# adam2/* 2.8e-11. Key biases aside; every init, X and Y record and all of
+# last stayed byte for byte. No pin left its bound and no entry changed.
 ADAM2_TOLERANCE = {
     "fbm-np-k1": 1e-10,
     "fbm-np-k2": 1e-10,
@@ -94,7 +105,8 @@ ADAM2_TOLERANCE = {
 # gradient at init: with beta and the projector bias at 0, decentralize
 # divides out exactly the gamma that centralize multiplied in
 # (ReLU(gamma v) / gamma = ReLU(v)). Its pinned gradients reach 1.8e-16; the
-# grid-free fronts compute them as exact zeros. In tolerance mode a grad/*
+# folded front, which scales by gamma / std and back by std / gamma, leaves
+# them at most 3.0e-17. In tolerance mode a grad/*
 # record pinned at noise level, max|b| <= NOISE, is checked against the exact
 # fact instead: |grad| <= NOISE.
 NOISE = 1e-15

@@ -184,6 +184,22 @@ def test_nan_abort_names_batch():
     assert err.value.exit_code == 3
 
 
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+def test_non_finite_validation_mse_aborts_naming_the_epoch():
+    # one validation window at 1e300: its squared error overflows, and early
+    # stopping would otherwise restore the initial parameters and report a test
+    rng = np.random.default_rng(0)
+    X, Y = rng.standard_normal((10, 1, 16)), rng.standard_normal((10, 1, 4))
+    src = PairedWindows(X, Y, batch_size=4, splits=(0.6, 0.2, 0.2))
+    X[src._parts["val"][0]] = 1e300
+    model = ForecastModel(ModelSpec(variant="fbm-l", T=16, L=4, D=1), seed=0)
+    cfg = TrainConfig(T=16, L=4, epochs=2, patience=2, lr=0.01, batch_size=4, seed=0)
+    with pytest.raises(NumericError) as err:
+        train(model, src, cfg)
+    assert "validation" in str(err.value) and "epoch 1" in str(err.value)
+    assert err.value.exit_code == 3
+
+
 def test_best_val_restored_before_test():
     src = tiny_task(windows=80)
     model = ForecastModel(ModelSpec(variant="fbm-l", T=32, L=8, D=1), seed=6)
@@ -233,6 +249,21 @@ def test_failed_report_save_keeps_the_previous_file(tmp_path):
     kept = path.read_bytes()
     with pytest.raises(TypeError):  # json cannot encode a set
         RunReport(config={"lr": {0.01}}).save(path)
+    assert path.read_bytes() == kept
+    assert not list(tmp_path.glob("*.tmp"))
+
+
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+def test_report_with_a_non_finite_number_is_refused(tmp_path, bad):
+    # JSON has no token for it; json.dumps would write Infinity or NaN
+    path = tmp_path / "report.json"
+    RunReport(config={"lr": 0.01}).save(path)
+    kept = path.read_bytes()
+    report = RunReport(config={"lr": 0.01}, test={"mse": bad, "mae": 1.0})
+    with pytest.raises(NumericError):
+        report.to_json()
+    with pytest.raises(NumericError):
+        report.save(path)
     assert path.read_bytes() == kept
     assert not list(tmp_path.glob("*.tmp"))
 
