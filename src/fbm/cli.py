@@ -99,7 +99,7 @@ TRAIN_OPTS = DATA_OPTS + MODEL_OPTS + [
 
 EVAL_OPTS = DATA_OPTS + [
     Opt("checkpoint", str, help="trained model file", required=True),
-    Opt("part", str, "test", "which split to score", choices=("train", "val", "test")),
+    Opt("part", str, "test", "which split to score", choices=dat.PARTS),
     Opt("batch", int, TrainConfig.batch_size,
         "batch size (match training for bit-identical metrics)", min=1),
     Opt("threads", int, 1, "worker threads for evaluation", min=1),
@@ -114,7 +114,7 @@ FEATURES_OPTS = DATA_OPTS[:2] + [
 
 SPECTRUM_OPTS = DATA_OPTS + [
     Opt("T", int, SPEC_DEFAULTS["T"], "window length"),
-    Opt("part", str, "train", "split whose windows are analyzed", choices=("train", "val", "test")),
+    Opt("part", str, "train", "split whose windows are analyzed", choices=dat.PARTS),
     Opt("stride", int, 1, "window stride", min=1),
     Opt("out", str, "spectrum.csv", "output CSV (channel,k,mean_amp,lo95,hi95)"),
 ]
@@ -265,8 +265,7 @@ def cmd_eval(res):
         raise ConfigError(
             f"dataset has D={ds.D} channels, checkpoint expects D={model.spec.D}"
         )
-    segment = getattr(ranges, res["part"])
-    batches = dat.iterate_batches(ds.values, segment, T, L, res["batch"])
+    batches = dat.iterate_batches(ds.values, getattr(ranges, res["part"]), T, L, res["batch"])
     if res["predictions-out"]:
         mse, mae = _write(res["predictions-out"], export_predictions, model, batches, res["threads"])
     else:
@@ -296,11 +295,9 @@ def cmd_spectrum(res):
     fourier._check_window_length(T)  # before the data is read
     ds = _load(res)
     ranges = dat.split(ds, spec, T, 1)
-    a, b = getattr(ranges, res["part"])
-    starts = np.arange(a, b - T + 1, res["stride"])
+    starts = dat.window_starts(getattr(ranges, res["part"]), T, 0)[:: res["stride"]]
     amps = []
-    for i in range(0, len(starts), 512):
-        chunk = starts[i : i + 512]
+    for chunk in dat.start_chunks(starts, 512):
         X = np.stack([ds.values[:, s : s + T] for s in chunk])
         H_R, H_I = fourier.rdft_array(instance_standardize(X)[0])
         amps.append(fourier.amplitude_phase(H_R, H_I).amp[..., 1:])  # drop DC

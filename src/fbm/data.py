@@ -11,6 +11,7 @@ zscore_apply works in that space.
 from __future__ import annotations
 
 import csv
+import itertools
 import math
 from dataclasses import dataclass
 from datetime import datetime
@@ -114,6 +115,7 @@ def load_csv(path, value_columns=None):
 # --- splits -------------------------------------------------------------------
 
 
+PARTS = ("train", "val", "test")
 ETT_MONTHS = (12, 4, 4)  # train/val/test months of the ETT split, 30-day months
 
 
@@ -166,33 +168,31 @@ def samples_per_hour(ds):
     return int(3600.0 // step)
 
 
+def ratio_ends(n, train, val):
+    """Ends of the (train, val, test) parts of n items; the test part takes the rest."""
+    n_train = int(n * train + 1e-9)
+    return n_train, n_train + int(n * val + 1e-9), n
+
+
 def split(ds, spec, T, L):
     """Chronological (train, val, test) ranges with T-1 back-extension."""
     N = ds.N
     if spec.mode == "ratio":
-        n_train = int(N * spec.train + 1e-9)
-        n_val = int(N * spec.val + 1e-9)
-        n_test = N - n_train - n_val
+        train_end, val_end, test_end = ratio_ends(N, spec.train, spec.val)
     else:
         f = samples_per_hour(ds)
-        month = 30 * 24 * f
-        n_train, n_val, n_test = (m * month for m in ETT_MONTHS)
-        if N < n_train + n_val + n_test:
+        train_end, val_end, test_end = itertools.accumulate(m * 30 * 24 * f for m in ETT_MONTHS)
+        if N < test_end:
             raise DataError(
-                f"{ds.name}: {N} steps < {n_train + n_val + n_test} needed for "
-                f"{ETT_MONTHS} months at {f}/hour"
+                f"{ds.name}: {N} steps < {test_end} needed for {ETT_MONTHS} months at {f}/hour"
             )
-    ranges = SplitRanges(
-        train=(0, n_train),
-        val=(n_train - (T - 1), n_train + n_val),
-        test=(n_train + n_val - (T - 1), n_train + n_val + n_test),
-    )
-    for part, (a, b) in zip(("train", "val", "test"), (ranges.train, ranges.val, ranges.test)):
+    bounds = ((0, train_end), (train_end - (T - 1), val_end), (val_end - (T - 1), test_end))
+    for part, (a, b) in zip(PARTS, bounds):
         if a < 0 or b - a < T + L:
             raise DataError(
                 f"{ds.name}: {part} range [{a}, {b}) too short for T={T}, L={L}"
             )
-    return ranges
+    return SplitRanges(*bounds)
 
 
 # --- normalization ----------------------------------------------------------------
@@ -238,19 +238,24 @@ def window_starts(segment, T, L):
     return np.arange(a, a + count)
 
 
+def start_chunks(starts, batch_size, shuffle_seed=None):
+    """`starts` (permuted by shuffle_seed unless it is None) in chunks of
+    batch_size, the last one kept partial: every window stream's batch loop."""
+    if batch_size < 1:
+        raise ConfigError(f"batch size must be >= 1, got {batch_size}")
+    if shuffle_seed is not None:
+        starts = np.random.default_rng(shuffle_seed).permutation(starts)
+    for i in range(0, len(starts), batch_size):
+        yield starts[i : i + batch_size]
+
+
 def iterate_batches(values, segment, T, L, batch_size, shuffle_seed=None):
     """Yield WindowBatch covering every window start once.
 
     shuffle_seed None keeps chronological order (evaluation); otherwise the
     start order is a seeded permutation. The last partial batch is kept.
     """
-    if batch_size < 1:
-        raise ConfigError(f"batch size must be >= 1, got {batch_size}")
-    starts = window_starts(segment, T, L)
-    if shuffle_seed is not None:
-        starts = np.random.default_rng(shuffle_seed).permutation(starts)
-    for i in range(0, len(starts), batch_size):
-        chunk = starts[i : i + batch_size]
+    for chunk in start_chunks(window_starts(segment, T, L), batch_size, shuffle_seed):
         X = np.stack([values[:, s : s + T] for s in chunk])
         Y = np.stack([values[:, s + T : s + T + L] for s in chunk])
         yield WindowBatch(X=X, Y=Y, starts=chunk)
@@ -265,7 +270,6 @@ class SlidingWindows:
         self.T = T
         self.L = L
         self.batch_size = batch_size
-        self.D = ds.D
 
     def train_batches(self, shuffle_seed):
         return iterate_batches(

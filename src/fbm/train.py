@@ -25,7 +25,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .data import Dataset, WindowBatch, write_csv
+from .data import PARTS, Dataset, WindowBatch, ratio_ends, start_chunks, write_csv
 from .errors import ConfigError, NumericError
 
 
@@ -72,6 +72,7 @@ class RunReport:
 def evaluate(model, batches, threads=1, sink=None):
     """(MSE, MAE) over a batch stream, weighted by element count and summed
     in batch order; sink(batch, prediction), if given, sees every batch.
+    A non-finite MSE or MAE raises NumericError.
 
     threads > 1 evaluates batches in a worker pool, at most `threads` of
     them in flight; parameters are only read, and the reduction stays in
@@ -97,6 +98,8 @@ def evaluate(model, batches, threads=1, sink=None):
             del batch, pred  # free this batch before the next forward
     if n == 0:
         raise ConfigError("evaluation stream produced no windows")
+    if not (math.isfinite(sq) and math.isfinite(absum)):
+        raise NumericError(f"non-finite metric (mse {sq / n}, mae {absum / n})")
     return sq / n, absum / n
 
 
@@ -126,7 +129,7 @@ def train(model, source, cfg, log=None, eval_threads=1):
     report = RunReport(config={"train": asdict(cfg), "model": model.spec.to_header()})
     t0 = time.perf_counter()
     best_val = np.inf
-    best_state = [p.value.copy() for p in model.params]
+    best_state = None  # epoch 1 always sets it: a non-finite validation MSE raises
     bad_epochs = 0
 
     for epoch in range(1, cfg.epochs + 1):
@@ -147,9 +150,10 @@ def train(model, source, cfg, log=None, eval_threads=1):
         train_mse = sq / max(n, 1)
 
         val_start = time.perf_counter()
-        val_mse, val_mae = evaluate(model, source.val_batches(), eval_threads)
-        if not math.isfinite(val_mse):
-            raise NumericError(f"non-finite validation MSE at epoch {epoch}")
+        try:
+            val_mse, val_mae = evaluate(model, source.val_batches(), eval_threads)
+        except NumericError as e:
+            raise NumericError(f"{e} on the validation split at epoch {epoch}") from None
         end = time.perf_counter()
         seconds, eval_seconds = end - start, end - val_start
         report.epochs.append({
@@ -173,7 +177,10 @@ def train(model, source, cfg, log=None, eval_threads=1):
 
     for p, v in zip(model.params, best_state):
         p.value = v
-    test_mse, test_mae = evaluate(model, source.test_batches(), eval_threads)
+    try:
+        test_mse, test_mae = evaluate(model, source.test_batches(), eval_threads)
+    except NumericError as e:
+        raise NumericError(f"{e} on the test split") from None
     report.test = {"mse": test_mse, "mae": test_mae}
     report.seconds = time.perf_counter() - t0
     return model, report
@@ -191,32 +198,23 @@ class PairedWindows:
             raise ConfigError(f"X {X.shape} and Y {Y.shape} disagree on windows/channels")
         self.X, self.Y = X, Y
         self.batch_size = batch_size
-        self.D = X.shape[1]
-        W = X.shape[0]
-        n_train = int(W * splits[0] + 1e-9)
-        n_val = int(W * splits[1] + 1e-9)
-        self._parts = {
-            "train": np.arange(0, n_train),
-            "val": np.arange(n_train, n_train + n_val),
-            "test": np.arange(n_train + n_val, W),
-        }
+        cuts = (0, *ratio_ends(len(X), *splits[:2]))
+        self._parts = {p: np.arange(a, b) for p, a, b in zip(PARTS, cuts, cuts[1:])}
         if min(len(v) for v in self._parts.values()) < 1:
-            raise ConfigError(f"{W} windows is too few to split {splits}")
+            raise ConfigError(f"{len(X)} windows is too few to split {splits}")
 
-    def _iter(self, idx):
-        for i in range(0, len(idx), self.batch_size):
-            chunk = idx[i : i + self.batch_size]
+    def _iter(self, part, shuffle_seed=None):
+        for chunk in start_chunks(self._parts[part], self.batch_size, shuffle_seed):
             yield WindowBatch(X=self.X[chunk], Y=self.Y[chunk], starts=chunk)
 
     def train_batches(self, shuffle_seed):
-        order = np.random.default_rng(shuffle_seed).permutation(self._parts["train"])
-        return self._iter(order)
+        return self._iter("train", shuffle_seed)
 
     def val_batches(self):
-        return self._iter(self._parts["val"])
+        return self._iter("val")
 
     def test_batches(self):
-        return self._iter(self._parts["test"])
+        return self._iter("test")
 
 
 def make_case1(seed, windows=1000, T=336, L=96, k=14, gap=104, batch_size=64):

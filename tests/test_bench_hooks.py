@@ -22,7 +22,9 @@ import spans  # noqa: E402
 from test_trace import test_every_autodiff_op_is_traced  # noqa: E402, F401
 
 from fbm.blocks import InteractionConfig, TrendConfig  # noqa: E402
+from fbm.data import Dataset, SlidingWindows, SplitSpec, split  # noqa: E402
 from fbm.models import VARIANTS, ForecastModel, ModelSpec  # noqa: E402
+from fbm.train import PairedWindows  # noqa: E402
 
 
 def test_install_patches_and_uninstall_restores_every_attribute():
@@ -68,6 +70,27 @@ def test_traced_forward_opens_every_block_span(backbone):
     counts = tracer.metrics()
     for owner in ("seasonal", "trend.d1", "trend.d2", "interaction"):
         assert counts[f"autodiff.tape_bytes.{owner}"] > 0, owner
+
+
+def test_traced_window_streams_open_one_span_per_batch_and_count_each_window_once():
+    # the tracer wraps iterate_batches and PairedWindows' three streams; a stream
+    # that went through another traced one would open two spans per batch
+    rng = np.random.default_rng(2)
+    ds = Dataset("s", rng.standard_normal((2, 200)))
+    sources = (
+        PairedWindows(rng.standard_normal((23, 2, 8)), rng.standard_normal((23, 2, 3)), 3),
+        SlidingWindows(ds, split(ds, SplitSpec.ratio(), 16, 4), 16, 4, batch_size=8),
+    )
+    for source in sources:
+        for name in ("train_batches", "val_batches", "test_batches"):
+            with spans.Tracer() as tracer:
+                stream = getattr(source, name)
+                batches = list(stream(0) if name == "train_batches" else stream())
+            opened = [span for span in tracer.spans if span[0] == "data.batch"]
+            assert len(batches) > 1
+            # one span per batch, and one for the next() that finds the stream's end
+            assert len(opened) == len(batches) + 1, (type(source).__name__, name)
+            assert tracer.counts["data.windows"] == sum(len(b.X) for b in batches)
 
 
 TAPE_SPECS = {

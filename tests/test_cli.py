@@ -112,6 +112,25 @@ def test_failed_prediction_export_keeps_the_previous_file(capsys, tmp_path, peri
     assert not list(tmp_path.glob("*.tmp"))
 
 
+def test_eval_of_a_nan_checkpoint_exits_3_and_keeps_the_previous_export(capsys, tmp_path,
+                                                                        periodic_csv):
+    model = ForecastModel(ModelSpec(variant="fbm-l", T=48, L=12, D=1), seed=0)
+    w = model.blocks["fbm-l"].w
+    w.value[(0,) * w.value.ndim] = np.nan
+    ckpt = tmp_path / "nan.fbm"
+    model.save(ckpt)
+    preds = tmp_path / "p.csv"
+    preds.write_bytes(b"window_id,channel,step,y_true,y_pred\n0,0,0,1,2\n")
+    kept = preds.read_bytes()
+    args = ["eval", "--checkpoint", str(ckpt), "--data", periodic_csv]
+    for extra in ([], ["--predictions-out", str(preds)]):
+        rc, stdout, err = run(capsys, *args, *extra)
+        assert rc == 3 and stdout == ""  # no NaN token where JSON is expected
+        assert err.startswith("fbm: error: non-finite metric") and err.count("\n") == 1
+    assert preds.read_bytes() == kept
+    assert not list(tmp_path.glob("*.tmp"))
+
+
 # --- train / eval ------------------------------------------------------------------
 
 
@@ -135,6 +154,20 @@ def test_train_writes_checkpoint_and_report(capsys, tmp_path, periodic_csv):
     assert report["config"]["dataset"]["D"] == 1
     assert stdout.count("epoch ") == 3
     assert "test mse" in stdout
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+def test_train_with_a_non_finite_test_metric_exits_3_writing_nothing(capsys, tmp_path):
+    t = np.arange(1200)
+    x = np.cos(2 * np.pi * t / 24)
+    x[-1] = 1e300  # the last test window's target only: its squared error overflows
+    out = tmp_path / "run"
+    rc, _, err = run(capsys, "train", "--data", write_series(tmp_path / "s.csv", x),
+                     "--variant", "fbm-l", "--T", "48", "--L", "12", "--epochs", "1",
+                     "--out", str(out))
+    assert rc == 3
+    assert err.startswith("fbm: error: non-finite metric") and "test split" in err
+    assert not out.exists()
 
 
 def test_eval_reproduces_report_test_bit_exactly(capsys, tmp_path, periodic_csv):

@@ -61,6 +61,33 @@ def test_paired_windows_rejects_tiny():
         PairedWindows(np.zeros((10, 1, 8)), np.zeros((10, 2, 4)), batch_size=4)
 
 
+@pytest.mark.parametrize("batch_size", [0, -2])
+def test_paired_windows_rejects_batch_size_below_1(batch_size):
+    src = PairedWindows(np.zeros((10, 1, 8)), np.zeros((10, 1, 4)), batch_size=batch_size)
+    for batches in (src.train_batches(0), src.val_batches(), src.test_batches()):
+        with pytest.raises(ConfigError, match=f"batch size must be >= 1, got {batch_size}"):
+            list(batches)
+
+
+def test_paired_windows_batches_are_slices_of_x_and_y():
+    rng = np.random.default_rng(12)
+    X, Y = rng.standard_normal((23, 2, 8)), rng.standard_normal((23, 2, 3))
+    src = PairedWindows(X, Y, batch_size=4)  # parts of 13, 4 and 6 windows
+    shuffled = np.random.default_rng(9).permutation(13)
+    assert not np.array_equal(shuffled, np.arange(13))
+    streams = [  # (batches, window order, batch sizes): last batches partial
+        (src.train_batches(9), shuffled, [4, 4, 4, 1]),
+        (src.val_batches(), np.arange(13, 17), [4]),
+        (src.test_batches(), np.arange(17, 23), [4, 2]),
+    ]
+    for batches, order, sizes in streams:
+        batches = list(batches)
+        assert [len(b.starts) for b in batches] == sizes
+        assert np.array_equal(np.concatenate([b.starts for b in batches]), order)
+        for b in batches:
+            assert np.array_equal(b.X, X[b.starts]) and np.array_equal(b.Y, Y[b.starts])
+
+
 def test_case2_bin_identity():
     ds = make_case2(seed=6)
     assert 336 / 14 == 192 / 8 == 24.0  # same per-sample period
@@ -197,6 +224,20 @@ def test_non_finite_validation_mse_aborts_naming_the_epoch():
     with pytest.raises(NumericError) as err:
         train(model, src, cfg)
     assert "validation" in str(err.value) and "epoch 1" in str(err.value)
+    assert err.value.exit_code == 3
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+def test_non_finite_test_metric_aborts_naming_the_test_split():
+    rng = np.random.default_rng(0)
+    X, Y = rng.standard_normal((10, 1, 16)), rng.standard_normal((10, 1, 4))
+    src = PairedWindows(X, Y, batch_size=4, splits=(0.6, 0.2, 0.2))
+    Y[src._parts["test"][-1]] = 1e300  # only its squared error overflows: MSE inf, MAE finite
+    model = ForecastModel(ModelSpec(variant="fbm-l", T=16, L=4, D=1), seed=0)
+    cfg = TrainConfig(T=16, L=4, epochs=2, patience=2, lr=0.01, batch_size=4, seed=0)
+    with pytest.raises(NumericError) as err:
+        train(model, src, cfg)
+    assert "test split" in str(err.value) and "mse inf" in str(err.value)
     assert err.value.exit_code == 3
 
 
