@@ -53,20 +53,16 @@ class PatchLayout:
 
 def patch(G, layout):
     """[..., T, K] -> [..., P, N]; each patch is its time rows flattened time-major."""
-    b, d = G.shape[0], G.shape[1]
     if G.shape[-2] != layout.T or G.shape[-1] != layout.K:
         raise ConfigError(
             f"feature grid {G.shape[-2]}x{G.shape[-1]} does not match "
             f"patch layout {layout.T}x{layout.K}"
         )
-    x = ad.reshape(G, (b, d, layout.P, layout.patch_time, layout.K))
-    return ad.reshape(x, (b, d, layout.P, layout.N))
+    return ad.reshape(G, G.shape[:2] + (layout.P, layout.N))
 
 
 def unpatch(x, layout):
-    b, d = x.shape[0], x.shape[1]
-    g = ad.reshape(x, (b, d, layout.P, layout.patch_time, layout.K))
-    return ad.reshape(g, (b, d, layout.T, layout.K))
+    return ad.reshape(x, x.shape[:2] + (layout.T, layout.K))
 
 
 # --- the grid as coefficients ----------------------------------------------------
@@ -235,11 +231,10 @@ class Centralization:
 
 
 def basis_rows(T, count):
-    """DC-dropped basis rows, one [K, 2, count] table: [k, 0, n] = C[n mod T, k + 1]
-    and [k, 1, n] = S[n mod T, k + 1], the tables continued periodically past T."""
-    bases = build_bases(T)
-    rows = np.arange(count) % T
-    return Tensor(np.stack([b[rows, 1:].T for b in (bases.C, bases.S)], axis=1))
+    """DC-dropped basis rows, one [K, 2, count] table: [k, 0, n] = C[n, k + 1] and
+    [k, 1, n] = S[n, k + 1], with build_bases continuing the tables past T."""
+    bases = build_bases(T, pad=max(count - T, 0))
+    return Tensor(np.stack([b[:count, 1:].T for b in (bases.C, bases.S)], axis=1))
 
 
 def _per_bin(gain, rows):  # gain[K] times each bin's rows[K, 2, width]

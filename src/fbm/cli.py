@@ -138,7 +138,8 @@ SYNTH_OPTS = [
         choices=(1, 2)),
     Opt("seed", int, 0, "generator seed", min=0),
     Opt("out", str, help="output path (.fbmw pairs for case 1, CSV for case 2)", required=True),
-    Opt("windows", int, 1000, "case 1: window count", min=1),
+    # 5 is the fewest windows whose default 0.6/0.2/0.2 split leaves every part one
+    Opt("windows", int, 1000, "case 1: window count", min=5),
     Opt("length", int, 4000, "case 2: series length", min=1),
 ]
 

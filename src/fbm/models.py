@@ -3,8 +3,9 @@
 Every variant shares the same outer pipeline: instance-standardize each
 window per channel, analyze it into spectrum halves, drop the (now zero)
 DC bin, map the time-frequency content to the horizon, then undo the
-standardization. A variant is a set of named blocks (BLOCKS), and its
-mapping is the sum of their outputs over one blocks.Grid of the spectrum:
+standardization. A variant is a set of named blocks (BLOCKS); its mapping
+is the sum of their outputs over one blocks.Grid of the spectrum, and
+components() returns those outputs one by one, for every variant:
 
   fbm-l   GridLinear: one linear map of the flattened grid, no bias
   fbm-nl  GridMLP: that map plus a bias, then two more layers, ReLU between
@@ -319,29 +320,28 @@ class ForecastModel:
             return instance_standardize(X)
         return X, np.zeros(X.shape[:2] + (1,)), np.ones(X.shape[:2] + (1,))
 
-    def _spectrum(self, Xs):
-        """Standardized windows -> the Grid of their DC-dropped spectrum halves."""
-        H_R, H_I = rdft_array(Xs)
-        return Grid.spectrum(Tensor(H_R[..., 1:]), Tensor(H_I[..., 1:]), self._rows)
+    def _pass(self, X):
+        """Raw windows f64[B, D, T] -> ({block name: its Tensor[B, D, L] output
+        before de-standardization}, mu, sd)."""
+        x, mu, sd = self._standardized(X)
+        if self.spec.variant != "last":  # last reads the window; every other block, its spectrum
+            H_R, H_I = rdft_array(x)
+            x = Grid.spectrum(Tensor(H_R[..., 1:]), Tensor(H_I[..., 1:]), self._rows)
+        return {name: blk.forward(x) for name, blk in self.blocks.items()}, mu, sd
 
     def forward(self, X):
         """X: f64[B, D, T] raw windows -> Tensor[B, D, L] predictions."""
-        Xs, mu, sd = self._standardized(X)
-        # last reads the window itself; every other block reads its spectrum
-        x = Xs if self.spec.variant == "last" else self._spectrum(Xs)
-        out = reduce(ad.add, [blk.forward(x) for blk in self.blocks.values()])
+        outs, mu, sd = self._pass(X)
+        out = reduce(ad.add, outs.values())
         return ad.add(ad.mul(out, Tensor(sd)), Tensor(mu))
 
     def components(self, X):
-        """fbm-s only: each block's output before de-standardization, plus the
-        standardization state; reassembling exactly as forward does
-        reproduces forward(X) bit for bit."""
-        if self.spec.variant != "fbm-s":
-            raise ConfigError("components() is only defined for fbm-s")
-        Xs, mu, sd = self._standardized(X)
+        """Each block's output before de-standardization, plus the
+        standardization state; summing the outputs in block order, times sd
+        plus mu, reproduces forward(X) bit for bit."""
         with ad.no_grad():
-            grid = self._spectrum(Xs)
-            return {name: blk.forward(grid).value for name, blk in self.blocks.items()}, mu, sd
+            outs, mu, sd = self._pass(X)
+        return {name: out.value for name, out in outs.items()}, mu, sd
 
     def predict(self, X):
         with ad.no_grad():

@@ -25,7 +25,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .data import PARTS, Dataset, WindowBatch, ratio_ends, start_chunks, write_csv
+from .data import PARTS, Dataset, SplitSpec, WindowBatch, ratio_ends, start_chunks, write_csv
 from .errors import ConfigError, NumericError
 
 
@@ -85,6 +85,8 @@ def evaluate(model, batches, threads=1, sink=None):
         d = pred - batch.Y
         return batch, pred, float(np.sum(d * d)), float(np.sum(np.abs(d))), d.size
 
+    if threads < 1:
+        raise ConfigError(f"evaluation threads must be >= 1, got {threads}")
     sq = absum = n = 0
     # the pool starts no worker unless it is given work
     with ThreadPoolExecutor(max_workers=threads) as pool:
@@ -198,7 +200,8 @@ class PairedWindows:
             raise ConfigError(f"X {X.shape} and Y {Y.shape} disagree on windows/channels")
         self.X, self.Y = X, Y
         self.batch_size = batch_size
-        cuts = (0, *ratio_ends(len(X), *splits[:2]))
+        spec = SplitSpec.ratio(*splits)
+        cuts = (0, *ratio_ends(len(X), spec.train, spec.val))
         self._parts = {p: np.arange(a, b) for p, a, b in zip(PARTS, cuts, cuts[1:])}
         if min(len(v) for v in self._parts.values()) < 1:
             raise ConfigError(f"{len(X)} windows is too few to split {splits}")
@@ -234,16 +237,14 @@ def make_case1(seed, windows=1000, T=336, L=96, k=14, gap=104, batch_size=64):
     return PairedWindows(X, Y, batch_size=batch_size)
 
 
-def make_case2(seed, length=4000, period=24):
-    """Contiguous cosine series with a fixed per-sample period.
+def make_case2(seed, length=4000):
+    """Contiguous cosine series with a fixed per-sample period of 24.
 
-    Windows of length 336 put its energy at bin 336/period = 14, windows
+    Windows of length 336 put its energy at bin 336/24 = 14, windows
     of length 192 put it at bin 8: the same signal, different indices.
     """
-    rng = np.random.default_rng(seed)
-    phase = rng.uniform(0.0, 2 * np.pi)
-    t = np.arange(length)
-    x = np.cos(2 * np.pi * t / period + phase)
+    phase = np.random.default_rng(seed).uniform(0.0, 2 * np.pi)
+    x = np.cos(2 * np.pi * np.arange(length) / 24 + phase)
     return Dataset(name="case2", values=x[None, :])
 
 

@@ -144,6 +144,19 @@ def test_grid_linear_matches_the_grid_contraction(T):
     assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 
+@pytest.mark.parametrize("T, count", [(16, 6), (16, 16), (16, 40), (336, 96), (336, 336)])
+def test_basis_rows_are_rows_of_the_continued_bases(T, count):
+    # the first `count` rows of build_bases, past T its continuation, which is
+    # row n mod T of the unpadded tables
+    got = bl.basis_rows(T, count).value
+    padded, base = fb.build_bases(T, pad=count), fb.build_bases(T)
+    for c, table in enumerate(("C", "S")):
+        want = getattr(padded, table)[:count, 1:].T
+        assert got[:, c, :].tobytes() == np.ascontiguousarray(want).tobytes()
+        periodic = getattr(base, table)[np.arange(count) % T, 1:].T
+        assert got[:, c, :].tobytes() == np.ascontiguousarray(periodic).tobytes()
+
+
 def test_grid_linear_gradients():
     # the interleave of the halves into z passes input gradients back to each half
     T = 16

@@ -798,6 +798,13 @@ def test_synth_case2_csv_loads(capsys, tmp_path):
     np.testing.assert_allclose(x[24:], x[:-24], atol=1e-9)
 
 
+def test_synth_case1_fewest_windows_splits(capsys, tmp_path):
+    path = tmp_path / "case1.fbmw"
+    rc, out, _ = run(capsys, "synth", "--case", "1", "--windows", "5", "--out", str(path))
+    assert rc == 0 and out == f"wrote {path} (5 paired windows)\n"
+    assert dict(ad.load_tensors(path)[1])["X"].shape == (5, 1, 336)
+
+
 @pytest.mark.parametrize("length", ["0", "-5"])
 def test_synth_case2_length_below_1_exits_1(capsys, tmp_path, length):
     path = tmp_path / "case2.csv"
@@ -809,9 +816,10 @@ def test_synth_case2_length_below_1_exits_1(capsys, tmp_path, length):
 
 @pytest.mark.parametrize("flag, value, message", [
     ("--seed", "-1", "--seed must be >= 0, got -1"),
-    ("--windows", "-5", "--windows must be >= 1, got -5"),
-    ("--windows", "0", "--windows must be >= 1, got 0"),
-], ids=["seed", "windows-negative", "windows-zero"])
+    ("--windows", "-5", "--windows must be >= 5, got -5"),
+    ("--windows", "0", "--windows must be >= 5, got 0"),
+    ("--windows", "4", "--windows must be >= 5, got 4"),
+], ids=["seed", "windows-negative", "windows-zero", "windows-too-few-to-split"])
 def test_synth_case1_negative_seed_or_no_windows_exits_1(capsys, tmp_path, flag, value, message):
     path = tmp_path / "case1.fbmw"
     rc, out, err = run(capsys, "synth", "--case", "1", flag, value, "--out", str(path))

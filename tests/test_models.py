@@ -2,6 +2,7 @@
 checkpointing, and parameter accounting."""
 
 import tracemalloc
+from functools import reduce
 from pathlib import Path
 
 import numpy as np
@@ -12,6 +13,7 @@ from fbm.blocks import InteractionConfig, TrendConfig
 from fbm.data import WindowBatch
 from fbm.errors import CheckpointError, ConfigError
 from fbm.models import (
+    VARIANTS,
     ForecastModel,
     ModelSpec,
     expected_param_count,
@@ -464,10 +466,15 @@ def test_zero_weights_s_predicts_window_mean_exactly():
     assert np.array_equal(pred, np.broadcast_to(mean, pred.shape))
 
 
-def test_components_rejects_other_variants():
-    model = ForecastModel(small_spec("fbm-l"), seed=0)
-    with pytest.raises(ConfigError):
-        model.components(np.zeros((1, 3, 16)))
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_components_reassemble_forward_bitwise_for_every_variant(variant):
+    model = ForecastModel(small_spec(variant), seed=4)
+    X = windows(np.random.default_rng(13))
+    outs, mu, sd = model.components(X)
+    assert list(outs) == list(model.blocks)
+    assert all(isinstance(out, np.ndarray) for out in outs.values())
+    total = reduce(np.add, outs.values())  # in block order, as forward sums them
+    assert np.array_equal(total * sd + mu, model.forward(X).value)
 
 
 def test_components_checks_the_input_shape():

@@ -8,7 +8,7 @@ import pytest
 
 from fbm import autodiff as ad
 from fbm import fourier
-from fbm.data import WindowBatch
+from fbm.data import SplitSpec, WindowBatch
 from fbm.errors import ConfigError, NumericError
 from fbm.models import ForecastModel, ModelSpec
 from fbm.train import (
@@ -61,6 +61,19 @@ def test_paired_windows_rejects_tiny():
         PairedWindows(np.zeros((10, 1, 8)), np.zeros((10, 2, 4)), batch_size=4)
 
 
+@pytest.mark.parametrize("splits, message", [
+    ((0.3, 0.3, 0.9), "split ratios must sum to 1"),
+    ((0.5, 0.6, -0.1), "split ratios must be finite and positive"),
+    ((-0.2, 0.5, 0.7), "split ratios must be finite and positive"),
+])
+def test_paired_windows_checks_fractions_as_split_spec_does(splits, message):
+    X, Y = np.zeros((10, 1, 8)), np.zeros((10, 1, 4))
+    with pytest.raises(ConfigError, match=message):
+        SplitSpec.ratio(*splits)
+    with pytest.raises(ConfigError, match=message):
+        PairedWindows(X, Y, batch_size=4, splits=splits)
+
+
 @pytest.mark.parametrize("batch_size", [0, -2])
 def test_paired_windows_rejects_batch_size_below_1(batch_size):
     src = PairedWindows(np.zeros((10, 1, 8)), np.zeros((10, 1, 4)), batch_size=batch_size)
@@ -110,6 +123,17 @@ def test_evaluate_weights_partial_batches():
     d = model.predict(X[4:]) - Y[4:]
     assert abs(got_mse - np.mean(d * d)) < 1e-12
     assert abs(got_mae - np.mean(np.abs(d))) < 1e-12
+
+
+@pytest.mark.parametrize("threads", [0, -1])
+def test_evaluate_and_train_reject_threads_below_1(threads):
+    src = make_case1(seed=0, windows=20, T=16, L=4, k=2, gap=3, batch_size=8)
+    model = ForecastModel(ModelSpec(variant="fbm-l", T=16, L=4, D=1), seed=0)
+    message = f"evaluation threads must be >= 1, got {threads}"
+    with pytest.raises(ConfigError, match=message):
+        evaluate(model, src.val_batches(), threads=threads)
+    with pytest.raises(ConfigError, match=message):
+        train(model, src, TrainConfig(T=16, L=4, epochs=1), eval_threads=threads)
 
 
 def test_threaded_evaluate_keeps_few_batches_in_flight():
