@@ -5,9 +5,14 @@ edge per tracked input, a (parent, vjp) pair whose closure maps the output
 gradient to that parent's gradient. An input that needs no gradient (a
 constant such as a basis table) gets no edge, so its gradient is never
 computed. backward() walks the recorded graph once in reverse
-topological order. Gradients land on leaf tensors only (Parameters and
-explicitly tracked inputs) and accumulate there until zeroed, so one
-forward/backward per batch composes with plain Python control flow.
+topological order and consumes it: each node drops its edges once its VJPs
+have run, so an intermediate value is freed when its last consumer is done,
+and the tape is gone before the optimizer step. A released node stays
+tracked, and a later backward that reaches it raises RuntimeError; to
+differentiate twice, build the forward again. Gradients land on leaf tensors
+only (Parameters and explicitly tracked inputs) and accumulate there until
+zeroed, so one forward/backward per batch composes with plain Python control
+flow.
 
 A grid weight, a rank-3 Parameter w[K, T, width] that a stack of basis rows
 multiplies bin by bin (rows[K, c, T] @ w, as blocks.Patches.linear does), gets
@@ -20,6 +25,8 @@ gradient reaching the same leaf, materializes it.
 Everything is float64. Inputs are coerced on construction; complex
 payloads are rejected by the cast. Broadcasting follows numpy's
 trailing-dim rules and gradients are summed back to the original shapes.
+relu is max(x, 0), so a NaN input stays NaN (and reaches the loss) while
+its gradient, like that at exactly 0, is 0.
 """
 
 from __future__ import annotations
@@ -248,8 +255,7 @@ def scale(a, s):
 
 def relu(a):
     a = _as_tensor(a)
-    mask = a.value > 0.0
-    return _from_op(np.where(mask, a.value, 0.0), (a, lambda g: g * mask))
+    return _from_op(np.maximum(a.value, 0.0), (a, lambda g: g * (a.value > 0.0)))
 
 
 def sqrt(a):
@@ -368,7 +374,8 @@ def _interleave(a, b):
 
 
 def backward(loss, params=None):
-    """Accumulate d(loss)/d(leaf) into every reachable leaf's .grad.
+    """Accumulate d(loss)/d(leaf) into every reachable leaf's .grad, releasing the
+    tape behind loss as the walk goes (see the module docstring).
 
     When `params` is given, any of them the loss never touched get an
     explicit zero gradient instead of None.
@@ -397,21 +404,26 @@ def _backward_walk(loss):
             continue
         if id(node) in visited:
             continue
+        if node._edges is None:
+            raise RuntimeError("backward reached a tensor whose tape an earlier backward released")
         visited.add(id(node))
         stack.append((node, True))
         for p, _ in node._edges:
             if id(p) not in visited:
                 stack.append((p, False))
 
+    # Consumers come before their inputs in the popped order, so by the time a node
+    # leaves topo nothing later needs it: dropping its edges frees its inputs' values
+    # held by its VJPs, and the node itself goes once no caller holds it.
     grads = {id(loss): np.ones_like(loss.value)}
-    for node in reversed(topo):
-        g = grads.pop(id(node), None)
-        if g is None:
-            continue
-        if not node._edges:
+    while topo:
+        node = topo.pop()
+        g, edges = grads.pop(id(node)), node._edges
+        if not edges:
             node.grad = g if node._grad is None else node.grad + g
             continue
-        for parent, vjp in node._edges:
+        node._edges = None  # released; still tracked, so a later backward through it raises
+        for parent, vjp in edges:
             pg, key = vjp(g), id(parent)
             grads[key] = grads[key] + pg if key in grads else pg
 

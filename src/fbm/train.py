@@ -85,8 +85,7 @@ def evaluate(model, batches, threads=1, sink=None):
         d = pred - batch.Y
         return batch, pred, float(np.sum(d * d)), float(np.sum(np.abs(d))), d.size
 
-    if threads < 1:
-        raise ConfigError(f"evaluation threads must be >= 1, got {threads}")
+    _check_threads(threads)
     sq = absum = n = 0
     # the pool starts no worker unless it is given work
     with ThreadPoolExecutor(max_workers=threads) as pool:
@@ -103,6 +102,12 @@ def evaluate(model, batches, threads=1, sink=None):
     if not (math.isfinite(sq) and math.isfinite(absum)):
         raise NumericError(f"non-finite metric (mse {sq / n}, mae {absum / n})")
     return sq / n, absum / n
+
+
+def _check_threads(threads):
+    """The rule for evaluation threads, which train() checks before its first batch."""
+    if threads < 1:
+        raise ConfigError(f"evaluation threads must be >= 1, got {threads}")
 
 
 def _in_order(pool, fn, items, depth):
@@ -128,6 +133,7 @@ def train(model, source, cfg, log=None, eval_threads=1):
     The optimizer loop is single-threaded; eval_threads only parallelizes
     the per-epoch validation and final test passes.
     """
+    _check_threads(eval_threads)
     report = RunReport(config={"train": asdict(cfg), "model": model.spec.to_header()})
     t0 = time.perf_counter()
     best_val = np.inf
@@ -138,8 +144,8 @@ def train(model, source, cfg, log=None, eval_threads=1):
         start = time.perf_counter()
         sq = n = windows = 0
         for i, batch in enumerate(source.train_batches(_epoch_seed(cfg.seed, epoch))):
-            pred = model.forward(batch.X)
-            diff = ad.sub(pred, Tensor(batch.Y))
+            # only diff holds the forward's output, so backward releases it with the tape
+            diff = ad.sub(model.forward(batch.X), Tensor(batch.Y))
             loss = (diff * diff).mean()
             if not np.isfinite(loss.value):
                 raise NumericError(f"non-finite loss at epoch {epoch}, batch {i}")

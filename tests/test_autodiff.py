@@ -3,6 +3,7 @@ import stat
 import struct
 import threading
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -24,6 +25,16 @@ def test_matmul_forward():
 def test_relu_forward():
     x = ad.Tensor([-1.0, 0.0, 2.0])
     np.testing.assert_array_equal(ad.relu(x).value, [0.0, 0.0, 2.0])
+    # NaN propagates, so train()'s finite-loss check sees a non-finite pre-activation
+    y = ad.relu(ad.Tensor([np.nan, -1.0, -0.0, 0.0, 2.0])).value
+    np.testing.assert_array_equal(y, [np.nan, 0.0, 0.0, 0.0, 2.0])
+    assert not np.signbit(y[1:]).any()
+
+
+def test_relu_gradient_passes_only_positive_inputs():
+    x = ad.Tensor([np.nan, -1.0, -0.0, 0.0, 2.0], requires_grad=True)
+    ad.backward(ad.relu(x).sum())
+    np.testing.assert_array_equal(x.grad, [0.0, 0.0, 0.0, 0.0, 1.0])
 
 
 def test_softmax_uniform_and_stability():
@@ -54,6 +65,47 @@ def test_backward_rejects_nonscalar():
     x = ad.Tensor([1.0, 2.0], requires_grad=True)
     with pytest.raises(ValueError):
         ad.backward(x * x)
+
+
+def test_backward_releases_the_tape_as_it_walks_it():
+    x = ad.Tensor([-1.0, 0.5, 2.0], requires_grad=True)
+    h = ad.relu(x * 2.0)
+    intermediate = weakref.ref(h.value)
+    diff = ad.sub(h, 1.0)
+    loss = (diff * diff).sum()
+    del h
+    ad.backward(loss)
+    assert intermediate() is None  # freed while loss and diff are still held
+    np.testing.assert_array_equal(x.grad, [0.0, 0.0, 12.0])
+
+
+def test_backward_through_a_released_tape_raises():
+    x = ad.Tensor([-1.0, 0.5, 2.0], requires_grad=True)
+    diff = ad.sub(ad.relu(x * 2.0), 1.0)
+    loss = (diff * diff).sum()
+    ad.backward(loss)
+    for again in (loss, (diff * 3.0).sum()):  # the same loss, and one built on its tape
+        with pytest.raises(RuntimeError, match="released"):
+            ad.backward(again)
+    assert loss.grad is None and diff.grad is None
+    np.testing.assert_array_equal(x.grad, [0.0, 0.0, 12.0])
+
+
+def test_backward_of_a_sum_of_losses_over_one_forward_sums_their_gradients():
+    rng = RNG(4)
+    x0, w = rng.standard_normal((2, 3, 4))
+
+    def losses(x):
+        h = ad.relu(x * 2.0)
+        return (h * h).sum(), (h * w).sum()
+
+    x = ad.Tensor(x0, requires_grad=True)
+    ad.backward(ad.add(*losses(x)))
+    apart = ad.Tensor(x0, requires_grad=True)
+    for i in range(2):  # each from its own forward
+        ad.backward(losses(apart)[i])
+    np.testing.assert_allclose(x.grad, apart.grad, rtol=1e-15, atol=0.0)
+    np.testing.assert_array_equal(x.grad, np.where(x0 > 0, 8 * x0 + 2 * w, 0.0))
 
 
 def test_grad_accumulates_until_zeroed():

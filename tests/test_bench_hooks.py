@@ -4,7 +4,8 @@ that moves or renames a traced attribute from breaking only the traced
 benchmark run: installing must find every attribute, a traced forward
 must open every block span, and uninstalling must put every original back.
 The tracer counts tape nodes and bytes through the public ops alone, so
-those counts hold only while every tracked tape node comes from one.
+those counts hold only while every tracked tape node comes from one; it
+counts them as the ops run, so backward releasing the tape leaves them whole.
 The benchmark's own check that fbm.autodiff's public functions are exactly
 the traced ops (spans.OPS) runs here too, so a helper made public by
 mistake fails the suite, not only the benchmark's tests.
@@ -21,6 +22,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 import spans  # noqa: E402
 from test_trace import test_every_autodiff_op_is_traced  # noqa: E402, F401
 
+from fbm import autodiff as ad  # noqa: E402
 from fbm.blocks import InteractionConfig, TrendConfig  # noqa: E402
 from fbm.data import Dataset, SlidingWindows, SplitSpec, split  # noqa: E402
 from fbm.models import VARIANTS, ForecastModel, ModelSpec  # noqa: E402
@@ -125,3 +127,20 @@ def test_traced_tape_counts_equal_a_walk_of_the_output_tape(variant):
     counts = tracer.metrics()
     traced = sum(counts[f"autodiff.tape_bytes.{owner}"] for owner in spans.TAPE_OWNERS)
     assert (counts["autodiff.tape_nodes"], traced) == walk_tape(y)
+
+
+def test_traced_backward_releases_the_tape_the_tracer_counted():
+    model = ForecastModel(ModelSpec(variant="fbm-s", T=16, L=6, D=3, **TAPE_SPECS["fbm-s"]), seed=0)
+    rng = np.random.default_rng(1)
+    for p in model.params:
+        p.value = p.value + 0.1 * rng.normal(size=p.shape)
+    X, Y = rng.standard_normal((2, 3, 16)), rng.standard_normal((2, 3, 6))
+    with spans.Tracer() as tracer:
+        diff = ad.sub(model.forward(X), ad.Tensor(Y))
+        loss = (diff * diff).mean()
+        before = walk_tape(loss)
+        ad.backward(loss, model.params)
+    counts = tracer.metrics()
+    traced = sum(counts[f"autodiff.tape_bytes.{owner}"] for owner in spans.TAPE_OWNERS)
+    assert (counts["autodiff.tape_nodes"], traced) == before
+    assert walk_tape(loss) == (0, 0)  # no tracked non-leaf node is left

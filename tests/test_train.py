@@ -2,12 +2,14 @@
 
 import csv
 import json
+import weakref
 
 import numpy as np
 import pytest
 
 from fbm import autodiff as ad
 from fbm import fourier
+from fbm.blocks import InteractionConfig, TrendConfig
 from fbm.data import SplitSpec, WindowBatch
 from fbm.errors import ConfigError, NumericError
 from fbm.models import ForecastModel, ModelSpec
@@ -132,8 +134,12 @@ def test_evaluate_and_train_reject_threads_below_1(threads):
     message = f"evaluation threads must be >= 1, got {threads}"
     with pytest.raises(ConfigError, match=message):
         evaluate(model, src.val_batches(), threads=threads)
+    before = [p.value.copy() for p in model.params]
     with pytest.raises(ConfigError, match=message):
         train(model, src, TrainConfig(T=16, L=4, epochs=1), eval_threads=threads)
+    # refused before the first batch: no Adam step ran
+    for p, value in zip(model.params, before):
+        assert np.array_equal(p.value, value) and p.step == 0, p.name
 
 
 def test_threaded_evaluate_keeps_few_batches_in_flight():
@@ -220,6 +226,28 @@ def test_full_batch_gd_loss_non_increasing():
     drops = np.diff(losses)
     assert np.all(drops <= 1e-9), f"loss increased: max jump {drops.max()}"
     assert losses[-1] < losses[0]
+
+
+def test_train_never_holds_two_tapes(monkeypatch):
+    # a taped forward's output lives only on its batch's tape, which backward
+    # releases, so it is gone before the next batch's forward starts
+    trend = TrendConfig(backbone="mlp", h1=3, h2=4, P=2, scales=(1, 2))
+    inter = InteractionConfig(C1=4, C2=2, h3=3, K=1)
+    model = ForecastModel(ModelSpec(variant="fbm-s", T=32, L=8, D=1, trend=trend,
+                                    interaction=inter), seed=0)
+    forward, taped = model.forward, []
+
+    def watched(X):
+        if taped:
+            assert taped[-1]() is None, f"forward {len(taped)}'s output is still alive"
+        out = forward(X)
+        if out.requires_grad:
+            taped.append(weakref.ref(out.value))
+        return out
+
+    monkeypatch.setattr(model, "forward", watched)
+    train(model, tiny_task(), TrainConfig(T=32, L=8, epochs=2, lr=1e-3, batch_size=16))
+    assert len(taped) == 2 * 3  # two epochs of three train batches
 
 
 @pytest.mark.filterwarnings("ignore:invalid value encountered")
