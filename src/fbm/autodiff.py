@@ -17,10 +17,10 @@ flow.
 A grid weight, a rank-3 Parameter w[K, T, width] that a stack of basis rows
 multiplies bin by bin (rows[K, c, T] @ w, as blocks.Patches.linear does), gets
 its gradient as per-bin factors: slab k is rows[k]^T @ gM[k], a product with a
-small inner dimension c.
-adam_step expands it one slab at a time into a reused buffer, so the
-full-size gradient array is never written; reading .grad, or a second
-gradient reaching the same leaf, materializes it.
+small inner dimension c. Adam's moments of such a weight are kept as per-bin
+factors too (see adam_step), so neither the full-size gradient nor full-size
+moments are ever written; reading .grad, or a second gradient reaching the same
+leaf, materializes the gradient.
 
 Everything is float64. Inputs are coerced on construction; complex
 payloads are rejected by the cast. Broadcasting follows numpy's
@@ -142,14 +142,18 @@ class Tensor:
 
 
 class Parameter(Tensor):
-    """Trainable leaf tensor with its Adam state riding along (m, v from its first update)."""
+    """Trainable leaf tensor with its Adam state riding along, made by its first
+    update: the moments m and v, shaped like the value. A grid weight whose first
+    gradient is per-bin factors keeps their factors instead (see adam_step): m is
+    A[K, c, width], v is Q[K, c(c+1)/2, width], and `factors` holds the rows
+    (rows_t, R2) they expand with; it is None while the moments are full-size."""
 
-    __slots__ = ("name", "m", "v", "step")
+    __slots__ = ("name", "m", "v", "step", "factors")
 
     def __init__(self, value, name):
         super().__init__(value, requires_grad=True)
         self.name = str(name)
-        self.m = self.v = None
+        self.m = self.v = self.factors = None
         self.step = 0
 
     def __repr__(self):
@@ -158,17 +162,15 @@ class Parameter(Tensor):
 
 class _PerBin:
     """The gradient of w[K, T, width] in rows[K, c, T] @ w, kept as its factors:
-    slab k is rows_t[k] @ g[k], rows_t[K, T, c] and g[K, c, width]. Adding it to
-    another gradient materializes it (numpy defers to __radd__ here)."""
+    slab k is rows_t[k] @ g[k], rows_t[K, T, c] and g[K, c, width]. adam_step
+    reads g alone while the rows stay those of the weight's factored moments.
+    Adding it to another gradient materializes it (numpy defers to __radd__ here)."""
 
     __slots__ = ("rows_t", "g")
     __array_ufunc__ = None
 
     def __init__(self, rows_t, g):
         self.rows_t, self.g = rows_t, g
-
-    def slab(self, k, out):
-        return np.matmul(self.rows_t[k], self.g[k], out=out)
 
     def dense(self):
         return np.matmul(self.rows_t, self.g)
@@ -448,21 +450,41 @@ def adam_step(params, lr):
     ulp of the textbook step. The update runs one chunk of _ADAM_CHUNK elements at
     a time, so each array is read and written once per step. Every op is
     elementwise with the same scalars in every chunk, so the chunking changes no
-    bit. A per-bin gradient is expanded one bin's slab at a time into one reused
-    buffer, and each slab updated as above. A first update makes m and v; it, or
-    one of a value not C-contiguous, writes a new C-order value, so the array a
-    parameter was built from is never written. An untrained model holds no copy
-    and no moments.
+    bit. A first update makes m and v; it, or one of a value not C-contiguous,
+    writes a new C-order value, so the array a parameter was built from is never
+    written. An untrained model holds no copy and no moments.
+
+    A grid weight whose first gradient is per-bin factors rows_t[k] @ g[k] keeps
+    its moments as factors, exactly in real arithmetic: m[k] = rows_t[k] @ A[k]
+    with A updated from g as m is, and v[k] = R2[k] @ Q[k] with Q updated from
+    the pairwise products g_i g_j (i <= j), R2 holding the rows' matching
+    products with the off-diagonal ones doubled. Each bin's step m and v are
+    read back into the chunk buffers a block of rows at a time (step folded
+    into A), v clamped at 0 (it can cancel slightly below), and the value takes
+    the step above: no full-size m, v or gradient exists. Not bitwise: where a
+    gradient entry is small next to its per-bin terms, v's cancellation moves
+    its step. A dense gradient, other rows than the stored ones (checked every
+    step), or a shape where the factors are not smaller expands the moments
+    once, and the weight updates densely from then on.
     """
     scratch = np.empty(_ADAM_CHUNK), np.empty(_ADAM_CHUNK)
     # First updates get m and v as C-order views of one zeroed block. Made one by one
     # after a forward, they would sit in the heap between the temporaries of every later
     # step, which then faults in more pages; a large block is mapped on its own.
     fresh = [p for p in params if p._grad is not None and p.m is None]
-    offsets = np.cumsum([0] + [2 * p.value.size for p in fresh])
+    shapes = []
+    for p in fresh:
+        p.factors = _moment_factors(p._grad)
+        if p.factors is None:
+            shapes += [p.value.shape] * 2
+        else:  # A[K, c, width] and Q[K, c(c+1)/2, width], after rows_t's and R2's last axes
+            K, _, width = p.value.shape
+            shapes += [(K, f.shape[-1], width) for f in p.factors]
+    offsets = np.cumsum([0] + [math.prod(s) for s in shapes])
     block = np.zeros(offsets[-1])
-    for p, start, end in zip(fresh, offsets, offsets[1:]):
-        p.m, p.v = block[start:end].reshape((2,) + p.value.shape)
+    views = [block[a:b].reshape(s) for a, b, s in zip(offsets, offsets[1:], shapes)]
+    for p, m, v in zip(fresh, views[::2], views[1::2]):
+        p.m, p.v = m, v
     for p in params:
         grad = p._grad
         if grad is None:
@@ -472,13 +494,63 @@ def adam_step(params, lr):
             p.value = np.array(p.value, order="C")
         c1, c2 = 1.0 - ADAM_BETA1**p.step, 1.0 - ADAM_BETA2**p.step
         step, eps = lr * math.sqrt(c2) / c1, ADAM_EPS * math.sqrt(c2)
-        if isinstance(grad, _PerBin):
-            slab = np.empty(p.value.shape[1:])
-            for k, state in enumerate(zip(p.value, p.m, p.v)):
-                _adam_chunks(*state, grad.slab(k, out=slab), step, eps, scratch)
+        factored = p.factors is not None and isinstance(grad, _PerBin)
+        if factored and np.array_equal(grad.rows_t, p.factors[0]):
+            _adam_factored(p, grad.g, step, eps, scratch)
         else:
-            _adam_chunks(p.value, p.m, p.v, np.ascontiguousarray(grad), step, eps, scratch)
+            if p.factors is not None:
+                _expand_moments(p)
+            g = grad.dense() if isinstance(grad, _PerBin) else np.ascontiguousarray(grad)
+            _adam_chunks(p.value, p.m, p.v, g, step, eps, scratch)
         p.grad = None
+
+
+def _moment_factors(grad):
+    """(rows_t, R2) of a per-bin gradient whose factored moments, c(c+3)/2 numbers
+    per bin and column, are fewer than the 2T of full-size ones; else None."""
+    if not isinstance(grad, _PerBin):
+        return None
+    T, c = grad.rows_t.shape[-2:]
+    if c * (c + 3) // 2 >= 2 * T:
+        return None
+    i, j = np.triu_indices(c)
+    rows_t = np.array(grad.rows_t, order="C")
+    return rows_t, rows_t[..., i] * rows_t[..., j] * np.where(i < j, 2.0, 1.0)
+
+
+def _expand_moments(p):
+    """Replace a weight's factored moments by the full-size m and v they stand for."""
+    rows_t, R2 = p.factors
+    p.m, p.v, p.factors = np.matmul(rows_t, p.m), np.matmul(R2, p.v), None
+    np.maximum(p.v, 0.0, out=p.v)
+
+
+def _adam_factored(p, g, step, eps, scratch):
+    """Adam's update of a grid weight from the g of its per-bin gradient: A and Q
+    from g, then bin by bin, a block of rows of about one chunk at a time, step m
+    and v read back into the scratch buffers and the value stepped by
+    step m / (sqrt(v) + eps'), as _adam_chunks steps it."""
+    rows_t, R2 = p.factors
+    i, j = np.triu_indices(g.shape[1])
+    p.m *= ADAM_BETA1
+    p.m += (1.0 - ADAM_BETA1) * g
+    p.v *= ADAM_BETA2
+    p.v += (1.0 - ADAM_BETA2) * (g[:, i] * g[:, j])
+    A = p.m * step  # read back as step m, the step's numerator
+    K, T, width = p.value.shape
+    n = max(_ADAM_CHUNK // width, 1)
+    if n * width > scratch[0].size:  # a row wider than a chunk
+        scratch = np.empty(width), np.empty(width)
+    for k in range(K):
+        for r in range(0, T, n):
+            x = p.value[k, r : r + n]
+            m, v = (s[: x.size].reshape(x.shape) for s in scratch)
+            np.matmul(rows_t[k, r : r + n], A[k], out=m)
+            np.matmul(R2[k, r : r + n], p.v[k], out=v)
+            np.maximum(v, 0.0, out=v)  # not fmax or clip: a NaN stays NaN
+            np.sqrt(v, out=v)
+            v += eps
+            x -= np.divide(m, v, out=m)
 
 
 def _adam_chunks(x, m, v, g, step, eps, scratch):

@@ -176,7 +176,11 @@ def train(model, source, cfg, log=None, eval_threads=1):
             )
         if val_mse < best_val:
             best_val = val_mse
-            best_state = [p.value.copy() for p in model.params]
+            if best_state is None:
+                best_state = [p.value.copy() for p in model.params]
+            else:  # refreshed in place: two snapshots are never alive at once
+                for b, p in zip(best_state, model.params):
+                    np.copyto(b, p.value)
             bad_epochs = 0
         else:
             bad_epochs += 1

@@ -86,6 +86,16 @@ TOLERANCE = {
 # grad/* 4.4e-14, adam2/* 2.9e-11. fbm-np: pred 3.3e-16, grad/* 2.8e-15,
 # adam2/* 2.8e-11. Key biases aside; every init, X and Y record and all of
 # last stayed byte for byte. No pin left its bound and no entry changed.
+#
+# Keeping a grid weight's Adam moments as per-bin factors moved no pin: every
+# record of every pin stayed byte for byte. run_pin reads each gradient through
+# .grad, which materializes a per-bin one, so fbm-l's linear.w and fbm-nl's
+# fc1.w start dense moments there and take the dense update. Copied out without
+# materializing, so that Adam took the factored path, they moved adam2/linear.w
+# by 2.6e-11 * max|b| and adam2/fc1.w by 2.3e-12 (v read back from its factors
+# cancels where a gradient entry is small next to its per-bin terms), past their
+# 1e-13 entries; the factored path is bounded against dense Adam by
+# tests/test_models.py::test_factored_adam_tracks_dense_adam_on_fbm_l_gradients.
 ADAM2_TOLERANCE = {
     "fbm-np-k1": 1e-10,
     "fbm-np-k2": 1e-10,

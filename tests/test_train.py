@@ -2,6 +2,7 @@
 
 import csv
 import json
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -248,6 +249,26 @@ def test_train_never_holds_two_tapes(monkeypatch):
     monkeypatch.setattr(model, "forward", watched)
     train(model, tiny_task(), TrainConfig(T=32, L=8, epochs=2, lr=1e-3, batch_size=16))
     assert len(taped) == 2 * 3  # two epochs of three train batches
+
+
+def test_an_improving_epoch_refreshes_the_best_snapshot_in_place():
+    # tracing starts at epoch 1's log line, just before its snapshot is taken; the
+    # improving epoch 2 then copies into that snapshot, so at most one is traced
+    model = ForecastModel(ModelSpec(variant="fbm-l", T=96, L=96, D=1), seed=0)
+    nbytes = sum(p.value.nbytes for p in model.params)
+
+    def log(line):
+        if not tracemalloc.is_tracing():
+            tracemalloc.start()
+
+    try:
+        cfg = TrainConfig(T=96, L=96, epochs=2, patience=2, lr=1e-3, batch_size=16)
+        _, report = train(model, tiny_task(T=96, L=96), cfg, log=log)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.epochs[1]["val_mse"] < report.epochs[0]["val_mse"]
+    assert peak < 1.5 * nbytes
 
 
 @pytest.mark.filterwarnings("ignore:invalid value encountered")
