@@ -547,7 +547,7 @@ def _adam_factored(p, g, step, eps, scratch):
             m, v = (s[: x.size].reshape(x.shape) for s in scratch)
             np.matmul(rows_t[k, r : r + n], A[k], out=m)
             np.matmul(R2[k, r : r + n], p.v[k], out=v)
-            np.maximum(v, 0.0, out=v)  # not fmax or clip: a NaN stays NaN
+            np.maximum(v, 0.0, out=v)  # not fmax: a NaN stays NaN
             np.sqrt(v, out=v)
             v += eps
             x -= np.divide(m, v, out=m)

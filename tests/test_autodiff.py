@@ -665,8 +665,8 @@ def test_a_shape_whose_factors_are_not_smaller_keeps_full_size_moments():
 @pytest.mark.filterwarnings("ignore:invalid value encountered")
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_a_non_finite_gradient_reaches_a_factored_weight(bad):
-    # as in dense Adam, the bad entry's columns of its bin go NaN: v is clamped by
-    # np.maximum, which keeps a NaN where fmax or a clip to [0, inf) could hide it
+    # as in dense Adam, the bad entry's column of its bin goes NaN: v is clamped by
+    # np.maximum, which keeps a NaN where fmax would turn it into 0
     rng = RNG(16)
     rows, p, _ = _grid_weight(rng, 3, 2, 6, 5)
     dense = ad.Parameter(p.value.copy(), "dense")
