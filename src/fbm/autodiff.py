@@ -19,8 +19,11 @@ multiplies bin by bin (rows[K, c, T] @ w, as blocks.Patches.linear does), gets
 its gradient as per-bin factors: slab k is rows[k]^T @ gM[k], a product with a
 small inner dimension c. Adam's moments of such a weight are kept as per-bin
 factors too (see adam_step), so neither the full-size gradient nor full-size
-moments are ever written; reading .grad, or a second gradient reaching the same
-leaf, materializes the gradient.
+moments are ever written. One rule says when that stops: only a gradient the
+factors cannot hold (a dense array assigned to .grad, a per-bin term plus an
+elementwise one, or a per-bin term over other rows) expands the moments.
+Reading .grad returns a dense copy and changes nothing, and per-bin gradients
+over the same rows, from one walk or several, sum as factors.
 
 Everything is float64. Inputs are coerced on construction; complex
 payloads are rejected by the cast. Broadcasting follows numpy's
@@ -73,10 +76,8 @@ class Tensor:
 
     @property
     def grad(self):
-        """The accumulated gradient as an array (a per-bin one is materialized here), or None."""
-        if isinstance(self._grad, _PerBin):
-            self._grad = self._grad.dense()
-        return self._grad
+        """The accumulated gradient as an array, or None; a per-bin one is densified, not stored."""
+        return self._grad.dense() if isinstance(self._grad, _PerBin) else self._grad
 
     @grad.setter
     def grad(self, g):
@@ -164,7 +165,8 @@ class _PerBin:
     """The gradient of w[K, T, width] in rows[K, c, T] @ w, kept as its factors:
     slab k is rows_t[k] @ g[k], rows_t[K, T, c] and g[K, c, width]. adam_step
     reads g alone while the rows stay those of the weight's factored moments.
-    Adding it to another gradient materializes it (numpy defers to __radd__ here)."""
+    Adding another over equal rows sums the g's, exact in real arithmetic; adding
+    anything else gives the dense sum (numpy defers to __radd__ here)."""
 
     __slots__ = ("rows_t", "g")
     __array_ufunc__ = None
@@ -176,6 +178,8 @@ class _PerBin:
         return np.matmul(self.rows_t, self.g)
 
     def __add__(self, other):
+        if isinstance(other, _PerBin) and np.array_equal(self.rows_t, other.rows_t):
+            return _PerBin(self.rows_t, self.g + other.g)
         return self.dense() + (other.dense() if isinstance(other, _PerBin) else other)
 
     __radd__ = __add__
@@ -422,7 +426,7 @@ def _backward_walk(loss):
         node = topo.pop()
         g, edges = grads.pop(id(node)), node._edges
         if not edges:
-            node.grad = g if node._grad is None else node.grad + g
+            node._grad = g if node._grad is None else node._grad + g
             continue
         node._edges = None  # released; still tracked, so a later backward through it raises
         for parent, vjp in edges:
@@ -463,9 +467,11 @@ def adam_step(params, lr):
     into A), v clamped at 0 (it can cancel slightly below), and the value takes
     the step above: no full-size m, v or gradient exists. Not bitwise: where a
     gradient entry is small next to its per-bin terms, v's cancellation moves
-    its step. A dense gradient, other rows than the stored ones (checked every
-    step), or a shape where the factors are not smaller expands the moments
-    once, and the weight updates densely from then on.
+    its step. Reading .grad between steps changes nothing here. A gradient the
+    factors cannot hold (an assigned dense array, a per-bin term plus an
+    elementwise one, or other rows than the stored ones, checked every step), or
+    a shape where the factors are not smaller, expands the moments once, and the
+    weight updates densely from then on.
     """
     scratch = np.empty(_ADAM_CHUNK), np.empty(_ADAM_CHUNK)
     # First updates get m and v as C-order views of one zeroed block. Made one by one
@@ -681,9 +687,9 @@ def save_tensors(path, named, header=None):
             f.write(arr.tobytes())
 
 
-def load_tensors(path):
-    """Read a container written by save_tensors: (header dict, [(name, array)]).
-    Records are read one at a time, each straight into its own array."""
+def _read(path):
+    """The container at `path` as a generator: its header dict, then its (name, array)
+    records, each read straight into its own array as it is asked for."""
     try:
         f = open(path, "rb")
     except OSError as e:
@@ -714,12 +720,26 @@ def load_tensors(path):
                 if line:
                     k, _, v = line.partition("=")
                     header[k] = v
-        records = []
+        yield header
+        index = 0
         while f.tell() < size:
             (nlen,) = struct.unpack("<I", take(4, "name length"))
-            name = text(nlen, f"name of tensor {len(records)}")
+            name = text(nlen, f"name of tensor {index}")
             (rank,) = struct.unpack("<I", take(4, "rank"))
             shape = struct.unpack(f"<{rank}I", take(4 * rank, "shape")) if rank else ()
             count = fits(8 * math.prod(shape), f"data of {name}") // 8
-            records.append((name, np.fromfile(f, dtype="<f8", count=count).reshape(shape)))
-        return header, records
+            yield name, np.fromfile(f, dtype="<f8", count=count).reshape(shape)
+            index += 1
+
+
+def _read_header(path):
+    """The header dict of the container at `path`, its records left unread."""
+    with contextlib.closing(_read(path)) as container:
+        return next(container)
+
+
+def load_tensors(path):
+    """Read a container written by save_tensors: (header dict, [(name, array)]).
+    Records are read one at a time, each straight into its own array."""
+    container = _read(path)
+    return next(container), list(container)

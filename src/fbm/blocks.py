@@ -234,7 +234,7 @@ def basis_rows(T, count):
     """DC-dropped basis rows, one [K, 2, count] table: [k, 0, n] = C[n, k + 1] and
     [k, 1, n] = S[n, k + 1], with build_bases continuing the tables past T."""
     bases = build_bases(T, pad=max(count - T, 0))
-    return Tensor(np.stack([b[:count, 1:].T for b in (bases.C, bases.S)], axis=1))
+    return np.stack([b[:count, 1:].T for b in (bases.C, bases.S)], axis=1)
 
 
 def _per_bin(gain, rows):  # gain[K] times each bin's rows[K, 2, width]
@@ -281,7 +281,7 @@ class DiagBlock:
 
     def __init__(self, T, L):
         self.wa, self.wb = (Parameter(np.ones(T // 2), f"diag.{n}") for n in ("wa", "wb"))
-        rows = basis_rows(T, L).value  # below: each slot's rows, the other slot zeroed
+        rows = basis_rows(T, L)  # below: each slot's rows, the other slot zeroed
         self._c_rows, self._s_rows = (Tensor(rows * (np.arange(2) == c)[:, None]) for c in (0, 1))
 
     def params(self):
@@ -310,7 +310,7 @@ class SeasonalBlock:
         self.K = T // 2
         self.W = Parameter(np.zeros((T, self.K)), "seasonal.W")
         self._cm, self._sm = (Tensor(t[:, 1:]) for t in dft_matrices(T))
-        rows = basis_rows(T, L).value  # and the same rows turned a quarter:
+        rows = basis_rows(T, L)  # and the same rows turned a quarter:
         self._rows, self._turned = Tensor(rows), Tensor(np.stack([-rows[:, 1], rows[:, 0]], 1))
 
     def params(self):

@@ -87,7 +87,6 @@ def load_csv(path, value_columns=None):
         if missing:
             raise DataError(f"{path}: missing columns {missing} (header has {names})")
         picks = [first_value_col + names.index(c) for c in value_columns]
-        names = list(value_columns)
     else:
         picks = list(range(first_value_col, len(header)))
     if not picks:

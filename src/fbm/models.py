@@ -286,7 +286,7 @@ def instance_standardize(X):
 class ForecastModel:
     def __init__(self, spec, seed=0, zero_weights=False):
         self.spec = spec
-        self._rows = basis_rows(spec.T, spec.T).value  # the spectrum grid's rows
+        self._rows = basis_rows(spec.T, spec.T)  # the spectrum grid's rows
         self.blocks = BLOCKS[spec.variant](np.random.default_rng(seed), spec)
         # the weights export and the benchmark's tracer read these two by name
         self.seasonal, self.trend = self.blocks.get("seasonal"), self.blocks.get("trend")
@@ -363,8 +363,7 @@ class ForecastModel:
 
     @classmethod
     def load(cls, path, expected_spec=None):
-        header, records = ad.load_tensors(path)
-        spec = ModelSpec.from_header(header)
+        spec = ModelSpec.from_header(ad._read_header(path))
         if expected_spec is not None and spec != expected_spec:
             raise CheckpointError(
                 "checkpoint spec does not match requested spec:\n"
@@ -372,6 +371,9 @@ class ForecastModel:
                 f"  requested:  {expected_spec.summary()}"
             )
         model = cls(spec, seed=0)
+        for p in model.params:  # the drawn weights go before the records are read
+            p.value = np.broadcast_to(0.0, p.value.shape)  # a view of one number
+        _, records = ad.load_tensors(path)
         if len(records) != len(model.params):
             raise CheckpointError(
                 f"checkpoint holds {len(records)} tensors, model needs {len(model.params)}"

@@ -580,13 +580,25 @@ def _factored_moments(p):
 MOMENT_ULPS = 16
 
 
+def _moment_scales(sm, sv, rows, *gMs):
+    # the same recursions as m and v run on |rows|^T (|gM| + ...), one step on
+    a = _old_vjp(np.abs(rows), sum(np.abs(gM) for gM in gMs))
+    return ad.ADAM_BETA1 * sm + (1.0 - ad.ADAM_BETA1) * a, ad.ADAM_BETA2 * sv + (1.0 - ad.ADAM_BETA2) * a * a
+
+
+def _assert_moments_near(p, dense, sm, sv):
+    m, v = _factored_moments(p)
+    assert np.all(np.abs(m - dense.m) <= MOMENT_ULPS * ULP * sm)
+    assert np.all(np.abs(v - dense.v) <= MOMENT_ULPS * ULP * sv)
+
+
 @pytest.mark.parametrize("K, c, T, width", [(3, 2, 5, 4), (2, 2, 130, 130), (2, 3, 7, 9)])
 def test_factored_moments_read_back_as_the_dense_ones(K, c, T, width):
     # (2, 2, 130, 130): one bin's rows span more than a chunk
     rng = RNG(K * T + width)
     rows, p, _ = _grid_weight(rng, K, c, T, width)
     dense = ad.Parameter(p.value.copy(), "dense")
-    b1, b2, sm, sv = ad.ADAM_BETA1, ad.ADAM_BETA2, 0.0, 0.0
+    sm = sv = 0.0
     for t in range(1, 6):
         if t == 2:  # every other entry of a wider array: not C-contiguous
             wide = np.repeat(p.value, 2, axis=-1)
@@ -599,12 +611,45 @@ def test_factored_moments_read_back_as_the_dense_ones(K, c, T, width):
         ad.adam_step([p, dense], 0.01)
         assert p.step == dense.step == t and p.grad is None
         assert p.m.shape == (K, c, width) and p.v.shape == (K, c * (c + 1) // 2, width)
-        a = _old_vjp(np.abs(rows), np.abs(gM))
-        sm, sv = b1 * sm + (1.0 - b1) * a, b2 * sv + (1.0 - b2) * a * a
-        m, v = _factored_moments(p)
-        assert np.all(np.abs(m - dense.m) <= MOMENT_ULPS * ULP * sm)
-        assert np.all(np.abs(v - dense.v) <= MOMENT_ULPS * ULP * sv)
+        sm, sv = _moment_scales(sm, sv, rows, gM)
+        _assert_moments_near(p, dense, sm, sv)
     assert wide.tobytes() == kept.tobytes()  # the array it was given is not written
+
+
+@pytest.mark.parametrize("how", ["one graph", "two backwards"])
+def test_per_bin_gradients_summed_onto_a_grid_weight_keep_it_factored(how):
+    # two per-bin edges over the same rows sum as rows_t @ (gM + gM2): exact in real arithmetic
+    rng = RNG(18)
+    rows, p, _ = _grid_weight(rng, 3, 2, 6, 5)
+    dense = ad.Parameter(p.value.copy(), "dense")
+    sm = sv = 0.0
+    for t in range(1, 5):
+        gM, gM2 = (rng.standard_normal((3, 2, 5)) * 10.0 ** rng.uniform(-3, 3, (3, 2, 1)) for _ in "ab")
+        if how == "one graph":
+            ad.backward(_per_bin_loss(rows, p, gM) + _per_bin_loss(rows, p, gM2))
+        else:
+            ad.backward(_per_bin_loss(rows, p, gM))
+            ad.backward(_per_bin_loss(rows, p, gM2))
+        assert isinstance(p._grad, ad._PerBin)
+        dense.grad = _old_vjp(rows, gM) + _old_vjp(rows, gM2)
+        ad.adam_step([p, dense], 0.01)
+        assert p.factors is not None
+        sm, sv = _moment_scales(sm, sv, rows, gM, gM2)
+        _assert_moments_near(p, dense, sm, sv)
+
+
+def test_reading_a_grid_weights_gradient_changes_no_adam_step():
+    rng = RNG(19)
+    rows, p, _ = _grid_weight(rng, 3, 2, 6, 5)
+    twin = ad.Parameter(p.value.copy(), "twin")
+    for _ in range(3):
+        gM = rng.standard_normal((3, 2, 5))
+        ad.backward(_per_bin_loss(rows, p, gM))
+        ad.backward(_per_bin_loss(rows, twin, gM))
+        assert p.grad.tobytes() == _old_vjp(rows, gM).tobytes()  # read before every step
+        ad.adam_step([p, twin], 0.01)
+        assert p.factors is not None and twin.factors is not None
+        assert _bytes(p.value, p.m, p.v, *p.factors) == _bytes(twin.value, twin.m, twin.v, *twin.factors)
 
 
 def _arrive_dense(how, rows, p, gM, rng):
@@ -612,13 +657,10 @@ def _arrive_dense(how, rows, p, gM, rng):
     take; returns the dense gradient Adam then reads."""
     if how == "assign":
         p.grad = _old_vjp(rows, gM)
-    elif how == "read":
-        ad.backward(_per_bin_loss(rows, p, gM))
-        p.grad  # materializes it
-    elif how == "sum":  # a second per-bin edge onto the same leaf
-        gM2 = rng.standard_normal(gM.shape)
-        ad.backward(_per_bin_loss(rows, p, gM) + _per_bin_loss(rows, p, gM2))
-        return _old_vjp(rows, gM) + _old_vjp(rows, gM2)
+    elif how == "elementwise":  # a per-bin edge plus an elementwise one (weight decay, say)
+        H = rng.standard_normal(p.shape)
+        ad.backward(_per_bin_loss(rows, p, gM) + (p * H).sum())
+        return _old_vjp(rows, gM) + H
     elif how == "rows":  # per-bin, over rows other than the stored ones
         rows = rows + 1e-3
         ad.backward(_per_bin_loss(rows, p, gM))
@@ -626,7 +668,7 @@ def _arrive_dense(how, rows, p, gM, rng):
     return _old_vjp(rows, gM)
 
 
-@pytest.mark.parametrize("how", ["assign", "read", "sum", "rows"])
+@pytest.mark.parametrize("how", ["assign", "elementwise", "rows"])
 def test_a_gradient_factors_cannot_take_expands_the_moments_once(how):
     rng = RNG(14)
     rows, p, _ = _grid_weight(rng, 3, 2, 6, 5)
@@ -689,24 +731,26 @@ def test_per_bin_gradient_reads_as_the_old_dense_array():
     assert isinstance(w._grad, ad._PerBin)
     g = w.grad
     assert type(g) is np.ndarray and g.tobytes() == _old_vjp(rows, gM).tobytes()
-    assert w.grad is g  # materialized once
+    assert isinstance(w._grad, ad._PerBin)  # read, not stored
 
 
 def test_second_gradient_to_a_per_bin_leaf_adds_densely():
+    # unless it is per-bin over the same rows (see the summed per-bin test above)
     rng = RNG(12)
     rows, w, gM = _grid_weight(rng, 3, 2, 4, 5)
-    gM2, H = rng.standard_normal(gM.shape), rng.standard_normal(w.shape)
-    # two per-bin edges, and a per-bin edge plus an elementwise one, in one walk
-    ad.backward(_per_bin_loss(rows, w, gM) + _per_bin_loss(rows, w, gM2))
-    assert w.grad.tobytes() == (_old_vjp(rows, gM) + _old_vjp(rows, gM2)).tobytes()
-    ad.zero_grads([w])
+    gM2, H, other = rng.standard_normal(gM.shape), rng.standard_normal(w.shape), rows + 1e-3
+    # a per-bin edge plus an elementwise one, and two per-bin edges over other rows, in one walk
     ad.backward(_per_bin_loss(rows, w, gM) + (w * H).sum())
     assert w.grad.tobytes() == (_old_vjp(rows, gM) + H).tobytes()
-    # a per-bin gradient accumulated onto one a previous backward left
+    ad.zero_grads([w])
+    ad.backward(_per_bin_loss(rows, w, gM) + _per_bin_loss(other, w, gM2))
+    assert type(w._grad) is np.ndarray
+    assert w.grad.tobytes() == (_old_vjp(rows, gM) + _old_vjp(other, gM2)).tobytes()
+    # a per-bin gradient over other rows accumulated onto one a previous backward left
     ad.zero_grads([w])
     ad.backward(_per_bin_loss(rows, w, gM))
-    ad.backward(_per_bin_loss(rows, w, gM2))
-    assert w.grad.tobytes() == (_old_vjp(rows, gM) + _old_vjp(rows, gM2)).tobytes()
+    ad.backward(_per_bin_loss(other, w, gM2))
+    assert w.grad.tobytes() == (_old_vjp(rows, gM) + _old_vjp(other, gM2)).tobytes()
 
 
 def test_only_a_rank3_parameter_gets_a_per_bin_gradient():

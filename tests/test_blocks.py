@@ -139,7 +139,7 @@ def test_grid_linear_matches_the_grid_contraction(T):
     H_R, H_I = fb.rdft_array(rng.normal(size=(3, 2, T)))
     G = fb.expand_array(H_R, H_I, fb.build_bases(T), drop_dc=True)  # [B, D, T, K]
     want = np.einsum("bdnk,knj->bdj", G, block.w.value)
-    grid = bl.Grid.spectrum(ad.Tensor(H_R[..., 1:]), ad.Tensor(H_I[..., 1:]), bl.basis_rows(T, T).value)
+    grid = bl.Grid.spectrum(ad.Tensor(H_R[..., 1:]), ad.Tensor(H_I[..., 1:]), bl.basis_rows(T, T))
     got = block.forward(grid).value
     assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
@@ -148,7 +148,7 @@ def test_grid_linear_matches_the_grid_contraction(T):
 def test_basis_rows_are_rows_of_the_continued_bases(T, count):
     # the first `count` rows of build_bases, past T its continuation, which is
     # row n mod T of the unpadded tables
-    got = bl.basis_rows(T, count).value
+    got = bl.basis_rows(T, count)
     padded, base = fb.build_bases(T, pad=count), fb.build_bases(T)
     for c, table in enumerate(("C", "S")):
         want = getattr(padded, table)[:count, 1:].T
@@ -160,7 +160,7 @@ def test_basis_rows_are_rows_of_the_continued_bases(T, count):
 def test_grid_linear_gradients():
     # the interleave of the halves into z passes input gradients back to each half
     T = 16
-    rows = bl.basis_rows(T, T).value
+    rows = bl.basis_rows(T, T)
     block = bl.GridLinear(RNG(0), T, 3, "linear")
     block.w.value = RNG(6).normal(size=(T // 2, T, 3))
     h_r, h_i = _spectra(RNG(7), 2, 3, T)

@@ -371,7 +371,7 @@ def test_checkpoint_header_that_does_not_parse_exits_1(capsys, tmp_path, key, te
 
 @pytest.mark.parametrize("header, name, part", [
     (b"variant=fbm-l\nT=\xff16", b"linear.w", "header"),
-    (b"variant=fbm-l", b"linear.\xffw", "name of tensor 0"),
+    (b"variant=fbm-l\nT=16\nL=6\nD=1", b"linear.\xffw", "name of tensor 0"),
 ], ids=["header", "name"])
 def test_checkpoint_text_that_is_not_utf8_exits_1(capsys, tmp_path, header, name, part):
     ckpt = tmp_path / "latin.fbm"

@@ -130,7 +130,7 @@ def test_trend_block_from_the_spectrum_matches_the_direct_grid_path(T, P, backbo
     cfg = bl.TrendConfig(backbone=backbone, h1=5, h2=6, K=1, P=P, scales=(1, 2, 4))
     block = bl.TrendBlock(np.random.default_rng(1), T, 4, 3, cfg)
     _perturb(block, 2)
-    rows = bl.basis_rows(T, T).value
+    rows = bl.basis_rows(T, T)
     for kind, standardize in CASES:
         h_r, h_i = _halves(_windows(kind, T), standardize)
         got = block.forward(bl.Grid.spectrum(Tensor(h_r), Tensor(h_i), rows)).value
@@ -142,7 +142,7 @@ def test_interaction_from_the_spectrum_matches_the_direct_grid_path(T, C1):
     cfg = bl.InteractionConfig(C1=C1, C2=3, h3=6, K=1)
     block = bl.InteractionBlock(np.random.default_rng(3), T, 4, 3, cfg)
     _perturb(block, 4)
-    rows = bl.basis_rows(T, T).value
+    rows = bl.basis_rows(T, T)
     for kind, standardize in CASES:
         h_r, h_i = _halves(_windows(kind, T), standardize)
         got = block.forward(bl.Grid.spectrum(Tensor(h_r), Tensor(h_i), rows)).value
@@ -169,7 +169,7 @@ def test_a_dense_grid_and_its_spectrum_give_the_same_block_outputs():
     inter = bl.InteractionBlock(np.random.default_rng(8), T, 4, 3,
                                 bl.InteractionConfig(C1=4, C2=3, h3=6, K=1))
     h_r, h_i = _halves(_windows("random", T), True)
-    spectrum = bl.Grid.spectrum(Tensor(h_r), Tensor(h_i), bl.basis_rows(T, T).value)
+    spectrum = bl.Grid.spectrum(Tensor(h_r), Tensor(h_i), bl.basis_rows(T, T))
     for block in (trend, inter):
         _close(block.forward(Tensor(dense_grid(h_r, h_i))).value, block.forward(spectrum).value)
 
@@ -178,7 +178,7 @@ def test_the_variance_clamp_keeps_a_constant_patch_on_the_floor():
     # all-zero coefficients: mean and mean square are 0, so std = sqrt(CENT_EPS)
     T, P = 16, 2
     grid = bl.Grid.spectrum(Tensor(np.zeros((1, 2, T // 2))), Tensor(np.zeros((1, 2, T // 2))),
-                            bl.basis_rows(T, T).value)
+                            bl.basis_rows(T, T))
     patches = bl.Patches(grid, P)
     mean, square = patches.moments()
     w = Tensor(np.ones((T // P * T // 2, 3)))
@@ -231,7 +231,7 @@ def test_a_trend_scale_front_makes_at_most_six_full_passes(monkeypatch):
             monkeypatch.setattr(ad, name, counted)
     h_r, h_i = _halves(_windows("random", T, D=D, B=B), True)
     with ad.no_grad():
-        block.forward(bl.Grid.spectrum(Tensor(h_r), Tensor(h_i), bl.basis_rows(T, T).value))
+        block.forward(bl.Grid.spectrum(Tensor(h_r), Tensor(h_i), bl.basis_rows(T, T)))
     assert 0 < len(full) <= 6, full
 
 
