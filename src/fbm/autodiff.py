@@ -19,11 +19,15 @@ multiplies bin by bin (rows[K, c, T] @ w, as blocks.Patches.linear does), gets
 its gradient as per-bin factors: slab k is rows[k]^T @ gM[k], a product with a
 small inner dimension c. Adam's moments of such a weight are kept as per-bin
 factors too (see adam_step), so neither the full-size gradient nor full-size
-moments are ever written. One rule says when that stops: only a gradient the
-factors cannot hold (a dense array assigned to .grad, a per-bin term plus an
-elementwise one, or a per-bin term over other rows) expands the moments.
-Reading .grad returns a dense copy and changes nothing, and per-bin gradients
-over the same rows, from one walk or several, sum as factors.
+moments are ever written. Where a bin's rows repeat bitwise with a period P
+dividing T (a Fourier bin at frequency f repeats every T/gcd(f, T) rows), so
+do its moments and its step: Adam reads back only the first P rows of each
+bin and subtracts that step from every period. One rule says when factoring
+stops: only a gradient the factors cannot hold (a dense array assigned to
+.grad, a per-bin term plus an elementwise one, or a per-bin term over other
+rows) expands the moments. Reading .grad returns a dense copy and changes
+nothing, and per-bin gradients over the same rows, from one walk or several,
+sum as factors.
 
 Everything is float64. Inputs are coerced on construction; complex
 payloads are rejected by the cast. Broadcasting follows numpy's
@@ -147,7 +151,8 @@ class Parameter(Tensor):
     update: the moments m and v, shaped like the value. A grid weight whose first
     gradient is per-bin factors keeps their factors instead (see adam_step): m is
     A[K, c, width], v is Q[K, c(c+1)/2, width], and `factors` holds the rows
-    (rows_t, R2) they expand with; it is None while the moments are full-size."""
+    (rows_t, R2) they expand with and each bin's period P[K] (see _moment_factors);
+    it is None while the moments are full-size."""
 
     __slots__ = ("name", "m", "v", "step", "factors")
 
@@ -465,7 +470,10 @@ def adam_step(params, lr):
     products with the off-diagonal ones doubled. Each bin's step m and v are
     read back into the chunk buffers a block of rows at a time (step folded
     into A), v clamped at 0 (it can cancel slightly below), and the value takes
-    the step above: no full-size m, v or gradient exists. Not bitwise: where a
+    the step above: no full-size m, v or gradient exists. Rows that repeat give
+    a step that repeats, so only a bin's first P rows are read back, P its
+    period, and each of the T/P periods of its value takes that step (a bin
+    whose rows do not repeat has P = T). Not bitwise: where a
     gradient entry is small next to its per-bin terms, v's cancellation moves
     its step. Reading .grad between steps changes nothing here. A gradient the
     factors cannot hold (an assigned dense array, a per-bin term plus an
@@ -485,7 +493,7 @@ def adam_step(params, lr):
             shapes += [p.value.shape] * 2
         else:  # A[K, c, width] and Q[K, c(c+1)/2, width], after rows_t's and R2's last axes
             K, _, width = p.value.shape
-            shapes += [(K, f.shape[-1], width) for f in p.factors]
+            shapes += [(K, f.shape[-1], width) for f in p.factors[:2]]
     offsets = np.cumsum([0] + [math.prod(s) for s in shapes])
     block = np.zeros(offsets[-1])
     views = [block[a:b].reshape(s) for a, b, s in zip(offsets, offsets[1:], shapes)]
@@ -512,31 +520,39 @@ def adam_step(params, lr):
 
 
 def _moment_factors(grad):
-    """(rows_t, R2) of a per-bin gradient whose factored moments, c(c+3)/2 numbers
-    per bin and column, are fewer than the 2T of full-size ones; else None."""
+    """(rows_t, R2, P) of a per-bin gradient whose factored moments, c(c+3)/2 numbers
+    per bin and column, are fewer than the 2T of full-size ones; else None. P[k] is
+    bin k's period: the least P dividing T with rows_t[k, n + P] bitwise equal to
+    rows_t[k, n] for every n, T where the rows do not repeat."""
     if not isinstance(grad, _PerBin):
         return None
-    T, c = grad.rows_t.shape[-2:]
+    K, T, c = grad.rows_t.shape
     if c * (c + 3) // 2 >= 2 * T:
         return None
     i, j = np.triu_indices(c)
     rows_t = np.array(grad.rows_t, order="C")
-    return rows_t, rows_t[..., i] * rows_t[..., j] * np.where(i < j, 2.0, 1.0)
+    bits = rows_t.view(np.int64)  # bitwise: -0.0 is not 0.0, and a NaN is itself
+    periods = np.full(K, T)
+    for P in range(T - 1, 0, -1):  # one compare per divisor over every bin; the least wins
+        if T % P == 0:
+            periods[(bits[:, P:] == bits[:, :-P]).all(axis=(1, 2))] = P
+    return rows_t, rows_t[..., i] * rows_t[..., j] * np.where(i < j, 2.0, 1.0), periods
 
 
 def _expand_moments(p):
     """Replace a weight's factored moments by the full-size m and v they stand for."""
-    rows_t, R2 = p.factors
+    rows_t, R2, _ = p.factors
     p.m, p.v, p.factors = np.matmul(rows_t, p.m), np.matmul(R2, p.v), None
     np.maximum(p.v, 0.0, out=p.v)
 
 
 def _adam_factored(p, g, step, eps, scratch):
     """Adam's update of a grid weight from the g of its per-bin gradient: A and Q
-    from g, then bin by bin, a block of rows of about one chunk at a time, step m
-    and v read back into the scratch buffers and the value stepped by
-    step m / (sqrt(v) + eps'), as _adam_chunks steps it."""
-    rows_t, R2 = p.factors
+    from g, then bin by bin over its first P rows, P its period, a block of rows
+    of about one chunk at a time, step m and v read back into the scratch buffers
+    and every period of the value stepped by step m / (sqrt(v) + eps'), as
+    _adam_chunks steps it."""
+    rows_t, R2, periods = p.factors
     i, j = np.triu_indices(g.shape[1])
     p.m *= ADAM_BETA1
     p.m += (1.0 - ADAM_BETA1) * g
@@ -547,12 +563,14 @@ def _adam_factored(p, g, step, eps, scratch):
     n = max(_ADAM_CHUNK // width, 1)
     if n * width > scratch[0].size:  # a row wider than a chunk
         scratch = np.empty(width), np.empty(width)
-    for k in range(K):
-        for r in range(0, T, n):
-            x = p.value[k, r : r + n]
-            m, v = (s[: x.size].reshape(x.shape) for s in scratch)
-            np.matmul(rows_t[k, r : r + n], A[k], out=m)
-            np.matmul(R2[k, r : r + n], p.v[k], out=v)
+    for k, P in enumerate(periods):
+        value = p.value[k].reshape(T // P, P, width)  # one step for every period
+        for r in range(0, P, n):
+            rows = slice(r, min(r + n, P))
+            x = value[:, rows]
+            m, v = (s[: x[0].size].reshape(x.shape[1:]) for s in scratch)
+            np.matmul(rows_t[k, rows], A[k], out=m)
+            np.matmul(R2[k, rows], p.v[k], out=v)
             np.maximum(v, 0.0, out=v)  # not fmax: a NaN stays NaN
             np.sqrt(v, out=v)
             v += eps
@@ -582,6 +600,14 @@ def init_uniform(rng, shape, fan_in):
     return rng.uniform(-bound, bound, size=shape)
 
 
+_UNDRAWN = object()  # a generator's stand-in for a model whose weights a checkpoint replaces
+
+
+def _init_weight(rng, shape, fan_in):
+    """init_uniform's weight, or for _UNDRAWN a read-only zero view of one number: nothing drawn."""
+    return np.broadcast_to(0.0, shape) if rng is _UNDRAWN else init_uniform(rng, shape, fan_in)
+
+
 # --- layers ------------------------------------------------------------------
 
 
@@ -590,7 +616,7 @@ class Linear:
     uniform in +-1/sqrt(n_in) and b zero, named {name}.w and {name}.b."""
 
     def __init__(self, rng, n_in, n_out, name):
-        self.w = Parameter(init_uniform(rng, (n_in, n_out), n_in), f"{name}.w")
+        self.w = Parameter(_init_weight(rng, (n_in, n_out), n_in), f"{name}.w")
         self.b = Parameter(np.zeros(n_out), f"{name}.b")
 
     def params(self):

@@ -248,7 +248,7 @@ class GridLinear:
     per-bin factors until Adam reads it."""
 
     def __init__(self, rng, T, width, name):
-        self.w = Parameter(ad.init_uniform(rng, (T // 2, T, width), T * T // 2), f"{name}.w")
+        self.w = Parameter(ad._init_weight(rng, (T // 2, T, width), T * T // 2), f"{name}.w")
 
     def params(self):
         return [self.w]

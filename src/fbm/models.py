@@ -287,7 +287,9 @@ class ForecastModel:
     def __init__(self, spec, seed=0, zero_weights=False):
         self.spec = spec
         self._rows = basis_rows(spec.T, spec.T)  # the spectrum grid's rows
-        self.blocks = BLOCKS[spec.variant](np.random.default_rng(seed), spec)
+        # load passes ad._UNDRAWN: the records replace every weight, so none is drawn
+        rng = seed if seed is ad._UNDRAWN else np.random.default_rng(seed)
+        self.blocks = BLOCKS[spec.variant](rng, spec)
         # the weights export and the benchmark's tracer read these two by name
         self.seasonal, self.trend = self.blocks.get("seasonal"), self.blocks.get("trend")
         self.params = [p for blk in self.blocks.values() for p in blk.params()]
@@ -370,9 +372,7 @@ class ForecastModel:
                 f"  checkpoint: {spec.summary()}\n"
                 f"  requested:  {expected_spec.summary()}"
             )
-        model = cls(spec, seed=0)
-        for p in model.params:  # the drawn weights go before the records are read
-            p.value = np.broadcast_to(0.0, p.value.shape)  # a view of one number
+        model = cls(spec, seed=ad._UNDRAWN)
         _, records = ad.load_tensors(path)
         if len(records) != len(model.params):
             raise CheckpointError(

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from fbm import autodiff as ad
+from fbm.blocks import basis_rows
 from fbm.errors import CheckpointError
 
 from gradcheck import input_grad_err, param_grad_err
@@ -569,7 +570,7 @@ def _old_vjp(rows, gM):
 
 def _factored_moments(p):
     # the full-size m and v that a grid weight's factored moments stand for
-    rows_t, R2 = p.factors
+    rows_t, R2, _ = p.factors
     return np.matmul(rows_t, p.m), np.matmul(R2, p.v)
 
 
@@ -702,6 +703,87 @@ def test_a_shape_whose_factors_are_not_smaller_keeps_full_size_moments():
         ad.adam_step([p], 0.01)
         value, m, v = _adam(value, m, v, _old_vjp(rows, gM), t, 0.01)
         assert p.factors is None and _bytes(p.value, p.m, p.v) == _bytes(value, m, v)
+
+
+def _periods(rows):
+    # the bin periods a grid weight's factored moments keep for rows[K, c, T]
+    rows_t = np.swapaxes(rows, -1, -2)
+    return ad._moment_factors(ad._PerBin(rows_t, np.zeros(rows.shape[:2] + (1,))))[2]
+
+
+@pytest.mark.parametrize("T", [16, 336])
+def test_a_fourier_bin_repeats_every_T_over_gcd_of_its_frequency(T):
+    # bin k holds frequency f = k + 1
+    assert _periods(basis_rows(T, T)).tolist() == [T // math.gcd(k + 1, T) for k in range(T // 2)]
+
+
+def _moved(T, k, c, n, how):
+    rows = basis_rows(T, T).copy()
+    x = rows[k, c, n]
+    rows[k, c, n] = {"nan": np.nan, "ulp": np.nextafter(x, np.inf), "zero sign": -x}[how]
+    return rows
+
+
+@pytest.mark.parametrize("k, c, n, how", [
+    (1, 0, 15, "ulp"),  # f = 2, period 8: the last row, cosine
+    (3, 1, 9, "ulp"),  # f = 4, period 4: a middle row, sine
+    (5, 0, 0, "ulp"),  # f = 6, period 8: the first row
+    (1, 1, 6, "nan"),
+    (7, 1, 5, "zero sign"),  # Nyquist, period 2: its sine row is +0.0, and -0.0 == +0.0
+])
+def test_a_bin_with_one_entry_changed_does_not_repeat(k, c, n, how):
+    T = 16
+    before = _periods(basis_rows(T, T))
+    assert before[k] < T
+    after = _periods(_moved(T, k, c, n, how))
+    assert after[k] == T and np.array_equal(np.delete(after, k), np.delete(before, k))
+
+
+def test_random_rows_do_not_repeat():
+    assert _periods(RNG(20).standard_normal((5, 2, 12))).tolist() == [12] * 5
+
+
+def _read_back_every_row(x, p, t, lr):
+    """x after one factored Adam step from p's moments, every bin's step m and v
+    read back on all T rows: the step before bins were folded to their periods."""
+    c1, c2 = 1.0 - ad.ADAM_BETA1**t, 1.0 - ad.ADAM_BETA2**t
+    step, eps = lr * math.sqrt(c2) / c1, ad.ADAM_EPS * math.sqrt(c2)
+    rows_t, R2, _ = p.factors
+    A = p.m * step
+    n = max(ad._ADAM_CHUNK // x.shape[-1], 1)
+    out = x.copy()
+    for k in range(x.shape[0]):
+        for r in range(0, x.shape[1], n):
+            m, v = np.matmul(rows_t[k, r : r + n], A[k]), np.matmul(R2[k, r : r + n], p.v[k])
+            out[k, r : r + n] -= m / (np.sqrt(np.maximum(v, 0.0)) + eps)
+    return out
+
+
+@pytest.mark.parametrize("width", [96, 1, 97, 512])
+def test_folded_adam_steps_as_reading_back_every_row(width):
+    # Fourier rows at T = 336; at 512 columns, one bin for each period (f dividing T)
+    # keeps the arrays small. Blocks of P rows and of a chunk's rows are other GEMM
+    # shapes, which may round a row differently: equal byte for byte at fbm-l's L = 96,
+    # within MOMENT_ULPS ulp of the entry or its step elsewhere (1.1 seen at width 1).
+    T = 336
+    rows = basis_rows(T, T)
+    if width == 512:
+        rows = rows[[f - 1 for f in range(1, T // 2 + 1) if T % f == 0]]
+    K = rows.shape[0]
+    rng = RNG(width)
+    p = ad.Parameter(rng.standard_normal((K, T, width)), "w")
+    for t in range(1, 5):
+        gM = rng.standard_normal((K, 2, width)) * 10.0 ** rng.uniform(-3, 3, (K, 2, 1))
+        ad.backward(_per_bin_loss(rows, p, gM))
+        x = p.value.copy()
+        ad.adam_step([p], 1e-2)
+        assert p.factors[2].min() == 2  # the Nyquist bin
+        want = _read_back_every_row(x, p, t, 1e-2)
+        if width == 96:
+            assert p.value.tobytes() == want.tobytes()
+        else:
+            scale = np.maximum(np.abs(x), np.abs(want - x))
+            assert np.all(np.abs(p.value - want) <= MOMENT_ULPS * ULP * scale)
 
 
 @pytest.mark.filterwarnings("ignore:invalid value encountered")

@@ -604,8 +604,8 @@ def test_untrained_and_loaded_models_hold_no_adam_moments(tmp_path):
 
 
 def test_loading_a_checkpoint_holds_one_copy_of_the_weights(tmp_path):
-    # the model's drawn weights go before the records are read: 2.0 times at the
-    # parent, which held both
+    # a load draws no weights, so only the records are held: 2.0 times when a
+    # load held drawn weights beside them
     model = ForecastModel(ModelSpec(variant="fbm-l", T=96, L=96, D=1), seed=0)
     path = tmp_path / "model.fbm"
     model.save(path)
@@ -618,6 +618,21 @@ def test_loading_a_checkpoint_holds_one_copy_of_the_weights(tmp_path):
         tracemalloc.stop()
     assert peak <= 1.2 * w.value.nbytes
     assert restored.params[0].value.tobytes() == w.value.tobytes()
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_loading_a_checkpoint_draws_no_weights(tmp_path, monkeypatch, variant):
+    model = ForecastModel(small_spec(variant), seed=4)
+    path = tmp_path / "model.fbm"
+    model.save(path)
+    X = windows(np.random.default_rng(16))
+
+    def no_draw(*args, **kwargs):
+        raise AssertionError("a load drew initial weights")
+
+    monkeypatch.setattr(ad, "init_uniform", no_draw)
+    restored = ForecastModel.load(path)
+    assert restored.predict(X).tobytes() == model.predict(X).tobytes()
 
 
 def test_checkpoint_spec_mismatch_names_both(tmp_path):
