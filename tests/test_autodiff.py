@@ -744,8 +744,8 @@ def test_random_rows_do_not_repeat():
 
 
 def _read_back_every_row(x, p, t, lr):
-    """x after one factored Adam step from p's moments, every bin's step m and v
-    read back on all T rows: the step before bins were folded to their periods."""
+    """x after one factored Adam step from p's moments, with every bin's step m
+    and v read back on all T rows, in row blocks of about one chunk: no fold."""
     c1, c2 = 1.0 - ad.ADAM_BETA1**t, 1.0 - ad.ADAM_BETA2**t
     step, eps = lr * math.sqrt(c2) / c1, ad.ADAM_EPS * math.sqrt(c2)
     rows_t, R2, _ = p.factors
