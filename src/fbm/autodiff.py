@@ -29,6 +29,12 @@ rows) expands the moments. Reading .grad returns a dense copy and changes
 nothing, and per-bin gradients over the same rows, from one walk or several,
 sum as factors.
 
+A Layer is anything that holds weights: its params() lists the Parameters
+its attributes hold (through nested Layers, lists and tuples), each once, in
+the order the attributes were first set. So a weight is declared once, by
+its assignment, and a constructor's assignment order is the parameter order
+that checkpoints record.
+
 Everything is float64. Inputs are coerced on construction; complex
 payloads are rejected by the cast. Broadcasting follows numpy's
 trailing-dim rules and gradients are summed back to the original shapes.
@@ -611,7 +617,27 @@ def _init_weight(rng, shape, fan_in):
 # --- layers ------------------------------------------------------------------
 
 
-class Linear:
+def _held(items):
+    """The Parameters among `items`, and those held by the Layers, lists and tuples among them."""
+    for x in items:
+        if isinstance(x, Parameter):
+            yield x
+        elif isinstance(x, Layer):
+            yield from _held(vars(x).values())
+        elif isinstance(x, (list, tuple)):
+            yield from _held(x)
+
+
+class Layer:
+    """Anything that holds weights (see the module docstring). An attribute that
+    is not a Parameter, Layer, list or tuple (a config, a constant Tensor, an
+    array, a function) holds none."""
+
+    def params(self):
+        return list({id(p): p for p in _held(vars(self).values())}.values())
+
+
+class Linear(Layer):
     """Fully connected layer x @ w + b over x's last axis: w[n_in, n_out]
     uniform in +-1/sqrt(n_in) and b zero, named {name}.w and {name}.b."""
 
@@ -619,14 +645,11 @@ class Linear:
         self.w = Parameter(_init_weight(rng, (n_in, n_out), n_in), f"{name}.w")
         self.b = Parameter(np.zeros(n_out), f"{name}.b")
 
-    def params(self):
-        return [self.w, self.b]
-
     def __call__(self, x):
         return add(matmul(x, self.w), self.b)
 
 
-class AttentionParams:
+class AttentionParams(Layer):
     """Layers of one pre-norm residual attention stack (single head): the
     q, k, v and o projections of width `width`, then the FFN through
     `ffn_width`; the parameters are named {prefix}.{layer}.w / .b."""
@@ -637,9 +660,6 @@ class AttentionParams:
             Linear(rng, ffn_width, width, f"{prefix}.ffn2"),
         ]
         self.q, self.k, self.v, self.o, self.ffn1, self.ffn2 = self.layers
-
-    def params(self):
-        return [p for layer in self.layers for p in layer.params()]
 
 
 def attention_block(x, p):

@@ -12,6 +12,9 @@ weight, and PatchProjector the one centralized front. The seasonal filter is
 a per-bin complex gain: a shift only rotates a sinusoid's phase, so W reaches
 bin k through g_k = sum_n W[n, k] e^{2 pi i k n / T} alone.
 
+Every block that holds weights is an autodiff.Layer: its constructor assigns
+each Parameter once, and params() lists them in that assignment order.
+
 All forwards take and return autodiff Tensors so both parameter and
 input gradients flow; feature inputs are usually constants, which get no
 tape edge, so no gradient is ever computed for them.
@@ -30,7 +33,7 @@ from functools import reduce
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import AttentionParams, Linear, Parameter, Tensor
+from .autodiff import AttentionParams, Layer, Linear, Parameter, Tensor
 from .errors import ConfigError, NumericError
 from .fourier import build_bases, dft_matrices
 
@@ -176,7 +179,7 @@ def downsample_op(G, kernel):
 CENT_EPS = 1e-5  # variance floor of the centralization
 
 
-class Centralization:
+class Centralization(Layer):
     """Per-(channel, patch) standardization with a learnable per-channel
     affine; gamma 1 and beta 0 at init make it a plain standardization."""
 
@@ -184,9 +187,6 @@ class Centralization:
         self.D = D
         self.gamma = Parameter(np.ones(D), f"{name}.gamma")
         self.beta = Parameter(np.zeros(D), f"{name}.beta")
-
-    def params(self):
-        return [self.gamma, self.beta]
 
     def centralize(self, x, w=None, b=None):
         """Standardize each patch, then apply gamma/beta -> (out, (mean, std)).
@@ -241,7 +241,7 @@ def _per_bin(gain, rows):  # gain[K] times each bin's rows[K, 2, width]
     return ad.mul(ad.reshape(gain, (gain.shape[0], 1, 1)), rows)
 
 
-class GridLinear:
+class GridLinear(Layer):
     """fbm-l: x @ w for the whole grid x, per-bin weights w[K, T, width], no bias.
     The grid is one patch and w its per-column weight, so Patches.linear gives
     coef @ (rows @ w): on the spectrum, one z @ M GEMM, and w's gradient stays
@@ -250,15 +250,12 @@ class GridLinear:
     def __init__(self, rng, T, width, name):
         self.w = Parameter(ad._init_weight(rng, (T // 2, T, width), T * T // 2), f"{name}.w")
 
-    def params(self):
-        return [self.w]
-
     def forward(self, grid):
         y = Patches(grid, 1).linear(self.w)  # [..., 1, width]
         return ad.reshape(y, y.shape[:-2] + y.shape[-1:])
 
 
-class GridMLP:
+class GridMLP(Layer):
     """fbm-nl: GridLinear fc1 plus its bias, then fc2 and fc3, ReLU after fc1 and fc2."""
 
     def __init__(self, rng, T, h1, h2, L):
@@ -267,15 +264,12 @@ class GridMLP:
         self.fc2 = Linear(rng, h1, h2, "fc2")
         self.fc3 = Linear(rng, h2, L, "fc3")
 
-    def params(self):
-        return self.fc1.params() + [self.b1] + self.fc2.params() + self.fc3.params()
-
     def forward(self, grid):
         h = ad.relu(ad.add(self.fc1.forward(grid), self.b1))
         return self.fc3(ad.relu(self.fc2(h)))
 
 
-class DiagBlock:
+class DiagBlock(Layer):
     """diag, the negative control: bin k's halves scaled by wa[k] and wb[k] through
     the horizon rows, M[k] = (wa[k] C_k; wb[k] S_k); it cannot rotate phase."""
 
@@ -284,15 +278,12 @@ class DiagBlock:
         rows = basis_rows(T, L)  # below: each slot's rows, the other slot zeroed
         self._c_rows, self._s_rows = (Tensor(rows * (np.arange(2) == c)[:, None]) for c in (0, 1))
 
-    def params(self):
-        return [self.wa, self.wb]
-
     def forward(self, grid):
         M = ad.add(_per_bin(self.wa, self._c_rows), _per_bin(self.wb, self._s_rows))
         return _contract(grid.coef, M)
 
 
-class SeasonalBlock:
+class SeasonalBlock(Layer):
     """Learnable rolling filter over Fourier-padded time-frequency features.
 
     The naive form slides W over the padded feature rows,
@@ -313,9 +304,6 @@ class SeasonalBlock:
         rows = basis_rows(T, L)  # and the same rows turned a quarter:
         self._rows, self._turned = Tensor(rows), Tensor(np.stack([-rows[:, 1], rows[:, 0]], 1))
 
-    def params(self):
-        return [self.W]
-
     def forward(self, spectrum, H_I=None):
         """The spectrum Grid, or its halves H_R/H_I[..., K] as (spectrum, H_I) -> [..., L]."""
         z = spectrum.coef if H_I is None else ad._interleave(spectrum, H_I)
@@ -329,7 +317,7 @@ class SeasonalBlock:
 # --- the centralized front (trend scales, fbm-np, interaction) -----------------
 
 
-class PatchProjector:
+class PatchProjector(Layer):
     """A Grid's P patches, centralized by `cent` and mapped by `linear`:
     grid -> (centralize(patches) @ w + b [..., D, P, width], the patches'
     (mean, std)). Centralization reads the patches' moments and linear map
@@ -338,9 +326,6 @@ class PatchProjector:
 
     def __init__(self, cent, linear, P):
         self.cent, self.linear, self.P = cent, linear, P
-
-    def params(self):
-        return self.cent.params() + self.linear.params()
 
     def forward(self, grid):
         return self.cent.centralize(Patches(grid, self.P), self.linear.w, self.linear.b)
@@ -388,7 +373,7 @@ def scale_grid(T, kernel):
     return T // kernel, (T // 2) // kernel
 
 
-class _TrendScale:
+class _TrendScale(Layer):
     """All layers of one scale; scales are independent and summed.
 
     A patched backbone's front is followed by a ReLU (use_relu) and its
@@ -398,7 +383,7 @@ class _TrendScale:
     def __init__(self, rng, T, K_freq, L, D, cfg, name, use_relu=True):
         self.cfg = cfg
         self.use_relu = use_relu
-        self.proj = self.mid = None
+        self.proj = self.mid = None  # set first, so the parameters run proj, mid, stacks, out
         self.stacks = []
         n_head = T * K_freq  # linear: the flattened grid
         layout = cfg.patch_layout(T, K_freq)
@@ -414,10 +399,6 @@ class _TrendScale:
                 AttentionParams(rng, cfg.h1, cfg.h2, f"{name}.stack{i}") for i in range(cfg.K)
             ]
         self.out = Linear(rng, n_head, L, f"{name}.out")
-        self.layers = [x for x in (self.proj, self.mid, *self.stacks, self.out) if x is not None]
-
-    def params(self):
-        return [p for layer in self.layers for p in layer.params()]
 
     def forward(self, grid):
         """The scale's Grid -> [B, D, L]."""
@@ -438,15 +419,12 @@ class _TrendScale:
         return self.out(x)
 
 
-class TrendBlock:
+class TrendBlock(Layer):
     def __init__(self, rng, T, L, D, cfg):
         self.scales = []
         for kernel in cfg.scales:
             T_s, K_s = scale_grid(T, kernel)
             self.scales.append((kernel, _TrendScale(rng, T_s, K_s, L, D, cfg, f"trend.d{kernel}")))
-
-    def params(self):
-        return [p for _, scale in self.scales for p in scale.params()]
 
     def forward(self, G):
         """G: the full-resolution DC-dropped grid, a Grid or dense
@@ -480,7 +458,7 @@ class InteractionConfig:
             raise ConfigError(f"interaction output mask C2={self.C2} outside [0, {L}]")
 
 
-class InteractionBlock:
+class InteractionBlock(Layer):
     """Cross-channel attention over the last C1 timesteps' features.
 
     One token per variate; output masked to the first C2 horizon steps.
@@ -496,11 +474,7 @@ class InteractionBlock:
                                     Linear(rng, cfg.C1 * (T // 2), cfg.h3, "inter.in"), 1)
         self.stacks = [AttentionParams(rng, cfg.h3, cfg.h3, f"inter.stack{i}") for i in range(cfg.K)]
         self.out = Linear(rng, cfg.h3, L, "inter.out")
-        self.layers = [self.front, *self.stacks, self.out]
         self._mask = Tensor((np.arange(L) < cfg.C2).astype(np.float64))
-
-    def params(self):
-        return [p for layer in self.layers for p in layer.params()]
 
     def forward(self, G):
         """G: a Grid or dense [B, D, T, T/2] grid -> [B, D, L], zero beyond

@@ -32,7 +32,7 @@ from functools import reduce
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import Tensor
+from .autodiff import Layer, Tensor
 from .blocks import (
     BACKBONES,
     DiagBlock,
@@ -55,13 +55,10 @@ STD_FLOOR = 1e-5
 
 
 @dataclass(frozen=True)
-class _LastValue:
+class _LastValue(Layer):
     """last: the standardized window's final value over the horizon, no parameters."""
 
     L: int
-
-    def params(self):
-        return []
 
     def forward(self, Xs):
         return Tensor(np.broadcast_to(Xs[..., -1:], Xs.shape[:2] + (self.L,)).copy())
@@ -295,8 +292,9 @@ class ForecastModel:
         self.params = [p for blk in self.blocks.values() for p in blk.params()]
 
         names = [p.name for p in self.params]
-        if len(names) != len(set(names)):
-            raise ConfigError("duplicate parameter names in registration order")
+        repeated = next((n for i, n in enumerate(names) if n in names[:i]), None)
+        if repeated is not None:
+            raise ConfigError(f"duplicate parameter name {repeated!r} in registration order")
         expected = expected_param_count(spec)
         if self.param_count() != expected:
             raise ConfigError(

@@ -4,6 +4,7 @@ import struct
 import threading
 import tracemalloc
 import weakref
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -858,6 +859,62 @@ def test_init_uniform_bounds():
     w = ad.init_uniform(rng, (200, 50), fan_in=200)
     assert np.all(np.abs(w) <= 1.0 / np.sqrt(200))
     assert np.std(w) > 0
+
+
+# --- Layer.params ----------------------------------------------------------------
+
+
+def _layer(**attrs):
+    layer = ad.Layer()
+    vars(layer).update(attrs)
+    return layer
+
+
+def _names(params):
+    return [p.name for p in params]
+
+
+@dataclass
+class _Box:  # a holder that is not a Layer
+    p: object
+
+
+def test_layer_params_walk_lists_of_tuples_of_layers_in_first_assignment_order():
+    a, b, c, d = (ad.Parameter(np.zeros(1), n) for n in "abcd")
+    layer = ad.Layer()
+    layer.late = None  # a placeholder keeps its place when it is set again
+    layer.scales = [(1, _layer(w=b)), (2, _layer(w=c, inner=[_layer(w=d)]))]
+    layer.late = _layer(w=a)
+    found = layer.params()
+    assert _names(found) == ["a", "b", "c", "d"]
+    assert all(p is q for p, q in zip(found, (a, b, c, d)))
+
+
+def test_attention_params_list_each_aliased_linear_once():
+    p = ad.AttentionParams(RNG(0), width=4, ffn_width=5, prefix="s")
+    assert p.q is p.layers[0] and p.ffn2 is p.layers[-1]
+    names = [f"s.{t}.{x}" for t in ("q", "k", "v", "o", "ffn1", "ffn2") for x in "wb"]
+    assert _names(p.params()) == names
+    shared = ad.Parameter(np.zeros(1), "shared")
+    assert _names(_layer(x=shared, y=[shared, (shared,)], z=_layer(w=shared)).params()) == ["shared"]
+
+
+def test_a_parameter_held_by_no_layer_is_not_listed():
+    w, hidden = ad.Parameter(np.zeros(1), "w"), ad.Parameter(np.zeros(1), "hidden")
+    layer = _layer(box=_Box(hidden), boxes=[_Box(hidden)], held={"p": hidden}, w=w,
+                   const=ad.Tensor(np.ones(2)), arr=np.ones(3), n=3)
+    assert _names(layer.params()) == ["w"]
+
+
+def test_a_function_attribute_leaves_params_unchanged():
+    # as a tracer does that wraps a block's bound forward in an instance attribute
+    lin = ad.Linear(RNG(0), 2, 3, "lin")
+    before = lin.params()
+    call = lin.__call__
+    lin.forward = lambda x: call(x)
+    after = lin.params()
+    assert _names(after) == ["lin.w", "lin.b"]
+    assert all(p is q for p, q in zip(after, before)) and len(after) == len(before)
 
 
 # --- tensor container ---------------------------------------------------------

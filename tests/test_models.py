@@ -13,6 +13,7 @@ from fbm.blocks import InteractionConfig, TrendConfig
 from fbm.data import WindowBatch
 from fbm.errors import CheckpointError, ConfigError
 from fbm.models import (
+    BLOCKS,
     VARIANTS,
     ForecastModel,
     ModelSpec,
@@ -22,6 +23,7 @@ from fbm.models import (
 from fbm.train import evaluate, make_case1
 
 from gradcheck import param_grad_err
+from make_pins import PINS
 
 SMALL_TREND = TrendConfig(backbone="linear", scales=(1,))
 SMALL_INTER = InteractionConfig(C1=3, C2=4, h3=5, K=1)
@@ -540,11 +542,19 @@ def test_last_baseline_repeats_final_value():
 # --- parameter accounting ----------------------------------------------------------
 
 
-@pytest.mark.parametrize("variant", ALL_VARIANTS)
-def test_built_count_matches_closed_form(variant):
-    spec = small_spec(variant)
+@pytest.mark.parametrize("spec", [pytest.param(small_spec(v), id=v) for v in ALL_VARIANTS] + [
+    pytest.param(spec, id=f"pin-{name}") for name, spec in PINS.items()  # every backbone and switch
+])
+def test_built_count_matches_closed_form(spec):
     model = ForecastModel(spec, seed=0)
     assert model.param_count() == expected_param_count(spec)
+
+
+def test_a_repeated_parameter_name_is_named(monkeypatch):
+    monkeypatch.setitem(BLOCKS, "diag", lambda rng, s: {
+        "a": ad.Linear(rng, 2, 3, "head"), "b": ad.Linear(rng, 3, 2, "head")})
+    with pytest.raises(ConfigError, match=r"^duplicate parameter name 'head\.w' in registration order$"):
+        ForecastModel(small_spec("diag"))
 
 
 def test_describe_splits_s_by_block():
