@@ -30,10 +30,11 @@ nothing, and per-bin gradients over the same rows, from one walk or several,
 sum as factors.
 
 A Layer is anything that holds weights: its params() lists the Parameters
-its attributes hold (through nested Layers, lists and tuples), each once, in
-the order the attributes were first set. So a weight is declared once, by
-its assignment, and a constructor's assignment order is the parameter order
-that checkpoints record.
+its attributes hold (through nested Layers, lists and tuples; a config, a
+constant Tensor, an array or a function holds none), each once, in the order
+the attributes were first set. So a weight is declared once, by its
+assignment, and a constructor's assignment order is the parameter order that
+checkpoints record.
 
 Everything is float64. Inputs are coerced on construction; complex
 payloads are rejected by the cast. Broadcasting follows numpy's
@@ -629,9 +630,7 @@ def _held(items):
 
 
 class Layer:
-    """Anything that holds weights (see the module docstring). An attribute that
-    is not a Parameter, Layer, list or tuple (a config, a constant Tensor, an
-    array, a function) holds none."""
+    """Anything that holds weights; params() is described in the module docstring."""
 
     def params(self):
         return list({id(p): p for p in _held(vars(self).values())}.values())

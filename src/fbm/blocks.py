@@ -12,8 +12,8 @@ weight, and PatchProjector the one centralized front. The seasonal filter is
 a per-bin complex gain: a shift only rotates a sinusoid's phase, so W reaches
 bin k through g_k = sum_n W[n, k] e^{2 pi i k n / T} alone.
 
-Every block that holds weights is an autodiff.Layer: its constructor assigns
-each Parameter once, and params() lists them in that assignment order.
+Every block that holds weights is an autodiff.Layer, whose params() lists its
+Parameters in the order its constructor assigns them.
 
 All forwards take and return autodiff Tensors so both parameter and
 input gradients flow; feature inputs are usually constants, which get no
