@@ -22,7 +22,11 @@ factors too (see adam_step), so neither the full-size gradient nor full-size
 moments are ever written. Where a bin's rows repeat bitwise with a period P
 dividing T (a Fourier bin at frequency f repeats every T/gcd(f, T) rows), so
 do its moments and its step: Adam reads back only the first P rows of each
-bin and subtracts that step from every period. One rule says when factoring
+bin and subtracts that step from every period. Where, besides, the second
+half of a period is bitwise the first with every sign flipped (a Fourier
+bin's, as fourier.dft_matrices folds its tables, except Nyquist's), so is
+the step, and Adam reads back P/2 rows, subtracting that step from the first
+half of every period and adding it to the second. One rule says when factoring
 stops: only a gradient the factors cannot hold (a dense array assigned to
 .grad, a per-bin term plus an elementwise one, or a per-bin term over other
 rows) expands the moments. Reading .grad returns a dense copy and changes
@@ -158,8 +162,8 @@ class Parameter(Tensor):
     update: the moments m and v, shaped like the value. A grid weight whose first
     gradient is per-bin factors keeps their factors instead (see adam_step): m is
     A[K, c, width], v is Q[K, c(c+1)/2, width], and `factors` holds the rows
-    (rows_t, R2) they expand with and each bin's period P[K] (see _moment_factors);
-    it is None while the moments are full-size."""
+    (rows_t, R2) they expand with, each bin's period P[K] and whether it folds
+    by sign (see _moment_factors); it is None while the moments are full-size."""
 
     __slots__ = ("name", "m", "v", "step", "factors")
 
@@ -177,8 +181,9 @@ class _PerBin:
     """The gradient of w[K, T, width] in rows[K, c, T] @ w, kept as its factors:
     slab k is rows_t[k] @ g[k], rows_t[K, T, c] and g[K, c, width]. adam_step
     reads g alone while the rows stay those of the weight's factored moments.
-    Adding another over equal rows sums the g's, exact in real arithmetic; adding
-    anything else gives the dense sum (numpy defers to __radd__ here)."""
+    Adding another over equal rows (_same_rows) sums the g's, exact in real
+    arithmetic; adding anything else gives the dense sum (numpy defers to __radd__
+    here)."""
 
     __slots__ = ("rows_t", "g")
     __array_ufunc__ = None
@@ -190,11 +195,28 @@ class _PerBin:
         return np.matmul(self.rows_t, self.g)
 
     def __add__(self, other):
-        if isinstance(other, _PerBin) and np.array_equal(self.rows_t, other.rows_t):
+        if isinstance(other, _PerBin) and _same_rows(self.rows_t, other.rows_t):
             return _PerBin(self.rows_t, self.g + other.g)
         return self.dense() + (other.dense() if isinstance(other, _PerBin) else other)
 
     __radd__ = __add__
+
+
+def _read_only_owner(a):
+    """The read-only array that owns a's memory, or None (numpy keeps a view's owner as its base)."""
+    owner = a if a.base is None else a.base
+    return owner if isinstance(owner, np.ndarray) and not owner.flags.writeable else None
+
+
+def _same_rows(a, b):
+    """Whether per-bin rows a and b hold equal values: at once for two views of one
+    read-only array with the same address, shape and strides (a model's basis rows
+    reach every step's gradient so), else by comparing every value."""
+    owner = _read_only_owner(a)
+    if owner is not None and owner is _read_only_owner(b):
+        if (a.ctypes.data, a.shape, a.strides, a.dtype) == (b.ctypes.data, b.shape, b.strides, b.dtype):
+            return True
+    return np.array_equal(a, b)
 
 
 def _as_tensor(x):
@@ -480,12 +502,16 @@ def adam_step(params, lr):
     the step above: no full-size m, v or gradient exists. Rows that repeat give
     a step that repeats, so only a bin's first P rows are read back, P its
     period, and each of the T/P periods of its value takes that step (a bin
-    whose rows do not repeat has P = T). Not bitwise: where a
+    whose rows do not repeat has P = T). A bin whose second half-period is its
+    first negated bit for bit reads back P/2 rows: negating a row negates every
+    product and sum of its m and none of its v, so the second half takes the
+    step negated, exactly. Not bitwise: where a
     gradient entry is small next to its per-bin terms, v's cancellation moves
     its step. Reading .grad between steps changes nothing here. A gradient the
     factors cannot hold (an assigned dense array, a per-bin term plus an
-    elementwise one, or other rows than the stored ones, checked every step), or
-    a shape where the factors are not smaller, expands the moments once, and the
+    elementwise one, or other rows than the stored ones, checked every step:
+    at once for a view of the same read-only rows, by value otherwise), or a
+    shape where the factors are not smaller, expands the moments once, and the
     weight updates densely from then on.
     """
     scratch = np.empty(_ADAM_CHUNK), np.empty(_ADAM_CHUNK)
@@ -516,7 +542,7 @@ def adam_step(params, lr):
         c1, c2 = 1.0 - ADAM_BETA1**p.step, 1.0 - ADAM_BETA2**p.step
         step, eps = lr * math.sqrt(c2) / c1, ADAM_EPS * math.sqrt(c2)
         factored = p.factors is not None and isinstance(grad, _PerBin)
-        if factored and np.array_equal(grad.rows_t, p.factors[0]):
+        if factored and _same_rows(grad.rows_t, p.factors[0]):
             _adam_factored(p, grad.g, step, eps, scratch)
         else:
             if p.factors is not None:
@@ -526,40 +552,51 @@ def adam_step(params, lr):
         p.grad = None
 
 
+_SIGN_BIT = np.int64(np.iinfo(np.int64).min)  # a float64's sign bit, in its int64 view
+
+
 def _moment_factors(grad):
-    """(rows_t, R2, P) of a per-bin gradient whose factored moments, c(c+3)/2 numbers
-    per bin and column, are fewer than the 2T of full-size ones; else None. P[k] is
+    """(rows_t, R2, P, folded) of a per-bin gradient whose factored moments, c(c+3)/2
+    numbers per bin and column, are fewer than the 2T of full-size ones; else None.
+    rows_t is the gradient's own rows where a read-only array owns them, so later
+    gradients over the same view match at once (_same_rows), else a copy. P[k] is
     bin k's period: the least P dividing T with rows_t[k, n + P] bitwise equal to
-    rows_t[k, n] for every n, T where the rows do not repeat."""
+    rows_t[k, n] for every n, T where the rows do not repeat. folded[k] says P is
+    even and rows P/2 to P - 1 are rows 0 to P/2 - 1 with the sign bit flipped,
+    compared bin by bin (a +0.0 row, as Nyquist's sine, is not -0.0: no fold)."""
     if not isinstance(grad, _PerBin):
         return None
     K, T, c = grad.rows_t.shape
     if c * (c + 3) // 2 >= 2 * T:
         return None
     i, j = np.triu_indices(c)
-    rows_t = np.array(grad.rows_t, order="C")
+    rows_t = grad.rows_t if _read_only_owner(grad.rows_t) is not None else np.array(grad.rows_t, order="C")
     bits = rows_t.view(np.int64)  # bitwise: -0.0 is not 0.0, and a NaN is itself
     periods = np.full(K, T)
     for P in range(T - 1, 0, -1):  # one compare per divisor over every bin; the least wins
         if T % P == 0:
             periods[(bits[:, P:] == bits[:, :-P]).all(axis=(1, 2))] = P
-    return rows_t, rows_t[..., i] * rows_t[..., j] * np.where(i < j, 2.0, 1.0), periods
+    folded = np.array([P % 2 == 0 and np.array_equal(bits[k, P // 2 : P] ^ _SIGN_BIT, bits[k, : P // 2])
+                       for k, P in enumerate(periods)], dtype=bool)
+    return rows_t, rows_t[..., i] * rows_t[..., j] * np.where(i < j, 2.0, 1.0), periods, folded
 
 
 def _expand_moments(p):
     """Replace a weight's factored moments by the full-size m and v they stand for."""
-    rows_t, R2, _ = p.factors
+    rows_t, R2 = p.factors[:2]
     p.m, p.v, p.factors = np.matmul(rows_t, p.m), np.matmul(R2, p.v), None
     np.maximum(p.v, 0.0, out=p.v)
 
 
 def _adam_factored(p, g, step, eps, scratch):
     """Adam's update of a grid weight from the g of its per-bin gradient: A and Q
-    from g, then bin by bin over its first P rows, P its period, a block of rows
-    of about one chunk at a time, step m and v read back into the scratch buffers
-    and every period of the value stepped by step m / (sqrt(v) + eps'), as
-    _adam_chunks steps it."""
-    rows_t, R2, periods = p.factors
+    from g, then bin by bin over its first h rows, a block of rows of about one
+    chunk at a time, step m and v read back into the scratch buffers and the value
+    stepped by step m / (sqrt(v) + eps'), as _adam_chunks steps it. h is the bin's
+    period P, where the step is subtracted from every period, or P/2 for a bin
+    that folds by sign, where it is subtracted from the first half of every period
+    and added to the second (x - (-s) is x + s bit for bit)."""
+    rows_t, R2, periods, folded = p.factors
     i, j = np.triu_indices(g.shape[1])
     p.m *= ADAM_BETA1
     p.m += (1.0 - ADAM_BETA1) * g
@@ -570,18 +607,20 @@ def _adam_factored(p, g, step, eps, scratch):
     n = max(_ADAM_CHUNK // width, 1)
     if n * width > scratch[0].size:  # a row wider than a chunk
         scratch = np.empty(width), np.empty(width)
-    for k, P in enumerate(periods):
-        value = p.value[k].reshape(T // P, P, width)  # one step for every period
-        for r in range(0, P, n):
-            rows = slice(r, min(r + n, P))
-            x = value[:, rows]
-            m, v = (s[: x[0].size].reshape(x.shape[1:]) for s in scratch)
+    for k, (P, fold) in enumerate(zip(periods, folded)):
+        h = P // 2 if fold else P
+        value = p.value[k].reshape(T // P, P // h, h, width)  # [period, half, row, column]
+        for r in range(0, h, n):
+            rows = slice(r, min(r + n, h))
+            first, second = value[:, 0, rows], value[:, 1:, rows]  # second is empty unless folded
+            m, v = (s[: first[0].size].reshape(first.shape[1:]) for s in scratch)
             np.matmul(rows_t[k, rows], A[k], out=m)
             np.matmul(R2[k, rows], p.v[k], out=v)
             np.maximum(v, 0.0, out=v)  # not fmax: a NaN stays NaN
             np.sqrt(v, out=v)
             v += eps
-            x -= np.divide(m, v, out=m)
+            first -= np.divide(m, v, out=m)
+            second += m
 
 
 def _adam_chunks(x, m, v, g, step, eps, scratch):

@@ -231,10 +231,13 @@ class Centralization(Layer):
 
 
 def basis_rows(T, count):
-    """DC-dropped basis rows, one [K, 2, count] table: [k, 0, n] = C[n, k + 1] and
-    [k, 1, n] = S[n, k + 1], with build_bases continuing the tables past T."""
+    """DC-dropped basis rows, one read-only [K, 2, count] table: [k, 0, n] = C[n, k + 1]
+    and [k, 1, n] = S[n, k + 1], with build_bases continuing the tables past T.
+    Read-only, so adam_step knows a grid weight's rows unchanged from their address."""
     bases = build_bases(T, pad=max(count - T, 0))
-    return np.stack([b[:count, 1:].T for b in (bases.C, bases.S)], axis=1)
+    rows = np.stack([b[:count, 1:].T for b in (bases.C, bases.S)], axis=1)
+    rows.flags.writeable = False
+    return rows
 
 
 def _per_bin(gain, rows):  # gain[K] times each bin's rows[K, 2, width]

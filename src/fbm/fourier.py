@@ -9,8 +9,13 @@ their rows give the sinusoids' values at horizon steps.
 
 The DFT is the O(T^2) matrix form on purpose: T <= 336 here, the matrix
 doubles as the exact Jacobian of the expansion, and angles are reduced
-mod T before the trig calls so the tables stay accurate to ~1e-15 even
-in the padded region.
+mod T, so the tables stay accurate to ~1e-15 even in the padded region.
+Every entry is read from one wave, cos and sin of 2 pi j / T for j in
+[0, T), computed on its first quarter and folded out by symmetry, so the
+wave's identities hold bit for bit: cos(j + T/2) = -cos(j) and
+sin(j + T/2) = -sin(j), and, but for the sign of a zero, cos(T - j) =
+cos(j) and sin(T - j) = -sin(j). A bin whose rows have an even period P
+thus has its second half-period exactly the negation of its first.
 """
 
 from __future__ import annotations
@@ -45,15 +50,25 @@ class AmplitudePhase:
 
 @lru_cache(maxsize=32)
 def dft_matrices(T):
-    """Tables turning a window into its half spectrum: H_R = x @ cm, H_I = x @ sm."""
+    """Tables turning a window into its half spectrum: H_R = x @ cm, H_I = x @ sm.
+
+    Entry [n, k] is the wave cos / -sin at j = nk mod T. The trig calls cover
+    j <= T/4 only; the rest of the half wave is its reflection (cos(T/2 - j) =
+    -cos(j), sin(T/2 - j) = sin(j), with cos(T/4) exactly 0), and the second
+    half wave is the first negated, so the identities of the module docstring
+    hold bit for bit."""
     _check_window_length(T)
-    n = np.arange(T, dtype=np.int64)[:, None]
-    k = np.arange(T // 2 + 1, dtype=np.int64)[None, :]
-    ang = 2.0 * np.pi * ((n * k) % T) / T
-    cm = np.cos(ang)
-    sm = -np.sin(ang)
-    sm[:, 0] = 0.0
-    sm[:, T // 2] = 0.0  # sin(pi*n) is identically zero; drop the trig roundoff
+    half = T // 2
+    j = np.arange(half)
+    r = np.minimum(j, half - j)  # j reflected into the first quarter
+    ang = 2.0 * np.pi * r / T
+    cos = np.where(r == j, 1.0, -1.0) * np.where(4 * r == T, 0.0, np.cos(ang))
+    sin = np.sin(ang)
+    cos, sin = np.concatenate([cos, -cos]), np.concatenate([sin, -sin])  # then the second half
+    nk = np.arange(T)[:, None] * np.arange(half + 1) % T
+    cm = cos[nk]
+    sm = -sin[nk]
+    sm[:, [0, half]] = 0.0  # DC's and Nyquist's sines are zero: +0.0 in every row
     cm.flags.writeable = False
     sm.flags.writeable = False
     return cm, sm
@@ -64,7 +79,8 @@ def rdft_array(X):
     X[..., T] -> (H_R[..., T/2+1], H_I[..., T/2+1])."""
     X = np.asarray(X, dtype=np.float64)
     cm, sm = dft_matrices(X.shape[-1])
-    return X @ cm, X @ sm
+    rows, shape = X.reshape(-1, X.shape[-1]), X.shape[:-1] + (-1,)  # one GEMM for a stack, as ad.matmul
+    return (rows @ cm).reshape(shape), (rows @ sm).reshape(shape)
 
 
 @lru_cache(maxsize=32)

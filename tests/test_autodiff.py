@@ -571,7 +571,7 @@ def _old_vjp(rows, gM):
 
 def _factored_moments(p):
     # the full-size m and v that a grid weight's factored moments stand for
-    rows_t, R2, _ = p.factors
+    rows_t, R2 = p.factors[:2]
     return np.matmul(rows_t, p.m), np.matmul(R2, p.v)
 
 
@@ -706,10 +706,14 @@ def test_a_shape_whose_factors_are_not_smaller_keeps_full_size_moments():
         assert p.factors is None and _bytes(p.value, p.m, p.v) == _bytes(value, m, v)
 
 
-def _periods(rows):
-    # the bin periods a grid weight's factored moments keep for rows[K, c, T]
+def _factors(rows):
+    # the factors a grid weight's moments keep for rows[K, c, T]
     rows_t = np.swapaxes(rows, -1, -2)
-    return ad._moment_factors(ad._PerBin(rows_t, np.zeros(rows.shape[:2] + (1,))))[2]
+    return ad._moment_factors(ad._PerBin(rows_t, np.zeros(rows.shape[:2] + (1,))))
+
+
+def _periods(rows):
+    return _factors(rows)[2]
 
 
 @pytest.mark.parametrize("T", [16, 336])
@@ -744,12 +748,108 @@ def test_random_rows_do_not_repeat():
     assert _periods(RNG(20).standard_normal((5, 2, 12))).tolist() == [12] * 5
 
 
+@pytest.mark.parametrize("T", [16, 336])
+def test_every_even_period_fourier_bin_folds_by_sign_but_nyquist(T):
+    # Nyquist's sine row is +0.0 throughout, which is not -0.0
+    _, _, periods, folded = _factors(basis_rows(T, T))
+    assert folded.tolist() == [P % 2 == 0 and k < T // 2 - 1 for k, P in enumerate(periods)]
+
+
+@pytest.mark.parametrize("k, c, n, how", [
+    (1, 0, 7, "ulp"),  # f = 2, period 8: the last row of the second half, cosine
+    (3, 1, 3, "ulp"),  # f = 4, period 4: sine
+    (5, 0, 4, "nan"),  # f = 6, period 8: the first row of the second half
+    (3, 0, 3, "zero sign"),  # f = 4: cos(3T/4) is -0.0, and +0.0 is not its negation
+])
+def test_a_bin_with_its_second_half_changed_keeps_its_period_and_does_not_fold(k, c, n, how):
+    T = 16
+    _, _, periods, folded = _factors(basis_rows(T, T))
+    assert folded[k]
+    rows = basis_rows(T, T).copy()
+    x = rows[k, c, n]
+    rows[k, c, n::periods[k]] = {"nan": np.nan, "ulp": np.nextafter(x, np.inf), "zero sign": -x}[how]
+    _, _, after, fold_after = _factors(rows)
+    assert np.array_equal(after, periods)  # changed in every period, so it still repeats
+    assert not fold_after[k] and np.array_equal(np.delete(fold_after, k), np.delete(folded, k))
+
+
+def test_random_rows_do_not_fold():
+    rng = RNG(21)
+    assert not _factors(rng.standard_normal((5, 2, 12)))[3].any()
+    _, _, periods, folded = _factors(np.tile(rng.standard_normal((5, 2, 4)), 3))
+    assert periods.tolist() == [4] * 5 and not folded.any()  # an even period, checked and refused
+
+
+def test_a_grid_weights_later_rows_are_matched_by_address(monkeypatch):
+    # every forward views the model's read-only rows anew: same address, shape and strides
+    T = 16
+    rows = basis_rows(T, T)
+    assert not rows.flags.writeable
+    rng = RNG(22)
+    p = ad.Parameter(rng.standard_normal((T // 2, T, 3)), "w")
+    ad.backward(_per_bin_loss(rows, p, rng.standard_normal((T // 2, 2, 3))))
+    ad.adam_step([p], 0.01)
+    assert p.factors[0].base is rows  # the gradient's own view, not a copy
+
+    def compare(*args):
+        raise AssertionError("rows compared by value")
+
+    monkeypatch.setattr(np, "array_equal", compare)
+    for _ in range(2):  # two per-bin edges, summed as factors, then the step
+        gM, gM2 = rng.standard_normal((2, T // 2, 2, 3))
+        ad.backward(_per_bin_loss(rows, p, gM) + _per_bin_loss(rows, p, gM2))
+        assert isinstance(p._grad, ad._PerBin)
+        ad.adam_step([p], 0.01)
+        assert p.factors is not None
+
+
+def test_equal_rows_in_another_array_keep_factored_adam():
+    T = 16
+    rows = basis_rows(T, T)
+    other = rows.copy()
+    other.flags.writeable = False
+    rng = RNG(23)
+    p = ad.Parameter(rng.standard_normal((T // 2, T, 3)), "w")
+    twin = ad.Parameter(p.value.copy(), "twin")
+    for later in (rows, other, other):
+        gM = rng.standard_normal((T // 2, 2, 3))
+        ad.backward(_per_bin_loss(later, p, gM))
+        ad.backward(_per_bin_loss(rows, twin, gM))
+        ad.adam_step([p, twin], 0.01)
+        assert p.factors is not None and _bytes(p.value, p.m, p.v) == _bytes(twin.value, twin.m, twin.v)
+
+
+@pytest.mark.parametrize("how", ["writeable", "read-only view of a writeable array"])
+def test_rows_a_writeable_array_owns_are_compared_by_value(how):
+    # the same address again, but the values under it changed: the moments expand
+    T = 16
+    own = basis_rows(T, T).copy()
+
+    def view():
+        if how == "writeable":
+            return own
+        v = own.view()
+        v.flags.writeable = False
+        return v
+
+    rng = RNG(24)
+    p = ad.Parameter(rng.standard_normal((T // 2, T, 3)), "w")
+    for _ in range(2):
+        ad.backward(_per_bin_loss(view(), p, rng.standard_normal((T // 2, 2, 3))))
+        ad.adam_step([p], 0.01)
+        assert p.factors is not None and p.factors[0].base is not own
+    own[2, 0, 5] = np.nextafter(own[2, 0, 5], np.inf)
+    ad.backward(_per_bin_loss(view(), p, rng.standard_normal((T // 2, 2, 3))))
+    ad.adam_step([p], 0.01)
+    assert p.factors is None
+
+
 def _read_back_every_row(x, p, t, lr):
     """x after one factored Adam step from p's moments, with every bin's step m
     and v read back on all T rows, in row blocks of about one chunk: no fold."""
     c1, c2 = 1.0 - ad.ADAM_BETA1**t, 1.0 - ad.ADAM_BETA2**t
     step, eps = lr * math.sqrt(c2) / c1, ad.ADAM_EPS * math.sqrt(c2)
-    rows_t, R2, _ = p.factors
+    rows_t, R2 = p.factors[:2]
     A = p.m * step
     n = max(ad._ADAM_CHUNK // x.shape[-1], 1)
     out = x.copy()
@@ -779,6 +879,7 @@ def test_folded_adam_steps_as_reading_back_every_row(width):
         x = p.value.copy()
         ad.adam_step([p], 1e-2)
         assert p.factors[2].min() == 2  # the Nyquist bin
+        assert p.factors[3].any()  # and bins that fold by sign
         want = _read_back_every_row(x, p, t, 1e-2)
         if width == 96:
             assert p.value.tobytes() == want.tobytes()
