@@ -14,8 +14,9 @@ Every entry is read from one wave, cos and sin of 2 pi j / T for j in
 [0, T), computed on its first quarter and folded out by symmetry, so the
 wave's identities hold bit for bit: cos(j + T/2) = -cos(j) and
 sin(j + T/2) = -sin(j), and, but for the sign of a zero, cos(T - j) =
-cos(j) and sin(T - j) = -sin(j). A bin whose rows have an even period P
-thus has its second half-period exactly the negation of its first.
+cos(j) and sin(T - j) = -sin(j). So a bin whose rows have an even period
+(but Nyquist, whose sine row is +0.0) has a second half-period exactly the
+first negated, and autodiff's factored Adam steps it on half its period.
 """
 
 from __future__ import annotations
@@ -52,11 +53,10 @@ class AmplitudePhase:
 def dft_matrices(T):
     """Tables turning a window into its half spectrum: H_R = x @ cm, H_I = x @ sm.
 
-    Entry [n, k] is the wave cos / -sin at j = nk mod T. The trig calls cover
-    j <= T/4 only; the rest of the half wave is its reflection (cos(T/2 - j) =
-    -cos(j), sin(T/2 - j) = sin(j), with cos(T/4) exactly 0), and the second
-    half wave is the first negated, so the identities of the module docstring
-    hold bit for bit."""
+    Entry [n, k] is the wave cos / -sin at j = nk mod T, with trig calls for
+    j <= T/4 only: the rest of the first half wave is their reflection
+    (cos(T/2 - j) = -cos(j), sin(T/2 - j) = sin(j), and cos(T/4) exactly 0),
+    and the second half wave is the first negated."""
     _check_window_length(T)
     half = T // 2
     j = np.arange(half)

@@ -185,10 +185,6 @@ def test_padded_rows_repeat_rows_mod_T_bitwise(T, pad):
 SIGN_BIT = np.int64(np.iinfo(np.int64).min)
 
 
-def _negated_bits(a):
-    return np.ascontiguousarray(a).view(np.int64) ^ SIGN_BIT
-
-
 @pytest.mark.parametrize("T", [4, 6, 8, 16, 18, 336])  # T = 0 and 2 mod 4
 def test_tables_are_one_wave_folded_by_symmetry(T):
     cm, sm = fb.dft_matrices(T)
@@ -197,10 +193,10 @@ def test_tables_are_one_wave_folded_by_symmetry(T):
     nk = j[:, None] * np.arange(half + 1) % T
     assert cm.tobytes() == cos[nk].tobytes()
     assert sm[:, 1:half].tobytes() == (-sin[nk[:, 1:half]]).tobytes()
-    assert sm[:, [0, half]].tobytes() == np.zeros((T, 2)).tobytes()  # +0.0, as before
+    assert sm[:, [0, half]].tobytes() == np.zeros((T, 2)).tobytes()  # DC and Nyquist: +0.0
     # half-wave antisymmetry, bit for bit: what lets Adam fold a bin's period in two
     for wave in (cos, sin):
-        assert wave[:half].view(np.int64).tolist() == _negated_bits(wave[half:]).tolist()
+        assert wave[:half].view(np.int64).tolist() == (wave[half:].view(np.int64) ^ SIGN_BIT).tolist()
     # reflection: equal, and bit for bit but for the sign of a zero (cos(T/4) is +0.0,
     # so by the half-wave rule cos(3T/4) is -0.0)
     m = np.arange(1, half)
@@ -209,7 +205,7 @@ def test_tables_are_one_wave_folded_by_symmetry(T):
         nonzero = want != 0.0
         assert got[nonzero].tobytes() == want[nonzero].tobytes()
     assert not cm.flags.writeable and not sm.flags.writeable
-    ang = 2.0 * np.pi * (nk % T) / T
+    ang = 2.0 * np.pi * nk / T
     assert np.abs(cm - np.cos(ang)).max() <= 2e-15
     assert np.abs(sm[:, 1:half] + np.sin(ang[:, 1:half])).max() <= 2e-15
 
@@ -222,9 +218,9 @@ def test_rdft_array_takes_a_stack_as_one_product():
     assert H_R.shape == H_I.shape == (3, 2, 9)
     for b in range(3):
         for d in range(2):
-            for got, want, table in ((H_R, cm, cm), (H_I, sm, sm)):
+            for got, table in ((H_R, cm), (H_I, sm)):
                 bound = 4 * np.finfo(float).eps * (np.abs(x[b, d]) @ np.abs(table))
-                assert np.all(np.abs(got[b, d] - x[b, d] @ want) <= bound)
+                assert np.all(np.abs(got[b, d] - x[b, d] @ table) <= bound)
 
 
 def test_amplitude_phase_triangle():
