@@ -14,24 +14,21 @@ only (Parameters and explicitly tracked inputs) and accumulate there until
 zeroed, so one forward/backward per batch composes with plain Python control
 flow.
 
-A grid weight, a rank-3 Parameter w[K, T, width] that a stack of basis rows
-multiplies bin by bin (rows[K, c, T] @ w, as blocks.Patches.linear does), gets
-its gradient as per-bin factors: slab k is rows[k]^T @ gM[k], a product with a
-small inner dimension c. Adam's moments of such a weight are kept as per-bin
-factors too (see adam_step), so neither the full-size gradient nor full-size
-moments are ever written. Where a bin's rows repeat bitwise with a period P
-dividing T (a Fourier bin at frequency f repeats every T/gcd(f, T) rows), so
-do its moments and its step: Adam reads back only the first P rows of each
-bin and subtracts that step from every period. Where, besides, the second
-half of a period is bitwise the first with every sign flipped (a Fourier
-bin's, as fourier.dft_matrices folds its tables, except Nyquist's), so is
-the step, and Adam reads back P/2 rows, subtracting that step from the first
-half of every period and adding it to the second. One rule says when factoring
-stops: only a gradient the factors cannot hold (a dense array assigned to
-.grad, a per-bin term plus an elementwise one, or a per-bin term over other
-rows) expands the moments. Reading .grad returns a dense copy and changes
-nothing, and per-bin gradients over the same rows, from one walk or several,
-sum as factors.
+A grid weight (GridWeight) is a Parameter w[K, T, width] built with the
+constant basis rows[K, c, T] that multiply it bin by bin: matmul(rows, w), as
+blocks.GridLinear takes it, is the only op it enters, and its gradient is the
+per-bin g[K, c, width] of that product (slab k of the dense one is
+rows[k]^T @ g[k], a product with a small inner dimension c). Adam's moments of
+such a weight are kept as per-bin factors too (see adam_step), so neither the
+full-size gradient nor full-size moments are ever written. Where a bin's rows
+repeat bitwise with a period P dividing T (a Fourier bin at frequency f
+repeats every T/gcd(f, T) rows), so do its moments and its step: Adam reads
+back only the first P rows of each bin and subtracts that step from every
+period. Where, besides, the second half of a period is bitwise the first with
+every sign flipped (a Fourier bin's, as fourier.dft_matrices folds its
+tables, except Nyquist's), so is the step, and Adam reads back P/2 rows,
+subtracting that step from the first half of every period and adding it to
+the second. Reading .grad returns the dense gradient and changes nothing.
 
 A Layer is anything that holds weights: its params() lists the Parameters
 its attributes hold (through nested Layers, lists and tuples; a config, a
@@ -91,8 +88,8 @@ class Tensor:
 
     @property
     def grad(self):
-        """The accumulated gradient as an array, or None; a per-bin one is densified, not stored."""
-        return self._grad.dense() if isinstance(self._grad, _PerBin) else self._grad
+        """The accumulated gradient as an array, or None."""
+        return self._grad
 
     @grad.setter
     def grad(self, g):
@@ -159,64 +156,85 @@ class Tensor:
 
 class Parameter(Tensor):
     """Trainable leaf tensor with its Adam state riding along, made by its first
-    update: the moments m and v, shaped like the value. A grid weight whose first
-    gradient is per-bin factors keeps their factors instead (see adam_step): m is
-    A[K, c, width], v is Q[K, c(c+1)/2, width], and `factors` holds the rows
-    (rows_t, R2) they expand with, each bin's period P[K] and whether it folds
-    by sign (see _moment_factors); it is None while the moments are full-size."""
+    update: the moments m and v, shaped like the value."""
 
-    __slots__ = ("name", "m", "v", "step", "factors")
+    __slots__ = ("name", "m", "v", "step")
 
     def __init__(self, value, name):
         super().__init__(value, requires_grad=True)
         self.name = str(name)
-        self.m = self.v = self.factors = None
+        self.m = self.v = None
         self.step = 0
 
     def __repr__(self):
         return f"Parameter({self.name!r}, shape={self.value.shape})"
 
 
-class _PerBin:
-    """The gradient of w[K, T, width] in rows[K, c, T] @ w, kept as its factors:
-    slab k is rows_t[k] @ g[k], rows_t[K, T, c] and g[K, c, width]. adam_step
-    reads g alone while the rows stay those of the weight's factored moments.
-    Adding another over equal rows (_same_rows) sums the g's, exact in real
-    arithmetic; adding anything else gives the dense sum (numpy defers to __radd__
-    here)."""
+class GridWeight(Parameter):
+    """A grid weight w[K, T, width] and the constant rows[K, c, T] that multiply it
+    bin by bin (see the module docstring); matmul takes it after these rows alone,
+    the same array, so the rows must not change. Its gradient is the per-bin
+    g[K, c, width], which .grad reads as the dense rows^T @ g and which no dense
+    array may replace. Its Adam moments are m = A[K, c, width] and
+    v = Q[K, c(c+1)/2, width] (see adam_step); `factors` holds what they expand
+    with, read off the rows at the first update (_moment_factors)."""
 
-    __slots__ = ("rows_t", "g")
-    __array_ufunc__ = None
+    __slots__ = ("rows", "factors")
 
-    def __init__(self, rows_t, g):
-        self.rows_t, self.g = rows_t, g
+    def __init__(self, value, name, rows):
+        super().__init__(value, name)
+        K, c, T = rows.shape
+        if self.value.shape[:2] != (K, T) or c * (c + 3) // 2 >= 2 * T:
+            raise ValueError(f"grid weight {self.name}{self.value.shape} does not fit factored rows {rows.shape}")
+        self.rows, self.factors = rows, None
 
-    def dense(self):
-        return np.matmul(self.rows_t, self.g)
+    @property
+    def grad(self):
+        """The dense gradient rows^T @ g, or None; the weight keeps g."""
+        return None if self._grad is None else np.matmul(np.swapaxes(self.rows, -1, -2), self._grad)
 
-    def __add__(self, other):
-        if isinstance(other, _PerBin) and _same_rows(self.rows_t, other.rows_t):
-            return _PerBin(self.rows_t, self.g + other.g)
-        return self.dense() + (other.dense() if isinstance(other, _PerBin) else other)
+    @grad.setter
+    def grad(self, g):
+        if g is not None:
+            raise ValueError(f"grid weight {self.name} takes its gradient per bin, from matmul with its rows")
+        self._grad = None
 
-    __radd__ = __add__
-
-
-def _read_only_owner(a):
-    """The read-only array that owns a's memory, or None (numpy keeps a view's owner as its base)."""
-    owner = a if a.base is None else a.base
-    return owner if isinstance(owner, np.ndarray) and not owner.flags.writeable else None
-
-
-def _same_rows(a, b):
-    """Whether per-bin rows a and b hold equal values: at once for two views of one
-    read-only array with the same address, shape and strides (a model's basis rows
-    reach every step's gradient so), else by comparing every value."""
-    owner = _read_only_owner(a)
-    if owner is not None and owner is _read_only_owner(b):
-        if (a.ctypes.data, a.shape, a.strides, a.dtype) == (b.ctypes.data, b.shape, b.strides, b.dtype):
-            return True
-    return np.array_equal(a, b)
+    def _adam_factored(self, step, eps, scratch):
+        """Adam's update from the g of its per-bin gradient: A and Q from g, then bin
+        by bin over its first h rows, a block of rows of about one chunk at a time,
+        step m and v read back into the scratch buffers and the value stepped by
+        step m / (sqrt(v) + eps'), as _adam_chunks steps it. h is the bin's period P,
+        where the step is subtracted from every period, or P/2 for a bin that folds
+        by sign, where it is subtracted from the first half of every period and
+        added to the second (x - (-s) is x + s bit for bit)."""
+        if self.factors is None:
+            self.factors = _moment_factors(self.rows)
+        rows_t, R2, periods, folded = self.factors
+        g = self._grad
+        i, j = np.triu_indices(g.shape[1])
+        self.m *= ADAM_BETA1
+        self.m += (1.0 - ADAM_BETA1) * g
+        self.v *= ADAM_BETA2
+        self.v += (1.0 - ADAM_BETA2) * (g[:, i] * g[:, j])
+        A = self.m * step  # read back as step m, the step's numerator
+        K, T, width = self.value.shape
+        n = max(_ADAM_CHUNK // width, 1)
+        if n * width > scratch[0].size:  # a row wider than a chunk
+            scratch = np.empty(width), np.empty(width)
+        for k, (P, fold) in enumerate(zip(periods, folded)):
+            h = P // 2 if fold else P
+            value = self.value[k].reshape(T // P, P // h, h, width)  # [period, half, row, column]
+            for r in range(0, h, n):
+                rows = slice(r, min(r + n, h))
+                first, second = value[:, 0, rows], value[:, 1:, rows]  # second is empty unless folded
+                m, v = (s[: first[0].size].reshape(first.shape[1:]) for s in scratch)
+                np.matmul(rows_t[k, rows], A[k], out=m)
+                np.matmul(R2[k, rows], self.v[k], out=v)
+                np.maximum(v, 0.0, out=v)  # not fmax: a NaN stays NaN
+                np.sqrt(v, out=v)
+                v += eps
+                first -= np.divide(m, v, out=m)
+                second += m
 
 
 def _as_tensor(x):
@@ -227,12 +245,20 @@ def _from_op(value, *edges):
     """Wrap an op's result. Each edge is (parent, vjp), vjp mapping the output
     gradient to that parent's gradient; only the edges of parents that require
     grad are kept (none under no_grad), and the result is tracked exactly when
-    it keeps an edge."""
+    it keeps an edge. A GridWeight's only edge is matmul's, after its rows."""
     out = Tensor(value)
     if _grad_enabled.get():
         out._edges = tuple(e for e in edges if e[0].requires_grad)
         out.requires_grad = bool(out._edges)
+        for p, vjp in out._edges:
+            if type(p) is GridWeight and vjp is not _per_bin:
+                raise ValueError(f"grid weight {p.name} enters no op but matmul after its rows")
     return out
+
+
+def _per_bin(g):
+    """A GridWeight's gradient from the gradient of matmul(its rows, it): g itself."""
+    return g
 
 
 def _unbroadcast(g, shape):
@@ -308,9 +334,8 @@ def matmul(a, b):
     """a @ b over the last two axes. A stack a[..., n, k] times one matrix
     b[k, m] folds a's leading axes into its rows, so the forward and each
     gradient are one 2-D GEMM, which BLAS may sum in another order than
-    np.matmul's per-matrix loop (equal at roundoff). A stack times a rank-3
-    Parameter with the same leading axis, a grid weight, gives that Parameter
-    its gradient as per-bin factors (_PerBin)."""
+    np.matmul's per-matrix loop (equal at roundoff). A GridWeight b is taken
+    after its own rows alone, and gets the output's gradient as its per-bin g."""
     a, b = _as_tensor(a), _as_tensor(b)
     if a.value.ndim < 2 or b.value.ndim < 2:
         raise ValueError("matmul expects tensors of rank >= 2")
@@ -322,12 +347,13 @@ def matmul(a, b):
             (a, lambda g: np.matmul(g.reshape(-1, g.shape[-1]), b.value.T).reshape(a.value.shape)),
             (b, lambda g: np.matmul(a.value.reshape(rows).T, g.reshape(-1, g.shape[-1]))),
         )
+    if isinstance(b, GridWeight) and a.value is not b.rows:
+        raise ValueError(f"grid weight {b.name} is multiplied by its own rows array only")
     a_t = np.swapaxes(a.value, -1, -2)
-    per_bin = isinstance(b, Parameter) and b.value.ndim == 3 and a.value.shape[:-2] == b.value.shape[:-2]
     return _from_op(
         np.matmul(a.value, b.value),
         (a, lambda g: _unbroadcast(np.matmul(g, np.swapaxes(b.value, -1, -2)), a.value.shape)),
-        (b, lambda g: _PerBin(a_t, g) if per_bin else _unbroadcast(np.matmul(a_t, g), b.value.shape)),
+        (b, _per_bin if isinstance(b, GridWeight) else lambda g: _unbroadcast(np.matmul(a_t, g), b.value.shape)),
     )
 
 
@@ -428,8 +454,8 @@ def backward(loss, params=None):
         _backward_walk(loss)
     if params is not None:
         for p in params:
-            if p._grad is None:
-                p.grad = np.zeros_like(p.value)
+            if p._grad is None:  # a grid weight's is per bin
+                p._grad = np.zeros(_moment_shapes(p)[0] if isinstance(p, GridWeight) else p.shape)
 
 
 def _backward_walk(loss):
@@ -492,41 +518,29 @@ def adam_step(params, lr):
     writes a new C-order value, so the array a parameter was built from is never
     written. An untrained model holds no copy and no moments.
 
-    A grid weight whose first gradient is per-bin factors rows_t[k] @ g[k] keeps
-    its moments as factors, exactly in real arithmetic: m[k] = rows_t[k] @ A[k]
-    with A updated from g as m is, and v[k] = R2[k] @ Q[k] with Q updated from
-    the pairwise products g_i g_j (i <= j), R2 holding the rows' matching
-    products with the off-diagonal ones doubled. Each bin's step m and v are
-    read back into the chunk buffers a block of rows at a time (step folded
-    into A), v clamped at 0 (it can cancel slightly below), and the value takes
-    the step above: no full-size m, v or gradient exists. Rows that repeat give
-    a step that repeats, so only a bin's first P rows are read back, P its
-    period, and each of the T/P periods of its value takes that step (a bin
-    whose rows do not repeat has P = T). A bin whose second half-period is its
-    first negated bit for bit reads back P/2 rows: negating a row negates every
-    product and sum of its m and none of its v, so the second half takes the
-    step negated, exactly. Not bitwise: where a
-    gradient entry is small next to its per-bin terms, v's cancellation moves
-    its step. Reading .grad between steps changes nothing here. A gradient the
-    factors cannot hold (an assigned dense array, a per-bin term plus an
-    elementwise one, or other rows than the stored ones, checked every step:
-    at once for a view of the same read-only rows, by value otherwise), or a
-    shape where the factors are not smaller, expands the moments once, and the
-    weight updates densely from then on.
+    A GridWeight, whose gradient is per-bin g with slab k of the dense one
+    rows_t[k] @ g[k], keeps its moments as factors, exactly in real arithmetic:
+    m[k] = rows_t[k] @ A[k] with A updated from g as m is, and v[k] = R2[k] @ Q[k]
+    with Q updated from the pairwise products g_i g_j (i <= j), R2 holding the
+    rows' matching products with the off-diagonal ones doubled. Its update is its
+    _adam_factored: each bin's step m and v are read back into the chunk buffers
+    a block of rows at a time (step folded into A), v clamped at 0 (it can cancel
+    slightly below), and the value takes the step above: no full-size m, v or
+    gradient exists. Rows that repeat give a step that repeats, so only a bin's
+    first P rows are read back, P its period, and each of the T/P periods of its
+    value takes that step (a bin whose rows do not repeat has P = T). A bin whose
+    second half-period is its first negated bit for bit reads back P/2 rows:
+    negating a row negates every product and sum of its m and none of its v, so
+    the second half takes the step negated, exactly. Not bitwise: where a
+    gradient entry is small next to its per-bin terms, v's cancellation moves its
+    step.
     """
     scratch = np.empty(_ADAM_CHUNK), np.empty(_ADAM_CHUNK)
     # First updates get m and v as C-order views of one zeroed block. Made one by one
     # after a forward, they would sit in the heap between the temporaries of every later
     # step, which then faults in more pages; a large block is mapped on its own.
     fresh = [p for p in params if p._grad is not None and p.m is None]
-    shapes = []
-    for p in fresh:
-        p.factors = _moment_factors(p._grad)
-        if p.factors is None:
-            shapes += [p.value.shape] * 2
-        else:  # A[K, c, width] and Q[K, c(c+1)/2, width], after rows_t's and R2's last axes
-            K, _, width = p.value.shape
-            shapes += [(K, f.shape[-1], width) for f in p.factors[:2]]
+    shapes = [s for p in fresh for s in (_moment_shapes(p) if isinstance(p, GridWeight) else [p.shape] * 2)]
     offsets = np.cumsum([0] + [math.prod(s) for s in shapes])
     block = np.zeros(offsets[-1])
     views = [block[a:b].reshape(s) for a, b, s in zip(offsets, offsets[1:], shapes)]
@@ -541,36 +555,32 @@ def adam_step(params, lr):
             p.value = np.array(p.value, order="C")
         c1, c2 = 1.0 - ADAM_BETA1**p.step, 1.0 - ADAM_BETA2**p.step
         step, eps = lr * math.sqrt(c2) / c1, ADAM_EPS * math.sqrt(c2)
-        factored = p.factors is not None and isinstance(grad, _PerBin)
-        if factored and _same_rows(grad.rows_t, p.factors[0]):
-            _adam_factored(p, grad.g, step, eps, scratch)
+        if isinstance(p, GridWeight):
+            p._adam_factored(step, eps, scratch)
         else:
-            if p.factors is not None:
-                _expand_moments(p)
-            g = grad.dense() if isinstance(grad, _PerBin) else np.ascontiguousarray(grad)
-            _adam_chunks(p.value, p.m, p.v, g, step, eps, scratch)
-        p.grad = None
+            _adam_chunks(p.value, p.m, p.v, np.ascontiguousarray(grad), step, eps, scratch)
+        p._grad = None
 
 
 _SIGN_BIT = np.int64(np.iinfo(np.int64).min)  # a float64's sign bit, in its int64 view
 
 
-def _moment_factors(grad):
-    """(rows_t, R2, P, folded) of a per-bin gradient whose factored moments, c(c+3)/2
-    numbers per bin and column, are fewer than the 2T of full-size ones; else None.
-    rows_t is the gradient's own rows where a read-only array owns them, so later
-    gradients over the same view match at once (_same_rows), else a copy. P[k] is
-    bin k's period: the least P dividing T with rows_t[k, n + P] bitwise equal to
-    rows_t[k, n] for every n, T where the rows do not repeat. folded[k] says P is
-    even and rows P/2 to P - 1 are rows 0 to P/2 - 1 with the sign bit flipped,
-    compared bin by bin (a +0.0 row, as Nyquist's sine, is not -0.0: no fold)."""
-    if not isinstance(grad, _PerBin):
-        return None
-    K, T, c = grad.rows_t.shape
-    if c * (c + 3) // 2 >= 2 * T:
-        return None
+def _moment_shapes(p):
+    """The shapes of grid weight p's per-bin g and A, [K, c, width], and of Q, [K, c(c+1)/2, width]."""
+    (K, c, _), width = p.rows.shape, p.value.shape[-1]
+    return (K, c, width), (K, c * (c + 1) // 2, width)
+
+
+def _moment_factors(rows):
+    """(rows_t, R2, P, folded) of a grid weight's rows[K, c, T]: rows_t their [K, T, c]
+    view, R2 their pairwise products (see adam_step). P[k] is bin k's period: the
+    least P dividing T with rows_t[k, n + P] bitwise equal to rows_t[k, n] for every
+    n, T where the rows do not repeat. folded[k] says P is even and rows P/2 to
+    P - 1 are rows 0 to P/2 - 1 with the sign bit flipped, compared bin by bin (a
+    +0.0 row, as Nyquist's sine, is not -0.0: no fold)."""
+    K, c, T = rows.shape
     i, j = np.triu_indices(c)
-    rows_t = grad.rows_t if _read_only_owner(grad.rows_t) is not None else np.array(grad.rows_t, order="C")
+    rows_t = np.swapaxes(rows, -1, -2)
     bits = rows_t.view(np.int64)  # bitwise: -0.0 is not 0.0, and a NaN is itself
     periods = np.full(K, T)
     for P in range(T - 1, 0, -1):  # one compare per divisor over every bin; the least wins
@@ -579,48 +589,6 @@ def _moment_factors(grad):
     folded = np.array([P % 2 == 0 and np.array_equal(bits[k, P // 2 : P] ^ _SIGN_BIT, bits[k, : P // 2])
                        for k, P in enumerate(periods)], dtype=bool)
     return rows_t, rows_t[..., i] * rows_t[..., j] * np.where(i < j, 2.0, 1.0), periods, folded
-
-
-def _expand_moments(p):
-    """Replace a weight's factored moments by the full-size m and v they stand for."""
-    rows_t, R2 = p.factors[:2]
-    p.m, p.v, p.factors = np.matmul(rows_t, p.m), np.matmul(R2, p.v), None
-    np.maximum(p.v, 0.0, out=p.v)
-
-
-def _adam_factored(p, g, step, eps, scratch):
-    """Adam's update of a grid weight from the g of its per-bin gradient: A and Q
-    from g, then bin by bin over its first h rows, a block of rows of about one
-    chunk at a time, step m and v read back into the scratch buffers and the value
-    stepped by step m / (sqrt(v) + eps'), as _adam_chunks steps it. h is the bin's
-    period P, where the step is subtracted from every period, or P/2 for a bin
-    that folds by sign, where it is subtracted from the first half of every period
-    and added to the second (x - (-s) is x + s bit for bit)."""
-    rows_t, R2, periods, folded = p.factors
-    i, j = np.triu_indices(g.shape[1])
-    p.m *= ADAM_BETA1
-    p.m += (1.0 - ADAM_BETA1) * g
-    p.v *= ADAM_BETA2
-    p.v += (1.0 - ADAM_BETA2) * (g[:, i] * g[:, j])
-    A = p.m * step  # read back as step m, the step's numerator
-    K, T, width = p.value.shape
-    n = max(_ADAM_CHUNK // width, 1)
-    if n * width > scratch[0].size:  # a row wider than a chunk
-        scratch = np.empty(width), np.empty(width)
-    for k, (P, fold) in enumerate(zip(periods, folded)):
-        h = P // 2 if fold else P
-        value = p.value[k].reshape(T // P, P // h, h, width)  # [period, half, row, column]
-        for r in range(0, h, n):
-            rows = slice(r, min(r + n, h))
-            first, second = value[:, 0, rows], value[:, 1:, rows]  # second is empty unless folded
-            m, v = (s[: first[0].size].reshape(first.shape[1:]) for s in scratch)
-            np.matmul(rows_t[k, rows], A[k], out=m)
-            np.matmul(R2[k, rows], p.v[k], out=v)
-            np.maximum(v, 0.0, out=v)  # not fmax: a NaN stays NaN
-            np.sqrt(v, out=v)
-            v += eps
-            first -= np.divide(m, v, out=m)
-            second += m
 
 
 def _adam_chunks(x, m, v, g, step, eps, scratch):

@@ -8,7 +8,8 @@ coefficients over basis rows, and every layer that reads it (a linear map
 of the grid or of a patch, the patch's mean and mean square, a downsampled
 scale) is the coefficients times a table of the rows and weights that does
 not grow with the batch: Patches.linear is the one product of rows and a
-weight, and PatchProjector the one centralized front. The seasonal filter is
+dense weight, GridLinear's that of the rows and the grid weight built with
+them, and PatchProjector the one centralized front. The seasonal filter is
 a per-bin complex gain: a shift only rotates a sinusoid's phase, so W reaches
 bin k through g_k = sum_n W[n, k] e^{2 pi i k n / T} alone.
 
@@ -33,7 +34,7 @@ from functools import reduce
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import AttentionParams, Layer, Linear, Parameter, Tensor
+from .autodiff import AttentionParams, GridWeight, Layer, Linear, Parameter, Tensor
 from .errors import ConfigError, NumericError
 from .fourier import build_bases, dft_matrices
 
@@ -129,15 +130,13 @@ class Patches:
         self.mean_rows = self.rows.sum(axis=-1) / self.N  # [K, c, P]
 
     def linear(self, w, ones_w=None):
-        """x @ w for each patch x -> [..., P, width]; w is [N, width], time-major,
-        or already per column, [K, T/P, width] (taken as is: a Parameter there
-        gets its gradient per bin). Given ones_w = 1^T w, each patch is centred
-        first: (x - mean) @ w = x @ w - mean 1^T w, taken out of the table as
-        M - mean_rows 1^T w, so the GEMM yields it with no pass over its output."""
+        """x @ w for each patch x, w[N, width] time-major -> [..., P, width]. Given
+        ones_w = 1^T w, each patch is centred first: (x - mean) @ w = x @ w - mean 1^T w,
+        taken out of the table as M - mean_rows 1^T w, so the GEMM yields it with no
+        pass over its output."""
         K, c, P, pt = self.rows.shape
         width = w.shape[-1]
-        if w.ndim == 2:
-            w = ad.transpose(ad.reshape(w, (pt, K, width)), (1, 0, 2))  # [K, T/P, width]
+        w = ad.transpose(ad.reshape(w, (pt, K, width)), (1, 0, 2))  # [K, T/P, width]
         M = ad.matmul(Tensor(self.rows.reshape(K, c * P, pt)), w)
         if ones_w is not None:
             M = ad.sub(M, ad.mul(Tensor(self.mean_rows.reshape(K, c * P, 1)), ones_w))
@@ -233,7 +232,7 @@ class Centralization(Layer):
 def basis_rows(T, count):
     """DC-dropped basis rows, one read-only [K, 2, count] table: [k, 0, n] = C[n, k + 1]
     and [k, 1, n] = S[n, k + 1], with build_bases continuing the tables past T.
-    Read-only, so adam_step knows a grid weight's rows unchanged from their address."""
+    Read-only, as a grid weight built with them needs them unchanged."""
     bases = build_bases(T, pad=max(count - T, 0))
     rows = np.stack([b[:count, 1:].T for b in (bases.C, bases.S)], axis=1)
     rows.flags.writeable = False
@@ -245,24 +244,23 @@ def _per_bin(gain, rows):  # gain[K] times each bin's rows[K, 2, width]
 
 
 class GridLinear(Layer):
-    """fbm-l: x @ w for the whole grid x, per-bin weights w[K, T, width], no bias.
-    The grid is one patch and w its per-column weight, so Patches.linear gives
-    coef @ (rows @ w): on the spectrum, one z @ M GEMM, and w's gradient stays
-    per-bin factors until Adam reads it."""
+    """fbm-l: x @ w for the whole grid x over `rows`, basis_rows(T, T), with per-bin
+    weights w[K, T, width], no bias. On the spectrum it is coef @ (rows @ w), one
+    z @ M GEMM; w is a GridWeight built with those rows, which the grid must hold."""
 
-    def __init__(self, rng, T, width, name):
-        self.w = Parameter(ad._init_weight(rng, (T // 2, T, width), T * T // 2), f"{name}.w")
+    def __init__(self, rng, rows, width, name):
+        K, _, T = rows.shape
+        self.w = GridWeight(ad._init_weight(rng, (K, T, width), T * K), f"{name}.w", rows)
 
     def forward(self, grid):
-        y = Patches(grid, 1).linear(self.w)  # [..., 1, width]
-        return ad.reshape(y, y.shape[:-2] + y.shape[-1:])
+        return _contract(grid.coef, ad.matmul(Tensor(grid.rows), self.w))
 
 
 class GridMLP(Layer):
     """fbm-nl: GridLinear fc1 plus its bias, then fc2 and fc3, ReLU after fc1 and fc2."""
 
-    def __init__(self, rng, T, h1, h2, L):
-        self.fc1 = GridLinear(rng, T, h1, "fc1")
+    def __init__(self, rng, rows, h1, h2, L):
+        self.fc1 = GridLinear(rng, rows, h1, "fc1")
         self.b1 = Parameter(np.zeros(h1), "fc1.b")
         self.fc2 = Linear(rng, h1, h2, "fc2")
         self.fc3 = Linear(rng, h2, L, "fc3")

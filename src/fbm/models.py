@@ -64,21 +64,21 @@ class _LastValue(Layer):
         return Tensor(np.broadcast_to(Xs[..., -1:], Xs.shape[:2] + (self.L,)).copy())
 
 
-# each variant's named blocks, built in parameter order from (rng, spec); a
-# variant of one block keys it by the variant's name
+# each variant's named blocks, built in parameter order from (rng, spec, the
+# spectrum grid's rows); a variant of one block keys it by the variant's name
 BLOCKS = {
-    "fbm-l": lambda rng, s: {"fbm-l": GridLinear(rng, s.T, s.L, "linear")},
-    "fbm-nl": lambda rng, s: {"fbm-nl": GridMLP(rng, s.T, s.nl_h1, s.nl_h2, s.L)},
-    "fbm-np": lambda rng, s: {"fbm-np": _TrendScale(rng, s.T, s.T // 2, s.L, s.D, s.np_cfg, "np",
-                                                    use_relu=False)},
-    "fbm-s": lambda rng, s: {
+    "fbm-l": lambda rng, s, rows: {"fbm-l": GridLinear(rng, rows, s.L, "linear")},
+    "fbm-nl": lambda rng, s, rows: {"fbm-nl": GridMLP(rng, rows, s.nl_h1, s.nl_h2, s.L)},
+    "fbm-np": lambda rng, s, rows: {"fbm-np": _TrendScale(rng, s.T, s.T // 2, s.L, s.D, s.np_cfg, "np",
+                                                          use_relu=False)},
+    "fbm-s": lambda rng, s, rows: {
         "seasonal": SeasonalBlock(s.T, s.L),
         "trend": TrendBlock(rng, s.T, s.L, s.D, s.trend),
         **({"interaction": InteractionBlock(rng, s.T, s.L, s.D, s.interaction)}
            if s.interaction is not None else {}),
     },
-    "diag": lambda rng, s: {"diag": DiagBlock(s.T, s.L)},
-    "last": lambda rng, s: {"last": _LastValue(s.L)},
+    "diag": lambda rng, s, rows: {"diag": DiagBlock(s.T, s.L)},
+    "last": lambda rng, s, rows: {"last": _LastValue(s.L)},
 }
 
 VARIANTS = tuple(BLOCKS)
@@ -286,7 +286,7 @@ class ForecastModel:
         self._rows = basis_rows(spec.T, spec.T)  # the spectrum grid's rows
         # load passes ad._UNDRAWN: the records replace every weight, so none is drawn
         rng = seed if seed is ad._UNDRAWN else np.random.default_rng(seed)
-        self.blocks = BLOCKS[spec.variant](rng, spec)
+        self.blocks = BLOCKS[spec.variant](rng, spec, self._rows)
         # the weights export and the benchmark's tracer read these two by name
         self.seasonal, self.trend = self.blocks.get("seasonal"), self.blocks.get("trend")
         self.params = [p for blk in self.blocks.values() for p in blk.params()]

@@ -556,9 +556,9 @@ def test_adam_after_the_first_step_allocates_only_chunk_buffers():
 
 
 def _grid_weight(rng, K, c, T, width):
-    """Constant rows[K, c, T], a Parameter w[K, T, width] and an upstream gradient gM of rows @ w."""
-    return (rng.standard_normal((K, c, T)), ad.Parameter(rng.standard_normal((K, T, width)), "w"),
-            rng.standard_normal((K, c, width)))
+    """Constant rows[K, c, T], a GridWeight w[K, T, width] over them and an upstream gradient gM of rows @ w."""
+    rows = rng.standard_normal((K, c, T))
+    return rows, ad.GridWeight(rng.standard_normal((K, T, width)), "w", rows), rng.standard_normal((K, c, width))
 
 
 def _per_bin_loss(rows, w, gM):
@@ -608,7 +608,7 @@ def test_factored_moments_read_back_as_the_dense_ones(K, c, T, width):
             kept = wide.copy()
         gM = rng.standard_normal((K, c, width)) * 10.0 ** rng.uniform(-3, 3, (K, c, 1))
         ad.backward(_per_bin_loss(rows, p, gM))
-        assert isinstance(p._grad, ad._PerBin)
+        assert p._grad.tobytes() == gM.tobytes()  # the per-bin g itself
         dense.grad = _old_vjp(rows, gM)
         ad.adam_step([p, dense], 0.01)
         assert p.step == dense.step == t and p.grad is None
@@ -632,7 +632,7 @@ def test_per_bin_gradients_summed_onto_a_grid_weight_keep_it_factored(how):
         else:
             ad.backward(_per_bin_loss(rows, p, gM))
             ad.backward(_per_bin_loss(rows, p, gM2))
-        assert isinstance(p._grad, ad._PerBin)
+        assert p._grad.shape == gM.shape
         dense.grad = _old_vjp(rows, gM) + _old_vjp(rows, gM2)
         ad.adam_step([p, dense], 0.01)
         assert p.factors is not None
@@ -643,7 +643,7 @@ def test_per_bin_gradients_summed_onto_a_grid_weight_keep_it_factored(how):
 def test_reading_a_grid_weights_gradient_changes_no_adam_step():
     rng = RNG(19)
     rows, p, _ = _grid_weight(rng, 3, 2, 6, 5)
-    twin = ad.Parameter(p.value.copy(), "twin")
+    twin = ad.GridWeight(p.value.copy(), "twin", rows)
     for _ in range(3):
         gM = rng.standard_normal((3, 2, 5))
         ad.backward(_per_bin_loss(rows, p, gM))
@@ -654,62 +654,36 @@ def test_reading_a_grid_weights_gradient_changes_no_adam_step():
         assert _bytes(p.value, p.m, p.v, *p.factors) == _bytes(twin.value, twin.m, twin.v, *twin.factors)
 
 
-def _arrive_dense(how, rows, p, gM, rng):
-    """A gradient reaching the grid weight p in a way its factored moments cannot
-    take; returns the dense gradient Adam then reads."""
-    if how == "assign":
-        p.grad = _old_vjp(rows, gM)
-    elif how == "elementwise":  # a per-bin edge plus an elementwise one (weight decay, say)
-        H = rng.standard_normal(p.shape)
-        ad.backward(_per_bin_loss(rows, p, gM) + (p * H).sum())
-        return _old_vjp(rows, gM) + H
-    elif how == "rows":  # per-bin, over rows other than the stored ones
-        rows = rows + 1e-3
-        ad.backward(_per_bin_loss(rows, p, gM))
-        assert isinstance(p._grad, ad._PerBin)
-    return _old_vjp(rows, gM)
-
-
-@pytest.mark.parametrize("how", ["assign", "elementwise", "rows"])
-def test_a_gradient_factors_cannot_take_expands_the_moments_once(how):
+@pytest.mark.parametrize("how", ["assign", "elementwise", "elementwise alone", "rows"])
+def test_a_gradient_a_grid_weight_cannot_take_raises(how):
+    # its gradient is the per-bin g of matmul with its own rows, and nothing else
     rng = RNG(14)
-    rows, p, _ = _grid_weight(rng, 3, 2, 6, 5)
-    for _ in range(2):
-        ad.backward(_per_bin_loss(rows, p, rng.standard_normal((3, 2, 5))))
-        ad.adam_step([p], 0.01)
-    p.v[:, 1] *= 3.0  # some of v now reads below 0, as cancellation can leave it
-    m, v = _factored_moments(p)
-    assert np.any(v < 0.0)
-    value, v = p.value.copy(), np.maximum(v, 0.0)
-    g = _arrive_dense(how, rows, p, rng.standard_normal((3, 2, 5)), rng)
-    ad.adam_step([p], 0.01)
-    value, m, v = _adam(value, m, v, g, 3, 0.01)
-    assert p.factors is None and _bytes(p.value, p.m, p.v) == _bytes(value, m, v)
-    for t in (4, 5):  # per-bin gradients over the old rows update densely from here on
-        gM = rng.standard_normal((3, 2, 5))
-        ad.backward(_per_bin_loss(rows, p, gM))
-        ad.adam_step([p], 0.01)
-        value, m, v = _adam(value, m, v, _old_vjp(rows, gM), t, 0.01)
-        assert p.factors is None and _bytes(p.value, p.m, p.v) == _bytes(value, m, v)
+    rows, p, gM = _grid_weight(rng, 3, 2, 6, 5)
+    H = rng.standard_normal(p.shape)
+    with pytest.raises(ValueError, match=r"^grid weight w [^\n]*$"):
+        if how == "assign":
+            p.grad = _old_vjp(rows, gM)
+        elif how == "elementwise":  # a per-bin edge plus an elementwise one (weight decay, say)
+            ad.backward(_per_bin_loss(rows, p, gM) + (p * H).sum())
+        elif how == "elementwise alone":
+            ad.backward((p * H).sum())
+        else:  # equal rows in another array
+            _per_bin_loss(rows.copy(), p, gM)
+    assert p._grad is None
 
 
-def test_a_shape_whose_factors_are_not_smaller_keeps_full_size_moments():
+def test_a_grid_weight_refuses_rows_whose_factors_are_not_smaller():
     # c = 3 over T = 4: 9 numbers per bin and column against 8
     rng = RNG(15)
-    rows, p, _ = _grid_weight(rng, 2, 3, 4, 5)
-    value, m, v = p.value.copy(), 0.0, 0.0
-    for t in (1, 2):
-        gM = rng.standard_normal((2, 3, 5))
-        ad.backward(_per_bin_loss(rows, p, gM))
-        ad.adam_step([p], 0.01)
-        value, m, v = _adam(value, m, v, _old_vjp(rows, gM), t, 0.01)
-        assert p.factors is None and _bytes(p.value, p.m, p.v) == _bytes(value, m, v)
+    with pytest.raises(ValueError, match=r"^grid weight w\(2, 4, 5\) does not fit factored rows \(2, 3, 4\)$"):
+        ad.GridWeight(rng.standard_normal((2, 4, 5)), "w", rng.standard_normal((2, 3, 4)))
+    with pytest.raises(ValueError, match="does not fit"):  # nor a weight of other bins or rows
+        ad.GridWeight(rng.standard_normal((2, 5, 5)), "w", rng.standard_normal((2, 2, 4)))
 
 
 def _factors(rows):
     # the factors a grid weight's moments keep for rows[K, c, T]
-    rows_t = np.swapaxes(rows, -1, -2)
-    return ad._moment_factors(ad._PerBin(rows_t, np.zeros(rows.shape[:2] + (1,))))
+    return ad._moment_factors(rows)
 
 
 def _periods(rows):
@@ -781,15 +755,15 @@ def test_random_rows_do_not_fold():
 
 
 def test_a_grid_weights_later_rows_are_matched_by_address(monkeypatch):
-    # every forward views the model's read-only rows anew: same address, shape and strides
+    # every forward passes the model's rows array itself; nothing compares rows by value
     T = 16
     rows = basis_rows(T, T)
     assert not rows.flags.writeable
     rng = RNG(22)
-    p = ad.Parameter(rng.standard_normal((T // 2, T, 3)), "w")
+    p = ad.GridWeight(rng.standard_normal((T // 2, T, 3)), "w", rows)
     ad.backward(_per_bin_loss(rows, p, rng.standard_normal((T // 2, 2, 3))))
     ad.adam_step([p], 0.01)
-    assert p.factors[0].base is rows  # the gradient's own view, not a copy
+    assert p.factors[0].base is rows  # the rows' own view, not a copy
 
     def compare(*args):
         raise AssertionError("rows compared by value")
@@ -798,50 +772,20 @@ def test_a_grid_weights_later_rows_are_matched_by_address(monkeypatch):
     for _ in range(2):  # two per-bin edges, summed as factors, then the step
         gM, gM2 = rng.standard_normal((2, T // 2, 2, 3))
         ad.backward(_per_bin_loss(rows, p, gM) + _per_bin_loss(rows, p, gM2))
-        assert isinstance(p._grad, ad._PerBin)
+        assert p._grad.shape == gM.shape
         ad.adam_step([p], 0.01)
-        assert p.factors is not None
 
 
-def test_equal_rows_in_another_array_keep_factored_adam():
+def test_a_grid_weight_refuses_equal_rows_in_another_array():
+    # the rows are declared once, at build: a copy or a view of them is other rows
     T = 16
     rows = basis_rows(T, T)
+    p = ad.GridWeight(RNG(23).standard_normal((T // 2, T, 3)), "w", rows)
     other = rows.copy()
     other.flags.writeable = False
-    rng = RNG(23)
-    p = ad.Parameter(rng.standard_normal((T // 2, T, 3)), "w")
-    twin = ad.Parameter(p.value.copy(), "twin")
-    for later in (rows, other, other):
-        gM = rng.standard_normal((T // 2, 2, 3))
-        ad.backward(_per_bin_loss(later, p, gM))
-        ad.backward(_per_bin_loss(rows, twin, gM))
-        ad.adam_step([p, twin], 0.01)
-        assert p.factors is not None and _bytes(p.value, p.m, p.v) == _bytes(twin.value, twin.m, twin.v)
-
-
-@pytest.mark.parametrize("how", ["writeable", "read-only view of a writeable array"])
-def test_rows_a_writeable_array_owns_are_compared_by_value(how):
-    # the same address again, but the values under it changed: the moments expand
-    T = 16
-    own = basis_rows(T, T).copy()
-
-    def view():
-        if how == "writeable":
-            return own
-        v = own.view()
-        v.flags.writeable = False
-        return v
-
-    rng = RNG(24)
-    p = ad.Parameter(rng.standard_normal((T // 2, T, 3)), "w")
-    for _ in range(2):
-        ad.backward(_per_bin_loss(view(), p, rng.standard_normal((T // 2, 2, 3))))
-        ad.adam_step([p], 0.01)
-        assert p.factors is not None and p.factors[0].base is not own
-    own[2, 0, 5] = np.nextafter(own[2, 0, 5], np.inf)
-    ad.backward(_per_bin_loss(view(), p, rng.standard_normal((T // 2, 2, 3))))
-    ad.adam_step([p], 0.01)
-    assert p.factors is None
+    for later in (other, rows.view(), rows[:, :, :]):
+        with pytest.raises(ValueError, match=r"^grid weight w is multiplied by its own rows array only$"):
+            ad.matmul(ad.Tensor(later), p)
 
 
 def _read_back_every_row(x, p, t, lr):
@@ -872,7 +816,7 @@ def test_folded_adam_steps_as_reading_back_every_row(width):
         rows = rows[[f - 1 for f in range(1, T // 2 + 1) if T % f == 0]]
     K = rows.shape[0]
     rng = RNG(width)
-    p = ad.Parameter(rng.standard_normal((K, T, width)), "w")
+    p = ad.GridWeight(rng.standard_normal((K, T, width)), "w", rows)
     for t in range(1, 5):
         gM = rng.standard_normal((K, 2, width)) * 10.0 ** rng.uniform(-3, 3, (K, 2, 1))
         ad.backward(_per_bin_loss(rows, p, gM))
@@ -911,38 +855,20 @@ def test_a_non_finite_gradient_reaches_a_factored_weight(bad):
 
 def test_per_bin_gradient_reads_as_the_old_dense_array():
     rows, w, gM = _grid_weight(RNG(11), 4, 2, 6, 5)
-    ad.backward(_per_bin_loss(rows, w, gM), [w])  # the zero fill leaves it factored
-    assert isinstance(w._grad, ad._PerBin)
+    ad.backward(_per_bin_loss(rows, w, gM), [w])  # the zero fill leaves it per bin
+    assert w._grad.tobytes() == gM.tobytes()
     g = w.grad
     assert type(g) is np.ndarray and g.tobytes() == _old_vjp(rows, gM).tobytes()
-    assert isinstance(w._grad, ad._PerBin)  # read, not stored
-
-
-def test_second_gradient_to_a_per_bin_leaf_adds_densely():
-    # unless it is per-bin over the same rows (see the summed per-bin test above)
-    rng = RNG(12)
-    rows, w, gM = _grid_weight(rng, 3, 2, 4, 5)
-    gM2, H, other = rng.standard_normal(gM.shape), rng.standard_normal(w.shape), rows + 1e-3
-    # a per-bin edge plus an elementwise one, and two per-bin edges over other rows, in one walk
-    ad.backward(_per_bin_loss(rows, w, gM) + (w * H).sum())
-    assert w.grad.tobytes() == (_old_vjp(rows, gM) + H).tobytes()
-    ad.zero_grads([w])
-    ad.backward(_per_bin_loss(rows, w, gM) + _per_bin_loss(other, w, gM2))
-    assert type(w._grad) is np.ndarray
-    assert w.grad.tobytes() == (_old_vjp(rows, gM) + _old_vjp(other, gM2)).tobytes()
-    # a per-bin gradient over other rows accumulated onto one a previous backward left
-    ad.zero_grads([w])
-    ad.backward(_per_bin_loss(rows, w, gM))
-    ad.backward(_per_bin_loss(other, w, gM2))
-    assert w.grad.tobytes() == (_old_vjp(rows, gM) + _old_vjp(other, gM2)).tobytes()
+    assert w._grad.tobytes() == gM.tobytes()  # read, not stored
 
 
 def test_only_a_rank3_parameter_gets_a_per_bin_gradient():
     rng = RNG(13)
     rows, w, gM = _grid_weight(rng, 3, 2, 4, 5)
-    t = ad.Tensor(w.value.copy(), requires_grad=True)  # a tracked input, not a Parameter
-    ad.backward(_per_bin_loss(rows, t, gM))
-    assert type(t._grad) is np.ndarray and t._grad.tobytes() == _old_vjp(rows, gM).tobytes()
+    # only a GridWeight: a tracked input, and a rank-3 Parameter, get the dense gradient
+    for t in (ad.Tensor(w.value.copy(), requires_grad=True), ad.Parameter(w.value.copy(), "p")):
+        ad.backward(_per_bin_loss(rows, t, gM))
+        assert type(t._grad) is np.ndarray and t._grad.tobytes() == _old_vjp(rows, gM).tobytes()
 
 
 def test_adam_never_writes_the_array_a_parameter_was_built_from():

@@ -134,12 +134,13 @@ def test_grid_linear_matches_the_grid_contraction(T):
     # oracle: materialize the DC-dropped grid and contract it with the
     # per-bin weights, the path the block's z @ M replaces
     rng = RNG(T)
-    block = bl.GridLinear(RNG(0), T, 5, "linear")
+    rows = bl.basis_rows(T, T)
+    block = bl.GridLinear(RNG(0), rows, 5, "linear")
     block.w.value = rng.normal(size=(T // 2, T, 5))
     H_R, H_I = fb.rdft_array(rng.normal(size=(3, 2, T)))
     G = fb.expand_array(H_R, H_I, fb.build_bases(T), drop_dc=True)  # [B, D, T, K]
     want = np.einsum("bdnk,knj->bdj", G, block.w.value)
-    grid = bl.Grid.spectrum(ad.Tensor(H_R[..., 1:]), ad.Tensor(H_I[..., 1:]), bl.basis_rows(T, T))
+    grid = bl.Grid.spectrum(ad.Tensor(H_R[..., 1:]), ad.Tensor(H_I[..., 1:]), rows)
     got = block.forward(grid).value
     assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
@@ -161,7 +162,7 @@ def test_grid_linear_gradients():
     # the interleave of the halves into z passes input gradients back to each half
     T = 16
     rows = bl.basis_rows(T, T)
-    block = bl.GridLinear(RNG(0), T, 3, "linear")
+    block = bl.GridLinear(RNG(0), rows, 3, "linear")
     block.w.value = RNG(6).normal(size=(T // 2, T, 3))
     h_r, h_i = _spectra(RNG(7), 2, 3, T)
 
