@@ -95,17 +95,18 @@ class Tensor:
     def grad(self, g):
         self._grad = g
 
+    # read off the array held, so a GridWeight's take no sync
     @property
     def shape(self):
-        return self.value.shape
+        return Tensor.value.__get__(self).shape
 
     @property
     def ndim(self):
-        return self.value.ndim
+        return Tensor.value.__get__(self).ndim
 
     @property
     def size(self):
-        return self.value.size
+        return Tensor.value.__get__(self).size
 
     def __repr__(self):
         flag = ", requires_grad=True" if self.requires_grad else ""
@@ -156,9 +157,11 @@ class Tensor:
 
 class Parameter(Tensor):
     """Trainable leaf tensor with its Adam state riding along, made by its first
-    update: the moments m and v, shaped like the value."""
+    update: the moments m and v, shaped like the value. It owns its value when
+    no caller holds that array (one _init_weight drew, or adam_step's own copy):
+    adam_step writes an owned value in place, and copies any other first."""
 
-    __slots__ = ("name", "m", "v", "step")
+    __slots__ = ("name", "m", "v", "step", "_owns")
 
     def __init__(self, value, name):
         super().__init__(value, requires_grad=True)
@@ -166,8 +169,17 @@ class Parameter(Tensor):
         self.m = self.v = None
         self.step = 0
 
+    @property
+    def value(self):
+        return Tensor.value.__get__(self)
+
+    @value.setter
+    def value(self, value):
+        Tensor.value.__set__(self, value)
+        self._owns = False  # the caller's array
+
     def __repr__(self):
-        return f"Parameter({self.name!r}, shape={self.value.shape})"
+        return f"Parameter({self.name!r}, shape={self.shape})"
 
 
 class GridWeight(Parameter):
@@ -177,16 +189,42 @@ class GridWeight(Parameter):
     g[K, c, width], which .grad reads as the dense rows^T @ g and which no dense
     array may replace. Its Adam moments are m = A[K, c, width] and
     v = Q[K, c(c+1)/2, width] (see adam_step); `factors` holds what they expand
-    with, read off the rows at the first update (_moment_factors)."""
+    with, read off the rows at the first update (_moment_factors).
 
-    __slots__ = ("rows", "factors")
+    Trained, it is held as w_s, its value at its last sync, and delta, the sum of
+    its steps since then. Every step repeats with its bin's period P, negated on
+    a folding bin's second half-period, so delta lives on each bin's first h rows
+    (h = P, or P/2 where the bin folds), one array per distinct h. matmul's
+    table is then rows @ w_s, built once per sync, plus for each h group
+    (T/h) rows[:, :, :h] @ delta_h: rows @ tile(delta) exactly in real
+    arithmetic, as the rows repeat (and fold) with the steps. A sync adds
+    tile(delta) to w_s in place (the second half-period of a folding bin takes
+    -delta), zeroes delta and rebuilds the table. While held, w_s is read-only,
+    so a write through an array read from .value before the first step raises.
+    Reading .value syncs and drops the table, so until the next step every
+    product is rows @ the value again and sees writes through that array;
+    assigning .value drops delta and the table. A forward only reads."""
+
+    __slots__ = ("rows", "factors", "_table", "_delta", "_stepped")
 
     def __init__(self, value, name, rows):
         super().__init__(value, name)
         K, c, T = rows.shape
-        if self.value.shape[:2] != (K, T) or c * (c + 3) // 2 >= 2 * T:
-            raise ValueError(f"grid weight {self.name}{self.value.shape} does not fit factored rows {rows.shape}")
+        if self.shape[:2] != (K, T) or c * (c + 3) // 2 >= 2 * T:
+            raise ValueError(f"grid weight {self.name}{self.shape} does not fit factored rows {rows.shape}")
         self.rows, self.factors = rows, None
+
+    @property
+    def value(self):
+        if self._table is not None:
+            self._sync(hold=False)
+        return Tensor.value.__get__(self)
+
+    @value.setter
+    def value(self, value):
+        Parameter.value.fset(self, value)
+        self._table = self._delta = None
+        self._stepped = False
 
     @property
     def grad(self):
@@ -199,17 +237,72 @@ class GridWeight(Parameter):
             raise ValueError(f"grid weight {self.name} takes its gradient per bin, from matmul with its rows")
         self._grad = None
 
+    def _product(self):
+        """rows @ the value: the held table plus each h group's delta term, or the
+        product itself while not held."""
+        if self._table is None:
+            return np.matmul(self.rows, Tensor.value.__get__(self))
+        if not self._stepped:
+            return self._table
+        out = self._table.copy()
+        for ks, rows_h, d in self._delta[0]:
+            out[ks] += np.matmul(rows_h, d)
+        return out
+
+    def _sync(self, hold=True):
+        """Fold delta into w_s; then hold on, with the table rebuilt if it moved, or drop the table."""
+        if self._table is None:
+            return
+        w = Tensor.value.__get__(self)
+        w.flags.writeable = True
+        if self._stepped:
+            T, width = self.shape[1:]
+            for k, (P, h, d) in enumerate(self._delta[1]):
+                x = w[k].reshape(T // P, P // h, h, width)  # [period, half, row, column]
+                x[:, 0] += d
+                x[:, 1:] -= d  # empty unless the bin folds
+            for _, _, d in self._delta[0]:
+                d.fill(0.0)
+            self._stepped, self._table = False, None
+        if hold:
+            self._hold()
+        else:
+            self._table = None
+
+    def _hold(self):
+        """Hold the value as w_s, an owned C-order array (a copy of one a caller handed
+        in), read-only from here on, with zeroed delta arrays and the table."""
+        w = Tensor.value.__get__(self)
+        if not (self._owns and w.flags.c_contiguous):
+            Parameter.value.fset(self, np.array(w, order="C"))
+            w, self._owns = Tensor.value.__get__(self), True
+        if self._delta is None:
+            _, _, periods, folded = self.factors
+            K, T, width = self.shape
+            hs = np.where(folded, periods // 2, periods)
+            groups, bins = [], [None] * K
+            for h in np.unique(hs):
+                ks = np.flatnonzero(hs == h)
+                d = np.zeros((ks.size, h, width))
+                groups.append((ks, self.rows[ks, :, :h] * (T // h), d))
+                for k, dk in zip(ks, d):
+                    bins[k] = (periods[k], h, dk)
+            self._delta = groups, bins
+        if self._table is None:
+            self._table = np.matmul(self.rows, w)
+            self._table.flags.writeable = False
+        w.flags.writeable = False
+
     def _adam_factored(self, step, eps, scratch):
         """Adam's update from the g of its per-bin gradient: A and Q from g, then bin
         by bin over its first h rows, a block of rows of about one chunk at a time,
-        step m and v read back into the scratch buffers and the value stepped by
-        step m / (sqrt(v) + eps'), as _adam_chunks steps it. h is the bin's period P,
-        where the step is subtracted from every period, or P/2 for a bin that folds
-        by sign, where it is subtracted from the first half of every period and
-        added to the second (x - (-s) is x + s bit for bit)."""
+        step m and v read back into the scratch buffers and the step
+        step m / (sqrt(v) + eps'), as _adam_chunks takes it, subtracted from delta."""
         if self.factors is None:
             self.factors = _moment_factors(self.rows)
-        rows_t, R2, periods, folded = self.factors
+        if self._table is None:
+            self._hold()
+        rows_t, R2 = self.factors[:2]
         g = self._grad
         i, j = np.triu_indices(g.shape[1])
         self.m *= ADAM_BETA1
@@ -217,24 +310,22 @@ class GridWeight(Parameter):
         self.v *= ADAM_BETA2
         self.v += (1.0 - ADAM_BETA2) * (g[:, i] * g[:, j])
         A = self.m * step  # read back as step m, the step's numerator
-        K, T, width = self.value.shape
+        width = self.shape[-1]
         n = max(_ADAM_CHUNK // width, 1)
         if n * width > scratch[0].size:  # a row wider than a chunk
             scratch = np.empty(width), np.empty(width)
-        for k, (P, fold) in enumerate(zip(periods, folded)):
-            h = P // 2 if fold else P
-            value = self.value[k].reshape(T // P, P // h, h, width)  # [period, half, row, column]
+        for k, (_, h, d) in enumerate(self._delta[1]):
             for r in range(0, h, n):
                 rows = slice(r, min(r + n, h))
-                first, second = value[:, 0, rows], value[:, 1:, rows]  # second is empty unless folded
-                m, v = (s[: first[0].size].reshape(first.shape[1:]) for s in scratch)
+                delta = d[rows]
+                m, v = (s[: delta.size].reshape(delta.shape) for s in scratch)
                 np.matmul(rows_t[k, rows], A[k], out=m)
                 np.matmul(R2[k, rows], self.v[k], out=v)
                 np.maximum(v, 0.0, out=v)  # not fmax: a NaN stays NaN
                 np.sqrt(v, out=v)
                 v += eps
-                first -= np.divide(m, v, out=m)
-                second += m
+                delta -= np.divide(m, v, out=m)
+        self._stepped = True
 
 
 def _as_tensor(x):
@@ -337,6 +428,10 @@ def matmul(a, b):
     np.matmul's per-matrix loop (equal at roundoff). A GridWeight b is taken
     after its own rows alone, and gets the output's gradient as its per-bin g."""
     a, b = _as_tensor(a), _as_tensor(b)
+    if isinstance(b, GridWeight):  # its table, from the weight as it holds itself
+        if a.value is not b.rows or a.requires_grad:
+            raise ValueError(f"grid weight {b.name} is multiplied by its own constant rows array only")
+        return _from_op(b._product(), (b, _per_bin))
     if a.value.ndim < 2 or b.value.ndim < 2:
         raise ValueError("matmul expects tensors of rank >= 2")
     if a.value.ndim > 2 and b.value.ndim == 2:
@@ -347,13 +442,11 @@ def matmul(a, b):
             (a, lambda g: np.matmul(g.reshape(-1, g.shape[-1]), b.value.T).reshape(a.value.shape)),
             (b, lambda g: np.matmul(a.value.reshape(rows).T, g.reshape(-1, g.shape[-1]))),
         )
-    if isinstance(b, GridWeight) and a.value is not b.rows:
-        raise ValueError(f"grid weight {b.name} is multiplied by its own rows array only")
     a_t = np.swapaxes(a.value, -1, -2)
     return _from_op(
         np.matmul(a.value, b.value),
         (a, lambda g: _unbroadcast(np.matmul(g, np.swapaxes(b.value, -1, -2)), a.value.shape)),
-        (b, _per_bin if isinstance(b, GridWeight) else lambda g: _unbroadcast(np.matmul(a_t, g), b.value.shape)),
+        (b, lambda g: _unbroadcast(np.matmul(a_t, g), b.value.shape)),
     )
 
 
@@ -551,13 +644,14 @@ def adam_step(params, lr):
         if grad is None:
             continue
         p.step += 1
-        if p.step == 1 or not p.value.flags.c_contiguous:
-            p.value = np.array(p.value, order="C")
         c1, c2 = 1.0 - ADAM_BETA1**p.step, 1.0 - ADAM_BETA2**p.step
         step, eps = lr * math.sqrt(c2) / c1, ADAM_EPS * math.sqrt(c2)
         if isinstance(p, GridWeight):
             p._adam_factored(step, eps, scratch)
         else:
+            if not (p._owns and p.value.flags.c_contiguous):
+                p.value = np.array(p.value, order="C")
+                p._owns = True
             _adam_chunks(p.value, p.m, p.v, np.ascontiguousarray(grad), step, eps, scratch)
         p._grad = None
 
@@ -567,7 +661,7 @@ _SIGN_BIT = np.int64(np.iinfo(np.int64).min)  # a float64's sign bit, in its int
 
 def _moment_shapes(p):
     """The shapes of grid weight p's per-bin g and A, [K, c, width], and of Q, [K, c(c+1)/2, width]."""
-    (K, c, _), width = p.rows.shape, p.value.shape[-1]
+    (K, c, _), width = p.rows.shape, p.shape[-1]
     return (K, c, width), (K, c * (c + 1) // 2, width)
 
 
@@ -617,9 +711,14 @@ def init_uniform(rng, shape, fan_in):
 _UNDRAWN = object()  # a generator's stand-in for a model whose weights a checkpoint replaces
 
 
-def _init_weight(rng, shape, fan_in):
-    """init_uniform's weight, or for _UNDRAWN a read-only zero view of one number: nothing drawn."""
-    return np.broadcast_to(0.0, shape) if rng is _UNDRAWN else init_uniform(rng, shape, fan_in)
+def _init_weight(rng, shape, fan_in, name, rows=None):
+    """A Parameter (a GridWeight over `rows`, if given) owning init_uniform's draw, so
+    adam_step writes that array from the first step on; for _UNDRAWN, over a
+    read-only zero view of one number: nothing drawn."""
+    value = np.broadcast_to(0.0, shape) if rng is _UNDRAWN else init_uniform(rng, shape, fan_in)
+    p = Parameter(value, name) if rows is None else GridWeight(value, name, rows)
+    p._owns = rng is not _UNDRAWN
+    return p
 
 
 # --- layers ------------------------------------------------------------------
@@ -648,7 +747,7 @@ class Linear(Layer):
     uniform in +-1/sqrt(n_in) and b zero, named {name}.w and {name}.b."""
 
     def __init__(self, rng, n_in, n_out, name):
-        self.w = Parameter(_init_weight(rng, (n_in, n_out), n_in), f"{name}.w")
+        self.w = _init_weight(rng, (n_in, n_out), n_in, f"{name}.w")
         self.b = Parameter(np.zeros(n_out), f"{name}.b")
 
     def __call__(self, x):

@@ -34,7 +34,7 @@ from functools import reduce
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import AttentionParams, GridWeight, Layer, Linear, Parameter, Tensor
+from .autodiff import AttentionParams, Layer, Linear, Parameter, Tensor
 from .errors import ConfigError, NumericError
 from .fourier import build_bases, dft_matrices
 
@@ -250,7 +250,7 @@ class GridLinear(Layer):
 
     def __init__(self, rng, rows, width, name):
         K, _, T = rows.shape
-        self.w = GridWeight(ad._init_weight(rng, (K, T, width), T * K), f"{name}.w", rows)
+        self.w = ad._init_weight(rng, (K, T, width), T * K, f"{name}.w", rows)
 
     def forward(self, grid):
         return _contract(grid.coef, ad.matmul(Tensor(grid.rows), self.w))

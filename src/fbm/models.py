@@ -377,10 +377,10 @@ class ForecastModel:
                 f"checkpoint holds {len(records)} tensors, model needs {len(model.params)}"
             )
         for p, (name, arr) in zip(model.params, records):
-            if p.name != name or p.value.shape != arr.shape:
+            if p.name != name or p.shape != arr.shape:
                 raise CheckpointError(
                     f"checkpoint tensor {name}{arr.shape} does not match "
-                    f"parameter {p.name}{p.value.shape}"
+                    f"parameter {p.name}{p.shape}"
                 )
             p.value = arr
         return model

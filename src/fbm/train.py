@@ -156,6 +156,9 @@ def train(model, source, cfg, log=None, eval_threads=1):
             n += diff.value.size
             windows += len(batch.X)
         train_mse = sq / max(n, 1)
+        for p in model.params:  # each grid weight's steps folded in: validation reuses its table
+            if isinstance(p, ad.GridWeight):
+                p._sync()
 
         val_start = time.perf_counter()
         try:

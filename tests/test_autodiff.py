@@ -784,7 +784,7 @@ def test_a_grid_weight_refuses_equal_rows_in_another_array():
     other = rows.copy()
     other.flags.writeable = False
     for later in (other, rows.view(), rows[:, :, :]):
-        with pytest.raises(ValueError, match=r"^grid weight w is multiplied by its own rows array only$"):
+        with pytest.raises(ValueError, match=r"^grid weight w is multiplied by its own constant rows array only$"):
             ad.matmul(ad.Tensor(later), p)
 
 
@@ -820,7 +820,7 @@ def test_folded_adam_steps_as_reading_back_every_row(width):
     for t in range(1, 5):
         gM = rng.standard_normal((K, 2, width)) * 10.0 ** rng.uniform(-3, 3, (K, 2, 1))
         ad.backward(_per_bin_loss(rows, p, gM))
-        x = p.value.copy()
+        x = p.value.copy()  # a sync between steps: then w_s + (0 - s) is w_s - s, bit for bit
         ad.adam_step([p], 1e-2)
         assert p.factors[2].min() == 2  # the Nyquist bin
         assert p.factors[3].any()  # and bins that fold by sign
@@ -879,6 +879,25 @@ def test_adam_never_writes_the_array_a_parameter_was_built_from():
         ad.adam_step([p], lr=0.1)
     np.testing.assert_array_equal(a, np.ones(3))
     assert np.all(p.value < 1.0)
+
+
+def test_a_drawn_weight_keeps_its_buffer_through_step_1():
+    # no caller holds the array _init_weight draws, so Adam writes it from the first step
+    rng = RNG(25)
+    lin = ad.Linear(rng, 4, 3, "l")
+    rows = basis_rows(16, 16)
+    grid = ad._init_weight(rng, (8, 16, 3), 128, "g", rows)
+    drawn = [lin.w.value, grid.value]
+    before = [a.copy() for a in drawn]
+    lin.w.grad = rng.standard_normal((4, 3))
+    ad.backward(_per_bin_loss(rows, grid, rng.standard_normal((8, 2, 3))))
+    ad.adam_step([lin.w, grid], 0.01)
+    assert lin.w.value is drawn[0] and grid.value is drawn[1]  # the grid weight's first sync: in place
+    assert all(np.all(a != b) for a, b in zip(drawn, before))
+    undrawn = ad._init_weight(ad._UNDRAWN, (4, 3), 4, "u")  # a read-only view: copied
+    undrawn.grad = np.ones((4, 3))
+    ad.adam_step([undrawn], 0.01)
+    assert undrawn.value.flags.owndata and np.all(undrawn.value < 0.0)
 
 
 def test_init_uniform_bounds():

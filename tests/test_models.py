@@ -395,6 +395,151 @@ def test_grid_weight_per_bin_gradient_gradcheck(variant, weight):
     assert param_grad_err(make_loss, [w]) < 1e-4
 
 
+# --- a grid weight held as its synced value plus the sum of its steps ----------------
+
+ULP = np.finfo(np.float64).eps
+# After 40 steps the held table (rows @ w_s plus each h group's delta term) stayed
+# within 1.35e-15 * max|table| of rows @ the materialized value (seeds 0-3), and
+# that value within 4.2 ulp of max|w| of the path that syncs after every step.
+HELD_TABLE = 1e-14
+
+
+def _train_steps(model, batches, steps, lr=1e-2, weights=()):
+    # plain train steps; each weight in `weights` takes linear.w's per-bin g and
+    # syncs after every step (reading .value): the per-step path
+    w = model.params[0]
+    for t in range(steps):
+        batch = batches[t % len(batches)]
+        diff = ad.sub(model.forward(batch.X), ad.Tensor(batch.Y))
+        ad.zero_grads(model.params)
+        ad.backward((diff * diff).mean(), model.params)
+        for twin in weights:
+            twin._grad = w._grad
+        ad.adam_step(model.params + list(weights), lr)
+        for twin in weights:
+            twin.value
+
+
+def test_held_grid_weight_tracks_the_per_step_path():
+    # fbm-l at perfbench's case1-l shapes
+    model = ForecastModel(ModelSpec(variant="fbm-l", T=336, L=96, D=1), seed=0)
+    (w,) = model.params
+    twin = ad.GridWeight(w.value.copy(), "twin", w.rows)
+    steps = 40
+    _train_steps(model, list(make_case1(0, windows=200, batch_size=32).train_batches(0)), steps, weights=[twin])
+    assert w._stepped  # held, with 40 steps in delta
+    with ad.no_grad():
+        held = ad.matmul(ad.Tensor(w.rows), w).value
+    assert w._stepped  # a forward syncs nothing
+    value = w.value
+    direct = np.matmul(w.rows, value)
+    assert np.abs(held - direct).max() <= HELD_TABLE * np.abs(direct).max()
+    per_step = twin.value
+    assert np.abs(value - per_step).max() <= steps * ULP * np.abs(per_step).max()
+    assert not np.array_equal(value, per_step)  # one rounding per sync is not one per step
+
+
+def _grid_weight_of(model):
+    return next(p for p in model.params if isinstance(p, ad.GridWeight))
+
+
+@pytest.mark.parametrize("variant", ["fbm-l", "fbm-nl"])
+@pytest.mark.parametrize("when", ["before", "after"])
+def test_writes_through_value_reach_the_next_forward(variant, when):
+    # criterion 05's finite differences: entries of the array .value returned,
+    # written in place, then a forward under no_grad
+    spec = small_spec(variant, L=4, D=2)
+    model = ForecastModel(spec, seed=0)
+    rng = np.random.default_rng(10)
+    X = windows(rng, B=2, D=2)
+    if when == "after":
+        _train_steps(model, [WindowBatch(X=X, Y=rng.standard_normal((2, 2, 4)), starts=np.arange(2))], 2)
+        assert _grid_weight_of(model)._stepped
+    w = _grid_weight_of(model)
+    flat = w.value.reshape(-1)
+    for i in (0, 5, flat.size - 1):
+        orig = flat[i]
+        flat[i] = orig + 0.25
+        twin = ForecastModel(spec, seed=0)
+        for p, q in zip(twin.params, model.params):
+            p.value = q.value.copy()
+        with ad.no_grad():
+            assert model.forward(X).value.tobytes() == twin.forward(X).value.tobytes()
+        flat[i] = orig
+
+
+def test_a_held_grid_weight_refuses_writes_through_an_earlier_read():
+    model = ForecastModel(small_spec("fbm-l"), seed=0)
+    batch = WindowBatch(X=windows(np.random.default_rng(11)), Y=np.zeros((4, 3, 6)), starts=np.arange(4))
+    w = model.params[0]
+    early = w.value
+    _train_steps(model, [batch], 1)
+    with pytest.raises(ValueError, match="read-only"):
+        early[0, 0, 0] = 1.0
+    assert w.value is early  # a read syncs in place; the drawn array was never copied
+    early[0, 0, 0] = 1.0
+
+
+def test_shape_size_a_zero_gradient_and_the_count_do_not_sync():
+    model = ForecastModel(small_spec("fbm-nl"), seed=0)
+    batch = WindowBatch(X=windows(np.random.default_rng(12)), Y=np.zeros((4, 3, 6)), starts=np.arange(4))
+    _train_steps(model, [batch], 2)
+    w = _grid_weight_of(model)
+    assert w._stepped
+    assert (w.shape, w.size, w.ndim) == ((8, 16, 7), 8 * 16 * 7, 3)
+    ad.backward((model.params[-1] * 0.0).sum(), [w])  # a loss that never reaches w
+    assert w._grad.shape == (8, 2, 7) and not w._grad.any()
+    assert model.param_count() == expected_param_count(model.spec) and w._stepped
+    repr(w)
+    assert w._stepped
+
+
+def test_assigning_a_grid_weights_value_drops_its_steps():
+    model = ForecastModel(small_spec("fbm-l"), seed=0)
+    rng = np.random.default_rng(13)
+    X = windows(rng)
+    batch = WindowBatch(X=X, Y=rng.standard_normal((4, 3, 6)), starts=np.arange(4))
+    _train_steps(model, [batch], 3)
+    w = model.params[0]
+    assert w._stepped
+    new = rng.standard_normal(w.shape)
+    kept = new.copy()
+    w.value = new
+    assert w._delta is None
+    assert w.value is new and new.tobytes() == kept.tobytes()
+    twin = ForecastModel(small_spec("fbm-l"), seed=1)
+    twin.params[0].value = kept
+    with ad.no_grad():
+        assert model.forward(X).value.tobytes() == twin.forward(X).value.tobytes()
+    _train_steps(model, [batch], 1)  # steps on from the assigned value, never writing it
+    assert w.value is not new and new.tobytes() == kept.tobytes()  # the caller's array: copied first
+
+
+def test_evaluate_is_the_same_with_two_threads_mid_training():
+    model = ForecastModel(small_spec("fbm-nl"), seed=0)
+    rng = np.random.default_rng(14)
+    batches = [WindowBatch(X=windows(rng, B=b), Y=rng.standard_normal((b, 3, 6)), starts=np.arange(b))
+               for b in (4, 4, 3)]  # a partial last batch
+    _train_steps(model, batches, 4)
+    assert _grid_weight_of(model)._stepped
+    assert evaluate(model, iter(batches), threads=2) == evaluate(model, iter(batches), threads=1)
+    assert _grid_weight_of(model)._stepped
+
+
+@pytest.mark.parametrize("variant", ["fbm-l", "fbm-nl"])
+def test_save_load_and_predict_round_trip_mid_epoch(variant, tmp_path):
+    model = ForecastModel(small_spec(variant), seed=0)
+    rng = np.random.default_rng(15)
+    X = windows(rng)
+    _train_steps(model, [WindowBatch(X=X, Y=rng.standard_normal((4, 3, 6)), starts=np.arange(4))], 3)
+    assert _grid_weight_of(model)._stepped
+    model.save(tmp_path / "model.fbm")
+    loaded = ForecastModel.load(tmp_path / "model.fbm")
+    assert model.predict(X).tobytes() == loaded.predict(X).tobytes()
+    for p, q in zip(model.params, loaded.params):
+        assert p.value.tobytes() == q.value.tobytes()
+
+
 @pytest.mark.parametrize("variant", ["fbm-l", "diag"])
 def test_first_layer_table_gradcheck(variant):
     # fbm-l and diag build their z @ M tables from their weights; criterion 05

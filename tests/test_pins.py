@@ -103,6 +103,13 @@ TOLERANCE = {
 # every pin but last against the previous code's own outputs (pin_moves.py):
 # pred by at most 3.9e-15 * max|b|, grad/* by 5.3e-14 and adam2/* by 3.3e-11
 # (adam2/linear.w of fbm-l). No pin left its bound and no entry changed.
+#
+# Holding a grid weight as its synced value plus the sum of its steps (one
+# rounding per sync instead of one per step, and the table summed as rows @ w_s
+# plus each period group's term) moved, against the previous code's own outputs
+# (pin_moves.py), adam2/* of fbm-l by at most 1.1e-15 * max|b| (adam2/linear.w)
+# and of fbm-nl by 1.5e-16 (adam2/fc2.w); every other record of every pin stayed
+# byte for byte. No pin left its bound and no entry changed.
 ADAM2_TOLERANCE = {
     "fbm-l": 1e-10,
     "fbm-nl": 1e-11,

@@ -189,6 +189,18 @@ def test_lr_zero_keeps_parameters():
     assert vals.count(vals[0]) == 3
 
 
+def test_validation_reads_each_grid_weight_synced():
+    # the epoch's steps are folded into the value before validation, whose table
+    # is then rows @ that value, as a model holding it evaluates it
+    src = tiny_task()
+    model = ForecastModel(ModelSpec(variant="fbm-l", T=32, L=8, D=1), seed=1)
+    cfg = TrainConfig(T=32, L=8, epochs=1, patience=1, lr=1e-2, batch_size=16, seed=0)
+    _, report = train(model, src, cfg)
+    again = ForecastModel(model.spec, seed=0)
+    again.params[0].value = model.params[0].value.copy()
+    assert report.epochs[0]["val_mse"] == evaluate(again, src.val_batches())[0]
+
+
 def test_patience_one_on_worsening_val_stops_after_two_epochs():
     # train targets are +x continuations, val targets are -x continuations:
     # fitting train strictly worsens val from the first-epoch baseline on
