@@ -23,12 +23,14 @@ such a weight are kept as per-bin factors too (see adam_step), so neither the
 full-size gradient nor full-size moments are ever written. Where a bin's rows
 repeat bitwise with a period P dividing T (a Fourier bin at frequency f
 repeats every T/gcd(f, T) rows), so do its moments and its step: Adam reads
-back only the first P rows of each bin and subtracts that step from every
-period. Where, besides, the second half of a period is bitwise the first with
-every sign flipped (a Fourier bin's, as fourier.dft_matrices folds its
-tables, except Nyquist's), so is the step, and Adam reads back P/2 rows,
-subtracting that step from the first half of every period and adding it to
-the second. Reading .grad returns the dense gradient and changes nothing.
+back only the first P rows of each bin. Where, besides, the second half of a
+period is bitwise the first with every sign flipped (a Fourier bin's, as
+fourier.dft_matrices folds its tables, except Nyquist's), so is the step, and
+Adam reads back P/2 rows. So a trained grid weight is held as its value at
+its last sync plus the sum of its steps since then on those h = P or P/2
+rows of each bin, and matmul builds rows @ w from the two without passing
+over the whole weight (see GridWeight). Reading .value syncs it; reading
+.grad returns the dense gradient and changes nothing.
 
 A Layer is anything that holds weights: its params() lists the Parameters
 its attributes hold (through nested Layers, lists and tuples; a config, a
@@ -200,7 +202,8 @@ class GridWeight(Parameter):
     arithmetic, as the rows repeat (and fold) with the steps. A sync adds
     tile(delta) to w_s in place (the second half-period of a folding bin takes
     -delta), zeroes delta and rebuilds the table. While held, w_s is read-only,
-    so a write through an array read from .value before the first step raises.
+    so a write through the array .value returned before a step raises (a view
+    made of that array earlier keeps its own flag).
     Reading .value syncs and drops the table, so until the next step every
     product is rows @ the value again and sees writes through that array;
     assigning .value drops delta and the table. A forward only reads."""
@@ -274,8 +277,9 @@ class GridWeight(Parameter):
         in), read-only from here on, with zeroed delta arrays and the table."""
         w = Tensor.value.__get__(self)
         if not (self._owns and w.flags.c_contiguous):
-            Parameter.value.fset(self, np.array(w, order="C"))
-            w, self._owns = Tensor.value.__get__(self), True
+            w = np.array(w, order="C")
+            Parameter.value.fset(self, w)
+            self._owns = True
         if self._delta is None:
             _, _, periods, folded = self.factors
             K, T, width = self.shape
@@ -426,7 +430,9 @@ def matmul(a, b):
     b[k, m] folds a's leading axes into its rows, so the forward and each
     gradient are one 2-D GEMM, which BLAS may sum in another order than
     np.matmul's per-matrix loop (equal at roundoff). A GridWeight b is taken
-    after its own rows alone, and gets the output's gradient as its per-bin g."""
+    after its own constant rows alone: the output is its table as the weight
+    holds itself (GridWeight._product), and b gets the output's gradient as its
+    per-bin g."""
     a, b = _as_tensor(a), _as_tensor(b)
     if isinstance(b, GridWeight):  # its table, from the weight as it holds itself
         if a.value is not b.rows or a.requires_grad:
@@ -607,9 +613,11 @@ def adam_step(params, lr):
     ulp of the textbook step. The update runs one chunk of _ADAM_CHUNK elements at
     a time, so each array is read and written once per step. Every op is
     elementwise with the same scalars in every chunk, so the chunking changes no
-    bit. A first update makes m and v; it, or one of a value not C-contiguous,
-    writes a new C-order value, so the array a parameter was built from is never
-    written. An untrained model holds no copy and no moments.
+    bit. A first update makes m and v. A value the parameter does not own (see
+    Parameter), or one not C-contiguous, is replaced by a C-order copy before it
+    is first written, so the array a caller built a parameter from, or assigned
+    to it, is never written; a drawn weight is written in place from the first
+    step on. An untrained model holds no copy and no moments.
 
     A GridWeight, whose gradient is per-bin g with slab k of the dense one
     rows_t[k] @ g[k], keeps its moments as factors, exactly in real arithmetic:
@@ -618,15 +626,19 @@ def adam_step(params, lr):
     rows' matching products with the off-diagonal ones doubled. Its update is its
     _adam_factored: each bin's step m and v are read back into the chunk buffers
     a block of rows at a time (step folded into A), v clamped at 0 (it can cancel
-    slightly below), and the value takes the step above: no full-size m, v or
-    gradient exists. Rows that repeat give a step that repeats, so only a bin's
-    first P rows are read back, P its period, and each of the T/P periods of its
-    value takes that step (a bin whose rows do not repeat has P = T). A bin whose
+    slightly below), and the step above is subtracted from the weight's delta:
+    no full-size m, v or gradient exists, and the value itself is not written.
+    Rows that repeat give a step that repeats, so only a bin's first P rows are
+    read back, P its period (a bin whose rows do not repeat has P = T), and each
+    of the T/P periods of its value takes that step at the next sync. A bin whose
     second half-period is its first negated bit for bit reads back P/2 rows:
     negating a row negates every product and sum of its m and none of its v, so
-    the second half takes the step negated, exactly. Not bitwise: where a
-    gradient entry is small next to its per-bin terms, v's cancellation moves its
-    step.
+    the second half takes the step negated, exactly. The first step of a
+    GridWeight after a sync starts its delta at zero, so that sync gives the
+    value w_s + (0 - s), which is w_s - s bit for bit. Not bitwise: where a
+    gradient entry is small next to its per-bin terms, v's cancellation moves
+    its step; and over several steps between syncs the value takes one rounding
+    per sync instead of one per step.
     """
     scratch = np.empty(_ADAM_CHUNK), np.empty(_ADAM_CHUNK)
     # First updates get m and v as C-order views of one zeroed block. Made one by one

@@ -246,7 +246,10 @@ def _per_bin(gain, rows):  # gain[K] times each bin's rows[K, 2, width]
 class GridLinear(Layer):
     """fbm-l: x @ w for the whole grid x over `rows`, basis_rows(T, T), with per-bin
     weights w[K, T, width], no bias. On the spectrum it is coef @ (rows @ w), one
-    z @ M GEMM; w is a GridWeight built with those rows, which the grid must hold."""
+    z @ M GEMM; w is a GridWeight built with those rows, which the grid must hold.
+    The table rows @ w comes from the weight as it holds itself while training
+    (its value at the last sync and the sum of its steps since), so no step
+    passes over the whole weight."""
 
     def __init__(self, rng, rows, width, name):
         K, _, T = rows.shape

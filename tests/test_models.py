@@ -1,6 +1,7 @@
 """Model assembly: the shared outer pipeline, each variant's mapping,
 checkpointing, and parameter accounting."""
 
+import sys
 import tracemalloc
 from functools import reduce
 from pathlib import Path
@@ -516,13 +517,21 @@ def test_assigning_a_grid_weights_value_drops_its_steps():
 
 
 def test_evaluate_is_the_same_with_two_threads_mid_training():
+    # every forward reads the held weight, and none writes it: more threads than
+    # cores, switching often, score as one thread does
     model = ForecastModel(small_spec("fbm-nl"), seed=0)
     rng = np.random.default_rng(14)
     batches = [WindowBatch(X=windows(rng, B=b), Y=rng.standard_normal((b, 3, 6)), starts=np.arange(b))
-               for b in (4, 4, 3)]  # a partial last batch
+               for b in (4, 4, 4, 4, 4, 3)]  # a partial last batch
     _train_steps(model, batches, 4)
     assert _grid_weight_of(model)._stepped
-    assert evaluate(model, iter(batches), threads=2) == evaluate(model, iter(batches), threads=1)
+    want = evaluate(model, iter(batches), threads=1)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        assert [evaluate(model, iter(batches), threads=n) for n in (2, 4)] == [want, want]
+    finally:
+        sys.setswitchinterval(interval)
     assert _grid_weight_of(model)._stepped
 
 
