@@ -28,8 +28,9 @@ period is bitwise the first with every sign flipped (a Fourier bin's, as
 fourier.dft_matrices folds its tables, except Nyquist's), so is the step, and
 Adam reads back P/2 rows. So a trained grid weight is held as its value at
 its last sync plus the sum of its steps since then on those h = P or P/2
-rows of each bin, and matmul builds rows @ w from the two without passing
-over the whole weight (see GridWeight). Reading .value syncs it; reading
+rows of each bin, and each step keeps the table rows @ w that matmul returns
+current without passing over the whole weight (see GridWeight). Reading
+.value syncs it and keeps it held; assigning .value lets go of it; reading
 .grad returns the dense gradient and changes nothing.
 
 A Layer is anything that holds weights: its params() lists the Parameters
@@ -193,20 +194,21 @@ class GridWeight(Parameter):
     v = Q[K, c(c+1)/2, width] (see adam_step); `factors` holds what they expand
     with, read off the rows at the first update (_moment_factors).
 
-    Trained, it is held as w_s, its value at its last sync, and delta, the sum of
-    its steps since then. Every step repeats with its bin's period P, negated on
-    a folding bin's second half-period, so delta lives on each bin's first h rows
-    (h = P, or P/2 where the bin folds), one array per distinct h. matmul's
-    table is then rows @ w_s, built once per sync, plus for each h group
-    (T/h) rows[:, :, :h] @ delta_h: rows @ tile(delta) exactly in real
-    arithmetic, as the rows repeat (and fold) with the steps. A sync adds
+    From its first Adam step until .value is assigned it is held: as w_s, its
+    value at its last sync, read-only; delta, the sum of its steps since then;
+    and matmul's table, rows @ the value. Every step repeats with its bin's period
+    P, negated on a folding bin's second half-period, so delta lives on each bin's
+    first h rows (h = P, or P/2 where the bin folds), one [h, width] array per
+    bin, and a step s takes (T/h) rows[k, :, :h] @ s off a copy of the table: rows
+    @ tile(s) exactly in real arithmetic, as the rows repeat (and fold) with the
+    steps. The copy, read-only, replaces the table, so a product a forward
+    returned is never written. Reading .value syncs a stepped weight: it adds
     tile(delta) to w_s in place (the second half-period of a folding bin takes
-    -delta), zeroes delta and rebuilds the table. While held, w_s is read-only,
-    so a write through the array .value returned before a step raises (a view
-    made of that array earlier keeps its own flag).
-    Reading .value syncs and drops the table, so until the next step every
-    product is rows @ the value again and sees writes through that array;
-    assigning .value drops delta and the table. A forward only reads."""
+    -delta), zeroes delta, rebuilds the table as rows @ w_s and returns w_s, still
+    read-only, so a write through it, or through a view made of it since the first
+    step, raises (a view made before then keeps its own flag). Assigning .value is
+    how to change a trained weight: it drops delta and the table. A forward only
+    reads."""
 
     __slots__ = ("rows", "factors", "_table", "_delta", "_stepped")
 
@@ -219,8 +221,7 @@ class GridWeight(Parameter):
 
     @property
     def value(self):
-        if self._table is not None:
-            self._sync(hold=False)
+        self._sync()
         return Tensor.value.__get__(self)
 
     @value.setter
@@ -241,67 +242,45 @@ class GridWeight(Parameter):
         self._grad = None
 
     def _product(self):
-        """rows @ the value: the held table plus each h group's delta term, or the
-        product itself while not held."""
-        if self._table is None:
-            return np.matmul(self.rows, Tensor.value.__get__(self))
-        if not self._stepped:
-            return self._table
-        out = self._table.copy()
-        for ks, rows_h, d in self._delta[0]:
-            out[ks] += np.matmul(rows_h, d)
-        return out
+        """rows @ the value: the held table, or the product itself while not held."""
+        return np.matmul(self.rows, Tensor.value.__get__(self)) if self._table is None else self._table
 
-    def _sync(self, hold=True):
-        """Fold delta into w_s; then hold on, with the table rebuilt if it moved, or drop the table."""
-        if self._table is None:
+    def _sync(self):
+        """Fold delta into w_s and rebuild the table, if a step came since the last sync."""
+        if not self._stepped:
             return
         w = Tensor.value.__get__(self)
         w.flags.writeable = True
-        if self._stepped:
-            T, width = self.shape[1:]
-            for k, (P, h, d) in enumerate(self._delta[1]):
-                x = w[k].reshape(T // P, P // h, h, width)  # [period, half, row, column]
-                x[:, 0] += d
-                x[:, 1:] -= d  # empty unless the bin folds
-            for _, _, d in self._delta[0]:
-                d.fill(0.0)
-            self._stepped, self._table = False, None
-        if hold:
-            self._hold()
-        else:
-            self._table = None
+        T = self.shape[1]
+        for k, (d, P) in enumerate(zip(self._delta, self.factors[2])):
+            x = w[k].reshape(T // P, P // len(d), *d.shape)  # [period, half, row, column]
+            x[:, 0] += d
+            x[:, 1:] -= d  # empty unless the bin folds
+            d.fill(0.0)
+        self._stepped = False
+        self._hold()
 
     def _hold(self):
         """Hold the value as w_s, an owned C-order array (a copy of one a caller handed
-        in), read-only from here on, with zeroed delta arrays and the table."""
+        in), read-only, with the table rows @ w_s and delta arrays made zero."""
         w = Tensor.value.__get__(self)
         if not (self._owns and w.flags.c_contiguous):
             w = np.array(w, order="C")
             Parameter.value.fset(self, w)
             self._owns = True
+        w.flags.writeable = False
         if self._delta is None:
             _, _, periods, folded = self.factors
-            K, T, width = self.shape
-            hs = np.where(folded, periods // 2, periods)
-            groups, bins = [], [None] * K
-            for h in np.unique(hs):
-                ks = np.flatnonzero(hs == h)
-                d = np.zeros((ks.size, h, width))
-                groups.append((ks, self.rows[ks, :, :h] * (T // h), d))
-                for k, dk in zip(ks, d):
-                    bins[k] = (periods[k], h, dk)
-            self._delta = groups, bins
-        if self._table is None:
-            self._table = np.matmul(self.rows, w)
-            self._table.flags.writeable = False
-        w.flags.writeable = False
+            self._delta = [np.zeros((h, self.shape[-1])) for h in np.where(folded, periods // 2, periods)]
+        self._table = np.matmul(self.rows, w)
+        self._table.flags.writeable = False
 
     def _adam_factored(self, step, eps, scratch):
         """Adam's update from the g of its per-bin gradient: A and Q from g, then bin
         by bin over its first h rows, a block of rows of about one chunk at a time,
         step m and v read back into the scratch buffers and the step
-        step m / (sqrt(v) + eps'), as _adam_chunks takes it, subtracted from delta."""
+        s = step m / (sqrt(v) + eps'), as _adam_chunks takes it, subtracted from
+        delta, and (T/h) rows @ s from a copy of the table, which then replaces it."""
         if self.factors is None:
             self.factors = _moment_factors(self.rows)
         if self._table is None:
@@ -318,7 +297,9 @@ class GridWeight(Parameter):
         n = max(_ADAM_CHUNK // width, 1)
         if n * width > scratch[0].size:  # a row wider than a chunk
             scratch = np.empty(width), np.empty(width)
-        for k, (_, h, d) in enumerate(self._delta[1]):
+        table, T = self._table.copy(), self.shape[1]
+        for k, d in enumerate(self._delta):
+            h = len(d)
             for r in range(0, h, n):
                 rows = slice(r, min(r + n, h))
                 delta = d[rows]
@@ -328,8 +309,10 @@ class GridWeight(Parameter):
                 np.maximum(v, 0.0, out=v)  # not fmax: a NaN stays NaN
                 np.sqrt(v, out=v)
                 v += eps
-                delta -= np.divide(m, v, out=m)
-        self._stepped = True
+                delta -= np.divide(m, v, out=m)  # m is the step from here
+                table[k] -= (T // h) * np.matmul(self.rows[k, :, rows], m)
+        table.flags.writeable = False
+        self._table, self._stepped = table, True
 
 
 def _as_tensor(x):
@@ -430,9 +413,9 @@ def matmul(a, b):
     b[k, m] folds a's leading axes into its rows, so the forward and each
     gradient are one 2-D GEMM, which BLAS may sum in another order than
     np.matmul's per-matrix loop (equal at roundoff). A GridWeight b is taken
-    after its own constant rows alone: the output is its table as the weight
-    holds itself (GridWeight._product), and b gets the output's gradient as its
-    per-bin g."""
+    after its own constant rows alone: the output is its table, held or built
+    (GridWeight._product), never written afterwards, and b gets the output's
+    gradient as its per-bin g."""
     a, b = _as_tensor(a), _as_tensor(b)
     if isinstance(b, GridWeight):  # its table, from the weight as it holds itself
         if a.value is not b.rows or a.requires_grad:
@@ -626,8 +609,10 @@ def adam_step(params, lr):
     rows' matching products with the off-diagonal ones doubled. Its update is its
     _adam_factored: each bin's step m and v are read back into the chunk buffers
     a block of rows at a time (step folded into A), v clamped at 0 (it can cancel
-    slightly below), and the step above is subtracted from the weight's delta:
-    no full-size m, v or gradient exists, and the value itself is not written.
+    slightly below), and the step above is subtracted from the weight's delta,
+    and its product with the rows from a copy of its table, which replaces the
+    table: no full-size m, v or gradient exists, and the value itself is not
+    written.
     Rows that repeat give a step that repeats, so only a bin's first P rows are
     read back, P its period (a bin whose rows do not repeat has P = T), and each
     of the T/P periods of its value takes that step at the next sync. A bin whose
@@ -637,8 +622,9 @@ def adam_step(params, lr):
     GridWeight after a sync starts its delta at zero, so that sync gives the
     value w_s + (0 - s), which is w_s - s bit for bit. Not bitwise: where a
     gradient entry is small next to its per-bin terms, v's cancellation moves
-    its step; and over several steps between syncs the value takes one rounding
-    per sync instead of one per step.
+    its step; over several steps between syncs the value takes one rounding
+    per sync instead of one per step; and the table between syncs takes one per
+    step, so it is rows @ the value only within roundoff.
     """
     scratch = np.empty(_ADAM_CHUNK), np.empty(_ADAM_CHUNK)
     # First updates get m and v as C-order views of one zeroed block. Made one by one
@@ -687,7 +673,9 @@ def _moment_factors(rows):
     K, c, T = rows.shape
     i, j = np.triu_indices(c)
     rows_t = np.swapaxes(rows, -1, -2)
-    bits = rows_t.view(np.int64)  # bitwise: -0.0 is not 0.0, and a NaN is itself
+    # bitwise: -0.0 is not 0.0, and a NaN is itself; a C-order copy, as the compares
+    # run several times faster over it than over the strided view
+    bits = np.ascontiguousarray(rows_t).view(np.int64)
     periods = np.full(K, T)
     for P in range(T - 1, 0, -1):  # one compare per divisor over every bin; the least wins
         if T % P == 0:

@@ -399,9 +399,10 @@ def test_grid_weight_per_bin_gradient_gradcheck(variant, weight):
 # --- a grid weight held as its synced value plus the sum of its steps ----------------
 
 ULP = np.finfo(np.float64).eps
-# After 40 steps the held table (rows @ w_s plus each h group's delta term) stayed
-# within 1.35e-15 * max|table| of rows @ the materialized value (seeds 0-3), and
-# that value within 4.2 ulp of max|w| of the path that syncs after every step.
+# The held table (rows @ w_s less each step's (T/h) rows @ s) stayed within
+# 1.7e-15 * max|table| of rows @ the materialized value after 40 steps (seeds 0-1),
+# and 2.5e-15 after 300; that value stayed within 5.9 and 15.3 ulp of max|w| of
+# the path that syncs after every step.
 HELD_TABLE = 1e-14
 
 
@@ -421,14 +422,14 @@ def _train_steps(model, batches, steps, lr=1e-2, weights=()):
             twin.value
 
 
-def test_held_grid_weight_tracks_the_per_step_path():
+@pytest.mark.parametrize("steps", [40, 300])
+def test_held_grid_weight_tracks_the_per_step_path(steps):
     # fbm-l at perfbench's case1-l shapes
     model = ForecastModel(ModelSpec(variant="fbm-l", T=336, L=96, D=1), seed=0)
     (w,) = model.params
     twin = ad.GridWeight(w.value.copy(), "twin", w.rows)
-    steps = 40
     _train_steps(model, list(make_case1(0, windows=200, batch_size=32).train_batches(0)), steps, weights=[twin])
-    assert w._stepped  # held, with 40 steps in delta
+    assert w._stepped  # held, with every step in delta
     with ad.no_grad():
         held = ad.matmul(ad.Tensor(w.rows), w).value
     assert w._stepped  # a forward syncs nothing
@@ -448,15 +449,19 @@ def _grid_weight_of(model):
 @pytest.mark.parametrize("when", ["before", "after"])
 def test_writes_through_value_reach_the_next_forward(variant, when):
     # criterion 05's finite differences: entries of the array .value returned,
-    # written in place, then a forward under no_grad
+    # written in place, then a forward under no_grad. A trained weight refuses
+    # the write; assigning its value is how it changes, after which it does not.
     spec = small_spec(variant, L=4, D=2)
     model = ForecastModel(spec, seed=0)
     rng = np.random.default_rng(10)
     X = windows(rng, B=2, D=2)
+    w = _grid_weight_of(model)
     if when == "after":
         _train_steps(model, [WindowBatch(X=X, Y=rng.standard_normal((2, 2, 4)), starts=np.arange(2))], 2)
-        assert _grid_weight_of(model)._stepped
-    w = _grid_weight_of(model)
+        assert w._stepped
+        with pytest.raises(ValueError, match="read-only"):
+            w.value[0, 0, 0] = 1.0
+        w.value = w.value.copy()
     flat = w.value.reshape(-1)
     for i in (0, 5, flat.size - 1):
         orig = flat[i]
@@ -469,16 +474,44 @@ def test_writes_through_value_reach_the_next_forward(variant, when):
         flat[i] = orig
 
 
-def test_a_held_grid_weight_refuses_writes_through_an_earlier_read():
+def _held_fbm_l():
     model = ForecastModel(small_spec("fbm-l"), seed=0)
     batch = WindowBatch(X=windows(np.random.default_rng(11)), Y=np.zeros((4, 3, 6)), starts=np.arange(4))
+    return model, batch
+
+
+def test_a_held_grid_weight_refuses_writes_through_an_earlier_read():
+    model, batch = _held_fbm_l()
     w = model.params[0]
     early = w.value
     _train_steps(model, [batch], 1)
     with pytest.raises(ValueError, match="read-only"):
         early[0, 0, 0] = 1.0
     assert w.value is early  # a read syncs in place; the drawn array was never copied
-    early[0, 0, 0] = 1.0
+    with pytest.raises(ValueError, match="read-only"):  # and the weight stays held
+        early[0, 0, 0] = 1.0
+
+
+def test_a_held_grid_weight_refuses_writes_through_a_later_view():
+    model, batch = _held_fbm_l()
+    w = model.params[0]
+    _train_steps(model, [batch], 1)
+    flat = w.value.reshape(-1)
+    _train_steps(model, [batch], 1)
+    with pytest.raises(ValueError, match="read-only"):
+        flat[0] = 1.0
+    assert np.shares_memory(flat, w.value)
+
+
+def test_a_product_a_forward_returned_is_not_written_by_a_step():
+    model, batch = _held_fbm_l()
+    w = model.params[0]
+    _train_steps(model, [batch], 1)
+    with ad.no_grad():
+        before = ad.matmul(ad.Tensor(w.rows), w).value
+    kept = before.copy()
+    _train_steps(model, [batch], 1)
+    assert w._stepped and before.tobytes() == kept.tobytes()
 
 
 def test_shape_size_a_zero_gradient_and_the_count_do_not_sync():

@@ -201,6 +201,27 @@ def test_validation_reads_each_grid_weight_synced():
     assert report.epochs[0]["val_mse"] == evaluate(again, src.val_batches())[0]
 
 
+def test_the_best_state_snapshot_keeps_each_grid_weight_held():
+    # epoch 1 always improves, so its snapshot reads every value; epoch 2's steps
+    # then start from the table the epoch-end sync built
+    src = tiny_task()
+    model = ForecastModel(ModelSpec(variant="fbm-l", T=32, L=8, D=1), seed=1)
+    w = model.params[0]
+    held = []
+
+    class Watched:
+        def __getattr__(self, name):
+            return getattr(src, name)
+
+        def train_batches(self, seed):
+            held.append(w._table is not None)
+            return src.train_batches(seed)
+
+    cfg = TrainConfig(T=32, L=8, epochs=2, patience=2, lr=1e-2, batch_size=16, seed=0)
+    train(model, Watched(), cfg)
+    assert held == [False, True]
+
+
 def test_patience_one_on_worsening_val_stops_after_two_epochs():
     # train targets are +x continuations, val targets are -x continuations:
     # fitting train strictly worsens val from the first-epoch baseline on
