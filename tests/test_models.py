@@ -474,14 +474,14 @@ def test_writes_through_value_reach_the_next_forward(variant, when):
         flat[i] = orig
 
 
-def _held_fbm_l():
+def _fbm_l_and_batch():
     model = ForecastModel(small_spec("fbm-l"), seed=0)
     batch = WindowBatch(X=windows(np.random.default_rng(11)), Y=np.zeros((4, 3, 6)), starts=np.arange(4))
     return model, batch
 
 
 def test_a_held_grid_weight_refuses_writes_through_an_earlier_read():
-    model, batch = _held_fbm_l()
+    model, batch = _fbm_l_and_batch()
     w = model.params[0]
     early = w.value
     _train_steps(model, [batch], 1)
@@ -493,7 +493,7 @@ def test_a_held_grid_weight_refuses_writes_through_an_earlier_read():
 
 
 def test_a_held_grid_weight_refuses_writes_through_a_later_view():
-    model, batch = _held_fbm_l()
+    model, batch = _fbm_l_and_batch()
     w = model.params[0]
     _train_steps(model, [batch], 1)
     flat = w.value.reshape(-1)
@@ -504,7 +504,7 @@ def test_a_held_grid_weight_refuses_writes_through_a_later_view():
 
 
 def test_a_product_a_forward_returned_is_not_written_by_a_step():
-    model, batch = _held_fbm_l()
+    model, batch = _fbm_l_and_batch()
     w = model.params[0]
     _train_steps(model, [batch], 1)
     with ad.no_grad():
