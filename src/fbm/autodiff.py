@@ -16,22 +16,9 @@ flow.
 
 A grid weight (GridWeight) is a Parameter w[K, T, width] built with the
 constant basis rows[K, c, T] that multiply it bin by bin: matmul(rows, w), as
-blocks.GridLinear takes it, is the only op it enters, and its gradient is the
-per-bin g[K, c, width] of that product (slab k of the dense one is
-rows[k]^T @ g[k], a product with a small inner dimension c). Adam's moments of
-such a weight are kept as per-bin factors too (see adam_step), so neither the
-full-size gradient nor full-size moments are ever written. Where a bin's rows
-repeat bitwise with a period P dividing T (a Fourier bin at frequency f
-repeats every T/gcd(f, T) rows), so do its moments and its step: Adam reads
-back only the first P rows of each bin. Where, besides, the second half of a
-period is bitwise the first with every sign flipped (a Fourier bin's, as
-fourier.dft_matrices folds its tables, except Nyquist's), so is the step, and
-Adam reads back P/2 rows. So a trained grid weight is held as its value at
-its last sync plus the sum of its steps since then on those h = P or P/2
-rows of each bin, and each step keeps the table rows @ w that matmul returns
-current without passing over the whole weight (see GridWeight). Reading
-.value syncs it and keeps it held; assigning .value lets go of it; reading
-.grad returns the dense gradient and changes nothing.
+blocks.GridLinear takes it, is the only op it enters, and its gradient, its
+Adam moments and its steps are kept per bin, so no full-size gradient or
+moment is ever written (see GridWeight).
 
 A Layer is anything that holds weights: its params() lists the Parameters
 its attributes hold (through nested Layers, lists and tuples; a config, a
@@ -161,8 +148,8 @@ class Tensor:
 class Parameter(Tensor):
     """Trainable leaf tensor with its Adam state riding along, made by its first
     update: the moments m and v, shaped like the value. It owns its value when
-    no caller holds that array (one _init_weight drew, or adam_step's own copy):
-    adam_step writes an owned value in place, and copies any other first."""
+    no caller holds that array (one _init_weight drew, or a copy _own made);
+    Adam writes the array _own returns, the value itself only when it is owned."""
 
     __slots__ = ("name", "m", "v", "step", "_owns")
 
@@ -184,31 +171,59 @@ class Parameter(Tensor):
     def __repr__(self):
         return f"Parameter({self.name!r}, shape={self.shape})"
 
+    def _own(self):
+        """The value as an owned C-order array, copied there first if it is not one."""
+        w = Tensor.value.__get__(self)
+        if not (self._owns and w.flags.c_contiguous):
+            w = np.array(w, order="C")
+            Parameter.value.fset(self, w)
+            self._owns = True
+        return w
+
 
 class GridWeight(Parameter):
     """A grid weight w[K, T, width] and the constant rows[K, c, T] that multiply it
-    bin by bin (see the module docstring); matmul takes it after these rows alone,
-    the same array, so the rows must not change. Its gradient is the per-bin
-    g[K, c, width], which .grad reads as the dense rows^T @ g and which no dense
-    array may replace. Its Adam moments are m = A[K, c, width] and
-    v = Q[K, c(c+1)/2, width] (see adam_step); `factors` holds what they expand
-    with, read off the rows at the first update (_moment_factors).
+    bin by bin; matmul takes it after these rows alone, the same array, so the rows
+    must not change. Its gradient is the per-bin g[K, c, width] of that product
+    (slab k of the dense one is rows_t[k] @ g[k], rows_t the rows' [K, T, c] view,
+    a product with a small inner dimension c), which .grad reads as the dense
+    array and which no dense array may replace.
+
+    Its Adam moments are factors, exactly in real arithmetic: m = A[K, c, width],
+    with m[k] = rows_t[k] @ A[k] and A updated from g as m is, and
+    v = Q[K, c(c+1)/2, width], with v[k] = R2[k] @ Q[k] and Q updated from the
+    pairwise products g_i g_j (i <= j), R2 holding the rows' matching products
+    with the off-diagonal ones doubled. `factors` holds rows_t, R2 and each bin's
+    period and fold, read off the rows at the first update (_moment_factors).
+    Rows that repeat bitwise with a period P dividing T (a Fourier bin at
+    frequency f repeats every T/gcd(f, T) rows) give moments and a step that
+    repeat, so a step reads back only a bin's first h rows: h = P (T where the
+    rows do not repeat), or P/2 where a period's second half is its first negated
+    bit for bit (a Fourier bin's, Nyquist aside), since negating a row negates
+    every product and sum of its m and none of its v. Each bin's step m and v are
+    read back a block of rows at a time, v clamped at 0 (it can cancel slightly
+    below), and take adam_step's step s from them.
 
     From its first Adam step until .value is assigned it is held: as w_s, its
-    value at its last sync, read-only; delta, the sum of its steps since then;
-    and matmul's table, rows @ the value. Every step repeats with its bin's period
-    P, negated on a folding bin's second half-period, so delta lives on each bin's
-    first h rows (h = P, or P/2 where the bin folds), one [h, width] array per
-    bin, and a step s takes (T/h) rows[k, :, :h] @ s off a copy of the table: rows
-    @ tile(s) exactly in real arithmetic, as the rows repeat (and fold) with the
-    steps. The copy, read-only, replaces the table, so a product a forward
-    returned is never written. Reading .value syncs a stepped weight: it adds
-    tile(delta) to w_s in place (the second half-period of a folding bin takes
-    -delta), zeroes delta, rebuilds the table as rows @ w_s and returns w_s, still
-    read-only, so a write through it, or through a view made of it since the first
-    step, raises (a view made before then keeps its own flag). Assigning .value is
-    how to change a trained weight: it drops delta and the table. A forward only
-    reads."""
+    value at its last sync, read-only; delta, the sum of its steps since then,
+    one [h, width] array per bin; and matmul's table, rows @ the value. A step s
+    is subtracted from delta, and (T/h) rows[k, :, :h] @ s from a copy of the
+    table: rows @ tile(s) exactly in real arithmetic, as the rows repeat (and
+    fold) with the steps. The copy, read-only, replaces the table, so a product a
+    forward returned is never written. Reading .value syncs a stepped weight: it
+    adds tile(delta) to w_s in place (the second half-period of a folding bin
+    takes -delta), zeroes delta, rebuilds the table as rows @ w_s and returns w_s,
+    still read-only, so a write through it, or through a view made of it since
+    the first step, raises (a view made before then keeps its own flag). Assigning
+    .value is how to change a trained weight: it drops delta and the table. A
+    forward only reads.
+
+    Not bitwise dense Adam: where a gradient entry is small next to its per-bin
+    terms, v's cancellation moves its step; over several steps between syncs the
+    value takes one rounding per sync instead of one per step (delta starts at
+    zero after a sync, so a single step gives w_s + (0 - s), bitwise w_s - s); and
+    the table between syncs takes one per step, so it is rows @ the value only
+    within roundoff."""
 
     __slots__ = ("rows", "factors", "_table", "_delta", "_stepped")
 
@@ -261,13 +276,9 @@ class GridWeight(Parameter):
         self._hold()
 
     def _hold(self):
-        """Hold the value as w_s, an owned C-order array (a copy of one a caller handed
-        in), read-only, with the table rows @ w_s and delta arrays made zero."""
-        w = Tensor.value.__get__(self)
-        if not (self._owns and w.flags.c_contiguous):
-            w = np.array(w, order="C")
-            Parameter.value.fset(self, w)
-            self._owns = True
+        """Hold the value as w_s, the owned C-order array _own returns, read-only, with
+        the table rows @ w_s and delta arrays made zero."""
+        w = self._own()
         w.flags.writeable = False
         if self._delta is None:
             _, _, periods, folded = self.factors
@@ -275,12 +286,13 @@ class GridWeight(Parameter):
         self._table = np.matmul(self.rows, w)
         self._table.flags.writeable = False
 
-    def _adam_factored(self, step, eps, scratch):
+    def _adam_factored(self, step, eps):
         """Adam's update from the g of its per-bin gradient: A and Q from g, then bin
-        by bin over its first h rows, a block of rows of about one chunk at a time,
-        step m and v read back into the scratch buffers and the step
-        s = step m / (sqrt(v) + eps'), as _adam_chunks takes it, subtracted from
-        delta, and (T/h) rows @ s from a copy of the table, which then replaces it."""
+        by bin over its first h rows, n rows of about one chunk at a time (one row
+        if a row is wider), step m and v read back into its own [2, n, width] buffer
+        and the step s = step m / (sqrt(v) + eps'), as _adam_chunks takes it,
+        subtracted from delta, and (T/h) rows @ s from a copy of the table, which
+        then replaces it."""
         if self.factors is None:
             self.factors = _moment_factors(self.rows)
         if self._table is None:
@@ -293,17 +305,15 @@ class GridWeight(Parameter):
         self.v *= ADAM_BETA2
         self.v += (1.0 - ADAM_BETA2) * (g[:, i] * g[:, j])
         A = self.m * step  # read back as step m, the step's numerator
-        width = self.shape[-1]
+        _, T, width = self.shape
         n = max(_ADAM_CHUNK // width, 1)
-        if n * width > scratch[0].size:  # a row wider than a chunk
-            scratch = np.empty(width), np.empty(width)
-        table, T = self._table.copy(), self.shape[1]
+        scratch, table = np.empty((2, n, width)), self._table.copy()
         for k, d in enumerate(self._delta):
             h = len(d)
             for r in range(0, h, n):
                 rows = slice(r, min(r + n, h))
                 delta = d[rows]
-                m, v = (s[: delta.size].reshape(delta.shape) for s in scratch)
+                m, v = scratch[:, : len(delta)]
                 np.matmul(rows_t[k, rows], A[k], out=m)
                 np.matmul(R2[k, rows], self.v[k], out=v)
                 np.maximum(v, 0.0, out=v)  # not fmax: a NaN stays NaN
@@ -596,37 +606,15 @@ def adam_step(params, lr):
     ulp of the textbook step. The update runs one chunk of _ADAM_CHUNK elements at
     a time, so each array is read and written once per step. Every op is
     elementwise with the same scalars in every chunk, so the chunking changes no
-    bit. A first update makes m and v. A value the parameter does not own (see
-    Parameter), or one not C-contiguous, is replaced by a C-order copy before it
-    is first written, so the array a caller built a parameter from, or assigned
-    to it, is never written; a drawn weight is written in place from the first
-    step on. An untrained model holds no copy and no moments.
+    bit. A first update makes m and v. A value the parameter does not own, or
+    one not C-contiguous, is replaced by a C-order copy before it is first
+    written (Parameter._own), so the array a caller built a parameter from, or
+    assigned to it, is never written; a drawn weight is written in place from
+    the first step on. An untrained model holds no copy and no moments.
 
-    A GridWeight, whose gradient is per-bin g with slab k of the dense one
-    rows_t[k] @ g[k], keeps its moments as factors, exactly in real arithmetic:
-    m[k] = rows_t[k] @ A[k] with A updated from g as m is, and v[k] = R2[k] @ Q[k]
-    with Q updated from the pairwise products g_i g_j (i <= j), R2 holding the
-    rows' matching products with the off-diagonal ones doubled. Its update is its
-    _adam_factored: each bin's step m and v are read back into the chunk buffers
-    a block of rows at a time (step folded into A), v clamped at 0 (it can cancel
-    slightly below), and the step above is subtracted from the weight's delta,
-    and its product with the rows from a copy of its table, which replaces the
-    table: no full-size m, v or gradient exists, and the value itself is not
-    written.
-    Rows that repeat give a step that repeats, so only a bin's first P rows are
-    read back, P its period (a bin whose rows do not repeat has P = T), and each
-    of the T/P periods of its value takes that step at the next sync. A bin whose
-    second half-period is its first negated bit for bit reads back P/2 rows:
-    negating a row negates every product and sum of its m and none of its v, so
-    the second half takes the step negated, exactly. The first step of a
-    GridWeight after a sync starts its delta at zero, so that sync gives the
-    value w_s + (0 - s), which is w_s - s bit for bit. Not bitwise: where a
-    gradient entry is small next to its per-bin terms, v's cancellation moves
-    its step; over several steps between syncs the value takes one rounding
-    per sync instead of one per step; and the table between syncs takes one per
-    step, so it is rows @ the value only within roundoff.
+    A GridWeight keeps its moments as per-bin factors and takes the step above
+    through them, within roundoff of the dense step (see GridWeight).
     """
-    scratch = np.empty(_ADAM_CHUNK), np.empty(_ADAM_CHUNK)
     # First updates get m and v as C-order views of one zeroed block. Made one by one
     # after a forward, they would sit in the heap between the temporaries of every later
     # step, which then faults in more pages; a large block is mapped on its own.
@@ -638,19 +626,15 @@ def adam_step(params, lr):
     for p, m, v in zip(fresh, views[::2], views[1::2]):
         p.m, p.v = m, v
     for p in params:
-        grad = p._grad
-        if grad is None:
+        if p._grad is None:
             continue
         p.step += 1
         c1, c2 = 1.0 - ADAM_BETA1**p.step, 1.0 - ADAM_BETA2**p.step
         step, eps = lr * math.sqrt(c2) / c1, ADAM_EPS * math.sqrt(c2)
         if isinstance(p, GridWeight):
-            p._adam_factored(step, eps, scratch)
+            p._adam_factored(step, eps)
         else:
-            if not (p._owns and p.value.flags.c_contiguous):
-                p.value = np.array(p.value, order="C")
-                p._owns = True
-            _adam_chunks(p.value, p.m, p.v, np.ascontiguousarray(grad), step, eps, scratch)
+            _adam_chunks(p._own(), p.m, p.v, np.ascontiguousarray(p._grad), step, eps)
         p._grad = None
 
 
@@ -685,11 +669,12 @@ def _moment_factors(rows):
     return rows_t, rows_t[..., i] * rows_t[..., j] * np.where(i < j, 2.0, 1.0), periods, folded
 
 
-def _adam_chunks(x, m, v, g, step, eps, scratch):
+def _adam_chunks(x, m, v, g, step, eps):
     """Adam's elementwise update of C-order x, m and v, in place from g, one chunk
-    at a time through the two scratch buffers of _ADAM_CHUNK elements: 12 passes
+    at a time through its own two buffers of up to _ADAM_CHUNK elements: 12 passes
     over a chunk, x -= step m / (sqrt(v) + eps) after the textbook m and v."""
     flat = [a.reshape(-1) for a in (x, m, v, g)]
+    scratch = np.empty((2, min(x.size, _ADAM_CHUNK)))
     for i in range(0, flat[0].size, _ADAM_CHUNK):
         x, m, v, g = (a[i : i + _ADAM_CHUNK] for a in flat)
         t1, t2 = (s[: g.size] for s in scratch)

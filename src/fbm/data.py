@@ -288,7 +288,11 @@ class SlidingWindows:
 def write_csv(f, header, ints, floats):
     """One row per element of the equally shaped arrays, in C order: the
     `ints` columns as %d, then the `floats` columns as %.17g (round-trip
-    exact). f is a path or an open text file; an empty header writes none."""
+    exact). f is an open text file, or a path, which a new file replaces once
+    every row is written (ad._replacing); an empty header writes none."""
+    if not hasattr(f, "write"):
+        with ad._replacing(f, "x", encoding="utf-8") as out:
+            return write_csv(out, header, ints, floats)
     cols = [np.ravel(c) for c in ints + floats]
     fmt = ["%d"] * len(ints) + ["%.17g"] * len(floats)
     np.savetxt(f, np.column_stack(cols), fmt=fmt, delimiter=",", header=header, comments="")

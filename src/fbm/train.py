@@ -156,9 +156,7 @@ def train(model, source, cfg, log=None, eval_threads=1):
             n += diff.value.size
             windows += len(batch.X)
         train_mse = sq / max(n, 1)
-        for p in model.params:  # each grid weight's steps folded in: validation reuses its table
-            if isinstance(p, ad.GridWeight):
-                p._sync()
+        values = [p.value for p in model.params]  # a grid weight's read folds its steps in for validation
 
         val_start = time.perf_counter()
         try:
@@ -179,16 +177,16 @@ def train(model, source, cfg, log=None, eval_threads=1):
             )
         if val_mse < best_val:
             best_val = val_mse
-            if best_state is None:
-                best_state = [p.value.copy() for p in model.params]
-            else:  # refreshed in place: two snapshots are never alive at once
-                for b, p in zip(best_state, model.params):
-                    np.copyto(b, p.value)
+            if best_state is None:  # then refreshed in place: two snapshots are never alive at once
+                best_state = [np.empty(v.shape) for v in values]
+            for b, v in zip(best_state, values):
+                np.copyto(b, v)
             bad_epochs = 0
         else:
             bad_epochs += 1
-            if bad_epochs >= cfg.patience:
-                break
+        del values  # the trained arrays are not kept alive through the test pass
+        if bad_epochs >= cfg.patience:
+            break
 
     for p, v in zip(model.params, best_state):
         p.value = v

@@ -594,9 +594,9 @@ def _assert_moments_near(p, dense, sm, sv):
     assert np.all(np.abs(v - dense.v) <= MOMENT_ULPS * ULP * sv)
 
 
-@pytest.mark.parametrize("K, c, T, width", [(3, 2, 5, 4), (2, 2, 130, 130), (2, 3, 7, 9)])
+@pytest.mark.parametrize("K, c, T, width", [(3, 2, 5, 4), (2, 2, 130, 130), (2, 3, 7, 9), (2, 2, 5, CHUNK + 1)])
 def test_factored_moments_read_back_as_the_dense_ones(K, c, T, width):
-    # (2, 2, 130, 130): one bin's rows span more than a chunk
+    # (2, 2, 130, 130): one bin's rows span more than a chunk; CHUNK + 1: one row does
     rng = RNG(K * T + width)
     rows, p, _ = _grid_weight(rng, K, c, T, width)
     dense = ad.Parameter(p.value.copy(), "dense")

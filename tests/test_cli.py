@@ -2,6 +2,7 @@
 
 import csv
 import dataclasses
+import errno
 import json
 import struct
 
@@ -109,6 +110,34 @@ def test_failed_prediction_export_keeps_the_previous_file(capsys, tmp_path, peri
                      "--predictions-out", str(preds))
     assert rc == 3 and "gamma" in err
     assert preds.read_bytes() == kept
+    assert not list(tmp_path.glob("*.tmp"))
+
+
+CSV_EXPORTS = {
+    "features": ("features", "--data", "{csv}", "--T", "48"),
+    "spectrum": ("spectrum", "--data", "{csv}", "--T", "48"),
+    "weights": ("weights", "--checkpoint", "{fbm_s}"),
+    "synth-case2": ("synth", "--case", "2"),
+}
+
+
+@pytest.mark.parametrize("cmd", CSV_EXPORTS)
+def test_failed_csv_export_keeps_the_previous_file(capsys, monkeypatch, tmp_path, periodic_csv, cmd):
+    # the rows go to a new file, which replaces the old one only once all are written
+    out = tmp_path / "out.csv"
+    out.write_bytes(b"value\n1\n")
+    fbm_s = _collapsed_gamma_checkpoint(tmp_path)
+    argv = [a.format(csv=periodic_csv, fbm_s=fbm_s) for a in CSV_EXPORTS[cmd]]
+    savetxt = np.savetxt
+
+    def fails_midway(f, X, **kw):
+        savetxt(f, X[: len(X) // 2], **kw)
+        raise OSError(errno.EFBIG, "File too large")
+
+    monkeypatch.setattr(np, "savetxt", fails_midway)
+    rc, _, err = run(capsys, *argv, "--out", str(out))
+    assert rc == 1 and err == f"fbm: error: cannot write {out}: File too large\n"
+    assert out.read_bytes() == b"value\n1\n"
     assert not list(tmp_path.glob("*.tmp"))
 
 

@@ -222,6 +222,26 @@ def test_the_best_state_snapshot_keeps_each_grid_weight_held():
     assert held == [False, True]
 
 
+def test_train_lets_go_of_the_trained_weights_before_the_test_pass():
+    # the best state is restored by assignment, so nothing holds the array the
+    # grid weight was trained in once the test pass starts
+    src = tiny_task(T=16, L=8)
+    model = ForecastModel(ModelSpec(variant="fbm-l", T=16, L=8, D=1), seed=1)
+    w, trained = model.params[0], []
+
+    class Watched:
+        def __getattr__(self, name):
+            return getattr(src, name)
+
+        def test_batches(self):
+            assert trained[-1]() is None, "the trained grid weight is still alive"
+            return src.test_batches()
+
+    cfg = TrainConfig(T=16, L=8, epochs=3, patience=3, lr=1e-2, batch_size=16, seed=0)
+    train(model, Watched(), cfg, log=lambda line: trained.append(weakref.ref(w.value)))
+    assert len(trained) == 3
+
+
 def test_patience_one_on_worsening_val_stops_after_two_epochs():
     # train targets are +x continuations, val targets are -x continuations:
     # fitting train strictly worsens val from the first-epoch baseline on
