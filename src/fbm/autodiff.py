@@ -287,12 +287,11 @@ class GridWeight(Parameter):
         self._table.flags.writeable = False
 
     def _adam_factored(self, step, eps):
-        """Adam's update from the g of its per-bin gradient: A and Q from g, then bin
-        by bin over its first h rows, n rows of about one chunk at a time (one row
-        if a row is wider), step m and v read back into its own [2, n, width] buffer
-        and the step s = step m / (sqrt(v) + eps'), as _adam_chunks takes it,
-        subtracted from delta, and (T/h) rows @ s from a copy of the table, which
-        then replaces it."""
+        """Adam's update from the g of its per-bin gradient: A and Q from g, then bin by bin
+        over its first h rows in ceil(h / n) near-equal blocks of at most n rows, about a
+        chunk (1 if a row is wider): step m and v read back into its own [2, n, width]
+        buffer, the step s = step m / (sqrt(v) + eps') as _adam_chunks takes it subtracted
+        from delta, and (T/h) rows @ s from a copy of the table, which then replaces it."""
         if self.factors is None:
             self.factors = _moment_factors(self.rows)
         if self._table is None:
@@ -310,8 +309,9 @@ class GridWeight(Parameter):
         scratch, table = np.empty((2, n, width)), self._table.copy()
         for k, d in enumerate(self._delta):
             h = len(d)
-            for r in range(0, h, n):
-                rows = slice(r, min(r + n, h))
+            b = -(-h // n)
+            for r in range(b):
+                rows = slice(r * h // b, (r + 1) * h // b)
                 delta = d[rows]
                 m, v = scratch[:, : len(delta)]
                 np.matmul(rows_t[k, rows], A[k], out=m)
@@ -520,15 +520,6 @@ def standardize_lastdim(x):
     xc = sub(x, reduce_mean(x, axis=-1, keepdims=True))
     var = reduce_mean(mul(xc, xc), axis=-1, keepdims=True)
     return div(xc, sqrt(add(var, NORM_EPS)))
-
-
-def _interleave(a, b):
-    """[..., K] halves a and b paired per entry into one [..., K, 2] array, one edge
-    per tracked half. Private, so the public ops stay the traced op list; a model
-    pairs only its constant spectrum, so every node on its tape is a public op's."""
-    a, b = _as_tensor(a), _as_tensor(b)
-    return _from_op(np.stack([a.value, b.value], axis=-1),
-                    (a, lambda g: g[..., 0]), (b, lambda g: g[..., 1]))
 
 
 def backward(loss, params=None):

@@ -16,9 +16,9 @@ bin k through g_k = sum_n W[n, k] e^{2 pi i k n / T} alone.
 Every block that holds weights is an autodiff.Layer, whose params() lists its
 Parameters in the order its constructor assigns them.
 
-All forwards take and return autodiff Tensors so both parameter and
-input gradients flow; feature inputs are usually constants, which get no
-tape edge, so no gradient is ever computed for them.
+All forwards take and return autodiff Tensors so both parameter and input
+gradients flow; feature inputs are usually constants, with no tape edge, and
+the spectrum's halves must be: Grid.spectrum pairs them as one constant.
 
 Shape conventions: dense grids are [B, D, T_s, K_s] (batch, channel, time,
 frequency), patched tensors are [B, D, P, N] with the channel axis always
@@ -106,8 +106,10 @@ class Grid:
 
     @classmethod
     def spectrum(cls, H_R, H_I, rows):
-        """The grid of DC-dropped halves H_R/H_I[..., K] over rows [K, 2, T]."""
-        return cls(ad._interleave(H_R, H_I), rows)
+        """The grid of constant DC-dropped halves H_R/H_I[..., K] over rows [K, 2, T]."""
+        if H_R.requires_grad or H_I.requires_grad:
+            raise ValueError("the spectrum's halves are constants: a tracked half would get no gradient")
+        return cls(Tensor(np.stack([H_R.value, H_I.value], axis=-1)), rows)
 
 
 class Patches:
@@ -310,7 +312,7 @@ class SeasonalBlock(Layer):
 
     def forward(self, spectrum, H_I=None):
         """The spectrum Grid, or its halves H_R/H_I[..., K] as (spectrum, H_I) -> [..., L]."""
-        z = spectrum.coef if H_I is None else ad._interleave(spectrum, H_I)
+        z = spectrum.coef if H_I is None else Grid.spectrum(spectrum, H_I, None).coef
         if z.shape[-2:] != (self.K, 2):
             raise ConfigError(f"seasonal filter expects {self.K} bins' halves, got {z.shape[-2:]}")
         a = ad.mul(self.W, self._cm).sum(axis=0)  # the gains' real parts, [K]

@@ -2,8 +2,8 @@
 
 train() is plain Adam on MSE with best-val early stopping: evaluate the
 validation split after every epoch, keep a copy of the best parameters,
-stop after `patience` epochs without improvement, restore the best copy,
-and only then touch the test split (exactly once).
+stop after `patience` epochs without improvement, restore the best copy
+unless the model holds it, and only then touch the test split (exactly once).
 
 The synthetic generators exercise the two failure modes of frequency-only
 mappings: case 1 pairs each input window with a continuation that starts
@@ -134,6 +134,9 @@ def train(model, source, cfg, log=None, eval_threads=1):
     the per-epoch validation and final test passes.
     """
     _check_threads(eval_threads)
+    if (cfg.T, cfg.L) != (model.spec.T, model.spec.L):
+        raise ConfigError(f"train config T={cfg.T}, L={cfg.L} does not match the model's "
+                          f"T={model.spec.T}, L={model.spec.L}")
     report = RunReport(config={"train": asdict(cfg), "model": model.spec.to_header()})
     t0 = time.perf_counter()
     best_val = np.inf
@@ -184,12 +187,14 @@ def train(model, source, cfg, log=None, eval_threads=1):
             bad_epochs = 0
         else:
             bad_epochs += 1
-        del values  # the trained arrays are not kept alive through the test pass
+        values = b = v = None  # no name here keeps a trained array or the snapshot alive
         if bad_epochs >= cfg.patience:
             break
 
-    for p, v in zip(model.params, best_state):
-        p.value = v
+    if bad_epochs:  # else the last epoch was the best: its arrays stay, held, and the snapshot goes
+        for p, v in zip(model.params, best_state):
+            p.value = v
+    best_state = None
     try:
         test_mse, test_mae = evaluate(model, source.test_batches(), eval_threads)
     except NumericError as e:

@@ -159,19 +159,30 @@ def test_basis_rows_are_rows_of_the_continued_bases(T, count):
 
 
 def test_grid_linear_gradients():
-    # the interleave of the halves into z passes input gradients back to each half
+    # GridLinear passes input gradients back to a tracked grid's coefficients
     T = 16
     rows = bl.basis_rows(T, T)
     block = bl.GridLinear(RNG(0), rows, 3, "linear")
     block.w.value = RNG(6).normal(size=(T // 2, T, 3))
-    h_r, h_i = _spectra(RNG(7), 2, 3, T)
+    z = np.stack(_spectra(RNG(7), 2, 3, T), axis=-1)
 
-    def loss(halves):
-        y = block.forward(bl.Grid.spectrum(*halves, rows))
+    def loss(coef):
+        y = block.forward(bl.Grid(coef[0], rows))
         return (y * y).mean()
 
-    assert input_grad_err(loss, [h_r, h_i]) < 1e-4
-    assert param_grad_err(lambda: loss([ad.Tensor(h_r), ad.Tensor(h_i)]), block.params()) < 1e-4
+    assert input_grad_err(loss, [z]) < 1e-4
+    assert param_grad_err(lambda: loss([ad.Tensor(z)]), block.params()) < 1e-4
+
+
+@pytest.mark.parametrize("tracked", [0, 1])
+def test_a_tracked_spectrum_half_raises(tracked):
+    # the halves are paired as constants, so a tracked half would silently get
+    # no gradient: both the grid and the seasonal halves form refuse it
+    halves = [ad.Tensor(h, requires_grad=i == tracked) for i, h in enumerate(_spectra(RNG(8), 1, 2, 16))]
+    with pytest.raises(ValueError, match="constants"):
+        bl.Grid.spectrum(*halves, bl.basis_rows(16, 16))
+    with pytest.raises(ValueError, match="constants"):
+        bl.SeasonalBlock(16, 4).forward(*halves)
 
 
 # --- patching -------------------------------------------------------------------

@@ -128,6 +128,21 @@ def test_evaluate_weights_partial_batches():
     assert abs(got_mae - np.mean(np.abs(d))) < 1e-12
 
 
+@pytest.mark.parametrize("T, L", [(336, 96), (16, 8), (32, 4)])
+def test_train_refuses_a_config_whose_window_is_not_the_models(T, L):
+    # the report records cfg's T and L as the run's; a model of other shapes would
+    # train on its own windows under them, so train() stops before the first batch
+    model = ForecastModel(ModelSpec(variant="fbm-l", T=16, L=4, D=1), seed=0)
+
+    class Unread:
+        def __getattr__(self, name):
+            raise AssertionError(f"{name} read before the config was checked")
+
+    cfg = TrainConfig(T=T, L=L, epochs=1, patience=1, batch_size=16)
+    with pytest.raises(ConfigError, match=rf"^train config T={T}, L={L} does not match the model's T=16, L=4$"):
+        train(model, Unread(), cfg)
+
+
 @pytest.mark.parametrize("threads", [0, -1])
 def test_evaluate_and_train_reject_threads_below_1(threads):
     src = make_case1(seed=0, windows=20, T=16, L=4, k=2, gap=3, batch_size=8)
@@ -222,33 +237,59 @@ def test_the_best_state_snapshot_keeps_each_grid_weight_held():
     assert held == [False, True]
 
 
-def test_train_lets_go_of_the_trained_weights_before_the_test_pass():
-    # the best state is restored by assignment, so nothing holds the array the
-    # grid weight was trained in once the test pass starts
-    src = tiny_task(T=16, L=8)
-    model = ForecastModel(ModelSpec(variant="fbm-l", T=16, L=8, D=1), seed=1)
-    w, trained = model.params[0], []
+def _worsening_task():
+    # train targets are +x continuations, val targets are -x continuations:
+    # fitting train strictly worsens val from the first-epoch baseline on
+    rng = np.random.default_rng(8)
+    X = rng.standard_normal((40, 1, 32))
+    Y = np.where(np.arange(40)[:, None, None] < 24, X[..., :8], -X[..., :8])
+    return PairedWindows(X, Y, batch_size=8)
+
+
+@pytest.mark.parametrize("last_is_best", [True, False], ids=["last-epoch-best", "earlier-best"])
+def test_train_keeps_one_array_per_weight_through_the_test_pass(monkeypatch, last_is_best):
+    # the best state is the last epoch's trained arrays, which the grid weight keeps
+    # held while the snapshot goes, or the snapshot, restored by assignment, while
+    # nothing holds the array the grid weight was trained in
+    if last_is_best:
+        src, T, model_kw = tiny_task(T=16, L=8), 16, {"seed": 1}
+        cfg = TrainConfig(T=16, L=8, epochs=3, patience=3, lr=1e-2, batch_size=16, seed=0)
+    else:
+        src, T, model_kw = _worsening_task(), 32, {"seed": 2, "zero_weights": True}
+        cfg = TrainConfig(T=32, L=8, epochs=50, patience=1, lr=0.01, batch_size=8, seed=0)
+    model = ForecastModel(ModelSpec(variant="fbm-l", T=T, L=8, D=1), **model_kw)
+    w, trained, snapshots, seen = model.params[0], [], [], []
+    copyto = np.copyto
+
+    def watched_copyto(dst, src, *args, **kwargs):
+        if dst.shape == w.shape:
+            snapshots.append(weakref.ref(dst))
+        return copyto(dst, src, *args, **kwargs)
 
     class Watched:
         def __getattr__(self, name):
             return getattr(src, name)
 
         def test_batches(self):
-            assert trained[-1]() is None, "the trained grid weight is still alive"
+            alive = {id(a): a for a in (s() for s in snapshots) if a is not None}
+            seen.append((trained[-1](), list(alive.values()), w._table is not None))
             return src.test_batches()
 
-    cfg = TrainConfig(T=16, L=8, epochs=3, patience=3, lr=1e-2, batch_size=16, seed=0)
-    train(model, Watched(), cfg, log=lambda line: trained.append(weakref.ref(w.value)))
-    assert len(trained) == 3
+    monkeypatch.setattr(np, "copyto", watched_copyto)
+    _, report = train(model, Watched(), cfg, log=lambda line: trained.append(weakref.ref(w.value)))
+    vals = [e["val_mse"] for e in report.epochs]
+    assert (vals.index(min(vals)) == len(vals) - 1) == last_is_best
+    [(last, alive, held)] = seen
+    if last_is_best:
+        assert last is w.value and held
+        assert not alive, "the best state snapshot is still alive"
+    else:
+        assert last is None, "the trained grid weight is still alive"
+        assert len(alive) == 1 and alive[0] is w.value and not held
 
 
 def test_patience_one_on_worsening_val_stops_after_two_epochs():
-    # train targets are +x continuations, val targets are -x continuations:
-    # fitting train strictly worsens val from the first-epoch baseline on
-    rng = np.random.default_rng(8)
-    X = rng.standard_normal((40, 1, 32))
-    Y = np.where(np.arange(40)[:, None, None] < 24, X[..., :8], -X[..., :8])
-    src = PairedWindows(X, Y, batch_size=8)
+    src = _worsening_task()
     model = ForecastModel(ModelSpec(variant="fbm-l", T=32, L=8, D=1), seed=2, zero_weights=True)
     cfg = TrainConfig(T=32, L=8, epochs=50, patience=1, lr=0.01, batch_size=8, seed=0)
     _, report = train(model, src, cfg)
