@@ -261,10 +261,10 @@ def test_train_keeps_one_array_per_weight_through_the_test_pass(monkeypatch, las
     w, trained, snapshots, seen = model.params[0], [], [], []
     copyto = np.copyto
 
-    def watched_copyto(dst, src, *args, **kwargs):
+    def watched_copyto(dst, value, *args, **kwargs):
         if dst.shape == w.shape:
             snapshots.append(weakref.ref(dst))
-        return copyto(dst, src, *args, **kwargs)
+        return copyto(dst, value, *args, **kwargs)
 
     class Watched:
         def __getattr__(self, name):
