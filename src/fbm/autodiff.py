@@ -1,18 +1,22 @@
 """Reverse-mode automatic differentiation on float64 numpy arrays.
 
-Define-by-run tape: each op wraps its numpy result in a Tensor holding one
-edge per tracked input, a (parent, vjp) pair whose closure maps the output
-gradient to that parent's gradient. An input that needs no gradient (a
-constant such as a basis table) gets no edge, so its gradient is never
-computed. backward() walks the recorded graph once in reverse
-topological order and consumes it: each node drops its edges once its VJPs
-have run, so an intermediate value is freed when its last consumer is done,
-and the tape is gone before the optimizer step. A released node stays
-tracked, and a later backward that reaches it raises RuntimeError; to
-differentiate twice, build the forward again. Gradients land on leaf tensors
-only (Parameters and explicitly tracked inputs) and accumulate there until
-zeroed, so one forward/backward per batch composes with plain Python control
-flow.
+Define-by-run tape: each op wraps its numpy result in a Tensor and, when an
+input needs a gradient, a graph node (_Node) holding one edge per tracked
+input, a (parent, vjp) pair whose closure maps the output gradient to that
+parent's gradient. The parent is the input's node (a leaf, a Parameter or a
+tracked input, is its own node), never the input Tensor, and each vjp keeps
+only what it reads (shapes, the other operand's array, relu's input, sqrt's
+and softmax's output), so a value no VJP reads goes when the forward drops
+its Tensor. An input that needs no gradient (a constant such as a basis
+table) gets no edge, so its gradient is never computed. backward() walks the
+recorded graph once in reverse topological order and consumes it: each node
+drops its edges once its VJPs have run, so a value a VJP kept is freed when
+its last consumer is done, and the tape is gone before the optimizer step. A
+released node stays tracked, and a later backward that reaches it raises
+RuntimeError; to differentiate twice, build the forward again. Gradients land
+on leaf tensors only (Parameters and explicitly tracked inputs) and
+accumulate there until zeroed, so one forward/backward per batch composes
+with plain Python control flow.
 
 A grid weight (GridWeight) is a Parameter w[K, T, width] built with the
 constant basis rows[K, c, T] that multiply it bin by bin: matmul(rows, w), as
@@ -65,8 +69,18 @@ class no_grad:
         return False
 
 
+class _Node:
+    """A tracked op result's place on the tape: its edges, None once backward released them."""
+
+    __slots__ = ("_edges",)
+
+    def __init__(self, edges):
+        self._edges = edges
+
+
 class Tensor:
-    __slots__ = ("value", "_grad", "requires_grad", "_edges")
+    __slots__ = ("value", "_grad", "requires_grad", "_node")
+    _edges = ()  # a leaf is its own node, with no edges
 
     def __init__(self, value, requires_grad=False):
         if np.iscomplexobj(value):
@@ -74,7 +88,7 @@ class Tensor:
         self.value = np.asarray(value, dtype=np.float64)
         self._grad = None
         self.requires_grad = bool(requires_grad)
-        self._edges = ()
+        self._node = None
 
     @property
     def grad(self):
@@ -330,17 +344,19 @@ def _as_tensor(x):
 
 
 def _from_op(value, *edges):
-    """Wrap an op's result. Each edge is (parent, vjp), vjp mapping the output
-    gradient to that parent's gradient; only the edges of parents that require
-    grad are kept (none under no_grad), and the result is tracked exactly when
-    it keeps an edge. A GridWeight's only edge is matmul's, after its rows."""
+    """Wrap an op's result. Each edge is (input, vjp), vjp mapping the output
+    gradient to that input's gradient; only the edges of inputs that require
+    grad are kept (none under no_grad), each pointing at the input's node, and
+    the result is tracked, with a node, exactly when it keeps an edge. A
+    GridWeight's only edge is matmul's, after its rows."""
     out = Tensor(value)
     if _grad_enabled.get():
-        out._edges = tuple(e for e in edges if e[0].requires_grad)
-        out.requires_grad = bool(out._edges)
-        for p, vjp in out._edges:
+        kept = tuple((p._node or p, vjp) for p, vjp in edges if p.requires_grad)
+        for p, vjp in kept:
             if type(p) is GridWeight and vjp is not _per_bin:
                 raise ValueError(f"grid weight {p.name} enters no op but matmul after its rows")
+        if kept:
+            out._node, out.requires_grad = _Node(kept), True
     return out
 
 
@@ -360,39 +376,45 @@ def _unbroadcast(g, shape):
     return g.reshape(shape)
 
 
+# Each VJP closes over arrays and shapes, never over an input Tensor, so it keeps
+# only what it reads (see the module docstring).
 def add(a, b):
     a, b = _as_tensor(a), _as_tensor(b)
+    sa, sb = a.shape, b.shape
     return _from_op(
         a.value + b.value,
-        (a, lambda g: _unbroadcast(g, a.value.shape)),
-        (b, lambda g: _unbroadcast(g, b.value.shape)),
+        (a, lambda g: _unbroadcast(g, sa)),
+        (b, lambda g: _unbroadcast(g, sb)),
     )
 
 
 def sub(a, b):
     a, b = _as_tensor(a), _as_tensor(b)
+    sa, sb = a.shape, b.shape
     return _from_op(
         a.value - b.value,
-        (a, lambda g: _unbroadcast(g, a.value.shape)),
-        (b, lambda g: _unbroadcast(-g, b.value.shape)),
+        (a, lambda g: _unbroadcast(g, sa)),
+        (b, lambda g: _unbroadcast(-g, sb)),
     )
 
 
 def mul(a, b):
     a, b = _as_tensor(a), _as_tensor(b)
+    (av, sa), (bv, sb) = (a.value, a.shape), (b.value, b.shape)
     return _from_op(
-        a.value * b.value,
-        (a, lambda g: _unbroadcast(g * b.value, a.value.shape)),
-        (b, lambda g: _unbroadcast(g * a.value, b.value.shape)),
+        av * bv,
+        (a, lambda g: _unbroadcast(g * bv, sa)),
+        (b, lambda g: _unbroadcast(g * av, sb)),
     )
 
 
 def div(a, b):
     a, b = _as_tensor(a), _as_tensor(b)
+    (av, sa), (bv, sb) = (a.value, a.shape), (b.value, b.shape)
     return _from_op(
-        a.value / b.value,
-        (a, lambda g: _unbroadcast(g / b.value, a.value.shape)),
-        (b, lambda g: _unbroadcast(-g * a.value / (b.value * b.value), b.value.shape)),
+        av / bv,
+        (a, lambda g: _unbroadcast(g / bv, sa)),
+        (b, lambda g: _unbroadcast(-g * av / (bv * bv), sb)),
     )
 
 
@@ -409,7 +431,8 @@ def scale(a, s):
 
 def relu(a):
     a = _as_tensor(a)
-    return _from_op(np.maximum(a.value, 0.0), (a, lambda g: g * (a.value > 0.0)))
+    x = a.value
+    return _from_op(np.maximum(x, 0.0), (a, lambda g: g * (x > 0.0)))
 
 
 def sqrt(a):
@@ -431,21 +454,22 @@ def matmul(a, b):
         if a.value is not b.rows or a.requires_grad:
             raise ValueError(f"grid weight {b.name} is multiplied by its own constant rows array only")
         return _from_op(b._product(), (b, _per_bin))
-    if a.value.ndim < 2 or b.value.ndim < 2:
+    (av, sa), (bv, sb) = (a.value, a.shape), (b.value, b.shape)
+    if av.ndim < 2 or bv.ndim < 2:
         raise ValueError("matmul expects tensors of rank >= 2")
-    if a.value.ndim > 2 and b.value.ndim == 2:
-        rows = (-1, a.value.shape[-1])
-        out = np.matmul(a.value.reshape(rows), b.value)
+    if av.ndim > 2 and bv.ndim == 2:
+        rows = (-1, sa[-1])
+        out = np.matmul(av.reshape(rows), bv)
         return _from_op(
-            out.reshape(a.value.shape[:-1] + out.shape[-1:]),
-            (a, lambda g: np.matmul(g.reshape(-1, g.shape[-1]), b.value.T).reshape(a.value.shape)),
-            (b, lambda g: np.matmul(a.value.reshape(rows).T, g.reshape(-1, g.shape[-1]))),
+            out.reshape(sa[:-1] + out.shape[-1:]),
+            (a, lambda g: np.matmul(g.reshape(-1, g.shape[-1]), bv.T).reshape(sa)),
+            (b, lambda g: np.matmul(av.reshape(rows).T, g.reshape(-1, g.shape[-1]))),
         )
-    a_t = np.swapaxes(a.value, -1, -2)
+    a_t = np.swapaxes(av, -1, -2)
     return _from_op(
-        np.matmul(a.value, b.value),
-        (a, lambda g: _unbroadcast(np.matmul(g, np.swapaxes(b.value, -1, -2)), a.value.shape)),
-        (b, lambda g: _unbroadcast(np.matmul(a_t, g), b.value.shape)),
+        np.matmul(av, bv),
+        (a, lambda g: _unbroadcast(np.matmul(g, np.swapaxes(bv, -1, -2)), sa)),
+        (b, lambda g: _unbroadcast(np.matmul(a_t, g), sb)),
     )
 
 
@@ -470,9 +494,10 @@ def reshape(a, shape):
 
 def tslice(a, idx):
     a = _as_tensor(a)
+    shape = a.shape
 
     def vjp(g):
-        out = np.zeros_like(a.value)
+        out = np.zeros(shape)
         np.add.at(out, idx, g)  # a repeated index gathers each of its gradients
         return out
 
@@ -488,15 +513,17 @@ def _spread(g, axis, keepdims, shape):
 
 def reduce_sum(a, axis=None, keepdims=False):
     a = _as_tensor(a)
+    shape = a.shape
     val = a.value.sum(axis=axis, keepdims=keepdims)
-    return _from_op(val, (a, lambda g: _spread(g, axis, keepdims, a.value.shape)))
+    return _from_op(val, (a, lambda g: _spread(g, axis, keepdims, shape)))
 
 
 def reduce_mean(a, axis=None, keepdims=False):
     a = _as_tensor(a)
+    shape = a.shape
     val = a.value.mean(axis=axis, keepdims=keepdims)
     count = a.value.size / max(val.size, 1)
-    return _from_op(val, (a, lambda g: _spread(g, axis, keepdims, a.value.shape) / count))
+    return _from_op(val, (a, lambda g: _spread(g, axis, keepdims, shape) / count))
 
 
 def softmax_lastdim(a):
@@ -542,10 +569,10 @@ def backward(loss, params=None):
 
 
 def _backward_walk(loss):
-
+    root = loss._node or loss
     topo = []
     visited = set()
-    stack = [(loss, False)]
+    stack = [(root, False)]
     while stack:
         node, expanded = stack.pop()
         if expanded:
@@ -564,7 +591,7 @@ def _backward_walk(loss):
     # Consumers come before their inputs in the popped order, so by the time a node
     # leaves topo nothing later needs it: dropping its edges frees its inputs' values
     # held by its VJPs, and the node itself goes once no caller holds it.
-    grads = {id(loss): np.ones_like(loss.value)}
+    grads = {id(root): np.ones_like(loss.value)}
     while topo:
         node = topo.pop()
         g, edges = grads.pop(id(node)), node._edges

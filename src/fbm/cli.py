@@ -19,7 +19,7 @@ import numpy as np
 
 from . import data as dat
 from . import fourier
-from .autodiff import save_tensors
+from .autodiff import _read_header, save_tensors
 from .errors import ConfigError, DataError, FbmError
 from .models import SPEC_FIELDS, ForecastModel, ModelSpec, instance_standardize, parse_text
 from .train import (
@@ -259,13 +259,12 @@ def cmd_train(res):
 
 
 def cmd_eval(res):
-    model = ForecastModel.load(res["checkpoint"])
-    T, L = model.spec.T, model.spec.L
+    spec = ModelSpec.from_header(_read_header(res["checkpoint"]))  # the weights are read last
+    T, L = spec.T, spec.L
     ds, ranges = prepare_windows(res, T, L)
-    if ds.D != model.spec.D:
-        raise ConfigError(
-            f"dataset has D={ds.D} channels, checkpoint expects D={model.spec.D}"
-        )
+    if ds.D != spec.D:
+        raise ConfigError(f"dataset has D={ds.D} channels, checkpoint expects D={spec.D}")
+    model = ForecastModel.load(res["checkpoint"], expected_spec=spec)
     batches = dat.iterate_batches(ds.values, getattr(ranges, res["part"]), T, L, res["batch"])
     if res["predictions-out"]:
         mse, mae = _write(res["predictions-out"], export_predictions, model, batches, res["threads"])

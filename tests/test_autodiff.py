@@ -1,3 +1,4 @@
+import gc
 import math
 import stat
 import struct
@@ -13,7 +14,7 @@ from fbm import autodiff as ad
 from fbm.blocks import basis_rows
 from fbm.errors import CheckpointError
 
-from gradcheck import input_grad_err, param_grad_err
+from gradcheck import _fd_flat, input_grad_err, param_grad_err
 
 RNG = np.random.default_rng
 
@@ -81,6 +82,55 @@ def test_backward_releases_the_tape_as_it_walks_it():
     np.testing.assert_array_equal(x.grad, [0.0, 0.0, 12.0])
 
 
+# op(h, c) for an h the forward drops, then weighted by constants: ops whose VJPs
+# read only shapes keep none of h's value; with c tracked, ops whose VJPs read h
+# (c's gradient, for mul, div and matmul) keep it until backward
+SHAPE_ONLY_OPS = {
+    "add": lambda h, c: ad.add(h, c),
+    "sub": lambda h, c: ad.sub(c, h),
+    "reshape": lambda h, c: ad.reshape(h, (12,)) * c.value.reshape(12),
+    "transpose": lambda h, c: ad.transpose(h, (1, 0)) * c.value.T,
+    "reduce_sum": lambda h, c: ad.reduce_sum(h, axis=0) * c.value[0],
+    "reduce_mean": lambda h, c: ad.reduce_mean(h, axis=-1, keepdims=True) * c.value,
+    "tslice": lambda h, c: ad.tslice(h, (slice(None), [0, 2, 2])) * c.value[:, :3],
+}
+VALUE_OPS = {
+    "mul": lambda h, c: ad.mul(c, h),
+    "div": lambda h, c: ad.div(c, h),
+    "matmul": lambda h, c: ad.matmul(ad.swap_last2(c), h),
+    "relu": lambda h, c: ad.relu(h) * c.value,
+}
+
+
+@pytest.mark.parametrize("op", list(SHAPE_ONLY_OPS) + list(VALUE_OPS))
+def test_the_tape_keeps_only_what_backward_reads(op):
+    # h = x @ w feeds one op and is dropped; by references alone (no gc pass) its
+    # value goes with it unless the op's VJP reads it, and then goes at backward
+    rng = RNG(8)
+    x0, w0 = rng.uniform(0.5, 1.5, (3, 2)), rng.uniform(0.5, 1.5, (2, 4))
+    c = rng.uniform(0.5, 1.5, (3, 4))
+    fn = {**SHAPE_ONLY_OPS, **VALUE_OPS}[op]
+    x, w = ad.Tensor(x0, requires_grad=True), ad.Parameter(w0, "w")
+    gc.disable()
+    try:
+        h = ad.matmul(x, w)
+        value = weakref.ref(h.value)
+        loss = fn(h, ad.Tensor(c, requires_grad=op in VALUE_OPS)).sum()
+        del h
+        assert (value() is None) == (op in SHAPE_ONLY_OPS)
+        ad.backward(loss)
+        assert value() is None
+    finally:
+        gc.enable()
+    # the gradients are the central differences of the untracked forward
+    def f():
+        with ad.no_grad():
+            return float(fn(ad.matmul(ad.Tensor(x0), ad.Tensor(w0)), ad.Tensor(c)).sum().value)
+
+    for t, v in ((x, x0), (w, w0)):
+        np.testing.assert_allclose(t.grad, _fd_flat(f, v, 1e-6).reshape(v.shape), rtol=1e-6)
+
+
 def test_backward_through_a_released_tape_raises():
     x = ad.Tensor([-1.0, 0.5, 2.0], requires_grad=True)
     diff = ad.sub(ad.relu(x * 2.0), 1.0)
@@ -123,7 +173,7 @@ def test_no_grad_builds_no_graph():
     x = ad.Tensor([1.0], requires_grad=True)
     with ad.no_grad():
         y = x * x
-    assert not y.requires_grad and y._edges == ()
+    assert not y.requires_grad and y._node is None
 
 
 def test_no_grad_applies_to_its_own_thread_only():
@@ -282,7 +332,7 @@ def test_one_tracked_operand_gets_the_gradient_it_gets_with_both(op):
     def grads(track_a, track_b):
         ta, tb = ad.Tensor(a, requires_grad=track_a), ad.Tensor(b, requires_grad=track_b)
         out = fn(ta, tb)
-        assert [p for p, _ in out._edges] == [t for t in (ta, tb) if t.requires_grad]
+        assert [p for p, _ in out._node._edges] == [t for t in (ta, tb) if t.requires_grad]
         ad.backward((out * g).sum())
         return ta.grad, tb.grad
 

@@ -103,19 +103,41 @@ TAPE_SPECS = {
 }
 
 
+@pytest.fixture
+def made(monkeypatch):
+    """{id(node): (node, bytes of its output)} of every tape node the ops make
+    while the test runs; holding a node keeps no value alive."""
+    made, from_op = {}, ad._from_op
+
+    def recording(value, *edges):
+        out = from_op(value, *edges)
+        if out._node is not None:
+            made[id(out._node)] = (out._node, out.value.nbytes)
+        return out
+
+    monkeypatch.setattr(ad, "_from_op", recording)
+    return made
+
+
 def walk_tape(out):
-    """(node count, bytes) of the tracked non-leaf tensors out's tape reaches."""
-    nbytes, stack = {}, [out]
+    """The ids of the unreleased nodes out's tape reaches."""
+    seen, stack = set(), [out._node]
     while stack:
-        t = stack.pop()
-        if id(t) not in nbytes and t._edges:
-            nbytes[id(t)] = t.value.nbytes
-            stack.extend(parent for parent, _ in t._edges)
-    return len(nbytes), sum(nbytes.values())
+        node = stack.pop()
+        if node is not None and id(node) not in seen and node._edges:
+            seen.add(id(node))
+            stack.extend(parent for parent, _ in node._edges)
+    return seen
+
+
+def assert_counts_are_the_walk(counts, made, walked):
+    traced = sum(counts[f"autodiff.tape_bytes.{owner}"] for owner in spans.TAPE_OWNERS)
+    assert counts["autodiff.tape_nodes"] == len(made) and walked == made.keys()
+    assert traced == sum(nbytes for _, nbytes in made.values())
 
 
 @pytest.mark.parametrize("variant", VARIANTS)
-def test_traced_tape_counts_equal_a_walk_of_the_output_tape(variant):
+def test_traced_tape_counts_equal_a_walk_of_the_output_tape(variant, made):
     spec = ModelSpec(variant=variant, T=16, L=6, D=3, **TAPE_SPECS.get(variant, {}))
     model = ForecastModel(spec, seed=0)
     rng = np.random.default_rng(1)
@@ -124,12 +146,10 @@ def test_traced_tape_counts_equal_a_walk_of_the_output_tape(variant):
     X = rng.standard_normal((2, 3, 16))
     with spans.Tracer() as tracer:
         y = model.forward(X)
-    counts = tracer.metrics()
-    traced = sum(counts[f"autodiff.tape_bytes.{owner}"] for owner in spans.TAPE_OWNERS)
-    assert (counts["autodiff.tape_nodes"], traced) == walk_tape(y)
+    assert_counts_are_the_walk(tracer.metrics(), made, walk_tape(y))
 
 
-def test_traced_backward_releases_the_tape_the_tracer_counted():
+def test_traced_backward_releases_the_tape_the_tracer_counted(made):
     model = ForecastModel(ModelSpec(variant="fbm-s", T=16, L=6, D=3, **TAPE_SPECS["fbm-s"]), seed=0)
     rng = np.random.default_rng(1)
     for p in model.params:
@@ -140,7 +160,5 @@ def test_traced_backward_releases_the_tape_the_tracer_counted():
         loss = (diff * diff).mean()
         before = walk_tape(loss)
         ad.backward(loss, model.params)
-    counts = tracer.metrics()
-    traced = sum(counts[f"autodiff.tape_bytes.{owner}"] for owner in spans.TAPE_OWNERS)
-    assert (counts["autodiff.tape_nodes"], traced) == before
-    assert walk_tape(loss) == (0, 0)  # no tracked non-leaf node is left
+    assert_counts_are_the_walk(tracer.metrics(), made, before)
+    assert walk_tape(loss) == set()  # no unreleased node is left

@@ -310,6 +310,24 @@ def test_eval_wrong_channel_count_exits_1(capsys, tmp_path, periodic_csv):
     assert "D=1" in err and "D=2" in err
 
 
+def test_eval_reads_no_weight_before_the_data_and_its_channel_count(capsys, monkeypatch,
+                                                                    tmp_path, periodic_csv):
+    checkpoint = tmp_path / "model.fbm"
+    ForecastModel(ModelSpec(variant="fbm-l", T=48, L=12, D=1)).save(checkpoint)
+
+    def no_weights(path):
+        raise AssertionError(f"weights of {path} read")
+
+    monkeypatch.setattr(ad, "load_tensors", no_weights)
+    two = write_series(tmp_path / "two.csv", np.vstack([np.cos(np.arange(800) / 7)] * 2),
+                       header="u,v")
+    for data, code, message in ((str(tmp_path / "missing.csv"), 2, "missing.csv"),
+                                (two, 1, "dataset has D=2 channels, checkpoint expects D=1")):
+        rc, stdout, err = run(capsys, "eval", "--checkpoint", str(checkpoint), "--data", data)
+        assert rc == code and stdout == ""
+        assert err.startswith("fbm: error: ") and err.count("\n") == 1 and message in err
+
+
 def test_eval_predictions_export(capsys, tmp_path, periodic_csv):
     out, _ = train_tiny(capsys, tmp_path, periodic_csv)
     preds = tmp_path / "preds.csv"
