@@ -99,7 +99,7 @@ class Tensor:
     def grad(self, g):
         self._grad = g
 
-    # read off the array held, so a GridWeight's take no sync
+    # read off the array held, so a GridWeight's fold no steps
     @property
     def shape(self):
         return Tensor.value.__get__(self).shape
@@ -162,8 +162,10 @@ class Tensor:
 class Parameter(Tensor):
     """Trainable leaf tensor with its Adam state riding along, made by its first
     update: the moments m and v, shaped like the value. It owns its value when
-    no caller holds that array (one _init_weight drew, or a copy _own made);
-    Adam writes the array _own returns, the value itself only when it is owned."""
+    no caller holds that array (one _init_weight drew, a record a load read, or a
+    copy _own made); Adam writes the array _own returns, the value itself only
+    when it is owned. snapshot() and restore() take its state and bring it back;
+    settle() makes a forward read what a model loaded from the value reads."""
 
     __slots__ = ("name", "m", "v", "step", "_owns")
 
@@ -194,6 +196,18 @@ class Parameter(Tensor):
             self._owns = True
         return w
 
+    def settle(self):
+        """Make a forward read what a model loaded from the value reads: nothing to do
+        but for a GridWeight."""
+
+    def snapshot(self):
+        """The state restore() brings back: a copy of the value (a GridWeight's is its steps)."""
+        return Tensor.value.__get__(self).copy()
+
+    def restore(self, state):
+        """Bring back the value a snapshot() copied, bit for bit, writing the owned array."""
+        np.copyto(self._own(), state)
+
 
 class GridWeight(Parameter):
     """A grid weight w[K, T, width] and the constant rows[K, c, T] that multiply it
@@ -218,28 +232,33 @@ class GridWeight(Parameter):
     read back a block of rows at a time, v clamped at 0 (it can cancel slightly
     below), and take adam_step's step s from them.
 
-    From its first Adam step until .value is assigned it is held: as w_s, its
-    value at its last sync, read-only; delta, the sum of its steps since then,
-    one [h, width] array per bin; and matmul's table, rows @ the value. A step s
-    is subtracted from delta, and (T/h) rows[k, :, :h] @ s from a copy of the
-    table: rows @ tile(s) exactly in real arithmetic, as the rows repeat (and
-    fold) with the steps. The copy, read-only, replaces the table, so a product a
-    forward returned is never written. Reading .value syncs a stepped weight: it
-    adds tile(delta) to w_s in place (the second half-period of a folding bin
-    takes -delta), zeroes delta, rebuilds the table as rows @ w_s and returns w_s,
-    still read-only, so a write through it, or through a view made of it since
-    the first step, raises (a view made before then keeps its own flag). Assigning
-    .value is how to change a trained weight: it drops delta and the table. A
-    forward only reads.
+    From its first Adam step, or its load, until .value is assigned it is held:
+    as w0, its base (the value it was drawn, loaded or assigned with, or last
+    folded into), owned and read-only; D, the sum of every step since w0, one
+    [h, width] array per bin, made at the first step after w0; and matmul's
+    table, rows @ the value. A step s is subtracted from D, and
+    (T/h) rows[k, :, :h] @ s from a copy of the table: rows @ tile(s) exactly in
+    real arithmetic, as the rows repeat (and fold) with the steps. The copy,
+    read-only, replaces the table, so a product a forward returned is never
+    written. settle() rebuilds the table bin by bin as rows[k] @ (w0[k] + tile(D[k]))
+    through one [T, width] buffer (the second half-period of a folding bin takes
+    -D[k]): bit for bit np.matmul(rows, value), the table a model loaded from the
+    value builds. Reading .value folds: w0 += tile(D) in place, the same bits as
+    the buffer's sum, and D goes. w0 stays read-only, so a write through it, or
+    through a view made of it since the first step, raises (a view made before
+    then keeps its own flag). snapshot() is a copy of D; restore() copies it back
+    and rebuilds the table, so the weight stays held. A snapshot taken before a
+    fold, or before .value was assigned, was taken of another w0, and restoring
+    it raises. Assigning .value is how to change a trained weight: it drops D and
+    the table. A forward only reads.
 
     Not bitwise dense Adam: where a gradient entry is small next to its per-bin
-    terms, v's cancellation moves its step; over several steps between syncs the
-    value takes one rounding per sync instead of one per step (delta starts at
-    zero after a sync, so a single step gives w_s + (0 - s), bitwise w_s - s); and
-    the table between syncs takes one per step, so it is rows @ the value only
-    within roundoff."""
+    terms, v's cancellation moves its step; the value takes one rounding per fold
+    instead of one per step (D starts at zero, so a single step gives
+    w0 + (0 - s), bitwise w0 - s); and the table between rebuilds takes one per
+    step, so it is rows @ the value only within roundoff."""
 
-    __slots__ = ("rows", "factors", "_table", "_delta", "_stepped")
+    __slots__ = ("rows", "factors", "_table", "_delta", "_stepped", "_base")
 
     def __init__(self, value, name, rows):
         super().__init__(value, name)
@@ -250,7 +269,7 @@ class GridWeight(Parameter):
 
     @property
     def value(self):
-        self._sync()
+        self._fold()
         return Tensor.value.__get__(self)
 
     @value.setter
@@ -258,6 +277,7 @@ class GridWeight(Parameter):
         Parameter.value.fset(self, value)
         self._table = self._delta = None
         self._stepped = False
+        self._base = object()  # names this w0 in a snapshot
 
     @property
     def grad(self):
@@ -274,42 +294,80 @@ class GridWeight(Parameter):
         """rows @ the value: the held table, or the product itself while not held."""
         return np.matmul(self.rows, Tensor.value.__get__(self)) if self._table is None else self._table
 
-    def _sync(self):
-        """Fold delta into w_s and rebuild the table, if a step came since the last sync."""
-        if not self._stepped:
+    def settle(self):
+        """Hold the weight: w0 the owned C-order array _own returns, read-only, and the
+        table rebuilt if it is not held or a step came since it was built."""
+        if self._table is None:
+            self._own().flags.writeable = False
+        elif not self._stepped:
+            return
+        self._rebuild()
+
+    def snapshot(self):
+        """The state restore() brings back: w0's name and a copy of D."""
+        return self._base, None if self._delta is None else [d.copy() for d in self._delta]
+
+    def restore(self, state):
+        """Bring back D from a snapshot() of this w0, then settle."""
+        base, delta = state
+        if base is not self._base:
+            raise ValueError(f"grid weight {self.name}'s base was folded or assigned since this snapshot")
+        if delta is None or self._delta is None:
+            self._delta = None if delta is None else [d.copy() for d in delta]
+        else:
+            for d, s in zip(self._delta, delta):
+                np.copyto(d, s)
+        self._stepped = True
+        self.settle()
+
+    def _add_steps(self, x, k):
+        """x[T, width] += tile(D[k]), the second half-period of a folding bin taking -D[k]."""
+        d = self._delta[k]
+        P = self.factors[2][k]
+        x = x.reshape(len(x) // P, P // len(d), *d.shape)  # [period, half, row, column]
+        x[:, 0] += d
+        x[:, 1:] -= d  # empty unless the bin folds
+
+    def _fold(self):
+        """w0 += tile(D) in place, after which D goes and w0 is a new base."""
+        if self._delta is None:
             return
         w = Tensor.value.__get__(self)
         w.flags.writeable = True
-        T = self.shape[1]
-        for k, (d, P) in enumerate(zip(self._delta, self.factors[2])):
-            x = w[k].reshape(T // P, P // len(d), *d.shape)  # [period, half, row, column]
-            x[:, 0] += d
-            x[:, 1:] -= d  # empty unless the bin folds
-            d.fill(0.0)
-        self._stepped = False
-        self._hold()
-
-    def _hold(self):
-        """Hold the value as w_s, the owned C-order array _own returns, read-only, with
-        the table rows @ w_s and delta arrays made zero."""
-        w = self._own()
+        for k in range(len(w)):
+            self._add_steps(w[k], k)
         w.flags.writeable = False
+        self._delta, self._base = None, object()
+        if self._stepped:
+            self._rebuild()
+
+    def _rebuild(self):
+        """The table rows @ (w0 + tile(D)), bin by bin through one [T, width] buffer."""
+        w = Tensor.value.__get__(self)
         if self._delta is None:
-            _, _, periods, folded = self.factors
-            self._delta = [np.zeros((h, self.shape[-1])) for h in np.where(folded, periods // 2, periods)]
-        self._table = np.matmul(self.rows, w)
-        self._table.flags.writeable = False
+            table = np.matmul(self.rows, w)
+        else:
+            table, buf = np.empty(self.rows.shape[:2] + w.shape[-1:]), np.empty(w.shape[1:])
+            for k in range(len(w)):
+                np.copyto(buf, w[k])
+                self._add_steps(buf, k)
+                np.matmul(self.rows[k], buf, out=table[k])
+        table.flags.writeable = False
+        self._table, self._stepped = table, False
 
     def _adam_factored(self, step, eps):
         """Adam's update from the g of its per-bin gradient: A and Q from g, then bin by bin
         over its first h rows in ceil(h / n) near-equal blocks of at most n rows, about a
         chunk (1 if a row is wider): step m and v read back into its own [2, n, width]
         buffer, the step s = step m / (sqrt(v) + eps') as _adam_chunks takes it subtracted
-        from delta, and (T/h) rows @ s from a copy of the table, which then replaces it."""
+        from D, and (T/h) rows @ s from a copy of the table, which then replaces it."""
         if self.factors is None:
             self.factors = _moment_factors(self.rows)
         if self._table is None:
-            self._hold()
+            self.settle()
+        if self._delta is None:
+            _, _, periods, folded = self.factors
+            self._delta = [np.zeros((h, self.shape[-1])) for h in np.where(folded, periods // 2, periods)]
         rows_t, R2 = self.factors[:2]
         g = self._grad
         i, j = np.triu_indices(g.shape[1])
@@ -831,14 +889,14 @@ def save_tensors(path, named, header=None):
         f.write(struct.pack("<I", len(hbytes)))
         f.write(hbytes)
         for name, arr in named:
-            arr = np.ascontiguousarray(arr, dtype=np.float64)
+            arr = np.ascontiguousarray(arr, dtype="<f8")  # the byte order _read reads
             nb = name.encode("utf-8")
             f.write(struct.pack("<I", len(nb)))
             f.write(nb)
             f.write(struct.pack("<I", arr.ndim))
             if arr.ndim:
                 f.write(struct.pack(f"<{arr.ndim}I", *arr.shape))
-            f.write(arr.tobytes())
+            f.write(arr.data)  # from the array's own buffer, not a copy of it
 
 
 def _read(path):

@@ -250,8 +250,8 @@ class GridLinear(Layer):
     weights w[K, T, width], no bias. On the spectrum it is coef @ (rows @ w), one
     z @ M GEMM; w is a GridWeight built with those rows, which the grid must hold.
     The table rows @ w comes from the weight as it holds itself while training
-    (its value at the last sync and the sum of its steps since), so no step
-    passes over the whole weight."""
+    (its base and the sum of its steps since), so no step passes over the whole
+    weight."""
 
     def __init__(self, rng, rows, width, name):
         K, _, T = rows.shape

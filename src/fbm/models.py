@@ -383,6 +383,8 @@ class ForecastModel:
                     f"parameter {p.name}{p.shape}"
                 )
             p.value = arr
+            p._owns = True  # no caller holds a record, so the first step writes it in place
+            p.settle()  # a grid weight is held: its table built once, its steps left to the first step
         return model
 
 

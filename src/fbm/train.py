@@ -1,9 +1,10 @@
 """Training loop, metrics, and the two synthetic diagnostic tasks.
 
 train() is plain Adam on MSE with best-val early stopping: evaluate the
-validation split after every epoch, keep a copy of the best parameters,
-stop after `patience` epochs without improvement, restore the best copy
-unless the model holds it, and only then touch the test split (exactly once).
+validation split after every epoch, snapshot each parameter's state at the
+best epoch (a grid weight's is its sum of steps, not its value), stop after
+`patience` epochs without improvement, restore the snapshot unless the model
+holds it, and only then touch the test split (exactly once).
 
 The synthetic generators exercise the two failure modes of frequency-only
 mappings: case 1 pairs each input window with a continuation that starts
@@ -16,6 +17,8 @@ from __future__ import annotations
 
 import json
 import math
+import resource
+import sys
 import time
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
@@ -121,6 +124,12 @@ def _in_order(pool, fn, items, depth):
         yield pending.popleft().result()
 
 
+def _peak_rss_mb():
+    """The process's peak resident set so far, in MiB; getrusage gives KiB on Linux, bytes on macOS."""
+    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    return peak / (2**20 if sys.platform == "darwin" else 2**10)
+
+
 def _epoch_seed(seed, epoch):
     return seed * 1_000_003 + epoch
 
@@ -159,7 +168,8 @@ def train(model, source, cfg, log=None, eval_threads=1):
             n += diff.value.size
             windows += len(batch.X)
         train_mse = sq / max(n, 1)
-        values = [p.value for p in model.params]  # a grid weight's read folds its steps in for validation
+        for p in model.params:  # validation reads each table as a model loaded from the value builds it
+            p.settle()
 
         val_start = time.perf_counter()
         try:
@@ -171,7 +181,7 @@ def train(model, source, cfg, log=None, eval_threads=1):
         report.epochs.append({
             "epoch": epoch, "train_mse": train_mse, "val_mse": val_mse, "val_mae": val_mae,
             "seconds": seconds, "train_windows_per_s": windows / (seconds - eval_seconds),
-            "eval_seconds": eval_seconds,
+            "eval_seconds": eval_seconds, "peak_rss_mb": _peak_rss_mb(),
         })
         if log:
             log(
@@ -180,21 +190,20 @@ def train(model, source, cfg, log=None, eval_threads=1):
             )
         if val_mse < best_val:
             best_val = val_mse
-            if best_state is None:  # then refreshed in place: two snapshots are never alive at once
-                best_state = [np.empty(v.shape) for v in values]
-            for b, v in zip(best_state, values):
-                np.copyto(b, v)
+            best_state = None  # two snapshots are never alive at once
+            best_state = [p.snapshot() for p in model.params]
             bad_epochs = 0
         else:
             bad_epochs += 1
-        values = b = v = None  # no name here keeps a trained array or the snapshot alive
         if bad_epochs >= cfg.patience:
             break
 
-    if bad_epochs:  # else the last epoch was the best: its arrays stay, held, and the snapshot goes
-        for p, v in zip(model.params, best_state):
-            p.value = v
-    best_state = None
+    if bad_epochs:  # else the model holds the last epoch's state, the best
+        for p, state in zip(model.params, best_state):
+            p.restore(state)
+    best_state = state = None  # no name keeps a snapshot alive through the test pass
+    for p in model.params:
+        p.value  # a grid weight's read folds its sum of steps into its base, once, in place
     try:
         test_mse, test_mae = evaluate(model, source.test_batches(), eval_threads)
     except NumericError as e:

@@ -871,7 +871,7 @@ def test_folded_adam_steps_as_reading_back_every_row(width):
     for t in range(1, 5):
         gM = rng.standard_normal((K, 2, width)) * 10.0 ** rng.uniform(-3, 3, (K, 2, 1))
         ad.backward(_per_bin_loss(rows, p, gM))
-        x = p.value.copy()  # a sync between steps: then w_s + (0 - s) is w_s - s, bit for bit
+        x = p.value.copy()  # a fold between steps: then w0 + (0 - s) is w0 - s, bit for bit
         ad.adam_step([p], 1e-2)
         assert p.factors[2].min() == 2  # the Nyquist bin
         assert p.factors[3].any()  # and bins that fold by sign
@@ -943,7 +943,7 @@ def test_a_drawn_weight_keeps_its_buffer_through_step_1():
     lin.w.grad = rng.standard_normal((4, 3))
     ad.backward(_per_bin_loss(rows, grid, rng.standard_normal((8, 2, 3))))
     ad.adam_step([lin.w, grid], 0.01)
-    assert lin.w.value is drawn[0] and grid.value is drawn[1]  # the grid weight's first sync: in place
+    assert lin.w.value is drawn[0] and grid.value is drawn[1]  # the grid weight's first fold: in place
     assert all(np.all(a != b) for a, b in zip(drawn, before))
     undrawn = ad._init_weight(ad._UNDRAWN, (4, 3), 4, "u")  # a read-only view: copied
     undrawn.grad = np.ones((4, 3))
@@ -1159,6 +1159,22 @@ def test_container_load_holds_one_copy_of_a_record(tmp_path):
         tracemalloc.stop()
     assert w.dtype == np.float64 and w.flags.writeable and np.all(w == 1.0)
     assert peak <= 1.1 * w.nbytes
+
+
+def test_container_save_holds_no_copy_of_a_record(tmp_path):
+    # each record is written from its array's own buffer, little-endian as read
+    w = np.ones(2**20)
+    tracemalloc.start()
+    try:
+        ad.save_tensors(tmp_path / "big.fbm", [("w", w)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.2 * w.nbytes
+    swapped = np.arange(6.0).reshape(2, 3).astype(">f8")
+    ad.save_tensors(tmp_path / "swapped.fbm", [("w", w), ("s", swapped)])
+    _, [(_, back), (_, s)] = ad.load_tensors(tmp_path / "swapped.fbm")
+    assert back.tobytes() == w.tobytes() and np.array_equal(s, swapped)
 
 
 def test_container_shape_whose_count_overflows_int64_is_truncated(tmp_path):

@@ -396,19 +396,19 @@ def test_grid_weight_per_bin_gradient_gradcheck(variant, weight):
     assert param_grad_err(make_loss, [w]) < 1e-4
 
 
-# --- a grid weight held as its synced value plus the sum of its steps ----------------
+# --- a grid weight held as its base plus the sum of its steps ------------------------
 
 ULP = np.finfo(np.float64).eps
-# The held table (rows @ w_s less each step's (T/h) rows @ s) stayed within
+# The held table (rows @ w0 less each step's (T/h) rows @ s) stayed within
 # 1.7e-15 * max|table| of rows @ the materialized value after 40 steps (seeds 0-1),
 # and 2.5e-15 after 300; that value stayed within 5.9 and 15.3 ulp of max|w| of
-# the path that syncs after every step.
+# the path that folds after every step.
 HELD_TABLE = 1e-14
 
 
 def _train_steps(model, batches, steps, lr=1e-2, weights=()):
     # plain train steps; each weight in `weights` takes linear.w's per-bin g and
-    # syncs after every step (reading .value): the per-step path
+    # folds after every step (reading .value): the per-step path
     w = model.params[0]
     for t in range(steps):
         batch = batches[t % len(batches)]
@@ -429,16 +429,16 @@ def test_held_grid_weight_tracks_the_per_step_path(steps):
     (w,) = model.params
     twin = ad.GridWeight(w.value.copy(), "twin", w.rows)
     _train_steps(model, list(make_case1(0, windows=200, batch_size=32).train_batches(0)), steps, weights=[twin])
-    assert w._stepped  # held, with every step in delta
+    assert w._stepped  # held, with every step in D
     with ad.no_grad():
         held = ad.matmul(ad.Tensor(w.rows), w).value
-    assert w._stepped  # a forward syncs nothing
+    assert w._stepped  # a forward folds nothing
     value = w.value
     direct = np.matmul(w.rows, value)
     assert np.abs(held - direct).max() <= HELD_TABLE * np.abs(direct).max()
     per_step = twin.value
     assert np.abs(value - per_step).max() <= steps * ULP * np.abs(per_step).max()
-    assert not np.array_equal(value, per_step)  # one rounding per sync is not one per step
+    assert not np.array_equal(value, per_step)  # one rounding per fold is not one per step
 
 
 def _grid_weight_of(model):
@@ -487,7 +487,7 @@ def test_a_held_grid_weight_refuses_writes_through_an_earlier_read():
     _train_steps(model, [batch], 1)
     with pytest.raises(ValueError, match="read-only"):
         early[0, 0, 0] = 1.0
-    assert w.value is early  # a read syncs in place; the drawn array was never copied
+    assert w.value is early  # a read folds in place; the drawn array was never copied
     with pytest.raises(ValueError, match="read-only"):  # and the weight stays held
         early[0, 0, 0] = 1.0
 
@@ -547,6 +547,46 @@ def test_assigning_a_grid_weights_value_drops_its_steps():
         assert model.forward(X).value.tobytes() == twin.forward(X).value.tobytes()
     _train_steps(model, [batch], 1)  # steps on from the assigned value, never writing it
     assert w.value is not new and new.tobytes() == kept.tobytes()  # the caller's array: copied first
+
+
+@pytest.mark.parametrize("variant", ["fbm-l", "fbm-nl"])
+def test_a_restore_gives_the_snapshot_steps_value_bit_for_bit(variant):
+    # twins take the same steps; one snapshots after 2, steps on, restores, steps on
+    # and restores again, the other reads its value after 2: the same bits, and the
+    # restored grid weight is held, its table rows @ that value
+    rng = np.random.default_rng(19)
+    batch = WindowBatch(X=windows(rng), Y=rng.standard_normal((4, 3, 6)), starts=np.arange(4))
+    model, twin = ForecastModel(small_spec(variant), seed=0), ForecastModel(small_spec(variant), seed=0)
+    _train_steps(model, [batch], 2)
+    _train_steps(twin, [batch], 2)
+    states = [p.snapshot() for p in model.params]
+    for _ in range(2):
+        _train_steps(model, [batch], 3)
+        for p, state in zip(model.params, states):
+            p.restore(state)
+    w = _grid_weight_of(model)
+    assert w._delta is not None and not w._stepped  # held with the snapshot's steps, table rebuilt
+    for p, q in zip(model.params, twin.params):
+        assert p.value.tobytes() == q.value.tobytes(), p.name
+    assert w._table.tobytes() == np.matmul(w.rows, w.value).tobytes()
+
+
+def test_restoring_a_snapshot_of_another_base_raises():
+    # the steps a snapshot holds are relative to the base it was taken of, which a
+    # fold (a .value read) or an assignment replaces
+    model, batch = _fbm_l_and_batch()
+    w = model.params[0]
+    _train_steps(model, [batch], 2)
+    state = w.snapshot()
+    folded = w.value.copy()
+    with pytest.raises(ValueError, match="folded or assigned since this snapshot"):
+        w.restore(state)
+    _train_steps(model, [batch], 1)
+    state = w.snapshot()
+    w.value = folded
+    with pytest.raises(ValueError, match="folded or assigned since this snapshot"):
+        w.restore(state)
+    assert w.value is folded
 
 
 def test_evaluate_is_the_same_with_two_threads_mid_training():
@@ -815,6 +855,46 @@ def test_loading_a_checkpoint_holds_one_copy_of_the_weights(tmp_path):
         tracemalloc.stop()
     assert peak <= 1.2 * w.value.nbytes
     assert restored.params[0].value.tobytes() == w.value.tobytes()
+
+
+@pytest.mark.parametrize("variant", ["fbm-l", "fbm-nl"])
+def test_a_loaded_grid_weight_is_held_with_the_table_of_its_value(tmp_path, variant):
+    # the table is built once, at the load, from the record itself; the steps and
+    # the period scan wait for a first step
+    model = ForecastModel(small_spec(variant), seed=0)
+    rng = np.random.default_rng(17)
+    X = windows(rng)
+    _train_steps(model, [WindowBatch(X=X, Y=rng.standard_normal((4, 3, 6)), starts=np.arange(4))], 2)
+    model.save(tmp_path / "model.fbm")
+    loaded = ForecastModel.load(tmp_path / "model.fbm")
+    w = _grid_weight_of(loaded)
+    assert w._table is not None and w._delta is None and w.factors is None
+    assert not ad.Tensor.value.__get__(w).flags.writeable
+    assert w._table.tobytes() == np.matmul(w.rows, w.value).tobytes()
+    assert loaded.predict(X).tobytes() == model.predict(X).tobytes()
+
+
+def test_the_first_step_after_a_load_writes_the_records_in_place(tmp_path):
+    # no caller holds a loaded record: Adam steps each one where it lies, and the
+    # step's own arrays (the grid weight's steps, its period scan, the moments)
+    # stay below half the weights
+    spec = ModelSpec(variant="fbm-nl", T=96, L=24, D=1, nl_h1=128, nl_h2=8)
+    ForecastModel(spec, seed=0).save(tmp_path / "model.fbm")
+    loaded = ForecastModel.load(tmp_path / "model.fbm")
+    rng = np.random.default_rng(18)
+    X = rng.standard_normal((4, 1, 96))
+    diff = ad.sub(loaded.forward(X), ad.Tensor(rng.standard_normal((4, 1, 24))))
+    ad.backward((diff * diff).mean(), loaded.params)
+    del diff
+    records = [ad.Tensor.value.__get__(p) for p in loaded.params]
+    tracemalloc.start()
+    try:
+        ad.adam_step(loaded.params, 1e-3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert all(ad.Tensor.value.__get__(p) is a for p, a in zip(loaded.params, records))
+    assert peak < 0.5 * sum(a.nbytes for a in records)
 
 
 @pytest.mark.parametrize("variant", VARIANTS)

@@ -2,6 +2,8 @@
 
 import csv
 import json
+import resource
+import sys
 import tracemalloc
 import weakref
 
@@ -180,12 +182,14 @@ def test_threaded_evaluate_keeps_few_batches_in_flight():
 # --- train loop -----------------------------------------------------------------------
 
 
-# the wall-clock fields of each report.json epoch entry
+# the wall-clock fields of each report.json epoch entry, and the one measured
+# field that is not a time
 TIME_FIELDS = ("seconds", "train_windows_per_s", "eval_seconds")
+MEASURED_FIELDS = TIME_FIELDS + ("peak_rss_mb",)
 
 
 def _untimed(epochs):
-    return [{k: v for k, v in e.items() if k not in TIME_FIELDS} for e in epochs]
+    return [{k: v for k, v in e.items() if k not in MEASURED_FIELDS} for e in epochs]
 
 
 def tiny_task(seed=0, windows=64, T=32, L=8, batch_size=16):
@@ -204,21 +208,41 @@ def test_lr_zero_keeps_parameters():
     assert vals.count(vals[0]) == 3
 
 
+def _folded_value(w):
+    # w0 + tile(D), as a read of w.value folds it, taken on a copy: w is not folded
+    twin = ad.GridWeight(ad.Tensor.value.__get__(w).copy(), "twin", w.rows)
+    twin._delta, twin.factors = w._delta, w.factors
+    return twin.value
+
+
 def test_validation_reads_each_grid_weight_synced():
-    # the epoch's steps are folded into the value before validation, whose table
-    # is then rows @ that value, as a model holding it evaluates it
+    # at each epoch end the table is rebuilt from the base and the steps, bit for
+    # bit rows @ the value a fold gives, so validation reads the table a model
+    # loaded from that value builds; the steps are folded in once, after training
     src = tiny_task()
     model = ForecastModel(ModelSpec(variant="fbm-l", T=32, L=8, D=1), seed=1)
-    cfg = TrainConfig(T=32, L=8, epochs=1, patience=1, lr=1e-2, batch_size=16, seed=0)
-    _, report = train(model, src, cfg)
+    w, tables = model.params[0], []
+
+    class Watched:
+        def __getattr__(self, name):
+            return getattr(src, name)
+
+        def val_batches(self):
+            tables.append((w._table.tobytes(), np.matmul(w.rows, _folded_value(w)).tobytes(), w._delta))
+            return src.val_batches()
+
+    cfg = TrainConfig(T=32, L=8, epochs=3, patience=3, lr=1e-2, batch_size=16, seed=0)
+    _, report = train(model, Watched(), cfg)
+    assert len(tables) == 3 and all(held == want and delta is not None for held, want, delta in tables)
+    best = min(range(3), key=lambda e: report.epochs[e]["val_mse"])
     again = ForecastModel(model.spec, seed=0)
     again.params[0].value = model.params[0].value.copy()
-    assert report.epochs[0]["val_mse"] == evaluate(again, src.val_batches())[0]
+    assert report.epochs[best]["val_mse"] == evaluate(again, src.val_batches())[0]
 
 
 def test_the_best_state_snapshot_keeps_each_grid_weight_held():
-    # epoch 1 always improves, so its snapshot reads every value; epoch 2's steps
-    # then start from the table the epoch-end sync built
+    # epoch 1 always improves, so its snapshot copies the weight's steps; epoch 2's
+    # steps then start from the table the epoch-end settle() rebuilt
     src = tiny_task()
     model = ForecastModel(ModelSpec(variant="fbm-l", T=32, L=8, D=1), seed=1)
     w = model.params[0]
@@ -248,9 +272,9 @@ def _worsening_task():
 
 @pytest.mark.parametrize("last_is_best", [True, False], ids=["last-epoch-best", "earlier-best"])
 def test_train_keeps_one_array_per_weight_through_the_test_pass(monkeypatch, last_is_best):
-    # the best state is the last epoch's trained arrays, which the grid weight keeps
-    # held while the snapshot goes, or the snapshot, restored by assignment, while
-    # nothing holds the array the grid weight was trained in
+    # the grid weight is trained in one array, its base, and comes to the test pass
+    # held, whether or not its best state was restored: the snapshots of its steps
+    # are gone, and its steps are folded into that array
     if last_is_best:
         src, T, model_kw = tiny_task(T=16, L=8), 16, {"seed": 1}
         cfg = TrainConfig(T=16, L=8, epochs=3, patience=3, lr=1e-2, batch_size=16, seed=0)
@@ -258,34 +282,56 @@ def test_train_keeps_one_array_per_weight_through_the_test_pass(monkeypatch, las
         src, T, model_kw = _worsening_task(), 32, {"seed": 2, "zero_weights": True}
         cfg = TrainConfig(T=32, L=8, epochs=50, patience=1, lr=0.01, batch_size=8, seed=0)
     model = ForecastModel(ModelSpec(variant="fbm-l", T=T, L=8, D=1), **model_kw)
-    w, trained, snapshots, seen = model.params[0], [], [], []
-    copyto = np.copyto
+    w, bases, snapshots, seen = model.params[0], [], [], []
+    snapshot = ad.GridWeight.snapshot
 
-    def watched_copyto(dst, value, *args, **kwargs):
-        if dst.shape == w.shape:
-            snapshots.append(weakref.ref(dst))
-        return copyto(dst, value, *args, **kwargs)
+    def watched_snapshot(self):
+        state = snapshot(self)
+        snapshots.extend(weakref.ref(d) for d in state[1])
+        return state
 
     class Watched:
         def __getattr__(self, name):
             return getattr(src, name)
 
         def test_batches(self):
-            alive = {id(a): a for a in (s() for s in snapshots) if a is not None}
-            seen.append((trained[-1](), list(alive.values()), w._table is not None))
+            alive = [d for d in (s() for s in snapshots) if d is not None]
+            seen.append((ad.Tensor.value.__get__(w), alive, w._delta, w._table is not None))
             return src.test_batches()
 
-    monkeypatch.setattr(np, "copyto", watched_copyto)
-    _, report = train(model, Watched(), cfg, log=lambda line: trained.append(weakref.ref(w.value)))
+    monkeypatch.setattr(ad.GridWeight, "snapshot", watched_snapshot)
+    # the log reads the array held, not .value, whose read would fold the steps
+    _, report = train(model, Watched(), cfg, log=lambda line: bases.append(ad.Tensor.value.__get__(w)))
     vals = [e["val_mse"] for e in report.epochs]
     assert (vals.index(min(vals)) == len(vals) - 1) == last_is_best
-    [(last, alive, held)] = seen
-    if last_is_best:
-        assert last is w.value and held
-        assert not alive, "the best state snapshot is still alive"
-    else:
-        assert last is None, "the trained grid weight is still alive"
-        assert len(alive) == 1 and alive[0] is w.value and not held
+    assert snapshots, "no snapshot of the grid weight's steps was taken"
+    [(base, alive, delta, held)] = seen
+    assert all(b is base for b in bases) and base is w.value
+    assert not alive, "a snapshot of the steps is still alive"
+    assert delta is None and held
+
+
+def test_an_early_stopped_run_keeps_its_grid_weights_held_through_the_test_pass():
+    # epoch 1 is the best: its steps are restored and the table rebuilt, so the
+    # test pass reads the table a model loaded from the value builds
+    src = _worsening_task()
+    model = ForecastModel(ModelSpec(variant="fbm-l", T=32, L=8, D=1), seed=2, zero_weights=True)
+    w, held = model.params[0], []
+
+    class Watched:
+        def __getattr__(self, name):
+            return getattr(src, name)
+
+        def test_batches(self):
+            held.append(w._table is not None)
+            return src.test_batches()
+
+    cfg = TrainConfig(T=32, L=8, epochs=50, patience=1, lr=0.01, batch_size=8, seed=0)
+    _, report = train(model, Watched(), cfg)
+    assert len(report.epochs) == 2 and held == [True]
+    again = ForecastModel(model.spec, seed=0)
+    again.params[0].value = w.value.copy()
+    assert report.test["mse"] == evaluate(again, src.test_batches())[0]
 
 
 def test_patience_one_on_worsening_val_stops_after_two_epochs():
@@ -444,7 +490,7 @@ def test_report_schema(tmp_path):
     report.save(path)
     doc = json.loads(path.read_text())
     assert set(doc) == {"config", "epochs", "test", "seconds"}
-    assert set(doc["epochs"][0]) == {"epoch", "train_mse", "val_mse", "val_mae"} | set(TIME_FIELDS)
+    assert set(doc["epochs"][0]) == {"epoch", "train_mse", "val_mse", "val_mae"} | set(MEASURED_FIELDS)
     assert set(doc["test"]) == {"mse", "mae"}
     assert doc["config"]["train"]["lr"] == 0.01
     assert doc["config"]["model"]["variant"] == "fbm-l"
@@ -487,6 +533,17 @@ def test_report_epochs_time_the_train_and_validation_passes():
         assert e["eval_seconds"] < e["seconds"]
         train_s = e["seconds"] - e["eval_seconds"]
         assert e["train_windows_per_s"] * train_s == pytest.approx(windows, rel=1e-12)
+
+
+def test_report_epochs_record_the_peak_rss():
+    src = tiny_task()
+    model = ForecastModel(ModelSpec(variant="fbm-l", T=32, L=8, D=1), seed=8)
+    cfg = TrainConfig(T=32, L=8, epochs=3, patience=3, lr=0.01, batch_size=16, seed=0)
+    _, report = train(model, src, cfg)
+    peaks = [e["peak_rss_mb"] for e in report.epochs]
+    assert len(peaks) == 3 and peaks[0] > 0 and peaks == sorted(peaks)
+    now = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss  # KiB, bytes on macOS
+    assert peaks[-1] <= now / (2**20 if sys.platform == "darwin" else 2**10)
 
 
 def test_export_predictions_roundtrip(tmp_path):
