@@ -312,11 +312,8 @@ class GridWeight(Parameter):
         base, delta = state
         if base is not self._base:
             raise ValueError(f"grid weight {self.name}'s base was folded or assigned since this snapshot")
-        if delta is None or self._delta is None:
-            self._delta = None if delta is None else [d.copy() for d in delta]
-        else:
-            for d, s in zip(self._delta, delta):
-                np.copyto(d, s)
+        self._delta = None  # let go first: no third sum of steps is alive during the copy
+        self._delta = None if delta is None else [d.copy() for d in delta]
         self._stepped = True
         self.settle()
 
@@ -889,7 +886,7 @@ def save_tensors(path, named, header=None):
         f.write(struct.pack("<I", len(hbytes)))
         f.write(hbytes)
         for name, arr in named:
-            arr = np.ascontiguousarray(arr, dtype="<f8")  # the byte order _read reads
+            arr = np.asarray(arr, dtype="<f8", order="C")  # the byte order _read reads; 0-d stays 0-d
             nb = name.encode("utf-8")
             f.write(struct.pack("<I", len(nb)))
             f.write(nb)

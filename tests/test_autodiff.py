@@ -1172,9 +1172,10 @@ def test_container_save_holds_no_copy_of_a_record(tmp_path):
         tracemalloc.stop()
     assert peak < 0.2 * w.nbytes
     swapped = np.arange(6.0).reshape(2, 3).astype(">f8")
-    ad.save_tensors(tmp_path / "swapped.fbm", [("w", w), ("s", swapped)])
-    _, [(_, back), (_, s)] = ad.load_tensors(tmp_path / "swapped.fbm")
+    ad.save_tensors(tmp_path / "swapped.fbm", [("w", w), ("s", swapped), ("0-d", np.array(3.0))])
+    _, [(_, back), (_, s), (_, scalar)] = ad.load_tensors(tmp_path / "swapped.fbm")
     assert back.tobytes() == w.tobytes() and np.array_equal(s, swapped)
+    assert scalar.shape == () and scalar == 3.0
 
 
 def test_container_shape_whose_count_overflows_int64_is_truncated(tmp_path):
