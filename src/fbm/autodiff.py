@@ -236,29 +236,30 @@ class GridWeight(Parameter):
     as w0, its base (the value it was drawn, loaded or assigned with, or last
     folded into), owned and read-only; D, the sum of every step since w0, one
     [h, width] array per bin, made at the first step after w0; and matmul's
-    table, rows @ the value. A step s is subtracted from D, and
+    table. The table is bit for bit np.matmul(rows, value) after settle(), and
+    within roundoff of it between settles. settle() builds it bin by bin as
+    rows[k] @ (w0[k] + tile(D[k])) through one [T, width] buffer (the second
+    half-period of a folding bin takes -D[k]); a step s is subtracted from D, and
     (T/h) rows[k, :, :h] @ s from a copy of the table: rows @ tile(s) exactly in
     real arithmetic, as the rows repeat (and fold) with the steps. The copy,
     read-only, replaces the table, so a product a forward returned is never
-    written. settle() rebuilds the table bin by bin as rows[k] @ (w0[k] + tile(D[k]))
-    through one [T, width] buffer (the second half-period of a folding bin takes
-    -D[k]): bit for bit np.matmul(rows, value), the table a model loaded from the
-    value builds. Reading .value folds: w0 += tile(D) in place, the same bits as
-    the buffer's sum, and D goes. w0 stays read-only, so a write through it, or
-    through a view made of it since the first step, raises (a view made before
-    then keeps its own flag). snapshot() is a copy of D; restore() copies it back
-    and rebuilds the table, so the weight stays held. A snapshot taken before a
-    fold, or before .value was assigned, was taken of another w0, and restoring
-    it raises. Assigning .value is how to change a trained weight: it drops D and
+    written. Reading .value folds: w0 += tile(D) in place, the same bits as the
+    buffer's sum, and D goes; a fold touches only w0 and D. w0 stays read-only,
+    so a write through it, or through a view made of it since the first step,
+    raises; an array .value returned before the weight was held is the caller's,
+    and the hold copies it. snapshot() is a copy of D; restore() copies it back
+    and settles, so the weight stays held. A snapshot taken before a fold, or
+    before .value was assigned, was taken of another w0, and restoring it
+    raises. Assigning .value is how to change a trained weight: it drops D and
     the table. A forward only reads.
 
     Not bitwise dense Adam: where a gradient entry is small next to its per-bin
     terms, v's cancellation moves its step; the value takes one rounding per fold
     instead of one per step (D starts at zero, so a single step gives
-    w0 + (0 - s), bitwise w0 - s); and the table between rebuilds takes one per
+    w0 + (0 - s), bitwise w0 - s); and the table between settles takes one per
     step, so it is rows @ the value only within roundoff."""
 
-    __slots__ = ("rows", "factors", "_table", "_delta", "_stepped", "_base")
+    __slots__ = ("rows", "factors", "_table", "_delta", "_base")
 
     def __init__(self, value, name, rows):
         super().__init__(value, name)
@@ -270,13 +271,13 @@ class GridWeight(Parameter):
     @property
     def value(self):
         self._fold()
+        self._owns &= self._table is not None  # handed out before the hold, which then copies it
         return Tensor.value.__get__(self)
 
     @value.setter
     def value(self, value):
         Parameter.value.fset(self, value)
         self._table = self._delta = None
-        self._stepped = False
         self._base = object()  # names this w0 in a snapshot
 
     @property
@@ -290,18 +291,21 @@ class GridWeight(Parameter):
             raise ValueError(f"grid weight {self.name} takes its gradient per bin, from matmul with its rows")
         self._grad = None
 
-    def _product(self):
-        """rows @ the value: the held table, or the product itself while not held."""
-        return np.matmul(self.rows, Tensor.value.__get__(self)) if self._table is None else self._table
-
     def settle(self):
-        """Hold the weight: w0 the owned C-order array _own returns, read-only, and the
-        table rebuilt if it is not held or a step came since it was built."""
-        if self._table is None:
-            self._own().flags.writeable = False
-        elif not self._stepped:
-            return
-        self._rebuild()
+        """Hold the weight, w0 the owned C-order array _own returns, read-only, and build
+        its table rows @ (w0 + tile(D)), bin by bin through one [T, width] buffer."""
+        w = self._own()
+        w.flags.writeable = False
+        if self._delta is None:
+            table = np.matmul(self.rows, w)
+        else:
+            table, buf = np.empty(self.rows.shape[:2] + w.shape[-1:]), np.empty(w.shape[1:])
+            for k in range(len(w)):
+                np.copyto(buf, w[k])
+                self._add_steps(buf, k)
+                np.matmul(self.rows[k], buf, out=table[k])
+        table.flags.writeable = False
+        self._table = table
 
     def snapshot(self):
         """The state restore() brings back: w0's name and a copy of D."""
@@ -314,7 +318,6 @@ class GridWeight(Parameter):
             raise ValueError(f"grid weight {self.name}'s base was folded or assigned since this snapshot")
         self._delta = None  # let go first: no third sum of steps is alive during the copy
         self._delta = None if delta is None else [d.copy() for d in delta]
-        self._stepped = True
         self.settle()
 
     def _add_steps(self, x, k):
@@ -326,7 +329,7 @@ class GridWeight(Parameter):
         x[:, 1:] -= d  # empty unless the bin folds
 
     def _fold(self):
-        """w0 += tile(D) in place, after which D goes and w0 is a new base."""
+        """w0 += tile(D) in place, after which D goes and w0 is a new base; the table stays."""
         if self._delta is None:
             return
         w = Tensor.value.__get__(self)
@@ -335,22 +338,6 @@ class GridWeight(Parameter):
             self._add_steps(w[k], k)
         w.flags.writeable = False
         self._delta, self._base = None, object()
-        if self._stepped:
-            self._rebuild()
-
-    def _rebuild(self):
-        """The table rows @ (w0 + tile(D)), bin by bin through one [T, width] buffer."""
-        w = Tensor.value.__get__(self)
-        if self._delta is None:
-            table = np.matmul(self.rows, w)
-        else:
-            table, buf = np.empty(self.rows.shape[:2] + w.shape[-1:]), np.empty(w.shape[1:])
-            for k in range(len(w)):
-                np.copyto(buf, w[k])
-                self._add_steps(buf, k)
-                np.matmul(self.rows[k], buf, out=table[k])
-        table.flags.writeable = False
-        self._table, self._stepped = table, False
 
     def _adam_factored(self, step, eps):
         """Adam's update from the g of its per-bin gradient: A and Q from g, then bin by bin
@@ -391,7 +378,7 @@ class GridWeight(Parameter):
                 delta -= np.divide(m, v, out=m)  # m is the step from here
                 table[k] -= (T // h) * np.matmul(self.rows[k, :, rows], m)
         table.flags.writeable = False
-        self._table, self._stepped = table, True
+        self._table = table
 
 
 def _as_tensor(x):
@@ -501,14 +488,15 @@ def matmul(a, b):
     b[k, m] folds a's leading axes into its rows, so the forward and each
     gradient are one 2-D GEMM, which BLAS may sum in another order than
     np.matmul's per-matrix loop (equal at roundoff). A GridWeight b is taken
-    after its own constant rows alone: the output is its table, held or built
-    (GridWeight._product), never written afterwards, and b gets the output's
+    after its own constant rows alone: the output is its held table (rows @ w0
+    while it is not held), never written afterwards, and b gets the output's
     gradient as its per-bin g."""
     a, b = _as_tensor(a), _as_tensor(b)
     if isinstance(b, GridWeight):  # its table, from the weight as it holds itself
         if a.value is not b.rows or a.requires_grad:
             raise ValueError(f"grid weight {b.name} is multiplied by its own constant rows array only")
-        return _from_op(b._product(), (b, _per_bin))
+        table = np.matmul(b.rows, Tensor.value.__get__(b)) if b._table is None else b._table
+        return _from_op(table, (b, _per_bin))
     (av, sa), (bv, sb) = (a.value, a.shape), (b.value, b.shape)
     if av.ndim < 2 or bv.ndim < 2:
         raise ValueError("matmul expects tensors of rank >= 2")
@@ -728,7 +716,6 @@ def _moment_factors(rows):
     P - 1 are rows 0 to P/2 - 1 with the sign bit flipped, compared bin by bin (a
     +0.0 row, as Nyquist's sine, is not -0.0: no fold)."""
     K, c, T = rows.shape
-    i, j = np.triu_indices(c)
     rows_t = np.swapaxes(rows, -1, -2)
     # bitwise: -0.0 is not 0.0, and a NaN is itself; a C-order copy, as the compares
     # run several times faster over it than over the strided view
@@ -739,7 +726,14 @@ def _moment_factors(rows):
             periods[(bits[:, P:] == bits[:, :-P]).all(axis=(1, 2))] = P
     folded = np.array([P % 2 == 0 and np.array_equal(bits[k, P // 2 : P] ^ _SIGN_BIT, bits[k, : P // 2])
                        for k, P in enumerate(periods)], dtype=bool)
-    return rows_t, rows_t[..., i] * rows_t[..., j] * np.where(i < j, 2.0, 1.0), periods, folded
+    del bits  # R2 is built once the copy is gone, a column at a time with no temporary
+    R2 = np.empty((K, T, c * (c + 1) // 2))
+    for n, (i, j) in enumerate(zip(*np.triu_indices(c))):
+        for k in range(K):  # bin by bin: over the stack, numpy buffers the strided rows
+            np.multiply(rows_t[k, :, i], rows_t[k, :, j], out=R2[k, :, n])
+        if i < j:
+            R2[..., n] *= 2.0
+    return rows_t, R2, periods, folded
 
 
 def _adam_chunks(x, m, v, g, step, eps):

@@ -1,10 +1,12 @@
 """Training loop, metrics, and the two synthetic diagnostic tasks.
 
-train() is plain Adam on MSE with best-val early stopping: evaluate the
-validation split after every epoch, snapshot each parameter's state at the
-best epoch (a grid weight's is its sum of steps, not its value), stop after
-`patience` epochs without improvement, restore the snapshot unless the model
-holds it, and only then touch the test split (exactly once).
+train() is plain Adam on MSE with best-val early stopping: settle every
+parameter and evaluate the validation split after every epoch, snapshot each
+parameter's state at the best epoch (a grid weight's is its sum of steps, not
+its value), stop after `patience` epochs without improvement, restore the
+snapshot unless the model holds it, and only then touch the test split
+(exactly once), through the tables that epoch end or restore settled. A grid
+weight's steps stay unfolded until its first .value read (save makes one).
 
 The synthetic generators exercise the two failure modes of frequency-only
 mappings: case 1 pairs each input window with a continuation that starts
@@ -202,8 +204,6 @@ def train(model, source, cfg, log=None, eval_threads=1):
         for p, state in zip(model.params, best_state):
             p.restore(state)
     best_state = state = None  # no name keeps a snapshot alive through the test pass
-    for p in model.params:
-        p.value  # a grid weight's read folds its sum of steps into its base, once, in place
     try:
         test_mse, test_mae = evaluate(model, source.test_batches(), eval_threads)
     except NumericError as e:

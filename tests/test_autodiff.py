@@ -768,6 +768,29 @@ def test_a_bin_with_one_entry_changed_does_not_repeat(k, c, n, how):
     assert after[k] == T and np.array_equal(np.delete(after, k), np.delete(before, k))
 
 
+@pytest.mark.parametrize("rows", [basis_rows(T, T) for T in (16, 96, 336)] + [RNG(26).standard_normal((4, 3, 12))],
+                         ids=["T16", "T96", "T336", "c3"])
+def test_r2_is_each_pair_of_rows_multiplied_with_the_off_diagonal_doubled(rows):
+    # byte for byte the reference: the pairwise products as one expression
+    rows_t, R2 = _factors(rows)[:2]
+    i, j = np.triu_indices(rows.shape[1])
+    want = rows_t[..., i] * rows_t[..., j] * np.where(i < j, 2.0, 1.0)
+    assert R2.shape == want.shape and R2.tobytes() == want.tobytes()
+
+
+def test_the_moment_factors_peak_below_twice_the_rows():
+    # the int64 copy of the rows the period scan compares is gone before R2 is made,
+    # and R2 (1.5x the rows for c = 2) is written with no temporary
+    rows = basis_rows(192, 192)
+    tracemalloc.start()
+    try:
+        _factors(rows)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * rows.nbytes
+
+
 def test_random_rows_do_not_repeat():
     assert _periods(RNG(20).standard_normal((5, 2, 12))).tolist() == [12] * 5
 
@@ -938,7 +961,7 @@ def test_a_drawn_weight_keeps_its_buffer_through_step_1():
     lin = ad.Linear(rng, 4, 3, "l")
     rows = basis_rows(16, 16)
     grid = ad._init_weight(rng, (8, 16, 3), 128, "g", rows)
-    drawn = [lin.w.value, grid.value]
+    drawn = [lin.w.value, ad.Tensor.value.__get__(grid)]  # a .value read would hand the grid's out
     before = [a.copy() for a in drawn]
     lin.w.grad = rng.standard_normal((4, 3))
     ad.backward(_per_bin_loss(rows, grid, rng.standard_normal((8, 2, 3))))

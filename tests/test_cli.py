@@ -199,26 +199,35 @@ def test_train_with_a_non_finite_test_metric_exits_3_writing_nothing(capsys, tmp
     assert not out.exists()
 
 
+# fbm-l, then a small fbm-nl: each pins its grid weight from train through save to eval
+GRID_WEIGHT_RUNS = {"fbm-l": (), "fbm-nl": ("--variant", "fbm-nl", "--nl-h1", "16", "--nl-h2", "8")}
+
+
 def test_eval_reproduces_report_test_bit_exactly(capsys, tmp_path, periodic_csv):
-    out, _ = train_tiny(capsys, tmp_path, periodic_csv)
-    report = json.loads((out / "report.json").read_text())
-    rc, stdout, _ = run(
-        capsys, "eval", "--checkpoint", str(out / "model.fbm"),
-        "--data", periodic_csv, "--part", "test", "--batch", "64",
-    )
-    assert rc == 0
-    assert json.loads(stdout) == report["test"]
+    for variant, extra in GRID_WEIGHT_RUNS.items():
+        (tmp_path / variant).mkdir()
+        out, _ = train_tiny(capsys, tmp_path / variant, periodic_csv, *extra)
+        report = json.loads((out / "report.json").read_text())
+        assert report["config"]["model"]["variant"] == variant
+        rc, stdout, _ = run(
+            capsys, "eval", "--checkpoint", str(out / "model.fbm"),
+            "--data", periodic_csv, "--part", "test", "--batch", "64",
+        )
+        assert rc == 0
+        assert json.loads(stdout) == report["test"], variant
 
 
 def test_eval_val_split_matches_best_recorded(capsys, tmp_path, periodic_csv):
-    out, _ = train_tiny(capsys, tmp_path, periodic_csv)
-    report = json.loads((out / "report.json").read_text())
-    rc, stdout, _ = run(
-        capsys, "eval", "--checkpoint", str(out / "model.fbm"),
-        "--data", periodic_csv, "--part", "val", "--batch", "64",
-    )
-    assert rc == 0
-    assert json.loads(stdout)["mse"] == min(e["val_mse"] for e in report["epochs"])
+    for variant, extra in GRID_WEIGHT_RUNS.items():
+        (tmp_path / variant).mkdir()
+        out, _ = train_tiny(capsys, tmp_path / variant, periodic_csv, *extra)
+        report = json.loads((out / "report.json").read_text())
+        rc, stdout, _ = run(
+            capsys, "eval", "--checkpoint", str(out / "model.fbm"),
+            "--data", periodic_csv, "--part", "val", "--batch", "64",
+        )
+        assert rc == 0
+        assert json.loads(stdout)["mse"] == min(e["val_mse"] for e in report["epochs"]), variant
 
 
 def test_eval_threads_match_single(capsys, tmp_path, periodic_csv):

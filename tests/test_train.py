@@ -218,7 +218,7 @@ def _folded_value(w):
 def test_validation_reads_each_grid_weight_synced():
     # at each epoch end the table is rebuilt from the base and the steps, bit for
     # bit rows @ the value a fold gives, so validation reads the table a model
-    # loaded from that value builds; the steps are folded in once, after training
+    # loaded from that value builds; the steps are folded in at a .value read
     src = tiny_task()
     model = ForecastModel(ModelSpec(variant="fbm-l", T=32, L=8, D=1), seed=1)
     w, tables = model.params[0], []
@@ -274,7 +274,7 @@ def _worsening_task():
 def test_train_keeps_one_array_per_weight_through_the_test_pass(monkeypatch, last_is_best):
     # the grid weight is trained in one array, its base, and comes to the test pass
     # held, whether or not its best state was restored: the snapshots of its steps
-    # are gone, and its steps are folded into that array
+    # are gone, and a .value read after training folds its steps into that array
     if last_is_best:
         src, T, model_kw = tiny_task(T=16, L=8), 16, {"seed": 1}
         cfg = TrainConfig(T=16, L=8, epochs=3, patience=3, lr=1e-2, batch_size=16, seed=0)
@@ -296,7 +296,7 @@ def test_train_keeps_one_array_per_weight_through_the_test_pass(monkeypatch, las
 
         def test_batches(self):
             alive = [d for d in (s() for s in snapshots) if d is not None]
-            seen.append((ad.Tensor.value.__get__(w), alive, w._delta, w._table is not None))
+            seen.append((ad.Tensor.value.__get__(w), alive, w._table is not None))
             return src.test_batches()
 
     monkeypatch.setattr(ad.GridWeight, "snapshot", watched_snapshot)
@@ -305,10 +305,10 @@ def test_train_keeps_one_array_per_weight_through_the_test_pass(monkeypatch, las
     vals = [e["val_mse"] for e in report.epochs]
     assert (vals.index(min(vals)) == len(vals) - 1) == last_is_best
     assert snapshots, "no snapshot of the grid weight's steps was taken"
-    [(base, alive, delta, held)] = seen
+    [(base, alive, held)] = seen
     assert all(b is base for b in bases) and base is w.value
     assert not alive, "a snapshot of the steps is still alive"
-    assert delta is None and held
+    assert held
 
 
 def test_an_early_stopped_run_keeps_its_grid_weights_held_through_the_test_pass():
