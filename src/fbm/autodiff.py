@@ -221,37 +221,40 @@ class GridWeight(Parameter):
     with m[k] = rows_t[k] @ A[k] and A updated from g as m is, and
     v = Q[K, c(c+1)/2, width], with v[k] = R2[k] @ Q[k] and Q updated from the
     pairwise products g_i g_j (i <= j), R2 holding the rows' matching products
-    with the off-diagonal ones doubled. `factors` holds rows_t, R2 and each bin's
-    period and fold, read off the rows at the first update (_moment_factors).
-    Rows that repeat bitwise with a period P dividing T (a Fourier bin at
-    frequency f repeats every T/gcd(f, T) rows) give moments and a step that
-    repeat, so a step reads back only a bin's first h rows: h = P (T where the
-    rows do not repeat), or P/2 where a period's second half is its first negated
-    bit for bit (a Fourier bin's, Nyquist aside), since negating a row negates
-    every product and sum of its m and none of its v. Each bin's step m and v are
-    read back a block of rows at a time, v clamped at 0 (it can cancel slightly
-    below), and take adam_step's step s from them.
+    with the off-diagonal ones doubled. Rows that repeat bitwise with a period P
+    dividing T (a Fourier bin at frequency f repeats every T/gcd(f, T) rows) give
+    moments and a step that repeat, so a step reads back only a bin's first h
+    rows: h = P (T where the rows do not repeat), or P/2 where a period's second
+    half is its first negated bit for bit (a Fourier bin's, Nyquist aside), since
+    negating a row negates every product and sum of its m and none of its v.
+    `factors` holds each bin's period and fold and the period groups, the bins of
+    one h (15 groups at T = 336) with R2 over their h read-back rows alone, read
+    off the rows at the first update (_moment_factors). That update also cuts
+    each group once into chunks (_read_back_chunks): a few whole bins, or one row
+    block of a longer bin. Chunk by chunk, step m and v are read back as stacked
+    GEMMs of each bin's own shapes, v clamped at 0 (it can cancel slightly
+    below), and give adam_step's step s.
 
     From its first Adam step, or its load, until .value is assigned it is held:
     as w0, its base (the value it was drawn, loaded or assigned with, or last
     folded into), owned and read-only; D, the sum of every step since w0, one
-    [h, width] array per bin, made at the first step after w0; and matmul's
-    table. The table is bit for bit np.matmul(rows, value) after settle(), and
-    within roundoff of it between settles. settle() builds it bin by bin as
-    rows[k] @ (w0[k] + tile(D[k])) through one [T, width] buffer (the second
-    half-period of a folding bin takes -D[k]); a step s is subtracted from D, and
-    (T/h) rows[k, :, :h] @ s from a copy of the table: rows @ tile(s) exactly in
-    real arithmetic, as the rows repeat (and fold) with the steps. The copy,
-    read-only, replaces the table, so a product a forward returned is never
-    written. Reading .value folds: w0 += tile(D) in place, the same bits as the
-    buffer's sum, and D goes; a fold touches only w0 and D. w0 stays read-only,
-    so a write through it, or through a view made of it since the first step,
-    raises; an array .value returned before the weight was held is the caller's,
-    and the hold copies it. snapshot() is a copy of D; restore() copies it back
-    and settles, so the weight stays held. A snapshot taken before a fold, or
-    before .value was assigned, was taken of another w0, and restoring it
-    raises. Assigning .value is how to change a trained weight: it drops D and
-    the table. A forward only reads.
+    [bins, h, width] array per period group, made at the first step after w0;
+    and matmul's table. The table is bit for bit np.matmul(rows, value) after
+    settle(), and within roundoff of it between settles. settle() builds it bin
+    by bin as rows[k] @ (w0[k] + tile(D[k])) through one [T, width] buffer (the
+    second half-period of a folding bin takes -D[k]); a chunk's step s is
+    subtracted from D, and (T/h) rows[bins, :, :h] @ s from a copy of the table:
+    rows @ tile(s) exactly in real arithmetic, as the rows repeat (and fold)
+    with the steps. The copy, read-only, replaces the table, so a product a
+    forward returned is never written. Reading .value folds: w0 += tile(D) in
+    place, the same bits as the buffer's sum, and D goes; a fold touches only w0
+    and D. w0 stays read-only, so a write through it, or through a view made of
+    it since the first step, raises; an array .value returned before the weight
+    was held is the caller's, and the hold copies it. snapshot() is a copy of D;
+    restore() copies it back and settles, so the weight stays held. A snapshot
+    taken before a fold, or before .value was assigned, was taken of another w0,
+    and restoring it raises. Assigning .value is how to change a trained weight:
+    it drops D and the table. A forward only reads.
 
     Not bitwise dense Adam: where a gradient entry is small next to its per-bin
     terms, v's cancellation moves its step; the value takes one rounding per fold
@@ -259,7 +262,7 @@ class GridWeight(Parameter):
     w0 + (0 - s), bitwise w0 - s); and the table between settles takes one per
     step, so it is rows @ the value only within roundoff."""
 
-    __slots__ = ("rows", "factors", "_table", "_delta", "_base")
+    __slots__ = ("rows", "factors", "_chunks", "_table", "_delta", "_base")
 
     def __init__(self, value, name, rows):
         super().__init__(value, name)
@@ -300,9 +303,9 @@ class GridWeight(Parameter):
             table = np.matmul(self.rows, w)
         else:
             table, buf = np.empty(self.rows.shape[:2] + w.shape[-1:]), np.empty(w.shape[1:])
-            for k in range(len(w)):
+            for k, P, d in self._steps():
                 np.copyto(buf, w[k])
-                self._add_steps(buf, k)
+                self._add_steps(buf, P, d)
                 np.matmul(self.rows[k], buf, out=table[k])
         table.flags.writeable = False
         self._table = table
@@ -320,10 +323,16 @@ class GridWeight(Parameter):
         self._delta = None if delta is None else [d.copy() for d in delta]
         self.settle()
 
-    def _add_steps(self, x, k):
-        """x[T, width] += tile(D[k]), the second half-period of a folding bin taking -D[k]."""
-        d = self._delta[k]
-        P = self.factors[2][k]
+    def _steps(self):
+        """Each bin k with its period and its D[k], [h, width], group by group."""
+        periods, _, groups = self.factors
+        for (bins, _), d in zip(groups, self._delta):
+            for k, dk in zip(bins, d):
+                yield k, periods[k], dk
+
+    @staticmethod
+    def _add_steps(x, P, d):
+        """x[T, width] += tile(d), the second half-period of a folding bin taking -d."""
         x = x.reshape(len(x) // P, P // len(d), *d.shape)  # [period, half, row, column]
         x[:, 0] += d
         x[:, 1:] -= d  # empty unless the bin folds
@@ -334,49 +343,42 @@ class GridWeight(Parameter):
             return
         w = Tensor.value.__get__(self)
         w.flags.writeable = True
-        for k in range(len(w)):
-            self._add_steps(w[k], k)
+        for k, P, d in self._steps():
+            self._add_steps(w[k], P, d)
         w.flags.writeable = False
         self._delta, self._base = None, object()
 
     def _adam_factored(self, step, eps):
-        """Adam's update from the g of its per-bin gradient: A and Q from g, then bin by bin
-        over its first h rows in ceil(h / n) near-equal blocks of at most n rows, about a
-        chunk (1 if a row is wider): step m and v read back into its own [2, n, width]
-        buffer, the step s = step m / (sqrt(v) + eps') as _adam_chunks takes it subtracted
-        from D, and (T/h) rows @ s from a copy of the table, which then replaces it."""
-        if self.factors is None:
-            self.factors = _moment_factors(self.rows)
-        if self._table is None:
-            self.settle()
-        if self._delta is None:
-            _, _, periods, folded = self.factors
-            self._delta = [np.zeros((h, self.shape[-1])) for h in np.where(folded, periods // 2, periods)]
-        rows_t, R2 = self.factors[:2]
+        """Adam's update from the g of its per-bin gradient: A and Q from g, then chunk by
+        chunk (see _read_back_chunks), with step A taken a period group at a time: step m
+        and v read back into the chunk's own buffers, the step s = step m / (sqrt(v) + eps')
+        as _adam_chunks takes it subtracted from D, and (T/h) rows @ s from a copy of the
+        table, which then replaces it."""
         g = self._grad
         i, j = np.triu_indices(g.shape[1])
         self.m *= ADAM_BETA1
         self.m += (1.0 - ADAM_BETA1) * g
         self.v *= ADAM_BETA2
-        self.v += (1.0 - ADAM_BETA2) * (g[:, i] * g[:, j])
-        A = self.m * step  # read back as step m, the step's numerator
-        _, T, width = self.shape
-        n = max(_ADAM_CHUNK // width, 1)
-        scratch, table = np.empty((2, n, width)), self._table.copy()
-        for k, d in enumerate(self._delta):
-            h = len(d)
-            b = -(-h // n)
-            for r in range(b):
-                rows = slice(r * h // b, (r + 1) * h // b)
-                delta = d[rows]
-                m, v = scratch[:, : len(delta)]
-                np.matmul(rows_t[k, rows], A[k], out=m)
-                np.matmul(R2[k, rows], self.v[k], out=v)
+        self.v += (1.0 - ADAM_BETA2) * (g[:, i] * g[:, j])  # its temporaries go before D is made
+        if self.factors is None:
+            self.factors = _moment_factors(self.rows)
+            self._chunks = _read_back_chunks(self.rows, self.factors[2], self.shape[-1])
+        if self._table is None:
+            self.settle()
+        if self._delta is None:
+            self._delta = [np.zeros(R2.shape[:2] + self.shape[-1:]) for _, R2 in self.factors[2]]
+        table, T = self._table.copy(), self.shape[1]
+        for (bins, _), d, chunks in zip(self.factors[2], self._delta, self._chunks):
+            A, repeats = self.m[bins] * step, T // d.shape[1]  # A reads back as step m, the step's numerator
+            for b, r, ks, rows, rows_t, R2, m, v in chunks:
+                np.matmul(rows_t, A[b], out=m)
+                np.matmul(R2, self.v[ks], out=v)
                 np.maximum(v, 0.0, out=v)  # not fmax: a NaN stays NaN
                 np.sqrt(v, out=v)
                 v += eps
+                delta = d[b, r]
                 delta -= np.divide(m, v, out=m)  # m is the step from here
-                table[k] -= (T // h) * np.matmul(self.rows[k, :, rows], m)
+                table[ks] -= repeats * np.matmul(rows, m)
         table.flags.writeable = False
         self._table = table
 
@@ -653,7 +655,12 @@ def zero_grads(params):
 
 
 ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
-_ADAM_CHUNK = 1 << 14  # elements per pass of adam_step: a chunk's operands stay in cache
+# Elements per pass of adam_step: a chunk's operands stay in cache. A grid weight's
+# read-back chunk takes a longer bin in row blocks of about a chunk and shorter bins
+# whole, up to _ADAM_BINS chunks' rows of them: at width 96, chunks of up to 2 took
+# its read-back 7.9 ms a step, against 8.4-8.8 ms for 1 and for 3 or more.
+_ADAM_CHUNK = 1 << 14
+_ADAM_BINS = 2
 
 
 def adam_step(params, lr):
@@ -709,17 +716,19 @@ def _moment_shapes(p):
 
 
 def _moment_factors(rows):
-    """(rows_t, R2, P, folded) of a grid weight's rows[K, c, T]: rows_t their [K, T, c]
-    view, R2 their pairwise products (see adam_step). P[k] is bin k's period: the
-    least P dividing T with rows_t[k, n + P] bitwise equal to rows_t[k, n] for every
-    n, T where the rows do not repeat. folded[k] says P is even and rows P/2 to
-    P - 1 are rows 0 to P/2 - 1 with the sign bit flipped, compared bin by bin (a
-    +0.0 row, as Nyquist's sine, is not -0.0: no fold)."""
+    """(P, folded, groups) of a grid weight's rows[K, c, T]. P[k] is bin k's period:
+    the least P dividing T with rows[k, :, n + P] bitwise equal to rows[k, :, n] for
+    every n, T where the rows do not repeat. folded[k] says P is even and rows P/2
+    to P - 1 are rows 0 to P/2 - 1 with the sign bit flipped, compared bin by bin
+    (a +0.0 row, as Nyquist's sine, is not -0.0: no fold). Bin k reads back its
+    first h rows, h = P/2 where it folds and P elsewhere. groups has one (bins, R2)
+    per distinct h, ascending: the bins that read back h rows, ascending, and
+    R2[len(bins), h, c(c+1)/2], the pairwise products of those rows with the
+    off-diagonal ones doubled (see adam_step), the only rows a step reads."""
     K, c, T = rows.shape
-    rows_t = np.swapaxes(rows, -1, -2)
     # bitwise: -0.0 is not 0.0, and a NaN is itself; a C-order copy, as the compares
     # run several times faster over it than over the strided view
-    bits = np.ascontiguousarray(rows_t).view(np.int64)
+    bits = np.ascontiguousarray(np.swapaxes(rows, -1, -2)).view(np.int64)
     periods = np.full(K, T)
     for P in range(T - 1, 0, -1):  # one compare per divisor over every bin; the least wins
         if T % P == 0:
@@ -727,13 +736,55 @@ def _moment_factors(rows):
     folded = np.array([P % 2 == 0 and np.array_equal(bits[k, P // 2 : P] ^ _SIGN_BIT, bits[k, : P // 2])
                        for k, P in enumerate(periods)], dtype=bool)
     del bits  # R2 is built once the copy is gone, a column at a time with no temporary
-    R2 = np.empty((K, T, c * (c + 1) // 2))
-    for n, (i, j) in enumerate(zip(*np.triu_indices(c))):
-        for k in range(K):  # bin by bin: over the stack, numpy buffers the strided rows
-            np.multiply(rows_t[k, :, i], rows_t[k, :, j], out=R2[k, :, n])
-        if i < j:
-            R2[..., n] *= 2.0
-    return rows_t, R2, periods, folded
+    read_back = np.where(folded, periods // 2, periods)
+    groups = []
+    for h in sorted(set(read_back.tolist())):
+        bins = np.flatnonzero(read_back == h)
+        R2 = np.empty((len(bins), h, c * (c + 1) // 2))
+        for n, (i, j) in enumerate(zip(*np.triu_indices(c))):
+            for b, k in enumerate(bins):  # bin by bin: over a stack, numpy buffers the strided rows
+                np.multiply(rows[k, i, :h], rows[k, j, :h], out=R2[b, :, n])
+            if i < j:
+                R2[..., n] *= 2.0
+        groups.append((bins, R2))
+    return periods, folded, groups
+
+
+def _read_back_chunks(rows, groups, width):
+    """A grid weight's read-back cut once into chunks, one list per group, n =
+    _ADAM_CHUNK // width rows (1 if a row is wider) being about a chunk: a bin of more
+    than n rows in ceil(h / n) near-equal row blocks, each a chunk of its own, shorter
+    bins whole, up to _ADAM_BINS * n rows of them a chunk. So each bin's products keep
+    the GEMM shapes they have alone. A chunk is [its bins in the group (a number for a
+    bin alone, which makes its operands [rows, width] as a bin's own are, else a
+    slice), its rows, those bins in the weight (a number, else an index array), their
+    rows[bins, c, rows] (a view of rows for a bin alone, else a copy of those rows
+    only), its rows_t, R2[bins, rows], and its m and v buffers, views of one scratch
+    array kept with the chunks]."""
+    n = max(_ADAM_CHUNK // width, 1)
+    chunks = []
+    for bins, R2 in groups:
+        h = R2.shape[1]
+        if h > n:
+            blocks = -(-h // n)
+            cuts = [(slice(b, b + 1), slice(r * h // blocks, (r + 1) * h // blocks))
+                    for b in range(len(bins)) for r in range(blocks)]
+        else:  # at width 1 a bin alone: a one-column product (gemv) rounds by the rows' stride
+            per = max(_ADAM_BINS * n // h, 1) if width > 1 else 1
+            cuts = [(slice(b, b + per), slice(0, h)) for b in range(0, len(bins), per)]
+        chunks.append([])
+        for b, r in cuts:
+            ks = bins[b]
+            if len(ks) == 1:
+                b, ks = b.start, ks[0]
+            chunk_rows = rows[ks, :, r]
+            chunks[-1].append([b, r, ks, chunk_rows, np.swapaxes(chunk_rows, -1, -2), R2[b, r]])
+    every = [chunk for group in chunks for chunk in group]
+    scratch = np.empty((2, max(chunk[-1].size // chunk[-1].shape[-1] for chunk in every) * width))
+    for chunk in every:
+        R2 = chunk[-1]
+        chunk.extend(scratch[:, : R2.size // R2.shape[-1] * width].reshape((2,) + R2.shape[:-1] + (width,)))
+    return chunks
 
 
 def _adam_chunks(x, m, v, g, step, eps):

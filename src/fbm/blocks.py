@@ -213,7 +213,8 @@ class Centralization(Layer):
         if ones_w is None:
             return ad.add(ad.mul(ad.div(ad.sub(x, mean), std), g), beta), (mean, std)
         shift = ad.add(ad.mul(beta, ones_w), b)  # [D, 1, width]
-        return ad.add(ad.mul(x, ad.div(g, std)), shift), (mean, std)
+        x = ad.mul(x, ad.div(g, std))  # bound first: the unscaled patches go before the shift
+        return ad.add(x, shift), (mean, std)
 
     def decentralize(self, y, stats):
         """Inverse using the cached pre-projection stats; y's width may differ.
@@ -413,10 +414,13 @@ class _TrendScale(Layer):
             return ad.add(ad.reshape(y, y.shape[:-2] + (y.shape[-1],)), self.out.b)
         cfg = self.cfg
         y, stats = self.proj.forward(grid)
-        y = self.proj.cent.decentralize(ad.relu(y) if self.use_relu else y, stats)  # [B, D, P, h1]
+        y = ad.relu(y) if self.use_relu else y  # a statement each: under no_grad the last y goes
+        y = self.proj.cent.decentralize(y, stats)  # [B, D, P, h1]
         b, d = y.shape[0], y.shape[1]
         if self.mid is not None:
-            x = ad.relu(self.mid(ad.reshape(y, (b, d, cfg.P * cfg.h1))))
+            x = self.mid(ad.reshape(y, (b, d, cfg.P * cfg.h1)))
+            del y
+            x = ad.relu(x)
         else:
             tokens = ad.reshape(y, (b * d, cfg.P, cfg.h1))
             for stack in self.stacks:

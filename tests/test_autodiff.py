@@ -619,9 +619,18 @@ def _old_vjp(rows, gM):
     return np.matmul(np.swapaxes(rows, -1, -2), gM)
 
 
+def _full_factors(rows):
+    # rows_t and R2 over every row of rows[K, c, T]: [K, T, c], their view, and
+    # [K, T, c(c+1)/2] in C order, the pairwise products as one expression with the
+    # off-diagonal ones doubled (C order: a one-column GEMM of its rows rounds by layout)
+    rows_t = np.swapaxes(rows, -1, -2)
+    i, j = np.triu_indices(rows.shape[1])
+    return rows_t, np.ascontiguousarray(rows_t[..., i] * rows_t[..., j] * np.where(i < j, 2.0, 1.0))
+
+
 def _factored_moments(p):
     # the full-size m and v that a grid weight's factored moments stand for
-    rows_t, R2 = p.factors[:2]
+    rows_t, R2 = _full_factors(p.rows)
     return np.matmul(rows_t, p.m), np.matmul(R2, p.v)
 
 
@@ -690,6 +699,11 @@ def test_per_bin_gradients_summed_onto_a_grid_weight_keep_it_factored(how):
         _assert_moments_near(p, dense, sm, sv)
 
 
+def _factor_arrays(p):
+    periods, folded, groups = p.factors
+    return periods, folded, *(a for group in groups for a in group)
+
+
 def test_reading_a_grid_weights_gradient_changes_no_adam_step():
     rng = RNG(19)
     rows, p, _ = _grid_weight(rng, 3, 2, 6, 5)
@@ -701,7 +715,7 @@ def test_reading_a_grid_weights_gradient_changes_no_adam_step():
         assert p.grad.tobytes() == _old_vjp(rows, gM).tobytes()  # read before every step
         ad.adam_step([p, twin], 0.01)
         assert p.factors is not None and twin.factors is not None
-        assert _bytes(p.value, p.m, p.v, *p.factors) == _bytes(twin.value, twin.m, twin.v, *twin.factors)
+        assert _bytes(p.value, p.m, p.v, *_factor_arrays(p)) == _bytes(twin.value, twin.m, twin.v, *_factor_arrays(twin))
 
 
 @pytest.mark.parametrize("how", ["assign", "elementwise", "elementwise alone", "rows"])
@@ -737,7 +751,7 @@ def _factors(rows):
 
 
 def _periods(rows):
-    return _factors(rows)[2]
+    return _factors(rows)[0]
 
 
 @pytest.mark.parametrize("T", [16, 336])
@@ -771,11 +785,15 @@ def test_a_bin_with_one_entry_changed_does_not_repeat(k, c, n, how):
 @pytest.mark.parametrize("rows", [basis_rows(T, T) for T in (16, 96, 336)] + [RNG(26).standard_normal((4, 3, 12))],
                          ids=["T16", "T96", "T336", "c3"])
 def test_r2_is_each_pair_of_rows_multiplied_with_the_off_diagonal_doubled(rows):
-    # byte for byte the reference: the pairwise products as one expression
-    rows_t, R2 = _factors(rows)[:2]
-    i, j = np.triu_indices(rows.shape[1])
-    want = rows_t[..., i] * rows_t[..., j] * np.where(i < j, 2.0, 1.0)
-    assert R2.shape == want.shape and R2.tobytes() == want.tobytes()
+    # byte for byte the reference over each bin's read-back rows, the first P or P/2:
+    # the pairwise products as one expression; every bin in one group, by its h
+    periods, folded, groups = _factors(rows)
+    want = _full_factors(rows)[1]
+    assert sorted(k for bins, _ in groups for k in bins) == list(range(len(rows)))
+    for bins, R2 in groups:
+        h = R2.shape[1]
+        assert np.all(np.where(folded[bins], periods[bins] // 2, periods[bins]) == h)
+        assert R2.tobytes() == want[bins, :h].tobytes()
 
 
 def test_the_moment_factors_peak_below_twice_the_rows():
@@ -798,7 +816,7 @@ def test_random_rows_do_not_repeat():
 @pytest.mark.parametrize("T", [16, 336])
 def test_every_even_period_fourier_bin_folds_by_sign_but_nyquist(T):
     # Nyquist's sine row is +0.0 throughout, which is not -0.0
-    _, _, periods, folded = _factors(basis_rows(T, T))
+    periods, folded, _ = _factors(basis_rows(T, T))
     assert folded.tolist() == [P % 2 == 0 and k < T // 2 - 1 for k, P in enumerate(periods)]
 
 
@@ -810,20 +828,20 @@ def test_every_even_period_fourier_bin_folds_by_sign_but_nyquist(T):
 ])
 def test_a_bin_with_its_second_half_changed_keeps_its_period_and_does_not_fold(k, c, n, how):
     T = 16
-    _, _, periods, folded = _factors(basis_rows(T, T))
+    periods, folded, _ = _factors(basis_rows(T, T))
     assert folded[k]
     rows = basis_rows(T, T).copy()
     x = rows[k, c, n]
     rows[k, c, n::periods[k]] = {"nan": np.nan, "ulp": np.nextafter(x, np.inf), "zero sign": -x}[how]
-    _, _, after, fold_after = _factors(rows)
+    after, fold_after, _ = _factors(rows)
     assert np.array_equal(after, periods)  # changed in every period, so it still repeats
     assert not fold_after[k] and np.array_equal(np.delete(fold_after, k), np.delete(folded, k))
 
 
 def test_random_rows_do_not_fold():
     rng = RNG(21)
-    assert not _factors(rng.standard_normal((5, 2, 12)))[3].any()
-    _, _, periods, folded = _factors(np.tile(rng.standard_normal((5, 2, 4)), 3))
+    assert not _factors(rng.standard_normal((5, 2, 12)))[1].any()
+    periods, folded, _ = _factors(np.tile(rng.standard_normal((5, 2, 4)), 3))
     assert periods.tolist() == [4] * 5 and not folded.any()  # an even period, checked and refused
 
 
@@ -836,7 +854,10 @@ def test_a_grid_weights_later_rows_are_matched_by_address(monkeypatch):
     p = ad.GridWeight(rng.standard_normal((T // 2, T, 3)), "w", rows)
     ad.backward(_per_bin_loss(rows, p, rng.standard_normal((T // 2, 2, 3))))
     ad.adam_step([p], 0.01)
-    assert p.factors[0].base is rows  # the rows' own view, not a copy
+    # the rows' own view for a bin alone in its chunk, else a copy of the bins' read-back rows only
+    chunks = [chunk for group in p._chunks for chunk in group]
+    assert all(rows_c.base is rows or isinstance(bins, np.ndarray) for _, _, bins, rows_c, *_ in chunks)
+    assert sum(rows_c.size for _, _, _, rows_c, *_ in chunks) < rows.size
 
     def compare(*args):
         raise AssertionError("rows compared by value")
@@ -866,7 +887,7 @@ def _read_back_every_row(x, p, t, lr):
     and v read back on all T rows, in row blocks of about one chunk: no fold."""
     c1, c2 = 1.0 - ad.ADAM_BETA1**t, 1.0 - ad.ADAM_BETA2**t
     step, eps = lr * math.sqrt(c2) / c1, ad.ADAM_EPS * math.sqrt(c2)
-    rows_t, R2 = p.factors[:2]
+    rows_t, R2 = _full_factors(p.rows)
     A = p.m * step
     n = max(ad._ADAM_CHUNK // x.shape[-1], 1)
     out = x.copy()
@@ -896,14 +917,98 @@ def test_folded_adam_steps_as_reading_back_every_row(width):
         ad.backward(_per_bin_loss(rows, p, gM))
         x = p.value.copy()  # a fold between steps: then w0 + (0 - s) is w0 - s, bit for bit
         ad.adam_step([p], 1e-2)
-        assert p.factors[2].min() == 2  # the Nyquist bin
-        assert p.factors[3].any()  # and bins that fold by sign
+        assert p.factors[0].min() == 2  # the Nyquist bin
+        assert p.factors[1].any()  # and bins that fold by sign
         want = _read_back_every_row(x, p, t, 1e-2)
         if width > 1:
             assert p.value.tobytes() == want.tobytes()
         else:
             scale = np.maximum(np.abs(x), np.abs(want - x))
             assert np.all(np.abs(p.value - want) <= MOMENT_ULPS * ULP * scale)
+
+
+def _per_bin_read_back(table, delta, p, t, lr):
+    """The read-back as a loop over bins, in place: bin k's first h rows in ceil(h / n)
+    near-equal blocks of at most n rows, about a chunk, each block's step subtracted
+    from D[k] and (T/h) rows @ it from the table."""
+    c1, c2 = 1.0 - ad.ADAM_BETA1**t, 1.0 - ad.ADAM_BETA2**t
+    step, eps = lr * math.sqrt(c2) / c1, ad.ADAM_EPS * math.sqrt(c2)
+    rows_t, R2 = _full_factors(p.rows)
+    A = p.m * step
+    T, width = p.shape[1:]
+    n = max(ad._ADAM_CHUNK // width, 1)
+    for k, d in enumerate(delta):
+        h = len(d)
+        b = -(-h // n)
+        for r in range(b):
+            rows = slice(r * h // b, (r + 1) * h // b)
+            m, v = np.matmul(rows_t[k, rows], A[k]), np.matmul(R2[k, rows], p.v[k])
+            s = m / (np.sqrt(np.maximum(v, 0.0)) + eps)
+            d[rows] -= s
+            table[k] -= (T // h) * np.matmul(p.rows[k, :, rows], s)
+
+
+@pytest.mark.parametrize("width", [96, 97, 512, 1440, 1, "random"])
+def test_the_chunked_read_back_holds_the_per_bin_loops_table_and_steps(width):
+    # Fourier rows at T = 336 (at 512 and 1440 the bin for each period alone, as above),
+    # or random rows, whose bins all read back every row and so share a chunk.
+    # Bins sharing a chunk are stacked GEMMs of the shapes each has alone, so the held
+    # table and each bin's D are byte for byte the loop's after every step.
+    if width == "random":
+        rows, width = RNG(27).standard_normal((6, 2, 12)), 7
+    else:
+        rows = basis_rows(336, 336)
+        if width >= 512:
+            rows = rows[[f - 1 for f in range(1, 169) if 336 % f == 0]]
+    rng = RNG(width + 1)
+    K, _, T = rows.shape
+    p = ad.GridWeight(rng.standard_normal((K, T, width)), "w", rows)
+    table = np.matmul(rows, ad.Tensor.value.__get__(p))
+    for t in range(1, 5):
+        gM = rng.standard_normal((K, 2, width)) * 10.0 ** rng.uniform(-3, 3, (K, 2, 1))
+        ad.backward(_per_bin_loss(rows, p, gM))
+        ad.adam_step([p], 1e-2)
+        if t == 1:
+            periods, folded, _ = p.factors
+            delta = [np.zeros((h, width)) for h in np.where(folded, periods // 2, periods)]
+        _per_bin_read_back(table, delta, p, t, 1e-2)
+        assert p._table.tobytes() == table.tobytes()
+        held = {k: d for k, _, d in p._steps()}
+        assert sorted(held) == list(range(K))
+        assert all(held[k].tobytes() == d.tobytes() for k, d in enumerate(delta))
+
+
+def _held_value(p):
+    # w0 + tile(D), as a .value read folds it, taken on a twin: p stays unfolded
+    twin = ad.GridWeight(ad.Tensor.value.__get__(p).copy(), "twin", p.rows)
+    twin._delta, twin.factors = [d.copy() for d in p._delta], p.factors
+    return twin.value
+
+
+def test_a_grid_weights_steps_are_one_array_per_read_back_length():
+    # at T = 336 the bins read back 15 distinct h; a restore brings back the snapshot's
+    # table and value bit for bit, two steps on
+    T, width = 336, 4
+    rows = basis_rows(T, T)
+    rng = RNG(28)
+    p = ad.GridWeight(rng.standard_normal((T // 2, T, width)), "w", rows)
+
+    def step():
+        ad.backward(_per_bin_loss(rows, p, rng.standard_normal((T // 2, 2, width))))
+        ad.adam_step([p], 1e-2)
+
+    step()
+    groups = p.factors[2]
+    assert len(groups) == len(p._delta) == 15
+    assert [d.shape for d in p._delta] == [(len(bins), R2.shape[1], width) for bins, R2 in groups]
+    assert [len(bins) for bins, R2 in groups if R2.shape[1] in (168, 84)] == [24, 48]
+    step()
+    state, value = p.snapshot(), _held_value(p)
+    step()
+    step()
+    p.restore(state)
+    assert p._table.tobytes() == np.matmul(rows, value).tobytes()
+    assert p.value.tobytes() == value.tobytes()
 
 
 @pytest.mark.filterwarnings("ignore:invalid value encountered")

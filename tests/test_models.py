@@ -892,6 +892,25 @@ def test_a_loaded_grid_weight_is_held_with_the_table_of_its_value(tmp_path, vari
     assert loaded.predict(X).tobytes() == model.predict(X).tobytes()
 
 
+def test_a_loaded_fbm_l_steps_as_a_twin_that_was_never_saved(tmp_path):
+    # the load holds the weight from its record and the twin holds an assigned copy;
+    # each cuts its read-back at its first step, so they step bit for bit alike
+    spec = ModelSpec(variant="fbm-l", T=96, L=24, D=1)
+    model = ForecastModel(spec, seed=0)
+    model.save(tmp_path / "model.fbm")
+    loaded, twin = ForecastModel.load(tmp_path / "model.fbm"), ForecastModel(spec, seed=1)
+    twin.params[0].value = model.params[0].value.copy()
+    rng = np.random.default_rng(19)
+    batch = WindowBatch(X=rng.standard_normal((8, 1, 96)), Y=rng.standard_normal((8, 1, 24)), starts=np.arange(8))
+    w, v = _grid_weight_of(loaded), _grid_weight_of(twin)
+    for _ in range(2):
+        for m in (loaded, twin):
+            _train_steps(m, [batch], 1)
+        assert w._table.tobytes() == v._table.tobytes()
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(w._delta, v._delta))
+    assert w.value.tobytes() == v.value.tobytes()
+
+
 def test_the_first_step_after_a_load_writes_the_records_in_place(tmp_path):
     # no caller holds a loaded record: Adam steps each one where it lies, and the
     # step's own arrays (the grid weight's steps, its period scan, the moments)
