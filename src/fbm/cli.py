@@ -309,12 +309,10 @@ def cmd_spectrum(res):
 
 
 def cmd_weights(res):
-    model = ForecastModel.load(res["checkpoint"])
-    if model.spec.variant != "fbm-s":
-        raise ConfigError(
-            f"weights export needs an fbm-s checkpoint, got {model.spec.variant}"
-        )
-    W = model.seasonal.W.value
+    spec = ModelSpec.from_header(_read_header(res["checkpoint"]))  # refused before any weight is read
+    if spec.variant != "fbm-s":
+        raise ConfigError(f"weights export needs an fbm-s checkpoint, got {spec.variant}")
+    W = ForecastModel.load(res["checkpoint"], expected_spec=spec).seasonal.W.value
     n, k = np.indices(W.shape)
     _write(res["out"], dat.write_csv, "n,k,value", [n, k + 1], [W])
     print(f"wrote {res['out']} {W.shape}")

@@ -3,7 +3,6 @@ import math
 import stat
 import struct
 import threading
-import tracemalloc
 import weakref
 from dataclasses import dataclass
 
@@ -15,6 +14,9 @@ from fbm.blocks import basis_rows
 from fbm.errors import CheckpointError
 
 from gradcheck import _fd_flat, input_grad_err, param_grad_err
+from oracles import (adam_update, broadcast_matmul_grads, dense_grad, dense_moments, factor_arrays, full_factors,
+                     peak_bytes, per_bin_read_back, read_back_every_row, read_back_lengths, step_groups,
+                     steps_by_bin, textbook_adam, unfolded_value)
 
 RNG = np.random.default_rng
 
@@ -268,13 +270,6 @@ def _stack_times_matrix(rng, case):
     return _rand(rng, 4, 3, 17)[..., 1:], _rand(rng, 16, 6)
 
 
-def _broadcast_matmul_grads(a, b, g):
-    """The per-element VJP as oracle: b's gradient as a [..., k, m] stack, summed."""
-    ga = np.matmul(g, np.swapaxes(b, -1, -2))
-    gb = np.matmul(np.swapaxes(a, -1, -2), g)
-    return ga, gb.sum(axis=tuple(range(gb.ndim - 2)))
-
-
 @pytest.mark.parametrize("case", ["rank3", "rank4", "strided"])
 def test_stack_times_matrix_fold(case):
     rng = RNG(3)
@@ -286,7 +281,7 @@ def test_stack_times_matrix_fold(case):
     ta, tb = ad.Tensor(a, requires_grad=True), ad.Tensor(b, requires_grad=True)
     g = rng.standard_normal(out.shape)
     ad.backward((ad.matmul(ta, tb) * g).sum())
-    for got, oracle in zip((ta.grad, tb.grad), _broadcast_matmul_grads(a, b, g)):
+    for got, oracle in zip((ta.grad, tb.grad), broadcast_matmul_grads(a, b, g)):
         assert got.shape == oracle.shape
         assert np.max(np.abs(got - oracle)) <= 1e-12 * np.max(np.abs(oracle))
     err = input_grad_err(lambda t: (ad.matmul(t[0], t[1]) * g).sum(), [a, b])
@@ -301,12 +296,7 @@ def test_stack_times_matrix_backward_builds_no_stack():
     w = ad.Tensor(rng.standard_normal((64, 32)), requires_grad=True)
     loss = ad.matmul(x, w).sum()
     stack_bytes = 16 * 8 * 64 * 32 * 8
-    tracemalloc.start()
-    try:
-        ad.backward(loss)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    _, peak = peak_bytes(ad.backward, loss)
     assert w.grad.shape == (64, 32)
     assert peak < stack_bytes / 4
 
@@ -351,12 +341,7 @@ def test_constant_times_parameter_backward_skips_the_constants_gradient(shape):
     table = ad.Tensor(rng.standard_normal(shape))
     w = ad.Tensor(rng.standard_normal((256, 2)), requires_grad=True)
     loss = ad.matmul(table, w).sum()
-    tracemalloc.start()
-    try:
-        ad.backward(loss)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    _, peak = peak_bytes(ad.backward, loss)
     assert w.grad.shape == (256, 2)
     assert peak < table.value.nbytes
 
@@ -417,27 +402,16 @@ def test_attention_block_shape_and_grads():
     assert err < 1e-4
 
 
-def _reference_adam(grad_fn, x0, lr, steps, beta1=0.9, beta2=0.999, eps=1e-8):
-    # textbook scalar Adam, written independently of the engine
-    x, m, v = x0, 0.0, 0.0
-    for t in range(1, steps + 1):
-        g = grad_fn(x)
-        m = beta1 * m + (1 - beta1) * g
-        v = beta2 * v + (1 - beta2) * g * g
-        mhat = m / (1 - beta1**t)
-        vhat = v / (1 - beta2**t)
-        x -= lr * mhat / (np.sqrt(vhat) + eps)
-    return x
-
-
 def test_adam_matches_reference_and_converges():
     p = ad.Parameter(np.zeros(1), "x")
     for _ in range(100):
         diff = p - 5.0
         ad.backward((diff * diff).sum())
         ad.adam_step([p], lr=0.1)
-    ref = _reference_adam(lambda x: 2 * (x - 5.0), 0.0, 0.1, 100)
-    np.testing.assert_allclose(p.value[0], ref, atol=1e-12)
+    ref, m, v = np.zeros(1), 0.0, 0.0
+    for t in range(1, 101):
+        ref, m, v = textbook_adam(ref, m, v, 2 * (ref - 5.0), t, 0.1)
+    np.testing.assert_allclose(p.value[0], ref[0], atol=1e-12)
     assert abs(p.value[0] - 5.0) < 0.5
     assert p.grad is None  # zeroed after the step
 
@@ -450,41 +424,19 @@ def test_adam_bias_correction_first_step():
     np.testing.assert_allclose(p.value[0], -0.5, rtol=1e-4)
 
 
-def _textbook_adam(value, m, v, g, t, lr):
-    # the whole-array textbook form with fresh temporaries: adam_step's m and v are bitwise these
-    b1, b2 = ad.ADAM_BETA1, ad.ADAM_BETA2
-    m = b1 * m + (1.0 - b1) * g
-    v = b2 * v + (1.0 - b2) * (g * g)
-    return value - _textbook_update(m, v, t, lr), m, v
-
-
-def _textbook_update(m, v, t, lr):
-    return lr * (m / (1.0 - ad.ADAM_BETA1**t)) / (np.sqrt(v / (1.0 - ad.ADAM_BETA2**t)) + ad.ADAM_EPS)
-
-
-def _adam(value, m, v, g, t, lr):
-    # adam_step's formula as whole-array ops with fresh temporaries: the textbook m
-    # and v, and a value bitwise step m / (sqrt(v) + eps'), which equals the
-    # textbook value in real arithmetic
-    _, m, v = _textbook_adam(value, m, v, g, t, lr)
-    c1, c2 = 1.0 - ad.ADAM_BETA1**t, 1.0 - ad.ADAM_BETA2**t
-    step, eps = lr * math.sqrt(c2) / c1, ad.ADAM_EPS * math.sqrt(c2)
-    return value - m / (np.sqrt(v) + eps) * step, m, v
-
-
 def _bytes(*arrays):
     return tuple(a.tobytes() for a in arrays)  # C-order bytes whatever the layout
 
 
 def test_adam_in_place_matches_the_textbook_form_bitwise():
-    # m and v byte for byte the textbook's, the value byte for byte _adam's
+    # m and v byte for byte the textbook's, the value byte for byte adam_step's folded form
     rng = RNG(5)
     p = ad.Parameter(rng.standard_normal((4, 3)), "w")
     value, m, v = p.value.copy(), np.zeros((4, 3)), np.zeros((4, 3))
     for t in range(1, 5):
         p.grad = g = rng.standard_normal((4, 3))
         ad.adam_step([p], 0.01)
-        value, m, v = _adam(value, m, v, g, t, 0.01)
+        value, m, v = textbook_adam(value, m, v, g, t, 0.01, folded=True)
         assert _bytes(p.value, p.m, p.v) == _bytes(value, m, v)
         if t == 1:
             state = p.m, p.v, p.value
@@ -499,7 +451,7 @@ def test_adam_moments_come_from_the_first_update():
     assert all(p.m is None and p.v is None and p.step == 0 for p in ps)
     for p in ps:
         p.grad = rng.standard_normal(p.shape)
-    want = [_adam(p.value, 0.0, 0.0, p.grad, 1, 0.01) for p in ps]
+    want = [textbook_adam(p.value, 0.0, 0.0, p.grad, 1, 0.01, folded=True) for p in ps]
     ad.adam_step(ps, 0.01)
     for p, (value, m, v) in zip(ps, want):
         assert _bytes(p.value, p.m, p.v) == _bytes(value, m, v)
@@ -532,9 +484,9 @@ def test_adam_value_stays_within_a_few_ulp_of_the_textbook_form(lr):
         p.value = np.zeros(n)
         p.grad, q.grad = g, g.copy()
         ad.adam_step([p, q], lr)
-        value, m, v = _textbook_adam(value, m, v, g, t, lr)
+        value, m, v = textbook_adam(value, m, v, g, t, lr)
         assert _bytes(p.m, p.v, q.m, q.v) == _bytes(m, v, m, v)
-        update = _textbook_update(m, v, t, lr)
+        update = adam_update(m, v, t, lr)
         assert np.all(np.abs(-p.value - update) <= ADAM_ULPS * ULP * np.abs(update))
         drift = drift + ADAM_ULPS * ULP * np.abs(update) + ULP / 2 * (np.abs(q.value) + np.abs(value))
         assert np.all(np.abs(q.value - value) <= drift)
@@ -551,7 +503,7 @@ def test_adam_matches_the_textbook_form_across_chunk_boundaries(size):
     for t in range(1, 5):
         p.grad = g = rng.standard_normal(size) * 10.0 ** rng.integers(-6, 3, size)
         ad.adam_step([p], 0.01)
-        value, m, v = _adam(value, m, v, g, t, 0.01)
+        value, m, v = textbook_adam(value, m, v, g, t, 0.01, folded=True)
         assert _bytes(p.value, p.m, p.v) == _bytes(value, m, v)
 
 
@@ -565,7 +517,7 @@ def test_adam_on_a_parameter_built_from_a_transposed_array():
     for t in range(1, 5):
         p.grad = g = rng.standard_normal((CHUNK + 3, 3)).T
         ad.adam_step([p], 0.01)
-        value, m, v = _adam(value, m, v, g, t, 0.01)
+        value, m, v = textbook_adam(value, m, v, g, t, 0.01, folded=True)
         assert _bytes(p.value, p.m, p.v) == _bytes(value, m, v)
     assert built.tobytes() == kept.tobytes()
 
@@ -582,7 +534,7 @@ def test_adam_on_a_value_replaced_by_a_non_contiguous_array():
             kept = wide.copy()
         p.grad = g = rng.standard_normal(shape)
         ad.adam_step([p], 0.01)
-        value, m, v = _adam(value, m, v, g, t, 0.01)
+        value, m, v = textbook_adam(value, m, v, g, t, 0.01, folded=True)
         assert _bytes(p.value, p.m, p.v) == _bytes(value, m, v)
     assert wide.tobytes() == kept.tobytes()  # the array it was given is not written
 
@@ -593,12 +545,7 @@ def test_adam_after_the_first_step_allocates_only_chunk_buffers():
     p.grad = np.ones(n)
     ad.adam_step([p], 0.01)
     p.grad = np.ones(n)
-    tracemalloc.start()
-    try:
-        ad.adam_step([p], 0.01)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    _, peak = peak_bytes(ad.adam_step, [p], 0.01)
     assert peak < 0.1 * p.value.nbytes
 
 
@@ -615,25 +562,6 @@ def _per_bin_loss(rows, w, gM):
     return (ad.matmul(ad.Tensor(rows), w) * gM).sum()  # d/d(rows @ w) is gM exactly
 
 
-def _old_vjp(rows, gM):
-    return np.matmul(np.swapaxes(rows, -1, -2), gM)
-
-
-def _full_factors(rows):
-    # rows_t and R2 over every row of rows[K, c, T]: [K, T, c], their view, and
-    # [K, T, c(c+1)/2] in C order, the pairwise products as one expression with the
-    # off-diagonal ones doubled (C order: a one-column GEMM of its rows rounds by layout)
-    rows_t = np.swapaxes(rows, -1, -2)
-    i, j = np.triu_indices(rows.shape[1])
-    return rows_t, np.ascontiguousarray(rows_t[..., i] * rows_t[..., j] * np.where(i < j, 2.0, 1.0))
-
-
-def _factored_moments(p):
-    # the full-size m and v that a grid weight's factored moments stand for
-    rows_t, R2 = _full_factors(p.rows)
-    return np.matmul(rows_t, p.m), np.matmul(R2, p.v)
-
-
 # Factored m and v read back within MOMENT_ULPS ulp of the dense ones, in units of
 # the same recursions run on |rows|^T |gM| (the sizes their terms are rounded at);
 # the worst seen over 150 runs of 5 steps, rows and gM scaled by up to 1e3 either
@@ -643,12 +571,12 @@ MOMENT_ULPS = 16
 
 def _moment_scales(sm, sv, rows, *gMs):
     # the same recursions as m and v run on |rows|^T (|gM| + ...), one step on
-    a = _old_vjp(np.abs(rows), sum(np.abs(gM) for gM in gMs))
+    a = dense_grad(np.abs(rows), sum(np.abs(gM) for gM in gMs))
     return ad.ADAM_BETA1 * sm + (1.0 - ad.ADAM_BETA1) * a, ad.ADAM_BETA2 * sv + (1.0 - ad.ADAM_BETA2) * a * a
 
 
 def _assert_moments_near(p, dense, sm, sv):
-    m, v = _factored_moments(p)
+    m, v = dense_moments(p)
     assert np.all(np.abs(m - dense.m) <= MOMENT_ULPS * ULP * sm)
     assert np.all(np.abs(v - dense.v) <= MOMENT_ULPS * ULP * sv)
 
@@ -668,7 +596,7 @@ def test_factored_moments_read_back_as_the_dense_ones(K, c, T, width):
         gM = rng.standard_normal((K, c, width)) * 10.0 ** rng.uniform(-3, 3, (K, c, 1))
         ad.backward(_per_bin_loss(rows, p, gM))
         assert p._grad.tobytes() == gM.tobytes()  # the per-bin g itself
-        dense.grad = _old_vjp(rows, gM)
+        dense.grad = dense_grad(rows, gM)
         ad.adam_step([p, dense], 0.01)
         assert p.step == dense.step == t and p.grad is None
         assert p.m.shape == (K, c, width) and p.v.shape == (K, c * (c + 1) // 2, width)
@@ -692,16 +620,11 @@ def test_per_bin_gradients_summed_onto_a_grid_weight_keep_it_factored(how):
             ad.backward(_per_bin_loss(rows, p, gM))
             ad.backward(_per_bin_loss(rows, p, gM2))
         assert p._grad.shape == gM.shape
-        dense.grad = _old_vjp(rows, gM) + _old_vjp(rows, gM2)
+        dense.grad = dense_grad(rows, gM) + dense_grad(rows, gM2)
         ad.adam_step([p, dense], 0.01)
         assert p.factors is not None
         sm, sv = _moment_scales(sm, sv, rows, gM, gM2)
         _assert_moments_near(p, dense, sm, sv)
-
-
-def _factor_arrays(p):
-    periods, folded, groups = p.factors
-    return periods, folded, *(a for group in groups for a in group)
 
 
 def test_reading_a_grid_weights_gradient_changes_no_adam_step():
@@ -712,10 +635,10 @@ def test_reading_a_grid_weights_gradient_changes_no_adam_step():
         gM = rng.standard_normal((3, 2, 5))
         ad.backward(_per_bin_loss(rows, p, gM))
         ad.backward(_per_bin_loss(rows, twin, gM))
-        assert p.grad.tobytes() == _old_vjp(rows, gM).tobytes()  # read before every step
+        assert p.grad.tobytes() == dense_grad(rows, gM).tobytes()  # read before every step
         ad.adam_step([p, twin], 0.01)
         assert p.factors is not None and twin.factors is not None
-        assert _bytes(p.value, p.m, p.v, *_factor_arrays(p)) == _bytes(twin.value, twin.m, twin.v, *_factor_arrays(twin))
+        assert _bytes(p.value, p.m, p.v, *factor_arrays(p)) == _bytes(twin.value, twin.m, twin.v, *factor_arrays(twin))
 
 
 @pytest.mark.parametrize("how", ["assign", "elementwise", "elementwise alone", "rows"])
@@ -726,7 +649,7 @@ def test_a_gradient_a_grid_weight_cannot_take_raises(how):
     H = rng.standard_normal(p.shape)
     with pytest.raises(ValueError, match=r"^grid weight w [^\n]*$"):
         if how == "assign":
-            p.grad = _old_vjp(rows, gM)
+            p.grad = dense_grad(rows, gM)
         elif how == "elementwise":  # a per-bin edge plus an elementwise one (weight decay, say)
             ad.backward(_per_bin_loss(rows, p, gM) + (p * H).sum())
         elif how == "elementwise alone":
@@ -745,19 +668,10 @@ def test_a_grid_weight_refuses_rows_whose_factors_are_not_smaller():
         ad.GridWeight(rng.standard_normal((2, 5, 5)), "w", rng.standard_normal((2, 2, 4)))
 
 
-def _factors(rows):
-    # the factors a grid weight's moments keep for rows[K, c, T]
-    return ad._moment_factors(rows)
-
-
-def _periods(rows):
-    return _factors(rows)[0]
-
-
 @pytest.mark.parametrize("T", [16, 336])
 def test_a_fourier_bin_repeats_every_T_over_gcd_of_its_frequency(T):
     # bin k holds frequency f = k + 1
-    assert _periods(basis_rows(T, T)).tolist() == [T // math.gcd(k + 1, T) for k in range(T // 2)]
+    assert ad._moment_factors(basis_rows(T, T))[0].tolist() == [T // math.gcd(k + 1, T) for k in range(T // 2)]
 
 
 def _moved(T, k, c, n, how):
@@ -776,9 +690,9 @@ def _moved(T, k, c, n, how):
 ])
 def test_a_bin_with_one_entry_changed_does_not_repeat(k, c, n, how):
     T = 16
-    before = _periods(basis_rows(T, T))
+    before = ad._moment_factors(basis_rows(T, T))[0]
     assert before[k] < T
-    after = _periods(_moved(T, k, c, n, how))
+    after = ad._moment_factors(_moved(T, k, c, n, how))[0]
     assert after[k] == T and np.array_equal(np.delete(after, k), np.delete(before, k))
 
 
@@ -787,8 +701,8 @@ def test_a_bin_with_one_entry_changed_does_not_repeat(k, c, n, how):
 def test_r2_is_each_pair_of_rows_multiplied_with_the_off_diagonal_doubled(rows):
     # byte for byte the reference over each bin's read-back rows, the first P or P/2:
     # the pairwise products as one expression; every bin in one group, by its h
-    periods, folded, groups = _factors(rows)
-    want = _full_factors(rows)[1]
+    periods, folded, groups = ad._moment_factors(rows)
+    want = full_factors(rows)[1]
     assert sorted(k for bins, _ in groups for k in bins) == list(range(len(rows)))
     for bins, R2 in groups:
         h = R2.shape[1]
@@ -800,23 +714,18 @@ def test_the_moment_factors_peak_below_twice_the_rows():
     # the int64 copy of the rows the period scan compares is gone before R2 is made,
     # and R2 (1.5x the rows for c = 2) is written with no temporary
     rows = basis_rows(192, 192)
-    tracemalloc.start()
-    try:
-        _factors(rows)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    _, peak = peak_bytes(ad._moment_factors, rows)
     assert peak <= 2 * rows.nbytes
 
 
 def test_random_rows_do_not_repeat():
-    assert _periods(RNG(20).standard_normal((5, 2, 12))).tolist() == [12] * 5
+    assert ad._moment_factors(RNG(20).standard_normal((5, 2, 12)))[0].tolist() == [12] * 5
 
 
 @pytest.mark.parametrize("T", [16, 336])
 def test_every_even_period_fourier_bin_folds_by_sign_but_nyquist(T):
     # Nyquist's sine row is +0.0 throughout, which is not -0.0
-    periods, folded, _ = _factors(basis_rows(T, T))
+    periods, folded, _ = ad._moment_factors(basis_rows(T, T))
     assert folded.tolist() == [P % 2 == 0 and k < T // 2 - 1 for k, P in enumerate(periods)]
 
 
@@ -828,20 +737,20 @@ def test_every_even_period_fourier_bin_folds_by_sign_but_nyquist(T):
 ])
 def test_a_bin_with_its_second_half_changed_keeps_its_period_and_does_not_fold(k, c, n, how):
     T = 16
-    periods, folded, _ = _factors(basis_rows(T, T))
+    periods, folded, _ = ad._moment_factors(basis_rows(T, T))
     assert folded[k]
     rows = basis_rows(T, T).copy()
     x = rows[k, c, n]
     rows[k, c, n::periods[k]] = {"nan": np.nan, "ulp": np.nextafter(x, np.inf), "zero sign": -x}[how]
-    after, fold_after, _ = _factors(rows)
+    after, fold_after, _ = ad._moment_factors(rows)
     assert np.array_equal(after, periods)  # changed in every period, so it still repeats
     assert not fold_after[k] and np.array_equal(np.delete(fold_after, k), np.delete(folded, k))
 
 
 def test_random_rows_do_not_fold():
     rng = RNG(21)
-    assert not _factors(rng.standard_normal((5, 2, 12)))[1].any()
-    periods, folded, _ = _factors(np.tile(rng.standard_normal((5, 2, 4)), 3))
+    assert not ad._moment_factors(rng.standard_normal((5, 2, 12)))[1].any()
+    periods, folded, _ = ad._moment_factors(np.tile(rng.standard_normal((5, 2, 4)), 3))
     assert periods.tolist() == [4] * 5 and not folded.any()  # an even period, checked and refused
 
 
@@ -882,22 +791,6 @@ def test_a_grid_weight_refuses_equal_rows_in_another_array():
             ad.matmul(ad.Tensor(later), p)
 
 
-def _read_back_every_row(x, p, t, lr):
-    """x after one factored Adam step from p's moments, with every bin's step m
-    and v read back on all T rows, in row blocks of about one chunk: no fold."""
-    c1, c2 = 1.0 - ad.ADAM_BETA1**t, 1.0 - ad.ADAM_BETA2**t
-    step, eps = lr * math.sqrt(c2) / c1, ad.ADAM_EPS * math.sqrt(c2)
-    rows_t, R2 = _full_factors(p.rows)
-    A = p.m * step
-    n = max(ad._ADAM_CHUNK // x.shape[-1], 1)
-    out = x.copy()
-    for k in range(x.shape[0]):
-        for r in range(0, x.shape[1], n):
-            m, v = np.matmul(rows_t[k, r : r + n], A[k]), np.matmul(R2[k, r : r + n], p.v[k])
-            out[k, r : r + n] -= m / (np.sqrt(np.maximum(v, 0.0)) + eps)
-    return out
-
-
 @pytest.mark.parametrize("width", [96, 1, 97, 512, 1440])
 def test_folded_adam_steps_as_reading_back_every_row(width):
     # Fourier rows at T = 336; at 512 and fbm-nl's 1440 columns, one bin for each
@@ -917,35 +810,15 @@ def test_folded_adam_steps_as_reading_back_every_row(width):
         ad.backward(_per_bin_loss(rows, p, gM))
         x = p.value.copy()  # a fold between steps: then w0 + (0 - s) is w0 - s, bit for bit
         ad.adam_step([p], 1e-2)
-        assert p.factors[0].min() == 2  # the Nyquist bin
-        assert p.factors[1].any()  # and bins that fold by sign
-        want = _read_back_every_row(x, p, t, 1e-2)
+        periods, h = read_back_lengths(p)
+        assert periods.min() == 2  # the Nyquist bin
+        assert (h < periods).any()  # and bins that fold by sign
+        want = read_back_every_row(x, p, t, 1e-2)
         if width > 1:
             assert p.value.tobytes() == want.tobytes()
         else:
             scale = np.maximum(np.abs(x), np.abs(want - x))
             assert np.all(np.abs(p.value - want) <= MOMENT_ULPS * ULP * scale)
-
-
-def _per_bin_read_back(table, delta, p, t, lr):
-    """The read-back as a loop over bins, in place: bin k's first h rows in ceil(h / n)
-    near-equal blocks of at most n rows, about a chunk, each block's step subtracted
-    from D[k] and (T/h) rows @ it from the table."""
-    c1, c2 = 1.0 - ad.ADAM_BETA1**t, 1.0 - ad.ADAM_BETA2**t
-    step, eps = lr * math.sqrt(c2) / c1, ad.ADAM_EPS * math.sqrt(c2)
-    rows_t, R2 = _full_factors(p.rows)
-    A = p.m * step
-    T, width = p.shape[1:]
-    n = max(ad._ADAM_CHUNK // width, 1)
-    for k, d in enumerate(delta):
-        h = len(d)
-        b = -(-h // n)
-        for r in range(b):
-            rows = slice(r * h // b, (r + 1) * h // b)
-            m, v = np.matmul(rows_t[k, rows], A[k]), np.matmul(R2[k, rows], p.v[k])
-            s = m / (np.sqrt(np.maximum(v, 0.0)) + eps)
-            d[rows] -= s
-            table[k] -= (T // h) * np.matmul(p.rows[k, :, rows], s)
 
 
 @pytest.mark.parametrize("width", [96, 97, 512, 1440, 1, "random"])
@@ -969,20 +842,12 @@ def test_the_chunked_read_back_holds_the_per_bin_loops_table_and_steps(width):
         ad.backward(_per_bin_loss(rows, p, gM))
         ad.adam_step([p], 1e-2)
         if t == 1:
-            periods, folded, _ = p.factors
-            delta = [np.zeros((h, width)) for h in np.where(folded, periods // 2, periods)]
-        _per_bin_read_back(table, delta, p, t, 1e-2)
+            delta = [np.zeros((h, width)) for h in read_back_lengths(p)[1]]
+        per_bin_read_back(table, delta, p, t, 1e-2)
         assert p._table.tobytes() == table.tobytes()
-        held = {k: d for k, _, d in p._steps()}
+        held = steps_by_bin(p)
         assert sorted(held) == list(range(K))
         assert all(held[k].tobytes() == d.tobytes() for k, d in enumerate(delta))
-
-
-def _held_value(p):
-    # w0 + tile(D), as a .value read folds it, taken on a twin: p stays unfolded
-    twin = ad.GridWeight(ad.Tensor.value.__get__(p).copy(), "twin", p.rows)
-    twin._delta, twin.factors = [d.copy() for d in p._delta], p.factors
-    return twin.value
 
 
 def test_a_grid_weights_steps_are_one_array_per_read_back_length():
@@ -998,12 +863,12 @@ def test_a_grid_weights_steps_are_one_array_per_read_back_length():
         ad.adam_step([p], 1e-2)
 
     step()
-    groups = p.factors[2]
-    assert len(groups) == len(p._delta) == 15
-    assert [d.shape for d in p._delta] == [(len(bins), R2.shape[1], width) for bins, R2 in groups]
-    assert [len(bins) for bins, R2 in groups if R2.shape[1] in (168, 84)] == [24, 48]
+    groups = step_groups(p)
+    assert len(groups) == 15
+    assert [d.shape for _, _, d in groups] == [(len(bins), R2.shape[1], width) for bins, R2, _ in groups]
+    assert [len(bins) for bins, R2, _ in groups if R2.shape[1] in (168, 84)] == [24, 48]
     step()
-    state, value = p.snapshot(), _held_value(p)
+    state, value = p.snapshot(), unfolded_value(p)
     step()
     step()
     p.restore(state)
@@ -1024,7 +889,7 @@ def test_a_non_finite_gradient_reaches_a_factored_weight(bad):
         if t == 2:
             gM[1, 0, 3] = bad
         ad.backward(_per_bin_loss(rows, p, gM))
-        dense.grad = _old_vjp(rows, gM)
+        dense.grad = dense_grad(rows, gM)
         ad.adam_step([p, dense], 0.01)
     assert p.factors is not None
     assert np.array_equal(np.isnan(p.value), np.isnan(dense.value))
@@ -1037,7 +902,7 @@ def test_per_bin_gradient_reads_as_the_old_dense_array():
     ad.backward(_per_bin_loss(rows, w, gM), [w])  # the zero fill leaves it per bin
     assert w._grad.tobytes() == gM.tobytes()
     g = w.grad
-    assert type(g) is np.ndarray and g.tobytes() == _old_vjp(rows, gM).tobytes()
+    assert type(g) is np.ndarray and g.tobytes() == dense_grad(rows, gM).tobytes()
     assert w._grad.tobytes() == gM.tobytes()  # read, not stored
 
 
@@ -1047,7 +912,7 @@ def test_only_a_rank3_parameter_gets_a_per_bin_gradient():
     # only a GridWeight: a tracked input, and a rank-3 Parameter, get the dense gradient
     for t in (ad.Tensor(w.value.copy(), requires_grad=True), ad.Parameter(w.value.copy(), "p")):
         ad.backward(_per_bin_loss(rows, t, gM))
-        assert type(t._grad) is np.ndarray and t._grad.tobytes() == _old_vjp(rows, gM).tobytes()
+        assert type(t._grad) is np.ndarray and t._grad.tobytes() == dense_grad(rows, gM).tobytes()
 
 
 def test_adam_never_writes_the_array_a_parameter_was_built_from():
@@ -1279,12 +1144,7 @@ def test_container_load_holds_one_copy_of_a_record(tmp_path):
     # per-record slice, no cast copy
     path = tmp_path / "big.fbm"
     ad.save_tensors(path, [("w", np.ones(2**20))])
-    tracemalloc.start()
-    try:
-        _, [(_, w)] = ad.load_tensors(path)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    (_, [(_, w)]), peak = peak_bytes(ad.load_tensors, path)
     assert w.dtype == np.float64 and w.flags.writeable and np.all(w == 1.0)
     assert peak <= 1.1 * w.nbytes
 
@@ -1292,12 +1152,7 @@ def test_container_load_holds_one_copy_of_a_record(tmp_path):
 def test_container_save_holds_no_copy_of_a_record(tmp_path):
     # each record is written from its array's own buffer, little-endian as read
     w = np.ones(2**20)
-    tracemalloc.start()
-    try:
-        ad.save_tensors(tmp_path / "big.fbm", [("w", w)])
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    _, peak = peak_bytes(ad.save_tensors, tmp_path / "big.fbm", [("w", w)])
     assert peak < 0.2 * w.nbytes
     swapped = np.arange(6.0).reshape(2, 3).astype(">f8")
     ad.save_tensors(tmp_path / "swapped.fbm", [("w", w), ("s", swapped), ("0-d", np.array(3.0))])

@@ -1,4 +1,3 @@
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,29 +8,9 @@ from fbm import fourier as fb
 from fbm.errors import ConfigError, NumericError
 
 from gradcheck import param_grad_err, input_grad_err
+from oracles import dense_grid, direct_attention_1token, direct_seasonal, halves, peak_bytes
 
 RNG = np.random.default_rng
-
-
-def seasonal_direct_oracle(W, H_R, H_I, T, L):
-    # slide W over the padded per-frequency features; the naive path the
-    # fused kernel must reproduce
-    bases = fb.build_bases(T, pad=L - 1)
-    Cp, Sp = bases.C[:, 1:], bases.S[:, 1:]
-    B, D, K = H_R.shape
-    out = np.zeros((B, D, L))
-    for b in range(B):
-        for d in range(D):
-            G_pad = H_R[b, d][None, :] * Cp + H_I[b, d][None, :] * Sp
-            for v in range(L):
-                out[b, d, v] = np.sum(W * G_pad[v : v + T, :])
-    return out
-
-
-def _spectra(rng, B, D, T):
-    X = rng.normal(size=(B, D, T))
-    H_R, H_I = fb.rdft_array(X)
-    return H_R[..., 1:], H_I[..., 1:]
 
 
 @pytest.mark.parametrize("seed", range(20))
@@ -41,9 +20,9 @@ def test_seasonal_trick_matches_direct_convolution(seed):
     for T, L in ((32, 8), (16, 40)):
         block = bl.SeasonalBlock(T, L)
         block.W.value = rng.normal(size=(T, T // 2))
-        H_R, H_I = _spectra(rng, 2, 3, T)
+        H_R, H_I = halves(rng.normal(size=(2, 3, T)))
         got = block.forward(ad.Tensor(H_R), ad.Tensor(H_I)).value
-        want = seasonal_direct_oracle(block.W.value, H_R, H_I, T, L)
+        want = direct_seasonal(block.W.value, H_R, H_I, T, L)
         assert np.max(np.abs(got - want)) < 1e-8
 
 
@@ -58,7 +37,7 @@ def test_seasonal_filter_reads_only_the_per_bin_gains():
     for k in range(T // 2):
         span, _ = np.linalg.qr(np.stack([cm[:, k], sm[:, k]], axis=1))
         E[:, k] -= span @ (span.T @ E[:, k])
-    H_R, H_I = _spectra(rng, 2, 3, T)
+    H_R, H_I = halves(rng.normal(size=(2, 3, T)))
     outs = []
     for w in (W, W + E):
         block = bl.SeasonalBlock(T, L)
@@ -74,19 +53,14 @@ def test_seasonal_block_holds_no_table_of_size_L_times_T():
     # under 0.5 MB each, and the table caches are cleared so they count too
     for cache in (fb.build_bases, fb.dft_matrices):
         cache.cache_clear()
-    tracemalloc.start()
-    try:
-        bl.SeasonalBlock(336, 96)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    _, peak = peak_bytes(bl.SeasonalBlock, 336, 96)
     assert peak < 8e6
 
 
 def test_seasonal_zero_weights_zero_output():
     T, L = 16, 4
     block = bl.SeasonalBlock(T, L)
-    H_R, H_I = _spectra(RNG(0), 1, 2, T)
+    H_R, H_I = halves(RNG(0).normal(size=(1, 2, T)))
     out = block.forward(ad.Tensor(H_R), ad.Tensor(H_I)).value
     np.testing.assert_array_equal(out, np.zeros((1, 2, L)))
 
@@ -111,7 +85,7 @@ def test_seasonal_gradients():
     T, L = 16, 4
     block = bl.SeasonalBlock(T, L)
     block.W.value = RNG(2).normal(size=(T, T // 2)) * 0.3
-    H_R, H_I = _spectra(RNG(3), 2, 2, T)
+    H_R, H_I = halves(RNG(3).normal(size=(2, 2, T)))
 
     def make_loss():
         out = block.forward(ad.Tensor(H_R), ad.Tensor(H_I))
@@ -137,10 +111,9 @@ def test_grid_linear_matches_the_grid_contraction(T):
     rows = bl.basis_rows(T, T)
     block = bl.GridLinear(RNG(0), rows, 5, "linear")
     block.w.value = rng.normal(size=(T // 2, T, 5))
-    H_R, H_I = fb.rdft_array(rng.normal(size=(3, 2, T)))
-    G = fb.expand_array(H_R, H_I, fb.build_bases(T), drop_dc=True)  # [B, D, T, K]
-    want = np.einsum("bdnk,knj->bdj", G, block.w.value)
-    grid = bl.Grid.spectrum(ad.Tensor(H_R[..., 1:]), ad.Tensor(H_I[..., 1:]), rows)
+    h_r, h_i = halves(rng.normal(size=(3, 2, T)))
+    want = np.einsum("bdnk,knj->bdj", dense_grid(h_r, h_i), block.w.value)
+    grid = bl.Grid.spectrum(ad.Tensor(h_r), ad.Tensor(h_i), rows)
     got = block.forward(grid).value
     assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
@@ -164,7 +137,7 @@ def test_grid_linear_gradients():
     rows = bl.basis_rows(T, T)
     block = bl.GridLinear(RNG(0), rows, 3, "linear")
     block.w.value = RNG(6).normal(size=(T // 2, T, 3))
-    z = np.stack(_spectra(RNG(7), 2, 3, T), axis=-1)
+    z = np.stack(halves(RNG(7).normal(size=(2, 3, T))), axis=-1)
 
     def loss(coef):
         y = block.forward(bl.Grid(coef[0], rows))
@@ -178,11 +151,11 @@ def test_grid_linear_gradients():
 def test_a_tracked_spectrum_half_raises(tracked):
     # the halves are paired as constants, so a tracked half would silently get
     # no gradient: both the grid and the seasonal halves form refuse it
-    halves = [ad.Tensor(h, requires_grad=i == tracked) for i, h in enumerate(_spectra(RNG(8), 1, 2, 16))]
+    pair = [ad.Tensor(h, requires_grad=i == tracked) for i, h in enumerate(halves(RNG(8).normal(size=(1, 2, 16))))]
     with pytest.raises(ValueError, match="constants"):
-        bl.Grid.spectrum(*halves, bl.basis_rows(16, 16))
+        bl.Grid.spectrum(*pair, bl.basis_rows(16, 16))
     with pytest.raises(ValueError, match="constants"):
-        bl.SeasonalBlock(16, 4).forward(*halves)
+        bl.SeasonalBlock(16, 4).forward(*pair)
 
 
 # --- patching -------------------------------------------------------------------
@@ -302,16 +275,6 @@ def test_centralize_gradients_flow_through_stats():
 # --- trend block -------------------------------------------------------------------
 
 
-def _features(rng, B, D, T):
-    X = rng.normal(size=(B, D, T))
-    mu = X.mean(-1, keepdims=True)
-    sd = X.std(-1, keepdims=True)
-    Xs = (X - mu) / sd
-    H_R, H_I = fb.rdft_array(Xs)
-    G = fb.expand_array(H_R, H_I, fb.build_bases(T), drop_dc=True)
-    return G
-
-
 def test_trend_zero_final_weights_zero_output():
     rng = RNG(0)
     cfg = bl.TrendConfig(backbone="mlp", h1=4, h2=5, P=2, scales=(1, 2))
@@ -319,7 +282,7 @@ def test_trend_zero_final_weights_zero_output():
     for _, scale in block.scales:
         scale.out.w.value[:] = 0.0
         scale.out.b.value[:] = 0.0
-    G = _features(rng, 2, 2, 16)
+    G = dense_grid(*halves(rng.normal(size=(2, 2, 16)), True))
     out = block.forward(ad.Tensor(G)).value
     np.testing.assert_array_equal(out, np.zeros((2, 2, 4)))
 
@@ -329,7 +292,7 @@ def test_trend_linear_single_scale_equals_flat_linear_oracle():
     T, L, D = 8, 3, 2
     cfg = bl.TrendConfig(backbone="linear", scales=(1,))
     block = bl.TrendBlock(np.random.default_rng(5), T, L, D, cfg)
-    G = _features(rng, 2, D, T)
+    G = dense_grid(*halves(rng.normal(size=(2, D, T)), True))
     got = block.forward(ad.Tensor(G)).value
     W = block.scales[0][1].out.w.value
     b = block.scales[0][1].out.b.value
@@ -342,7 +305,7 @@ def test_trend_gradients(backbone):
     T, L, D = 16, 4, 2
     cfg = bl.TrendConfig(backbone=backbone, h1=4, h2=5, K=1, P=2, scales=(1, 2))
     block = bl.TrendBlock(np.random.default_rng(7), T, L, D, cfg)
-    G = _features(RNG(8), 1, D, T)
+    G = dense_grid(*halves(RNG(8).normal(size=(1, D, T)), True))
 
     def make_loss():
         out = block.forward(ad.Tensor(G))
@@ -355,7 +318,7 @@ def test_trend_input_gradients():
     T, L, D = 16, 4, 2
     cfg = bl.TrendConfig(backbone="mlp", h1=4, h2=5, P=2, scales=(1,))
     block = bl.TrendBlock(np.random.default_rng(9), T, L, D, cfg)
-    G = _features(RNG(10), 1, D, T)
+    G = dense_grid(*halves(RNG(10).normal(size=(1, D, T)), True))
     err = input_grad_err(lambda t: (block.forward(t[0]) * block.forward(t[0])).mean(), [G])
     assert err < 1e-4
 
@@ -377,7 +340,7 @@ def _inter_block(seed=0, T=16, L=4, D=3, C1=4, C2=3, h3=5, K=1):
 def test_interaction_mask_locality_exact():
     block, cfg = _inter_block()
     rng = RNG(1)
-    G = _features(rng, 2, 3, 16)
+    G = dense_grid(*halves(rng.normal(size=(2, 3, 16)), True))
     base = block.forward(ad.Tensor(G)).value
     # perturbing any timestep before the C1 tail leaves the output bit-identical
     G2 = G.copy()
@@ -399,7 +362,7 @@ def test_interaction_rejects_out_of_range_config(bad):
 
 def test_interaction_c2_zero_disables_block():
     block, _ = _inter_block(C2=0)
-    G = _features(RNG(2), 1, 3, 16)
+    G = dense_grid(*halves(RNG(2).normal(size=(1, 3, 16)), True))
     out = block.forward(ad.Tensor(G)).value
     np.testing.assert_array_equal(out, np.zeros_like(out))
 
@@ -411,32 +374,17 @@ def test_interaction_rejects_bad_masks():
         _inter_block(C2=5)
 
 
-def _attention_oracle_1token(x, p):
-    # hand-computed single-token pass: softmax over one key is 1
-    def norm(v):
-        mu = v.mean()
-        sd = np.sqrt(((v - mu) ** 2).mean() + 1e-5)
-        return (v - mu) / sd
-
-    n1 = norm(x)
-    v = n1 @ p.v.w.value + p.v.b.value
-    x = x + v @ p.o.w.value + p.o.b.value
-    n2 = norm(x)
-    f = np.maximum(n2 @ p.ffn1.w.value + p.ffn1.b.value, 0.0) @ p.ffn2.w.value + p.ffn2.b.value
-    return x + f
-
-
 def test_interaction_single_channel_matches_hand_oracle():
     T, L, D = 16, 4, 1
     block, cfg = _inter_block(D=D, K=1)
-    G = _features(RNG(3), 1, D, T)
+    G = dense_grid(*halves(RNG(3).normal(size=(1, D, T)), True))
     got = block.forward(ad.Tensor(G)).value[0, 0]
 
     flat = G[0, 0, T - cfg.C1 :, :].reshape(-1)
     mu, var = flat.mean(), flat.var()
     xhat = (flat - mu) / np.sqrt(var + 1e-5)  # gamma=1, beta=0 at init
     tok = xhat @ block.front.linear.w.value + block.front.linear.b.value
-    tok = _attention_oracle_1token(tok, block.stacks[0])
+    tok = direct_attention_1token(tok, block.stacks[0])
     want = tok @ block.out.w.value + block.out.b.value
     want[cfg.C2 :] = 0.0
     np.testing.assert_allclose(got, want, atol=1e-10)
@@ -444,7 +392,7 @@ def test_interaction_single_channel_matches_hand_oracle():
 
 def test_interaction_gradients():
     block, _ = _inter_block(seed=4, D=2)
-    G = _features(RNG(5), 1, 2, 16)
+    G = dense_grid(*halves(RNG(5).normal(size=(1, 2, 16)), True))
 
     def make_loss():
         out = block.forward(ad.Tensor(G))
@@ -455,6 +403,6 @@ def test_interaction_gradients():
 
 def test_interaction_input_gradients():
     block, _ = _inter_block(seed=6, D=2)
-    G = _features(RNG(7), 1, 2, 16)
+    G = dense_grid(*halves(RNG(7).normal(size=(1, 2, 16)), True))
     err = input_grad_err(lambda t: block.forward(t[0]).mean(), [G])
     assert err < 1e-4

@@ -575,6 +575,19 @@ def test_weights_rejects_non_seasonal_checkpoint(capsys, tmp_path, periodic_csv)
     assert "fbm-s" in err
 
 
+def test_weights_refuses_a_non_fbm_s_checkpoint_from_its_header(capsys, monkeypatch, tmp_path):
+    checkpoint = tmp_path / "model.fbm"
+    ForecastModel(ModelSpec(variant="fbm-l", T=48, L=12, D=1)).save(checkpoint)
+
+    def no_weights(path):
+        raise AssertionError(f"weights of {path} read")
+
+    monkeypatch.setattr(ad, "load_tensors", no_weights)
+    rc, stdout, err = run(capsys, "weights", "--checkpoint", str(checkpoint))
+    assert rc == 1 and stdout == ""
+    assert err == "fbm: error: weights export needs an fbm-s checkpoint, got fbm-l\n"
+
+
 # --- output paths that cannot be written ---------------------------------------
 
 

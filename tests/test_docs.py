@@ -1,5 +1,5 @@
-"""README's `fbm` command examples still parse with the CLI's flags; they
-are parsed, not run."""
+"""README's `fbm` command examples still parse with the CLI's flags (they
+are parsed, not run), and its Layout names every module."""
 
 import re
 import shlex
@@ -41,3 +41,21 @@ def test_readme_example_parses(argv):
     # a renamed flag or a value its type rejects exits through the parser
     args = cli.build_parser().parse_args(argv)
     assert args.cmd == argv[0]
+
+
+def layout(markdown):
+    """{directory: the file names listed under it} of the code block under ## Layout."""
+    block = re.search(r"## Layout\n+```\n(.*?)```", markdown, flags=re.S)[1]
+    listed = {}
+    for line in block.splitlines():
+        if line.endswith("/"):
+            names = listed.setdefault(line, set())
+        elif line[:2] == "  " and line[2] != " ":
+            names.add(line.split()[0])
+    return listed
+
+
+def test_readme_layout_names_every_module_and_the_oracles():
+    listed = layout(README.read_text(encoding="utf-8"))
+    modules = {p.name for p in (README.parent / "src" / "fbm").glob("*.py")} - {"__init__.py"}
+    assert modules <= listed["src/fbm/"] and "oracles.py" in listed["tests/"]

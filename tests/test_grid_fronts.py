@@ -3,12 +3,11 @@
 Every trend scale, fbm-np and the interaction block read the DC-dropped
 spectrum as a blocks.Grid: patch maps, patch moments and downsampled scales
 come from the spectrum and tables of basis rows, and the [B, D, T, K] grid
-is never built. The oracle here builds that grid and runs the direct path
-in numpy: downsample, patch, standardize, Linear, ReLU, decentralize.
+is never built. The direct paths in oracles.py build that grid and run the
+blocks on it in numpy: downsample, patch, standardize, Linear, ReLU, decentralize.
 """
 
 import inspect
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -18,77 +17,10 @@ from fbm import blocks as bl
 from fbm import fourier as fb
 from fbm import models
 from fbm.autodiff import Tensor
-from fbm.models import ForecastModel, ModelSpec, instance_standardize
+from fbm.models import ForecastModel, ModelSpec
 
 from gradcheck import param_grad_err
-
-# --- the direct grid path ------------------------------------------------------------
-
-
-def dense_grid(h_r, h_i):
-    """DC-dropped halves [..., K] -> the grid [..., T, K] itself."""
-    T = 2 * h_r.shape[-1]
-    bases = fb.build_bases(T)
-    return h_r[..., None, :] * bases.C[:, 1:] + h_i[..., None, :] * bases.S[:, 1:]
-
-
-def direct_downsample(G, kernel):
-    *lead, t, f = G.shape
-    x = G.reshape(*lead, t // kernel, kernel, f).mean(axis=-2)
-    return x.reshape(*lead, t // kernel, f // kernel, kernel).sum(axis=-1)
-
-
-def direct_centralized_linear(cent, x, linear):
-    """Standardize each patch x[..., D, P, N] (two-pass variance), gamma and
-    beta, then the Linear: -> (y, mean, std)."""
-    mean = x.mean(axis=-1, keepdims=True)
-    std = np.sqrt(((x - mean) ** 2).mean(axis=-1, keepdims=True) + bl.CENT_EPS)
-    g, b = cent.gamma.value[:, None, None], cent.beta.value[:, None, None]
-    return ((x - mean) / std * g + b) @ linear.w.value + linear.b.value, mean, std
-
-
-def direct_scale(scale, Gs):
-    """One trend scale (or fbm-np) on its dense grid [B, D, T_s, K_s]."""
-    B, D = Gs.shape[:2]
-    if scale.proj is None:
-        return Gs.reshape(B, D, -1) @ scale.out.w.value + scale.out.b.value
-    proj, cfg = scale.proj, scale.cfg
-    y, mean, std = direct_centralized_linear(proj.cent, Gs.reshape(B, D, cfg.P, -1), proj.linear)
-    if scale.use_relu:
-        y = np.maximum(y, 0.0)
-    g, b = proj.cent.gamma.value[:, None, None], proj.cent.beta.value[:, None, None]
-    y = (y - b) / g * std + mean
-    if scale.mid is not None:
-        x = np.maximum(y.reshape(B, D, -1) @ scale.mid.w.value + scale.mid.b.value, 0.0)
-    else:
-        tokens = Tensor(y.reshape(B * D, cfg.P, cfg.h1))
-        with ad.no_grad():
-            for stack in scale.stacks:
-                tokens = ad.attention_block(tokens, stack)
-        x = tokens.value.reshape(B, D, -1)
-    return x @ scale.out.w.value + scale.out.b.value
-
-
-def direct_trend(block, G):
-    return sum(direct_scale(scale, G if k == 1 else direct_downsample(G, k))
-               for k, scale in block.scales)
-
-
-def direct_interaction(block, G):
-    B, D, T, _ = G.shape
-    recent = G[:, :, T - block.cfg.C1:, :].reshape(B, D, 1, -1)
-    y, _, _ = direct_centralized_linear(block.front.cent, recent, block.front.linear)
-    tokens = Tensor(y.reshape(B, D, -1))
-    with ad.no_grad():
-        for stack in block.stacks:
-            tokens = ad.attention_block(tokens, stack)
-    return (tokens.value @ block.out.w.value + block.out.b.value) * block._mask.value
-
-
-def direct_np_predict(model, X):
-    Xs, mu, sd = instance_standardize(X) if model.spec.standardize else (X, 0.0, 1.0)
-    H_R, H_I = fb.rdft_array(Xs)
-    return direct_scale(model.blocks["fbm-np"], dense_grid(H_R[..., 1:], H_I[..., 1:])) * sd + mu
+from oracles import dense_grid, direct_interaction, direct_np_predict, direct_trend, halves, peak_bytes
 
 
 # --- equivalence ---------------------------------------------------------------------
@@ -100,12 +32,6 @@ def _windows(kind, T, D=3, B=2):
         return rng.normal(size=(B, D, T)) * 3 + 1
     constant = np.full((B, D, T), 3.0)
     return constant if kind == "constant" else constant + 1e-9 * rng.normal(size=(B, D, T))
-
-
-def _halves(X, standardize):
-    Xs = instance_standardize(X)[0] if standardize else X
-    H_R, H_I = fb.rdft_array(Xs)
-    return H_R[..., 1:], H_I[..., 1:]
 
 
 def _perturb(block, seed):
@@ -132,7 +58,7 @@ def test_trend_block_from_the_spectrum_matches_the_direct_grid_path(T, P, backbo
     _perturb(block, 2)
     rows = bl.basis_rows(T, T)
     for kind, standardize in CASES:
-        h_r, h_i = _halves(_windows(kind, T), standardize)
+        h_r, h_i = halves(_windows(kind, T), standardize)
         got = block.forward(bl.Grid.spectrum(Tensor(h_r), Tensor(h_i), rows)).value
         _close(got, direct_trend(block, dense_grid(h_r, h_i)))
 
@@ -144,7 +70,7 @@ def test_interaction_from_the_spectrum_matches_the_direct_grid_path(T, C1):
     _perturb(block, 4)
     rows = bl.basis_rows(T, T)
     for kind, standardize in CASES:
-        h_r, h_i = _halves(_windows(kind, T), standardize)
+        h_r, h_i = halves(_windows(kind, T), standardize)
         got = block.forward(bl.Grid.spectrum(Tensor(h_r), Tensor(h_i), rows)).value
         _close(got, direct_interaction(block, dense_grid(h_r, h_i)))
 
@@ -168,7 +94,7 @@ def test_a_dense_grid_and_its_spectrum_give_the_same_block_outputs():
                           bl.TrendConfig(h1=5, h2=6, P=2, scales=(1, 2, 4)))
     inter = bl.InteractionBlock(np.random.default_rng(8), T, 4, 3,
                                 bl.InteractionConfig(C1=4, C2=3, h3=6, K=1))
-    h_r, h_i = _halves(_windows("random", T), True)
+    h_r, h_i = halves(_windows("random", T), True)
     spectrum = bl.Grid.spectrum(Tensor(h_r), Tensor(h_i), bl.basis_rows(T, T))
     for block in (trend, inter):
         _close(block.forward(Tensor(dense_grid(h_r, h_i))).value, block.forward(spectrum).value)
@@ -229,7 +155,7 @@ def test_a_trend_scale_front_makes_at_most_six_full_passes(monkeypatch):
                 return out
 
             monkeypatch.setattr(ad, name, counted)
-    h_r, h_i = _halves(_windows("random", T, D=D, B=B), True)
+    h_r, h_i = halves(_windows("random", T, D=D, B=B), True)
     with ad.no_grad():
         block.forward(bl.Grid.spectrum(Tensor(h_r), Tensor(h_i), bl.basis_rows(T, T)))
     assert 0 < len(full) <= 6, full
@@ -288,12 +214,7 @@ def test_fbm_s_eval_forward_holds_less_than_one_grid():
     X = np.random.default_rng(0).normal(size=(8, 7, 336))
     model.predict(X)  # the Fourier table caches are filled outside the trace
     grid_bytes = 8 * 7 * 336 * 168 * 8
-    tracemalloc.start()
-    try:
-        model.predict(X)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    _, peak = peak_bytes(model.predict, X)
     assert peak < grid_bytes
 
 
@@ -302,13 +223,8 @@ def test_seasonal_forward_holds_one_interleaved_spectrum():
     # products and their sum held three of them, 9.6 MB here
     block = bl.SeasonalBlock(336, 96)
     block.W.value = np.random.default_rng(0).normal(size=block.W.shape)
-    h_r, h_i = (Tensor(h) for h in _halves(np.random.default_rng(1).normal(size=(128, 7, 336)), True))
+    h_r, h_i = (Tensor(h) for h in halves(np.random.default_rng(1).normal(size=(128, 7, 336)), True))
     with ad.no_grad():
         block.forward(h_r, h_i)
-        tracemalloc.start()
-        try:
-            block.forward(h_r, h_i)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        _, peak = peak_bytes(block.forward, h_r, h_i)
     assert peak < 6e6

@@ -25,6 +25,7 @@ from fbm.train import evaluate, make_case1
 
 from gradcheck import param_grad_err
 from make_pins import PINS
+from oracles import direct_linear_predict, peak_bytes, step_groups
 
 SMALL_TREND = TrendConfig(backbone="linear", scales=(1,))
 SMALL_INTER = InteractionConfig(C1=3, C2=4, h3=5, K=1)
@@ -296,26 +297,12 @@ def test_input_shape_validation():
 # --- fbm-l: contraction equals the naive feature-grid linear map ---------------
 
 
-def naive_linear_forward(model, X):
-    """Materialize the feature grid and apply the flattened weight."""
-    from fbm.fourier import build_bases, rdft_array
-
-    spec = model.spec
-    Xs, mu, sd = instance_standardize(X)
-    H_R, H_I = (H[..., 1:] for H in rdft_array(Xs))
-    bases = build_bases(spec.T)
-    G = H_R[..., None, :] * bases.C[: spec.T, 1:] + H_I[..., None, :] * bases.S[: spec.T, 1:]
-    flat = G.reshape(X.shape[0], spec.D, -1)  # time-major: index = n * K + k
-    W_flat = np.transpose(model.blocks["fbm-l"].w.value, (1, 0, 2)).reshape(flat.shape[-1], spec.L)
-    return flat @ W_flat * sd + mu
-
-
 def test_linear_matches_naive_grid_matmul():
     rng = np.random.default_rng(5)
     spec = ModelSpec(variant="fbm-l", T=8, L=5, D=2)
     model = ForecastModel(spec, seed=9)
     X = windows(rng, B=3, D=2, T=8)
-    np.testing.assert_allclose(model.predict(X), naive_linear_forward(model, X), atol=1e-12)
+    np.testing.assert_allclose(model.predict(X), direct_linear_predict(model, X), atol=1e-12)
 
 
 def test_linear_has_no_bias_and_exact_count():
@@ -864,12 +851,7 @@ def test_loading_a_checkpoint_holds_one_copy_of_the_weights(tmp_path):
     path = tmp_path / "model.fbm"
     model.save(path)
     (w,) = model.params
-    tracemalloc.start()
-    try:
-        restored = ForecastModel.load(path)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    restored, peak = peak_bytes(ForecastModel.load, path)
     assert peak <= 1.2 * w.value.nbytes
     assert restored.params[0].value.tobytes() == w.value.tobytes()
 
@@ -907,7 +889,7 @@ def test_a_loaded_fbm_l_steps_as_a_twin_that_was_never_saved(tmp_path):
         for m in (loaded, twin):
             _train_steps(m, [batch], 1)
         assert w._table.tobytes() == v._table.tobytes()
-        assert all(a.tobytes() == b.tobytes() for a, b in zip(w._delta, v._delta))
+        assert [d.tobytes() for *_, d in step_groups(w)] == [d.tobytes() for *_, d in step_groups(v)]
     assert w.value.tobytes() == v.value.tobytes()
 
 
@@ -924,12 +906,7 @@ def test_the_first_step_after_a_load_writes_the_records_in_place(tmp_path):
     ad.backward((diff * diff).mean(), loaded.params)
     del diff
     records = [ad.Tensor.value.__get__(p) for p in loaded.params]
-    tracemalloc.start()
-    try:
-        ad.adam_step(loaded.params, 1e-3)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    _, peak = peak_bytes(ad.adam_step, loaded.params, 1e-3)
     assert all(ad.Tensor.value.__get__(p) is a for p, a in zip(loaded.params, records))
     assert peak < 0.5 * sum(a.nbytes for a in records)
 

@@ -27,6 +27,8 @@ from fbm.train import (
     train,
 )
 
+from oracles import snapshot_steps, unfolded_value
+
 
 def test_train_config_validation():
     with pytest.raises(ConfigError):
@@ -208,13 +210,6 @@ def test_lr_zero_keeps_parameters():
     assert vals.count(vals[0]) == 3
 
 
-def _folded_value(w):
-    # w0 + tile(D), as a read of w.value folds it, taken on a copy: w is not folded
-    twin = ad.GridWeight(ad.Tensor.value.__get__(w).copy(), "twin", w.rows)
-    twin._delta, twin.factors = w._delta, w.factors
-    return twin.value
-
-
 def test_validation_reads_each_grid_weight_synced():
     # at each epoch end the table is rebuilt from the base and the steps, bit for
     # bit rows @ the value a fold gives, so validation reads the table a model
@@ -228,7 +223,7 @@ def test_validation_reads_each_grid_weight_synced():
             return getattr(src, name)
 
         def val_batches(self):
-            tables.append((w._table.tobytes(), np.matmul(w.rows, _folded_value(w)).tobytes(), w._delta))
+            tables.append((w._table.tobytes(), np.matmul(w.rows, unfolded_value(w)).tobytes(), w._delta))
             return src.val_batches()
 
     cfg = TrainConfig(T=32, L=8, epochs=3, patience=3, lr=1e-2, batch_size=16, seed=0)
@@ -287,7 +282,7 @@ def test_train_keeps_one_array_per_weight_through_the_test_pass(monkeypatch, las
 
     def watched_snapshot(self):
         state = snapshot(self)
-        snapshots.extend(weakref.ref(d) for d in state[1])
+        snapshots.extend(weakref.ref(d) for d in snapshot_steps(state))
         return state
 
     class Watched:
