@@ -19,7 +19,7 @@ import numpy as np
 
 from . import data as dat
 from . import fourier
-from .autodiff import _read_header, save_tensors
+from .autodiff import _UNDRAWN, _read_header, save_tensors
 from .errors import ConfigError, DataError, FbmError
 from .models import SPEC_FIELDS, ForecastModel, ModelSpec, instance_standardize, parse_text
 from .train import (
@@ -343,10 +343,11 @@ def cmd_data_inspect(res):
 
 def cmd_model_describe(res):
     if res["checkpoint"]:
-        model = ForecastModel.load(res["checkpoint"])
+        spec = ModelSpec.from_header(_read_header(res["checkpoint"]))  # its records are left unread
     else:
-        model = ForecastModel(build_model_spec(res, res["D"]), seed=0)
-    print(model.spec.summary())
+        spec = build_model_spec(res, res["D"])
+    model = ForecastModel(spec, seed=_UNDRAWN)  # counted off the shapes: no weight is drawn
+    print(spec.summary())
     for name, count in model.describe():
         print(f"{name:14s} {count:12d}  ({count / 1e6:.2f}M)")
     return 0

@@ -1,5 +1,6 @@
 """The direct paths the tests check fused, factored and grid-free code against,
-each written once in plain numpy, and the peak a call allocates (peak_bytes).
+each written once in plain numpy, a spec's parameter count in closed form
+(expected_param_count), and the peak a call allocates (peak_bytes).
 
 A grid weight's held layout (the `(periods, folded, groups)` tuple in
 `GridWeight.factors`, and D as one [bins, h, width] array per period group in
@@ -268,6 +269,50 @@ def direct_attention_1token(x, p):
     n2 = norm(x)
     f = np.maximum(n2 @ p.ffn1.w.value + p.ffn1.b.value, 0.0) @ p.ffn2.w.value + p.ffn2.b.value
     return x + f
+
+
+# --- a spec's parameter count, each variant's blocks restated by hand ---------------------
+
+
+def _stack_count(h, ffn):
+    return 4 * h * h + 4 * h + h * ffn + ffn + ffn * h + h
+
+
+def _scale_count(T_s, K_s, L, D, t):
+    """One trend scale (or fbm-np) with config t over a T_s x K_s grid."""
+    if t.backbone == "linear":
+        return T_s * K_s * L + L
+    total = 2 * D + (T_s // t.P) * K_s * t.h1 + t.h1  # centralization + projector
+    if t.backbone == "mlp":
+        return total + t.P * t.h1 * t.h2 + t.h2 + t.h2 * L + L
+    return total + t.K * _stack_count(t.h1, t.h2) + t.P * t.h1 * L + L
+
+
+def expected_param_count(spec):
+    """Closed-form count for the spec, used to cross-check construction."""
+    T, L, D, K = spec.T, spec.L, spec.D, spec.T // 2
+    v = spec.variant
+    if v == "last":
+        return 0
+    if v == "diag":
+        return 2 * K
+    if v == "fbm-l":
+        return T * K * L
+    if v == "fbm-nl":
+        h1, h2 = spec.nl_h1, spec.nl_h2
+        return T * K * h1 + h1 + h1 * h2 + h2 + h2 * L + L
+    if v == "fbm-np":
+        return _scale_count(T, K, L, D, spec.np_cfg)
+    # fbm-s
+    total = T * K  # seasonal W
+    for s in spec.trend.scales:
+        total += _scale_count(T // s, K // s, L, D, spec.trend)
+    if spec.interaction is not None:
+        i = spec.interaction
+        total += 2 * D + i.C1 * K * i.h3 + i.h3
+        total += i.K * _stack_count(i.h3, i.h3)
+        total += i.h3 * L + L
+    return total
 
 
 # --- a grid weight's held layout ---------------------------------------------------------

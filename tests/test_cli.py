@@ -425,15 +425,17 @@ def test_checkpoint_header_that_does_not_parse_exits_1(capsys, tmp_path, key, te
     assert f"{key}={text!r}" in err
 
 
-@pytest.mark.parametrize("header, name, part", [
-    (b"variant=fbm-l\nT=\xff16", b"linear.w", "header"),
-    (b"variant=fbm-l\nT=16\nL=6\nD=1", b"linear.\xffw", "name of tensor 0"),
+# model-describe reads a header alone; eval reads the records too
+@pytest.mark.parametrize("header, name, part, command", [
+    (b"variant=fbm-l\nT=\xff16", b"linear.w", "header", ("model-describe",)),
+    (b"variant=fbm-l\nT=16\nL=6\nD=1", b"linear.\xffw", "name of tensor 0", ("eval", "--data", "{csv}")),
 ], ids=["header", "name"])
-def test_checkpoint_text_that_is_not_utf8_exits_1(capsys, tmp_path, header, name, part):
+def test_checkpoint_text_that_is_not_utf8_exits_1(capsys, tmp_path, periodic_csv, header, name, part,
+                                                  command):
     ckpt = tmp_path / "latin.fbm"
     ckpt.write_bytes(ad._MAGIC + struct.pack("<I", len(header)) + header
                      + struct.pack("<I", len(name)) + name + struct.pack("<Id", 0, 1.0))
-    rc, out, err = run(capsys, "model-describe", "--checkpoint", str(ckpt))
+    rc, out, err = run(capsys, *(a.format(csv=periodic_csv) for a in command), "--checkpoint", str(ckpt))
     assert rc == 1 and out == ""
     assert err.startswith("fbm: error:") and err.count("\n") == 1
     assert f"{ckpt}: {part} is not UTF-8" in err
@@ -839,6 +841,31 @@ def test_model_describe_from_checkpoint(capsys, tmp_path, periodic_csv):
     assert rc == 0
     assert "fbm-l" in stdout
     assert str(48 * 24 * 12) in stdout
+
+
+def test_model_describe_draws_and_reads_no_weight(capsys, monkeypatch, tmp_path):
+    spec = ModelSpec(variant="fbm-s", T=48, L=12, D=3, trend=TrendConfig(backbone="linear", scales=(1,)),
+                     interaction=InteractionConfig(C1=4, C2=6, h3=8, K=1))
+    drawn = ForecastModel(spec, seed=0)
+    checkpoint = tmp_path / "model.fbm"
+    drawn.save(checkpoint)
+
+    def refuse(*args):
+        raise AssertionError("a weight drawn or read")
+
+    monkeypatch.setattr(ad, "init_uniform", refuse)
+    monkeypatch.setattr(ad, "load_tensors", refuse)
+    described = []
+    for argv in (("--variant", "fbm-s", "--T", "48", "--L", "12", "--D", "3", "--trend-backbone", "linear",
+                  "--scales", "1", "--interaction", "--c1", "4", "--c2", "6", "--h3", "8", "--inter-k", "1"),
+                 ("--checkpoint", str(checkpoint))):
+        rc, stdout, err = run(capsys, "model-describe", *argv)
+        assert rc == 0 and err == ""
+        head, *rows = stdout.splitlines()
+        assert head == spec.summary()
+        assert [(name, int(count)) for name, count, _ in map(str.split, rows)] == drawn.describe()
+        described.append(stdout)
+    assert described[0] == described[1]
 
 
 # --- synth ------------------------------------------------------------------------------

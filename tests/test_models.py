@@ -18,14 +18,13 @@ from fbm.models import (
     VARIANTS,
     ForecastModel,
     ModelSpec,
-    expected_param_count,
     instance_standardize,
 )
 from fbm.train import evaluate, make_case1
 
 from gradcheck import param_grad_err
 from make_pins import PINS
-from oracles import direct_linear_predict, peak_bytes, step_groups
+from oracles import direct_linear_predict, expected_param_count, peak_bytes, step_groups
 
 SMALL_TREND = TrendConfig(backbone="linear", scales=(1,))
 SMALL_INTER = InteractionConfig(C1=3, C2=4, h3=5, K=1)
@@ -725,6 +724,23 @@ def test_zero_weights_s_predicts_window_mean_exactly():
     pred = model.predict(X)
     mean = X.mean(axis=-1, keepdims=True)
     assert np.array_equal(pred, np.broadcast_to(mean, pred.shape))
+
+
+@pytest.mark.parametrize("variant", ALL_VARIANTS)
+def test_zero_weights_draw_nothing_and_predict_as_zeros_assigned(monkeypatch, variant):
+    spec = small_spec(variant)
+    drawn = ForecastModel(spec, seed=3)
+    for p in drawn.params:
+        if not p.name.endswith(".gamma"):
+            p.value = np.zeros(p.shape)
+
+    def no_draw(rng, shape, fan_in):
+        raise AssertionError(f"a {shape} weight drawn")
+
+    monkeypatch.setattr(ad, "init_uniform", no_draw)
+    model = ForecastModel(spec, seed=3, zero_weights=True)
+    X = windows(np.random.default_rng(15))
+    assert model.predict(X).tobytes() == drawn.predict(X).tobytes()
 
 
 @pytest.mark.parametrize("variant", VARIANTS)
