@@ -422,44 +422,34 @@ def _unbroadcast(g, shape):
 
 # Each VJP closes over arrays and shapes, never over an input Tensor, so it keeps
 # only what it reads (see the module docstring).
+def _broadcast_op(value, a, b, da, db):
+    """A binary op's result over numpy broadcasting: da and db map the output
+    gradient to a's and b's before _unbroadcast sums it back to that input's shape."""
+    sa, sb = a.shape, b.shape
+    return _from_op(value, (a, lambda g: _unbroadcast(da(g), sa)),
+                    (b, lambda g: _unbroadcast(db(g), sb)))
+
+
 def add(a, b):
     a, b = _as_tensor(a), _as_tensor(b)
-    sa, sb = a.shape, b.shape
-    return _from_op(
-        a.value + b.value,
-        (a, lambda g: _unbroadcast(g, sa)),
-        (b, lambda g: _unbroadcast(g, sb)),
-    )
+    return _broadcast_op(a.value + b.value, a, b, lambda g: g, lambda g: g)
 
 
 def sub(a, b):
     a, b = _as_tensor(a), _as_tensor(b)
-    sa, sb = a.shape, b.shape
-    return _from_op(
-        a.value - b.value,
-        (a, lambda g: _unbroadcast(g, sa)),
-        (b, lambda g: _unbroadcast(-g, sb)),
-    )
+    return _broadcast_op(a.value - b.value, a, b, lambda g: g, lambda g: -g)
 
 
 def mul(a, b):
     a, b = _as_tensor(a), _as_tensor(b)
-    (av, sa), (bv, sb) = (a.value, a.shape), (b.value, b.shape)
-    return _from_op(
-        av * bv,
-        (a, lambda g: _unbroadcast(g * bv, sa)),
-        (b, lambda g: _unbroadcast(g * av, sb)),
-    )
+    av, bv = a.value, b.value
+    return _broadcast_op(av * bv, a, b, lambda g: g * bv, lambda g: g * av)
 
 
 def div(a, b):
     a, b = _as_tensor(a), _as_tensor(b)
-    (av, sa), (bv, sb) = (a.value, a.shape), (b.value, b.shape)
-    return _from_op(
-        av / bv,
-        (a, lambda g: _unbroadcast(g / bv, sa)),
-        (b, lambda g: _unbroadcast(-g * av / (bv * bv), sb)),
-    )
+    av, bv = a.value, b.value
+    return _broadcast_op(av / bv, a, b, lambda g: g / bv, lambda g: -g * av / (bv * bv))
 
 
 def neg(a):
@@ -499,7 +489,7 @@ def matmul(a, b):
             raise ValueError(f"grid weight {b.name} is multiplied by its own constant rows array only")
         table = np.matmul(b.rows, Tensor.value.__get__(b)) if b._table is None else b._table
         return _from_op(table, (b, _per_bin))
-    (av, sa), (bv, sb) = (a.value, a.shape), (b.value, b.shape)
+    av, bv, sa = a.value, b.value, a.shape
     if av.ndim < 2 or bv.ndim < 2:
         raise ValueError("matmul expects tensors of rank >= 2")
     if av.ndim > 2 and bv.ndim == 2:
@@ -510,12 +500,8 @@ def matmul(a, b):
             (a, lambda g: np.matmul(g.reshape(-1, g.shape[-1]), bv.T).reshape(sa)),
             (b, lambda g: np.matmul(av.reshape(rows).T, g.reshape(-1, g.shape[-1]))),
         )
-    a_t = np.swapaxes(av, -1, -2)
-    return _from_op(
-        np.matmul(av, bv),
-        (a, lambda g: _unbroadcast(np.matmul(g, np.swapaxes(bv, -1, -2)), sa)),
-        (b, lambda g: _unbroadcast(np.matmul(a_t, g), sb)),
-    )
+    a_t, b_t = np.swapaxes(av, -1, -2), np.swapaxes(bv, -1, -2)
+    return _broadcast_op(np.matmul(av, bv), a, b, lambda g: np.matmul(g, b_t), lambda g: np.matmul(a_t, g))
 
 
 def transpose(a, axes):
@@ -683,9 +669,10 @@ def adam_step(params, lr):
     A GridWeight keeps its moments as per-bin factors and takes the step above
     through them, within roundoff of the dense step (see GridWeight).
     """
-    # First updates get m and v as C-order views of one zeroed block. Made one by one
-    # after a forward, they would sit in the heap between the temporaries of every later
-    # step, which then faults in more pages; a large block is mapped on its own.
+    # First updates get m and v as C-order views of one zeroed block, mapped on its own.
+    # Made one by one as each first update runs, they sit in the heap between that
+    # step's temporaries: a later train-s step then took 16.3k minor faults, against
+    # 3.2k with the block (perfbench's run at seed 1, medians of timed steps 3-10).
     fresh = [p for p in params if p._grad is not None and p.m is None]
     shapes = [s for p in fresh for s in (_moment_shapes(p) if isinstance(p, GridWeight) else [p.shape] * 2)]
     offsets = np.cumsum([0] + [math.prod(s) for s in shapes])
@@ -863,11 +850,9 @@ class AttentionParams(Layer):
     `ffn_width`; the parameters are named {prefix}.{layer}.w / .b."""
 
     def __init__(self, rng, width, ffn_width, prefix):
-        self.layers = [Linear(rng, width, width, f"{prefix}.{t}") for t in "qkvo"] + [
-            Linear(rng, width, ffn_width, f"{prefix}.ffn1"),
-            Linear(rng, ffn_width, width, f"{prefix}.ffn2"),
-        ]
-        self.q, self.k, self.v, self.o, self.ffn1, self.ffn2 = self.layers
+        self.q, self.k, self.v, self.o = (Linear(rng, width, width, f"{prefix}.{t}") for t in "qkvo")
+        self.ffn1 = Linear(rng, width, ffn_width, f"{prefix}.ffn1")
+        self.ffn2 = Linear(rng, ffn_width, width, f"{prefix}.ffn2")
 
 
 def attention_block(x, p):

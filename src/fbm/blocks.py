@@ -190,31 +190,28 @@ class Centralization(Layer):
         self.beta = Parameter(np.zeros(D), f"{name}.beta")
 
     def centralize(self, x, w=None, b=None):
-        """Standardize each patch, then apply gamma/beta -> (out, (mean, std)).
+        """Standardize each patch, then apply gamma/beta -> (out, (mean, std)):
+        out = centred (gamma / std) + shift, one scale and one shift.
 
-        x is the patches themselves, [..., D, P, N], and out is
-        gamma (x - mean) / std + beta. Or x is Patches of a Grid, and out is
-        that output mapped by w[N, width] plus the bias b[width]:
-        (gamma xhat + beta) @ w + b = (x - mean) @ w (gamma / std) + (beta 1^T w + b),
-        read from the patches' moments and centred linear map alone, so the
-        full-size array takes one scale and one shift. The variance
-        E[x^2] - mean^2 cancels on near-constant patches, so it is clamped at
-        0 before CENT_EPS is added.
+        x is the patches themselves, [..., D, P, N], centred = x - mean and
+        shift = beta. Or x is Patches of a Grid mapped by w[N, width] plus the
+        bias b[width]: centred = (x - mean) @ w, read from the patches' moments
+        and centred linear map alone, and shift = beta 1^T w + b, so out is
+        (gamma xhat + beta) @ w + b. The variance E[x^2] - mean^2 cancels on
+        near-constant patches, so it is clamped at 0 before CENT_EPS is added.
         """
-        ones_w = None
+        beta = ad.reshape(self.beta, (self.D, 1, 1))
         if isinstance(x, Patches):
             ones_w = w.sum(axis=0)
-            (mean, square), x = x.moments(), x.linear(w, ones_w)
+            (mean, square), centred = x.moments(), x.linear(w, ones_w)
+            shift = ad.add(ad.mul(beta, ones_w), b)  # [D, 1, width]
         else:
             mean, square = x.mean(axis=-1, keepdims=True), ad.mul(x, x).mean(axis=-1, keepdims=True)
+            centred, shift = ad.sub(x, mean), beta
         std = ad.sqrt(ad.add(ad.relu(ad.sub(square, ad.mul(mean, mean))), CENT_EPS))
         g = ad.reshape(self.gamma, (self.D, 1, 1))
-        beta = ad.reshape(self.beta, (self.D, 1, 1))
-        if ones_w is None:
-            return ad.add(ad.mul(ad.div(ad.sub(x, mean), std), g), beta), (mean, std)
-        shift = ad.add(ad.mul(beta, ones_w), b)  # [D, 1, width]
-        x = ad.mul(x, ad.div(g, std))  # bound first: the unscaled patches go before the shift
-        return ad.add(x, shift), (mean, std)
+        centred = ad.mul(centred, ad.div(g, std))  # bound first: the unscaled patches go before the sum
+        return ad.add(centred, shift), (mean, std)
 
     def decentralize(self, y, stats):
         """Inverse using the cached pre-projection stats; y's width may differ.

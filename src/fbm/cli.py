@@ -10,6 +10,7 @@ stderr. Exit codes: 0 success, 1 configuration, 2 data, 3 numeric.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
 from dataclasses import dataclass, replace
@@ -19,8 +20,8 @@ import numpy as np
 
 from . import data as dat
 from . import fourier
-from .autodiff import _UNDRAWN, _read_header, save_tensors
-from .errors import ConfigError, DataError, FbmError
+from .autodiff import _UNDRAWN, _read, _read_header, save_tensors
+from .errors import CheckpointError, ConfigError, DataError, FbmError
 from .models import SPEC_FIELDS, ForecastModel, ModelSpec, instance_standardize, parse_text
 from .train import (
     TrainConfig,
@@ -309,10 +310,16 @@ def cmd_spectrum(res):
 
 
 def cmd_weights(res):
-    spec = ModelSpec.from_header(_read_header(res["checkpoint"]))  # refused before any weight is read
-    if spec.variant != "fbm-s":
-        raise ConfigError(f"weights export needs an fbm-s checkpoint, got {spec.variant}")
-    W = ForecastModel.load(res["checkpoint"], expected_spec=spec).seasonal.W.value
+    # seasonal.W is an fbm-s checkpoint's first record (the seasonal block runs first and
+    # holds it alone), so the header and that record are all that is read
+    with contextlib.closing(_read(res["checkpoint"])) as container:
+        spec = ModelSpec.from_header(next(container))
+        if spec.variant != "fbm-s":
+            raise ConfigError(f"weights export needs an fbm-s checkpoint, got {spec.variant}")
+        p = ForecastModel(spec, seed=_UNDRAWN).seasonal.W  # the record's name and shape
+        name, W = next(container, ("none", np.empty(())))
+    if name != p.name or W.shape != p.shape:
+        raise CheckpointError(f"checkpoint's first tensor is {name}{W.shape}, not {p.name}{p.shape}")
     n, k = np.indices(W.shape)
     _write(res["out"], dat.write_csv, "n,k,value", [n, k + 1], [W])
     print(f"wrote {res['out']} {W.shape}")

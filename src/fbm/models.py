@@ -291,11 +291,6 @@ class ForecastModel:
         # the weights export and the benchmark's tracer read these two by name
         self.seasonal, self.trend = self.blocks.get("seasonal"), self.blocks.get("trend")
         self.params = [p for blk in self.blocks.values() for p in blk.params()]
-
-        names = [p.name for p in self.params]
-        repeated = next((n for i, n in enumerate(names) if n in names[:i]), None)
-        if repeated is not None:
-            raise ConfigError(f"duplicate parameter name {repeated!r} in registration order")
         if zero_weights:
             for p in self.params:
                 if not p.name.endswith((".gamma",)):

@@ -590,6 +590,67 @@ def test_weights_refuses_a_non_fbm_s_checkpoint_from_its_header(capsys, monkeypa
     assert err == "fbm: error: weights export needs an fbm-s checkpoint, got fbm-l\n"
 
 
+def _fbm_s_records(tmp_path):
+    """An fbm-s checkpoint with a seeded random seasonal filter: (path, header, records)."""
+    spec = ModelSpec(variant="fbm-s", T=48, L=12, D=1, trend=TrendConfig(backbone="linear", scales=(1,)))
+    model = ForecastModel(spec, seed=5)
+    model.seasonal.W.value = np.random.default_rng(6).standard_normal(model.seasonal.W.shape)
+    path = tmp_path / "model.fbm"
+    model.save(path)
+    return path, *ad.load_tensors(path)
+
+
+def test_weights_reads_no_record_past_the_seasonal_filter(capsys, monkeypatch, tmp_path):
+    path, _, records = _fbm_s_records(tmp_path)
+    assert records[0][0] == "seasonal.W" and len(records) > 1
+
+    def no_load(path):
+        raise AssertionError(f"every record of {path} read")
+
+    monkeypatch.setattr(ad, "load_tensors", no_load)
+    out = tmp_path / "w.csv"
+    rc, stdout, _ = run(capsys, "weights", "--checkpoint", str(path), "--out", str(out))
+    assert rc == 0 and stdout == f"wrote {out} (48, 24)\n"
+    rows = np.loadtxt(out, delimiter=",", skiprows=1)
+    assert rows.shape == (48 * 24, 3)
+    assert np.array_equal(rows[:, 2].reshape(48, 24), records[0][1])
+
+
+def test_weights_exports_a_checkpoint_whose_later_records_are_corrupt(capsys, tmp_path, periodic_csv):
+    # behaviour: only the seasonal record is read, so eval refuses the file and weights does not
+    path, header, records = _fbm_s_records(tmp_path)
+    first = tmp_path / "first.fbm"  # the header and the first record, in the same bytes
+    ad.save_tensors(first, records[:1], header=header)
+    corrupt = tmp_path / "corrupt.fbm"  # every later record cut to 6 bytes
+    corrupt.write_bytes(path.read_bytes()[: first.stat().st_size + 6])
+    rc, _, err = run(capsys, "eval", "--checkpoint", str(corrupt), "--data", periodic_csv)
+    assert rc == 1 and "truncated while reading name of tensor 1" in err
+    written = []
+    for checkpoint in (path, corrupt):
+        out = tmp_path / f"{checkpoint.stem}.csv"
+        rc, _, _ = run(capsys, "weights", "--checkpoint", str(checkpoint), "--out", str(out))
+        assert rc == 0
+        written.append(out.read_bytes())
+    assert written[0] == written[1]
+
+
+@pytest.mark.parametrize("first, message", [
+    (1, "checkpoint's first tensor is trend.d1.out.w(1152, 12), not seasonal.W(48, 24)"),
+    (None, "checkpoint's first tensor is seasonal.W(24, 48), not seasonal.W(48, 24)"),
+], ids=["name", "shape"])
+def test_weights_refuses_a_first_record_that_is_not_the_seasonal_filter(capsys, tmp_path, first,
+                                                                        message):
+    path, header, records = _fbm_s_records(tmp_path)
+    if first is None:
+        records[0] = ("seasonal.W", records[0][1].T)
+    else:
+        records.insert(0, records.pop(first))
+    ad.save_tensors(path, records, header=header)
+    rc, stdout, err = run(capsys, "weights", "--checkpoint", str(path))
+    assert rc == 1 and stdout == ""
+    assert err == f"fbm: error: {message}\n"
+
+
 # --- output paths that cannot be written ---------------------------------------
 
 
