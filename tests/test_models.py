@@ -669,6 +669,19 @@ def test_nl_degenerates_to_linear():
 # --- fbm-s: composition -----------------------------------------------------------
 
 
+@pytest.mark.parametrize("standardize", [True, False])
+def test_s_components_reassemble_bitwise(standardize):
+    rng = np.random.default_rng(8)
+    model = ForecastModel(small_spec("fbm-s", standardize=standardize), seed=2)
+    X = windows(rng)
+    outs, mu, sd = model.components(X)
+    assert set(outs) == {"seasonal", "trend", "interaction"}
+    total = outs["seasonal"]
+    total = total + outs["trend"]
+    total = total + outs["interaction"]
+    assert np.array_equal(total * sd + mu, model.predict(X))
+
+
 def test_s_interaction_mask_zeroes_late_steps_of_that_block():
     rng = np.random.default_rng(9)
     model = ForecastModel(small_spec("fbm-s"), seed=2)
