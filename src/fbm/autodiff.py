@@ -50,7 +50,7 @@ import struct
 
 import numpy as np
 
-from .errors import CheckpointError
+from .errors import CheckpointError, reading
 
 # per thread (and per asyncio task): a new thread starts with recording on
 _grad_enabled = contextvars.ContextVar("grad_enabled", default=True)
@@ -929,11 +929,7 @@ def save_tensors(path, named, header=None):
 def _read(path):
     """The container at `path` as a generator: its header dict, then its (name, array)
     records, each read straight into its own array as it is asked for."""
-    try:
-        f = open(path, "rb")
-    except OSError as e:
-        raise CheckpointError(f"cannot read container: {e}") from None
-    with f:
+    with reading(path, CheckpointError, "container", binary=True) as f:
         size = os.fstat(f.fileno()).st_size
         if f.read(len(_MAGIC)) != _MAGIC:
             raise CheckpointError(f"{path}: not a tensor container (bad magic)")

@@ -21,7 +21,7 @@ import numpy as np
 from . import data as dat
 from . import fourier
 from .autodiff import _UNDRAWN, _read, _read_header, save_tensors
-from .errors import CheckpointError, ConfigError, DataError, FbmError
+from .errors import CheckpointError, ConfigError, DataError, FbmError, reading
 from .models import SPEC_FIELDS, ForecastModel, ModelSpec, instance_standardize, parse_text
 from .train import (
     TrainConfig,
@@ -148,10 +148,8 @@ SYNTH_OPTS = [
 def _read_manifest(path, opts):
     by_name = {o.name: o for o in opts}
     out = {}
-    try:
-        lines = Path(path).read_text(encoding="utf-8").splitlines()
-    except OSError as e:
-        raise ConfigError(f"cannot read manifest: {e}") from None
+    with reading(path, ConfigError, "manifest") as f:
+        lines = f.read().splitlines()
     for ln, raw in enumerate(lines, 1):
         line = raw.strip()
         if not line or line.startswith("#"):

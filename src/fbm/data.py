@@ -19,7 +19,7 @@ from datetime import datetime
 import numpy as np
 
 from . import autodiff as ad
-from .errors import ConfigError, DataError
+from .errors import ConfigError, DataError, reading
 
 
 @dataclass(frozen=True)
@@ -60,19 +60,12 @@ def load_csv(path, value_columns=None):
     (the header is line 1), blank lines counted.
     """
     path = str(path)
-    try:
-        f = open(path, newline="", encoding="utf-8")
-    except OSError as e:
-        raise DataError(f"cannot read dataset: {e}") from None
-    with f:
+    with reading(path, DataError, "dataset") as f:
         reader = csv.reader(f)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise DataError(f"{path}: empty file") from None
+        header = next(reader, None)
         rows = [(reader.line_num, r) for r in reader if r]
     if not rows:
-        raise DataError(f"{path}: no data rows")
+        raise DataError(f"{path}: {'empty file' if header is None else 'no data rows'}")
 
     has_ts = False
     try:
@@ -322,11 +315,8 @@ def load(path, columns=None):
     normalized series plus `mean`/`std` records: the records are ignored, and
     z-scoring is affine-invariant, so the series normalizes as its CSV's does.
     """
-    try:
-        with open(path, "rb") as f:
-            is_cache = f.read(len(ad._MAGIC)) == ad._MAGIC
-    except OSError as e:
-        raise DataError(f"cannot read dataset: {e}") from None
+    with reading(path, DataError, "dataset", binary=True) as f:
+        is_cache = f.read(len(ad._MAGIC)) == ad._MAGIC
     if not is_cache:
         return load_csv(path, value_columns=columns)
     if columns is not None:
