@@ -10,6 +10,7 @@ zscore_apply works in that space.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import itertools
 import math
@@ -19,7 +20,7 @@ from datetime import datetime
 import numpy as np
 
 from . import autodiff as ad
-from .errors import ConfigError, DataError, reading
+from .errors import CheckpointError, ConfigError, DataError, reading
 
 
 @dataclass(frozen=True)
@@ -152,9 +153,9 @@ def samples_per_hour(ds):
     try:
         t0 = datetime.fromisoformat(ds.timestamps[0])
         t1 = datetime.fromisoformat(ds.timestamps[1])
-    except ValueError as e:
+        step = (t1 - t0).total_seconds()  # TypeError: one stamp has a UTC offset, one not
+    except (ValueError, TypeError) as e:
         raise DataError(f"{ds.name}: cannot parse timestamps: {e}") from None
-    step = (t1 - t0).total_seconds()
     if step <= 0 or 3600.0 % step:
         raise DataError(f"{ds.name}: timestamp step {step}s does not divide an hour")
     return int(3600.0 // step)
@@ -311,9 +312,11 @@ def load(path, columns=None):
     """Dataset from a CSV or a cache, told apart by the container's magic bytes.
 
     `columns` picks and orders a CSV's value columns; a cache stores no column
-    names, so it is refused there. A cache of an older layout holds the
-    normalized series plus `mean`/`std` records: the records are ignored, and
-    z-scoring is affine-invariant, so the series normalizes as its CSV's does.
+    names, so it is refused there. A cache's `values` must be a finite 2-D
+    array with D, N >= 1, and a cache that does not load raises DataError, as a
+    CSV does. A cache of an older layout holds the normalized series plus
+    `mean`/`std` records: the records are ignored, and z-scoring is
+    affine-invariant, so the series normalizes as its CSV's does.
     """
     with reading(path, DataError, "dataset", binary=True) as f:
         is_cache = f.read(len(ad._MAGIC)) == ad._MAGIC
@@ -321,9 +324,15 @@ def load(path, columns=None):
         return load_csv(path, value_columns=columns)
     if columns is not None:
         raise ConfigError(f"{path}: a dataset cache stores no column names to select")
-    header, records = ad.load_tensors(path)
-    named = dict(records)
-    if header.get("kind") != "dataset-cache" or "values" not in named:
-        raise DataError(f"{path}: not a dataset cache")
-    ts = (header["ts0"], header["ts1"]) if "ts0" in header else None
-    return Dataset(name=header.get("name", str(path)), values=named["values"], timestamps=ts)
+    try:
+        with contextlib.closing(ad._read(path)) as container:
+            header = next(container)
+            if header.get("kind") != "dataset-cache":
+                raise DataError(f"{path}: not a dataset cache (header kind {header.get('kind')!r})")
+            values = dict(container).get("values", np.empty(0))
+    except CheckpointError as e:
+        raise DataError(str(e)) from None
+    if values.ndim != 2 or not values.size or not np.isfinite(values).all():
+        raise DataError(f"{path}: cache values{values.shape} must be a finite 2-D array, D, N >= 1")
+    ts = tuple(header[k] for k in ("ts0", "ts1") if k in header) or None
+    return Dataset(name=header.get("name", str(path)), values=values, timestamps=ts)

@@ -1,4 +1,4 @@
-"""Error taxonomy shared by the library and the CLI.
+"""Error taxonomy shared by the library and the CLI, and the opener of a user's file.
 
 Exit codes: 1 config, 2 data, 3 numeric. The CLI maps exceptions to exit
 codes through the `exit_code` attribute, so library code raises these

@@ -1,13 +1,17 @@
 """End-to-end CLI behavior: exit codes, files written, metric reproduction."""
 
+import contextlib
 import csv
 import dataclasses
 import errno
+import io
 import json
 import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fbm import autodiff as ad
 from fbm import cli
@@ -71,6 +75,77 @@ def test_odd_window_exits_1(capsys, periodic_csv):
 def test_missing_dataset_file_exits_2(capsys):
     rc, _, err = run(capsys, "data-inspect", "--data", "/no/such/file.csv")
     assert rc == 2
+
+
+# the command and flag that read each kind of user text file
+READERS = {"dataset": ("data-inspect", "--data"), "manifest": ("model-describe", "--manifest")}
+# (bytes, what the file is, exit code) of files that cannot be read as UTF-8 CSV or manifest
+UNREADABLE = {
+    "csv-0xff": (b"value\n1\n\xff\n", "dataset", 2),
+    "csv-utf16": ("value\n1\n2\n".encode("utf-16"), "dataset", 2),
+    "csv-long-field": (b"value\n" + b"1" * (csv.field_size_limit() + 1) + b"\n", "dataset", 2),
+    "manifest-0xff": (b"T=48\n\xff\n", "manifest", 1),
+}
+
+
+@pytest.mark.parametrize("case", UNREADABLE)
+def test_unreadable_text_file_exits_with_one_line_naming_it(capsys, tmp_path, case):
+    body, what, code = UNREADABLE[case]
+    path = tmp_path / "file"
+    path.write_bytes(body)
+    rc, out, err = run(capsys, *READERS[what], str(path))
+    assert rc == code and out == ""
+    assert err.startswith(f"fbm: error: cannot read {what} {path}: ") and err.count("\n") == 1
+
+
+def test_csv_with_a_byte_order_mark_names_its_first_column(capsys, tmp_path):
+    path = tmp_path / "excel.csv"
+    path.write_bytes(b"\xef\xbb\xbfa,b\n1,5\n3,5\n")
+    rc, out, _ = run(capsys, "data-inspect", "--data", str(path), "--columns", "a")
+    assert rc == 0
+    assert out.splitlines()[-1].split() == ["0", "2.0000", "1.0000", "1.0000", "3.0000"]
+
+
+def _cache(path, values, cut=0):
+    ad.save_tensors(path, [("values", values)], header={"kind": "dataset-cache"})
+    path.write_bytes(path.read_bytes()[: path.stat().st_size - cut])
+    return path
+
+
+@pytest.mark.parametrize("values, cut, message", [
+    (np.arange(3.0), 0, "cache values(3,) must be a finite 2-D array, D, N >= 1"),
+    (np.array([[1.0, np.nan, 2.0]]), 0, "cache values(1, 3) must be a finite 2-D array"),
+    (np.zeros((1, 3)), 5, "truncated while reading data of values"),
+], ids=["one-d", "nan", "truncated"])
+def test_bad_cache_exits_2_with_one_line_naming_it(capsys, tmp_path, values, cut, message):
+    path = _cache(tmp_path / "bad.fbmds", values, cut)
+    for cmd in ("data-inspect", "train"):
+        rc, out, err = run(capsys, cmd, "--data", str(path))
+        assert rc == 2 and out == ""
+        assert err.startswith(f"fbm: error: {path}: {message}") and err.count("\n") == 1
+
+
+def test_container_of_another_kind_as_data_names_its_kind(capsys, tmp_path):
+    pairs = tmp_path / "case1.fbmw"
+    assert run(capsys, "synth", "--case", "1", "--windows", "5", "--out", str(pairs))[0] == 0
+    rc, _, err = run(capsys, "data-inspect", "--data", str(pairs))
+    assert rc == 2
+    assert err == f"fbm: error: {pairs}: not a dataset cache (header kind 'case1-pairs')\n"
+
+
+@pytest.mark.parametrize("what", READERS)
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(body=st.binary(), magic=st.booleans())
+def test_any_bytes_give_an_exit_code_and_at_most_one_error_line(tmp_path_factory, what, body,
+                                                                 magic):
+    # arbitrary bytes, bare or after the container magic, as the file a command reads
+    path = tmp_path_factory.getbasetemp() / f"any-{what}"
+    path.write_bytes(ad._MAGIC * magic + body)
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        rc = main([*READERS[what], str(path)])
+    assert rc in (0, 1, 2), err.getvalue()
+    assert err.getvalue().count("\n") <= 1, err.getvalue()
 
 
 def test_missing_checkpoint_exits_1(capsys, periodic_csv):

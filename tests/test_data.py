@@ -179,6 +179,13 @@ def test_samples_per_hour_needs_timestamps():
         )
 
 
+def test_samples_per_hour_refuses_stamps_with_and_without_a_utc_offset():
+    ds = Dataset(name="x", values=np.zeros((1, 2)),
+                 timestamps=("2020-01-01T00:00", "2020-01-01T01:00+01:00"))
+    with pytest.raises(DataError, match="x: cannot parse timestamps: can't subtract"):
+        samples_per_hour(ds)
+
+
 @pytest.mark.parametrize("minutes,f", [(60, 1), (15, 4)])
 def test_ett_month_split_against_calendar_oracle(minutes, f):
     month = 30 * 24 * f
@@ -353,6 +360,15 @@ def test_cache_rejects_other_containers(tmp_path):
     ad.save_tensors(path, [("x", np.zeros(3))], header={"kind": "model"})
     with pytest.raises(DataError):
         load(path)
+
+
+def test_cache_keeps_one_leading_timestamp_without_the_second(tmp_path):
+    path = tmp_path / "ds.fbmds"
+    ad.save_tensors(path, [("values", np.zeros((1, 4)))],
+                    header={"kind": "dataset-cache", "ts0": "2020-01-01T00:00"})
+    assert load(path).timestamps == ("2020-01-01T00:00",)
+    with pytest.raises(DataError, match="month-based split needs timestamps"):
+        samples_per_hour(load(path))
 
 
 def test_cache_rejects_column_selection(tmp_path):
