@@ -18,11 +18,11 @@ on leaf tensors only (Parameters and explicitly tracked inputs) and
 accumulate there until zeroed, so one forward/backward per batch composes
 with plain Python control flow.
 
-A grid weight (GridWeight) is a Parameter w[K, T, width] built with the
-constant basis rows[K, c, T] that multiply it bin by bin: matmul(rows, w), as
-blocks.GridLinear takes it, is the only op it enters, and its gradient, its
-Adam moments and its steps are kept per bin, so no full-size gradient or
-moment is ever written (see GridWeight).
+A Parameter owns its optimizer step, _moment_shapes() and _adam(). A grid
+weight (GridWeight) is a Parameter w[K, T, width] built with the constant
+basis rows[K, c, T] that multiply it bin by bin: matmul(rows, w) is the only
+op it enters, and its own two methods keep its gradient, Adam moments and
+steps per bin, so no full-size gradient or moment is ever written.
 
 A Layer is anything that holds weights: its params() lists the Parameters
 its attributes hold (through nested Layers, lists and tuples; a config, a
@@ -120,20 +120,11 @@ class Tensor:
     def __add__(self, other):
         return add(self, other)
 
-    def __radd__(self, other):
-        return add(other, self)
-
     def __sub__(self, other):
         return sub(self, other)
 
-    def __rsub__(self, other):
-        return sub(other, self)
-
     def __mul__(self, other):
         return mul(self, other)
-
-    def __rmul__(self, other):
-        return mul(other, self)
 
     def __truediv__(self, other):
         return div(self, other)
@@ -207,6 +198,28 @@ class Parameter(Tensor):
     def restore(self, state):
         """Bring back the value a snapshot() copied, bit for bit, writing the owned array."""
         np.copyto(self._own(), state)
+
+    def _moment_shapes(self):
+        """The shapes of the gradient and m, and of v: the value's."""
+        return self.shape, self.shape
+
+    def _adam(self, step, eps):
+        """Adam's elementwise update of the owned value, m and v, in place from the gradient,
+        one chunk at a time through its own two buffers of up to _ADAM_CHUNK elements: 12
+        passes over a chunk, x -= step m / (sqrt(v) + eps) after the textbook m and v."""
+        flat = [a.reshape(-1) for a in (self._own(), self.m, self.v, np.ascontiguousarray(self._grad))]
+        scratch = np.empty((2, min(flat[0].size, _ADAM_CHUNK)))
+        for i in range(0, flat[0].size, _ADAM_CHUNK):
+            x, m, v, g = (a[i : i + _ADAM_CHUNK] for a in flat)
+            t1, t2 = (s[: g.size] for s in scratch)
+            m *= ADAM_BETA1
+            m += np.multiply(g, 1.0 - ADAM_BETA1, out=t1)
+            np.multiply(g, g, out=t1)
+            v *= ADAM_BETA2
+            v += np.multiply(t1, 1.0 - ADAM_BETA2, out=t1)
+            np.sqrt(v, out=t2)
+            t2 += eps
+            x -= np.multiply(np.divide(m, t2, out=t1), step, out=t1)
 
 
 class GridWeight(Parameter):
@@ -348,11 +361,16 @@ class GridWeight(Parameter):
         w.flags.writeable = False
         self._delta, self._base = None, object()
 
-    def _adam_factored(self, step, eps):
+    def _moment_shapes(self):
+        """The shapes of the per-bin g and A, [K, c, width], and of Q, [K, c(c+1)/2, width]."""
+        (K, c, _), width = self.rows.shape, self.shape[-1]
+        return (K, c, width), (K, c * (c + 1) // 2, width)
+
+    def _adam(self, step, eps):
         """Adam's update from the g of its per-bin gradient: A and Q from g, then chunk by
         chunk (see _read_back_chunks), with step A taken a period group at a time: step m
         and v read back into the chunk's own buffers, the step s = step m / (sqrt(v) + eps')
-        as _adam_chunks takes it subtracted from D, and (T/h) rows @ s from a copy of the
+        as Parameter._adam takes it subtracted from D, and (T/h) rows @ s from a copy of the
         table, which then replaces it."""
         g = self._grad
         i, j = np.triu_indices(g.shape[1])
@@ -596,7 +614,7 @@ def backward(loss, params=None):
     if params is not None:
         for p in params:
             if p._grad is None:  # a grid weight's is per bin
-                p._grad = np.zeros(_moment_shapes(p)[0] if isinstance(p, GridWeight) else p.shape)
+                p._grad = np.zeros(p._moment_shapes()[0])
 
 
 def _backward_walk(loss):
@@ -664,17 +682,16 @@ def adam_step(params, lr):
     one not C-contiguous, is replaced by a C-order copy before it is first
     written (Parameter._own), so the array a caller built a parameter from, or
     assigned to it, is never written; a drawn weight is written in place from
-    the first step on. An untrained model holds no copy and no moments.
-
-    A GridWeight keeps its moments as per-bin factors and takes the step above
-    through them, within roundoff of the dense step (see GridWeight).
+    the first step on. An untrained model holds no copy and no moments. Each
+    parameter takes the step through its own _adam: a GridWeight's, through
+    per-bin factors, is within roundoff of the dense step (see GridWeight).
     """
     # First updates get m and v as C-order views of one zeroed block, mapped on its own.
     # Made one by one as each first update runs, they sit in the heap between that
     # step's temporaries: a later train-s step then took 16.3k minor faults, against
     # 3.2k with the block (perfbench's run at seed 1, medians of timed steps 3-10).
     fresh = [p for p in params if p._grad is not None and p.m is None]
-    shapes = [s for p in fresh for s in (_moment_shapes(p) if isinstance(p, GridWeight) else [p.shape] * 2)]
+    shapes = [s for p in fresh for s in p._moment_shapes()]
     offsets = np.cumsum([0] + [math.prod(s) for s in shapes])
     block = np.zeros(offsets[-1])
     views = [block[a:b].reshape(s) for a, b, s in zip(offsets, offsets[1:], shapes)]
@@ -686,20 +703,11 @@ def adam_step(params, lr):
         p.step += 1
         c1, c2 = 1.0 - ADAM_BETA1**p.step, 1.0 - ADAM_BETA2**p.step
         step, eps = lr * math.sqrt(c2) / c1, ADAM_EPS * math.sqrt(c2)
-        if isinstance(p, GridWeight):
-            p._adam_factored(step, eps)
-        else:
-            _adam_chunks(p._own(), p.m, p.v, np.ascontiguousarray(p._grad), step, eps)
+        p._adam(step, eps)
         p._grad = None
 
 
 _SIGN_BIT = np.int64(np.iinfo(np.int64).min)  # a float64's sign bit, in its int64 view
-
-
-def _moment_shapes(p):
-    """The shapes of grid weight p's per-bin g and A, [K, c, width], and of Q, [K, c(c+1)/2, width]."""
-    (K, c, _), width = p.rows.shape, p.shape[-1]
-    return (K, c, width), (K, c * (c + 1) // 2, width)
 
 
 def _moment_factors(rows):
@@ -772,25 +780,6 @@ def _read_back_chunks(rows, groups, width):
         R2 = chunk[-1]
         chunk.extend(scratch[:, : R2.size // R2.shape[-1] * width].reshape((2,) + R2.shape[:-1] + (width,)))
     return chunks
-
-
-def _adam_chunks(x, m, v, g, step, eps):
-    """Adam's elementwise update of C-order x, m and v, in place from g, one chunk
-    at a time through its own two buffers of up to _ADAM_CHUNK elements: 12 passes
-    over a chunk, x -= step m / (sqrt(v) + eps) after the textbook m and v."""
-    flat = [a.reshape(-1) for a in (x, m, v, g)]
-    scratch = np.empty((2, min(x.size, _ADAM_CHUNK)))
-    for i in range(0, flat[0].size, _ADAM_CHUNK):
-        x, m, v, g = (a[i : i + _ADAM_CHUNK] for a in flat)
-        t1, t2 = (s[: g.size] for s in scratch)
-        m *= ADAM_BETA1
-        m += np.multiply(g, 1.0 - ADAM_BETA1, out=t1)
-        np.multiply(g, g, out=t1)
-        v *= ADAM_BETA2
-        v += np.multiply(t1, 1.0 - ADAM_BETA2, out=t1)
-        np.sqrt(v, out=t2)
-        t2 += eps
-        x -= np.multiply(np.divide(m, t2, out=t1), step, out=t1)
 
 
 def init_uniform(rng, shape, fan_in):
