@@ -326,6 +326,7 @@ def cmd_weights(res):
 
 def cmd_data_inspect(res):
     ds = _load(res)
+    std = dat._channel_std(ds.values, ds.name)  # refused before any line is printed
     print(f"name: {ds.name}")
     print(f"channels: {ds.D}")
     print(f"timesteps: {ds.N}")
@@ -338,7 +339,7 @@ def cmd_data_inspect(res):
     v = ds.values
     for d in range(ds.D):
         print(
-            f"{d:7d} {v[d].mean():9.4f} {v[d].std():9.4f} {v[d].min():9.4f} {v[d].max():9.4f}"
+            f"{d:7d} {v[d].mean():9.4f} {std[d]:9.4f} {v[d].min():9.4f} {v[d].max():9.4f}"
         )
     if res["cache-out"]:
         _write(res["cache-out"], dat.save_cache, ds)

@@ -197,11 +197,20 @@ class NormalizationStats:
     std: np.ndarray  # f64[D], population
 
 
+def _channel_std(values, name):
+    """values[D, N]'s channel stds, without numpy's warnings; one not finite is refused."""
+    with np.errstate(over="ignore", invalid="ignore"):  # squares past float64's range
+        std = values.std(axis=1)
+    if not np.isfinite(std).all():
+        raise DataError(f"{name}: channel {np.argmin(np.isfinite(std))}'s std is not finite")
+    return std
+
+
 def zscore_fit(ds, train_range):
     a, b = train_range
     block = ds.values[:, a:b]
-    mean = block.mean(axis=1)
-    std = block.std(axis=1)
+    std = _channel_std(block, ds.name)
+    mean = block.mean(axis=1)  # its sum did not overflow, as the std's did not
     flat = np.nonzero(std == 0.0)[0]
     if flat.size:
         raise DataError(f"{ds.name}: constant channel {flat[0]} in train split")

@@ -72,6 +72,11 @@ def test_backward_rejects_nonscalar():
         ad.backward(x * x)
 
 
+def test_backward_rejects_a_value_that_is_not_a_tensor():
+    with pytest.raises(TypeError, match="backward expects a Tensor"):
+        ad.backward(np.float64(1.0))
+
+
 def test_backward_releases_the_tape_as_it_walks_it():
     x = ad.Tensor([-1.0, 0.5, 2.0], requires_grad=True)
     h = ad.relu(x * 2.0)

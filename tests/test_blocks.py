@@ -172,6 +172,12 @@ def test_patch_rejects_bad_counts():
         bl.PatchLayout.make(16, 8, 5)
 
 
+def test_patch_refuses_a_grid_of_another_shape():
+    layout = bl.PatchLayout.make(16, 8, 2)
+    with pytest.raises(ConfigError, match="feature grid 16x9 does not match patch layout 16x8"):
+        bl.patch(ad.Tensor(np.zeros((1, 1, 16, 9))), layout)
+
+
 @pytest.mark.parametrize("seed", range(50))
 def test_patch_unpatch_bijection(seed):
     rng = RNG(seed)
@@ -327,6 +333,15 @@ def test_trend_rejects_bad_scale():
     with pytest.raises(ConfigError):
         cfg = bl.TrendConfig(backbone="mlp", h1=4, h2=4, P=2, scales=(3,))
         bl.TrendBlock(np.random.default_rng(0), 16, 4, 1, cfg)
+
+
+@pytest.mark.parametrize("kw, message", [
+    ({"backbone": "rnn"}, "unknown trend backbone 'rnn'"),
+    ({"scales": ()}, "trend block needs at least one scale"),
+])
+def test_trend_config_rejects_a_bad_backbone_or_no_scales(kw, message):
+    with pytest.raises(ConfigError, match=message):
+        bl.TrendConfig(**kw)
 
 
 # --- interaction block ---------------------------------------------------------------

@@ -7,6 +7,7 @@ import errno
 import io
 import json
 import struct
+from datetime import datetime, timedelta
 
 import numpy as np
 import pytest
@@ -123,6 +124,18 @@ def test_bad_cache_exits_2_with_one_line_naming_it(capsys, tmp_path, values, cut
         rc, out, err = run(capsys, cmd, "--data", str(path))
         assert rc == 2 and out == ""
         assert err.startswith(f"fbm: error: {path}: {message}") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("kind", ["csv", "cache"])
+def test_data_inspect_of_a_channel_whose_std_overflows_exits_2_with_one_line(capsys, tmp_path, kind):
+    # finite values whose squares overflow float64 have no finite std
+    path = tmp_path / "big.csv"
+    path.write_text("a\n1e308\n-1e308\n1e308\n")
+    if kind == "cache":
+        path = _cache(tmp_path / "big.fbmds", np.array([[1e160, -1e160, 1e160]]))
+    rc, out, err = run(capsys, "data-inspect", "--data", str(path))
+    assert rc == 2 and out == ""
+    assert err == f"fbm: error: {path}: channel 0's std is not finite\n"
 
 
 def test_container_of_another_kind_as_data_names_its_kind(capsys, tmp_path):
@@ -271,6 +284,19 @@ def test_train_with_a_non_finite_test_metric_exits_3_writing_nothing(capsys, tmp
                      "--out", str(out))
     assert rc == 3
     assert err.startswith("fbm: error: non-finite metric") and "test split" in err
+    assert not out.exists()
+
+
+def test_train_with_a_train_split_std_that_overflows_exits_2_writing_nothing(capsys, tmp_path):
+    t = np.arange(1200)
+    x = np.cos(2 * np.pi * t / 24)
+    x[0] = 1e300  # in the train range: its channel's std there is not finite
+    out = tmp_path / "run"
+    path = write_series(tmp_path / "s.csv", x)
+    rc, stdout, err = run(capsys, "train", "--data", path, "--variant", "fbm-l", "--T", "48", "--L", "12",
+                          "--epochs", "1", "--out", str(out))
+    assert rc == 2 and stdout == ""
+    assert err == f"fbm: error: {path}: channel 0's std is not finite\n"
     assert not out.exists()
 
 
@@ -542,6 +568,15 @@ def test_features_constant_window_all_zero(capsys, tmp_path):
     assert min(int(r["k"]) for r in rows) == 1  # DC dropped
 
 
+@pytest.mark.parametrize("start", ["-1", "1153"])
+def test_features_window_outside_the_series_exits_1(capsys, tmp_path, periodic_csv, start):
+    out = tmp_path / "features.csv"
+    rc, stdout, err = run(capsys, "features", "--data", periodic_csv, "--T", "48", "--start", start,
+                          "--out", str(out))
+    assert rc == 1 and stdout == "" and not out.exists()
+    assert err == f"fbm: error: window [{start}, {int(start) + 48}) outside series of length 1200\n"
+
+
 def test_features_reconstruct_window(capsys, tmp_path, periodic_csv):
     out = tmp_path / "features.csv"
     rc, _, _ = run(
@@ -599,6 +634,19 @@ def test_spectrum_reports_amplitude_phase_amplitude(capsys, tmp_path, periodic_c
         k = int(r["k"])
         assert float(r["mean_amp"]) == pytest.approx(amp[k], rel=1e-12, abs=1e-12)
         assert float(r["lo95"]) == pytest.approx(amp[k], rel=1e-12, abs=1e-12)
+
+
+def test_spectrum_on_the_ett_split_reads_its_train_months(capsys, tmp_path):
+    # 12 + 4 + 4 months of 30 days, hourly: the train part is the first 8,640 rows
+    t0 = datetime(2016, 7, 1)
+    rows = "".join(f"{t0 + timedelta(hours=i)},{np.sin(i / 24):.17g}\n" for i in range(14_400))
+    path = tmp_path / "ett.csv"
+    path.write_text("date,value\n" + rows)
+    out = tmp_path / "spectrum.csv"
+    rc, stdout, _ = run(capsys, "spectrum", "--data", str(path), "--T", "48", "--split", "ett",
+                        "--stride", "1000", "--out", str(out))
+    assert rc == 0
+    assert stdout == f"wrote {out} (9 windows)\n"  # ceil((8,640 - 48 + 1) / 1000); a 65% ratio split gives 10
 
 
 @pytest.mark.parametrize("stride", ["0", "-1"])
@@ -777,6 +825,14 @@ def test_data_inspect_prints_shape(capsys, periodic_csv):
     assert rc == 0
     assert "channels: 1" in stdout
     assert "timesteps: 1200" in stdout
+
+
+def test_data_inspect_prints_the_sampling_rate_of_timestamps(capsys, tmp_path):
+    path = tmp_path / "stamped.csv"
+    path.write_text("date,a\n2016-07-01 00:00:00,1\n2016-07-01 00:15:00,2\n2016-07-01 00:30:00,4\n")
+    rc, stdout, _ = run(capsys, "data-inspect", "--data", str(path))
+    assert rc == 0
+    assert "timesteps: 3\nsamples/hour: 4\n" in stdout
 
 
 def test_cache_roundtrip_through_cli(capsys, tmp_path, periodic_csv):

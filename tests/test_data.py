@@ -118,6 +118,11 @@ def test_load_csv_empty_and_header_only(tmp_path):
         load_csv(write_csv(tmp_path / "i.csv", "u,v\n"))
 
 
+def test_load_csv_with_only_a_timestamp_column(tmp_path):
+    with pytest.raises(DataError, match="no value columns"):
+        load_csv(write_csv(tmp_path / "j.csv", "date\nt0\nt1\n"))
+
+
 # --- splits -----------------------------------------------------------------------
 
 
@@ -184,6 +189,12 @@ def test_samples_per_hour_refuses_stamps_with_and_without_a_utc_offset():
                  timestamps=("2020-01-01T00:00", "2020-01-01T01:00+01:00"))
     with pytest.raises(DataError, match="x: cannot parse timestamps: can't subtract"):
         samples_per_hour(ds)
+
+
+@pytest.mark.parametrize("minutes, step", [(7, "420.0s"), (0, "0.0s")])
+def test_samples_per_hour_refuses_a_step_that_does_not_divide_an_hour(minutes, step):
+    with pytest.raises(DataError, match=f"stamped: timestamp step {step} does not divide an hour"):
+        samples_per_hour(stamped_dataset(4, minutes=minutes))
 
 
 @pytest.mark.parametrize("minutes,f", [(60, 1), (15, 4)])
@@ -254,6 +265,14 @@ def test_zscore_constant_outside_train_is_fine():
     values[1, 30:] = 0.0  # constant only in the tail
     stats = zscore_fit(Dataset(name="t", values=values), (0, 30))
     assert np.all(stats.std > 0)
+
+
+def test_zscore_refuses_a_channel_whose_std_is_not_finite():
+    # a 1e160-scale channel's squares overflow float64: a std of inf would z-score it to all zeros
+    values = np.random.default_rng(0).standard_normal((2, 50))
+    values[1] *= 1e160
+    with pytest.raises(DataError, match="t: channel 1's std is not finite"):
+        zscore_fit(Dataset(name="t", values=values), (0, 50))
 
 
 # --- window batching -----------------------------------------------------------

@@ -140,6 +140,11 @@ def test_expand_length_mismatch():
         fb.expand_array(*fb.rdft_array(np.zeros(8)), fb.build_bases(16))
 
 
+def test_negative_basis_pad_rejected():
+    with pytest.raises(ConfigError, match="basis pad must be >= 0, got -1"):
+        fb.build_bases(16, pad=-1)
+
+
 def test_padded_rows_are_analytic_continuation():
     T, L = 16, 5
     b = fb.build_bases(T, pad=L - 1)

@@ -963,6 +963,23 @@ def test_checkpoint_truncation(tmp_path):
         ForecastModel.load(path)
 
 
+@pytest.mark.parametrize("edit, message", [
+    (lambda records: records[:-1], "checkpoint holds 5 tensors, model needs 6"),
+    (lambda records: [("fc9.w", records[0][1])] + records[1:],
+     "checkpoint tensor fc9.w(8, 16, 7) does not match parameter fc1.w(8, 16, 7)"),
+    (lambda records: [("fc1.w", records[0][1][:-1])] + records[1:],
+     "checkpoint tensor fc1.w(7, 16, 7) does not match parameter fc1.w(8, 16, 7)"),
+], ids=["count", "name", "shape"])
+def test_checkpoint_records_that_do_not_fit_the_spec_are_refused(tmp_path, edit, message):
+    path = tmp_path / "model.fbm"
+    ForecastModel(small_spec("fbm-nl"), seed=0).save(path)
+    header, records = ad.load_tensors(path)
+    ad.save_tensors(path, edit(records), header=header)
+    with pytest.raises(CheckpointError) as err:
+        ForecastModel.load(path)
+    assert str(err.value) == message
+
+
 # --- init determinism ----------------------------------------------------------------
 
 

@@ -132,6 +132,12 @@ def test_evaluate_weights_partial_batches():
     assert abs(got_mae - np.mean(np.abs(d))) < 1e-12
 
 
+def test_evaluate_of_an_empty_stream_is_refused():
+    model = ForecastModel(ModelSpec(variant="last", T=16, L=4, D=1), seed=0)
+    with pytest.raises(ConfigError, match="evaluation stream produced no windows"):
+        evaluate(model, iter(()))
+
+
 @pytest.mark.parametrize("T, L", [(336, 96), (16, 8), (32, 4)])
 def test_train_refuses_a_config_whose_window_is_not_the_models(T, L):
     # the report records cfg's T and L as the run's; a model of other shapes would
