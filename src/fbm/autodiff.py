@@ -42,15 +42,13 @@ from __future__ import annotations
 
 import contextlib
 import contextvars
-import errno
 import math
 import os
-import stat
 import struct
 
 import numpy as np
 
-from .errors import CheckpointError, reading
+from .errors import CheckpointError, reading, writing
 
 # per thread (and per asyncio task): a new thread starts with recording on
 _grad_enabled = contextvars.ContextVar("grad_enabled", default=True)
@@ -117,31 +115,11 @@ class Tensor:
         return f"Tensor(shape={self.value.shape}{flag})"
 
     # operator sugar; all routing goes through the module-level ops
-    def __add__(self, other):
-        return add(self, other)
-
-    def __sub__(self, other):
-        return sub(self, other)
-
     def __mul__(self, other):
         return mul(self, other)
 
-    def __truediv__(self, other):
-        return div(self, other)
-
-    def __neg__(self):
-        return neg(self)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
     def __getitem__(self, idx):
         return tslice(self, idx)
-
-    def reshape(self, *shape):
-        if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
-            shape = tuple(shape[0])
-        return reshape(self, shape)
 
     def sum(self, axis=None, keepdims=False):
         return reduce_sum(self, axis=axis, keepdims=keepdims)
@@ -866,41 +844,22 @@ def attention_block(x, p):
 _MAGIC = b"FBMCKPT1"
 
 
-@contextlib.contextmanager
-def _replacing(path, mode="xb", encoding=None):
-    """A new file beside `path` that replaces it (keeping its mode) when the block
-    ends; if the block fails, any previous file at `path` stays as it was."""
-    path = os.path.realpath(path)  # a symlink stays and its target is replaced
-    if os.path.isdir(path):  # refused before the block does its work, not at the replace
-        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
-    tmp = f"{path}.{os.urandom(4).hex()}.tmp"
-    f = open(tmp, mode, encoding=encoding)
-    try:
-        if os.path.exists(path):  # keep the mode of the file being replaced
-            os.chmod(tmp, stat.S_IMODE(os.stat(path).st_mode))
-        with f:
-            yield f
-        os.replace(tmp, path)
-    except BaseException:
-        os.unlink(tmp)
-        raise
-
-
 def save_tensors(path, named, header=None):
     """Write (name, array) records after an optional key=value text header;
     an entry that would not read back as the same key and value is refused.
 
-    The records go to a new file that replaces `path` (`_replacing`), so a
+    The records go to a new file that replaces `path` (`errors.writing`), so a
     write that fails midway leaves any previous file at `path` as it was.
     """
     lines = []
     for k, v in (header or {}).items():
         line = f"{k}={v}"
-        if "=" in str(k) or line.splitlines() != [line]:
-            raise CheckpointError(f"header entry {line!r} does not fit one key=value line")
+        # UTF-8 cannot hold a lone surrogate, such as an undecodable file name's byte
+        if "=" in str(k) or line.splitlines() != [line] or line.encode("utf-8", "replace").decode() != line:
+            raise CheckpointError(f"header entry {line!r} does not fit one UTF-8 key=value line")
         lines.append(line)
     hbytes = "\n".join(lines).encode("utf-8")
-    with _replacing(path) as f:
+    with writing(path, binary=True) as f:
         f.write(_MAGIC)
         f.write(struct.pack("<I", len(hbytes)))
         f.write(hbytes)

@@ -21,7 +21,7 @@ import numpy as np
 from . import data as dat
 from . import fourier
 from .autodiff import _UNDRAWN, _read, _read_header, save_tensors
-from .errors import CheckpointError, ConfigError, DataError, FbmError, reading
+from .errors import CheckpointError, ConfigError, DataError, FbmError, reading, refuse_directory
 from .models import SPEC_FIELDS, ForecastModel, ModelSpec, instance_standardize, parse_text
 from .train import (
     TrainConfig,
@@ -226,14 +226,6 @@ def prepare_windows(res, T, L):
     return dat.zscore_apply(ds, dat.zscore_fit(ds, ranges.train)), ranges
 
 
-def _write(path, write, *args, **kwargs):
-    """write(path, *args, **kwargs); a path that cannot be written exits 1."""
-    try:
-        return write(path, *args, **kwargs)
-    except OSError as e:
-        raise ConfigError(f"cannot write {path}: {e.strerror or e}") from None
-
-
 # --- subcommands ----------------------------------------------------------------------
 
 
@@ -244,14 +236,19 @@ def cmd_train(res):
     existing = next(p for p in (out, *out.parents) if p.exists())
     if not existing.is_dir():  # found before any data is read, not after training
         raise ConfigError(f"cannot write {out}: {existing} is not a directory")
+    for name in ("model.fbm", "report.json"):
+        refuse_directory(out / name)
     ds, ranges = prepare_windows(res, cfg.T, cfg.L)
     model = ForecastModel(replace(spec, D=ds.D), seed=cfg.seed)
     source = dat.SlidingWindows(ds, ranges, cfg.T, cfg.L, cfg.batch_size)
     model, report = train(model, source, cfg, log=print, eval_threads=res["threads"])
-    _write(out, Path.mkdir, parents=True, exist_ok=True)
-    _write(out / "model.fbm", model.save)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as e:
+        raise ConfigError(f"cannot write {out}: {e.strerror or e}") from None
+    model.save(out / "model.fbm")
     report.config["dataset"] = {"name": ds.name, "D": ds.D, "N": ds.N}
-    _write(out / "report.json", report.save)
+    report.save(out / "report.json")
     print(f"test mse {report.test['mse']:.6f}  mae {report.test['mae']:.6f}")
     print(f"wrote {out / 'model.fbm'} and {out / 'report.json'}")
     return 0
@@ -266,7 +263,7 @@ def cmd_eval(res):
     model = ForecastModel.load(res["checkpoint"], expected_spec=spec)
     batches = dat.iterate_batches(ds.values, getattr(ranges, res["part"]), T, L, res["batch"])
     if res["predictions-out"]:
-        mse, mae = _write(res["predictions-out"], export_predictions, model, batches, res["threads"])
+        mse, mae = export_predictions(res["predictions-out"], model, batches, res["threads"])
     else:
         mse, mae = evaluate(model, batches, threads=res["threads"])
     print(json.dumps({"mse": mse, "mae": mae}))
@@ -284,7 +281,7 @@ def cmd_features(res):
     H_R, H_I = fourier.rdft_array(Xs)
     G = fourier.expand_array(H_R, H_I, fourier.build_bases(T), drop_dc=True)
     d, n, k = np.indices(G.shape)
-    _write(res["out"], dat.write_csv, "channel,n,k,value", [d, n, k + 1], [G])
+    dat.write_csv(res["out"], "channel,n,k,value", [d, n, k + 1], [G])
     print(f"wrote {res['out']} ({'x'.join(map(str, G.shape))})")
     return 0
 
@@ -302,7 +299,7 @@ def cmd_spectrum(res):
         amps.append(fourier.amplitude_phase(H_R, H_I).amp[..., 1:])  # drop DC
     mean, lo, hi = fourier.amplitude_distribution(np.concatenate(amps))
     d, k = np.indices(mean.shape)
-    _write(res["out"], dat.write_csv, "channel,k,mean_amp,lo95,hi95", [d, k + 1], [mean, lo, hi])
+    dat.write_csv(res["out"], "channel,k,mean_amp,lo95,hi95", [d, k + 1], [mean, lo, hi])
     print(f"wrote {res['out']} ({len(starts)} windows)")
     return 0
 
@@ -319,7 +316,7 @@ def cmd_weights(res):
     if name != p.name or W.shape != p.shape:
         raise CheckpointError(f"checkpoint's first tensor is {name}{W.shape}, not {p.name}{p.shape}")
     n, k = np.indices(W.shape)
-    _write(res["out"], dat.write_csv, "n,k,value", [n, k + 1], [W])
+    dat.write_csv(res["out"], "n,k,value", [n, k + 1], [W])
     print(f"wrote {res['out']} {W.shape}")
     return 0
 
@@ -342,7 +339,7 @@ def cmd_data_inspect(res):
             f"{d:7d} {v[d].mean():9.4f} {std[d]:9.4f} {v[d].min():9.4f} {v[d].max():9.4f}"
         )
     if res["cache-out"]:
-        _write(res["cache-out"], dat.save_cache, ds)
+        dat.save_cache(res["cache-out"], ds)
         print(f"wrote {res['cache-out']}")
     return 0
 
@@ -362,12 +359,12 @@ def cmd_model_describe(res):
 def cmd_synth(res):
     if res["case"] == 1:
         src = make_case1(res["seed"], windows=res["windows"])
-        _write(res["out"], save_tensors, [("X", src.X), ("Y", src.Y)],
-               header={"kind": "case1-pairs", "seed": str(res["seed"])})
+        save_tensors(res["out"], [("X", src.X), ("Y", src.Y)],
+                     header={"kind": "case1-pairs", "seed": str(res["seed"])})
         print(f"wrote {res['out']} ({res['windows']} paired windows)")
     else:
         ds = make_case2(res["seed"], length=res["length"])
-        _write(res["out"], dat.write_csv, "value", [], [ds.values[0]])
+        dat.write_csv(res["out"], "value", [], [ds.values[0]])
         print(f"wrote {res['out']} ({res['length']} steps)")
     return 0
 

@@ -20,7 +20,7 @@ from datetime import datetime
 import numpy as np
 
 from . import autodiff as ad
-from .errors import CheckpointError, ConfigError, DataError, reading
+from .errors import CheckpointError, ConfigError, DataError, reading, writing
 
 
 @dataclass(frozen=True)
@@ -292,9 +292,9 @@ def write_csv(f, header, ints, floats):
     """One row per element of the equally shaped arrays, in C order: the
     `ints` columns as %d, then the `floats` columns as %.17g (round-trip
     exact). f is an open text file, or a path, which a new file replaces once
-    every row is written (ad._replacing); an empty header writes none."""
+    every row is written (`writing`); an empty header writes none."""
     if not hasattr(f, "write"):
-        with ad._replacing(f, "x", encoding="utf-8") as out:
+        with writing(f) as out:
             return write_csv(out, header, ints, floats)
     cols = [np.ravel(c) for c in ints + floats]
     fmt = ["%d"] * len(ints) + ["%.17g"] * len(floats)
@@ -308,9 +308,10 @@ def save_cache(path, ds):
     """Binary cache of a raw dataset, split and z-scored as its CSV is.
 
     Only the two leading timestamps are kept: they are what month-based
-    splitting needs to re-infer the sampling rate.
+    splitting needs to re-infer the sampling rate. A character of the name
+    that UTF-8 cannot hold (a file name's undecodable byte) is kept as '?'.
     """
-    header = {"name": ds.name, "kind": "dataset-cache"}
+    header = {"name": str(ds.name).encode("utf-8", "replace").decode(), "kind": "dataset-cache"}
     if ds.timestamps is not None and len(ds.timestamps) >= 2:
         header["ts0"] = ds.timestamps[0]
         header["ts1"] = ds.timestamps[1]

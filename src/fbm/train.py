@@ -31,7 +31,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor
 from .data import PARTS, Dataset, SplitSpec, WindowBatch, ratio_ends, start_chunks, write_csv
-from .errors import ConfigError, NumericError
+from .errors import ConfigError, NumericError, writing
 
 
 @dataclass(frozen=True)
@@ -69,7 +69,7 @@ class RunReport:
             raise NumericError(f"run report is not valid JSON: {e}") from None
 
     def save(self, path):
-        with ad._replacing(path, "x", encoding="utf-8") as f:
+        with writing(path) as f:
             f.write(self.to_json())
             f.write("\n")
 
@@ -284,6 +284,6 @@ def export_predictions(path, model, batches, threads=1):
         b, d, step = np.indices(pred.shape)
         write_csv(f, "", [batch.starts[b], d, step], [batch.Y, pred])
 
-    with ad._replacing(path, "x", encoding="utf-8") as f:
+    with writing(path) as f:
         f.write("window_id,channel,step,y_true,y_pred\n")
         return evaluate(model, batches, threads, write)

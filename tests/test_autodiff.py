@@ -11,7 +11,7 @@ import pytest
 
 from fbm import autodiff as ad
 from fbm.blocks import basis_rows
-from fbm.errors import CheckpointError
+from fbm.errors import CheckpointError, ConfigError
 
 from gradcheck import _fd_flat, input_grad_err, param_grad_err
 from oracles import (adam_update, broadcast_matmul_grads, dense_grad, dense_moments, factor_arrays, full_factors,
@@ -24,7 +24,7 @@ RNG = np.random.default_rng
 def test_matmul_forward():
     a = ad.Tensor([[1.0, 2.0], [3.0, 4.0]])
     b = ad.Tensor([[5.0, 6.0], [7.0, 8.0]])
-    np.testing.assert_array_equal((a @ b).value, [[19.0, 22.0], [43.0, 50.0]])
+    np.testing.assert_array_equal(ad.matmul(a, b).value, [[19.0, 22.0], [43.0, 50.0]])
 
 
 def test_relu_forward():
@@ -53,7 +53,7 @@ def test_softmax_uniform_and_stability():
 def test_trailing_broadcast_add():
     a = ad.Tensor(np.ones((3, 4)), requires_grad=True)
     b = ad.Tensor(np.arange(4.0), requires_grad=True)
-    out = a + b
+    out = ad.add(a, b)
     assert out.shape == (3, 4)
     ad.backward(out.sum())
     np.testing.assert_array_equal(a.grad, np.ones((3, 4)))
@@ -62,7 +62,7 @@ def test_trailing_broadcast_add():
 
 def test_scalar_broadcast():
     x = ad.Tensor([1.0, 2.0], requires_grad=True)
-    ad.backward((x * 3.0 + 1.0).sum())
+    ad.backward(ad.add(x * 3.0, 1.0).sum())
     np.testing.assert_array_equal(x.grad, [3.0, 3.0])
 
 
@@ -233,14 +233,14 @@ def test_elementwise_op_grads(seed):
     a = _rand(rng, 3, 5)
     b = _rand(rng, 3, 5)
     cases = {
-        "add": lambda t: (t[0] + t[1]).sum(),
-        "sub": lambda t: (t[0] - t[1]).sum(),
+        "add": lambda t: ad.add(t[0], t[1]).sum(),
+        "sub": lambda t: ad.sub(t[0], t[1]).sum(),
         "mul": lambda t: (t[0] * t[1] * t[0]).sum(),
-        "div": lambda t: (t[0] / (t[1] * t[1] + 0.5)).sum(),
-        "neg": lambda t: (-t[0] * t[1]).sum(),
+        "div": lambda t: ad.div(t[0], ad.add(t[1] * t[1], 0.5)).sum(),
+        "neg": lambda t: (ad.neg(t[0]) * t[1]).sum(),
         "scale": lambda t: ad.scale(t[0], 2.5).sum(),
         "relu": lambda t: (ad.relu(t[0]) * t[1]).sum(),
-        "sqrt": lambda t: ad.sqrt(t[0] * t[0] + 0.1).sum(),
+        "sqrt": lambda t: ad.sqrt(ad.add(t[0] * t[0], 0.1)).sum(),
     }
     for name, fn in cases.items():
         err = input_grad_err(fn, [a, b])
@@ -252,16 +252,16 @@ def test_matmul_grads(seed):
     rng = RNG(seed)
     a = _rand(rng, 4, 3)
     b = _rand(rng, 3, 5)
-    err = input_grad_err(lambda t: ((t[0] @ t[1]) * (t[0] @ t[1])).sum(), [a, b])
+    err = input_grad_err(lambda t: (ad.matmul(t[0], t[1]) * ad.matmul(t[0], t[1])).sum(), [a, b])
     assert err < 1e-4
     # batched left operand against a shared 2d weight
     ab = _rand(rng, 2, 4, 3)
-    err = input_grad_err(lambda t: (t[0] @ t[1]).sum(), [ab, b])
+    err = input_grad_err(lambda t: ad.matmul(t[0], t[1]).sum(), [ab, b])
     assert err < 1e-4
     # fully batched, as in attention scores
     q = _rand(rng, 2, 4, 3)
     k = _rand(rng, 2, 4, 3)
-    err = input_grad_err(lambda t: (t[0] @ ad.swap_last2(t[1])).sum(), [q, k])
+    err = input_grad_err(lambda t: ad.matmul(t[0], ad.swap_last2(t[1])).sum(), [q, k])
     assert err < 1e-4
 
 
@@ -355,7 +355,7 @@ def test_constant_times_parameter_backward_skips_the_constants_gradient(shape):
 def test_shape_op_grads(seed):
     rng = RNG(seed)
     x = _rand(rng, 2, 3, 4)
-    err = input_grad_err(lambda t: (t[0].reshape(6, 4) * 2.0).sum(), [x])
+    err = input_grad_err(lambda t: (ad.reshape(t[0], (6, 4)) * 2.0).sum(), [x])
     assert err < 1e-4
     err = input_grad_err(lambda t: ad.transpose(t[0], (2, 0, 1)).sum(), [x])
     assert err < 1e-4
@@ -410,7 +410,7 @@ def test_attention_block_shape_and_grads():
 def test_adam_matches_reference_and_converges():
     p = ad.Parameter(np.zeros(1), "x")
     for _ in range(100):
-        diff = p - 5.0
+        diff = ad.sub(p, 5.0)
         ad.backward((diff * diff).sum())
         ad.adam_step([p], lr=0.1)
     ref, m, v = np.zeros(1), 0.0, 0.0
@@ -620,7 +620,7 @@ def test_per_bin_gradients_summed_onto_a_grid_weight_keep_it_factored(how):
     for t in range(1, 5):
         gM, gM2 = (rng.standard_normal((3, 2, 5)) * 10.0 ** rng.uniform(-3, 3, (3, 2, 1)) for _ in "ab")
         if how == "one graph":
-            ad.backward(_per_bin_loss(rows, p, gM) + _per_bin_loss(rows, p, gM2))
+            ad.backward(ad.add(_per_bin_loss(rows, p, gM), _per_bin_loss(rows, p, gM2)))
         else:
             ad.backward(_per_bin_loss(rows, p, gM))
             ad.backward(_per_bin_loss(rows, p, gM2))
@@ -781,7 +781,7 @@ def test_a_grid_weights_later_rows_are_matched_by_address(monkeypatch):
     monkeypatch.setattr(np, "array_equal", compare)
     for _ in range(2):  # two per-bin edges, summed as factors, then the step
         gM, gM2 = rng.standard_normal((2, T // 2, 2, 3))
-        ad.backward(_per_bin_loss(rows, p, gM) + _per_bin_loss(rows, p, gM2))
+        ad.backward(ad.add(_per_bin_loss(rows, p, gM), _per_bin_loss(rows, p, gM2)))
         assert p._grad.shape == gM.shape
         ad.adam_step([p], 0.01)
 
@@ -1042,6 +1042,7 @@ def test_container_header_value_may_hold_equals(tmp_path):
     ("name", "runs/etth1\nT=99"),  # a value spanning lines adds a key on reload
     ("na=me", "x"),  # the key would split at its own '='
     ("na\nme", "x"),
+    ("name", "x\udcff.csv"),  # an undecodable file name's byte: not UTF-8 text
 ])
 def test_container_rejects_header_that_would_not_read_back(tmp_path, key, value):
     path = tmp_path / "bad.fbm"
@@ -1073,7 +1074,7 @@ def test_container_write_over_a_directory_fails_before_any_record(tmp_path):
 
     target = tmp_path / "adir"
     target.mkdir()
-    with pytest.raises(IsADirectoryError):
+    with pytest.raises(ConfigError, match="Is a directory"):
         ad.save_tensors(target, records())
     assert [p.name for p in tmp_path.iterdir()] == ["adir"] and not any(target.iterdir())
 

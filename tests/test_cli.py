@@ -6,6 +6,7 @@ import dataclasses
 import errno
 import io
 import json
+import shutil
 import struct
 from datetime import datetime, timedelta
 
@@ -21,7 +22,7 @@ from fbm import fourier as fb
 from fbm.blocks import InteractionConfig, TrendConfig
 from fbm.cli import build_model_spec, main
 from fbm.data import SplitSpec
-from fbm.models import VARIANTS, ForecastModel, ModelSpec
+from fbm.models import SPEC_FIELDS, VARIANTS, ForecastModel, ModelSpec
 from fbm.train import TrainConfig
 
 
@@ -817,6 +818,17 @@ def test_train_out_naming_a_file_exits_1_before_reading_data(capsys, tmp_path):
     assert afile.read_text() == "kept"
 
 
+@pytest.mark.parametrize("name", ["model.fbm", "report.json"])
+def test_train_output_that_is_a_directory_exits_1_before_reading_data(capsys, tmp_path, name):
+    out = tmp_path / "run"
+    (out / name).mkdir(parents=True)
+    rc, stdout, err = run(capsys, "train", "--data", str(tmp_path / "missing.csv"),
+                          "--out", str(out))
+    assert rc == 1 and stdout == ""  # a missing dataset would exit 2
+    assert err == f"fbm: error: cannot write {out / name}: Is a directory\n"
+    assert [p.name for p in out.iterdir()] == [name] and not any((out / name).iterdir())
+
+
 # --- inspection and caching -------------------------------------------------------
 
 
@@ -889,6 +901,21 @@ def test_cache_in_the_old_normalized_layout_reads_as_its_csv(tmp_path, periodic_
     got, got_ranges = cli.prepare_windows({**res, "data": str(cache)}, 48, 12)
     assert got_ranges == want_ranges
     np.testing.assert_allclose(got.values, want.values, rtol=0, atol=1e-12)
+
+
+def test_cache_of_a_csv_whose_name_is_not_utf8_keeps_the_name_as_valid_text(tmp_path, periodic_csv):
+    # the file name's undecodable byte reads as a lone surrogate, which UTF-8 cannot hold;
+    # the output goes to StringIO, since capsys's stream could not take the printed name
+    named = tmp_path / "x\udcff.csv"
+    shutil.copyfile(periodic_csv, named)
+    cache = tmp_path / "ds.fbmds"
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        rc = main(["data-inspect", "--data", str(named), "--cache-out", str(cache)])
+    assert rc == 0 and err.getvalue() == ""
+    loaded = dat.load(cache)
+    assert loaded.name == f"{tmp_path}/x?.csv"
+    assert loaded.values.tobytes() == dat.load(periodic_csv).values.tobytes()
 
 
 def test_columns_with_a_cache_exits_1(capsys, tmp_path, periodic_csv):
@@ -1025,6 +1052,47 @@ def test_model_describe_bad_width_or_stack_count_exits_1(capsys, flags, named):
     assert rc == 1 and out == ""
     assert err.startswith("fbm: error:") and err.count("\n") == 1
     assert named in err and "closed form" not in err  # names the value, not a count
+
+
+def _describe_flag(f):
+    """argv for one model flag at a bounded value: small ints and kernel lists, each
+    choice plus an unknown one, or a switch either way."""
+    if f.type is bool:
+        return st.sampled_from([[f"--{f.flag}"], [f"--no-{f.flag}"]])
+    if f.flag == "variant":
+        values = st.sampled_from([*VARIANTS, "fbm-x"])
+    elif f.choices:
+        values = st.sampled_from([*f.choices, "unknown"])
+    elif f.type is tuple:
+        values = st.lists(st.integers(-2, 8), max_size=3).map(lambda ks: "+".join(map(str, ks)))
+    else:
+        values = st.integers(-2, 64).map(str)
+    return values.map(lambda v: [f"--{f.flag}", v])
+
+
+@st.composite
+def _describe_argv(draw):
+    """model-describe with --D and each model flag either given or left out."""
+    argv = ["model-describe"]
+    if draw(st.booleans()):
+        argv += ["--D", str(draw(st.integers(-2, 64)))]
+    for f in SPEC_FIELDS:
+        if f.flag and draw(st.booleans()):
+            argv += draw(_describe_flag(f))
+    return argv
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(argv=_describe_argv())
+def test_model_describe_flag_sweep_exits_0_or_with_one_error_line(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        rc = main(argv)  # any exception escaping main fails the example
+    errors = [line for line in err.getvalue().splitlines() if "error:" in line]
+    if rc == 0:
+        assert errors == [], err.getvalue()
+    else:
+        assert rc in (1, 2, 3) and len(errors) == 1, err.getvalue()
 
 
 def test_model_describe_from_checkpoint(capsys, tmp_path, periodic_csv):
