@@ -874,17 +874,17 @@ def save_tensors(path, named, header=None):
             f.write(arr.data)  # from the array's own buffer, not a copy of it
 
 
-def _read(path):
+def _read(path, error=CheckpointError):
     """The container at `path` as a generator: its header dict, then its (name, array)
-    records, each read straight into its own array as it is asked for."""
-    with reading(path, CheckpointError, "container", binary=True) as f:
+    records, each read straight into its own array when asked for; a failure is one `error` line."""
+    with reading(path, error, "container", binary=True) as f:
         size = os.fstat(f.fileno()).st_size
         if f.read(len(_MAGIC)) != _MAGIC:
-            raise CheckpointError(f"{path}: not a tensor container (bad magic)")
+            raise error(f"{path}: not a tensor container (bad magic)")
 
         def fits(n, what):
             if f.tell() + n > size:
-                raise CheckpointError(f"{path}: truncated while reading {what}")
+                raise error(f"{path}: truncated while reading {what}")
             return n
 
         def take(n, what):
@@ -894,7 +894,7 @@ def _read(path):
             try:
                 return take(n, what).decode("utf-8")
             except UnicodeDecodeError:
-                raise CheckpointError(f"{path}: {what} is not UTF-8 text") from None
+                raise error(f"{path}: {what} is not UTF-8 text") from None
 
         (hlen,) = struct.unpack("<I", take(4, "header length"))
         header = {}

@@ -396,6 +396,8 @@ def build_parser():
 
 
 def main(argv=None):
+    if hasattr(sys.stdout, "reconfigure"):  # a path prints as the bytes its file system holds
+        sys.stdout.reconfigure(errors="surrogateescape")
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

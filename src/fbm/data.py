@@ -20,14 +20,14 @@ from datetime import datetime
 import numpy as np
 
 from . import autodiff as ad
-from .errors import CheckpointError, ConfigError, DataError, reading, writing
+from .errors import ConfigError, DataError, reading, writing
 
 
 @dataclass(frozen=True)
 class Dataset:
     name: str
     values: np.ndarray  # f64[D, N]
-    timestamps: tuple | None = None  # ISO-8601 strings, informational
+    timestamps: tuple | None = None  # a CSV's first two ISO-8601 stamps, for its sampling rate
 
     @property
     def D(self):
@@ -55,10 +55,10 @@ def _parse_cell(text, line_no, col_name, path):
 def load_csv(path, value_columns=None):
     """Read a header + rows CSV into a Dataset.
 
-    The first column is treated as a timestamp when its first data cell is
-    not numeric. value_columns optionally restricts (and orders) the value
-    columns by header name. Row numbers in errors are 1-based file lines
-    (the header is line 1), blank lines counted.
+    The first column is a timestamp when its first data cell is not numeric;
+    its first two stamps are kept. value_columns restricts (and orders) the
+    value columns by header name. Row numbers in errors are 1-based file
+    lines (the header is line 1), blank lines counted.
     """
     path = str(path)
     with reading(path, DataError, "dataset") as f:
@@ -87,22 +87,15 @@ def load_csv(path, value_columns=None):
         raise DataError(f"{path}: no value columns")
 
     out = np.empty((len(picks), len(rows)))
-    timestamps = [] if has_ts else None
     for i, (line_no, row) in enumerate(rows):
         if len(row) != len(header):
             raise DataError(
                 f"{path}: row {line_no} has {len(row)} cells, header has {len(header)}"
             )
-        if has_ts:
-            timestamps.append(row[0])
         for j, col in enumerate(picks):
             out[j, i] = _parse_cell(row[col], line_no, header[col], path)
 
-    return Dataset(
-        name=path,
-        values=out,
-        timestamps=tuple(timestamps) if timestamps else None,
-    )
+    return Dataset(path, out, tuple(row[0] for _, row in rows[:2]) if has_ts else None)
 
 
 # --- splits -------------------------------------------------------------------
@@ -312,9 +305,7 @@ def save_cache(path, ds):
     that UTF-8 cannot hold (a file name's undecodable byte) is kept as '?'.
     """
     header = {"name": str(ds.name).encode("utf-8", "replace").decode(), "kind": "dataset-cache"}
-    if ds.timestamps is not None and len(ds.timestamps) >= 2:
-        header["ts0"] = ds.timestamps[0]
-        header["ts1"] = ds.timestamps[1]
+    header.update(zip(("ts0", "ts1"), ds.timestamps or ()))
     ad.save_tensors(path, [("values", ds.values)], header=header)
 
 
@@ -334,14 +325,11 @@ def load(path, columns=None):
         return load_csv(path, value_columns=columns)
     if columns is not None:
         raise ConfigError(f"{path}: a dataset cache stores no column names to select")
-    try:
-        with contextlib.closing(ad._read(path)) as container:
-            header = next(container)
-            if header.get("kind") != "dataset-cache":
-                raise DataError(f"{path}: not a dataset cache (header kind {header.get('kind')!r})")
-            values = dict(container).get("values", np.empty(0))
-    except CheckpointError as e:
-        raise DataError(str(e)) from None
+    with contextlib.closing(ad._read(path, DataError)) as container:
+        header = next(container)
+        if header.get("kind") != "dataset-cache":
+            raise DataError(f"{path}: not a dataset cache (header kind {header.get('kind')!r})")
+        values = dict(container).get("values", np.empty(0))
     if values.ndim != 2 or not values.size or not np.isfinite(values).all():
         raise DataError(f"{path}: cache values{values.shape} must be a finite 2-D array, D, N >= 1")
     ts = tuple(header[k] for k in ("ts0", "ts1") if k in header) or None

@@ -11,7 +11,7 @@ import pytest
 
 from fbm import autodiff as ad
 from fbm.blocks import basis_rows
-from fbm.errors import CheckpointError, ConfigError
+from fbm.errors import CheckpointError, ConfigError, DataError
 
 from gradcheck import _fd_flat, input_grad_err, param_grad_err
 from oracles import (adam_update, broadcast_matmul_grads, dense_grad, dense_moments, factor_arrays, full_factors,
@@ -1144,6 +1144,19 @@ def test_container_truncated(tmp_path):
     path.write_bytes(blob[:-8])
     with pytest.raises(CheckpointError):
         ad.load_tensors(path)
+
+
+@pytest.mark.parametrize("blob, message", [
+    (b"NOTMAGIC", "not a tensor container (bad magic)"),
+    (ad._MAGIC + struct.pack("<I", 8) + b"k=v", "truncated while reading header"),
+    (ad._MAGIC + struct.pack("<I", 3) + b"k=\xff", "header is not UTF-8 text"),
+], ids=["magic", "truncated", "header"])
+def test_container_read_raises_its_callers_error_class(tmp_path, blob, message):
+    path = tmp_path / "c.fbmds"
+    path.write_bytes(blob)
+    with pytest.raises(DataError) as e:
+        next(ad._read(path, DataError))
+    assert str(e.value) == f"{path}: {message}"
 
 
 def test_container_load_holds_one_copy_of_a_record(tmp_path):

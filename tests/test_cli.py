@@ -6,8 +6,10 @@ import dataclasses
 import errno
 import io
 import json
+import os
 import shutil
 import struct
+import sys
 from datetime import datetime, timedelta
 
 import numpy as np
@@ -408,6 +410,66 @@ def test_bad_model_layout_exits_1_before_any_work(capsys, tmp_path, flags, messa
     assert rc == 1 and stdout == ""
     assert err == f"fbm: error: {message}\n"
     assert not out.exists()
+
+
+@pytest.fixture(scope="module")
+def stamped_csv(tmp_path_factory):
+    """400 hourly rows of two channels: every ratio split drawn below fits T, L <= 48, and
+    the ETT split's 20 months do not."""
+    t0 = datetime(2016, 7, 1)
+    rows = "".join(f"{t0 + timedelta(hours=i)},{np.sin(i / 12):.17g},{np.cos(i / 7) + i / 400:.17g}\n"
+                   for i in range(400))
+    path = tmp_path_factory.mktemp("sweep") / "stamped.csv"
+    path.write_text("date,a,b\n" + rows)
+    return path
+
+
+@st.composite
+def _train_argv(draw):
+    """train's argv with a value it takes for each training and data option and every model
+    flag: T and L up to 48, and widths and stack counts up to 8, since the defaults would
+    make a run slow. In half the examples one of them is replaced by a value it may refuse
+    (0 epochs, a NaN, infinite or negative lr, an unknown split, a column the data lacks,
+    an odd T, text where a number goes)."""
+    T, L = draw(st.sampled_from([8, 16, 32, 48])), draw(st.integers(1, 48))
+    divisor = st.sampled_from([1, 2, 4, 8])  # of every T drawn: a patch count
+    kernels = st.lists(st.sampled_from([1, 2, 4]), min_size=1, max_size=3, unique=True)
+    drawn = {"T": st.just(T), "L": st.just(L), "variant": st.sampled_from(VARIANTS),
+             "np-p": divisor, "trend-p": divisor, "c2": st.integers(1, min(L, 8)),
+             "scales": kernels.map(lambda ks: "+".join(map(str, ks)))}
+    for f in SPEC_FIELDS:
+        if f.flag and f.flag not in drawn:
+            drawn[f.flag] = (st.booleans() if f.type is bool else
+                             st.sampled_from(f.choices) if f.choices else st.integers(1, 8))
+    values = {flag: draw(strategy) for flag, strategy in drawn.items()}
+    lr = st.floats(0, 0.1)  # drawn 3 to 1 against a value train refuses or may diverge on
+    values.update(epochs=draw(st.integers(1, 2)),
+                  lr=draw(st.one_of(lr, lr, lr, st.sampled_from(["nan", "inf", "-0.01", "1e9"]))),
+                  batch=draw(st.integers(16, 64)), patience=draw(st.integers(1, 3)),
+                  seed=draw(st.integers(0, 9)), threads=draw(st.integers(1, 3)),
+                  split=draw(st.sampled_from(["ratio", "ratio", "ratio", "ett"])))
+    if draw(st.booleans()):
+        ratios = draw(st.sampled_from([(0.6, 0.2, 0.2), (0.5, 0.25, 0.25)]))
+        values.update(zip([f"{part}-ratio" for part in dat.PARTS], ratios))
+    if draw(st.booleans()):
+        values["columns"] = draw(st.sampled_from(["a", "b,a", "a,a", " b "]))
+    if draw(st.booleans()):
+        values[draw(st.sampled_from(sorted(values)))] = draw(
+            st.sampled_from(["0", "-1", "3", "nan", "inf", "-inf", "1e9", "x"]))
+    argv = []
+    for name, v in values.items():
+        if isinstance(v, bool):
+            argv.append(f"--{name}" if v else f"--no-{name}")
+        else:
+            argv += [f"--{name}", str(v)]
+    return argv
+
+
+@settings(derandomize=True, deadline=None, max_examples=100)
+@given(argv=_train_argv())
+def test_train_flag_sweep_exits_0_or_with_one_error_line(stamped_csv, argv):
+    exits_0_or_with_one_error_line(
+        ["train", "--data", str(stamped_csv), "--out", str(stamped_csv.parent / "run"), *argv])
 
 
 def test_eval_wrong_channel_count_exits_1(capsys, tmp_path, periodic_csv):
@@ -918,6 +980,39 @@ def test_cache_of_a_csv_whose_name_is_not_utf8_keeps_the_name_as_valid_text(tmp_
     assert loaded.values.tobytes() == dat.load(periodic_csv).values.tobytes()
 
 
+# each command that prints a path it was given: (argv, the start of each line naming one)
+PATH_PRINTS = {
+    "synth": (("synth", "--case", "2", "--length", "200", "--out", "{odd}.csv"), ["wrote {odd}.csv "]),
+    "features": (("features", "--data", "{csv}", "--T", "48", "--out", "{odd}.csv"),
+                 ["wrote {odd}.csv "]),
+    "spectrum": (("spectrum", "--data", "{csv}", "--T", "48", "--out", "{odd}.csv"),
+                 ["wrote {odd}.csv "]),
+    "weights": (("weights", "--checkpoint", "{fbm_s}", "--out", "{odd}.csv"), ["wrote {odd}.csv "]),
+    "train": (("train", "--data", "{csv}", "--T", "48", "--L", "12", "--epochs", "1",
+               "--out", "{odd}"), ["wrote {odd}/model.fbm and {odd}/report.json"]),
+    "data-inspect": (("data-inspect", "--data", "{odd}-in.csv", "--cache-out", "{odd}.fbmds"),
+                     ["name: {odd}-in.csv", "wrote {odd}.fbmds"]),
+}
+
+
+@pytest.mark.parametrize("cmd", PATH_PRINTS)
+def test_a_path_that_is_not_utf8_prints_as_its_bytes_to_a_strict_stdout(monkeypatch, tmp_path,
+                                                                        periodic_csv, cmd):
+    # Python makes stdout strict in a UTF-8 locale such as en_US.UTF-8; the byte 0xff of
+    # a file name reads as the lone surrogate \udcff, which a strict stream refuses
+    odd = f"{tmp_path}/y\udcff"
+    shutil.copyfile(periodic_csv, f"{odd}-in.csv")
+    fill = {"csv": periodic_csv, "odd": odd, "fbm_s": _fbm_s_records(tmp_path)[0]}
+    argv, lines = PATH_PRINTS[cmd]
+    stdout = io.TextIOWrapper(io.BytesIO(), encoding="utf-8", errors="strict")
+    monkeypatch.setattr(sys, "stdout", stdout)
+    assert main([a.format(**fill) for a in argv]) == 0
+    stdout.flush()
+    printed = stdout.buffer.getvalue().splitlines()
+    for line in lines:
+        assert any(p.startswith(os.fsencode(line.format(**fill))) for p in printed), printed
+
+
 def test_columns_with_a_cache_exits_1(capsys, tmp_path, periodic_csv):
     cache = tmp_path / "ds.fbmds"
     assert run(capsys, "data-inspect", "--data", periodic_csv, "--cache-out", str(cache))[0] == 0
@@ -1082,9 +1177,7 @@ def _describe_argv(draw):
     return argv
 
 
-@settings(derandomize=True, deadline=None, max_examples=300)
-@given(argv=_describe_argv())
-def test_model_describe_flag_sweep_exits_0_or_with_one_error_line(argv):
+def exits_0_or_with_one_error_line(argv):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         rc = main(argv)  # any exception escaping main fails the example
@@ -1093,6 +1186,12 @@ def test_model_describe_flag_sweep_exits_0_or_with_one_error_line(argv):
         assert errors == [], err.getvalue()
     else:
         assert rc in (1, 2, 3) and len(errors) == 1, err.getvalue()
+
+
+@settings(derandomize=True, deadline=None, max_examples=300)
+@given(argv=_describe_argv())
+def test_model_describe_flag_sweep_exits_0_or_with_one_error_line(argv):
+    exits_0_or_with_one_error_line(argv)
 
 
 def test_model_describe_from_checkpoint(capsys, tmp_path, periodic_csv):

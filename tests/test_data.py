@@ -52,7 +52,7 @@ def test_load_csv_with_timestamp_column(tmp_path):
     ds = load_csv(p)
     assert (ds.D, ds.N) == (2, 3)
     np.testing.assert_array_equal(ds.values, [[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]])
-    assert ds.timestamps[0] == "2016-07-01 00:00:00"
+    assert ds.timestamps == ("2016-07-01 00:00:00", "2016-07-01 01:00:00")  # the two read
 
 
 def test_load_csv_all_numeric(tmp_path):
@@ -388,6 +388,16 @@ def test_cache_keeps_one_leading_timestamp_without_the_second(tmp_path):
     assert load(path).timestamps == ("2020-01-01T00:00",)
     with pytest.raises(DataError, match="month-based split needs timestamps"):
         samples_per_hour(load(path))
+
+
+def test_cache_of_a_one_stamp_dataset_keeps_its_stamp(tmp_path):
+    ds = load_csv(write_csv(tmp_path / "one.csv", "date,a\n2020-01-01T00:00,1\n"))
+    assert ds.timestamps == ("2020-01-01T00:00",)
+    path = tmp_path / "ds.fbmds"
+    save_cache(path, ds)
+    assert load(path).timestamps == ("2020-01-01T00:00",)
+    with pytest.raises(DataError, match="month-based split needs timestamps"):
+        split(load(path), SplitSpec.ett_months(), T=2, L=1)
 
 
 def test_cache_rejects_column_selection(tmp_path):
