@@ -292,12 +292,12 @@ def cmd_spectrum(res):
     ds = _load(res)
     ranges = dat.split(ds, spec, T, 1)
     starts = dat.window_starts(getattr(ranges, res["part"]), T, 0)[:: res["stride"]]
-    amps = []
-    for chunk in dat.start_chunks(starts, 512):
-        X = np.stack([ds.values[:, s : s + T] for s in chunk])
+    amps = np.empty((len(starts), ds.D, T // 2))  # every window's bins 1..T/2, DC dropped
+    for i in range(0, len(starts), 512):
+        X = np.stack([ds.values[:, s : s + T] for s in starts[i : i + 512]])
         H_R, H_I = fourier.rdft_array(instance_standardize(X)[0])
-        amps.append(fourier.amplitude_phase(H_R, H_I).amp[..., 1:])  # drop DC
-    mean, lo, hi = fourier.amplitude_distribution(np.concatenate(amps))
+        amps[i : i + 512] = fourier.amplitude_phase(H_R, H_I).amp[..., 1:]
+    mean, lo, hi = fourier.amplitude_distribution(amps)
     d, k = np.indices(mean.shape)
     dat.write_csv(res["out"], "channel,k,mean_amp,lo95,hi95", [d, k + 1], [mean, lo, hi])
     print(f"wrote {res['out']} ({len(starts)} windows)")
@@ -396,8 +396,9 @@ def build_parser():
 
 
 def main(argv=None):
-    if hasattr(sys.stdout, "reconfigure"):  # a path prints as the bytes its file system holds
-        sys.stdout.reconfigure(errors="surrogateescape")
+    for stream in (sys.stdout, sys.stderr):  # a path prints as the bytes its file system holds
+        if hasattr(stream, "reconfigure"):
+            stream.reconfigure(errors="surrogateescape")
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

@@ -10,6 +10,7 @@ zscore_apply works in that space.
 
 from __future__ import annotations
 
+import array
 import contextlib
 import csv
 import itertools
@@ -53,49 +54,47 @@ def _parse_cell(text, line_no, col_name, path):
 
 
 def load_csv(path, value_columns=None):
-    """Read a header + rows CSV into a Dataset.
+    """Read a header + rows CSV into a Dataset, parsing each row as it is read.
 
     The first column is a timestamp when its first data cell is not numeric;
     its first two stamps are kept. value_columns restricts (and orders) the
-    value columns by header name. Row numbers in errors are 1-based file
-    lines (the header is line 1), blank lines counted.
+    value columns by header name. Row numbers in errors are 1-based file lines
+    (the header is line 1), blank lines counted; faults come in file order.
     """
     path = str(path)
     with reading(path, DataError, "dataset") as f:
         reader = csv.reader(f)
         header = next(reader, None)
-        rows = [(reader.line_num, r) for r in reader if r]
-    if not rows:
-        raise DataError(f"{path}: {'empty file' if header is None else 'no data rows'}")
+        rows = filter(None, reader)
+        first = next(rows, None)
+        if first is None:
+            raise DataError(f"{path}: {'empty file' if header is None else 'no data rows'}")
+        first_value_col = 0  # 1 when the first column holds timestamps
+        try:
+            float(first[0])
+        except ValueError:
+            first_value_col = 1
+        names = header[first_value_col:]
+        if value_columns is not None:
+            missing = [c for c in value_columns if c not in names]
+            if missing:
+                raise DataError(f"{path}: missing columns {missing} (header has {names})")
+            picks = [first_value_col + names.index(c) for c in value_columns]
+        else:
+            picks = list(range(first_value_col, len(header)))
+        if not picks:
+            raise DataError(f"{path}: no value columns")
+        values, stamps = array.array("d"), []  # values row by row, in one growing buffer
+        for row in itertools.chain([first], rows):
+            line_no = reader.line_num
+            if len(row) != len(header):
+                raise DataError(f"{path}: row {line_no} has {len(row)} cells, header has {len(header)}")
+            values.extend([_parse_cell(row[c], line_no, header[c], path) for c in picks])
+            if first_value_col and len(stamps) < 2:
+                stamps.append(row[0])
 
-    has_ts = False
-    try:
-        float(rows[0][1][0])
-    except ValueError:
-        has_ts = True
-    first_value_col = 1 if has_ts else 0
-    names = header[first_value_col:]
-
-    if value_columns is not None:
-        missing = [c for c in value_columns if c not in names]
-        if missing:
-            raise DataError(f"{path}: missing columns {missing} (header has {names})")
-        picks = [first_value_col + names.index(c) for c in value_columns]
-    else:
-        picks = list(range(first_value_col, len(header)))
-    if not picks:
-        raise DataError(f"{path}: no value columns")
-
-    out = np.empty((len(picks), len(rows)))
-    for i, (line_no, row) in enumerate(rows):
-        if len(row) != len(header):
-            raise DataError(
-                f"{path}: row {line_no} has {len(row)} cells, header has {len(header)}"
-            )
-        for j, col in enumerate(picks):
-            out[j, i] = _parse_cell(row[col], line_no, header[col], path)
-
-    return Dataset(path, out, tuple(row[0] for _, row in rows[:2]) if has_ts else None)
+    out = np.frombuffer(values).reshape(-1, len(picks)).T.copy()  # channel-major
+    return Dataset(path, out, tuple(stamps) if first_value_col else None)
 
 
 # --- splits -------------------------------------------------------------------

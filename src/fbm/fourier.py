@@ -146,9 +146,9 @@ def amplitude_phase(H_R, H_I):
 
 
 def amplitude_distribution(amps):
-    """Per-channel amplitude spread across windows: amps[W, D, K] ->
-    (mean[D, K], lo95[D, K], hi95[D, K]) with the 2.5/97.5 percentiles."""
+    """Per-channel amplitude spread across windows: amps[W, D, K] -> (mean[D, K], lo95[D, K],
+    hi95[D, K]) with the 2.5/97.5 percentiles. A float64 amps is reordered along axis 0."""
     amps = np.asarray(amps, dtype=np.float64)
-    mean = amps.mean(axis=0)
-    lo, hi = np.percentile(amps, [2.5, 97.5], axis=0)
+    mean = amps.mean(axis=0)  # before the percentiles reorder amps in place
+    lo, hi = np.percentile(amps, [2.5, 97.5], axis=0, overwrite_input=True)
     return mean, lo, hi

@@ -10,6 +10,7 @@ import os
 import shutil
 import struct
 import sys
+import tracemalloc
 from datetime import datetime, timedelta
 
 import numpy as np
@@ -837,6 +838,20 @@ def test_weights_refuses_a_first_record_that_is_not_the_seasonal_filter(capsys, 
     assert err == f"fbm: error: {message}\n"
 
 
+def test_spectrum_peaks_below_two_and_a_half_amplitude_arrays(capsys, tmp_path):
+    # 20,000 steps: the default split's train part holds 13,000 - 48 + 1 windows of 24 bins
+    data = write_series(tmp_path / "long.csv", np.sin(np.arange(20000) / 9))
+    tracemalloc.start()
+    try:
+        rc = main(["spectrum", "--data", data, "--T", "48", "--out", str(tmp_path / "s.csv")])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rc == 0, capsys.readouterr().err
+    amp_bytes = (13000 - 48 + 1) * 24 * 8
+    assert peak < 2.5 * amp_bytes, peak / amp_bytes
+
+
 # --- output paths that cannot be written ---------------------------------------
 
 
@@ -1011,6 +1026,21 @@ def test_a_path_that_is_not_utf8_prints_as_its_bytes_to_a_strict_stdout(monkeypa
     printed = stdout.buffer.getvalue().splitlines()
     for line in lines:
         assert any(p.startswith(os.fsencode(line.format(**fill))) for p in printed), printed
+
+
+def test_an_error_naming_a_path_that_is_not_utf8_prints_its_bytes_to_stderr(monkeypatch, tmp_path,
+                                                                          periodic_csv):
+    # stderr's default handler, backslashreplace, would print the byte 0xff of the file
+    # name as the text \udcff, a name that opens no file
+    odd = f"{tmp_path}/y\udcff.csv"
+    shutil.copyfile(periodic_csv, odd)
+    stderr = io.TextIOWrapper(io.BytesIO(), encoding="utf-8", errors="backslashreplace")
+    monkeypatch.setattr(sys, "stderr", stderr)
+    assert main(["data-inspect", "--data", odd, "--columns", "zz"]) == 2
+    stderr.flush()
+    printed = stderr.buffer.getvalue().splitlines()
+    assert len(printed) == 1 and printed[0].startswith(
+        b"fbm: error: " + os.fsencode(odd) + b": missing columns ['zz']"), printed
 
 
 def test_columns_with_a_cache_exits_1(capsys, tmp_path, periodic_csv):
@@ -1192,6 +1222,31 @@ def exits_0_or_with_one_error_line(argv):
 @given(argv=_describe_argv())
 def test_model_describe_flag_sweep_exits_0_or_with_one_error_line(argv):
     exits_0_or_with_one_error_line(argv)
+
+
+@st.composite
+def _data_command_argv(draw):
+    """spectrum, features or data-inspect with each option it takes given or left out: T
+    from -2 to 64, odd ones too; a start or stride of 0 or below; a part or split it does not
+    know; ratios that are NaN, infinite or negative; columns missing, repeated or empty."""
+    cmd = draw(st.sampled_from(["spectrum", "features", "data-inspect"]))
+    ratio = st.sampled_from(["0.6", "0.2", "0", "-0.2", "nan", "inf"])
+    drawn = {"T": st.integers(-2, 64), "start": st.integers(-2, 400), "stride": st.integers(-2, 64),
+             "part": st.sampled_from([*dat.PARTS, "all"]), "split": st.sampled_from(["ratio", "ett", "x"]),
+             "train-ratio": ratio, "val-ratio": ratio, "test-ratio": ratio,
+             "columns": st.sampled_from(["a", "b,a", "a,a", "zz", "", " , "])}
+    argv = [cmd]
+    for o in cli.COMMANDS[cmd][0]:
+        if o.name in drawn and draw(st.booleans()):
+            argv += [f"--{o.name}", str(draw(drawn[o.name]))]
+    return argv
+
+
+@settings(derandomize=True, deadline=None, max_examples=100)
+@given(argv=_data_command_argv())
+def test_data_command_flag_sweep_exits_0_or_with_one_error_line(stamped_csv, argv):
+    out = [] if argv[0] == "data-inspect" else ["--out", str(stamped_csv.parent / "out.csv")]
+    exits_0_or_with_one_error_line([*argv, "--data", str(stamped_csv), *out])
 
 
 def test_model_describe_from_checkpoint(capsys, tmp_path, periodic_csv):

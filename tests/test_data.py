@@ -1,5 +1,6 @@
 """Ingestion, split arithmetic, normalization, and window batching."""
 
+import tracemalloc
 from datetime import datetime, timedelta
 
 import numpy as np
@@ -121,6 +122,34 @@ def test_load_csv_empty_and_header_only(tmp_path):
 def test_load_csv_with_only_a_timestamp_column(tmp_path):
     with pytest.raises(DataError, match="no value columns"):
         load_csv(write_csv(tmp_path / "j.csv", "date\nt0\nt1\n"))
+
+
+def test_load_csv_peaks_below_three_times_its_values(tmp_path):
+    # 20,000 stamped rows of 7 channels; a list of the file's rows took about 13 times the values
+    t0 = datetime(2016, 7, 1)
+    values = np.random.default_rng(0).standard_normal((20000, 7)).round(3)
+    rows = (f"{t0 + timedelta(minutes=15 * i)},{','.join(map(repr, row))}\n"
+            for i, row in enumerate(values.tolist()))
+    p = write_csv(tmp_path / "long.csv", "date,a,b,c,d,e,f,g\n" + "".join(rows))
+    tracemalloc.start()
+    try:
+        ds = load_csv(p)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert ds.values.tobytes() == values.T.tobytes() and ds.values.flags.c_contiguous
+    assert ds.timestamps == ("2016-07-01 00:00:00", "2016-07-01 00:15:00")
+    assert peak <= 3 * ds.values.nbytes, peak / ds.values.nbytes
+
+
+def test_load_csv_reports_the_first_fault_in_file_order(tmp_path):
+    # a bad cell at row 3, then a byte that is not UTF-8 some 160 KB on, past the decoder's
+    # first read: the cell is the fault met first
+    p = tmp_path / "k.csv"
+    p.write_bytes(b"u\n1\nx\n" + b"2.5\n" * 40000 + b"\xff\n")
+    with pytest.raises(DataError) as err:
+        load_csv(p)
+    assert str(err.value) == f"{p}: unparseable cell 'x' at row 3, column 'u'"
 
 
 # --- splits -----------------------------------------------------------------------

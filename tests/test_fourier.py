@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -296,6 +298,19 @@ def test_downsample_rejects_nondivisible():
         _downsample(np.zeros((1, 6, 9)), 4)
     with pytest.raises(ConfigError):
         _downsample(np.zeros((1, 8, 4)), 3)
+
+
+def test_amplitude_distribution_copies_nothing_and_equals_the_percentiles_of_a_copy():
+    amps = np.random.default_rng(2).uniform(size=(2001, 3, 24))
+    want = (amps.mean(axis=0), *np.percentile(amps.copy(), [2.5, 97.5], axis=0))
+    tracemalloc.start()
+    try:
+        got = fb.amplitude_distribution(amps)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert [g.tobytes() for g in got] == [w.tobytes() for w in want]
+    assert peak < amps.nbytes / 4, peak / amps.nbytes  # amps is reordered in place
 
 
 def test_amplitude_distribution_percentiles():
