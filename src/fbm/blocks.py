@@ -352,7 +352,7 @@ class TrendConfig:
 
     def __post_init__(self):
         if self.backbone not in BACKBONES:
-            raise ConfigError(f"unknown trend backbone {self.backbone!r}")
+            raise ConfigError(f"unknown trend backbone {self.backbone!r}; choose from {BACKBONES}")
         if not self.scales:
             raise ConfigError("trend block needs at least one scale")
         for s in self.scales:

@@ -65,11 +65,7 @@ class Opt:
             raise argparse.ArgumentTypeError(f"{text!r}, want {e}") from None
 
 
-MODEL_OPTS = [
-    Opt(f.flag, f.type, f.default, f.help, choices=f.choices)
-    for f in SPEC_FIELDS
-    if f.flag
-]
+MODEL_OPTS = [Opt(f.flag, f.type, f.default, f.help) for f in SPEC_FIELDS if f.flag]
 SPEC_DEFAULTS = {o.name: o.default for o in MODEL_OPTS}
 
 DATA_OPTS = [
@@ -233,7 +229,10 @@ def cmd_train(res):
     cfg = TrainConfig(res["T"], res["L"], **{f: res[flag] for flag, (f, _) in TRAIN_FIELDS.items()})
     spec = build_model_spec(res, 1)  # every model option is checked before the data is read
     out = Path(res["out"])
-    existing = next(p for p in (out, *out.parents) if p.exists())
+    try:
+        existing = next(p for p in (out, *out.parents) if p.exists())
+    except OSError as e:  # a name the file system cannot hold, say
+        raise ConfigError(f"cannot write {out}: {e.strerror or e}") from None
     if not existing.is_dir():  # found before any data is read, not after training
         raise ConfigError(f"cannot write {out}: {existing} is not a directory")
     for name in ("model.fbm", "report.json"):
@@ -279,7 +278,7 @@ def cmd_features(res):
     X = ds.values[None, :, start : start + T]
     Xs = instance_standardize(X)[0][0]
     H_R, H_I = fourier.rdft_array(Xs)
-    G = fourier.expand_array(H_R, H_I, fourier.build_bases(T), drop_dc=True)
+    G = fourier.expand_array(H_R, H_I, fourier.build_bases(T))[..., 1:]  # DC dropped: bins k + 1
     d, n, k = np.indices(G.shape)
     dat.write_csv(res["out"], "channel,n,k,value", [d, n, k + 1], [G])
     print(f"wrote {res['out']} ({'x'.join(map(str, G.shape))})")
@@ -406,9 +405,9 @@ def main(argv=None):
         return handler(_resolve(args._subparser, args, opts))
     except SystemExit as e:
         return e.code if isinstance(e.code, int) else 1
-    except FbmError as e:
-        print(f"fbm: error: {e}", file=sys.stderr)
-        return e.exit_code
+    except (FbmError, MemoryError) as e:  # numpy's MemoryError names the allocation it refused
+        print(f"fbm: error: {str(e) or 'out of memory'}", file=sys.stderr)
+        return getattr(e, "exit_code", 1)
 
 
 if __name__ == "__main__":

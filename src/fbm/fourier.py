@@ -107,9 +107,9 @@ def build_bases(T, pad=0):
     return BasisMatrices(C=C, S=S, T=T)
 
 
-def expand_array(H_R, H_I, bases, drop_dc=False):
+def expand_array(H_R, H_I, bases):
     """Time-frequency features G[..., n, k] = H_R[..., k] C[n, k] + H_I[..., k] S[n, k]
-    of full spectrum halves H_*[..., T/2+1]; G is [..., T, K] with K = T/2(+1).
+    of full spectrum halves H_*[..., T/2+1]; G is [..., T, T/2+1].
 
     Only the first T rows of the bases are used.
     """
@@ -117,9 +117,6 @@ def expand_array(H_R, H_I, bases, drop_dc=False):
         raise ConfigError(f"basis length {bases.T} does not fit {H_R.shape[-1]} spectrum bins")
     C = bases.C[: bases.T]
     S = bases.S[: bases.T]
-    if drop_dc:
-        C, S = C[:, 1:], S[:, 1:]
-        H_R, H_I = H_R[..., 1:], H_I[..., 1:]
     return H_R[..., None, :] * C + H_I[..., None, :] * S
 
 

@@ -219,7 +219,6 @@ class SpecField:
     help: str = ""
     type: type = int
     default: object = None  # None: ModelSpec's default or its config's; a switch is off
-    choices: tuple | None = None
 
     def __post_init__(self):
         if self.default is None:
@@ -251,7 +250,7 @@ SPEC_FIELDS = (
     SpecField("np-ffn", "np_h2", ("np_cfg", "h2"), "fbm-np", "fbm-np attention FFN width"),
     SpecField("np-k", "np_k", ("np_cfg", "K"), "fbm-np", "fbm-np attention stacks"),
     SpecField("trend-backbone", "trend_backbone", ("trend", "backbone"), "fbm-s",
-              "fbm-s trend backbone", str, choices=BACKBONES),
+              f"fbm-s trend backbone, one of {', '.join(BACKBONES)}", str),
     SpecField("trend-h1", "trend_h1", ("trend", "h1"), "fbm-s", "fbm-s trend patch projection width"),
     SpecField("trend-h2", "trend_h2", ("trend", "h2"), "fbm-s", "fbm-s trend hidden/FFN width"),
     SpecField("trend-k", "trend_k", ("trend", "K"), "fbm-s",
@@ -355,7 +354,7 @@ class ForecastModel:
     @classmethod
     def load(cls, path, expected_spec=None):
         spec = ModelSpec.from_header(ad._read_header(path))
-        if expected_spec is not None and spec != expected_spec:
+        if expected_spec is not None and spec.to_header() != expected_spec.to_header():
             raise CheckpointError(
                 "checkpoint spec does not match requested spec:\n"
                 f"  checkpoint: {spec.summary()}\n"

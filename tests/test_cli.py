@@ -22,7 +22,7 @@ from fbm import autodiff as ad
 from fbm import cli
 from fbm import data as dat
 from fbm import fourier as fb
-from fbm.blocks import InteractionConfig, TrendConfig
+from fbm.blocks import BACKBONES, InteractionConfig, TrendConfig
 from fbm.cli import build_model_spec, main
 from fbm.data import SplitSpec
 from fbm.models import SPEC_FIELDS, VARIANTS, ForecastModel, ModelSpec
@@ -413,6 +413,9 @@ def test_bad_model_layout_exits_1_before_any_work(capsys, tmp_path, flags, messa
     assert not out.exists()
 
 
+BACKBONE_NAMES = [*BACKBONES, "unknown"]  # fbm-s refuses the last; other variants ignore it
+
+
 @pytest.fixture(scope="module")
 def stamped_csv(tmp_path_factory):
     """400 hourly rows of two channels: every ratio split drawn below fits T, L <= 48, and
@@ -441,7 +444,8 @@ def _train_argv(draw):
     for f in SPEC_FIELDS:
         if f.flag and f.flag not in drawn:
             drawn[f.flag] = (st.booleans() if f.type is bool else
-                             st.sampled_from(f.choices) if f.choices else st.integers(1, 8))
+                             st.sampled_from(BACKBONE_NAMES) if f.flag == "trend-backbone" else
+                             st.integers(1, 8))
     values = {flag: draw(strategy) for flag, strategy in drawn.items()}
     lr = st.floats(0, 0.1)  # drawn 3 to 1 against a value train refuses or may diverge on
     values.update(epochs=draw(st.integers(1, 2)),
@@ -906,6 +910,29 @@ def test_train_output_that_is_a_directory_exits_1_before_reading_data(capsys, tm
     assert [p.name for p in out.iterdir()] == [name] and not any((out / name).iterdir())
 
 
+def test_train_out_with_a_name_too_long_for_the_file_system_exits_1_before_reading_data(capsys,
+                                                                                        tmp_path):
+    out = tmp_path / ("x" * 300) / "run"
+    rc, stdout, err = run(capsys, "train", "--data", str(tmp_path / "missing.csv"),
+                          "--out", str(out))
+    assert rc == 1 and stdout == ""  # a missing dataset would exit 2
+    assert err == f"fbm: error: cannot write {out}: {os.strerror(errno.ENAMETOOLONG)}\n"
+
+
+def test_train_whose_out_cannot_be_made_after_training_exits_1_writing_nothing(capsys, monkeypatch,
+                                                                               tmp_path, periodic_csv):
+    def read_only(self, *args, **kwargs):
+        raise OSError(errno.EROFS, os.strerror(errno.EROFS), str(self))
+
+    monkeypatch.setattr(cli.Path, "mkdir", read_only)
+    out = tmp_path / "run"
+    rc, _, err = run(capsys, "train", "--data", periodic_csv, "--T", "48", "--L", "12",
+                     "--epochs", "1", "--out", str(out))
+    assert rc == 1
+    assert err == f"fbm: error: cannot write {out}: {os.strerror(errno.EROFS)}\n"
+    assert not out.exists() and not (out / "model.fbm").exists()
+
+
 # --- inspection and caching -------------------------------------------------------
 
 
@@ -922,6 +949,14 @@ def test_data_inspect_prints_the_sampling_rate_of_timestamps(capsys, tmp_path):
     rc, stdout, _ = run(capsys, "data-inspect", "--data", str(path))
     assert rc == 0
     assert "timesteps: 3\nsamples/hour: 4\n" in stdout
+
+
+def test_data_inspect_of_stamps_a_day_apart_prints_no_sampling_rate(capsys, tmp_path):
+    path = tmp_path / "daily.csv"
+    path.write_text("date,a\n2016-07-01,1\n2016-07-02,2\n2016-07-03,4\n")
+    rc, stdout, err = run(capsys, "data-inspect", "--data", str(path))
+    assert rc == 0 and err == ""
+    assert "timesteps: 3\nchannel " in stdout and "samples/hour" not in stdout
 
 
 def test_cache_roundtrip_through_cli(capsys, tmp_path, periodic_csv):
@@ -1179,6 +1214,21 @@ def test_model_describe_bad_width_or_stack_count_exits_1(capsys, flags, named):
     assert named in err and "closed form" not in err  # names the value, not a count
 
 
+def test_unknown_trend_backbone_exits_1_naming_the_backbones(capsys):
+    rc, out, err = run(capsys, "model-describe", "--variant", "fbm-s", "--trend-backbone", "rnn")
+    assert rc == 1 and out == ""
+    assert err == ("fbm: error: unknown trend backbone 'rnn'; "
+                   "choose from ('linear', 'mlp', 'transformer')\n")
+    help_text = next(o.help for o in cli.MODEL_OPTS if o.name == "trend-backbone")
+    assert help_text.endswith("linear, mlp, transformer")
+
+
+@pytest.mark.parametrize("variant", [v for v in VARIANTS if v != "fbm-s"])
+def test_trend_backbone_is_ignored_by_a_variant_that_does_not_read_it(capsys, variant):
+    argv = ("model-describe", "--variant", variant, "--T", "16", "--L", "4", "--D", "1")
+    assert run(capsys, *argv, "--trend-backbone", "rnn") == run(capsys, *argv)
+
+
 def _describe_flag(f):
     """argv for one model flag at a bounded value: small ints and kernel lists, each
     choice plus an unknown one, or a switch either way."""
@@ -1186,8 +1236,8 @@ def _describe_flag(f):
         return st.sampled_from([[f"--{f.flag}"], [f"--no-{f.flag}"]])
     if f.flag == "variant":
         values = st.sampled_from([*VARIANTS, "fbm-x"])
-    elif f.choices:
-        values = st.sampled_from([*f.choices, "unknown"])
+    elif f.flag == "trend-backbone":
+        values = st.sampled_from(BACKBONE_NAMES)
     elif f.type is tuple:
         values = st.lists(st.integers(-2, 8), max_size=3).map(lambda ks: "+".join(map(str, ks)))
     else:
@@ -1247,6 +1297,54 @@ def _data_command_argv(draw):
 def test_data_command_flag_sweep_exits_0_or_with_one_error_line(stamped_csv, argv):
     out = [] if argv[0] == "data-inspect" else ["--out", str(stamped_csv.parent / "out.csv")]
     exits_0_or_with_one_error_line([*argv, "--data", str(stamped_csv), *out])
+
+
+@pytest.fixture(scope="module")
+def sweep_files(stamped_csv):
+    """Paths the eval, weights and synth sweep draws: a tiny fbm-l and fbm-s trained on
+    stamped_csv, a report, a CSV, a missing file, a directory, a missing parent and a name
+    too long for the file system."""
+    root = stamped_csv.parent
+    for variant, extra in (("fbm-l", []), ("fbm-s", ["--trend-p", "2", "--trend-h1", "4",
+                                                     "--trend-h2", "4"])):
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(["train", "--data", str(stamped_csv), "--variant", variant, "--T", "16",
+                         "--L", "4", "--epochs", "1", "--out", str(root / variant), *extra]) == 0
+    (root / "adir").mkdir()
+    models = [root / "fbm-s" / "model.fbm", root / "fbm-l" / "model.fbm"]
+    outs = [root / "out.csv", root / "adir", root / "missing" / "out.csv",
+            root / ("x" * 300) / "out.csv"]
+    return {"checkpoint": models + [root / "fbm-l" / "report.json", stamped_csv, root / "missing.fbm"],
+            "out": outs, "predictions-out": outs}
+
+
+@st.composite
+def _model_command_argv(draw, files):
+    """eval, weights or synth with each option it requires and each other one given or left
+    out: a part it does not know; a batch or thread count from -2 to 64; split ratios that
+    are NaN or negative; a case from 0 to 3 and a seed from -2 up; at most 2,000 windows or
+    20,000 steps, so that nothing large is allocated; and each path drawn from `files`."""
+    cmd = draw(st.sampled_from(["eval", "weights", "synth"]))
+    ratio = st.sampled_from(["0.6", "0.2", "0", "-0.2", "nan"])
+    count = st.integers(-2, 64)
+    drawn = {"part": st.sampled_from([*dat.PARTS, "all"]), "batch": count, "threads": count,
+             "split": st.sampled_from(["ratio", "ett", "x"]), "train-ratio": ratio,
+             "val-ratio": ratio, "test-ratio": ratio, "columns": st.sampled_from(["a", "b,a", "zz"]),
+             "case": st.sampled_from([1, 2, 0, 3]), "seed": st.integers(-2, 2**70),
+             "windows": st.integers(-2, 2000), "length": st.integers(-2, 20000),
+             **{name: st.sampled_from(paths) for name, paths in files.items()}}
+    argv = [cmd]
+    for o in cli.COMMANDS[cmd][0]:  # weights' default --out would write in the working directory
+        if o.name in drawn and (o.required or o.name == "out" or draw(st.booleans())):
+            argv += [f"--{o.name}", str(draw(drawn[o.name]))]
+    return argv
+
+
+@settings(derandomize=True, deadline=None, max_examples=100)
+@given(data=st.data())
+def test_model_command_flag_sweep_exits_0_or_with_one_error_line(stamped_csv, sweep_files, data):
+    argv = data.draw(_model_command_argv(sweep_files))
+    exits_0_or_with_one_error_line([*argv, "--data", str(stamped_csv)] if argv[0] == "eval" else argv)
 
 
 def test_model_describe_from_checkpoint(capsys, tmp_path, periodic_csv):
@@ -1335,6 +1433,24 @@ def test_synth_case1_negative_seed_or_no_windows_exits_1(capsys, tmp_path, flag,
     rc, out, err = run(capsys, "synth", "--case", "1", flag, value, "--out", str(path))
     assert rc == 1 and out == ""
     assert err == f"fbm: error: {message}\n"
+    assert not path.exists()
+
+
+@pytest.mark.parametrize("error, line", [
+    (MemoryError("Unable to allocate 745. GiB for an array with shape (100000000000,)"),
+     "Unable to allocate 745. GiB for an array with shape (100000000000,)"),
+    (MemoryError(), "out of memory"),
+], ids=["numpy", "bare"])
+def test_an_allocation_that_is_refused_exits_1_with_one_line(capsys, monkeypatch, tmp_path, error,
+                                                             line):
+    def refuse(*args, **kwargs):
+        raise error
+
+    monkeypatch.setattr(cli, "make_case2", refuse)
+    path = tmp_path / "case2.csv"
+    rc, out, err = run(capsys, "synth", "--case", "2", "--length", "100000000000", "--out", str(path))
+    assert rc == 1 and out == ""
+    assert err == f"fbm: error: {line}\n"
     assert not path.exists()
 
 

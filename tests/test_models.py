@@ -3,6 +3,7 @@ checkpointing, and parameter accounting."""
 
 import sys
 import tracemalloc
+from dataclasses import replace
 from functools import reduce
 from pathlib import Path
 
@@ -936,6 +937,19 @@ def test_checkpoint_spec_mismatch_names_both(tmp_path):
     with pytest.raises(CheckpointError) as err:
         ForecastModel.load(path, expected_spec=wanted)
     assert "L=6" in str(err.value) and "L=7" in str(err.value)
+
+
+def test_checkpoint_loads_against_a_spec_that_differs_only_in_fields_it_does_not_record(tmp_path):
+    model = ForecastModel(ModelSpec(variant="fbm-l", T=16, L=4, D=1), seed=0)
+    path = tmp_path / "model.fbm"
+    model.save(path)
+    wanted = ModelSpec(variant="fbm-l", T=16, L=4, D=1, nl_h1=7)  # fbm-l reads no nl_h1
+    restored = ForecastModel.load(path, expected_spec=wanted)
+    assert restored.spec.to_header() == wanted.to_header()
+    with pytest.raises(CheckpointError) as err:
+        ForecastModel.load(path, expected_spec=replace(wanted, L=5))
+    _, checkpoint, requested = str(err.value).splitlines()
+    assert checkpoint.split(":", 1)[1].strip() != requested.split(":", 1)[1].strip()
 
 
 def test_checkpoint_matching_expected_spec_loads(tmp_path):
