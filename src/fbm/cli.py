@@ -295,7 +295,7 @@ def cmd_spectrum(res):
     for i in range(0, len(starts), 512):
         X = np.stack([ds.values[:, s : s + T] for s in starts[i : i + 512]])
         H_R, H_I = fourier.rdft_array(instance_standardize(X)[0])
-        amps[i : i + 512] = fourier.amplitude_phase(H_R, H_I).amp[..., 1:]
+        amps[i : i + 512] = fourier.amplitude(H_R, H_I)[..., 1:]
     mean, lo, hi = fourier.amplitude_distribution(amps)
     d, k = np.indices(mean.shape)
     dat.write_csv(res["out"], "channel,k,mean_amp,lo95,hi95", [d, k + 1], [mean, lo, hi])

@@ -43,12 +43,6 @@ class BasisMatrices:
     T: int
 
 
-@dataclass(frozen=True)
-class AmplitudePhase:
-    amp: np.ndarray
-    phase: np.ndarray
-
-
 @lru_cache(maxsize=32)
 def dft_matrices(T):
     """Tables turning a window into its half spectrum: H_R = x @ cm, H_I = x @ sm.
@@ -125,21 +119,12 @@ def reconstruct(G):
     return np.asarray(G, dtype=np.float64).sum(axis=-1)
 
 
-def amplitude_phase(H_R, H_I):
-    """Fuse each bin's cos/sin pair of full halves H_*[..., T/2+1] into
-    amplitude and phase.
-
-    Uses the doubled coefficients (a_k, -b_k) as the (A, B) legs, so a
-    pure cosine bin lands at phase 0. Phase of an empty bin is 0 by
-    convention; atan2 range is (-pi, pi].
-    """
+def amplitude(H_R, H_I):
+    """Each bin's amplitude from its cos/sin pair of full halves H_*[..., T/2+1]: the
+    hypotenuse of the doubled coefficients (a_k, b_k)."""
     k = np.arange(H_R.shape[-1])
     ck = np.where((k == 0) | (k == k[-1]), 1.0, 2.0)
-    A = ck * H_R
-    B = -(ck * H_I)
-    R = np.hypot(A, B)
-    phase = np.where(R == 0.0, 0.0, np.arctan2(B, A))
-    return AmplitudePhase(amp=R, phase=phase)
+    return np.hypot(ck * H_R, ck * H_I)
 
 
 def amplitude_distribution(amps):

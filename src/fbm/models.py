@@ -353,7 +353,8 @@ class ForecastModel:
 
     @classmethod
     def load(cls, path, expected_spec=None):
-        spec = ModelSpec.from_header(ad._read_header(path))
+        header, records = ad.load_tensors(path)
+        spec = ModelSpec.from_header(header)
         if expected_spec is not None and spec.to_header() != expected_spec.to_header():
             raise CheckpointError(
                 "checkpoint spec does not match requested spec:\n"
@@ -361,7 +362,6 @@ class ForecastModel:
                 f"  requested:  {expected_spec.summary()}"
             )
         model = cls(spec, seed=ad._UNDRAWN)
-        _, records = ad.load_tensors(path)
         if len(records) != len(model.params):
             raise CheckpointError(
                 f"checkpoint holds {len(records)} tensors, model needs {len(model.params)}"

@@ -255,6 +255,19 @@ def test_eval_of_a_nan_checkpoint_exits_3_and_keeps_the_previous_export(capsys, 
 # --- train / eval ------------------------------------------------------------------
 
 
+def count_records_read(monkeypatch):
+    """A list that gets the value count of each record a container read takes from its file."""
+    read, fromfile = [], np.fromfile
+
+    def counted(f, dtype, count):
+        arr = fromfile(f, dtype=dtype, count=count)
+        read.append(arr.size)
+        return arr
+
+    monkeypatch.setattr(np, "fromfile", counted)
+    return read
+
+
 def train_tiny(capsys, tmp_path, periodic_csv, *extra):
     out = tmp_path / "run"
     rc, stdout, _ = run(
@@ -304,12 +317,22 @@ def test_train_with_a_train_split_std_that_overflows_exits_2_writing_nothing(cap
     assert not out.exists()
 
 
-# fbm-l, then a small fbm-nl: each pins its grid weight from train through save to eval
-GRID_WEIGHT_RUNS = {"fbm-l": (), "fbm-nl": ("--variant", "fbm-nl", "--nl-h1", "16", "--nl-h2", "8")}
+# each variant, small: fbm-l and fbm-nl pin both kinds of grid weight from train through save
+# to eval, and fbm-s runs its trend scales and interaction
+VARIANT_RUNS = {
+    "fbm-l": (),
+    "fbm-nl": ("--variant", "fbm-nl", "--nl-h1", "16", "--nl-h2", "8"),
+    "fbm-s": ("--variant", "fbm-s", "--trend-p", "4", "--trend-h1", "16", "--trend-h2", "32",
+              "--scales", "1+2", "--interaction", "--c1", "24", "--c2", "12", "--h3", "16",
+              "--inter-k", "1"),
+    "fbm-np": ("--variant", "fbm-np", "--np-p", "4", "--np-h1", "16", "--np-ffn", "32", "--np-k", "1"),
+    "diag": ("--variant", "diag"),
+    "last": ("--variant", "last"),
+}
 
 
 def test_eval_reproduces_report_test_bit_exactly(capsys, tmp_path, periodic_csv):
-    for variant, extra in GRID_WEIGHT_RUNS.items():
+    for variant, extra in VARIANT_RUNS.items():
         (tmp_path / variant).mkdir()
         out, _ = train_tiny(capsys, tmp_path / variant, periodic_csv, *extra)
         report = json.loads((out / "report.json").read_text())
@@ -323,7 +346,7 @@ def test_eval_reproduces_report_test_bit_exactly(capsys, tmp_path, periodic_csv)
 
 
 def test_eval_val_split_matches_best_recorded(capsys, tmp_path, periodic_csv):
-    for variant, extra in GRID_WEIGHT_RUNS.items():
+    for variant, extra in VARIANT_RUNS.items():
         (tmp_path / variant).mkdir()
         out, _ = train_tiny(capsys, tmp_path / variant, periodic_csv, *extra)
         report = json.loads((out / "report.json").read_text())
@@ -492,11 +515,7 @@ def test_eval_reads_no_weight_before_the_data_and_its_channel_count(capsys, monk
                                                                     tmp_path, periodic_csv):
     checkpoint = tmp_path / "model.fbm"
     ForecastModel(ModelSpec(variant="fbm-l", T=48, L=12, D=1)).save(checkpoint)
-
-    def no_weights(path):
-        raise AssertionError(f"weights of {path} read")
-
-    monkeypatch.setattr(ad, "load_tensors", no_weights)
+    read = count_records_read(monkeypatch)
     two = write_series(tmp_path / "two.csv", np.vstack([np.cos(np.arange(800) / 7)] * 2),
                        header="u,v")
     for data, code, message in ((str(tmp_path / "missing.csv"), 2, "missing.csv"),
@@ -504,6 +523,43 @@ def test_eval_reads_no_weight_before_the_data_and_its_channel_count(capsys, monk
         rc, stdout, err = run(capsys, "eval", "--checkpoint", str(checkpoint), "--data", data)
         assert rc == code and stdout == ""
         assert err.startswith("fbm: error: ") and err.count("\n") == 1 and message in err
+    assert read == []
+
+
+def test_a_checkpoint_is_opened_once_by_load_and_twice_by_eval(capsys, monkeypatch, tmp_path,
+                                                              periodic_csv):
+    checkpoint = tmp_path / "model.fbm"
+    ForecastModel(ModelSpec(variant="fbm-l", T=48, L=12, D=1)).save(checkpoint)
+    opened, reading = [], ad.reading
+
+    def counted(path, *args, **kwargs):
+        opened.append(path)
+        return reading(path, *args, **kwargs)
+
+    monkeypatch.setattr(ad, "reading", counted)
+    ForecastModel.load(checkpoint)
+    assert len(opened) == 1
+    opened.clear()
+    rc, _, _ = run(capsys, "eval", "--checkpoint", str(checkpoint), "--data", periodic_csv)
+    assert rc == 0
+    assert len(opened) == 2  # its header before the data, then header and records in one read
+
+
+def test_eval_refuses_a_checkpoint_replaced_while_the_data_loads(capsys, monkeypatch, tmp_path,
+                                                                 periodic_csv):
+    checkpoint = tmp_path / "model.fbm"
+    ForecastModel(ModelSpec(variant="fbm-l", T=48, L=12, D=1)).save(checkpoint)
+    prepare_windows = cli.prepare_windows
+
+    def replacing(*args):
+        # an L=1 model's predictions would broadcast against the L=12 targets
+        ForecastModel(ModelSpec(variant="fbm-l", T=48, L=1, D=1)).save(checkpoint)
+        return prepare_windows(*args)
+
+    monkeypatch.setattr(cli, "prepare_windows", replacing)
+    rc, stdout, err = run(capsys, "eval", "--checkpoint", str(checkpoint), "--data", periodic_csv)
+    assert rc == 1 and stdout == ""
+    assert "does not match requested spec" in err
 
 
 def test_eval_predictions_export(capsys, tmp_path, periodic_csv):
@@ -697,7 +753,7 @@ def test_spectrum_reports_amplitude_phase_amplitude(capsys, tmp_path, periodic_c
     # that range starts T-1 steps before the last 240 (20%) of the series
     start = 1200 - 240 - 47
     x = np.loadtxt(periodic_csv, skiprows=1)[start : start + 48]
-    amp = fb.amplitude_phase(*fb.rdft_array((x - x.mean()) / x.std())).amp
+    amp = fb.amplitude(*fb.rdft_array((x - x.mean()) / x.std()))
     for r in (rows[1], rows[-1]):  # k = 2 (doubled) and k = T/2 (Nyquist, single)
         k = int(r["k"])
         assert float(r["mean_amp"]) == pytest.approx(amp[k], rel=1e-12, abs=1e-12)
@@ -771,14 +827,11 @@ def test_weights_rejects_non_seasonal_checkpoint(capsys, tmp_path, periodic_csv)
 def test_weights_refuses_a_non_fbm_s_checkpoint_from_its_header(capsys, monkeypatch, tmp_path):
     checkpoint = tmp_path / "model.fbm"
     ForecastModel(ModelSpec(variant="fbm-l", T=48, L=12, D=1)).save(checkpoint)
-
-    def no_weights(path):
-        raise AssertionError(f"weights of {path} read")
-
-    monkeypatch.setattr(ad, "load_tensors", no_weights)
+    read = count_records_read(monkeypatch)
     rc, stdout, err = run(capsys, "weights", "--checkpoint", str(checkpoint))
     assert rc == 1 and stdout == ""
     assert err == "fbm: error: weights export needs an fbm-s checkpoint, got fbm-l\n"
+    assert read == []
 
 
 def _fbm_s_records(tmp_path):
@@ -794,14 +847,11 @@ def _fbm_s_records(tmp_path):
 def test_weights_reads_no_record_past_the_seasonal_filter(capsys, monkeypatch, tmp_path):
     path, _, records = _fbm_s_records(tmp_path)
     assert records[0][0] == "seasonal.W" and len(records) > 1
-
-    def no_load(path):
-        raise AssertionError(f"every record of {path} read")
-
-    monkeypatch.setattr(ad, "load_tensors", no_load)
+    read = count_records_read(monkeypatch)
     out = tmp_path / "w.csv"
     rc, stdout, _ = run(capsys, "weights", "--checkpoint", str(path), "--out", str(out))
     assert rc == 0 and stdout == f"wrote {out} (48, 24)\n"
+    assert read == [48 * 24]  # seasonal.W alone
     rows = np.loadtxt(out, delimiter=",", skiprows=1)
     assert rows.shape == (48 * 24, 3)
     assert np.array_equal(rows[:, 2].reshape(48, 24), records[0][1])
@@ -1363,10 +1413,10 @@ def test_model_describe_draws_and_reads_no_weight(capsys, monkeypatch, tmp_path)
     drawn.save(checkpoint)
 
     def refuse(*args):
-        raise AssertionError("a weight drawn or read")
+        raise AssertionError("a weight drawn")
 
     monkeypatch.setattr(ad, "init_uniform", refuse)
-    monkeypatch.setattr(ad, "load_tensors", refuse)
+    read = count_records_read(monkeypatch)
     described = []
     for argv in (("--variant", "fbm-s", "--T", "48", "--L", "12", "--D", "3", "--trend-backbone", "linear",
                   "--scales", "1", "--interaction", "--c1", "4", "--c2", "6", "--h3", "8", "--inter-k", "1"),
@@ -1378,6 +1428,7 @@ def test_model_describe_draws_and_reads_no_weight(capsys, monkeypatch, tmp_path)
         assert [(name, int(count)) for name, count, _ in map(str.split, rows)] == drawn.describe()
         described.append(stdout)
     assert described[0] == described[1]
+    assert read == []
 
 
 # --- synth ------------------------------------------------------------------------------

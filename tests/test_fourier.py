@@ -213,30 +213,24 @@ def test_rdft_array_takes_a_stack_as_one_product():
                 assert np.all(np.abs(got[b, d] - x[b, d] @ table) <= bound)
 
 
-def test_amplitude_phase_triangle():
+def test_amplitude_triangle():
     # construct a spectrum whose fused coefficients are A=3, B=4 at bin 1
     real = np.zeros(5)  # T = 8
     imag = np.zeros(5)
     real[1] = 3.0 / 2.0  # c_1 = 2 doubles it back to 3
     imag[1] = -4.0 / 2.0  # B = -c_1 * H_I
-    ap = fb.amplitude_phase(real, imag)
-    np.testing.assert_allclose(ap.amp[1], 5.0, atol=1e-12)
-    np.testing.assert_allclose(ap.phase[1], np.arctan2(4.0, 3.0), atol=1e-12)
+    np.testing.assert_allclose(fb.amplitude(real, imag)[1], 5.0, atol=1e-12)
 
 
-def test_amplitude_phase_pure_cosine_is_zero_phase():
+def test_amplitude_of_a_unit_cosine_is_T():
     T = 16
     x = np.cos(2 * np.pi * 3 * np.arange(T) / T)
-    ap = fb.amplitude_phase(*fb.rdft_array(x))
-    assert abs(ap.phase[3]) < 1e-10
     # fused coefficients carry c_k and the missing 1/T: unit cosine -> R = T
-    np.testing.assert_allclose(ap.amp[3], float(T), atol=1e-9)
+    np.testing.assert_allclose(fb.amplitude(*fb.rdft_array(x))[3], float(T), atol=1e-9)
 
 
-def test_amplitude_phase_zero_bin_convention():
-    ap = fb.amplitude_phase(np.zeros(5), np.zeros(5))  # T = 8
-    np.testing.assert_array_equal(ap.phase, np.zeros(5))
-    np.testing.assert_array_equal(ap.amp, np.zeros(5))
+def test_amplitude_of_empty_bins_is_zero():
+    np.testing.assert_array_equal(fb.amplitude(np.zeros(5), np.zeros(5)), np.zeros(5))  # T = 8
 
 
 def test_case1_phase_gap_law():
@@ -247,10 +241,11 @@ def test_case1_phase_gap_law():
     n = np.arange(T)
     x = np.cos(2 * np.pi * k * (n + delta) / T)
     y = np.cos(2 * np.pi * k * (n + delta + shift) / T)
-    ap_x = fb.amplitude_phase(*fb.rdft_array(x))
-    ap_y = fb.amplitude_phase(*fb.rdft_array(y))
-    np.testing.assert_allclose(ap_x.amp[k], ap_y.amp[k], atol=1e-9)
-    gap = (ap_x.phase[k] - ap_y.phase[k]) % (2 * np.pi)
+    H_x, H_y = fb.rdft_array(x), fb.rdft_array(y)
+    np.testing.assert_allclose(fb.amplitude(*H_x)[k], fb.amplitude(*H_y)[k], atol=1e-9)
+    # the phase of the (a_k, -b_k) legs, so a pure cosine bin lands at phase 0
+    phase_x, phase_y = (np.arctan2(-H_I[k], H_R[k]) for H_R, H_I in (H_x, H_y))
+    gap = (phase_x - phase_y) % (2 * np.pi)
     expect = (2 * np.pi * k * shift / T) % (2 * np.pi)
     np.testing.assert_allclose(gap, expect, atol=1e-9)
 
